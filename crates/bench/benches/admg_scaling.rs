@@ -2,35 +2,34 @@
 //! deployment grows — the paper's motivation for a distributed solution
 //! ("tens of datacenters, hundreds of thousands of front-ends").
 //!
-//! Measures wall-clock per solve for growing front-end counts with both
-//! sub-problem backends, and the message volume of the distributed
+//! Measures wall-clock per solve for growing front-end counts on the dense
+//! and the rank-1 KKT paths, and the message volume of the distributed
 //! protocol at paper scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ufc_bench::{paper_instance, synthetic_instance};
-use ufc_core::{AdmgSettings, AdmgSolver, Strategy, SubproblemMethod};
+use ufc_core::{AdmgSettings, AdmgSolver, Strategy};
 use ufc_distsim::{DistributedAdmg, Runtime};
 
 fn bench_frontend_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("admg_frontend_scaling");
     g.sample_size(10);
-    // The exact active-set path refactorizes a dense KKT per working-set
+    // The dense active-set path refactorizes a KKT system per working-set
     // change, so it is benchmarked at the scales it is recommended for
-    // (M ≤ 40); FISTA carries the large-M story.
+    // (M ≤ 40); the rank-1 KKT path carries the large-M story.
     for m in [10usize, 40] {
         let inst = synthetic_instance(m, 4);
-        let solver =
-            AdmgSolver::new(AdmgSettings::default().with_method(SubproblemMethod::ActiveSet));
+        let solver = AdmgSolver::new(AdmgSettings::default());
         g.bench_with_input(BenchmarkId::new("active_set", m), &m, |b, _| {
             b.iter(|| black_box(solver.solve(black_box(&inst), Strategy::Hybrid).unwrap()))
         });
     }
     for m in [10usize, 40, 160] {
         let inst = synthetic_instance(m, 4);
-        let solver = AdmgSolver::new(AdmgSettings::default().with_method(SubproblemMethod::Fista));
-        g.bench_with_input(BenchmarkId::new("fista", m), &m, |b, _| {
+        let solver = AdmgSolver::new(AdmgSettings::default().with_rank1_kkt(true));
+        g.bench_with_input(BenchmarkId::new("rank1_kkt", m), &m, |b, _| {
             b.iter(|| black_box(solver.solve(black_box(&inst), Strategy::Hybrid).unwrap()))
         });
     }

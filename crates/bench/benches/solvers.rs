@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ufc_linalg::{Cholesky, Ldlt, Lu, Matrix};
+use ufc_linalg::{Cholesky, Ldlt, Matrix};
 use ufc_opt::projection::{project_capped_simplex, project_simplex};
 use ufc_opt::{ActiveSetQp, AdmmQp, Fista, QuadObjective};
 
@@ -33,12 +33,6 @@ fn bench_factorizations(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("ldlt_solve", n), &n, |b, _| {
             b.iter(|| {
                 let f = Ldlt::factor(black_box(&a)).unwrap();
-                black_box(f.solve(black_box(&rhs)).unwrap())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("lu_solve", n), &n, |b, _| {
-            b.iter(|| {
-                let f = Lu::factor(black_box(&a)).unwrap();
                 black_box(f.solve(black_box(&rhs)).unwrap())
             })
         });

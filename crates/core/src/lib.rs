@@ -77,7 +77,7 @@ pub use engine::{
 };
 pub use error::CoreError;
 pub use pool::WorkerPool;
-pub use settings::{AdmgSettings, SubproblemMethod};
+pub use settings::AdmgSettings;
 pub use solver::{AdmgSolution, AdmgSolver};
 pub use state::AdmgState;
 pub use strategy::{solve_all_strategies, Strategy, StrategyComparison};

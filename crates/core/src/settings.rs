@@ -1,14 +1,3 @@
-/// How the λ- and a-sub-problem QPs are solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubproblemMethod {
-    /// Exact dense active-set QP (`ufc_opt::ActiveSetQp`). Preferred at the
-    /// paper's scale (N = 4 datacenters, M = 10 front-ends).
-    ActiveSet,
-    /// Accelerated projected gradient (`ufc_opt::Fista`). Scales to large
-    /// `M`/`N`; used by the scaling benchmarks.
-    Fista,
-}
-
 /// Hyper-parameters of the distributed 4-block ADM-G algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmgSettings {
@@ -27,20 +16,10 @@ pub struct AdmgSettings {
     /// Convergence tolerance on the dual residual (∞-norm of the scaled
     /// iterate movement).
     pub eps_dual: f64,
-    /// Sub-problem solver selection.
-    pub method: SubproblemMethod,
     /// Worker threads for the per-block prediction phases (`0` = use all
     /// available cores, `1` = sequential). Per-block results are gathered in
     /// a fixed order, so every thread count produces bit-identical iterates.
     pub num_threads: usize,
-    /// Reuse cached KKT factorizations and warm-started iterates across
-    /// ADM-G iterations. The sub-problem Hessians (`ρI`-shifted quadratics)
-    /// are constant while only the linear terms move, so each block's KKT
-    /// system is factored once per working set and reused every iteration.
-    /// `false` reproduces the pre-caching behavior — cold starts and fresh
-    /// factorizations every iteration — and exists for benchmarking the
-    /// cached path against it.
-    pub cache_factorizations: bool,
     /// Solve block-QP KKT systems in `O(n)` via the Sherman–Morrison rank-1
     /// fast path (`ufc_opt::ActiveSetQp::with_rank1_kkt`) whenever the
     /// working set stays in the λ/a sub-problem shape (nonnegativity bounds
@@ -107,9 +86,7 @@ impl Default for AdmgSettings {
             eps_link: 1e-3,
             eps_balance: 1e-3,
             eps_dual: 1e-3,
-            method: SubproblemMethod::ActiveSet,
             num_threads: 1,
-            cache_factorizations: true,
             rank1_kkt: false,
             blocked_factorizations: false,
             telemetry: false,
@@ -226,24 +203,10 @@ impl AdmgSettings {
         self
     }
 
-    /// Returns a copy using the given sub-problem method.
-    #[must_use]
-    pub fn with_method(mut self, method: SubproblemMethod) -> Self {
-        self.method = method;
-        self
-    }
-
     /// Returns a copy using the given worker-thread count (`0` = auto).
     #[must_use]
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
-        self
-    }
-
-    /// Returns a copy with factorization caching and warm starts toggled.
-    #[must_use]
-    pub fn with_factorization_caching(mut self, enabled: bool) -> Self {
-        self.cache_factorizations = enabled;
         self
     }
 
@@ -343,22 +306,19 @@ mod tests {
         let s = AdmgSettings::default()
             .with_rho(1.0)
             .with_epsilon(0.8)
-            .with_method(SubproblemMethod::Fista)
-            .with_threads(4)
-            .with_factorization_caching(false);
+            .with_threads(4);
         assert_eq!(s.rho, 1.0);
         assert_eq!(s.epsilon, 0.8);
-        assert_eq!(s.method, SubproblemMethod::Fista);
         assert_eq!(s.num_threads, 4);
-        assert!(!s.cache_factorizations);
         s.validate();
     }
 
     #[test]
     fn default_is_sequential_with_caching() {
-        let s = AdmgSettings::default();
-        assert_eq!(s.num_threads, 1);
-        assert!(s.cache_factorizations);
+        // Factorization caching and warm starts are unconditional (the
+        // workspace kernels always own a `KktCache`); only the width is a
+        // setting.
+        assert_eq!(AdmgSettings::default().num_threads, 1);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //!
 //! | step | owner | problem | method |
 //! |------|-------|---------|--------|
-//! | [`lambda_step`] | each front-end `i` | QP over the load-balance simplex (17) | active-set (exact) or FISTA |
+//! | [`lambda_step`] | each front-end `i` | QP over the load-balance simplex (17) | active-set (exact) |
 //! | [`mu_step`] | each datacenter `j` | 1-variable box QP (18) | closed form |
 //! | [`nu_step`] | each datacenter `j` | 1-variable convex problem (19) | closed form (affine/quadratic `V`) or derivative bisection |
 //! | [`storage_step`] | each datacenter `j` | 1-variable box QP (storage extension) | closed form |
-//! | [`a_step`] | each datacenter `j` | QP over the capped simplex (20) | active-set (exact) or FISTA |
+//! | [`a_step`] | each datacenter `j` | QP over the capped simplex (20) | active-set (exact); backtracking FISTA with the congestion barrier |
 //! | [`dual_step`] | both sides | gradient ascent on the two coupling rows | closed form |
 //!
 //! The "block activity" flags implement the paper's strategy restrictions:
@@ -20,17 +20,15 @@
 
 use ufc_linalg::Matrix;
 use ufc_model::{utility::disutility_rank1_gamma, EmissionCostFn, QueueingCost, UfcInstance};
-use ufc_opt::projection::{project_capped_simplex, project_simplex};
+use ufc_opt::projection::project_capped_simplex;
 use ufc_opt::{scalar, ActiveSetQp, Fista, QuadObjective, SmoothObjective};
 
-use crate::{AdmgState, CoreError, Result, SubproblemMethod};
+use crate::{AdmgState, CoreError, Result};
 
-/// Iteration caps/tolerances for the inner QP solves; much tighter than the
-/// outer loop so sub-problem error never dominates the ADM-G residuals.
-/// Shared with the persistent kernels in [`crate::workspace`] so the cached
-/// and uncached paths solve identical problems.
+/// Iteration cap of the congested a-step's inner FISTA solve. Shared with
+/// the persistent kernels in [`crate::workspace`] so the reference step and
+/// the kernels solve identical problems.
 pub(crate) const FISTA_MAX_ITER: usize = 50_000;
-pub(crate) const FISTA_TOL: f64 = 1e-10;
 /// The congestion barrier's curvature makes ultra-tight inner tolerances
 /// disproportionately expensive; 1e-8 keeps the inner error two orders below
 /// the outer stopping rule.
@@ -44,12 +42,7 @@ pub(crate) const FISTA_CONGESTED_TOL: f64 = 1e-8;
 /// # Errors
 ///
 /// Returns [`CoreError::Subproblem`] if a front-end's QP fails.
-pub fn lambda_step(
-    instance: &UfcInstance,
-    rho: f64,
-    method: SubproblemMethod,
-    state: &AdmgState,
-) -> Result<Vec<f64>> {
+pub fn lambda_step(instance: &UfcInstance, rho: f64, state: &AdmgState) -> Result<Vec<f64>> {
     let (m, n) = (state.m, state.n);
     let w = instance.weight_per_kserver();
     let mut lambda_tilde = vec![0.0; m * n];
@@ -83,20 +76,10 @@ pub fn lambda_step(
         let mut start = std::mem::take(&mut start_buf);
         start.clear();
         start.resize(n, arrival / n as f64);
-        let row = match method {
-            SubproblemMethod::ActiveSet => {
-                ActiveSetQp::default()
-                    .solve(&objective, &a_eq, &[arrival], &a_in, &b_in, start)
-                    .map_err(|e| CoreError::subproblem(format!("lambda[{i}]"), e))?
-                    .x
-            }
-            SubproblemMethod::Fista => {
-                Fista::new(FISTA_MAX_ITER, FISTA_TOL)
-                    .minimize(&objective, |x| project_simplex(x, arrival), start)
-                    .map_err(|e| CoreError::subproblem(format!("lambda[{i}]"), e))?
-                    .x
-            }
-        };
+        let row = ActiveSetQp::default()
+            .solve(&objective, &a_eq, &[arrival], &a_in, &b_in, start)
+            .map_err(|e| CoreError::subproblem(format!("lambda[{i}]"), e))?
+            .x;
         lambda_tilde[i * n..(i + 1) * n].copy_from_slice(&row);
         start_buf = row;
     }
@@ -374,7 +357,7 @@ impl SmoothObjective for CongestedAStep {
 /// a-minimization (20): each datacenter solves a QP with Hessian
 /// `ρ(I + β_j²·1 1ᵀ)` over `{a ≥ 0, Σ_i a_ij ≤ S_j}`. With the queueing
 /// extension enabled the objective gains the convex congestion barrier and
-/// is solved by backtracking FISTA regardless of the configured method.
+/// is solved by backtracking FISTA instead.
 ///
 /// Returns the predicted auxiliary routing `ã` as an `M × N` flat.
 ///
@@ -385,7 +368,6 @@ impl SmoothObjective for CongestedAStep {
 pub fn a_step(
     instance: &UfcInstance,
     rho: f64,
-    method: SubproblemMethod,
     state: &AdmgState,
     lambda_tilde: &[f64],
     mu_tilde: &[f64],
@@ -446,21 +428,11 @@ pub fn a_step(
         let mut start = std::mem::take(&mut start_buf);
         start.clear();
         start.resize(m, 0.0);
-        let col = match method {
-            SubproblemMethod::ActiveSet => {
-                b_in[m] = cap;
-                ActiveSetQp::default()
-                    .solve(&objective, &a_eq, &[], &a_in, &b_in, start)
-                    .map_err(|e| CoreError::subproblem(format!("a[{j}]"), e))?
-                    .x
-            }
-            SubproblemMethod::Fista => {
-                Fista::new(FISTA_MAX_ITER, FISTA_TOL)
-                    .minimize(&objective, |x| project_capped_simplex(x, cap), start)
-                    .map_err(|e| CoreError::subproblem(format!("a[{j}]"), e))?
-                    .x
-            }
-        };
+        b_in[m] = cap;
+        let col = ActiveSetQp::default()
+            .solve(&objective, &a_eq, &[], &a_in, &b_in, start)
+            .map_err(|e| CoreError::subproblem(format!("a[{j}]"), e))?
+            .x;
         for i in 0..m {
             a_tilde[state.idx(i, j)] = col[i];
         }
@@ -535,24 +507,11 @@ mod tests {
     fn lambda_step_satisfies_load_balance() {
         let inst = tiny();
         let state = AdmgState::zeros(&inst);
-        let lt = lambda_step(&inst, 0.3, SubproblemMethod::ActiveSet, &state).unwrap();
+        let lt = lambda_step(&inst, 0.3, &state).unwrap();
         // Row sums equal arrivals; entries nonnegative.
         assert!((lt[0] + lt[1] - 1.0).abs() < 1e-7);
         assert!((lt[2] + lt[3] - 2.0).abs() < 1e-7);
         assert!(lt.iter().all(|&v| v >= -1e-9));
-    }
-
-    #[test]
-    fn lambda_step_methods_agree() {
-        let inst = tiny();
-        let mut state = AdmgState::zeros(&inst);
-        state.a = vec![0.4, 0.6, 1.5, 0.5];
-        state.varphi = vec![0.1, -0.2, 0.05, 0.3];
-        let exact = lambda_step(&inst, 0.3, SubproblemMethod::ActiveSet, &state).unwrap();
-        let fista = lambda_step(&inst, 0.3, SubproblemMethod::Fista, &state).unwrap();
-        for (a, b) in exact.iter().zip(&fista) {
-            assert!((a - b).abs() < 1e-5, "{exact:?} vs {fista:?}");
-        }
     }
 
     #[test]
@@ -561,7 +520,7 @@ mod tests {
         // from ρ‖λ‖² is the latency disutility ⇒ prefer the closer DC.
         let inst = tiny();
         let state = AdmgState::zeros(&inst);
-        let lt = lambda_step(&inst, 1e-6, SubproblemMethod::ActiveSet, &state).unwrap();
+        let lt = lambda_step(&inst, 1e-6, &state).unwrap();
         // FE0 is closer to DC0 (10 ms vs 20 ms) but the quadratic utility
         // spreads load; still the closer DC gets at least half.
         assert!(lt[0] >= 0.5, "lt = {lt:?}");
@@ -666,7 +625,6 @@ mod tests {
         let a = a_step(
             &inst,
             0.3,
-            SubproblemMethod::ActiveSet,
             &state,
             &lambda_tilde,
             &[0.0, 0.0],
@@ -679,40 +637,6 @@ mod tests {
             assert!(load <= inst.capacities[j] + 1e-7, "capacity violated");
         }
         assert!(a.iter().all(|&v| v >= -1e-9));
-    }
-
-    #[test]
-    fn a_step_methods_agree() {
-        let inst = tiny();
-        let mut state = AdmgState::zeros(&inst);
-        state.varphi = vec![0.3, -0.1, 0.2, 0.4];
-        state.phi = vec![1.0, -2.0];
-        let lambda_tilde = vec![0.5, 0.5, 1.2, 0.8];
-        let exact = a_step(
-            &inst,
-            0.3,
-            SubproblemMethod::ActiveSet,
-            &state,
-            &lambda_tilde,
-            &[0.1, 0.2],
-            &[0.2, 0.1],
-            &[0.0, 0.0],
-        )
-        .unwrap();
-        let fista = a_step(
-            &inst,
-            0.3,
-            SubproblemMethod::Fista,
-            &state,
-            &lambda_tilde,
-            &[0.1, 0.2],
-            &[0.2, 0.1],
-            &[0.0, 0.0],
-        )
-        .unwrap();
-        for (x, y) in exact.iter().zip(&fista) {
-            assert!((x - y).abs() < 1e-5, "{exact:?} vs {fista:?}");
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! # Cache and warm-start invariants
 //!
-//! * A kernel is valid for one `(instance row/column, ρ, method)` tuple —
+//! * A kernel is valid for one `(instance row/column, ρ)` pair —
 //!   its cache keys assume a fixed Hessian and constraint set. Changing ρ or
 //!   retargeting to a different block requires building a new kernel. A
 //!   workspace **may** be reused across strategy restrictions on the same
@@ -23,8 +23,8 @@
 //!   bit-identical to fresh-workspace solves — `solve_all_strategies` relies
 //!   on this).
 //! * The cache is a pure memoization: cached solves are **bit-identical** to
-//!   fresh ones (asserted by tests in `ufc-opt`), so enabling it never
-//!   perturbs the iterate trajectory.
+//!   fresh ones (asserted by tests in `ufc-opt`), so it never perturbs the
+//!   iterate trajectory.
 //! * Warm starts use a deterministic feasibility gate: the previous iterate
 //!   is used as the QP start only when it satisfies the block's constraints
 //!   to tight tolerance, otherwise the kernel falls back to the classic cold
@@ -33,16 +33,16 @@
 
 use ufc_linalg::Matrix;
 use ufc_model::{utility::disutility_rank1_gamma, QueueingCost, UfcInstance};
-use ufc_opt::projection::{project_capped_simplex, project_simplex};
+use ufc_opt::projection::project_capped_simplex;
 use ufc_opt::{ActiveSetQp, Fista, KktCache, QuadObjective};
 
 use crate::pool::WorkerPool;
 use crate::subproblems::{
     mu_scalar_step_bounded, nu_scalar_step, storage_scalar_step, CongestedAStep,
-    FISTA_CONGESTED_TOL, FISTA_MAX_ITER, FISTA_TOL,
+    FISTA_CONGESTED_TOL, FISTA_MAX_ITER,
 };
 use crate::telemetry::SolverCounters;
-use crate::{AdmgSettings, AdmgState, CoreError, Result, SubproblemMethod};
+use crate::{AdmgSettings, AdmgState, CoreError, Result};
 
 /// Entry tolerance for accepting a previous iterate as a warm start:
 /// component-wise nonnegativity slack.
@@ -77,14 +77,11 @@ fn snap_support_into(x: &mut [f64], seed: &mut Vec<usize>) {
 }
 
 /// Which acceleration paths a block kernel engages — the per-kernel
-/// projection of [`AdmgSettings`]. All three default to `false`; the
+/// projection of [`AdmgSettings`]. Both default to `false`; the
 /// bit-identity contract of each knob is documented on the corresponding
 /// settings field.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QpOptions {
-    /// Memoize KKT factorizations keyed by working set (pure memo — cached
-    /// solves are bit-identical to fresh ones).
-    pub caching: bool,
     /// Solve structured KKT systems in `O(n)` via Sherman–Morrison
     /// ([`AdmgSettings::rank1_kkt`]; tolerance-equal, **not** bitwise).
     pub rank1_kkt: bool,
@@ -98,29 +95,8 @@ impl QpOptions {
     #[must_use]
     pub fn from_settings(settings: &AdmgSettings) -> Self {
         QpOptions {
-            caching: settings.cache_factorizations,
             rank1_kkt: settings.rank1_kkt,
             blocked_factorizations: settings.blocked_factorizations,
-        }
-    }
-
-    /// Options with only factorization caching toggled — the pre-scaling
-    /// kernel configuration.
-    #[must_use]
-    pub fn caching_only(caching: bool) -> Self {
-        QpOptions {
-            caching,
-            ..QpOptions::default()
-        }
-    }
-}
-
-impl QpOptions {
-    fn cache(self) -> KktCache {
-        if self.caching {
-            KktCache::default()
-        } else {
-            KktCache::disabled()
         }
     }
 
@@ -145,7 +121,6 @@ impl QpOptions {
 #[derive(Debug, Clone)]
 pub struct LambdaQp {
     arrival: f64,
-    method: SubproblemMethod,
     solver: ActiveSetQp,
     objective: QuadObjective,
     a_eq: Matrix,
@@ -165,30 +140,21 @@ pub struct LambdaQp {
 impl LambdaQp {
     /// Builds the kernel for a front-end with the given latency row,
     /// arrival rate, disutility weight `w` and penalty ρ. `options` selects
-    /// the acceleration paths; `QpOptions::default()` (everything off)
-    /// reproduces the uncached pre-scaling behavior bit-for-bit.
+    /// the acceleration paths (`QpOptions::default()` is the dense path).
     #[must_use]
-    pub fn new(
-        latencies: &[f64],
-        arrival: f64,
-        w: f64,
-        rho: f64,
-        method: SubproblemMethod,
-        options: QpOptions,
-    ) -> Self {
+    pub fn new(latencies: &[f64], arrival: f64, w: f64, rho: f64, options: QpOptions) -> Self {
         let n = latencies.len();
         let gamma = disutility_rank1_gamma(w, arrival);
         let objective =
             QuadObjective::diag_rank1(vec![rho; n], gamma, latencies.to_vec(), vec![0.0; n], 0.0);
         LambdaQp {
             arrival,
-            method,
             solver: options.solver(n),
             objective,
             a_eq: Matrix::from_fn(1, n, |_, _| 1.0),
             a_in: Matrix::from_fn(n, n, |r, c| if r == c { -1.0 } else { 0.0 }),
             b_in: vec![0.0; n],
-            cache: options.cache(),
+            cache: KktCache::default(),
             start_buf: Vec::new(),
             seed_buf: Vec::new(),
             warm_accepted: 0,
@@ -234,28 +200,19 @@ impl LambdaQp {
         }
         self.objective.set_linear(c);
         let start = self.fill_start(warm);
-        let x = match self.method {
-            SubproblemMethod::ActiveSet => {
-                self.solver
-                    .solve_seeded(
-                        &self.objective,
-                        &self.a_eq,
-                        &[self.arrival],
-                        &self.a_in,
-                        &self.b_in,
-                        start,
-                        &mut self.cache,
-                        &self.seed_buf,
-                    )?
-                    .x
-            }
-            SubproblemMethod::Fista => {
-                let arrival = self.arrival;
-                Fista::new(FISTA_MAX_ITER, FISTA_TOL)
-                    .minimize(&self.objective, |x| project_simplex(x, arrival), start)?
-                    .x
-            }
-        };
+        let x = self
+            .solver
+            .solve_seeded(
+                &self.objective,
+                &self.a_eq,
+                &[self.arrival],
+                &self.a_in,
+                &self.b_in,
+                start,
+                &mut self.cache,
+                &self.seed_buf,
+            )?
+            .x;
         self.start_buf = std::mem::replace(out, x);
         Ok(())
     }
@@ -311,7 +268,6 @@ impl LambdaQp {
 #[derive(Debug, Clone)]
 pub struct AColQp {
     capacity: f64,
-    method: SubproblemMethod,
     solver: ActiveSetQp,
     objective: QuadObjective,
     a_eq: Matrix,
@@ -333,8 +289,7 @@ impl AColQp {
     /// Builds the kernel for a datacenter column: `m` front-ends, penalty ρ,
     /// power-proportionality slope β, capacity cap, and the optional
     /// queueing (congestion) extension. `options` selects the acceleration
-    /// paths; `QpOptions::default()` reproduces the uncached pre-scaling
-    /// behavior bit-for-bit.
+    /// paths (`QpOptions::default()` is the dense path).
     #[must_use]
     pub fn new(
         m: usize,
@@ -342,7 +297,6 @@ impl AColQp {
         beta: f64,
         capacity: f64,
         queueing: Option<QueueingCost>,
-        method: SubproblemMethod,
         options: QpOptions,
     ) -> Self {
         let objective = QuadObjective::diag_rank1(
@@ -366,14 +320,13 @@ impl AColQp {
         });
         AColQp {
             capacity,
-            method,
             solver: options.solver(m),
             objective,
             a_eq: Matrix::zeros(0, m),
             a_in,
             b_in,
             congested,
-            cache: options.cache(),
+            cache: KktCache::default(),
             start_buf: Vec::new(),
             seed_buf: Vec::new(),
             warm_accepted: 0,
@@ -407,8 +360,8 @@ impl AColQp {
         out: &mut Vec<f64>,
     ) -> ufc_opt::Result<()> {
         if self.congested.is_some() {
-            // Congested path: barrier objective over the shrunk cap; solved
-            // by backtracking FISTA regardless of the configured method.
+            // Congested path: barrier objective over the shrunk cap; the
+            // barrier is not quadratic, so backtracking FISTA solves it.
             let cap_q = self.congested.as_ref().map(|(_, cq)| *cq).unwrap_or(0.0);
             let start = self.fill_start(warm, cap_q);
             let (cong, _) = self.congested.as_mut().expect("checked above");
@@ -421,28 +374,19 @@ impl AColQp {
         }
         self.objective.set_linear(c);
         let start = self.fill_start(warm, self.capacity);
-        let x = match self.method {
-            SubproblemMethod::ActiveSet => {
-                self.solver
-                    .solve_seeded(
-                        &self.objective,
-                        &self.a_eq,
-                        &[],
-                        &self.a_in,
-                        &self.b_in,
-                        start,
-                        &mut self.cache,
-                        &self.seed_buf,
-                    )?
-                    .x
-            }
-            SubproblemMethod::Fista => {
-                let cap = self.capacity;
-                Fista::new(FISTA_MAX_ITER, FISTA_TOL)
-                    .minimize(&self.objective, |x| project_capped_simplex(x, cap), start)?
-                    .x
-            }
-        };
+        let x = self
+            .solver
+            .solve_seeded(
+                &self.objective,
+                &self.a_eq,
+                &[],
+                &self.a_in,
+                &self.b_in,
+                start,
+                &mut self.cache,
+                &self.seed_buf,
+            )?
+            .x;
         self.start_buf = std::mem::replace(out, x);
         Ok(())
     }
@@ -534,7 +478,6 @@ pub(crate) struct SolverWorkspace {
     lambda_blocks: Vec<LambdaBlock>,
     a_blocks: Vec<ABlock>,
     rho: f64,
-    warm: bool,
 }
 
 impl SolverWorkspace {
@@ -551,7 +494,6 @@ impl SolverWorkspace {
                     instance.arrivals[i],
                     w,
                     settings.rho,
-                    settings.method,
                     options,
                 ),
             })
@@ -570,7 +512,6 @@ impl SolverWorkspace {
                     instance.beta[j],
                     instance.capacities[j],
                     instance.queueing,
-                    settings.method,
                     options,
                 ),
             })
@@ -581,7 +522,6 @@ impl SolverWorkspace {
             lambda_blocks,
             a_blocks,
             rho: settings.rho,
-            warm: options.caching,
         }
     }
 
@@ -598,16 +538,11 @@ impl SolverWorkspace {
     pub(crate) fn predict_lambda(&mut self, state: &AdmgState, pool: &WorkerPool) -> Result<()> {
         let n = state.n;
         let rho = self.rho;
-        let warm_enabled = self.warm;
         let lambda_results = pool.map_mut(&mut self.lambda_blocks, |i, blk| {
             for j in 0..n {
                 blk.c[j] = state.varphi[i * n + j] - rho * state.a[i * n + j];
             }
-            let warm = if warm_enabled {
-                Some(&state.lambda[i * n..(i + 1) * n])
-            } else {
-                None
-            };
+            let warm = Some(&state.lambda[i * n..(i + 1) * n]);
             let (c, out) = (&blk.c, &mut blk.out);
             blk.qp.solve_into(c, warm, out)
         });
@@ -642,7 +577,6 @@ impl SolverWorkspace {
     ) -> Result<()> {
         let (m, n) = (state.m, state.n);
         let rho = self.rho;
-        let warm_enabled = self.warm;
         let tilde_lambda = &self.tilde.lambda;
         let h = instance.slot_hours;
         let a_results = pool.map_mut(&mut self.a_blocks, |j, blk| {
@@ -713,16 +647,11 @@ impl SolverWorkspace {
                     -rho * tilde_lambda[i * n + j] - state.varphi[i * n + j] - state.phi[j] * beta
                         + rho * beta * drift;
             }
-            let warm = if warm_enabled {
-                for i in 0..m {
-                    blk.warm[i] = state.a[i * n + j];
-                }
-                Some(blk.warm.as_slice())
-            } else {
-                None
-            };
-            let (c, out) = (&blk.c, &mut blk.out);
-            blk.qp.solve_into(c, warm, out)
+            for i in 0..m {
+                blk.warm[i] = state.a[i * n + j];
+            }
+            let (c, warm, out) = (&blk.c, &blk.warm, &mut blk.out);
+            blk.qp.solve_into(c, Some(warm.as_slice()), out)
         });
         for (j, r) in a_results.into_iter().enumerate() {
             r.map_err(|e| CoreError::subproblem(format!("a[{j}]"), e))?;
@@ -831,11 +760,11 @@ mod tests {
             .unwrap();
 
         let rho = settings.rho;
-        let lt = lambda_step(&inst, rho, settings.method, &state).unwrap();
+        let lt = lambda_step(&inst, rho, &state).unwrap();
         let mt = mu_step(&inst, rho, &state, true);
         let nt = nu_step(&inst, rho, &state, &mt, true);
         let dt = storage_step(&inst, rho, &state, &mt, &nt);
-        let at = a_step(&inst, rho, settings.method, &state, &lt, &mt, &nt, &dt).unwrap();
+        let at = a_step(&inst, rho, &state, &lt, &mt, &nt, &dt).unwrap();
         let (pt, vt) = dual_step(&inst, rho, &state, &lt, &mt, &nt, &dt, &at);
 
         assert_eq!(ws.tilde.lambda, lt);
@@ -847,12 +776,26 @@ mod tests {
         assert_eq!(ws.tilde.varphi, vt);
     }
 
-    /// With caching disabled the workspace must still match the reference
-    /// steps exactly — this is the pre-caching baseline path.
+    /// Asserts `a ≈ b` entry by entry at `1e-9 · (1 + |b|)`.
+    fn assert_close(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (x, y) in a.iter().zip(b) {
+            assert!(
+                (x - y).abs() <= 1e-9 * (1.0 + y.abs()),
+                "{what}: {a:?} vs {b:?}"
+            );
+        }
+    }
+
+    /// From a warm, nonzero state the workspace must match the cold-started
+    /// reference steps: λ̃ exactly (the zero λ fails the warm-start gate),
+    /// μ̃/ν̃/d̃ exactly (closed forms computed before any QP), and ã with the
+    /// duals that depend on it to solver precision (the a-QP starts from
+    /// the warm column, the reference from zero).
     #[test]
     fn predict_baseline_path_matches_reference_steps() {
         let inst = tiny();
-        let settings = AdmgSettings::default().with_factorization_caching(false);
+        let settings = AdmgSettings::default();
         let mut state = AdmgState::zeros(&inst);
         state.a = vec![0.4, 0.6, 1.5, 0.5];
         state.varphi = vec![0.1, -0.2, 0.05, 0.3];
@@ -864,22 +807,26 @@ mod tests {
             .unwrap();
 
         let rho = settings.rho;
-        let lt = lambda_step(&inst, rho, settings.method, &state).unwrap();
+        let lt = lambda_step(&inst, rho, &state).unwrap();
         let mt = mu_step(&inst, rho, &state, true);
         let nt = nu_step(&inst, rho, &state, &mt, true);
         let dt = storage_step(&inst, rho, &state, &mt, &nt);
-        let at = a_step(&inst, rho, settings.method, &state, &lt, &mt, &nt, &dt).unwrap();
+        let at = a_step(&inst, rho, &state, &lt, &mt, &nt, &dt).unwrap();
+        let (pt, vt) = dual_step(&inst, rho, &state, &lt, &mt, &nt, &dt, &at);
         assert_eq!(ws.tilde.lambda, lt);
         assert_eq!(ws.tilde.mu, mt);
         assert_eq!(ws.tilde.nu, nt);
-        assert_eq!(ws.tilde.a, at);
+        assert_eq!(ws.tilde.d, dt);
+        assert_close(&ws.tilde.a, &at, "a");
+        assert_close(&ws.tilde.phi, &pt, "phi");
+        assert_close(&ws.tilde.varphi, &vt, "varphi");
     }
 
     /// On a storage instance the fused datacenter phase must reproduce the
     /// five reference step functions — μ bounds from the ramp limit, the
-    /// fresh-d storage solve, and the d-aware drift and duals — bit-for-bit
-    /// from a warm, nonzero state (caching off so the reference cold-start
-    /// path is exercised on both sides).
+    /// fresh-d storage solve, and the d-aware drift and duals — from a
+    /// warm, nonzero state: exactly up to the warm-started a-QP, to solver
+    /// precision from there on.
     #[test]
     fn predict_matches_reference_steps_with_storage() {
         let fleet = StorageFleet::new(2.0, 1.0)
@@ -888,7 +835,7 @@ mod tests {
             .degradation(2.0)
             .ramp_mw(0.3);
         let inst = tiny().with_storage(fleet.initial_params(2)).unwrap();
-        let settings = AdmgSettings::default().with_factorization_caching(false);
+        let settings = AdmgSettings::default();
         let mut state = AdmgState::zeros(&inst);
         state.a = vec![0.4, 0.6, 1.5, 0.5];
         state.varphi = vec![0.1, -0.2, 0.05, 0.3];
@@ -902,11 +849,11 @@ mod tests {
             .unwrap();
 
         let rho = settings.rho;
-        let lt = lambda_step(&inst, rho, settings.method, &state).unwrap();
+        let lt = lambda_step(&inst, rho, &state).unwrap();
         let mt = mu_step(&inst, rho, &state, true);
         let nt = nu_step(&inst, rho, &state, &mt, true);
         let dt = storage_step(&inst, rho, &state, &mt, &nt);
-        let at = a_step(&inst, rho, settings.method, &state, &lt, &mt, &nt, &dt).unwrap();
+        let at = a_step(&inst, rho, &state, &lt, &mt, &nt, &dt).unwrap();
         let (pt, vt) = dual_step(&inst, rho, &state, &lt, &mt, &nt, &dt, &at);
 
         assert!(dt.iter().any(|&d| d != 0.0), "storage block should engage");
@@ -914,9 +861,9 @@ mod tests {
         assert_eq!(ws.tilde.mu, mt);
         assert_eq!(ws.tilde.nu, nt);
         assert_eq!(ws.tilde.d, dt);
-        assert_eq!(ws.tilde.a, at);
-        assert_eq!(ws.tilde.phi, pt);
-        assert_eq!(ws.tilde.varphi, vt);
+        assert_close(&ws.tilde.a, &at, "a");
+        assert_close(&ws.tilde.phi, &pt, "phi");
+        assert_close(&ws.tilde.varphi, &vt, "varphi");
         // Ramp limit binds: μ̃ stays inside the [μ_prev ± ramp] box.
         for j in 0..2 {
             assert!(ws.tilde.mu[j] <= 0.3 + 1e-12);
@@ -1017,14 +964,7 @@ mod tests {
     /// Infeasible warm candidates fall back to the classic cold start.
     #[test]
     fn warm_start_gate_rejects_infeasible_points() {
-        let mut qp = LambdaQp::new(
-            &[0.01, 0.02],
-            1.0,
-            10.0,
-            1.0,
-            SubproblemMethod::ActiveSet,
-            QpOptions::caching_only(true),
-        );
+        let mut qp = LambdaQp::new(&[0.01, 0.02], 1.0, 10.0, 1.0, QpOptions::default());
         let c = vec![0.1, -0.2];
         // Row sum far from the arrival: gate must reject and use the uniform
         // start, i.e. match the no-warm solve exactly.

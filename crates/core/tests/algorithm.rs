@@ -206,29 +206,3 @@ fn paper_verbatim_rho_also_converges() {
         verbatim.breakdown.ufc()
     );
 }
-
-#[test]
-fn fista_subproblems_match_active_set() {
-    use ufc_core::SubproblemMethod;
-    let inst = random_instance(
-        vec![1.2, 0.9, 1.4],
-        vec![30.0, 65.0],
-        vec![0.5, 0.25],
-        80.0,
-        25.0,
-    );
-    let exact = AdmgSolver::new(AdmgSettings::default())
-        .solve(&inst, Strategy::Hybrid)
-        .unwrap();
-    let fista = AdmgSolver::new(AdmgSettings::default().with_method(SubproblemMethod::Fista))
-        .solve(&inst, Strategy::Hybrid)
-        .unwrap();
-    assert!(fista.converged);
-    assert!(
-        (exact.breakdown.ufc() - fista.breakdown.ufc()).abs()
-            < 1e-3 * exact.breakdown.ufc().abs().max(1.0),
-        "methods disagree: {} vs {}",
-        exact.breakdown.ufc(),
-        fista.breakdown.ufc()
-    );
-}

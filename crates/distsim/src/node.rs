@@ -14,11 +14,10 @@
 //! integration tests).
 
 use ufc_core::subproblems::{mu_scalar_step_bounded, nu_scalar_step, storage_scalar_step};
-use ufc_core::{AColQp, AdmgSettings, CoreError, LambdaQp, QpOptions, SubproblemMethod};
+use ufc_core::{AColQp, AdmgSettings, CoreError, LambdaQp, QpOptions};
 use ufc_linalg::Matrix;
 use ufc_model::{utility::disutility_rank1_gamma, EmissionCostFn, UfcInstance};
-use ufc_opt::projection::project_simplex;
-use ufc_opt::{ActiveSetQp, Fista, QuadObjective};
+use ufc_opt::{ActiveSetQp, QuadObjective};
 
 use crate::snapshot::{DatacenterSnapshot, FrontendSnapshot};
 
@@ -62,7 +61,6 @@ pub struct FrontendNode {
     weight_per_kserver: f64,
     rho: f64,
     epsilon: f64,
-    method: SubproblemMethod,
     lambda: Vec<f64>,
     lambda_tilde: Vec<f64>,
     a: Vec<f64>,
@@ -71,9 +69,6 @@ pub struct FrontendNode {
     evicted: Vec<bool>,
     /// Persistent λ-QP kernel (cached KKT factorizations, warm starts).
     qp: LambdaQp,
-    /// Whether warm starts from the corrected iterate are enabled
-    /// (mirrors `AdmgSettings::cache_factorizations`).
-    warm: bool,
     /// Scratch buffer for the per-round linear term.
     c_buf: Vec<f64>,
 }
@@ -95,7 +90,6 @@ impl FrontendNode {
             weight_per_kserver: instance.weight_per_kserver(),
             rho: settings.rho,
             epsilon: settings.epsilon,
-            method: settings.method,
             lambda: vec![0.0; n],
             lambda_tilde: vec![0.0; n],
             a: vec![0.0; n],
@@ -106,10 +100,8 @@ impl FrontendNode {
                 instance.arrivals[i],
                 instance.weight_per_kserver(),
                 settings.rho,
-                settings.method,
                 QpOptions::from_settings(settings),
             ),
-            warm: settings.cache_factorizations,
             c_buf: vec![0.0; n],
         }
     }
@@ -217,13 +209,8 @@ impl FrontendNode {
             for j in 0..n {
                 self.c_buf[j] = self.varphi[j] - self.rho * self.a[j];
             }
-            let warm = if self.warm {
-                Some(self.lambda.as_slice())
-            } else {
-                None
-            };
             self.qp
-                .solve(&self.c_buf, warm)
+                .solve(&self.c_buf, Some(self.lambda.as_slice()))
                 .map_err(|e| CoreError::subproblem(format!("lambda[{}]", self.index), e))?
         };
         self.lambda_tilde = row.clone();
@@ -243,28 +230,19 @@ impl FrontendNode {
         let gamma = disutility_rank1_gamma(self.weight_per_kserver, self.arrival);
         let objective = QuadObjective::diag_rank1(vec![self.rho; k], gamma, latencies, c, 0.0);
         let start = vec![self.arrival / k as f64; k];
-        let which = || format!("lambda[{}]", self.index);
-        match self.method {
-            SubproblemMethod::ActiveSet => {
-                let a_eq = Matrix::from_fn(1, k, |_, _| 1.0);
-                let a_in = Matrix::from_fn(k, k, |r, cc| if r == cc { -1.0 } else { 0.0 });
-                Ok(ActiveSetQp::default()
-                    .solve(
-                        &objective,
-                        &a_eq,
-                        &[self.arrival],
-                        &a_in,
-                        &vec![0.0; k],
-                        start,
-                    )
-                    .map_err(|e| CoreError::subproblem(which(), e))?
-                    .x)
-            }
-            SubproblemMethod::Fista => Ok(Fista::new(50_000, 1e-10)
-                .minimize(&objective, |x| project_simplex(x, self.arrival), start)
-                .map_err(|e| CoreError::subproblem(which(), e))?
-                .x),
-        }
+        let a_eq = Matrix::from_fn(1, k, |_, _| 1.0);
+        let a_in = Matrix::from_fn(k, k, |r, cc| if r == cc { -1.0 } else { 0.0 });
+        Ok(ActiveSetQp::default()
+            .solve(
+                &objective,
+                &a_eq,
+                &[self.arrival],
+                &a_in,
+                &vec![0.0; k],
+                start,
+            )
+            .map_err(|e| CoreError::subproblem(format!("lambda[{}]", self.index), e))?
+            .x)
     }
 
     /// Captures this node's iterate slice for checkpointing.
@@ -384,8 +362,6 @@ pub struct DatacenterNode {
     varphi: Vec<f64>,
     /// Persistent a-QP kernel (cached KKT factorizations, warm starts).
     qp: AColQp,
-    /// Whether warm starts from the corrected iterate are enabled.
-    warm: bool,
     /// Scratch buffer for the per-round linear term.
     c_buf: Vec<f64>,
 }
@@ -458,10 +434,8 @@ impl DatacenterNode {
                 instance.beta[j],
                 instance.capacities[j],
                 instance.queueing,
-                settings.method,
                 QpOptions::from_settings(settings),
             ),
-            warm: settings.cache_factorizations,
             c_buf: vec![0.0; instance.m_frontends()],
         }
     }
@@ -626,14 +600,9 @@ impl DatacenterNode {
             *ci = -rho * lambda_tilde[i] - self.varphi[i] - self.phi * self.beta
                 + rho * self.beta * drift;
         }
-        let warm = if self.warm {
-            Some(self.a.as_slice())
-        } else {
-            None
-        };
         let a_tilde = self
             .qp
-            .solve(&self.c_buf, warm)
+            .solve(&self.c_buf, Some(self.a.as_slice()))
             .map_err(|e| CoreError::subproblem(format!("a[{}]", self.index), e))?;
 
         // Step 5: dual predictions.
@@ -718,9 +687,7 @@ mod tests {
         let settings = AdmgSettings::default();
         let mut fe = FrontendNode::new(&inst, 0, &settings);
         let state = ufc_core::AdmgState::zeros(&inst);
-        let expected =
-            ufc_core::subproblems::lambda_step(&inst, settings.rho, settings.method, &state)
-                .unwrap();
+        let expected = ufc_core::subproblems::lambda_step(&inst, settings.rho, &state).unwrap();
         let row = fe.predict_lambda().unwrap();
         for j in 0..2 {
             assert!(
@@ -798,9 +765,7 @@ mod tests {
         let settings = AdmgSettings::default();
         let mut fe = FrontendNode::new(&inst, 0, &settings);
         let state = ufc_core::AdmgState::zeros(&inst);
-        let expected =
-            ufc_core::subproblems::lambda_step(&inst, settings.rho, settings.method, &state)
-                .unwrap();
+        let expected = ufc_core::subproblems::lambda_step(&inst, settings.rho, &state).unwrap();
         let row = fe.predict_lambda().unwrap();
         for j in 0..2 {
             assert_eq!(row[j], expected[j], "column {j} diverged");

@@ -38,7 +38,7 @@ use crate::fault::NodeId;
 use crate::message::crc32;
 use crate::node::NodeResiduals;
 use crate::supervision::Reply;
-use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, SubproblemMethod};
+use ufc_core::{AdmgSettings, BlockKind, BlockSchedule};
 
 /// First payload byte of every wire frame (distinct from
 /// [`crate::message::FRAME_MAGIC`] so the two framings cannot be confused).
@@ -1090,12 +1090,7 @@ impl RunConfig {
         put_f64(&mut buf, s.eps_link);
         put_f64(&mut buf, s.eps_balance);
         put_f64(&mut buf, s.eps_dual);
-        buf.push(match s.method {
-            SubproblemMethod::ActiveSet => 0,
-            SubproblemMethod::Fista => 1,
-        });
         put_u64(&mut buf, s.num_threads as u64);
-        put_bool(&mut buf, s.cache_factorizations);
         put_bool(&mut buf, s.rank1_kkt);
         put_bool(&mut buf, s.blocked_factorizations);
         put_bool(&mut buf, s.telemetry);
@@ -1193,13 +1188,7 @@ impl RunConfig {
             eps_link: get_f64(bytes, &mut pos)?,
             eps_balance: get_f64(bytes, &mut pos)?,
             eps_dual: get_f64(bytes, &mut pos)?,
-            method: match get_u8(bytes, &mut pos)? {
-                0 => SubproblemMethod::ActiveSet,
-                1 => SubproblemMethod::Fista,
-                other => return Err(corrupt(format!("unknown method tag {other}"))),
-            },
             num_threads: get_u64(bytes, &mut pos)? as usize,
-            cache_factorizations: get_bool(bytes, &mut pos)?,
             rank1_kkt: get_bool(bytes, &mut pos)?,
             blocked_factorizations: get_bool(bytes, &mut pos)?,
             telemetry: get_bool(bytes, &mut pos)?,

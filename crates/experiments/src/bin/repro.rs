@@ -34,7 +34,9 @@
 //!              horizon for CI smoke runs
 //!   wsweep     extension: latency-weight (w) Pareto sweep
 //!   bench      solver hot-path wall-clock (writes BENCH_solver.json);
-//!              `--quick` shrinks the workload for CI smoke runs
+//!              fails when the 1-thread leg stops reusing KKT
+//!              factorizations or warm starts; `--quick` shrinks the
+//!              workload for CI smoke runs
 //!   trace      run-telemetry JSONL trace of one instrumented solve;
 //!              `--engine inprocess|lockstep|threaded|faulty|corrupt|sockets`
 //!              picks the execution engine, `--check` validates the emitted
@@ -68,7 +70,6 @@ struct Options {
     threads: usize,
     engine: String,
     check: bool,
-    min_speedup: Option<f64>,
     cases: Option<usize>,
     corpus: PathBuf,
     faults: bool,
@@ -87,7 +88,6 @@ fn parse_args() -> Result<Options, String> {
         threads: 4,
         engine: "inprocess".to_owned(),
         check: false,
-        min_speedup: None,
         cases: None,
         corpus: PathBuf::from("tests/corpus"),
         faults: false,
@@ -128,13 +128,6 @@ fn parse_args() -> Result<Options, String> {
             "--corpus" => {
                 let v = args.next().ok_or("--corpus needs a directory")?;
                 opts.corpus = PathBuf::from(v);
-            }
-            "--min-speedup" => {
-                let v = args.next().ok_or("--min-speedup needs a value")?;
-                opts.min_speedup = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --min-speedup value {v:?}"))?,
-                );
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -900,17 +893,12 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     );
     let rows = vec![
         vec![
-            "baseline (1 thread, no cache)".to_owned(),
-            fmt(report.baseline.wall_ms, 1),
-            report.baseline.iters.to_string(),
-        ],
-        vec![
-            "cached (1 thread)".to_owned(),
+            "1 thread".to_owned(),
             fmt(report.sequential.wall_ms, 1),
             report.sequential.iters.to_string(),
         ],
         vec![
-            format!("cached ({} threads)", report.parallel.threads),
+            format!("{} threads", report.parallel.threads),
             fmt(report.parallel.wall_ms, 1),
             report.parallel.iters.to_string(),
         ],
@@ -920,9 +908,8 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         text_table(&["configuration", "wall ms", "iterations"], &rows)
     );
     println!(
-        "speedup vs baseline: {:.2}x parallel, {:.2}x sequential",
-        report.speedup(),
-        report.sequential_speedup()
+        "1 thread: {:.2} KKT factorizations per iteration, {:.3} of warm starts accepted",
+        report.cache.factorizations_per_iter, report.cache.warm_start_accept_ratio
     );
     if !report.sizes.is_empty() {
         let rows: Vec<Vec<String>> = report
@@ -969,16 +956,7 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let path = PathBuf::from("BENCH_solver.json");
     std::fs::write(&path, report.to_json())?;
     println!("(written to {})\n", path.display());
-    if let Some(floor) = opts.min_speedup {
-        let speedup = report.speedup();
-        if speedup < floor {
-            return Err(format!(
-                "bench regression: speedup {speedup:.2}x is below the --min-speedup floor {floor:.2}x"
-            )
-            .into());
-        }
-        println!("speedup {speedup:.2}x clears the --min-speedup floor {floor:.2}x\n");
-    }
+    report.cache.check()?;
     Ok(())
 }
 

@@ -37,9 +37,8 @@ use ufc_distsim::{CorruptionConfig, DistributedAdmg, FaultPlan, NodeId, Runtime,
 use ufc_model::generator::{arbitrary_params, InstanceParams, SplitMix64};
 use ufc_model::{EmissionCostFn, StorageParams, UfcInstance};
 
-/// Relative UFC tolerance for the tolerance-equal knobs: rank-1 KKT
-/// (reorders floating-point work) and `cache = false` (cold starts shift
-/// the warm-started iterate stream within solver tolerance).
+/// Relative UFC tolerance for the tolerance-equal rank-1 KKT knob, which
+/// reorders floating-point work.
 const TOLERANT_REL_TOL: f64 = 1e-6;
 /// Relative UFC tolerance against the centralized QP oracle (same gate as
 /// `repro verify`).
@@ -65,8 +64,6 @@ pub struct FuzzCase {
     pub strategy: Strategy,
     /// Worker-thread count of the main leg (bit-identity knob).
     pub threads: usize,
-    /// Factorization/warm-start caching (bit-identity knob).
-    pub cache: bool,
     /// Rank-1 KKT updates (tolerance-equal knob).
     pub rank1_kkt: bool,
     /// Blocked factorization kernels (bit-identity knob).
@@ -122,7 +119,9 @@ pub fn arbitrary_case(seed: u64) -> FuzzCase {
     let params = arbitrary_params(seed);
     let mut rng = SplitMix64::new(seed ^ 0xA5A5_5A5A_0F0F_F0F0);
     let threads = [1usize, 2, 4][rng.below(3)];
-    let cache = rng.chance(0.5);
+    // The retired caching knob's draw: kept so every seed still maps to
+    // the case it produced when the knob existed.
+    let _ = rng.chance(0.5);
     let rank1_kkt = rng.chance(0.3);
     let blocked = rng.chance(0.3);
     let strategy = {
@@ -148,7 +147,6 @@ pub fn arbitrary_case(seed: u64) -> FuzzCase {
         params,
         strategy,
         threads,
-        cache,
         rank1_kkt,
         blocked,
         expect_reject,
@@ -161,7 +159,6 @@ pub fn arbitrary_case(seed: u64) -> FuzzCase {
 fn settings_for(case: &FuzzCase) -> AdmgSettings {
     AdmgSettings::default()
         .with_threads(case.threads)
-        .with_factorization_caching(case.cache)
         .with_rank1_kkt(case.rank1_kkt)
         .with_blocked_factorizations(case.blocked)
 }
@@ -284,8 +281,8 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
 
     let main_settings = settings_for(case);
     // The bitwise knobs (threads, blocked) must not change a single bit;
-    // the reference leg therefore shares the tolerance-class knobs
-    // (cache, rank-1) and resets only the bitwise ones.
+    // the reference leg therefore shares the tolerance-class rank-1 knob
+    // and resets only the bitwise ones.
     let ref_settings = main_settings
         .with_threads(1)
         .with_blocked_factorizations(false);
@@ -355,9 +352,9 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
             ),
         ));
     }
-    // Rank-1 KKT and cache=false are tolerance-equal to the default knobs
-    // (both legitimately reorder/restart floating-point work).
-    if case.rank1_kkt || !case.cache {
+    // Rank-1 KKT is tolerance-equal to the default knobs (it legitimately
+    // reorders floating-point work).
+    if case.rank1_kkt {
         match AdmgSolver::new(AdmgSettings::default()).solve(&inst, case.strategy) {
             Ok(default_run) => {
                 let gap = rel_gap(mem.breakdown.ufc(), default_run.breakdown.ufc());
@@ -365,10 +362,8 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
                     return Err(fail(
                         "knob-tolerance",
                         format!(
-                            "rank1={} cache={} drifts from defaults: UFC {} vs {} (rel \
-                             {gap:e}), converged {} vs {}",
-                            case.rank1_kkt,
-                            case.cache,
+                            "rank1 drifts from defaults: UFC {} vs {} (rel {gap:e}), \
+                             converged {} vs {}",
                             mem.breakdown.ufc(),
                             default_run.breakdown.ufc(),
                             mem.converged,
@@ -380,7 +375,7 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
             Err(e) => {
                 return Err(fail(
                     "knob-tolerance",
-                    format!("default knobs reject (`{e}`) what rank1/cache knobs solve"),
+                    format!("default knobs reject (`{e}`) what the rank1 knob solves"),
                 ));
             }
         }
@@ -806,10 +801,9 @@ fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         out.push(c);
     }
     // Knobs toward the defaults (kept only if the failure still fires).
-    if case.threads != 1 || case.rank1_kkt || case.blocked || !case.cache {
+    if case.threads != 1 || case.rank1_kkt || case.blocked {
         let mut c = case.clone();
         c.threads = 1;
-        c.cache = true;
         c.rank1_kkt = false;
         c.blocked = false;
         out.push(c);
@@ -900,7 +894,6 @@ pub fn encode_case(case: &FuzzCase, note: &str) -> String {
     }
     let _ = writeln!(out, "strategy = {:?}", case.strategy);
     let _ = writeln!(out, "threads = {}", case.threads);
-    let _ = writeln!(out, "cache = {}", case.cache);
     let _ = writeln!(out, "rank1_kkt = {}", case.rank1_kkt);
     let _ = writeln!(out, "blocked = {}", case.blocked);
     let _ = writeln!(out, "socket = {}", case.socket);
@@ -993,7 +986,7 @@ fn parse_emission(s: &str) -> Result<EmissionCostFn, String> {
 pub fn decode_case(text: &str) -> Result<FuzzCase, String> {
     let mut strategy = None;
     let mut threads = 1usize;
-    let (mut cache, mut rank1_kkt, mut blocked, mut socket) = (true, false, false, false);
+    let (mut rank1_kkt, mut blocked, mut socket) = (false, false, false);
     let (mut fault_seed, mut corrupt_seed) = (None, None);
     let mut expect_reject = None;
     let mut fields: std::collections::HashMap<&str, Vec<f64>> = std::collections::HashMap::new();
@@ -1021,7 +1014,6 @@ pub fn decode_case(text: &str) -> Result<FuzzCase, String> {
                 });
             }
             "threads" => threads = value.parse().map_err(|e| format!("threads: {e}"))?,
-            "cache" => cache = value.parse().map_err(|e| format!("cache: {e}"))?,
             "rank1_kkt" => rank1_kkt = value.parse().map_err(|e| format!("rank1_kkt: {e}"))?,
             "blocked" => blocked = value.parse().map_err(|e| format!("blocked: {e}"))?,
             "socket" => socket = value.parse().map_err(|e| format!("socket: {e}"))?,
@@ -1099,7 +1091,6 @@ pub fn decode_case(text: &str) -> Result<FuzzCase, String> {
         params,
         strategy: strategy.ok_or("missing strategy")?,
         threads,
-        cache,
         rank1_kkt,
         blocked,
         expect_reject: expect_reject.ok_or("missing expect")?,
@@ -1337,7 +1328,8 @@ pub fn mutate_case(base: &FuzzCase, rng: &mut SplitMix64) -> FuzzCase {
             }
             5 => {
                 case.threads = [1usize, 2, 4][rng.below(3)];
-                case.cache = rng.chance(0.5);
+                // Retired caching knob: its draw keeps mutants stable.
+                let _ = rng.chance(0.5);
                 case.rank1_kkt = rng.chance(0.5);
                 case.blocked = rng.chance(0.5);
             }
@@ -1362,6 +1354,86 @@ mod tests {
             let back = decode_case(&text).unwrap();
             assert_eq!(case, back, "seed {seed} did not round-trip:\n{text}");
         }
+    }
+
+    /// Pins the knob draws of a few seeds to the values they had while the
+    /// caching knob existed: dropping its draw would shift the later knobs
+    /// of every seed.
+    #[test]
+    fn knob_draws_stay_pinned_to_their_seeds() {
+        type Knobs = (usize, bool, bool, Strategy, bool, Option<u64>, Option<u64>);
+        let pinned: [(u64, Knobs); 6] = [
+            (0, (4, false, true, Strategy::GridOnly, false, None, None)),
+            (7, (2, true, false, Strategy::Hybrid, false, None, None)),
+            (
+                42,
+                (
+                    2,
+                    true,
+                    true,
+                    Strategy::Hybrid,
+                    false,
+                    Some(4_423_767_079_305_008_140),
+                    None,
+                ),
+            ),
+            (
+                777,
+                (
+                    2,
+                    false,
+                    false,
+                    Strategy::Hybrid,
+                    false,
+                    Some(8_037_712_325_510_734_474),
+                    Some(10_133_761_228_450_535_208),
+                ),
+            ),
+            (
+                2012,
+                (
+                    2,
+                    false,
+                    true,
+                    Strategy::Hybrid,
+                    false,
+                    None,
+                    Some(15_434_267_377_973_705_859),
+                ),
+            ),
+            (
+                123_456_789,
+                (
+                    4,
+                    false,
+                    false,
+                    Strategy::GridOnly,
+                    true,
+                    None,
+                    Some(5_779_671_642_922_296_309),
+                ),
+            ),
+        ];
+        for (seed, knobs) in pinned {
+            let c = arbitrary_case(seed);
+            let drawn = (
+                c.threads,
+                c.rank1_kkt,
+                c.blocked,
+                c.strategy,
+                c.socket,
+                c.fault_seed,
+                c.corrupt_seed,
+            );
+            assert_eq!(drawn, knobs, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn codec_rejects_the_retired_cache_key() {
+        let text = encode_case(&arbitrary_case(0), "retired key");
+        let err = decode_case(&format!("cache = true\n{text}")).unwrap_err();
+        assert!(err.contains("cache"), "{err}");
     }
 
     #[test]

@@ -1,23 +1,24 @@
 //! Wall-clock benchmark of the ADM-G hot path (`repro bench`).
 //!
 //! The `admg_scaling` workload solves a run of consecutive paper-default
-//! hourly instances three ways:
+//! hourly instances two ways:
 //!
-//! 1. **baseline** — 1 thread, factorization caching off: the pre-caching
-//!    solver (every QP re-assembles and re-factors its KKT system, every
-//!    block cold-starts).
-//! 2. **sequential** — 1 thread, caching + warm starts on. Isolates the
-//!    algorithmic win; the acceptance bar is *no regression* here.
-//! 3. **parallel** — `threads` workers, caching + warm starts on. The
-//!    headline configuration written to `BENCH_solver.json`.
+//! 1. **sequential** — 1 thread.
+//! 2. **parallel** — `threads` workers. The headline configuration written
+//!    to `BENCH_solver.json`.
 //!
-//! On top of the three-leg seed-size comparison, the bench walks a
-//! **size trajectory** (front-ends × datacenters, up to 1024 × 32, one
-//! hour per size, single repetition): each size is timed with every fast
-//! path engaged (caching + warm starts + rank-1 KKT + blocked
-//! factorizations), and sizes up to [`DENSE_CEILING`] front-ends are also
-//! timed with the rank-1 path off, yielding a measured dense-vs-rank-1
-//! speedup. Beyond the ceiling the dense reference is intractable by
+//! One more, untimed pass of the sequential leg runs with telemetry on
+//! (which leaves the iterates bit-identical) to count KKT factorizations
+//! and warm starts; [`CacheCounters::check`] fails the bench when the leg
+//! re-factors or cold-starts the way a solver without factorization
+//! caching or warm starts would.
+//!
+//! On top of the seed-size legs, the bench walks a **size trajectory**
+//! (front-ends × datacenters, up to 1024 × 32, one hour per size, single
+//! repetition): each size is timed with every fast path engaged (rank-1
+//! KKT + blocked factorizations), and sizes up to [`DENSE_CEILING`]
+//! front-ends are also timed with the rank-1 path off, yielding a measured
+//! dense-vs-rank-1 speedup. Beyond the ceiling the dense reference is intractable by
 //! construction (`O(n³)` per working-set change) — those entries report
 //! the fast-path wall-clock only and the JSON says so explicitly with a
 //! `null` instead of a silently extrapolated number.
@@ -25,19 +26,107 @@
 //! Results go through [`BenchReport::to_json`] — a hand-rolled writer, so
 //! the harness stays dependency-free.
 
+use std::fmt;
 use std::time::Instant;
 
-use ufc_core::{AdmgSettings, AdmgSolver, Strategy};
+use ufc_core::{AdmgSettings, AdmgSolver, CoreError, Strategy, WorkerPool};
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_model::UfcInstance;
+
+/// Why `repro bench` rejected a run.
+#[derive(Debug)]
+pub enum BenchError {
+    /// A solver or engine failed.
+    Core(CoreError),
+    /// The socket and threaded engines ran different iteration counts on
+    /// the same hour. The engines are bit-identical, so this is a bug.
+    EngineMismatch {
+        /// Iterations of the threaded run.
+        threaded_iterations: usize,
+        /// Iterations of the socket run.
+        socket_iterations: usize,
+    },
+    /// The sequential leg re-factored or cold-started like a solver without
+    /// factorization caching or warm starts.
+    CacheRegression(CacheCounters),
+}
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BenchError::Core(e) => e.fmt(f),
+            BenchError::EngineMismatch {
+                threaded_iterations,
+                socket_iterations,
+            } => write!(
+                f,
+                "socket engine ran {socket_iterations} iterations where the threaded engine \
+                 ran {threaded_iterations}"
+            ),
+            BenchError::CacheRegression(c) => write!(
+                f,
+                "bench regression: {:.1} KKT factorizations per iteration (at most {}) and \
+                 {:.3} of warm starts accepted (at least {})",
+                c.factorizations_per_iter,
+                CacheCounters::MAX_FACTORIZATIONS_PER_ITER,
+                c.warm_start_accept_ratio,
+                CacheCounters::MIN_WARM_START_ACCEPT_RATIO,
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BenchError {}
+
+impl From<CoreError> for BenchError {
+    fn from(e: CoreError) -> Self {
+        BenchError::Core(e)
+    }
+}
+
+/// KKT-cache and warm-start counters of the sequential leg, taken from one
+/// untimed pass with telemetry on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CacheCounters {
+    /// KKT factorizations (cache misses) per ADM-G iteration.
+    pub factorizations_per_iter: f64,
+    /// Share of warm-start candidates the feasibility gates accepted; `0`
+    /// when no candidate was offered.
+    pub warm_start_accept_ratio: f64,
+}
+
+impl CacheCounters {
+    /// Most KKT factorizations per ADM-G iteration [`Self::check`] accepts.
+    /// The cached leg does 1.6 (24 hours) to 3.4 (`--quick`); re-factoring
+    /// every working set of every block costs over 200.
+    pub const MAX_FACTORIZATIONS_PER_ITER: f64 = 10.0;
+    /// Smallest warm-start accept ratio [`Self::check`] accepts. The cached
+    /// leg accepts 0.99; cold-starting every block accepts none.
+    pub const MIN_WARM_START_ACCEPT_RATIO: f64 = 0.9;
+
+    /// Fails unless the leg reuses KKT factorizations and warm starts.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::CacheRegression`] carrying both counters.
+    pub fn check(self) -> Result<(), BenchError> {
+        if self.factorizations_per_iter <= Self::MAX_FACTORIZATIONS_PER_ITER
+            && self.warm_start_accept_ratio >= Self::MIN_WARM_START_ACCEPT_RATIO
+        {
+            Ok(())
+        } else {
+            Err(BenchError::CacheRegression(self))
+        }
+    }
+}
 
 /// One timed configuration of the solver.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchLeg {
-    /// Worker threads used.
+    /// Worker threads the pool actually ran: the requested width as
+    /// [`WorkerPool::new`] resolves it (`0` = all cores, clamped to the
+    /// machine's cores).
     pub threads: usize,
-    /// Whether factorization caching / warm starts were enabled.
-    pub cached: bool,
     /// Total wall-clock across the workload (milliseconds).
     pub wall_ms: f64,
     /// Total ADM-G iterations across the workload.
@@ -112,19 +201,19 @@ impl SocketLatency {
     }
 }
 
-/// The full comparison: the three seed-size legs, the size trajectory, and
-/// (when the `ufc-node` worker binary is available) the socket-engine
-/// per-iteration latency.
+/// The full comparison: the two seed-size legs with the sequential leg's
+/// cache counters, the size trajectory, and (when the `ufc-node` worker
+/// binary is available) the socket-engine per-iteration latency.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Hours (instances) in the workload.
     pub hours: usize,
-    /// Pre-caching sequential solver.
-    pub baseline: BenchLeg,
-    /// Cached solver at 1 thread.
+    /// The solver at 1 thread.
     pub sequential: BenchLeg,
-    /// Cached solver at the requested thread count.
+    /// The solver at the requested thread count.
     pub parallel: BenchLeg,
+    /// KKT-cache and warm-start counters of the sequential leg.
+    pub cache: CacheCounters,
     /// The size trajectory (empty when not requested).
     pub sizes: Vec<SizeLeg>,
     /// Socket-vs-threaded per-iteration latency; `None` when the worker
@@ -134,53 +223,33 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Headline speedup: baseline wall-clock over parallel wall-clock.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.baseline.wall_ms / self.parallel.wall_ms
-    }
-
-    /// Single-thread speedup: baseline over cached-sequential (must be
-    /// ≥ 1 — caching is not allowed to cost anything at 1 thread).
-    #[must_use]
-    pub fn sequential_speedup(&self) -> f64 {
-        self.baseline.wall_ms / self.sequential.wall_ms
-    }
-
     /// Renders the report as a small JSON object (`BENCH_solver.json`).
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\n  \"workload\": \"admg_scaling\",\n  \"hours\": {},\n  \"threads\": {},\n  \"wall_ms\": {:.3},\n  \"iters\": {},\n  \"speedup\": {:.3},\n  \"baseline_wall_ms\": {:.3},\n  \"sequential_wall_ms\": {:.3},\n  \"sequential_speedup\": {:.3},\n",
+            "{{\n  \"workload\": \"admg_scaling\",\n  \"hours\": {},\n  \"threads\": {},\n  \"wall_ms\": {:.3},\n  \"iters\": {},\n  \"sequential_wall_ms\": {:.3},\n  \"kkt_factorizations_per_iter\": {:.3},\n  \"warm_start_accept_ratio\": {:.4},\n",
             self.hours,
             self.parallel.threads,
             self.parallel.wall_ms,
             self.parallel.iters,
-            self.speedup(),
-            self.baseline.wall_ms,
             self.sequential.wall_ms,
-            self.sequential_speedup(),
+            self.cache.factorizations_per_iter,
+            self.cache.warm_start_accept_ratio,
         );
         out.push_str("  \"sizes\": [");
         for (k, leg) in self.sizes.iter().enumerate() {
-            let dense = match leg.dense_wall_ms {
-                Some(d) => format!("{d:.3}"),
-                None => "null".to_owned(),
-            };
-            let speedup = match leg.dense_speedup() {
-                Some(s) => format!("{s:.3}"),
-                None => "null".to_owned(),
-            };
+            let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".to_owned());
             out.push_str(&format!(
-                "{}\n    {{\"frontends\": {}, \"datacenters\": {}, \"wall_ms\": {:.3}, \"iters\": {}, \"per_iter_ms\": {:.4}, \"dense_wall_ms\": {}, \"dense_speedup\": {}}}",
+                "{}\n    {{\"frontends\": {}, \"datacenters\": {}, \"wall_ms\": {:.3}, \"iters\": {}, \"per_iter_ms\": {:.4}, \"dense_wall_ms\": {}, \"dense_iters\": {}, \"dense_speedup\": {}}}",
                 if k == 0 { "" } else { "," },
                 leg.frontends,
                 leg.datacenters,
                 leg.wall_ms,
                 leg.iters,
                 leg.per_iter_ms(),
-                dense,
-                speedup,
+                or_null(leg.dense_wall_ms.map(|d| format!("{d:.3}"))),
+                or_null(leg.dense_iters.map(|i| i.to_string())),
+                or_null(leg.dense_speedup().map(|s| format!("{s:.3}"))),
             ));
         }
         if self.sizes.is_empty() {
@@ -343,7 +412,7 @@ pub const DENSE_CEILING: usize = 128;
 const REPS: usize = 3;
 
 /// Solves every instance with the given settings and returns the timed leg.
-fn time_leg(instances: &[UfcInstance], settings: AdmgSettings, cached: bool) -> BenchLeg {
+fn time_leg(instances: &[UfcInstance], settings: AdmgSettings) -> BenchLeg {
     let solver = AdmgSolver::new(settings);
     let mut best_ms = f64::INFINITY;
     let mut iters = 0usize;
@@ -359,10 +428,34 @@ fn time_leg(instances: &[UfcInstance], settings: AdmgSettings, cached: bool) -> 
         best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
     }
     BenchLeg {
-        threads: settings.num_threads.max(1),
-        cached,
+        threads: WorkerPool::new(settings.num_threads).threads(),
         wall_ms: best_ms,
         iters,
+    }
+}
+
+/// Solves every instance once more with telemetry on (the iterates stay
+/// bit-identical) and sums the KKT-cache and warm-start counters.
+fn cache_counters(instances: &[UfcInstance], settings: AdmgSettings) -> CacheCounters {
+    let solver = AdmgSolver::new(settings.with_telemetry(true));
+    let (mut iterations, mut misses, mut accepted, mut offered) = (0u64, 0u64, 0u64, 0u64);
+    for inst in instances {
+        let telemetry = solver
+            .solve(inst, Strategy::Hybrid)
+            .expect("bench solve failed")
+            .telemetry
+            .expect("telemetry was requested");
+        let c = telemetry.solver;
+        iterations += telemetry.iterations;
+        misses += c.kkt_cache_misses;
+        accepted += c.warm_starts_accepted;
+        offered += c.warm_starts_accepted + c.warm_starts_rejected;
+    }
+    // Each numerator is 0 whenever its denominator is, so this yields 0.
+    let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
+    CacheCounters {
+        factorizations_per_iter: ratio(misses, iterations),
+        warm_start_accept_ratio: ratio(accepted, offered),
     }
 }
 
@@ -383,8 +476,8 @@ fn time_once(instances: &[UfcInstance], settings: AdmgSettings) -> (f64, usize) 
 }
 
 /// Walks the size trajectory: one hour per size, fast configuration
-/// (caching + rank-1 + blocked) at `threads` workers, plus the dense
-/// reference leg up to [`DENSE_CEILING`] front-ends.
+/// (rank-1 + blocked) at `threads` workers, plus the dense reference leg up
+/// to [`DENSE_CEILING`] front-ends.
 ///
 /// # Errors
 ///
@@ -394,14 +487,8 @@ pub fn size_trajectory(
     threads: usize,
     sizes: &[(usize, usize)],
 ) -> Result<Vec<SizeLeg>, ufc_model::ModelError> {
-    let fast = AdmgSettings::default()
-        .with_threads(threads)
-        .with_factorization_caching(true)
-        .with_rank1_kkt(true)
-        .with_blocked_factorizations(true);
-    let dense = AdmgSettings::default()
-        .with_threads(threads)
-        .with_factorization_caching(true);
+    let dense = AdmgSettings::default().with_threads(threads);
+    let fast = dense.with_rank1_kkt(true).with_blocked_factorizations(true);
     let mut legs = Vec::with_capacity(sizes.len());
     for &(m, n) in sizes {
         let instances = admg_scaling_sized(seed, 1, m, n)?;
@@ -431,9 +518,11 @@ pub fn size_trajectory(
 ///
 /// # Errors
 ///
-/// Scenario-construction or engine failures (a missing worker binary is
-/// *not* an error).
-pub fn socket_latency(seed: u64) -> ufc_core::Result<Option<SocketLatency>> {
+/// [`BenchError::Core`] on scenario-construction or engine failures (a
+/// missing worker binary is *not* an error), and
+/// [`BenchError::EngineMismatch`] when the two engines disagree on the
+/// iteration count.
+pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     use ufc_distsim::{DistributedAdmg, Runtime, SocketOptions};
 
     let Ok(worker) = crate::sockets::locate_worker() else {
@@ -443,7 +532,7 @@ pub fn socket_latency(seed: u64) -> ufc_core::Result<Option<SocketLatency>> {
         .seed(seed)
         .hours(1)
         .build()
-        .map_err(ufc_core::CoreError::Model)?;
+        .map_err(CoreError::Model)?;
     let instance = &scenario.instances[0];
     let runner = DistributedAdmg::try_new(AdmgSettings::default())?;
     let start = Instant::now();
@@ -452,18 +541,24 @@ pub fn socket_latency(seed: u64) -> ufc_core::Result<Option<SocketLatency>> {
     let start = Instant::now();
     let socket = runner.run_sockets(instance, Strategy::Hybrid, &SocketOptions::new(&worker))?;
     let socket_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    debug_assert_eq!(threaded.iterations, socket.iterations);
+    if threaded.iterations != socket.iterations {
+        return Err(BenchError::EngineMismatch {
+            threaded_iterations: threaded.iterations,
+            socket_iterations: socket.iterations,
+        });
+    }
     Ok(Some(SocketLatency {
         threaded_wall_ms,
         socket_wall_ms,
-        iterations: socket.iterations.max(threaded.iterations),
+        iterations: socket.iterations,
     }))
 }
 
-/// Runs the three-leg benchmark on the `admg_scaling` workload, then walks
-/// the requested size trajectory (pass `&[]` to skip it). The socket
-/// latency section is left `None`; callers with a worker binary stitch it
-/// in via [`socket_latency`].
+/// Runs the two seed-size legs and the cache-counter pass on the
+/// `admg_scaling` workload, then walks the requested size trajectory (pass
+/// `&[]` to skip it). The socket latency section is left `None`; callers
+/// with a worker binary stitch it in via [`socket_latency`]. The caller
+/// applies [`CacheCounters::check`].
 ///
 /// # Errors
 ///
@@ -475,23 +570,16 @@ pub fn run(
     sizes: &[(usize, usize)],
 ) -> Result<BenchReport, ufc_model::ModelError> {
     let instances = admg_scaling(seed, hours)?;
-    let base = AdmgSettings::default()
-        .with_threads(1)
-        .with_factorization_caching(false);
-    let seq = AdmgSettings::default()
-        .with_threads(1)
-        .with_factorization_caching(true);
-    let par = AdmgSettings::default()
-        .with_threads(threads)
-        .with_factorization_caching(true);
+    let seq = AdmgSettings::default().with_threads(1);
+    let par = AdmgSettings::default().with_threads(threads);
     // Warm-up pass so first-touch effects (page faults, lazy init) land
     // outside every timed leg equally.
-    let _ = time_leg(&instances[..1.min(instances.len())], seq, true);
+    let _ = time_leg(&instances[..1.min(instances.len())], seq);
     Ok(BenchReport {
         hours: instances.len(),
-        baseline: time_leg(&instances, base, false),
-        sequential: time_leg(&instances, seq, true),
-        parallel: time_leg(&instances, par, true),
+        sequential: time_leg(&instances, seq),
+        parallel: time_leg(&instances, par),
+        cache: cache_counters(&instances, seq),
         sizes: size_trajectory(seed, threads, sizes)?,
         socket: None,
     })
@@ -505,18 +593,49 @@ mod tests {
     fn quick_bench_produces_consistent_report() {
         let report = run(2012, 1, 2, &[]).unwrap();
         assert_eq!(report.hours, 1);
-        assert!(report.baseline.wall_ms > 0.0);
         assert!(report.parallel.wall_ms > 0.0);
-        // Caching is bit-transparent per solve, so all legs agree on the
-        // iterate path only up to warm-start effects; iteration counts must
-        // still be positive and the cached legs identical to each other.
+        // Thread counts are bit-transparent, so both legs run the same
+        // iterations.
         assert_eq!(report.sequential.iters, report.parallel.iters);
+        report.cache.check().unwrap();
         let json = report.to_json();
+        let width = WorkerPool::new(2).threads();
+        assert!(json.contains(&format!("\"threads\": {width},")), "{json}");
         assert!(json.contains("\"wall_ms\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"threads\": 2"));
+        assert!(json.contains("\"kkt_factorizations_per_iter\""));
+        assert!(json.contains("\"warm_start_accept_ratio\""));
         assert!(json.contains("\"sizes\": []"));
         assert!(json.contains("\"socket_engine\": null"));
+    }
+
+    #[test]
+    fn cache_check_rejects_uncached_counters() {
+        // What the solver did with factorization caching and warm starts
+        // switched off: ~216 factorizations per iteration, no warm starts.
+        let uncached = CacheCounters {
+            factorizations_per_iter: 216.0,
+            warm_start_accept_ratio: 0.0,
+        };
+        assert!(matches!(
+            uncached.check(),
+            Err(BenchError::CacheRegression(c)) if c == uncached
+        ));
+        // Either counter alone trips the check.
+        let cached = CacheCounters {
+            factorizations_per_iter: 1.6,
+            warm_start_accept_ratio: 0.995,
+        };
+        assert!(cached.check().is_ok());
+        let cold = CacheCounters {
+            warm_start_accept_ratio: 0.0,
+            ..cached
+        };
+        assert!(cold.check().is_err());
+        let refactoring = CacheCounters {
+            factorizations_per_iter: 216.0,
+            ..cached
+        };
+        assert!(refactoring.check().is_err());
     }
 
     #[test]
@@ -551,25 +670,18 @@ mod tests {
         assert!(legs[0].dense_wall_ms.is_some(), "32 ≤ ceiling: dense timed");
         assert!(legs[1].dense_wall_ms.is_none(), "256 > ceiling: dense null");
         assert!(legs.iter().all(|l| l.wall_ms > 0.0 && l.iters > 0));
+        let leg = BenchLeg {
+            threads: 1,
+            wall_ms: 1.0,
+            iters: 1,
+        };
         let report = BenchReport {
             hours: 1,
-            baseline: BenchLeg {
-                threads: 1,
-                cached: false,
-                wall_ms: 2.0,
-                iters: 1,
-            },
-            sequential: BenchLeg {
-                threads: 1,
-                cached: true,
-                wall_ms: 1.0,
-                iters: 1,
-            },
-            parallel: BenchLeg {
-                threads: 1,
-                cached: true,
-                wall_ms: 1.0,
-                iters: 1,
+            sequential: leg,
+            parallel: leg,
+            cache: CacheCounters {
+                factorizations_per_iter: 1.0,
+                warm_start_accept_ratio: 1.0,
             },
             sizes: legs,
             socket: None,
@@ -577,6 +689,9 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"frontends\": 256"));
         assert!(json.contains("\"dense_wall_ms\": null"));
+        assert!(json.contains("\"dense_iters\": null"));
         assert!(json.contains("\"dense_speedup\": null"));
+        let dense_iters = report.sizes[0].dense_iters.expect("32 ≤ ceiling");
+        assert!(json.contains(&format!("\"dense_iters\": {dense_iters},")));
     }
 }

@@ -11,8 +11,6 @@
 //!   systems,
 //! * [`Ldlt`] — `A = L D Lᵀ` factorization for symmetric quasi-definite
 //!   (KKT-style) systems,
-//! * [`Lu`] — partially-pivoted `P A = L U` factorization for general square
-//!   systems,
 //! * [`vec_ops`] — BLAS-1 style helpers on `&[f64]` slices.
 //!
 //! # Example
@@ -36,14 +34,12 @@
 mod cholesky;
 mod error;
 mod ldlt;
-mod lu;
 mod matrix;
 pub mod vec_ops;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use ldlt::Ldlt;
-pub use lu::Lu;
 pub use matrix::Matrix;
 
 /// Convenience alias for results produced by this crate.
