@@ -238,14 +238,25 @@ pub struct TrafficCounters {
     pub total_bytes: u64,
     /// Loss-induced retransmissions.
     pub retransmissions: u64,
+    /// Command frames the socket coordinator sent (0 on every other
+    /// engine).
+    pub frames_sent: u64,
+    /// Socket writes that carried those frames: one per worker process
+    /// per fan-out (0 on every other engine).
+    pub socket_writes: u64,
 }
 
 impl TrafficCounters {
     fn to_json(self) -> String {
         format!(
             "{{\"data_messages\":{},\"control_messages\":{},\"total_bytes\":{},\
-             \"retransmissions\":{}}}",
-            self.data_messages, self.control_messages, self.total_bytes, self.retransmissions
+             \"retransmissions\":{},\"frames_sent\":{},\"socket_writes\":{}}}",
+            self.data_messages,
+            self.control_messages,
+            self.total_bytes,
+            self.retransmissions,
+            self.frames_sent,
+            self.socket_writes
         )
     }
 }
@@ -643,6 +654,7 @@ mod tests {
         assert!(json.starts_with("{\"type\":\"summary\""));
         assert!(json.contains("\"correct\":{\"count\":1"));
         assert!(json.contains("\"data_messages\":80"));
+        assert!(json.contains("\"socket_writes\":0}"));
         assert!(json.contains("\"fault\":null"));
         assert!(json.contains("\"integrity\":null"));
     }

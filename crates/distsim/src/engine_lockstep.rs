@@ -235,6 +235,7 @@ impl<'a> LockstepTransport<'a> {
                 control_messages: self.stats.control_messages as u64,
                 total_bytes: self.stats.total_bytes as u64,
                 retransmissions: retransmissions as u64,
+                ..TrafficCounters::default()
             });
             if !trivial_plan {
                 t.fault = Some(report.counters());

@@ -86,6 +86,12 @@ const REGISTRATION_DEADLINE: Duration = Duration::from_secs(10);
 /// coordinator falls back to `SIGKILL` at teardown.
 const EXIT_GRACE: Duration = Duration::from_secs(2);
 
+/// First and longest sleep between `try_wait` polls while reaping a worker
+/// at teardown. Workers usually exit within a millisecond of `Shutdown`,
+/// so the poll starts short and doubles up to the cap.
+const REAP_POLL_START: Duration = Duration::from_micros(50);
+const REAP_POLL_CAP: Duration = Duration::from_millis(10);
+
 /// Runs the socket engine under a fault plan. A trivial plan reduces to
 /// the clean multi-process runtime: no kills, no drops, and a report
 /// bit-identical to the lockstep engine's.
@@ -121,6 +127,10 @@ pub(crate) fn run_socket_engine(
     let stall_phases = sup.stall_phases;
     let mut counters = sup.integrity.counters;
     let integrity_active = sup.integrity.active();
+    let (frames_sent, socket_writes) = {
+        let egress = sup.egress.borrow();
+        (egress.frames_sent, egress.socket_writes)
+    };
     let wire_shared = sup.wire_shared.clone();
     let shutdown = sup.shutdown();
     // With every pump joined by shutdown, the wire-chaos counters are
@@ -161,6 +171,8 @@ pub(crate) fn run_socket_engine(
             control_messages: stats.control_messages as u64,
             total_bytes: stats.total_bytes as u64,
             retransmissions: 0,
+            frames_sent,
+            socket_writes,
         });
         if report_fault {
             t.fault = Some(fault_report.counters());
@@ -239,6 +251,20 @@ struct PumpWire {
     max_retransmits: u32,
 }
 
+/// The coordinator's command egress: everything [`SocketSupervisor::send`]
+/// keeps per worker process, plus its counters.
+struct Egress {
+    /// Command-direction chaos interceptors.
+    chaos: Vec<Option<WireChaos>>,
+    /// The frames of the fan-out being sent; each goes out in one write.
+    batches: Vec<Vec<u8>>,
+    /// `Cmd` frames handed to a live connection (a chaos duplicate is an
+    /// injection, not a second frame).
+    frames_sent: u64,
+    /// Socket writes that carried them.
+    socket_writes: u64,
+}
+
 /// The supervising coordinator of the multi-process runtime.
 struct SocketSupervisor<'a> {
     instance: &'a UfcInstance,
@@ -271,9 +297,9 @@ struct SocketSupervisor<'a> {
     remaining_crashes: Vec<Vec<usize>>,
     stats: MessageStats,
     integrity: IntegrityState,
-    /// Per-process egress (command-direction) chaos interceptors.
-    /// `RefCell` because `send_node` draws from inside `&self` contexts.
-    egress_chaos: Vec<RefCell<Option<WireChaos>>>,
+    /// Command egress. `RefCell` because fan-outs are built from `&self`
+    /// borrows (iterate rows, replay history, the membership view).
+    egress: RefCell<Egress>,
     /// Per-connection cache of the last clean command bytes, shared with
     /// the pump so a worker `Nak` can be answered with a clean resend.
     last_sent: Vec<Arc<Mutex<Vec<u8>>>>,
@@ -386,14 +412,14 @@ impl<'a> SocketSupervisor<'a> {
         let last_sent: Vec<Arc<Mutex<Vec<u8>>>> = (0..processes)
             .map(|_| Arc::new(Mutex::new(Vec::new())))
             .collect();
-        let egress_chaos: Vec<RefCell<Option<WireChaos>>> = (0..processes)
-            .map(|p| {
-                RefCell::new(WireChaos::egress(
-                    plan.corruption.as_ref(),
-                    wire_salt(p, false),
-                ))
-            })
-            .collect();
+        let egress = RefCell::new(Egress {
+            chaos: (0..processes)
+                .map(|p| WireChaos::egress(plan.corruption.as_ref(), wire_salt(p, false)))
+                .collect(),
+            batches: vec![Vec::new(); processes],
+            frames_sent: 0,
+            socket_writes: 0,
+        });
         let (reply_tx, reply_rx) = channel::<Reply>();
         let (reg_tx, reg_rx) = channel::<Registration>();
         let acceptor_stop = Arc::new(AtomicBool::new(false));
@@ -450,7 +476,7 @@ impl<'a> SocketSupervisor<'a> {
             remaining_crashes,
             stats: MessageStats::default(),
             integrity,
-            egress_chaos,
+            egress,
             last_sent,
             wire_shared,
             auth_hex: options.auth.as_ref().map(AuthKey::to_hex),
@@ -554,18 +580,36 @@ impl<'a> SocketSupervisor<'a> {
         }
     }
 
-    /// Sends a command to the process hosting `node`. Errors are
-    /// deliberately swallowed — a dead or dropped connection surfaces as
-    /// silence in the gather ladder, which owns the failure verdict. With
-    /// wire chaos armed, the clean bytes are cached first (so a worker
-    /// `Nak` can be answered by the pump with an uncorrupted resend) and
-    /// the egress interceptor then gets one draw at the outgoing frame.
-    fn send_node(&self, node: usize, cmd: NodeCmd) {
-        let p = process_of(node, self.processes);
-        if let Some(conn) = &self.conns[p] {
+    /// The coordinator's one egress path, fed a whole fan-out at a time.
+    /// Each `(node, cmd)` is encoded as its `Cmd` frame and appended to the
+    /// buffer of the process hosting `node`; then each process's buffer
+    /// goes out in one `write_all`, so a worker hosting several nodes pays
+    /// one syscall and one wake-up per fan-out, not one per node. With one
+    /// process per node every frame is its own write, as it was before
+    /// batching. Errors are deliberately swallowed — a dead or dropped
+    /// connection surfaces as silence in the gather ladder, which owns the
+    /// failure verdict. With wire chaos armed, each frame's clean bytes are
+    /// cached first (so a worker `Nak` can be answered by the pump with an
+    /// uncorrupted resend) and the egress interceptor then gets one draw at
+    /// the frame, in the order the frames go out on that connection. It
+    /// takes a `Vec`, not a generic iterator, so that one copy of this body
+    /// serves every call site.
+    fn send(&self, cmds: Vec<(usize, NodeCmd)>) {
+        let mut egress = self.egress.borrow_mut();
+        let Egress {
+            chaos,
+            batches,
+            frames_sent,
+            socket_writes,
+        } = &mut *egress;
+        for (node, cmd) in cmds {
+            let p = process_of(node, self.processes);
+            if self.conns[p].is_none() {
+                continue;
+            }
             let mut bytes = WireFrame::Cmd { node, cmd }.to_wire();
             let mut copies = 1usize;
-            if let Some(chaos) = self.egress_chaos[p].borrow_mut().as_mut() {
+            if let Some(chaos) = chaos[p].as_mut() {
                 if let Ok(mut cache) = self.last_sent[p].lock() {
                     cache.clear();
                     cache.extend_from_slice(&bytes);
@@ -585,11 +629,24 @@ impl<'a> SocketSupervisor<'a> {
                     }
                 }
             }
-            let mut writer: &TcpStream = conn;
+            *frames_sent += 1;
             for _ in 0..copies {
-                let _ = std::io::Write::write_all(&mut writer, &bytes);
+                batches[p].extend_from_slice(&bytes);
             }
         }
+        for (batch, conn) in batches.iter_mut().zip(&self.conns) {
+            if let (false, Some(conn)) = (batch.is_empty(), conn) {
+                let mut writer: &TcpStream = conn;
+                let _ = std::io::Write::write_all(&mut writer, batch);
+                *socket_writes += 1;
+            }
+            batch.clear();
+        }
+    }
+
+    /// The datacenters still in the membership view, in index order.
+    fn live_datacenters(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).filter(|&j| !self.tracker.is_evicted(j))
     }
 
     /// Liveness straight from the OS process table — unless a pump parked
@@ -705,34 +762,34 @@ impl<'a> SocketSupervisor<'a> {
         if let Some((it, blob)) = self.store.frontend(i) {
             let blob = blob.to_vec();
             base = it;
-            self.send_node(i, NodeCmd::Restore { blob });
+            self.send(vec![(i, NodeCmd::Restore { blob })]);
         }
         let mut replayed = 0usize;
         for entry in replay_entries(&self.history, base, k) {
-            self.send_node(
+            self.send(vec![(
                 i,
                 NodeCmd::Predict {
                     iteration: entry.iteration,
                 },
-            );
-            self.send_node(
+            )]);
+            self.send(vec![(
                 i,
                 NodeCmd::Correct {
                     iteration: entry.iteration,
                     a_row: row_of(&entry.a_cols, i),
                 },
-            );
+            )]);
             replayed += 1;
         }
         self.tracker.report.recomputed_iterations += replayed;
         for &j in &self.readmitted_now {
-            self.send_node(
+            self.send(vec![(
                 i,
                 NodeCmd::Membership {
                     datacenter: j,
                     evict: false,
                 },
-            );
+            )]);
         }
         Ok(())
     }
@@ -746,17 +803,17 @@ impl<'a> SocketSupervisor<'a> {
         if let Some((it, blob)) = self.store.datacenter(j) {
             let blob = blob.to_vec();
             base = it;
-            self.send_node(id, NodeCmd::Restore { blob });
+            self.send(vec![(id, NodeCmd::Restore { blob })]);
         }
         let mut replayed = 0usize;
         for entry in replay_entries(&self.history, base, k) {
-            self.send_node(
+            self.send(vec![(
                 id,
                 NodeCmd::Process {
                     iteration: entry.iteration,
                     column: column_of(&entry.rows, j),
                 },
-            );
+            )]);
             replayed += 1;
         }
         self.tracker.report.recomputed_iterations += replayed;
@@ -767,14 +824,20 @@ impl<'a> SocketSupervisor<'a> {
     /// membership change to every front-end.
     fn evict_datacenter(&mut self, j: usize) {
         self.kill_process(process_of(self.m + j, self.processes));
-        for i in 0..self.m {
-            self.send_node(
-                i,
-                NodeCmd::Membership {
-                    datacenter: j,
-                    evict: true,
-                },
-            );
+        self.send(
+            (0..self.m)
+                .map(|i| {
+                    (
+                        i,
+                        NodeCmd::Membership {
+                            datacenter: j,
+                            evict: true,
+                        },
+                    )
+                })
+                .collect(),
+        );
+        for _ in 0..self.m {
             self.stats.record(&Message::Membership {
                 datacenter: j,
                 evict: true,
@@ -786,15 +849,13 @@ impl<'a> SocketSupervisor<'a> {
     fn checkpoint_round(&mut self, k: usize) -> Result<(), CoreError> {
         let (m, n) = (self.m, self.n);
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        for i in 0..m {
-            self.send_node(i, NodeCmd::Snapshot { iteration: k });
-        }
-        for j in 0..n {
-            if !self.tracker.is_evicted(j) {
-                self.send_node(m + j, NodeCmd::Snapshot { iteration: k });
-                pending.insert(NodeId::Datacenter(j));
-            }
-        }
+        pending.extend(self.live_datacenters().map(NodeId::Datacenter));
+        self.send(
+            (0..m)
+                .chain(self.live_datacenters().map(|j| m + j))
+                .map(|id| (id, NodeCmd::Snapshot { iteration: k }))
+                .collect(),
+        );
         let mut fe_blobs: Vec<Option<Vec<u8>>> = vec![None; m];
         let mut dc_blobs: Vec<Option<Vec<u8>>> = vec![None; n];
         let missing = gather_phase(
@@ -857,15 +918,13 @@ impl<'a> SocketSupervisor<'a> {
     ) -> Result<(Vec<Vec<f64>>, Vec<f64>, Vec<f64>), CoreError> {
         let (m, n) = (self.m, self.n);
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        for i in 0..m {
-            self.send_node(i, NodeCmd::Finish);
-        }
-        for j in 0..n {
-            if !self.tracker.is_evicted(j) {
-                self.send_node(m + j, NodeCmd::Finish);
-                pending.insert(NodeId::Datacenter(j));
-            }
-        }
+        pending.extend(self.live_datacenters().map(NodeId::Datacenter));
+        self.send(
+            (0..m)
+                .chain(self.live_datacenters().map(|j| m + j))
+                .map(|id| (id, NodeCmd::Finish))
+                .collect(),
+        );
         let mut lambda_rows: Vec<Vec<f64>> = vec![Vec::new(); m];
         let mut mu = vec![0.0; n];
         let mut d = vec![0.0; n];
@@ -938,11 +997,13 @@ impl<'a> SocketSupervisor<'a> {
             let Some(mut child) = cell.borrow_mut().take() else {
                 continue;
             };
+            let mut poll = REAP_POLL_START;
             loop {
                 match child.try_wait() {
                     Ok(Some(_)) => break,
                     Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(10));
+                        std::thread::sleep(poll);
+                        poll = (poll * 2).min(REAP_POLL_CAP);
                     }
                     _ => {
                         let _ = child.kill();
@@ -984,14 +1045,20 @@ impl Transport for SocketSupervisor<'_> {
             self.remaining_crashes[id].retain(|&it| it >= k);
             self.spawn_process(p)?;
             self.await_registration(p)?;
-            for i in 0..self.m {
-                self.send_node(
-                    i,
-                    NodeCmd::Membership {
-                        datacenter: j,
-                        evict: false,
-                    },
-                );
+            self.send(
+                (0..self.m)
+                    .map(|i| {
+                        (
+                            i,
+                            NodeCmd::Membership {
+                                datacenter: j,
+                                evict: false,
+                            },
+                        )
+                    })
+                    .collect(),
+            );
+            for _ in 0..self.m {
                 self.stats.record(&Message::Membership {
                     datacenter: j,
                     evict: false,
@@ -1011,9 +1078,11 @@ impl Transport for SocketSupervisor<'_> {
     fn predict_lambda(&mut self, k: usize) -> Result<(), CoreError> {
         self.inject_frontend_crashes(k);
         let m = self.m;
-        for i in 0..m {
-            self.send_node(i, NodeCmd::Predict { iteration: k });
-        }
+        self.send(
+            (0..m)
+                .map(|i| (i, NodeCmd::Predict { iteration: k }))
+                .collect(),
+        );
         let mut rows: Vec<Option<Vec<f64>>> = vec![None; m];
         let mut errors: Vec<Option<CoreError>> = vec![None; m];
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
@@ -1067,7 +1136,7 @@ impl Transport for SocketSupervisor<'_> {
                 match self.tracker.resolve_crash(node, k)? {
                     Resolution::Recovered { .. } => {
                         self.respawn_frontend(i, k)?;
-                        self.send_node(i, NodeCmd::Predict { iteration: k });
+                        self.send(vec![(i, NodeCmd::Predict { iteration: k })]);
                         pending.insert(node);
                     }
                     Resolution::Evicted { .. } => {
@@ -1108,26 +1177,25 @@ impl Transport for SocketSupervisor<'_> {
     fn step_datacenters(&mut self, k: usize) -> Result<(), CoreError> {
         self.inject_datacenter_crashes(k);
         let (m, n) = (self.m, self.n);
-        for j in 0..n {
-            if self.tracker.is_evicted(j) {
-                continue;
-            }
-            self.send_node(
-                m + j,
-                NodeCmd::Process {
-                    iteration: k,
-                    column: column_of(&self.rows, j),
-                },
-            );
-        }
+        self.send(
+            self.live_datacenters()
+                .map(|j| {
+                    (
+                        m + j,
+                        NodeCmd::Process {
+                            iteration: k,
+                            column: column_of(&self.rows, j),
+                        },
+                    )
+                })
+                .collect(),
+        );
         let mut a_cols = vec![vec![0.0; m]; n];
         let mut d_vals = vec![0.0; n];
         let mut dc_residuals: Vec<Option<NodeResiduals>> = vec![None; n];
         let mut errors: Vec<Option<CoreError>> = vec![None; n];
-        let mut pending: HashSet<NodeId> = (0..n)
-            .filter(|&j| !self.tracker.is_evicted(j))
-            .map(NodeId::Datacenter)
-            .collect();
+        let mut pending: HashSet<NodeId> =
+            self.live_datacenters().map(NodeId::Datacenter).collect();
         let mut respawned: HashSet<NodeId> = HashSet::new();
         loop {
             let missing = gather_phase(
@@ -1181,13 +1249,13 @@ impl Transport for SocketSupervisor<'_> {
                 match self.tracker.resolve_crash(node, k)? {
                     Resolution::Recovered { .. } => {
                         self.respawn_datacenter(j, k)?;
-                        self.send_node(
+                        self.send(vec![(
                             m + j,
                             NodeCmd::Process {
                                 iteration: k,
                                 column: column_of(&self.rows, j),
                             },
-                        );
+                        )]);
                         pending.insert(node);
                     }
                     Resolution::Evicted { .. } => {
@@ -1236,15 +1304,19 @@ impl Transport for SocketSupervisor<'_> {
 
     fn correct(&mut self, k: usize) -> Result<BlockResiduals, CoreError> {
         let m = self.m;
-        for i in 0..m {
-            self.send_node(
-                i,
-                NodeCmd::Correct {
-                    iteration: k,
-                    a_row: row_of(&self.a_cols, i),
-                },
-            );
-        }
+        self.send(
+            (0..m)
+                .map(|i| {
+                    (
+                        i,
+                        NodeCmd::Correct {
+                            iteration: k,
+                            a_row: row_of(&self.a_cols, i),
+                        },
+                    )
+                })
+                .collect(),
+        );
         let mut fe_residuals: Vec<Option<NodeResiduals>> = vec![None; m];
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
         let missing = gather_phase(
@@ -1323,19 +1395,21 @@ impl Transport for SocketSupervisor<'_> {
         // command. The live membership view stays authoritative over
         // whatever the snapshot recorded.
         let evicted = self.tracker.evicted_mask();
-        for (i, mut snap) in fe_snaps.into_iter().enumerate() {
+        let m = self.m;
+        let fe_restores = fe_snaps.into_iter().enumerate().map(|(i, mut snap)| {
             snap.evicted.clone_from(&evicted);
-            self.send_node(
+            (
                 i,
                 NodeCmd::Restore {
                     blob: snap.to_bytes(),
                 },
-            );
-        }
-        for (j, blob) in dc_snaps.into_iter().enumerate() {
-            let Some(blob) = blob else { continue };
-            self.send_node(self.m + j, NodeCmd::Restore { blob });
-        }
+            )
+        });
+        let dc_restores = dc_snaps
+            .into_iter()
+            .enumerate()
+            .filter_map(|(j, blob)| Some((m + j, NodeCmd::Restore { blob: blob? })));
+        self.send(fe_restores.chain(dc_restores).collect());
         // Buffered inputs may hold the very payloads that poisoned the run;
         // never replay them into the restored state.
         self.history.clear();

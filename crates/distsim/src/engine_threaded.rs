@@ -97,6 +97,7 @@ pub(crate) fn run_supervised(
             control_messages: stats.control_messages as u64,
             total_bytes: stats.total_bytes as u64,
             retransmissions: 0,
+            ..TrafficCounters::default()
         });
         if report_fault {
             t.fault = Some(fault_report.counters());

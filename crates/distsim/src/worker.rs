@@ -93,12 +93,17 @@ fn connect_with_backoff(addr: &str, process: usize) -> Result<TcpStream, CoreErr
     ))
 }
 
-/// A live session: the stream, its reassembly buffer, and the per-
-/// connection wire-chaos recovery state (duplicate suppression, reply
-/// cache for coordinator Naks, Nak budget).
+/// A live session: the stream, its reassembly buffer, the frames queued
+/// for the next write, and the per-connection wire-chaos recovery state
+/// (duplicate suppression, reply cache for coordinator Naks, Nak budget).
 struct Session {
     stream: TcpStream,
     frames: FrameBuffer,
+    /// Frames to send, in order, written together by [`Session::flush`]
+    /// just before the worker would block on a read. A failed flush leaves
+    /// them here, which is how [`run_worker`] tells a failed write (fatal)
+    /// from a dropped read (reconnect).
+    out: Vec<u8>,
     /// Raw payload bytes of the previously delivered frame. A chaos
     /// `FrameDuplicate` arrives as two byte-identical back-to-back frames;
     /// legitimate consecutive frames are never identical (commands embed
@@ -127,6 +132,7 @@ impl Session {
         let mut link = Session {
             stream,
             frames: FrameBuffer::new(),
+            out: Vec::new(),
             last_seen: None,
             last_reply: None,
             naks_sent: 0,
@@ -139,7 +145,8 @@ impl Session {
                     incarnation,
                 }
                 .to_wire();
-                link.send_raw(&hello, process)?;
+                link.out.extend_from_slice(&hello);
+                link.flush(process)?;
                 None
             }
             Some(key) => {
@@ -165,7 +172,8 @@ impl Session {
                     mac,
                 }
                 .to_wire();
-                link.send_raw(&hello, process)?;
+                link.out.extend_from_slice(&hello);
+                link.flush(process)?;
                 Some(digest)
             }
         };
@@ -173,11 +181,15 @@ impl Session {
     }
 
     /// Blocks for the next complete frame; `Ok(None)` on orderly EOF.
+    /// Queued frames are flushed first whenever the input holds no
+    /// complete frame, so the replies to one batch of commands leave in
+    /// one write before the worker waits for the next batch.
     ///
     /// Wire-chaos recovery happens here: a payload that fails its CRC or
     /// bounds checks is answered with a `Nak` (asking the coordinator to
-    /// retransmit) instead of dying, and a frame byte-identical to the
-    /// previous one is dropped as a chaos duplicate.
+    /// retransmit), queued behind any replies, instead of dying, and a
+    /// frame byte-identical to the previous one is dropped as a chaos
+    /// duplicate.
     fn next_frame(&mut self, process: usize) -> Result<Option<WireFrame>, CoreError> {
         loop {
             if let Some(payload) = self.frames.next_frame()? {
@@ -193,13 +205,13 @@ impl Session {
                     }
                     Err(_) if self.naks_sent < NAK_BUDGET => {
                         self.naks_sent += 1;
-                        let nak = WireFrame::Nak.to_wire();
-                        self.send_raw(&nak, process)?;
+                        self.out.extend_from_slice(&WireFrame::Nak.to_wire());
                         continue;
                     }
                     Err(err) => return Err(err),
                 }
             }
+            self.flush(process)?;
             let mut chunk = [0u8; 16 * 1024];
             let n = self
                 .stream
@@ -222,20 +234,25 @@ impl Session {
         }
     }
 
-    fn send(&mut self, frame: &WireFrame, process: usize) -> Result<(), CoreError> {
-        let bytes = frame.to_wire();
-        self.send_raw(&bytes, process)?;
-        if matches!(frame, WireFrame::Reply(_)) {
-            self.last_reply = Some(bytes);
-        }
-        Ok(())
+    /// Queues a reply behind the others of this batch, keeping its bytes
+    /// for a coordinator `Nak`.
+    fn queue_reply(&mut self, reply: Reply) {
+        let bytes = WireFrame::Reply(reply).to_wire();
+        self.out.extend_from_slice(&bytes);
+        self.last_reply = Some(bytes);
     }
 
-    fn send_raw(&mut self, bytes: &[u8], process: usize) -> Result<(), CoreError> {
+    /// Writes every queued frame with one `write_all`.
+    fn flush(&mut self, process: usize) -> Result<(), CoreError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
         self.stream
-            .write_all(bytes)
+            .write_all(&self.out)
             .and_then(|()| self.stream.flush())
-            .map_err(|e| io_failure(process, "socket write", &e))
+            .map_err(|e| io_failure(process, "socket write", &e))?;
+        self.out.clear();
+        Ok(())
     }
 }
 
@@ -413,8 +430,9 @@ pub fn run_worker(
                 continue;
             }
             // Read errors (ECONNRESET and friends) take the same recovery
-            // path as EOF; anything else (corrupt frame) is fatal.
-            Err(CoreError::NodeFailure { .. }) => {
+            // path as EOF; anything else (a corrupt frame, or a failed
+            // flush, whose bytes are still queued) is fatal.
+            Err(CoreError::NodeFailure { .. }) if link.out.is_empty() => {
                 if !nodes.is_empty() && finished == nodes.len() {
                     return Ok(());
                 }
@@ -464,10 +482,11 @@ pub fn run_worker(
                         Reply::NodeError { error, .. } => Some(error.clone()),
                         _ => None,
                     };
-                    link.send(&WireFrame::Reply(reply), process)?;
+                    link.queue_reply(reply);
                     if let Some(error) = failed {
                         // The hosted iterate is poisoned; exit typed after
                         // the report instead of serving further commands.
+                        link.flush(process)?;
                         return Err(error);
                     }
                 }
@@ -475,13 +494,16 @@ pub fn run_worker(
                     finished += 1;
                 }
             }
-            WireFrame::Shutdown => return Ok(()),
+            WireFrame::Shutdown => {
+                link.flush(process)?;
+                return Ok(());
+            }
             WireFrame::Nak => {
                 // The coordinator failed to decode our last reply; resend
                 // the cached bytes verbatim (a Nak with nothing cached is
                 // a stray and is ignored).
-                if let Some(bytes) = link.last_reply.clone() {
-                    link.send_raw(&bytes, process)?;
+                if let Some(bytes) = &link.last_reply {
+                    link.out.extend_from_slice(bytes);
                 }
             }
             WireFrame::Hello { .. } | WireFrame::AuthHello { .. } | WireFrame::Reply(_) => {

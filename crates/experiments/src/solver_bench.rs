@@ -168,14 +168,22 @@ impl SizeLeg {
     }
 }
 
+/// Worker processes of the co-hosted socket leg: the split of the
+/// benchmark's `sockets_week` workload, 7 of the paper's 14 nodes each.
+pub const COHOSTED_PROCESSES: usize = 2;
+
 /// Per-iteration latency of the multi-process socket engine next to the
 /// in-memory threaded engine, measured on one paper-default hour.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketLatency {
     /// Threaded-engine wall-clock (milliseconds).
     pub threaded_wall_ms: f64,
-    /// Socket-engine wall-clock (milliseconds), including process spawn.
+    /// Socket-engine wall-clock (milliseconds) with one process per node,
+    /// including process spawn.
     pub socket_wall_ms: f64,
+    /// Socket-engine wall-clock (milliseconds) with the nodes co-hosted on
+    /// [`COHOSTED_PROCESSES`] processes, including process spawn.
+    pub cohosted_wall_ms: f64,
     /// Iterations of the socket run (bit-identical engines, so the
     /// threaded run performs the same count).
     pub iterations: usize,
@@ -192,6 +200,12 @@ impl SocketLatency {
     #[must_use]
     pub fn socket_per_iter_ms(&self) -> f64 {
         self.socket_wall_ms / self.iterations.max(1) as f64
+    }
+
+    /// Co-hosted socket-engine milliseconds per ADM-G iteration.
+    #[must_use]
+    pub fn cohosted_per_iter_ms(&self) -> f64 {
+        self.cohosted_wall_ms / self.iterations.max(1) as f64
     }
 
     /// Socket-over-threaded per-iteration overhead factor.
@@ -259,11 +273,13 @@ impl BenchReport {
         }
         match &self.socket {
             Some(s) => out.push_str(&format!(
-                "  \"socket_engine\": {{\"iterations\": {}, \"threaded_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}}}\n",
+                "  \"socket_engine\": {{\"iterations\": {}, \"threaded_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}, \"cohosted_processes\": {}, \"cohosted_per_iter_ms\": {:.4}}}\n",
                 s.iterations,
                 s.threaded_per_iter_ms(),
                 s.socket_per_iter_ms(),
                 s.overhead(),
+                COHOSTED_PROCESSES,
+                s.cohosted_per_iter_ms(),
             )),
             None => out.push_str("  \"socket_engine\": null\n"),
         }
@@ -512,16 +528,17 @@ pub fn size_trajectory(
 }
 
 /// Measures the socket engine's per-iteration latency against the threaded
-/// engine on one paper-default hour. Returns `Ok(None)` when the
-/// `ufc-node` worker binary is not present next to the running executable
-/// (the bench degrades gracefully instead of failing).
+/// engine on one paper-default hour, with one process per node and with
+/// the nodes co-hosted on [`COHOSTED_PROCESSES`] processes. Returns
+/// `Ok(None)` when the `ufc-node` worker binary is not present next to the
+/// running executable (the bench degrades gracefully instead of failing).
 ///
 /// # Errors
 ///
 /// [`BenchError::Core`] on scenario-construction or engine failures (a
 /// missing worker binary is *not* an error), and
-/// [`BenchError::EngineMismatch`] when the two engines disagree on the
-/// iteration count.
+/// [`BenchError::EngineMismatch`] when a socket run disagrees with the
+/// threaded engine on the iteration count.
 pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     use ufc_distsim::{DistributedAdmg, Runtime, SocketOptions};
 
@@ -538,19 +555,26 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     let start = Instant::now();
     let threaded = runner.run(instance, Strategy::Hybrid, Runtime::Threaded)?;
     let threaded_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = Instant::now();
-    let socket = runner.run_sockets(instance, Strategy::Hybrid, &SocketOptions::new(&worker))?;
-    let socket_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    if threaded.iterations != socket.iterations {
-        return Err(BenchError::EngineMismatch {
-            threaded_iterations: threaded.iterations,
-            socket_iterations: socket.iterations,
-        });
-    }
+    let time_socket = |options: SocketOptions| -> Result<f64, BenchError> {
+        let start = Instant::now();
+        let socket = runner.run_sockets(instance, Strategy::Hybrid, &options)?;
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        if threaded.iterations != socket.iterations {
+            return Err(BenchError::EngineMismatch {
+                threaded_iterations: threaded.iterations,
+                socket_iterations: socket.iterations,
+            });
+        }
+        Ok(wall_ms)
+    };
+    let socket_wall_ms = time_socket(SocketOptions::new(&worker))?;
+    let cohosted_wall_ms =
+        time_socket(SocketOptions::new(&worker).with_processes(COHOSTED_PROCESSES))?;
     Ok(Some(SocketLatency {
         threaded_wall_ms,
         socket_wall_ms,
-        iterations: socket.iterations,
+        cohosted_wall_ms,
+        iterations: threaded.iterations,
     }))
 }
 

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use ufc_core::telemetry::RunTelemetry;
+use ufc_core::telemetry::{RunTelemetry, TrafficCounters};
 use ufc_core::{AdmgSettings, AdmgSolver, BlockSchedule, JsonlSink, Strategy};
 use ufc_distsim::{CorruptionConfig, DistributedAdmg, FaultPlan, NodeId, Runtime, SocketOptions};
 use ufc_model::scenario::ScenarioBuilder;
@@ -249,6 +249,7 @@ pub fn check(out: &TraceOutput) -> Result<(), String> {
         if traffic.data_messages == 0 || traffic.control_messages == 0 {
             return Err("traffic counters never moved".to_owned());
         }
+        check_egress(out.engine, &traffic)?;
     }
     match out.engine {
         TraceEngine::Faulty => {
@@ -305,6 +306,26 @@ pub fn check(out: &TraceOutput) -> Result<(), String> {
                 return Err("uncorrupted run reported integrity counters".to_owned());
             }
         }
+    }
+    Ok(())
+}
+
+/// The socket coordinator's egress counters: a socket run wrote at least
+/// once and never more often than it sent frames (a write carries one or
+/// more); every in-memory engine sends no frames at all.
+fn check_egress(engine: TraceEngine, traffic: &TrafficCounters) -> Result<(), String> {
+    let (frames, writes) = (traffic.frames_sent, traffic.socket_writes);
+    if engine == TraceEngine::Sockets {
+        if writes == 0 || writes > frames {
+            return Err(format!(
+                "socket egress counters are inconsistent: {writes} writes for {frames} frames"
+            ));
+        }
+    } else if frames != 0 || writes != 0 {
+        return Err(format!(
+            "{} run reported socket egress: {frames} frames, {writes} writes",
+            engine.name()
+        ));
     }
     Ok(())
 }
@@ -551,6 +572,29 @@ mod tests {
             assert_eq!(TraceEngine::parse(engine.name()), Some(engine));
         }
         assert_eq!(TraceEngine::parse("warp"), None);
+    }
+
+    #[test]
+    fn egress_check_needs_writes_on_sockets_and_none_elsewhere() {
+        let traffic = |frames_sent, socket_writes| TrafficCounters {
+            frames_sent,
+            socket_writes,
+            ..TrafficCounters::default()
+        };
+        assert!(check_egress(TraceEngine::Sockets, &traffic(24, 12)).is_ok());
+        assert!(check_egress(TraceEngine::Sockets, &traffic(24, 24)).is_ok());
+        assert!(check_egress(TraceEngine::Sockets, &traffic(24, 0)).is_err());
+        assert!(check_egress(TraceEngine::Sockets, &traffic(24, 25)).is_err());
+        for engine in [
+            TraceEngine::Lockstep,
+            TraceEngine::Threaded,
+            TraceEngine::Faulty,
+            TraceEngine::Corrupt,
+        ] {
+            assert!(check_egress(engine, &traffic(0, 0)).is_ok());
+            assert!(check_egress(engine, &traffic(1, 0)).is_err());
+            assert!(check_egress(engine, &traffic(0, 1)).is_err());
+        }
     }
 
     #[test]

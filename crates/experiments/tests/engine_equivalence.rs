@@ -174,7 +174,9 @@ fn sweep_engines(num_threads: usize) {
 /// OS processes over loopback TCP, at both extremes of the co-hosting
 /// spectrum (everything in one worker process, and nodes spread over
 /// four), reproduce the in-process iterates bitwise with exactly the
-/// lockstep engine's traffic.
+/// lockstep engine's traffic. A traced run at each process count also
+/// pins the coordinator's egress: every command frame goes out, and each
+/// fan-out costs one socket write per worker process, not one per node.
 #[test]
 fn socket_engine_agrees_bitwise_across_process_counts() {
     let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
@@ -206,6 +208,36 @@ fn socket_engine_agrees_bitwise_across_process_counts() {
         assert!(
             socket.integrity.is_none(),
             "{label}: clean socket run must not carry integrity counters"
+        );
+
+        let traced = DistributedAdmg::new(settings.with_telemetry(true))
+            .run_sockets(instance, Strategy::Hybrid, &options)
+            .expect("traced socket run must succeed");
+        assert_report_matches(&reference, &traced, &format!("{label} traced"));
+        let traffic = traced
+            .telemetry
+            .and_then(|t| t.traffic)
+            .expect("a traced socket run reports traffic counters");
+        let (m, n) = (
+            instance.m_frontends() as u64,
+            instance.n_datacenters() as u64,
+        );
+        let (iterations, processes) = (traced.iterations as u64, processes as u64);
+        // Per iteration: m Predict, n Process and m Correct frames; then
+        // the final gather's one Finish per node.
+        assert_eq!(
+            traffic.frames_sent,
+            (2 * m + n) * iterations + m + n,
+            "{label}: command frames sent"
+        );
+        // Three fan-outs per iteration plus the finish round, each at most
+        // one write per process. Teardown's Shutdown frames are not
+        // commands and are not counted.
+        assert!(
+            traffic.socket_writes <= 3 * processes * iterations + processes,
+            "{label}: {} socket writes for {} frames over {iterations} iterations",
+            traffic.socket_writes,
+            traffic.frames_sent
         );
     }
 }

@@ -2,14 +2,15 @@
 //! telemetry — or chaining any extra observer onto a run — must not
 //! change a single bit of the iterate stream. Asserted here by running
 //! every engine with telemetry off, on, and chained with extra observers,
-//! at 1 and 4 worker threads, and comparing histories, points, and UFC
-//! breakdowns bitwise.
+//! at 1 and 4 worker threads (the socket engine at its default one
+//! process per node), and comparing histories, points, and UFC breakdowns
+//! bitwise.
 
 use ufc_core::{
     AdmgSettings, AdmgSolution, AdmgSolver, HistoryRecorder, JsonlSink, Strategy,
     TelemetryCollector,
 };
-use ufc_distsim::{DistRunReport, DistributedAdmg, Runtime};
+use ufc_distsim::{DistRunReport, DistributedAdmg, Runtime, SocketOptions};
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
 use ufc_model::{UfcBreakdown, UfcInstance};
@@ -184,6 +185,11 @@ fn sweep_distributed(num_threads: usize) {
         let traffic = telemetry.traffic.expect("distributed runs count traffic");
         assert_eq!(traffic.data_messages as usize, on.stats.data_messages);
         assert_eq!(traffic.total_bytes as usize, on.stats.total_bytes);
+        assert_eq!(
+            (traffic.frames_sent, traffic.socket_writes),
+            (0, 0),
+            "{runtime:?}: in-memory engines send no socket frames"
+        );
         assert!(
             telemetry.fault.is_none(),
             "clean run must not report faults"
@@ -208,6 +214,34 @@ fn sweep_distributed(num_threads: usize) {
         assert_eq!(external.iterations as usize, chained.iterations);
         assert!(external.total_ns() > 0);
     }
+}
+
+#[test]
+fn socket_telemetry_is_inert() {
+    let (instance, settings) = workload(1);
+    let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node"));
+    let off = DistributedAdmg::new(settings)
+        .run_sockets(&instance, Strategy::Hybrid, &options)
+        .expect("baseline socket run");
+    assert!(off.converged);
+    assert!(off.telemetry.is_none());
+
+    let on = DistributedAdmg::new(settings.with_telemetry(true))
+        .run_sockets(&instance, Strategy::Hybrid, &options)
+        .expect("telemetry socket run");
+    assert_eq!(
+        report_bits(&off),
+        report_bits(&on),
+        "sockets: enabling telemetry changed the run"
+    );
+    let telemetry = on.telemetry.expect("telemetry on must attach a snapshot");
+    assert_eq!(telemetry.iterations as usize, on.iterations);
+    let traffic = telemetry.traffic.expect("socket runs count traffic");
+    assert_eq!(traffic.data_messages as usize, on.stats.data_messages);
+    assert!(traffic.frames_sent > 0);
+    // One process per node: a fan-out puts at most one frame on each
+    // connection, so every frame is its own write.
+    assert_eq!(traffic.socket_writes, traffic.frames_sent);
 }
 
 #[test]
