@@ -191,7 +191,8 @@ impl PhaseHistogram {
 }
 
 /// Counters surfaced from the solver layers that already track them — the
-/// KKT factorization cache, the warm-start gates, and the worker pool.
+/// KKT solves (dense through the factorization cache, or Sherman–Morrison),
+/// the warm-start gates, and the worker pool.
 /// Zero for engines that cannot observe a layer (e.g. the threaded engine's
 /// per-node kernels die with their worker threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -200,6 +201,9 @@ pub struct SolverCounters {
     pub kkt_cache_hits: u64,
     /// KKT lookups that required a fresh factorization.
     pub kkt_cache_misses: u64,
+    /// KKT systems solved by the Sherman–Morrison rank-1 path, which
+    /// bypasses the factorization cache.
+    pub kkt_rank1_solves: u64,
     /// Warm starts that passed the feasibility gates and seeded a solve.
     pub warm_starts_accepted: u64,
     /// Warm starts rejected by the gates (cold-started instead).
@@ -213,10 +217,12 @@ pub struct SolverCounters {
 impl SolverCounters {
     fn to_json(self) -> String {
         format!(
-            "{{\"kkt_cache_hits\":{},\"kkt_cache_misses\":{},\"warm_starts_accepted\":{},\
-             \"warm_starts_rejected\":{},\"pool_tasks\":{},\"pool_maps\":{}}}",
+            "{{\"kkt_cache_hits\":{},\"kkt_cache_misses\":{},\"kkt_rank1_solves\":{},\
+             \"warm_starts_accepted\":{},\"warm_starts_rejected\":{},\"pool_tasks\":{},\
+             \"pool_maps\":{}}}",
             self.kkt_cache_hits,
             self.kkt_cache_misses,
+            self.kkt_rank1_solves,
             self.warm_starts_accepted,
             self.warm_starts_rejected,
             self.pool_tasks,
@@ -655,6 +661,7 @@ mod tests {
         assert!(json.contains("\"correct\":{\"count\":1"));
         assert!(json.contains("\"data_messages\":80"));
         assert!(json.contains("\"socket_writes\":0}"));
+        assert!(json.contains("\"kkt_rank1_solves\":0,"));
         assert!(json.contains("\"fault\":null"));
         assert!(json.contains("\"integrity\":null"));
     }

@@ -6,10 +6,12 @@
 //! `ρI + (2w/A_i)·L_i L_iᵀ` over the simplex `{λ ≥ 0, Σλ = A_i}`, and the
 //! a-QP of datacenter `j` always has `ρ(I + β_j²·1 1ᵀ)` over the capped
 //! simplex. [`LambdaQp`] and [`AColQp`] exploit that: each owns its block's
-//! objective and constraint matrices once, keeps a [`KktCache`] of LDLᵀ
-//! factorizations keyed by active-set working set, and warm-starts from the
-//! previous iterate, so steady-state iterations solve each block with cached
-//! factors instead of re-assembling and re-factoring the KKT system.
+//! objective and constraint matrices once and warm-starts from the previous
+//! iterate. By default ([`QpOptions`]) each working-set KKT system is solved
+//! in `O(n)` by Sherman–Morrison from the diagonal-plus-rank-one Hessian;
+//! working sets outside that shape, and the dense kernel, go through a
+//! [`KktCache`] of LDLᵀ factorizations keyed by working set, so steady-state
+//! iterations never re-assemble and re-factor a KKT system.
 //!
 //! # Cache and warm-start invariants
 //!
@@ -77,10 +79,10 @@ fn snap_support_into(x: &mut [f64], seed: &mut Vec<usize>) {
 }
 
 /// Which acceleration paths a block kernel engages — the per-kernel
-/// projection of [`AdmgSettings`]. Both default to `false`; the
-/// bit-identity contract of each knob is documented on the corresponding
-/// settings field.
-#[derive(Debug, Clone, Copy, Default)]
+/// projection of [`AdmgSettings`]. The default follows
+/// [`AdmgSettings::default`] (both on); the bit-identity contract of each
+/// knob is documented on the corresponding settings field.
+#[derive(Debug, Clone, Copy)]
 pub struct QpOptions {
     /// Solve structured KKT systems in `O(n)` via Sherman–Morrison
     /// ([`AdmgSettings::rank1_kkt`]; tolerance-equal, **not** bitwise).
@@ -88,6 +90,12 @@ pub struct QpOptions {
     /// Factor dense KKT systems with the blocked LDLᵀ kernel
     /// ([`AdmgSettings::blocked_factorizations`]; bit-identical).
     pub blocked_factorizations: bool,
+}
+
+impl Default for QpOptions {
+    fn default() -> Self {
+        QpOptions::from_settings(&AdmgSettings::default())
+    }
 }
 
 impl QpOptions {
@@ -111,6 +119,17 @@ impl QpOptions {
             .with_rank1_kkt(self.rank1_kkt)
             .with_blocked_factorizations(self.blocked_factorizations)
     }
+}
+
+/// Adds one block kernel's counters to `c`: its dense KKT solves (cache
+/// hits and misses), its Sherman–Morrison solves, and its warm-start gate
+/// decisions.
+fn add_kernel_counters(cache: &KktCache, accepted: u64, rejected: u64, c: &mut SolverCounters) {
+    c.kkt_cache_hits += cache.hits();
+    c.kkt_cache_misses += cache.misses();
+    c.kkt_rank1_solves += cache.rank1_solves();
+    c.warm_starts_accepted += accepted;
+    c.warm_starts_rejected += rejected;
 }
 
 /// Persistent solver kernel for one front-end's λ-QP (paper Eq. (17)).
@@ -140,7 +159,7 @@ pub struct LambdaQp {
 impl LambdaQp {
     /// Builds the kernel for a front-end with the given latency row,
     /// arrival rate, disutility weight `w` and penalty ρ. `options` selects
-    /// the acceleration paths (`QpOptions::default()` is the dense path).
+    /// the KKT kernels.
     #[must_use]
     pub fn new(latencies: &[f64], arrival: f64, w: f64, rho: f64, options: QpOptions) -> Self {
         let n = latencies.len();
@@ -217,22 +236,10 @@ impl LambdaQp {
         Ok(())
     }
 
-    /// Cache hit count (diagnostics).
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Cache miss count (diagnostics).
-    #[must_use]
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Warm-start candidates accepted / rejected by the feasibility gate.
-    #[must_use]
-    pub fn warm_starts(&self) -> (u64, u64) {
-        (self.warm_accepted, self.warm_rejected)
+    /// Adds this kernel's KKT-solve and warm-start counts to `c`
+    /// (telemetry).
+    pub fn add_counters(&self, c: &mut SolverCounters) {
+        add_kernel_counters(&self.cache, self.warm_accepted, self.warm_rejected, c);
     }
 
     /// Fills the recycled start buffer (warm candidate if it passes the
@@ -288,8 +295,7 @@ pub struct AColQp {
 impl AColQp {
     /// Builds the kernel for a datacenter column: `m` front-ends, penalty ρ,
     /// power-proportionality slope β, capacity cap, and the optional
-    /// queueing (congestion) extension. `options` selects the acceleration
-    /// paths (`QpOptions::default()` is the dense path).
+    /// queueing (congestion) extension. `options` selects the KKT kernels.
     #[must_use]
     pub fn new(
         m: usize,
@@ -391,22 +397,10 @@ impl AColQp {
         Ok(())
     }
 
-    /// Cache hit count (diagnostics).
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Cache miss count (diagnostics).
-    #[must_use]
-    pub fn cache_misses(&self) -> u64 {
-        self.cache.misses()
-    }
-
-    /// Warm-start candidates accepted / rejected by the feasibility gate.
-    #[must_use]
-    pub fn warm_starts(&self) -> (u64, u64) {
-        (self.warm_accepted, self.warm_rejected)
+    /// Adds this kernel's KKT-solve and warm-start counts to `c`
+    /// (telemetry).
+    pub fn add_counters(&self, c: &mut SolverCounters) {
+        add_kernel_counters(&self.cache, self.warm_accepted, self.warm_rejected, c);
     }
 
     /// Fills the recycled start buffer (warm candidate if it passes the
@@ -684,35 +678,16 @@ impl SolverWorkspace {
         Ok(())
     }
 
-    /// Total KKT-cache hits across all blocks (diagnostics).
-    #[allow(dead_code)]
-    pub(crate) fn cache_hits(&self) -> u64 {
-        self.lambda_blocks
-            .iter()
-            .map(|b| b.qp.cache_hits())
-            .chain(self.a_blocks.iter().map(|b| b.qp.cache_hits()))
-            .sum()
-    }
-
     /// Solver-layer telemetry counters aggregated across every block
     /// kernel. The pool counters are filled in by the caller that owns the
     /// [`WorkerPool`].
     pub(crate) fn counters(&self) -> SolverCounters {
         let mut c = SolverCounters::default();
-        for (hits, misses, warm) in self
-            .lambda_blocks
-            .iter()
-            .map(|b| (b.qp.cache_hits(), b.qp.cache_misses(), b.qp.warm_starts()))
-            .chain(
-                self.a_blocks
-                    .iter()
-                    .map(|b| (b.qp.cache_hits(), b.qp.cache_misses(), b.qp.warm_starts())),
-            )
-        {
-            c.kkt_cache_hits += hits;
-            c.kkt_cache_misses += misses;
-            c.warm_starts_accepted += warm.0;
-            c.warm_starts_rejected += warm.1;
+        for b in &self.lambda_blocks {
+            b.qp.add_counters(&mut c);
+        }
+        for b in &self.a_blocks {
+            b.qp.add_counters(&mut c);
         }
         c
     }
@@ -745,35 +720,41 @@ mod tests {
         .unwrap()
     }
 
-    /// The fused workspace prediction must reproduce the five reference step
-    /// functions bit-for-bit when warm starts cannot engage (zero state) and
-    /// to solver precision in general.
-    #[test]
-    fn predict_matches_reference_steps_on_cold_state() {
-        let inst = tiny();
-        let settings = AdmgSettings::default();
-        let state = AdmgState::zeros(&inst);
+    /// The dense reference kernel the step functions of `subproblems` use.
+    fn dense() -> AdmgSettings {
+        AdmgSettings::default().with_rank1_kkt(false)
+    }
+
+    /// One workspace prediction round from `state`, returning the predicted
+    /// iterate.
+    fn predict(inst: &UfcInstance, settings: &AdmgSettings, state: &AdmgState) -> AdmgState {
         let pool = WorkerPool::new(1);
-        let mut ws = SolverWorkspace::new(&inst, &settings);
-        ws.predict_lambda(&state, &pool).unwrap();
-        ws.predict_site_blocks(&inst, &state, &pool, true, true)
+        let mut ws = SolverWorkspace::new(inst, settings);
+        ws.predict_lambda(state, &pool).unwrap();
+        ws.predict_site_blocks(inst, state, &pool, true, true)
             .unwrap();
+        ws.tilde
+    }
 
-        let rho = settings.rho;
-        let lt = lambda_step(&inst, rho, &state).unwrap();
-        let mt = mu_step(&inst, rho, &state, true);
-        let nt = nu_step(&inst, rho, &state, &mt, true);
-        let dt = storage_step(&inst, rho, &state, &mt, &nt);
-        let at = a_step(&inst, rho, &state, &lt, &mt, &nt, &dt).unwrap();
-        let (pt, vt) = dual_step(&inst, rho, &state, &lt, &mt, &nt, &dt, &at);
-
-        assert_eq!(ws.tilde.lambda, lt);
-        assert_eq!(ws.tilde.mu, mt);
-        assert_eq!(ws.tilde.nu, nt);
-        assert_eq!(ws.tilde.d, dt);
-        assert_eq!(ws.tilde.a, at);
-        assert_eq!(ws.tilde.phi, pt);
-        assert_eq!(ws.tilde.varphi, vt);
+    /// The same round through the reference step functions (dense KKT,
+    /// cold starts).
+    fn reference(inst: &UfcInstance, rho: f64, state: &AdmgState) -> AdmgState {
+        let lt = lambda_step(inst, rho, state).unwrap();
+        let mt = mu_step(inst, rho, state, true);
+        let nt = nu_step(inst, rho, state, &mt, true);
+        let dt = storage_step(inst, rho, state, &mt, &nt);
+        let at = a_step(inst, rho, state, &lt, &mt, &nt, &dt).unwrap();
+        let (pt, vt) = dual_step(inst, rho, state, &lt, &mt, &nt, &dt, &at);
+        AdmgState {
+            lambda: lt,
+            mu: mt,
+            nu: nt,
+            d: dt,
+            a: at,
+            phi: pt,
+            varphi: vt,
+            ..state.clone()
+        }
     }
 
     /// Asserts `a ≈ b` entry by entry at `1e-9 · (1 + |b|)`.
@@ -787,46 +768,72 @@ mod tests {
         }
     }
 
-    /// From a warm, nonzero state the workspace must match the cold-started
-    /// reference steps: λ̃ exactly (the zero λ fails the warm-start gate),
-    /// μ̃/ν̃/d̃ exactly (closed forms computed before any QP), and ã with the
-    /// duals that depend on it to solver precision (the a-QP starts from
-    /// the warm column, the reference from zero).
+    /// The rank-1 leg of the reference tests: the default kernel matches the
+    /// dense reference exactly on the closed-form μ/ν/d steps, which run
+    /// before any QP, and to solver precision on λ, a and the duals.
+    fn assert_rank1_matches(inst: &UfcInstance, state: &AdmgState, expected: &AdmgState) {
+        let fast = predict(inst, &AdmgSettings::default(), state);
+        assert_eq!(fast.mu, expected.mu);
+        assert_eq!(fast.nu, expected.nu);
+        assert_eq!(fast.d, expected.d);
+        assert_close(&fast.lambda, &expected.lambda, "rank-1 lambda");
+        assert_close(&fast.a, &expected.a, "rank-1 a");
+        assert_close(&fast.phi, &expected.phi, "rank-1 phi");
+        assert_close(&fast.varphi, &expected.varphi, "rank-1 varphi");
+    }
+
+    /// The fused workspace prediction must reproduce the five reference step
+    /// functions bit-for-bit on the dense kernel when warm starts cannot
+    /// engage (zero state), and to solver precision on the rank-1 kernel.
+    #[test]
+    fn predict_matches_reference_steps_on_cold_state() {
+        let inst = tiny();
+        let state = AdmgState::zeros(&inst);
+        let settings = dense();
+        let tilde = predict(&inst, &settings, &state);
+        let expected = reference(&inst, settings.rho, &state);
+        assert_eq!(tilde.lambda, expected.lambda);
+        assert_eq!(tilde.mu, expected.mu);
+        assert_eq!(tilde.nu, expected.nu);
+        assert_eq!(tilde.d, expected.d);
+        assert_eq!(tilde.a, expected.a);
+        assert_eq!(tilde.phi, expected.phi);
+        assert_eq!(tilde.varphi, expected.varphi);
+        assert_rank1_matches(&inst, &state, &expected);
+    }
+
+    /// From a warm, nonzero state the dense workspace must match the
+    /// cold-started reference steps: λ̃ exactly (the zero λ fails the
+    /// warm-start gate), μ̃/ν̃/d̃ exactly (closed forms computed before any
+    /// QP), and ã with the duals that depend on it to solver precision (the
+    /// a-QP starts from the warm column, the reference from zero). The
+    /// rank-1 kernel matches to solver precision.
     #[test]
     fn predict_baseline_path_matches_reference_steps() {
         let inst = tiny();
-        let settings = AdmgSettings::default();
         let mut state = AdmgState::zeros(&inst);
         state.a = vec![0.4, 0.6, 1.5, 0.5];
         state.varphi = vec![0.1, -0.2, 0.05, 0.3];
         state.phi = vec![0.2, -0.1];
-        let pool = WorkerPool::new(1);
-        let mut ws = SolverWorkspace::new(&inst, &settings);
-        ws.predict_lambda(&state, &pool).unwrap();
-        ws.predict_site_blocks(&inst, &state, &pool, true, true)
-            .unwrap();
-
-        let rho = settings.rho;
-        let lt = lambda_step(&inst, rho, &state).unwrap();
-        let mt = mu_step(&inst, rho, &state, true);
-        let nt = nu_step(&inst, rho, &state, &mt, true);
-        let dt = storage_step(&inst, rho, &state, &mt, &nt);
-        let at = a_step(&inst, rho, &state, &lt, &mt, &nt, &dt).unwrap();
-        let (pt, vt) = dual_step(&inst, rho, &state, &lt, &mt, &nt, &dt, &at);
-        assert_eq!(ws.tilde.lambda, lt);
-        assert_eq!(ws.tilde.mu, mt);
-        assert_eq!(ws.tilde.nu, nt);
-        assert_eq!(ws.tilde.d, dt);
-        assert_close(&ws.tilde.a, &at, "a");
-        assert_close(&ws.tilde.phi, &pt, "phi");
-        assert_close(&ws.tilde.varphi, &vt, "varphi");
+        let settings = dense();
+        let tilde = predict(&inst, &settings, &state);
+        let expected = reference(&inst, settings.rho, &state);
+        assert_eq!(tilde.lambda, expected.lambda);
+        assert_eq!(tilde.mu, expected.mu);
+        assert_eq!(tilde.nu, expected.nu);
+        assert_eq!(tilde.d, expected.d);
+        assert_close(&tilde.a, &expected.a, "a");
+        assert_close(&tilde.phi, &expected.phi, "phi");
+        assert_close(&tilde.varphi, &expected.varphi, "varphi");
+        assert_rank1_matches(&inst, &state, &expected);
     }
 
     /// On a storage instance the fused datacenter phase must reproduce the
     /// five reference step functions — μ bounds from the ramp limit, the
     /// fresh-d storage solve, and the d-aware drift and duals — from a
-    /// warm, nonzero state: exactly up to the warm-started a-QP, to solver
-    /// precision from there on.
+    /// warm, nonzero state: on the dense kernel exactly up to the
+    /// warm-started a-QP and to solver precision from there on, on the
+    /// rank-1 kernel to solver precision.
     #[test]
     fn predict_matches_reference_steps_with_storage() {
         let fleet = StorageFleet::new(2.0, 1.0)
@@ -835,55 +842,63 @@ mod tests {
             .degradation(2.0)
             .ramp_mw(0.3);
         let inst = tiny().with_storage(fleet.initial_params(2)).unwrap();
-        let settings = AdmgSettings::default();
         let mut state = AdmgState::zeros(&inst);
         state.a = vec![0.4, 0.6, 1.5, 0.5];
         state.varphi = vec![0.1, -0.2, 0.05, 0.3];
         state.phi = vec![0.2, -0.1];
         state.nu = vec![0.3, 0.2];
         state.d = vec![0.05, -0.1];
-        let pool = WorkerPool::new(1);
-        let mut ws = SolverWorkspace::new(&inst, &settings);
-        ws.predict_lambda(&state, &pool).unwrap();
-        ws.predict_site_blocks(&inst, &state, &pool, true, true)
-            .unwrap();
+        let settings = dense();
+        let tilde = predict(&inst, &settings, &state);
+        let expected = reference(&inst, settings.rho, &state);
 
-        let rho = settings.rho;
-        let lt = lambda_step(&inst, rho, &state).unwrap();
-        let mt = mu_step(&inst, rho, &state, true);
-        let nt = nu_step(&inst, rho, &state, &mt, true);
-        let dt = storage_step(&inst, rho, &state, &mt, &nt);
-        let at = a_step(&inst, rho, &state, &lt, &mt, &nt, &dt).unwrap();
-        let (pt, vt) = dual_step(&inst, rho, &state, &lt, &mt, &nt, &dt, &at);
-
-        assert!(dt.iter().any(|&d| d != 0.0), "storage block should engage");
-        assert_eq!(ws.tilde.lambda, lt);
-        assert_eq!(ws.tilde.mu, mt);
-        assert_eq!(ws.tilde.nu, nt);
-        assert_eq!(ws.tilde.d, dt);
-        assert_close(&ws.tilde.a, &at, "a");
-        assert_close(&ws.tilde.phi, &pt, "phi");
-        assert_close(&ws.tilde.varphi, &vt, "varphi");
+        assert!(
+            expected.d.iter().any(|&d| d != 0.0),
+            "storage block should engage"
+        );
+        assert_eq!(tilde.lambda, expected.lambda);
+        assert_eq!(tilde.mu, expected.mu);
+        assert_eq!(tilde.nu, expected.nu);
+        assert_eq!(tilde.d, expected.d);
+        assert_close(&tilde.a, &expected.a, "a");
+        assert_close(&tilde.phi, &expected.phi, "phi");
+        assert_close(&tilde.varphi, &expected.varphi, "varphi");
         // Ramp limit binds: μ̃ stays inside the [μ_prev ± ramp] box.
         for j in 0..2 {
-            assert!(ws.tilde.mu[j] <= 0.3 + 1e-12);
+            assert!(tilde.mu[j] <= 0.3 + 1e-12);
         }
+        assert_rank1_matches(&inst, &state, &expected);
     }
 
-    /// Warm-started, cached solves accumulate cache hits across iterations.
+    /// Warm-started solves accumulate KKT-solve counts across iterations:
+    /// cache hits on the dense kernel, Sherman–Morrison solves (and no
+    /// factorizations) on the rank-1 kernel.
     #[test]
     fn repeated_predictions_hit_the_cache() {
         let inst = tiny();
-        let settings = AdmgSettings::default();
         let state = AdmgState::zeros(&inst);
         let pool = WorkerPool::new(1);
-        let mut ws = SolverWorkspace::new(&inst, &settings);
-        for _ in 0..3 {
-            ws.predict_lambda(&state, &pool).unwrap();
-            ws.predict_site_blocks(&inst, &state, &pool, true, true)
-                .unwrap();
-        }
-        assert!(ws.cache_hits() > 0, "expected KKT cache reuse");
+        let run = |settings: AdmgSettings| {
+            let mut ws = SolverWorkspace::new(&inst, &settings);
+            for _ in 0..3 {
+                ws.predict_lambda(&state, &pool).unwrap();
+                ws.predict_site_blocks(&inst, &state, &pool, true, true)
+                    .unwrap();
+            }
+            ws.counters()
+        };
+        let dense = run(dense());
+        assert!(dense.kkt_cache_hits > 0, "expected KKT cache reuse");
+        assert_eq!(dense.kkt_rank1_solves, 0);
+        let rank1 = run(AdmgSettings::default());
+        assert!(
+            rank1.kkt_rank1_solves > 0,
+            "expected Sherman–Morrison solves"
+        );
+        assert_eq!(
+            rank1.kkt_cache_misses, 0,
+            "no working set left the rank-1 shape"
+        );
     }
 
     /// Deterministic scaled instance for the thread-count bit-identity test:

@@ -213,20 +213,10 @@ impl<'a> LockstepTransport<'a> {
             // per-node kernel counters are still readable here (evicted
             // datacenters are gone — their counters go with them).
             for fe in &self.frontends {
-                let (hits, misses) = fe.cache_counters();
-                let (accepted, rejected) = fe.warm_start_counters();
-                t.solver.kkt_cache_hits += hits;
-                t.solver.kkt_cache_misses += misses;
-                t.solver.warm_starts_accepted += accepted;
-                t.solver.warm_starts_rejected += rejected;
+                fe.add_counters(&mut t.solver);
             }
             for dc in self.datacenters.iter().flatten() {
-                let (hits, misses) = dc.cache_counters();
-                let (accepted, rejected) = dc.warm_start_counters();
-                t.solver.kkt_cache_hits += hits;
-                t.solver.kkt_cache_misses += misses;
-                t.solver.warm_starts_accepted += accepted;
-                t.solver.warm_starts_rejected += rejected;
+                dc.add_counters(&mut t.solver);
             }
             t.solver.pool_tasks = self.pool.tasks_dispatched();
             t.solver.pool_maps = self.pool.maps_run();

@@ -14,10 +14,8 @@
 //! integration tests).
 
 use ufc_core::subproblems::{mu_scalar_step_bounded, nu_scalar_step, storage_scalar_step};
-use ufc_core::{AColQp, AdmgSettings, CoreError, LambdaQp, QpOptions};
-use ufc_linalg::Matrix;
-use ufc_model::{utility::disutility_rank1_gamma, EmissionCostFn, UfcInstance};
-use ufc_opt::{ActiveSetQp, QuadObjective};
+use ufc_core::{AColQp, AdmgSettings, CoreError, LambdaQp, QpOptions, SolverCounters};
+use ufc_model::{EmissionCostFn, UfcInstance};
 
 use crate::snapshot::{DatacenterSnapshot, FrontendSnapshot};
 
@@ -69,6 +67,8 @@ pub struct FrontendNode {
     evicted: Vec<bool>,
     /// Persistent λ-QP kernel (cached KKT factorizations, warm starts).
     qp: LambdaQp,
+    /// KKT kernels of `qp`, reused for the restricted degraded-mode QP.
+    options: QpOptions,
     /// Scratch buffer for the per-round linear term.
     c_buf: Vec<f64>,
 }
@@ -83,6 +83,7 @@ impl FrontendNode {
     pub fn new(instance: &UfcInstance, i: usize, settings: &AdmgSettings) -> Self {
         assert!(i < instance.m_frontends(), "front-end {i} out of range");
         let n = instance.n_datacenters();
+        let options = QpOptions::from_settings(settings);
         FrontendNode {
             index: i,
             arrival: instance.arrivals[i],
@@ -100,8 +101,9 @@ impl FrontendNode {
                 instance.arrivals[i],
                 instance.weight_per_kserver(),
                 settings.rho,
-                QpOptions::from_settings(settings),
+                options,
             ),
+            options,
             c_buf: vec![0.0; n],
         }
     }
@@ -148,17 +150,10 @@ impl FrontendNode {
         &self.evicted
     }
 
-    /// Telemetry: the λ-kernel's `(kkt_cache_hits, kkt_cache_misses)` since
-    /// this node was constructed (or last respawned).
-    #[must_use]
-    pub fn cache_counters(&self) -> (u64, u64) {
-        (self.qp.cache_hits(), self.qp.cache_misses())
-    }
-
-    /// Telemetry: the λ-kernel's `(warm_starts_accepted, warm_starts_rejected)`.
-    #[must_use]
-    pub fn warm_start_counters(&self) -> (u64, u64) {
-        self.qp.warm_starts()
+    /// Telemetry: adds the λ-kernel's KKT-solve and warm-start counts
+    /// since this node was constructed (or last respawned) to `c`.
+    pub fn add_counters(&self, c: &mut SolverCounters) {
+        self.qp.add_counters(c);
     }
 
     /// Step 1: solve the λ-sub-problem (17) from the local replicas and
@@ -196,7 +191,18 @@ impl FrontendNode {
                 .iter()
                 .map(|&j| self.varphi[j] - self.rho * self.a[j])
                 .collect();
-            let sub = self.solve_lambda_qp(lat, c)?;
+            // The restricted QP has fewer columns than the persistent
+            // kernel: solve it with a fresh, cold-started kernel on the
+            // same KKT options.
+            let sub = LambdaQp::new(
+                &lat,
+                self.arrival,
+                self.weight_per_kserver,
+                self.rho,
+                self.options,
+            )
+            .solve(&c, None)
+            .map_err(|e| CoreError::subproblem(format!("lambda[{}]", self.index), e))?;
             let mut full = vec![0.0; n];
             for (t, &j) in active.iter().enumerate() {
                 full[j] = sub[t];
@@ -215,34 +221,6 @@ impl FrontendNode {
         };
         self.lambda_tilde = row.clone();
         Ok(row)
-    }
-
-    /// Solves `min ½ρ‖x‖² + ½γ(Lᵀx)² + cᵀx` over the simplex
-    /// `{x ≥ 0, Σx = arrival}` — the common kernel of the full and
-    /// restricted λ-steps.
-    fn solve_lambda_qp(&self, latencies: Vec<f64>, c: Vec<f64>) -> Result<Vec<f64>, CoreError> {
-        let k = latencies.len();
-        if self.arrival == 0.0 {
-            // Zero-demand front-end: the simplex is the singleton {0} —
-            // same short-circuit as the in-process λ-QP, bit for bit.
-            return Ok(vec![0.0; k]);
-        }
-        let gamma = disutility_rank1_gamma(self.weight_per_kserver, self.arrival);
-        let objective = QuadObjective::diag_rank1(vec![self.rho; k], gamma, latencies, c, 0.0);
-        let start = vec![self.arrival / k as f64; k];
-        let a_eq = Matrix::from_fn(1, k, |_, _| 1.0);
-        let a_in = Matrix::from_fn(k, k, |r, cc| if r == cc { -1.0 } else { 0.0 });
-        Ok(ActiveSetQp::default()
-            .solve(
-                &objective,
-                &a_eq,
-                &[self.arrival],
-                &a_in,
-                &vec![0.0; k],
-                start,
-            )
-            .map_err(|e| CoreError::subproblem(format!("lambda[{}]", self.index), e))?
-            .x)
     }
 
     /// Captures this node's iterate slice for checkpointing.
@@ -465,17 +443,10 @@ impl DatacenterNode {
         self.d
     }
 
-    /// Telemetry: the a-kernel's `(kkt_cache_hits, kkt_cache_misses)` since
-    /// this node was constructed (or last respawned).
-    #[must_use]
-    pub fn cache_counters(&self) -> (u64, u64) {
-        (self.qp.cache_hits(), self.qp.cache_misses())
-    }
-
-    /// Telemetry: the a-kernel's `(warm_starts_accepted, warm_starts_rejected)`.
-    #[must_use]
-    pub fn warm_start_counters(&self) -> (u64, u64) {
-        self.qp.warm_starts()
+    /// Telemetry: adds the a-kernel's KKT-solve and warm-start counts
+    /// since this node was constructed (or last respawned) to `c`.
+    pub fn add_counters(&self, c: &mut SolverCounters) {
+        self.qp.add_counters(c);
     }
 
     /// Captures this node's iterate slice for checkpointing.
@@ -759,16 +730,71 @@ mod tests {
 
     #[test]
     fn clean_path_unchanged_by_eviction_support() {
-        // With no evictions the restricted branch is never taken; the
-        // prediction must match the core sub-problem bit for bit.
+        // With no evictions the restricted branch is never taken; on the
+        // dense kernel the prediction must match the core sub-problem bit
+        // for bit, on the rank-1 kernel to solver precision.
         let inst = tiny();
-        let settings = AdmgSettings::default();
+        let settings = AdmgSettings::default().with_rank1_kkt(false);
         let mut fe = FrontendNode::new(&inst, 0, &settings);
         let state = ufc_core::AdmgState::zeros(&inst);
         let expected = ufc_core::subproblems::lambda_step(&inst, settings.rho, &state).unwrap();
         let row = fe.predict_lambda().unwrap();
         for j in 0..2 {
             assert_eq!(row[j], expected[j], "column {j} diverged");
+        }
+        let mut fe = FrontendNode::new(&inst, 0, &AdmgSettings::default());
+        let row = fe.predict_lambda().unwrap();
+        for j in 0..2 {
+            assert!(
+                (row[j] - expected[j]).abs() <= 1e-9 * (1.0 + expected[j].abs()),
+                "rank-1 column {j} diverged: {row:?} vs {expected:?}"
+            );
+        }
+    }
+
+    /// The degraded-mode λ-QP runs on the node's configured KKT kernel:
+    /// over the two surviving columns of a three-datacenter instance the
+    /// rank-1 restricted row matches the dense one to within 1e-9, round
+    /// after round.
+    #[test]
+    fn restricted_lambda_row_honours_the_kkt_kernel() {
+        let inst = UfcInstance::new(
+            vec![1.0, 2.0],
+            vec![2.0, 2.0, 2.0],
+            vec![0.24; 3],
+            vec![0.12; 3],
+            vec![0.48; 3],
+            vec![30.0, 70.0, 50.0],
+            80.0,
+            vec![0.5, 0.3, 0.4],
+            vec![vec![0.01, 0.02, 0.015], vec![0.02, 0.01, 0.0102]],
+            10.0,
+            vec![EmissionCostFn::linear(25.0).unwrap(); 3],
+            1.0,
+        )
+        .unwrap();
+        let rows = |settings: AdmgSettings| {
+            let mut fe = FrontendNode::new(&inst, 1, &settings);
+            fe.set_evicted(0);
+            let first = fe.predict_lambda().unwrap();
+            fe.receive_a_and_correct(&[0.0, 0.9, 1.1]);
+            let second = fe.predict_lambda().unwrap();
+            [first, second]
+        };
+        let dense = rows(AdmgSettings::default().with_rank1_kkt(false));
+        let rank1 = rows(AdmgSettings::default());
+        // The kernels round differently, so equal bits would mean the
+        // restricted solve ignored the configured kernel.
+        assert_ne!(rank1, dense, "restricted solve ran the dense kernel");
+        for (fast, slow) in rank1.iter().zip(&dense) {
+            assert_eq!((fast[0], slow[0]), (0.0, 0.0), "evicted column");
+            assert!(
+                slow[1] > 0.1 && slow[2] > 0.1,
+                "both survivors carry load: {slow:?}"
+            );
+            for (a, b) in fast.iter().zip(slow) {
+                assert!((a - b).abs() <= 1e-9, "{fast:?} vs {slow:?}");
+            }
         }
     }
 
@@ -926,7 +952,8 @@ mod tests {
     #[test]
     fn poisoned_iterate_is_a_typed_subproblem_error_not_a_panic() {
         let inst = tiny();
-        let mut fe = FrontendNode::new(&inst, 0, &AdmgSettings::default());
+        let dense = AdmgSettings::default().with_rank1_kkt(false);
+        let mut fe = FrontendNode::new(&inst, 0, &dense);
         fe.predict_lambda().unwrap();
         fe.receive_a_and_correct(&[-5.5e307, -5.5e307]);
         let err = fe.predict_lambda().unwrap_err();
@@ -935,7 +962,7 @@ mod tests {
             "expected a typed Subproblem error, got {err:?}"
         );
 
-        let mut dc = DatacenterNode::new(&inst, 0, &AdmgSettings::default(), true, true);
+        let mut dc = DatacenterNode::new(&inst, 0, &dense, true, true);
         dc.process(&[0.5, 1.0]).unwrap();
         let err = dc.process(&[-5.5e307, -5.5e307]).unwrap_err();
         assert!(
@@ -943,15 +970,38 @@ mod tests {
             "expected a typed Subproblem error, got {err:?}"
         );
 
-        // NaN poison takes the graceful path: the QP accepts the iterate
-        // and the divergence gate downstream flags the NaN residuals.
-        let mut fe = FrontendNode::new(&inst, 0, &AdmgSettings::default());
+        // The rank-1 kernel solves through this poison without the dense
+        // path's overflowing KKT factorization, so its step may come back
+        // `Ok`; an error must still be the typed one, never a panic.
+        let typed = |r: Result<(), CoreError>| {
+            if let Err(err) = r {
+                assert!(
+                    matches!(err, CoreError::Subproblem { .. }),
+                    "expected a typed Subproblem error, got {err:?}"
+                );
+            }
+        };
+        let rank1 = AdmgSettings::default();
+        let mut fe = FrontendNode::new(&inst, 0, &rank1);
         fe.predict_lambda().unwrap();
-        fe.receive_a_and_correct(&[f64::NAN, f64::NAN]);
-        let _ = fe.predict_lambda();
-        let mut dc = DatacenterNode::new(&inst, 0, &AdmgSettings::default(), true, true);
+        fe.receive_a_and_correct(&[-5.5e307, -5.5e307]);
+        typed(fe.predict_lambda().map(drop));
+        let mut dc = DatacenterNode::new(&inst, 0, &rank1, true, true);
         dc.process(&[0.5, 1.0]).unwrap();
-        let _ = dc.process(&[f64::NAN, f64::NAN]);
+        typed(dc.process(&[-5.5e307, -5.5e307]).map(drop));
+
+        // NaN poison takes the graceful path on both kernels: the QP
+        // accepts the iterate and the divergence gate downstream flags the
+        // NaN residuals.
+        for settings in [dense, rank1] {
+            let mut fe = FrontendNode::new(&inst, 0, &settings);
+            fe.predict_lambda().unwrap();
+            fe.receive_a_and_correct(&[f64::NAN, f64::NAN]);
+            let _ = fe.predict_lambda();
+            let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
+            dc.process(&[0.5, 1.0]).unwrap();
+            let _ = dc.process(&[f64::NAN, f64::NAN]);
+        }
     }
 
     #[test]

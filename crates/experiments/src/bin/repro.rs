@@ -34,8 +34,8 @@
 //!              horizon for CI smoke runs
 //!   wsweep     extension: latency-weight (w) Pareto sweep
 //!   bench      solver hot-path wall-clock (writes BENCH_solver.json);
-//!              fails when the 1-thread leg stops reusing KKT
-//!              factorizations or warm starts; `--quick` shrinks the
+//!              fails when the 1-thread leg on the dense KKT kernel stops
+//!              reusing factorizations or warm starts; `--quick` shrinks the
 //!              workload for CI smoke runs
 //!   trace      run-telemetry JSONL trace of one instrumented solve;
 //!              `--engine inprocess|lockstep|threaded|faulty|corrupt|sockets`
@@ -908,7 +908,7 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         text_table(&["configuration", "wall ms", "iterations"], &rows)
     );
     println!(
-        "1 thread: {:.2} KKT factorizations per iteration, {:.3} of warm starts accepted",
+        "1 thread, dense KKT: {:.2} factorizations per iteration, {:.3} of warm starts accepted",
         report.cache.factorizations_per_iter, report.cache.warm_start_accept_ratio
     );
     if !report.sizes.is_empty() {

@@ -9,16 +9,17 @@
 //!   datacenters, `p₀` below/above/crossing every grid price,
 //!   near-singular Hessians, infeasible totals);
 //! * the *engines* solve each valid case on the in-process solver (with
-//!   the sampled knob combination and again with reference knobs), the
-//!   lockstep and threaded runtimes, and — on a sampled subset — the
-//!   multi-process socket runtime;
+//!   the sampled knob combination, again with reference knobs, and on the
+//!   KKT kernel the case did not draw), the lockstep and threaded
+//!   runtimes, and — on a sampled subset — the multi-process socket
+//!   runtime;
 //! * the *oracles* cross-check bit-identity between engines,
-//!   tolerance-equality for the rank-1 KKT path, feasibility of the
-//!   polished point, the centralized QP's UFC value, the generic
-//!   matrix-form correction against the closed form, and that invalid
-//!   inputs are rejected with the **same typed error everywhere**;
+//!   tolerance-equality between the rank-1 and dense KKT kernels,
+//!   feasibility of the polished point, the centralized QP's UFC value,
+//!   the generic matrix-form correction against the closed form, and that
+//!   invalid inputs are rejected with the **same typed error everywhere**;
 //! * the *shrinker* greedily simplifies any failing case (fewer
-//!   front-ends/datacenters, no storage, plainer tariffs, default knobs)
+//!   front-ends/datacenters, no storage, plainer tariffs, plainer knobs)
 //!   while the failure *kind* reproduces, and persists the minimal
 //!   reproducer to the corpus under `tests/corpus/`.
 //!
@@ -37,8 +38,8 @@ use ufc_distsim::{CorruptionConfig, DistributedAdmg, FaultPlan, NodeId, Runtime,
 use ufc_model::generator::{arbitrary_params, InstanceParams, SplitMix64};
 use ufc_model::{EmissionCostFn, StorageParams, UfcInstance};
 
-/// Relative UFC tolerance for the tolerance-equal rank-1 KKT knob, which
-/// reorders floating-point work.
+/// Relative UFC tolerance between the rank-1 and dense KKT kernels: the
+/// rank-1 path reorders floating-point work.
 const TOLERANT_REL_TOL: f64 = 1e-6;
 /// Relative UFC tolerance against the centralized QP oracle (same gate as
 /// `repro verify`).
@@ -352,32 +353,39 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
             ),
         ));
     }
-    // Rank-1 KKT is tolerance-equal to the default knobs (it legitimately
-    // reorders floating-point work).
-    if case.rank1_kkt {
-        match AdmgSolver::new(AdmgSettings::default()).solve(&inst, case.strategy) {
-            Ok(default_run) => {
-                let gap = rel_gap(mem.breakdown.ufc(), default_run.breakdown.ufc());
-                if gap > TOLERANT_REL_TOL || mem.converged != default_run.converged {
-                    return Err(fail(
-                        "knob-tolerance",
-                        format!(
-                            "rank1 drifts from defaults: UFC {} vs {} (rel {gap:e}), \
-                             converged {} vs {}",
-                            mem.breakdown.ufc(),
-                            default_run.breakdown.ufc(),
-                            mem.converged,
-                            default_run.converged
-                        ),
-                    ));
-                }
-            }
-            Err(e) => {
+    // Rank-1 KKT is tolerance-equal to the dense kernel (it legitimately
+    // reorders floating-point work): every case is checked against the
+    // kernel it did not draw, so both directions stay covered.
+    let other = ref_settings.with_rank1_kkt(!case.rank1_kkt);
+    let kernel = |rank1: bool| if rank1 { "rank-1" } else { "dense" };
+    match AdmgSolver::new(other).solve(&inst, case.strategy) {
+        Ok(other_run) => {
+            let gap = rel_gap(mem.breakdown.ufc(), other_run.breakdown.ufc());
+            if gap > TOLERANT_REL_TOL || mem.converged != other_run.converged {
                 return Err(fail(
                     "knob-tolerance",
-                    format!("default knobs reject (`{e}`) what the rank1 knob solves"),
+                    format!(
+                        "{} kernel drifts from {}: UFC {} vs {} (rel {gap:e}), \
+                         converged {} vs {}",
+                        kernel(case.rank1_kkt),
+                        kernel(other.rank1_kkt),
+                        mem.breakdown.ufc(),
+                        other_run.breakdown.ufc(),
+                        mem.converged,
+                        other_run.converged
+                    ),
                 ));
             }
+        }
+        Err(e) => {
+            return Err(fail(
+                "knob-tolerance",
+                format!(
+                    "the {} kernel rejects (`{e}`) what the {} kernel solves",
+                    kernel(other.rank1_kkt),
+                    kernel(case.rank1_kkt)
+                ),
+            ));
         }
     }
 
@@ -800,7 +808,8 @@ fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         c.params.slot_hours = 1.0;
         out.push(c);
     }
-    // Knobs toward the defaults (kept only if the failure still fires).
+    // Knobs toward the plainest combination: one thread, dense unblocked
+    // kernels (kept only if the failure still fires).
     if case.threads != 1 || case.rank1_kkt || case.blocked {
         let mut c = case.clone();
         c.threads = 1;

@@ -7,16 +7,17 @@
 //! 2. **parallel** — `threads` workers. The headline configuration written
 //!    to `BENCH_solver.json`.
 //!
-//! One more, untimed pass of the sequential leg runs with telemetry on
-//! (which leaves the iterates bit-identical) to count KKT factorizations
-//! and warm starts; [`CacheCounters::check`] fails the bench when the leg
-//! re-factors or cold-starts the way a solver without factorization
-//! caching or warm starts would.
+//! One more, untimed pass of the sequential leg runs on the dense KKT
+//! kernel (rank-1 off; the default rank-1 kernel factors nothing) with
+//! telemetry on (which leaves the iterates bit-identical) to count KKT
+//! factorizations and warm starts; [`CacheCounters::check`] fails the bench
+//! when the leg re-factors or cold-starts the way a solver without
+//! factorization caching or warm starts would.
 //!
 //! On top of the seed-size legs, the bench walks a **size trajectory**
 //! (front-ends × datacenters, up to 1024 × 32, one hour per size, single
-//! repetition): each size is timed with every fast path engaged (rank-1
-//! KKT + blocked factorizations), and sizes up to [`DENSE_CEILING`]
+//! repetition): each size is timed on the default kernels (rank-1 KKT +
+//! blocked factorizations), and sizes up to [`DENSE_CEILING`]
 //! front-ends are also timed with the rank-1 path off, yielding a measured
 //! dense-vs-rank-1 speedup. Beyond the ceiling the dense reference is intractable by
 //! construction (`O(n³)` per working-set change) — those entries report
@@ -84,8 +85,8 @@ impl From<CoreError> for BenchError {
     }
 }
 
-/// KKT-cache and warm-start counters of the sequential leg, taken from one
-/// untimed pass with telemetry on.
+/// KKT-cache and warm-start counters of the sequential leg on the dense
+/// kernel, taken from one untimed pass with telemetry on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheCounters {
     /// KKT factorizations (cache misses) per ADM-G iteration.
@@ -450,6 +451,16 @@ fn time_leg(instances: &[UfcInstance], settings: AdmgSettings) -> BenchLeg {
     }
 }
 
+/// The dense reference kernel (rank-1 off) at `threads` workers. The size
+/// trajectory's dense legs time it and the cache-counter pass runs it: the
+/// default rank-1 kernel does no factorizations, so on it the pass could
+/// not tell a working factorization cache from a disabled one.
+fn dense_kernel(threads: usize) -> AdmgSettings {
+    AdmgSettings::default()
+        .with_threads(threads)
+        .with_rank1_kkt(false)
+}
+
 /// Solves every instance once more with telemetry on (the iterates stay
 /// bit-identical) and sums the KKT-cache and warm-start counters.
 fn cache_counters(instances: &[UfcInstance], settings: AdmgSettings) -> CacheCounters {
@@ -503,8 +514,8 @@ pub fn size_trajectory(
     threads: usize,
     sizes: &[(usize, usize)],
 ) -> Result<Vec<SizeLeg>, ufc_model::ModelError> {
-    let dense = AdmgSettings::default().with_threads(threads);
-    let fast = dense.with_rank1_kkt(true).with_blocked_factorizations(true);
+    let fast = AdmgSettings::default().with_threads(threads);
+    let dense = dense_kernel(threads);
     let mut legs = Vec::with_capacity(sizes.len());
     for &(m, n) in sizes {
         let instances = admg_scaling_sized(seed, 1, m, n)?;
@@ -603,7 +614,7 @@ pub fn run(
         hours: instances.len(),
         sequential: time_leg(&instances, seq),
         parallel: time_leg(&instances, par),
-        cache: cache_counters(&instances, seq),
+        cache: cache_counters(&instances, dense_kernel(1)),
         sizes: size_trajectory(seed, threads, sizes)?,
         socket: None,
     })
@@ -622,6 +633,11 @@ mod tests {
         // iterations.
         assert_eq!(report.sequential.iters, report.parallel.iters);
         report.cache.check().unwrap();
+        assert!(
+            report.cache.factorizations_per_iter > 0.0,
+            "the counter pass must run the dense kernel: {:?}",
+            report.cache
+        );
         let json = report.to_json();
         let width = WorkerPool::new(2).threads();
         assert!(json.contains(&format!("\"threads\": {width},")), "{json}");
@@ -630,6 +646,22 @@ mod tests {
         assert!(json.contains("\"warm_start_accept_ratio\""));
         assert!(json.contains("\"sizes\": []"));
         assert!(json.contains("\"socket_engine\": null"));
+    }
+
+    /// The trajectory's dense legs and the cache-counter pass run with
+    /// rank-1 off. On the default rank-1 kernel the counter pass reads 0
+    /// factorizations per iteration, which a disabled cache reads too.
+    #[test]
+    fn dense_legs_run_with_rank1_off() {
+        assert!(AdmgSettings::default().rank1_kkt);
+        let dense = dense_kernel(2);
+        assert!(!dense.rank1_kkt && dense.num_threads == 2);
+        let instances = admg_scaling(2012, 1).unwrap();
+        let rank1 = cache_counters(&instances, AdmgSettings::default());
+        assert_eq!(rank1.factorizations_per_iter, 0.0);
+        let counted = cache_counters(&instances, dense_kernel(1));
+        assert!(counted.factorizations_per_iter > 0.0, "{counted:?}");
+        counted.check().unwrap();
     }
 
     #[test]

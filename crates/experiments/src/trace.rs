@@ -233,10 +233,11 @@ pub fn check(out: &TraceOutput) -> Result<(), String> {
     // processes, so the coordinator-side solver counters read 0.
     let solver_observable = !matches!(out.engine, TraceEngine::Threaded | TraceEngine::Sockets);
     if solver_observable {
-        if t.solver.kkt_cache_hits + t.solver.kkt_cache_misses == 0 {
-            return Err("KKT cache counters never moved".to_owned());
+        let s = &t.solver;
+        if s.kkt_cache_hits + s.kkt_cache_misses + s.kkt_rank1_solves == 0 {
+            return Err("KKT solve counters never moved".to_owned());
         }
-        if t.solver.pool_maps == 0 {
+        if s.pool_maps == 0 {
             return Err("worker-pool counters never moved".to_owned());
         }
     }
@@ -608,6 +609,13 @@ mod tests {
             .expect("summary")
             .contains("\"type\":\"summary\""));
         assert!(out.lines[0].contains("\"type\":\"iteration\""));
+        // The default rank-1 kernel moves only the Sherman–Morrison count;
+        // the check still fails once no KKT solve was counted at all.
+        let mut out = out;
+        let s = &mut out.telemetry.solver;
+        assert!(s.kkt_rank1_solves > 0 && s.kkt_cache_hits + s.kkt_cache_misses == 0);
+        s.kkt_rank1_solves = 0;
+        assert_eq!(check(&out).unwrap_err(), "KKT solve counters never moved");
     }
 
     #[test]

@@ -324,7 +324,10 @@ impl ActiveSetQp {
                 None => None,
             };
             let (p, mults) = match fast {
-                Some(pm) => pm,
+                Some(pm) => {
+                    cache.record_rank1_solve();
+                    pm
+                }
                 None => self.solve_kkt(f, a_eq, a_in, &working, &g, cache)?,
             };
             let use_bland = degenerate_steps >= BLAND_THRESHOLD;
@@ -979,6 +982,35 @@ mod tests {
             );
             assert!(r.is_optimal(1e-6), "round {round}: KKT residuals {r:?}");
         }
+    }
+
+    /// Every KKT solve is counted once: a dense solve as a cache hit or
+    /// miss, a Sherman–Morrison solve as a rank-1 solve.
+    #[test]
+    fn cache_counts_each_kkt_solve_by_kernel() {
+        let n = 4;
+        let a_eq = Matrix::from_rows(&[&[1.0; 4]]).unwrap();
+        let (a_in, b_in) = nonneg_rows(n);
+        let f = QuadObjective::diag_rank1(
+            vec![0.3; n],
+            1.7,
+            vec![0.01, 0.04, 0.02, 0.05],
+            vec![-1.0, 0.6, -0.2, 1.0],
+            0.0,
+        );
+        let solve = |rank1: bool| {
+            let mut cache = KktCache::default();
+            let sol = ActiveSetQp::default()
+                .with_rank1_kkt(rank1)
+                .solve_with_cache(&f, &a_eq, &[2.0], &a_in, &b_in, vec![0.5; n], &mut cache)
+                .unwrap();
+            let solves = (cache.hits() + cache.misses(), cache.rank1_solves());
+            (sol.iterations as u64, solves)
+        };
+        let (iterations, (dense, rank1)) = solve(false);
+        assert_eq!((dense, rank1), (iterations, 0));
+        let (iterations, (dense, rank1)) = solve(true);
+        assert_eq!((dense, rank1), (0, iterations));
     }
 
     /// a-shaped problem (nonnegativity + one capacity row), with a linear

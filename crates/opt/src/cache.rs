@@ -76,6 +76,7 @@ pub struct KktCache {
     limit: usize,
     hits: u64,
     misses: u64,
+    rank1_solves: u64,
 }
 
 impl Default for KktCache {
@@ -98,6 +99,7 @@ impl KktCache {
             limit,
             hits: 0,
             misses: 0,
+            rank1_solves: 0,
         }
     }
 
@@ -108,7 +110,7 @@ impl KktCache {
         KktCache::new(0)
     }
 
-    /// Drops all cached factorizations (the hit/miss counters survive).
+    /// Drops all cached factorizations (the counters survive).
     /// Must be called whenever the problem data the cache is keyed against
     /// changes — see the type-level invariants.
     pub fn clear(&mut self) {
@@ -148,6 +150,19 @@ impl KktCache {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses
+    }
+
+    /// KKT systems solved by the Sherman–Morrison rank-1 path since
+    /// construction. Those solves bypass the memo, so they count as
+    /// neither hits nor misses.
+    #[must_use]
+    pub fn rank1_solves(&self) -> u64 {
+        self.rank1_solves
+    }
+
+    /// Counts one Sherman–Morrison KKT solve.
+    pub(crate) fn record_rank1_solve(&mut self) {
+        self.rank1_solves += 1;
     }
 
     /// Returns the entry for `key`, building it with `build` on a miss.
