@@ -40,10 +40,16 @@
 //! respawned process is rebuilt from the last verified snapshot
 //! ([`crate::wire::NodeCmd::Restore`]) plus input replay, bit-identical to
 //! the state the killed process would have held.
+//!
+//! Under a clean plan (see [`pipelines`]) a front-end's prediction for
+//! iteration k + 1 rides in the same write as its correction for k, so an
+//! iteration costs two coordinator round trips instead of three. Every
+//! other plan keeps the sequential order its faults are scripted against.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
-use std::io::{ErrorKind, Read};
+use std::fs::File;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -68,7 +74,6 @@ use crate::fault::{
 };
 use crate::message::Message;
 use crate::node::{DatacenterNode, NodeResiduals};
-use crate::rng::SplitMix64;
 use crate::runtime::{DistRunReport, SocketOptions};
 use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
 use crate::stats::{estimated_wan_seconds_live, MessageStats};
@@ -229,8 +234,95 @@ struct AcceptorState {
     session: u64,
     welcome: Arc<Vec<u8>>,
     config_digest: [u8; 32],
-    auth: Option<AuthKey>,
+    auth: Option<AuthState>,
     wire: Option<WireIngressSetup>,
+}
+
+/// The acceptor's half of authentication: the shared key, and the kernel
+/// CSPRNG each challenge nonce is read from.
+struct AuthState {
+    key: AuthKey,
+    urandom: File,
+}
+
+/// Opens `/dev/urandom` and reads one nonce's worth from it, so that an
+/// authenticated coordinator without a working CSPRNG fails typed before
+/// it listens rather than at its first challenge.
+fn open_urandom() -> Result<File, CoreError> {
+    let mut probe = [0u8; 32];
+    File::open("/dev/urandom")
+        .and_then(|mut file| file.read_exact(&mut probe).map(|()| file))
+        .map_err(|e| {
+            CoreError::node_failure(
+                "coordinator",
+                0,
+                format!("cannot read challenge nonces from /dev/urandom: {e}"),
+            )
+        })
+}
+
+/// How the coordinator launches a worker process: the binary, the address
+/// and session it dials, and the key it must prove.
+struct WorkerLauncher {
+    path: PathBuf,
+    addr: String,
+    session: u64,
+    /// The shared key as 64 hex digits. It reaches the worker through a
+    /// stdin pipe, never argv, which any local user can read from `/proc`.
+    auth_hex: Option<String>,
+}
+
+impl WorkerLauncher {
+    /// The command line for process slot `p` at `incarnation`. An
+    /// authenticated worker gets `--auth-key-stdin` and a piped stdin.
+    fn command(&self, p: usize, incarnation: u32) -> Command {
+        let mut command = Command::new(&self.path);
+        command
+            .arg("--connect")
+            .arg(&self.addr)
+            .arg("--process")
+            .arg(p.to_string())
+            .arg("--session")
+            .arg(self.session.to_string())
+            .arg("--incarnation")
+            .arg(incarnation.to_string());
+        let stdin = if self.auth_hex.is_some() {
+            command.arg("--auth-key-stdin");
+            Stdio::piped()
+        } else {
+            Stdio::null()
+        };
+        command.stdin(stdin).stdout(Stdio::null());
+        command
+    }
+
+    /// Launches the worker for process slot `p`, writes the key (if any)
+    /// to its stdin and closes the pipe.
+    fn spawn(&self, p: usize, incarnation: u32) -> Result<Child, CoreError> {
+        let failure = |what: String| CoreError::node_failure(format!("process-{p}"), 0, what);
+        let mut child = self
+            .command(p, incarnation)
+            .spawn()
+            .map_err(|e| failure(format!("cannot spawn {}: {e}", self.path.display())))?;
+        if let (Some(hex), Some(mut stdin)) = (&self.auth_hex, child.stdin.take()) {
+            if let Err(e) = writeln!(stdin, "{hex}") {
+                let _ = child.kill();
+                let _ = child.wait();
+                return Err(failure(format!("cannot pass the auth key on stdin: {e}")));
+            }
+        }
+        Ok(child)
+    }
+}
+
+/// Whether a run under `plan` sends each front-end's next prediction in
+/// the same fan-out as its correction. Only a clean plan does: a scripted
+/// kill must land before its victim predicts, a rollback must restore in
+/// place before any node predicts on a poisoned iterate (and a prediction
+/// on NaN state ends its worker), a snapshot must record the corrected
+/// iterate, and a readmission changes the next prediction.
+fn pipelines(plan: &FaultPlan) -> bool {
+    plan.is_trivial() && plan.corruption.is_none() && plan.checkpoint_interval == 0
 }
 
 /// Ingress-side wire-chaos plumbing, cloned into each pump at handshake.
@@ -274,9 +366,7 @@ struct SocketSupervisor<'a> {
     m: usize,
     n: usize,
     processes: usize,
-    worker_path: PathBuf,
-    addr: String,
-    session: u64,
+    launcher: WorkerLauncher,
     tracker: FaultTracker,
     store: CheckpointStore,
     history: Vec<HistoryEntry>,
@@ -306,9 +396,11 @@ struct SocketSupervisor<'a> {
     /// Chaos counters + error slot shared with the pumps; `Some` iff a
     /// wire-level corruption kind is armed.
     wire_shared: Option<Arc<WireShared>>,
-    /// `--auth-key` forwarded to spawned workers when the transport is
-    /// authenticated.
-    auth_hex: Option<String>,
+    /// The iteration whose `Predict` frames went out with the previous
+    /// correction ([`pipelines`]).
+    predicted: Option<usize>,
+    /// Replies to those frames that the correction gather drained.
+    early_predictions: Vec<Reply>,
     suspect: Option<NodeId>,
     timeout: Duration,
     rounds: u32,
@@ -382,6 +474,13 @@ impl<'a> SocketSupervisor<'a> {
                 options.bind.listen
             )));
         }
+        let auth = match &options.auth {
+            Some(key) => Some(AuthState {
+                key: key.clone(),
+                urandom: open_urandom()?,
+            }),
+            None => None,
+        };
         let listener = TcpListener::bind(&options.bind.listen)
             .map_err(|e| CoreError::node_failure("coordinator", 0, format!("bind: {e}")))?;
         let local = listener
@@ -429,7 +528,7 @@ impl<'a> SocketSupervisor<'a> {
                 session,
                 welcome,
                 config_digest,
-                auth: options.auth.clone(),
+                auth,
                 wire: wire_shared.as_ref().map(|shared| WireIngressSetup {
                     corruption: plan.corruption.expect("wire kind implies corruption"),
                     shared: Arc::clone(shared),
@@ -459,9 +558,12 @@ impl<'a> SocketSupervisor<'a> {
             m,
             n,
             processes,
-            worker_path: options.worker.clone(),
-            addr,
-            session,
+            launcher: WorkerLauncher {
+                path: options.worker.clone(),
+                addr,
+                session,
+                auth_hex: options.auth.as_ref().map(AuthKey::to_hex),
+            },
             tracker: FaultTracker::new(plan, m, n),
             store: CheckpointStore::new(m, n),
             history: Vec::new(),
@@ -479,7 +581,8 @@ impl<'a> SocketSupervisor<'a> {
             egress,
             last_sent,
             wire_shared,
-            auth_hex: options.auth.as_ref().map(AuthKey::to_hex),
+            predicted: None,
+            early_predictions: Vec::new(),
             suspect: None,
             timeout,
             rounds,
@@ -504,30 +607,7 @@ impl<'a> SocketSupervisor<'a> {
     /// Launches the worker binary for process slot `p` at its current
     /// incarnation. Registration happens asynchronously via the acceptor.
     fn spawn_process(&mut self, p: usize) -> Result<(), CoreError> {
-        let mut command = Command::new(&self.worker_path);
-        command
-            .arg("--connect")
-            .arg(&self.addr)
-            .arg("--process")
-            .arg(p.to_string())
-            .arg("--session")
-            .arg(self.session.to_string())
-            .arg("--incarnation")
-            .arg(self.incarnations[p].to_string());
-        if let Some(hex) = &self.auth_hex {
-            command.arg("--auth-key").arg(hex);
-        }
-        let child = command
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .spawn()
-            .map_err(|e| {
-                CoreError::node_failure(
-                    format!("process-{p}"),
-                    0,
-                    format!("cannot spawn {}: {e}", self.worker_path.display()),
-                )
-            })?;
+        let child = self.launcher.spawn(p, self.incarnations[p])?;
         *self.children[p].borrow_mut() = Some(child);
         Ok(())
     }
@@ -585,8 +665,9 @@ impl<'a> SocketSupervisor<'a> {
     /// buffer of the process hosting `node`; then each process's buffer
     /// goes out in one `write_all`, so a worker hosting several nodes pays
     /// one syscall and one wake-up per fan-out, not one per node. With one
-    /// process per node every frame is its own write, as it was before
-    /// batching. Errors are deliberately swallowed — a dead or dropped
+    /// process per node a write carries one frame, or two on a front-end
+    /// connection of a pipelined correction (its correction and its next
+    /// prediction). Errors are deliberately swallowed — a dead or dropped
     /// connection surfaces as silence in the gather ladder, which owns the
     /// failure verdict. With wire chaos armed, each frame's clean bytes are
     /// cached first (so a worker `Nak` can be answered by the pump with an
@@ -971,7 +1052,7 @@ impl<'a> SocketSupervisor<'a> {
         }
         self.acceptor_stop.store(true, Ordering::SeqCst);
         // The acceptor is blocked in accept(); poke it awake.
-        let _ = TcpStream::connect(&self.addr);
+        let _ = TcpStream::connect(&self.launcher.addr);
         let mut first_panic = None;
         if let Some(handle) = self.acceptor.take() {
             if handle.join().is_err() {
@@ -1076,16 +1157,23 @@ impl Transport for SocketSupervisor<'_> {
     }
 
     fn predict_lambda(&mut self, k: usize) -> Result<(), CoreError> {
-        self.inject_frontend_crashes(k);
         let m = self.m;
-        self.send(
-            (0..m)
-                .map(|i| (i, NodeCmd::Predict { iteration: k }))
-                .collect(),
-        );
+        if self.predicted.take() != Some(k) {
+            self.inject_frontend_crashes(k);
+            self.send(
+                (0..m)
+                    .map(|i| (i, NodeCmd::Predict { iteration: k }))
+                    .collect(),
+            );
+        }
         let mut rows: Vec<Option<Vec<f64>>> = vec![None; m];
         let mut errors: Vec<Option<CoreError>> = vec![None; m];
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
+        for reply in std::mem::take(&mut self.early_predictions) {
+            if let Some(node) = accept_prediction(k, &mut rows, &mut errors, reply) {
+                pending.remove(&node);
+            }
+        }
         // One broad gather loop, shared shape with the threaded engine:
         // dead processes surface per-ladder while live stragglers stay
         // pending, and a respawned process rejoins the same pending set.
@@ -1097,21 +1185,7 @@ impl Transport for SocketSupervisor<'_> {
                 self.timeout,
                 self.rounds,
                 |node| self.alive(node),
-                |reply| match reply {
-                    Reply::Lambda { i, iteration, row } if iteration == k => {
-                        rows[i] = Some(row);
-                        Some(NodeId::Frontend(i))
-                    }
-                    Reply::NodeError {
-                        node: node @ NodeId::Frontend(i),
-                        iteration,
-                        error,
-                    } if iteration == k => {
-                        errors[i] = Some(error);
-                        Some(node)
-                    }
-                    _ => None,
-                },
+                |reply| accept_prediction(k, &mut rows, &mut errors, reply),
             );
             if missing.is_empty() && pending.is_empty() {
                 break;
@@ -1304,20 +1378,28 @@ impl Transport for SocketSupervisor<'_> {
 
     fn correct(&mut self, k: usize) -> Result<BlockResiduals, CoreError> {
         let m = self.m;
-        self.send(
-            (0..m)
-                .map(|i| {
-                    (
-                        i,
-                        NodeCmd::Correct {
-                            iteration: k,
-                            a_row: row_of(&self.a_cols, i),
-                        },
-                    )
-                })
-                .collect(),
-        );
+        let mut cmds: Vec<(usize, NodeCmd)> = (0..m)
+            .map(|i| {
+                (
+                    i,
+                    NodeCmd::Correct {
+                        iteration: k,
+                        a_row: row_of(&self.a_cols, i),
+                    },
+                )
+            })
+            .collect();
+        if k < self.settings.max_iterations && pipelines(self.tracker.plan()) {
+            // A front-end predicts k + 1 from exactly the state this
+            // correction leaves it in, so the prediction goes out now, in
+            // the same write. At the stopping iteration its replies go
+            // unread; `Finish` still returns the corrected λ.
+            cmds.extend((0..m).map(|i| (i, NodeCmd::Predict { iteration: k + 1 })));
+            self.predicted = Some(k + 1);
+        }
+        self.send(cmds);
         let mut fe_residuals: Vec<Option<NodeResiduals>> = vec![None; m];
+        let mut early = Vec::new();
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
         let missing = gather_phase(
             &self.reply_rx,
@@ -1334,9 +1416,19 @@ impl Transport for SocketSupervisor<'_> {
                     fe_residuals[i] = Some(residuals);
                     Some(NodeId::Frontend(i))
                 }
+                Reply::Lambda { iteration, .. }
+                | Reply::NodeError {
+                    node: NodeId::Frontend(_),
+                    iteration,
+                    ..
+                } if iteration == k + 1 => {
+                    early.push(reply);
+                    None
+                }
                 _ => None,
             },
         );
+        self.early_predictions = early;
         if let Some(node) = missing.first() {
             return Err(CoreError::node_failure(
                 node.to_string(),
@@ -1440,6 +1532,31 @@ impl Transport for SocketSupervisor<'_> {
     }
 }
 
+/// Files a front-end's reply to `Predict { iteration: k }` into `rows` or
+/// `errors`, returning the node it answers for; anything else is dropped.
+fn accept_prediction(
+    k: usize,
+    rows: &mut [Option<Vec<f64>>],
+    errors: &mut [Option<CoreError>],
+    reply: Reply,
+) -> Option<NodeId> {
+    match reply {
+        Reply::Lambda { i, iteration, row } if iteration == k => {
+            rows[i] = Some(row);
+            Some(NodeId::Frontend(i))
+        }
+        Reply::NodeError {
+            node: node @ NodeId::Frontend(i),
+            iteration,
+            error,
+        } if iteration == k => {
+            errors[i] = Some(error);
+            Some(node)
+        }
+        _ => None,
+    }
+}
+
 /// A run-unique session id: stale workers from an earlier run (or another
 /// concurrent test) fail the handshake instead of corrupting this one.
 fn session_id() -> u64 {
@@ -1462,11 +1579,6 @@ fn spawn_acceptor(
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        // Challenge nonces only need per-connection uniqueness within this
-        // session (replay protection); the session id already mixes in
-        // wall-clock nanos and the coordinator pid. Not cryptographically
-        // unpredictable — see the threat model in DESIGN.md §17.
-        let mut nonce_rng = SplitMix64::new(state.session ^ 0xC4A1_1EE5_0C4A_1175);
         while !stop.load(Ordering::SeqCst) {
             let Ok((stream, _)) = listener.accept() else {
                 continue;
@@ -1474,7 +1586,7 @@ fn spawn_acceptor(
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let Some(reg) = handshake(stream, &state, &mut nonce_rng, &reply_tx) else {
+            let Some(reg) = handshake(stream, &state, &reply_tx) else {
                 continue;
             };
             if reg_tx.send(reg).is_err() {
@@ -1509,11 +1621,11 @@ fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFr
 /// with authentication on — a failed challenge–response: a typed
 /// [`CoreError::Unauthorized`] verdict is produced by
 /// [`verify_auth_hello`] before any iteration state is exchanged, and the
-/// hostile peer never sees a `Welcome`.
+/// hostile peer never sees a `Welcome`. Each challenge carries 32 fresh
+/// bytes from `/dev/urandom`; a failed read drops the connection.
 fn handshake(
     stream: TcpStream,
     state: &AcceptorState,
-    nonce_rng: &mut SplitMix64,
     reply_tx: &Sender<Reply>,
 ) -> Option<Registration> {
     stream.set_nodelay(true).ok()?;
@@ -1534,11 +1646,10 @@ fn handshake(
             }
             (process, incarnation)
         }
-        Some(key) => {
+        Some(AuthState { key, urandom }) => {
             let mut nonce = [0u8; 32];
-            for word in 0..4 {
-                nonce[word * 8..word * 8 + 8].copy_from_slice(&nonce_rng.next().to_le_bytes());
-            }
+            let mut entropy: &File = urandom;
+            entropy.read_exact(&mut nonce).ok()?;
             {
                 let mut writer: &TcpStream = &stream;
                 let challenge = WireFrame::Challenge {
@@ -1760,5 +1871,99 @@ fn pump_loop(
                 Ok(n) => frames.push(&chunk[..n]),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The key reaches an authenticated worker on stdin: no argument of
+    /// its command line contains it, and an unauthenticated worker gets
+    /// neither the flag nor a pipe.
+    #[test]
+    fn worker_command_keeps_the_key_off_argv() {
+        let hex = AuthKey::new([0xA7; 32]).to_hex();
+        let mut launcher = WorkerLauncher {
+            path: PathBuf::from("ufc-node"),
+            addr: "127.0.0.1:7740".to_owned(),
+            session: 42,
+            auth_hex: Some(hex.clone()),
+        };
+        let args = |launcher: &WorkerLauncher| -> Vec<String> {
+            launcher
+                .command(3, 1)
+                .get_args()
+                .map(|arg| arg.to_string_lossy().into_owned())
+                .collect()
+        };
+        let authenticated = args(&launcher);
+        assert!(authenticated.iter().any(|arg| arg == "--auth-key-stdin"));
+        assert!(
+            authenticated
+                .iter()
+                .all(|arg| !arg.contains(&hex) && !arg.contains(&hex[..16])),
+            "the key leaked onto argv: {authenticated:?}"
+        );
+        launcher.auth_hex = None;
+        let plain = args(&launcher);
+        assert!(!plain.iter().any(|arg| arg.starts_with("--auth")));
+        assert_eq!(
+            plain,
+            [
+                "--connect",
+                "127.0.0.1:7740",
+                "--process",
+                "3",
+                "--session",
+                "42",
+                "--incarnation",
+                "1"
+            ]
+        );
+    }
+
+    /// The first challenge an authenticated acceptor sends for `session`.
+    fn first_challenge(session: u64) -> [u8; 32] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let (reply_tx, _reply_rx) = channel();
+        let (reg_tx, _reg_rx) = channel();
+        let stop = Arc::new(AtomicBool::new(false));
+        let acceptor = spawn_acceptor(
+            listener,
+            AcceptorState {
+                session,
+                welcome: Arc::new(Vec::new()),
+                config_digest: [0; 32],
+                auth: Some(AuthState {
+                    key: AuthKey::new([7; 32]),
+                    urandom: open_urandom().expect("/dev/urandom is readable"),
+                }),
+                wire: None,
+            },
+            reply_tx,
+            reg_tx,
+            Arc::clone(&stop),
+        );
+        let stream = TcpStream::connect(addr).expect("connect to the acceptor");
+        let frame = read_one_frame(&stream, &mut FrameBuffer::new());
+        // Hanging up fails the handshake; the poke then ends the loop.
+        drop(stream);
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        acceptor.join().expect("acceptor thread");
+        match frame {
+            Some(WireFrame::Challenge { nonce, .. }) => nonce,
+            other => panic!("expected a challenge, got {other:?}"),
+        }
+    }
+
+    /// Nonces come from the kernel CSPRNG, not from the session id: two
+    /// acceptors for the same session challenge with different nonces.
+    #[test]
+    fn acceptors_sharing_a_session_send_different_challenges() {
+        let session = 0x5EED_0000_0000_0001;
+        assert_ne!(first_challenge(session), first_challenge(session));
     }
 }

@@ -415,7 +415,7 @@ impl AuthKey {
         AuthKey { bytes }
     }
 
-    /// Parses the 64-hex-digit spelling used by `ufc-node --auth-key`.
+    /// Parses the 64-hex-digit spelling `ufc-node --auth-key-stdin` reads.
     ///
     /// # Errors
     ///
@@ -441,7 +441,7 @@ impl AuthKey {
         Ok(AuthKey { bytes })
     }
 
-    /// The 64-hex-digit spelling (what `ufc-node --auth-key` expects).
+    /// The 64-hex-digit spelling (what `ufc-node --auth-key-stdin` expects).
     #[must_use]
     pub fn to_hex(&self) -> String {
         self.bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -5,15 +5,17 @@
 //!
 //! ```text
 //! ufc-node --connect 127.0.0.1:PORT --process P --session S \
-//!     [--incarnation I] [--auth-key HEX]
+//!     [--incarnation I] [--auth-key-stdin]
 //! ```
 //!
 //! The process connects to the coordinator, rebuilds its hosted node
 //! kernels from the handshake's run configuration, and serves ADM-G
-//! commands until the run finishes. With `--auth-key` (64 hex chars) the
-//! worker answers the coordinator's challenge with a keyed MAC before any
-//! iteration state is exchanged. All protocol logic lives in
-//! `ufc_distsim::worker::run_worker`; this binary only parses the flags.
+//! commands until the run finishes. With `--auth-key-stdin` the worker
+//! reads the shared key (one line of 64 hex digits) from stdin, where no
+//! other local user can read it, and answers the coordinator's challenge
+//! with a keyed MAC before any iteration state is exchanged. All protocol
+//! logic lives in `ufc_distsim::worker::run_worker`; this binary only
+//! parses the flags.
 
 use std::process::ExitCode;
 
@@ -59,9 +61,14 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| format!("bad --incarnation value {v:?}"))?;
             }
-            "--auth-key" => {
-                let v = value("--auth-key")?;
-                auth = Some(AuthKey::from_hex(&v).map_err(|e| format!("bad --auth-key: {e}"))?);
+            "--auth-key-stdin" => {
+                let mut line = String::new();
+                std::io::stdin()
+                    .read_line(&mut line)
+                    .map_err(|e| format!("cannot read the auth key from stdin: {e}"))?;
+                auth = Some(
+                    AuthKey::from_hex(&line).map_err(|e| format!("bad auth key on stdin: {e}"))?,
+                );
             }
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -82,7 +89,7 @@ fn main() -> ExitCode {
             eprintln!("ufc-node: {e}");
             eprintln!(
                 "usage: ufc-node --connect HOST:PORT --process P --session S \
-                 [--incarnation I] [--auth-key HEX]"
+                 [--incarnation I] [--auth-key-stdin]"
             );
             return ExitCode::FAILURE;
         }

@@ -43,6 +43,17 @@ fn point_bits(lambda: &[Vec<f64>], mu: &[f64], nu: &[f64], d: &[f64]) -> Vec<u64
         .collect()
 }
 
+fn report_bits(report: &DistRunReport) -> Vec<u64> {
+    let mut bits = point_bits(
+        &report.point.lambda,
+        &report.point.mu,
+        &report.point.nu,
+        &report.point.d,
+    );
+    bits.extend(breakdown_bits(&report.breakdown));
+    bits
+}
+
 fn assert_report_matches(reference: &ReferenceRun, report: &DistRunReport, label: &str) {
     assert_eq!(
         reference.iterations, report.iterations,
@@ -175,8 +186,10 @@ fn sweep_engines(num_threads: usize) {
 /// spectrum (everything in one worker process, and nodes spread over
 /// four), reproduce the in-process iterates bitwise with exactly the
 /// lockstep engine's traffic. A traced run at each process count also
-/// pins the coordinator's egress: every command frame goes out, and each
-/// fan-out costs one socket write per worker process, not one per node.
+/// pins the coordinator's egress: every command frame goes out, each
+/// front-end's next prediction rides in its correction's fan-out, and
+/// each fan-out costs one socket write per worker process, not one per
+/// node.
 #[test]
 fn socket_engine_agrees_bitwise_across_process_counts() {
     let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
@@ -223,23 +236,104 @@ fn socket_engine_agrees_bitwise_across_process_counts() {
             instance.n_datacenters() as u64,
         );
         let (iterations, processes) = (traced.iterations as u64, processes as u64);
-        // Per iteration: m Predict, n Process and m Correct frames; then
-        // the final gather's one Finish per node.
+        // Per iteration: m Predict, n Process and m Correct frames; the
+        // stopping iteration's correction also sends m Predict frames for
+        // an iteration that never runs; then the final gather's one Finish
+        // per node.
         assert_eq!(
             traffic.frames_sent,
-            (2 * m + n) * iterations + m + n,
+            (2 * m + n) * iterations + 2 * m + n,
             "{label}: command frames sent"
         );
-        // Three fan-outs per iteration plus the finish round, each at most
-        // one write per process. Teardown's Shutdown frames are not
-        // commands and are not counted.
+        // The first prediction, two fan-outs per iteration (the datacenter
+        // step; the correction with the next prediction) and the finish
+        // round, each at most one write per process. Teardown's Shutdown
+        // frames are not commands and are not counted.
         assert!(
-            traffic.socket_writes <= 3 * processes * iterations + processes,
+            traffic.socket_writes <= 2 * processes * iterations + 2 * processes,
             "{label}: {} socket writes for {} frames over {iterations} iterations",
             traffic.socket_writes,
             traffic.frames_sent
         );
     }
+}
+
+/// The command frames a sequential socket run sends over `iterations`
+/// iterations: m Predict, n Process and m Correct per iteration, then one
+/// Finish per node.
+fn sequential_frames(instance: &UfcInstance, iterations: usize) -> u64 {
+    let (m, n) = (instance.m_frontends(), instance.n_datacenters());
+    ((2 * m + n) * iterations + m + n) as u64
+}
+
+fn frames_sent(report: &DistRunReport) -> u64 {
+    report
+        .telemetry
+        .as_ref()
+        .and_then(|t| t.traffic)
+        .expect("a traced socket run reports traffic counters")
+        .frames_sent
+}
+
+/// A clean socket run stopped by the iteration cap agrees with lockstep
+/// bitwise, and its last correction sends no prediction: past the cap
+/// there is no next iteration to predict.
+#[test]
+fn capped_socket_run_predicts_nothing_past_the_cap() {
+    let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
+    let instance = instances.first().expect("at least one instance");
+    let settings = AdmgSettings {
+        max_iterations: 5,
+        ..AdmgSettings::default()
+    }
+    .with_telemetry(true);
+    let runner = DistributedAdmg::new(settings);
+    let lockstep = runner
+        .run(instance, Strategy::Hybrid, Runtime::Lockstep)
+        .expect("capped lockstep run must succeed");
+    let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node"));
+    let socket = runner
+        .run_sockets(instance, Strategy::Hybrid, &options)
+        .expect("capped socket run must succeed");
+    assert_eq!(socket.iterations, 5);
+    assert!(!lockstep.converged && !socket.converged);
+    assert_eq!(report_bits(&lockstep), report_bits(&socket));
+    assert_eq!(lockstep.stats, socket.stats);
+    assert_eq!(frames_sent(&socket), sequential_frames(instance, 5));
+}
+
+/// A fault-free plan that takes checkpoints keeps the sequential order
+/// (a snapshot must record the corrected iterate, not a predicted one):
+/// it agrees with lockstep bitwise and sends exactly the sequential
+/// frames plus one Snapshot per node per checkpoint round.
+#[test]
+fn checkpointing_socket_run_stays_sequential() {
+    let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
+    let instance = instances.first().expect("at least one instance");
+    let settings = AdmgSettings::default();
+    let reference = reference_run(instance, settings);
+    let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node"));
+    let report = DistributedAdmg::new(settings.with_telemetry(true))
+        .run_sockets_faulty(
+            instance,
+            Strategy::Hybrid,
+            &options,
+            FaultPlan::none().with_checkpoint_interval(4),
+        )
+        .expect("checkpointing socket run must succeed");
+    assert_report_matches(&reference, &report, "sockets, checkpoint every 4");
+    let checkpoints = report
+        .fault
+        .as_ref()
+        .expect("a checkpointing run reports its checkpoints")
+        .checkpoints_taken;
+    // Every 4th iteration except the stopping one.
+    assert_eq!(checkpoints, (report.iterations - 1) / 4);
+    let nodes = (instance.m_frontends() + instance.n_datacenters()) as u64;
+    assert_eq!(
+        frames_sent(&report),
+        sequential_frames(instance, report.iterations) + nodes * checkpoints as u64
+    );
 }
 
 #[test]
