@@ -2,9 +2,9 @@
 //! deployment grows — the paper's motivation for a distributed solution
 //! ("tens of datacenters, hundreds of thousands of front-ends").
 //!
-//! Measures wall-clock per solve for growing front-end counts on the dense
-//! and the rank-1 KKT paths, and the message volume of the distributed
-//! protocol at paper scale.
+//! Measures wall-clock per solve for growing front-end and datacenter
+//! counts, and the message volume of the distributed protocol at paper
+//! scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -16,20 +16,10 @@ use ufc_distsim::{DistributedAdmg, Runtime};
 fn bench_frontend_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("admg_frontend_scaling");
     g.sample_size(10);
-    // The dense active-set path refactorizes a KKT system per working-set
-    // change, so it is benchmarked at the scales it is recommended for
-    // (M ≤ 40); the rank-1 KKT path carries the large-M story.
-    for m in [10usize, 40] {
-        let inst = synthetic_instance(m, 4);
-        let solver = AdmgSolver::new(AdmgSettings::default());
-        g.bench_with_input(BenchmarkId::new("active_set", m), &m, |b, _| {
-            b.iter(|| black_box(solver.solve(black_box(&inst), Strategy::Hybrid).unwrap()))
-        });
-    }
     for m in [10usize, 40, 160] {
         let inst = synthetic_instance(m, 4);
-        let solver = AdmgSolver::new(AdmgSettings::default().with_rank1_kkt(true));
-        g.bench_with_input(BenchmarkId::new("rank1_kkt", m), &m, |b, _| {
+        let solver = AdmgSolver::new(AdmgSettings::default());
+        g.bench_with_input(BenchmarkId::new("exact_kernels", m), &m, |b, _| {
             b.iter(|| black_box(solver.solve(black_box(&inst), Strategy::Hybrid).unwrap()))
         });
     }
@@ -42,7 +32,7 @@ fn bench_datacenter_scaling(c: &mut Criterion) {
     for n in [4usize, 8, 16] {
         let inst = synthetic_instance(20, n);
         let solver = AdmgSolver::new(AdmgSettings::default());
-        g.bench_with_input(BenchmarkId::new("active_set", n), &n, |b, _| {
+        g.bench_with_input(BenchmarkId::new("exact_kernels", n), &n, |b, _| {
             b.iter(|| black_box(solver.solve(black_box(&inst), Strategy::Hybrid).unwrap()))
         });
     }

@@ -19,7 +19,7 @@
 //!   mpsc channels, driven by a supervising coordinator.
 //!
 //! Every transport must preserve the numerical contract bit-for-bit:
-//! parallel ≡ sequential, cached ≡ fresh, lockstep ≡ threaded, and
+//! parallel ≡ sequential, reused ≡ fresh, lockstep ≡ threaded, and
 //! faulty-with-no-faults ≡ clean (asserted across crates in the
 //! `engine_equivalence` integration test).
 
@@ -752,7 +752,8 @@ impl Transport for InProcessTransport<'_> {
     }
 
     fn predict_lambda(&mut self, _k: usize) -> Result<()> {
-        self.ws.predict_lambda(&self.state, self.pool)
+        self.ws.predict_lambda(&self.state, self.pool);
+        Ok(())
     }
 
     fn step_datacenters(&mut self, _k: usize) -> Result<()> {

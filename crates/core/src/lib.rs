@@ -85,7 +85,7 @@ pub use telemetry::{
     FaultCounters, JsonlSink, ObserverChain, Phase, RunTelemetry, SolverCounters,
     TelemetryCollector, TrafficCounters,
 };
-pub use workspace::{AColQp, LambdaQp, QpOptions};
+pub use workspace::{AColQp, LambdaQp};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

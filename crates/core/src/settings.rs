@@ -20,24 +20,6 @@ pub struct AdmgSettings {
     /// available cores, `1` = sequential). Per-block results are gathered in
     /// a fixed order, so every thread count produces bit-identical iterates.
     pub num_threads: usize,
-    /// Solve block-QP KKT systems in `O(n)` via the Sherman–Morrison rank-1
-    /// fast path (`ufc_opt::ActiveSetQp::with_rank1_kkt`) whenever the
-    /// working set stays in the λ/a sub-problem shape (nonnegativity bounds
-    /// plus at most one simplex row); other working sets fall back to the
-    /// dense KKT path. On by default — dense refactorization is `O(n³)` per
-    /// working set, and even at the paper's 10 × 4 the rank-1 path runs an
-    /// ADM-G iteration in about a quarter of the dense time with the same
-    /// iteration counts. The fast path agrees with the dense path to solver
-    /// tolerance but is **not** bit-identical to it; `false` reproduces the
-    /// dense-path arithmetic exactly (the reference the sub-problem tests
-    /// and the fuzzer compare against).
-    pub rank1_kkt: bool,
-    /// Factor dense KKT systems with the blocked (cache-tiled) LDLᵀ kernel.
-    /// The blocked kernel produces bit-identical factors to the unblocked
-    /// one — this knob never changes results, only the memory-access
-    /// pattern. On by default; it matters only when a working set leaves
-    /// the rank-1 shape (or `rank1_kkt` is off).
-    pub blocked_factorizations: bool,
     /// Collect a [`crate::telemetry::RunTelemetry`] snapshot (per-phase
     /// wall-clock histograms plus solver/traffic/fault counters) and attach
     /// it to the solution/report. Telemetry is strictly observational —
@@ -73,8 +55,7 @@ pub struct AdmgSettings {
 
 impl Default for AdmgSettings {
     /// `ρ = 1.0`, `ε = 0.9`, residual tolerances of `1e-3` in the natural
-    /// units (kilo-servers / MW), a 2000-iteration cap, and the rank-1 and
-    /// blocked KKT kernels.
+    /// units (kilo-servers / MW), a 2000-iteration cap, and one thread.
     ///
     /// The paper's §IV-A uses `ρ = 0.3` with workload counted in *servers*;
     /// this implementation counts kilo-servers and MW, which rescales the
@@ -90,8 +71,6 @@ impl Default for AdmgSettings {
             eps_balance: 1e-3,
             eps_dual: 1e-3,
             num_threads: 1,
-            rank1_kkt: true,
-            blocked_factorizations: true,
             telemetry: false,
             verify_checksums: false,
             divergence_kappa: 1e6,
@@ -213,17 +192,20 @@ impl AdmgSettings {
         self
     }
 
-    /// Returns a copy with the rank-1 fast KKT path toggled.
+    /// Returns `self` unchanged. The rank-1 KKT kernel this toggled is
+    /// gone: every λ- and a-block QP is solved by the exact breakpoint
+    /// kernels [`crate::LambdaQp`] and [`crate::AColQp`]. Kept only for the benchmark
+    /// package, which still calls it; it retires with the next benchmark
+    /// change.
     #[must_use]
-    pub fn with_rank1_kkt(mut self, enabled: bool) -> Self {
-        self.rank1_kkt = enabled;
+    pub fn with_rank1_kkt(self, _enabled: bool) -> Self {
         self
     }
 
-    /// Returns a copy with blocked KKT factorizations toggled.
+    /// Returns `self` unchanged, like [`Self::with_rank1_kkt`]: the blocked
+    /// KKT factorizations this toggled are gone with the KKT systems.
     #[must_use]
-    pub fn with_blocked_factorizations(mut self, enabled: bool) -> Self {
-        self.blocked_factorizations = enabled;
+    pub fn with_blocked_factorizations(self, _enabled: bool) -> Self {
         self
     }
 
@@ -318,19 +300,18 @@ mod tests {
 
     #[test]
     fn default_is_sequential_with_caching() {
-        // Factorization caching and warm starts are unconditional (the
-        // workspace kernels always own a `KktCache`); only the width is a
-        // setting.
+        // The block kernels keep no state to cache or warm-start; only the
+        // width is a setting.
         assert_eq!(AdmgSettings::default().num_threads, 1);
     }
 
+    /// The exact block kernels are the only λ/a path, so they are on by
+    /// default and the retired builders cannot turn them off.
     #[test]
     fn scaling_fast_paths_default_on() {
         let s = AdmgSettings::default();
-        assert!(s.rank1_kkt, "rank-1 KKT must default on");
-        assert!(s.blocked_factorizations, "blocked kernels must default on");
-        let s = s.with_rank1_kkt(false).with_blocked_factorizations(false);
-        assert!(!s.rank1_kkt && !s.blocked_factorizations);
+        assert_eq!(s.with_rank1_kkt(false), s);
+        assert_eq!(s.with_blocked_factorizations(false), s);
         s.validate();
     }
 

@@ -109,9 +109,9 @@ impl AdmgSolver {
         strategy: Strategy,
         start: AdmgState,
     ) -> Result<AdmgSolution> {
-        // Persistent per-block kernels: sub-problem Hessians and constraints
-        // are constant across iterations, so each block's KKT factorizations
-        // are cached and its buffers reused for the whole run. The worker
+        // Per-block kernels built once: sub-problem Hessians and constraints
+        // are constant across iterations, so each block's data and buffers
+        // are reused for the whole run. The worker
         // pool fans the per-front-end and per-datacenter solves; results are
         // gathered in block order, so every thread count (and the sequential
         // path) produces bit-identical iterates.
@@ -155,8 +155,7 @@ impl AdmgSolver {
     ///
     /// The workspace must have been built for the same instance and
     /// settings; strategy restrictions only gate the scalar μ/ν steps, so a
-    /// reused workspace (and its KKT caches) yields bit-identical results to
-    /// a fresh one.
+    /// reused workspace yields bit-identical results to a fresh one.
     ///
     /// `extra` is an additional observer chained after the history recorder
     /// (pass `&mut ()` for none). When [`AdmgSettings::telemetry`] is on, a

@@ -86,12 +86,12 @@ impl StrategyComparison {
 
 /// Solves all three strategies on one instance with the same settings.
 ///
-/// One `SolverWorkspace` (block kernels, KKT caches, iterate buffers) and
-/// one [`WorkerPool`] are shared across the three solves: the strategy flags
+/// One `SolverWorkspace` (block kernels, iterate buffers) and one
+/// [`WorkerPool`] are shared across the three solves: the strategy flags
 /// only gate the scalar μ/ν steps and every workspace buffer is fully
 /// overwritten per prediction, so the shared-workspace results are
-/// bit-identical to three independent solves while the caches warm only
-/// once.
+/// bit-identical to three independent solves while the kernels are built
+/// only once.
 ///
 /// # Errors
 ///
@@ -154,7 +154,7 @@ mod tests {
         assert_eq!(Strategy::ALL.len(), 3);
     }
 
-    /// Sharing one workspace (and its KKT caches) across the three strategy
+    /// Sharing one workspace (and its block kernels) across the three strategy
     /// solves must be bit-identical to three independent solves.
     #[test]
     fn shared_workspace_matches_independent_solves_bitwise() {

@@ -1,42 +1,51 @@
-//! Persistent per-block solver workspaces for the ADM-G hot path.
+//! Per-block solver kernels for the ADM-G hot path.
 //!
 //! Across ADM-G iterations every sub-problem QP keeps the *same* Hessian and
 //! constraints — only the linear term (built from the current duals and
 //! iterates) moves. The λ-QP of front-end `i` always has Hessian
-//! `ρI + (2w/A_i)·L_i L_iᵀ` over the simplex `{λ ≥ 0, Σλ = A_i}`, and the
-//! a-QP of datacenter `j` always has `ρ(I + β_j²·1 1ᵀ)` over the capped
-//! simplex. [`LambdaQp`] and [`AColQp`] exploit that: each owns its block's
-//! objective and constraint matrices once and warm-starts from the previous
-//! iterate. By default ([`QpOptions`]) each working-set KKT system is solved
-//! in `O(n)` by Sherman–Morrison from the diagonal-plus-rank-one Hessian;
-//! working sets outside that shape, and the dense kernel, go through a
-//! [`KktCache`] of LDLᵀ factorizations keyed by working set, so steady-state
-//! iterations never re-assemble and re-factor a KKT system.
+//! `ρI + γ·L_i L_iᵀ` (`γ = 2w/A_i`) over the simplex `{λ ≥ 0, Σλ = A_i}`,
+//! and the a-QP of datacenter `j` always has `ρ(I + β_j²·1 1ᵀ)` over the
+//! capped simplex `{a ≥ 0, Σa ≤ S_j}`. Both reduce to scalar equations over
+//! sorted breakpoints, which [`LambdaQp`] and [`AColQp`] solve exactly
+//! (derivations in DESIGN.md §9):
 //!
-//! # Cache and warm-start invariants
+//! * **a-column.** The KKT conditions give `a_i = max(0, x_i − τ)` with
+//!   `x_i = −c_i/ρ`, where `τ = β²·Σ max(0, x_i − τ)` — one prefix-sum
+//!   scan over the `x` sorted in descending order — unless that point
+//!   overfills the cap, in which case τ is the Held–Wolfe–Crowder
+//!   threshold of the projection onto `{Σa = S_j}`. `O(M log M)`, no
+//!   iteration.
+//! * **λ-row.** For a fixed `t = L_iᵀλ`, λ is the simplex projection of
+//!   `−(c + γ·t·L_i)/ρ`, and `t − L_iᵀλ(t)` is strictly increasing. On a
+//!   fixed support the root has a closed form; the kernel tries the full
+//!   support, then brackets `t` with projections and re-solves on the
+//!   support each projection reads, returning the first closed form that
+//!   passes its KKT check.
 //!
-//! * A kernel is valid for one `(instance row/column, ρ)` pair —
-//!   its cache keys assume a fixed Hessian and constraint set. Changing ρ or
-//!   retargeting to a different block requires building a new kernel. A
-//!   workspace **may** be reused across strategy restrictions on the same
-//!   instance/settings: the strategy flags only gate the scalar μ/ν steps
-//!   and never touch a block Hessian or constraint, so cached factors stay
-//!   valid (and, the cache being pure memoization, results stay
-//!   bit-identical to fresh-workspace solves — `solve_all_strategies` relies
-//!   on this).
-//! * The cache is a pure memoization: cached solves are **bit-identical** to
-//!   fresh ones (asserted by tests in `ufc-opt`), so it never perturbs the
-//!   iterate trajectory.
-//! * Warm starts use a deterministic feasibility gate: the previous iterate
-//!   is used as the QP start only when it satisfies the block's constraints
-//!   to tight tolerance, otherwise the kernel falls back to the classic cold
-//!   start (uniform for λ, zero for a). The gate depends only on the iterate
-//!   values, never on timing or thread count, preserving determinism.
+//! # Invariants
+//!
+//! * A kernel is a pure function of its block data, ρ and the linear term:
+//!   it takes no warm start and carries nothing between calls but scratch
+//!   buffers it overwrites. Every engine builds its kernels here, so the
+//!   in-process workspace, every node, a respawned node and a restored one
+//!   all produce the same bits.
+//! * Ties among breakpoints cannot change a result: the sorts use
+//!   [`f64::total_cmp`], a total order under which tied entries are equal
+//!   bit patterns, so the sorted sequence — and every prefix sum — is
+//!   unique.
+//! * Zero-arrival rows and zero-capacity columns return zeros before any
+//!   arithmetic (their feasible set is the single point 0).
+//! * Poison: otherwise a non-finite linear term, or any non-finite
+//!   intermediate value, yields an all-NaN block, as `project_simplex`
+//!   does — never an error and never a panic. The divergence gate of
+//!   `engine::drive` then sees NaN residuals (and `divergence_rollback` can
+//!   repair the run).
+//! * The congested a-step (queueing extension) is not quadratic; it keeps
+//!   the warm-started backtracking FISTA solve and its feasibility gate.
 
-use ufc_linalg::Matrix;
 use ufc_model::{utility::disutility_rank1_gamma, QueueingCost, UfcInstance};
-use ufc_opt::projection::project_capped_simplex;
-use ufc_opt::{ActiveSetQp, Fista, KktCache, QuadObjective};
+use ufc_opt::projection::{project_capped_simplex, simplex_threshold};
+use ufc_opt::{Fista, QuadObjective, SmoothObjective};
 
 use crate::pool::WorkerPool;
 use crate::subproblems::{
@@ -46,256 +55,310 @@ use crate::subproblems::{
 use crate::telemetry::SolverCounters;
 use crate::{AdmgSettings, AdmgState, CoreError, Result};
 
-/// Entry tolerance for accepting a previous iterate as a warm start:
-/// component-wise nonnegativity slack.
+/// Entry tolerance for accepting a previous iterate as the congested
+/// a-step's warm start: component-wise nonnegativity slack, also the
+/// relative slack on the cap row.
 const WARM_NONNEG_TOL: f64 = 1e-9;
-/// Relative tolerance on the coupling row (Σλ = A_i, Σa ≤ S_j) for warm
-/// starts; tighter than the active-set solver's own feasibility check so an
-/// accepted warm start is never rejected downstream.
-const WARM_ROW_TOL: f64 = 1e-7;
-/// Entries of an accepted warm start at or below this value are snapped to
-/// exactly zero and their nonnegativity rows seed the active-set working
-/// set — the solver then starts on the previous iterate's support instead
-/// of re-discovering it one blocking constraint per KKT solve.
-const WARM_SNAP_TOL: f64 = 1e-10;
 
-/// Snaps near-zero warm-start entries to exact zeros and fills `seed` with
-/// the seeded working-set rows (the snapped indices). An all-zero result
-/// clears the seed: a zero iterate carries no support information and
-/// coincides with the classic cold start, which must stay bit-identical to
-/// the unseeded reference path. Writes into a caller-owned buffer so the
-/// steady-state hot path allocates nothing per solve.
-fn snap_support_into(x: &mut [f64], seed: &mut Vec<usize>) {
-    seed.clear();
-    for (i, xi) in x.iter_mut().enumerate() {
-        if *xi <= WARM_SNAP_TOL {
-            *xi = 0.0;
-            seed.push(i);
-        }
-    }
-    if seed.len() == x.len() {
-        seed.clear();
+/// Relative slack of the λ-kernel's KKT check on a candidate support: an
+/// entry the closed form puts within this fraction of the terms' scale of
+/// zero counts as zero. Only degenerate rows (an entry exactly at its
+/// breakpoint) need it; it bounds the error it admits at that fraction.
+const SUPPORT_TOL: f64 = 1e-12;
+
+/// Cap on the λ-kernel's bracketing steps. Each step either certifies a
+/// support or shrinks the bracket, which bisection alone collapses to
+/// rounding level in well under this many steps.
+const MAX_BRACKET_STEPS: usize = 200;
+
+/// `max(v, 0)` that always yields `+0.0`, never `−0.0`.
+fn pos(v: f64) -> f64 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
     }
 }
 
-/// Which acceleration paths a block kernel engages — the per-kernel
-/// projection of [`AdmgSettings`]. The default follows
-/// [`AdmgSettings::default`] (both on); the bit-identity contract of each
-/// knob is documented on the corresponding settings field.
-#[derive(Debug, Clone, Copy)]
-pub struct QpOptions {
-    /// Solve structured KKT systems in `O(n)` via Sherman–Morrison
-    /// ([`AdmgSettings::rank1_kkt`]; tolerance-equal, **not** bitwise).
-    pub rank1_kkt: bool,
-    /// Factor dense KKT systems with the blocked LDLᵀ kernel
-    /// ([`AdmgSettings::blocked_factorizations`]; bit-identical).
-    pub blocked_factorizations: bool,
-}
-
-impl Default for QpOptions {
-    fn default() -> Self {
-        QpOptions::from_settings(&AdmgSettings::default())
-    }
-}
-
-impl QpOptions {
-    /// Extracts the kernel options from solver settings.
-    #[must_use]
-    pub fn from_settings(settings: &AdmgSettings) -> Self {
-        QpOptions {
-            rank1_kkt: settings.rank1_kkt,
-            blocked_factorizations: settings.blocked_factorizations,
-        }
-    }
-
-    /// The configured active-set solver for a block of dimension `dim`.
-    /// The iteration cap grows with the block (`max(500, 4·dim)`): a cold
-    /// active-set solve legitimately performs `O(dim)` working-set changes,
-    /// so the classic 500 starves blocks beyond ~125 variables. Raising the
-    /// cap is bit-safe — any solve that converged under the old cap follows
-    /// the exact same trajectory under the new one.
-    fn solver(self, dim: usize) -> ActiveSetQp {
-        ActiveSetQp::new(500.max(4 * dim), 1e-9)
-            .with_rank1_kkt(self.rank1_kkt)
-            .with_blocked_factorizations(self.blocked_factorizations)
-    }
-}
-
-/// Adds one block kernel's counters to `c`: its dense KKT solves (cache
-/// hits and misses), its Sherman–Morrison solves, and its warm-start gate
-/// decisions.
-fn add_kernel_counters(cache: &KktCache, accepted: u64, rejected: u64, c: &mut SolverCounters) {
-    c.kkt_cache_hits += cache.hits();
-    c.kkt_cache_misses += cache.misses();
-    c.kkt_rank1_solves += cache.rank1_solves();
-    c.warm_starts_accepted += accepted;
-    c.warm_starts_rejected += rejected;
-}
-
-/// Persistent solver kernel for one front-end's λ-QP (paper Eq. (17)).
-///
-/// Owns the block's objective (Hessian fixed at construction, linear term
-/// retargeted per solve), its simplex constraint matrices, and a KKT
-/// factorization cache shared across solves.
+/// Exact kernel for one front-end's λ-QP (paper Eq. (17)):
+/// `min ½ρ‖λ‖² + ½γ(L_iᵀλ)² + cᵀλ` over `{λ ≥ 0, Σλ = A_i}`.
 #[derive(Debug, Clone)]
 pub struct LambdaQp {
     arrival: f64,
-    solver: ActiveSetQp,
-    objective: QuadObjective,
-    a_eq: Matrix,
-    a_in: Matrix,
-    b_in: Vec<f64>,
-    cache: KktCache,
-    /// Recycled start vector: each solve takes it, fills it, and hands it to
-    /// the solver by value; the solver's previous output buffer comes back
-    /// in its place, so steady-state solves allocate nothing.
-    start_buf: Vec<f64>,
-    /// Recycled working-set seed buffer (see [`snap_support_into`]).
-    seed_buf: Vec<usize>,
-    warm_accepted: u64,
-    warm_rejected: u64,
+    rho: f64,
+    gamma: f64,
+    latencies: Vec<f64>,
+    /// The root's bracket `[A_i·min L, A_i·max L]`: `L_iᵀλ` lies in it for
+    /// every feasible λ.
+    t_lo: f64,
+    t_hi: f64,
+    /// Scratch: projection input, its descending sort, a closed-form
+    /// candidate and the support being tried. Overwritten by every solve.
+    y: Vec<f64>,
+    sorted: Vec<f64>,
+    cand: Vec<f64>,
+    support: Vec<bool>,
 }
 
 impl LambdaQp {
     /// Builds the kernel for a front-end with the given latency row,
-    /// arrival rate, disutility weight `w` and penalty ρ. `options` selects
-    /// the KKT kernels.
+    /// arrival rate, disutility weight `w` and penalty ρ.
     #[must_use]
-    pub fn new(latencies: &[f64], arrival: f64, w: f64, rho: f64, options: QpOptions) -> Self {
+    pub fn new(latencies: &[f64], arrival: f64, w: f64, rho: f64) -> Self {
         let n = latencies.len();
-        let gamma = disutility_rank1_gamma(w, arrival);
-        let objective =
-            QuadObjective::diag_rank1(vec![rho; n], gamma, latencies.to_vec(), vec![0.0; n], 0.0);
+        let (min_l, max_l) = latencies
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &l| {
+                (lo.min(l), hi.max(l))
+            });
         LambdaQp {
             arrival,
-            solver: options.solver(n),
-            objective,
-            a_eq: Matrix::from_fn(1, n, |_, _| 1.0),
-            a_in: Matrix::from_fn(n, n, |r, c| if r == c { -1.0 } else { 0.0 }),
-            b_in: vec![0.0; n],
-            cache: KktCache::default(),
-            start_buf: Vec::new(),
-            seed_buf: Vec::new(),
-            warm_accepted: 0,
-            warm_rejected: 0,
+            rho,
+            gamma: disutility_rank1_gamma(w, arrival),
+            latencies: latencies.to_vec(),
+            t_lo: arrival * min_l,
+            t_hi: arrival * max_l,
+            y: vec![0.0; n],
+            sorted: Vec::with_capacity(n),
+            cand: vec![0.0; n],
+            support: vec![false; n],
         }
     }
 
-    /// Solves the block QP for linear term `c`, warm-starting from `warm`
-    /// when it passes the deterministic feasibility gate (otherwise the
-    /// classic uniform start `A_i/n` is used, matching the cold path).
+    /// Solves the block QP for linear term `c`.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates the inner QP solver's error.
-    pub fn solve(&mut self, c: &[f64], warm: Option<&[f64]>) -> ufc_opt::Result<Vec<f64>> {
+    /// Panics if `c.len()` differs from the latency row's.
+    #[must_use]
+    pub fn solve(&mut self, c: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
-        self.solve_into(c, warm, &mut out)?;
-        Ok(out)
+        self.solve_into(c, &mut out);
+        out
     }
 
-    /// [`Self::solve`] into a caller-owned output buffer. `out` is replaced
-    /// by the solution vector; its previous backing storage is recycled as
-    /// the next solve's start vector, so a caller looping over iterations
-    /// with a persistent `out` allocates nothing per solve in steady state.
+    /// [`Self::solve`] into a caller-owned buffer, so a caller looping over
+    /// iterations allocates nothing per solve.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Propagates the inner QP solver's error.
-    pub fn solve_into(
-        &mut self,
-        c: &[f64],
-        warm: Option<&[f64]>,
-        out: &mut Vec<f64>,
-    ) -> ufc_opt::Result<()> {
+    /// Panics if `c.len()` differs from the latency row's.
+    pub fn solve_into(&mut self, c: &[f64], out: &mut Vec<f64>) {
+        let n = self.latencies.len();
+        assert_eq!(c.len(), n, "linear term length mismatch");
+        out.clear();
+        out.resize(n, 0.0);
+        // Zero-demand front-end: the simplex of radius 0 is the singleton
+        // {0}. The reference `lambda_step` skips the same rows.
         if self.arrival == 0.0 {
-            // Zero-demand front-end: the simplex of radius 0 is the
-            // singleton {0}. Short-circuiting keeps every engine (and the
-            // reference `lambda_step`) bit-identical and spares the QP an
-            // all-active degenerate working set.
-            out.clear();
-            out.resize(self.b_in.len(), 0.0);
-            return Ok(());
+            return;
         }
-        self.objective.set_linear(c);
-        let start = self.fill_start(warm);
-        let x = self
-            .solver
-            .solve_seeded(
-                &self.objective,
-                &self.a_eq,
-                &[self.arrival],
-                &self.a_in,
-                &self.b_in,
-                start,
-                &mut self.cache,
-                &self.seed_buf,
-            )?
-            .x;
-        self.start_buf = std::mem::replace(out, x);
-        Ok(())
+        if !self.solve_row(c, out) {
+            out.fill(f64::NAN);
+        }
     }
 
-    /// Adds this kernel's KKT-solve and warm-start counts to `c`
-    /// (telemetry).
-    pub fn add_counters(&self, c: &mut SolverCounters) {
-        add_kernel_counters(&self.cache, self.warm_accepted, self.warm_rejected, c);
+    /// Writes the minimizer into `out`; `false` on poison.
+    fn solve_row(&mut self, c: &[f64], out: &mut [f64]) -> bool {
+        if c.iter().any(|v| !v.is_finite()) {
+            return false;
+        }
+        // Full support first: its closed form certifies a row that routes
+        // to every datacenter outright, and otherwise its root seeds t.
+        self.support.fill(true);
+        let (mut t_s, certified) = self.on_support(c);
+        if certified {
+            out.copy_from_slice(&self.cand);
+            return true;
+        }
+        let (mut lo, mut hi) = (self.t_lo, self.t_hi);
+        // Start from the full-support root clamped into the bracket: when
+        // it falls outside, the optimum usually routes everything to the
+        // entries at that end's extreme latency. (Starting from the
+        // bracket's midpoint instead doubled the projections per solve at
+        // 10 × 4.)
+        let mut t = if t_s.is_nan() {
+            0.5 * (lo + hi)
+        } else if t_s < lo {
+            lo
+        } else if t_s > hi {
+            hi
+        } else {
+            t_s
+        };
+        for _ in 0..MAX_BRACKET_STEPS {
+            // Project at t (writes λ(t) into `out` and its support), then
+            // shrink the bracket by the sign of h(t) = t − Lᵀλ(t).
+            let Some(h) = self.project_at(c, t, out) else {
+                return false;
+            };
+            if h == 0.0 {
+                return true; // λ(t) is the fixed point itself
+            }
+            if h > 0.0 {
+                hi = t;
+            } else {
+                lo = t;
+            }
+            let certified;
+            (t_s, certified) = self.on_support(c);
+            if certified {
+                out.copy_from_slice(&self.cand);
+                return true;
+            }
+            let next = if lo < t_s && t_s < hi {
+                t_s
+            } else {
+                0.5 * (lo + hi)
+            };
+            if next == t {
+                // The bracket collapsed to rounding level around the root:
+                // λ(t) is the answer to within that rounding.
+                return true;
+            }
+            t = next;
+        }
+        true
     }
 
-    /// Fills the recycled start buffer (warm candidate if it passes the
-    /// feasibility gate, uniform cold start otherwise) and the working-set
-    /// seed buffer, then hands the start vector to the caller by value.
-    fn fill_start(&mut self, warm: Option<&[f64]>) -> Vec<f64> {
-        let n = self.b_in.len();
+    /// The projection `λ(t) = Π(−(c + γtL)/ρ)` onto the simplex, written
+    /// into `out` with its support into `self.support`. Returns
+    /// `h(t) = t − Lᵀλ(t)`, or `None` on a non-finite intermediate.
+    fn project_at(&mut self, c: &[f64], t: f64, out: &mut [f64]) -> Option<f64> {
+        let (rho, gt) = (self.rho, self.gamma * t);
+        for ((yj, &cj), &lj) in self.y.iter_mut().zip(c).zip(&self.latencies) {
+            *yj = -(cj + gt * lj) / rho;
+        }
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.y);
+        self.sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+        let tau = simplex_threshold(&self.sorted, self.arrival)?;
+        let mut load = 0.0;
+        for (((o, inside), &yj), &lj) in out
+            .iter_mut()
+            .zip(self.support.iter_mut())
+            .zip(&self.y)
+            .zip(&self.latencies)
+        {
+            let v = pos(yj - tau);
+            *o = v;
+            *inside = v > 0.0;
+            load += lj * v;
+        }
+        let h = t - load;
+        h.is_finite().then_some(h)
+    }
+
+    /// The closed-form minimizer on the support in `self.support`, written
+    /// into `self.cand`. With `k = |S|` and bars denoting means over `S`:
+    ///
+    /// ```text
+    /// t_S = (ρ·A·L̄ − Σ_S (L_j − L̄)(c_j − c̄)) / (ρ + γ·Σ_S (L_j − L̄)²)
+    /// u_j = (−(c_j − c̄) − γ·t_S·(L_j − L̄))/ρ + A/k
+    /// ```
+    ///
+    /// `u_j` is λ_j on `S` and the unclamped projection value off it, so the
+    /// candidate is optimal iff `u ≥ 0` on `S` and `u ≤ 0` off `S` (up to
+    /// [`SUPPORT_TOL`]). Returns `t_S` and whether that certificate holds.
+    /// Centred sums keep the variance and covariance free of cancellation.
+    fn on_support(&mut self, c: &[f64]) -> (f64, bool) {
+        let (rho, a, gamma) = (self.rho, self.arrival, self.gamma);
+        let (mut k, mut c_sum, mut l_sum) = (0usize, 0.0, 0.0);
+        for ((&inside, &cj), &lj) in self.support.iter().zip(c).zip(&self.latencies) {
+            if inside {
+                k += 1;
+                c_sum += cj;
+                l_sum += lj;
+            }
+        }
+        let kf = k as f64;
+        let (c_bar, l_bar) = (c_sum / kf, l_sum / kf);
+        let (mut cov, mut var) = (0.0, 0.0);
+        for ((&inside, &cj), &lj) in self.support.iter().zip(c).zip(&self.latencies) {
+            if inside {
+                let dl = lj - l_bar;
+                cov += dl * (cj - c_bar);
+                var += dl * dl;
+            }
+        }
+        let t = (rho * a * l_bar - cov) / (rho + gamma * var);
+        let share = a / kf;
+        let mut scale = share;
+        for ((u, &cj), &lj) in self.cand.iter_mut().zip(c).zip(&self.latencies) {
+            let (dc, dl) = (cj - c_bar, gamma * t * (lj - l_bar));
+            *u = (-dc - dl) / rho + share;
+            scale = scale.max((dc.abs() + dl.abs()) / rho);
+        }
+        let tol = SUPPORT_TOL * scale;
+        let mut certified = t.is_finite();
+        for (u, &inside) in self.cand.iter_mut().zip(&self.support) {
+            if inside {
+                certified &= *u >= -tol;
+                *u = pos(*u);
+            } else {
+                certified &= *u <= tol;
+                *u = 0.0;
+            }
+        }
+        (t, certified)
+    }
+}
+
+/// The congested a-step: barrier objective over the shrunk cap, solved by
+/// backtracking FISTA warm-started from the previous column when it passes
+/// the feasibility gate.
+#[derive(Debug, Clone)]
+struct CongestedCol {
+    objective: CongestedAStep,
+    cap: f64,
+    /// Recycled start vector: the solver's previous output buffer.
+    start_buf: Vec<f64>,
+    warm_accepted: u64,
+    warm_rejected: u64,
+}
+
+impl CongestedCol {
+    /// The warm column if it is feasible to tight tolerance, else the
+    /// classic zero start.
+    fn start(&mut self, warm: Option<&[f64]>) -> Vec<f64> {
+        let m = self.objective.dim();
         let mut start = std::mem::take(&mut self.start_buf);
-        self.seed_buf.clear();
+        start.clear();
         if let Some(w) = warm {
-            if w.len() == n {
+            if w.len() == m {
                 let sum: f64 = w.iter().sum();
                 let nonneg = w.iter().all(|&v| v >= -WARM_NONNEG_TOL);
-                if nonneg && (sum - self.arrival).abs() <= WARM_ROW_TOL * (1.0 + self.arrival.abs())
-                {
-                    start.clear();
+                if nonneg && sum <= self.cap * (1.0 + WARM_NONNEG_TOL) + WARM_NONNEG_TOL {
                     start.extend_from_slice(w);
-                    snap_support_into(&mut start, &mut self.seed_buf);
                     self.warm_accepted += 1;
                     return start;
                 }
             }
             self.warm_rejected += 1;
         }
-        start.clear();
-        start.resize(n, self.arrival / n as f64);
+        start.resize(m, 0.0);
         start
     }
 }
 
-/// Persistent solver kernel for one datacenter's a-QP column (paper
-/// Eq. (20)), optionally with the congestion-barrier extension.
+/// Kernel for one datacenter's a-QP column (paper Eq. (20)):
+/// `min ½ρ‖a‖² + ½ρβ²(1ᵀa)² + cᵀa` over `{a ≥ 0, 1ᵀa ≤ S_j}`, optionally
+/// with the congestion-barrier extension.
 #[derive(Debug, Clone)]
 pub struct AColQp {
+    m: usize,
+    rho: f64,
+    beta_sq: f64,
     capacity: f64,
-    solver: ActiveSetQp,
-    objective: QuadObjective,
-    a_eq: Matrix,
-    a_in: Matrix,
-    b_in: Vec<f64>,
-    /// Persistent congested objective (barrier + quadratic part) and its
-    /// shrunk cap, built once at construction instead of cloned per solve.
-    congested: Option<(CongestedAStep, f64)>,
-    cache: KktCache,
-    /// Recycled start vector (see [`LambdaQp::start_buf`]).
-    start_buf: Vec<f64>,
-    /// Recycled working-set seed buffer.
-    seed_buf: Vec<usize>,
-    warm_accepted: u64,
-    warm_rejected: u64,
+    congested: Option<CongestedCol>,
+    /// Scratch: the breakpoints `x_i = −c_i/ρ` in descending order.
+    sorted: Vec<f64>,
 }
 
 impl AColQp {
     /// Builds the kernel for a datacenter column: `m` front-ends, penalty ρ,
     /// power-proportionality slope β, capacity cap, and the optional
-    /// queueing (congestion) extension. `options` selects the KKT kernels.
+    /// queueing (congestion) extension.
     #[must_use]
     pub fn new(
         m: usize,
@@ -303,134 +366,136 @@ impl AColQp {
         beta: f64,
         capacity: f64,
         queueing: Option<QueueingCost>,
-        options: QpOptions,
     ) -> Self {
-        let objective = QuadObjective::diag_rank1(
-            vec![rho; m],
-            rho * beta * beta,
-            vec![1.0; m],
-            vec![0.0; m],
-            0.0,
-        );
-        // Rows: −a_i ≤ 0 for each i, then Σ_i a_i ≤ S_j.
-        let mut a_in = Matrix::zeros(m + 1, m);
-        let mut b_in = vec![0.0; m + 1];
-        for i in 0..m {
-            a_in[(i, i)] = -1.0;
-            a_in[(m, i)] = 1.0;
-        }
-        b_in[m] = capacity;
         let congested = queueing.map(|q| {
-            let cap_q = q.load_cap(capacity).min(capacity);
-            (CongestedAStep::new(objective.clone(), q, capacity), cap_q)
+            let quad = QuadObjective::diag_rank1(
+                vec![rho; m],
+                rho * beta * beta,
+                vec![1.0; m],
+                vec![0.0; m],
+                0.0,
+            );
+            CongestedCol {
+                objective: CongestedAStep::new(quad, q, capacity),
+                cap: q.load_cap(capacity).min(capacity),
+                start_buf: Vec::new(),
+                warm_accepted: 0,
+                warm_rejected: 0,
+            }
         });
         AColQp {
+            m,
+            rho,
+            beta_sq: beta * beta,
             capacity,
-            solver: options.solver(m),
-            objective,
-            a_eq: Matrix::zeros(0, m),
-            a_in,
-            b_in,
             congested,
-            cache: KktCache::default(),
-            start_buf: Vec::new(),
-            seed_buf: Vec::new(),
-            warm_accepted: 0,
-            warm_rejected: 0,
+            sorted: Vec::with_capacity(m),
         }
     }
 
-    /// Solves the column QP for linear term `c`, warm-starting from `warm`
-    /// when it passes the deterministic feasibility gate (otherwise from the
-    /// classic zero start).
+    /// Solves the column QP for linear term `c`. `warm` (the previous
+    /// column) seeds only the congested solve.
     ///
     /// # Errors
     ///
-    /// Propagates the inner solver's error.
+    /// The congested solve's FISTA error; the quadratic column cannot fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c.len()` differs from the column's length.
     pub fn solve(&mut self, c: &[f64], warm: Option<&[f64]>) -> ufc_opt::Result<Vec<f64>> {
         let mut out = Vec::new();
         self.solve_into(c, warm, &mut out)?;
         Ok(out)
     }
 
-    /// [`Self::solve`] into a caller-owned output buffer, with the same
-    /// buffer-recycling contract as [`LambdaQp::solve_into`].
+    /// [`Self::solve`] into a caller-owned output buffer. On the congested
+    /// path the buffer's previous storage is recycled as the next solve's
+    /// start vector.
     ///
     /// # Errors
     ///
-    /// Propagates the inner solver's error.
+    /// As for [`Self::solve`].
+    ///
+    /// # Panics
+    ///
+    /// As for [`Self::solve`].
     pub fn solve_into(
         &mut self,
         c: &[f64],
         warm: Option<&[f64]>,
         out: &mut Vec<f64>,
     ) -> ufc_opt::Result<()> {
-        if self.congested.is_some() {
-            // Congested path: barrier objective over the shrunk cap; the
-            // barrier is not quadratic, so backtracking FISTA solves it.
-            let cap_q = self.congested.as_ref().map(|(_, cq)| *cq).unwrap_or(0.0);
-            let start = self.fill_start(warm, cap_q);
-            let (cong, _) = self.congested.as_mut().expect("checked above");
-            cong.set_linear(c);
+        if let Some(cong) = &mut self.congested {
+            cong.objective.set_linear(c);
+            let start = cong.start(warm);
+            let cap = cong.cap;
             let x = Fista::new(FISTA_MAX_ITER, FISTA_CONGESTED_TOL)
-                .minimize_adaptive(&*cong, |x| project_capped_simplex(x, cap_q), start)?
+                .minimize_adaptive(&cong.objective, |x| project_capped_simplex(x, cap), start)?
                 .x;
-            self.start_buf = std::mem::replace(out, x);
+            cong.start_buf = std::mem::replace(out, x);
             return Ok(());
         }
-        self.objective.set_linear(c);
-        let start = self.fill_start(warm, self.capacity);
-        let x = self
-            .solver
-            .solve_seeded(
-                &self.objective,
-                &self.a_eq,
-                &[],
-                &self.a_in,
-                &self.b_in,
-                start,
-                &mut self.cache,
-                &self.seed_buf,
-            )?
-            .x;
-        self.start_buf = std::mem::replace(out, x);
+        assert_eq!(c.len(), self.m, "linear term length mismatch");
+        out.clear();
+        out.resize(self.m, 0.0);
+        // Zero-capacity datacenter: the capped simplex is the singleton {0}
+        // (rounding in the cap step would leave ulp-sized shares on ties).
+        if self.capacity == 0.0 {
+            return Ok(());
+        }
+        if !self.solve_column(c, out) {
+            out.fill(f64::NAN);
+        }
         Ok(())
     }
 
-    /// Adds this kernel's KKT-solve and warm-start counts to `c`
-    /// (telemetry).
-    pub fn add_counters(&self, c: &mut SolverCounters) {
-        add_kernel_counters(&self.cache, self.warm_accepted, self.warm_rejected, c);
+    /// Writes the minimizer into `out`; `false` on poison.
+    fn solve_column(&mut self, c: &[f64], out: &mut [f64]) -> bool {
+        if c.iter().any(|v| !v.is_finite()) {
+            return false;
+        }
+        let rho = self.rho;
+        self.sorted.clear();
+        self.sorted.extend(c.iter().map(|&ci| -ci / rho));
+        self.sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+        // Uncapped: τ = β²·Σ max(0, x_i − τ). With the k largest entries
+        // active, τ_k = β²·X_k/(1 + β²k); entry k is active iff it exceeds
+        // τ_{k+1}, a test that fails for good once it fails.
+        let b2 = self.beta_sq;
+        let (mut tau, mut prefix) = (0.0, 0.0);
+        for (k, &xk) in self.sorted.iter().enumerate() {
+            let p = prefix + xk;
+            let cand = b2 * p / (1.0 + b2 * (k + 1) as f64);
+            if xk <= cand {
+                break;
+            }
+            (tau, prefix) = (cand, p);
+        }
+        let mut load = 0.0;
+        for (a, &ci) in out.iter_mut().zip(c) {
+            *a = pos(-ci / rho - tau);
+            load += *a;
+        }
+        if load > self.capacity {
+            // The cap binds: Σ max(0, x_i − τ) = S_j.
+            let Some(tau) = simplex_threshold(&self.sorted, self.capacity) else {
+                return false;
+            };
+            for (a, &ci) in out.iter_mut().zip(c) {
+                *a = pos(-ci / rho - tau);
+            }
+        }
+        out.iter().all(|v| v.is_finite())
     }
 
-    /// Fills the recycled start buffer (warm candidate if it passes the
-    /// feasibility gate, zero cold start otherwise) and the working-set
-    /// seed buffer, then hands the start vector to the caller by value.
-    fn fill_start(&mut self, warm: Option<&[f64]>, cap: f64) -> Vec<f64> {
-        let m = self.a_in.cols();
-        let mut start = std::mem::take(&mut self.start_buf);
-        self.seed_buf.clear();
-        if let Some(w) = warm {
-            if w.len() == m {
-                let sum: f64 = w.iter().sum();
-                let nonneg = w.iter().all(|&v| v >= -WARM_NONNEG_TOL);
-                if nonneg && sum <= cap * (1.0 + WARM_NONNEG_TOL) + WARM_NONNEG_TOL {
-                    start.clear();
-                    start.extend_from_slice(w);
-                    // Only the m nonnegativity rows are ever seeded — the
-                    // capacity row (index m) is left to the solver's own
-                    // blocking logic, which keeps every seeded working set
-                    // linearly independent by construction.
-                    snap_support_into(&mut start, &mut self.seed_buf);
-                    self.warm_accepted += 1;
-                    return start;
-                }
-            }
-            self.warm_rejected += 1;
+    /// Adds this kernel's congested warm-start gate decisions to `c`
+    /// (telemetry; zero on uncongested columns).
+    pub fn add_counters(&self, c: &mut SolverCounters) {
+        if let Some(cong) = &self.congested {
+            c.warm_starts_accepted += cong.warm_accepted;
+            c.warm_starts_rejected += cong.warm_rejected;
         }
-        start.clear();
-        start.resize(m, 0.0);
-        start
     }
 }
 
@@ -451,6 +516,7 @@ struct LambdaBlock {
 #[derive(Debug)]
 struct ABlock {
     c: Vec<f64>,
+    /// The previous column `a_·j`: the congested kernel's warm start.
     warm: Vec<f64>,
     out: Vec<f64>,
     mu: f64,
@@ -478,7 +544,6 @@ impl SolverWorkspace {
     pub(crate) fn new(instance: &UfcInstance, settings: &AdmgSettings) -> Self {
         let (m, n) = (instance.m_frontends(), instance.n_datacenters());
         let w = instance.weight_per_kserver();
-        let options = QpOptions::from_settings(settings);
         let lambda_blocks = (0..m)
             .map(|i| LambdaBlock {
                 c: vec![0.0; n],
@@ -488,7 +553,6 @@ impl SolverWorkspace {
                     instance.arrivals[i],
                     w,
                     settings.rho,
-                    options,
                 ),
             })
             .collect();
@@ -506,7 +570,6 @@ impl SolverWorkspace {
                     instance.beta[j],
                     instance.capacities[j],
                     instance.queueing,
-                    options,
                 ),
             })
             .collect();
@@ -524,29 +587,22 @@ impl SolverWorkspace {
     ///
     /// The per-front-end solves are fanned across `pool`; results land in
     /// fixed per-block slots and are gathered in index order, so any thread
-    /// count yields bit-identical output. Errors are reported
-    /// deterministically (lowest block index first).
+    /// count yields bit-identical output.
     ///
     /// Called from the unified iteration driver (`crate::engine::drive`) —
     /// the phase order λ → μ → ν → a lives there, not here.
-    pub(crate) fn predict_lambda(&mut self, state: &AdmgState, pool: &WorkerPool) -> Result<()> {
+    pub(crate) fn predict_lambda(&mut self, state: &AdmgState, pool: &WorkerPool) {
         let n = state.n;
         let rho = self.rho;
-        let lambda_results = pool.map_mut(&mut self.lambda_blocks, |i, blk| {
+        pool.map_mut(&mut self.lambda_blocks, |i, blk| {
             for j in 0..n {
                 blk.c[j] = state.varphi[i * n + j] - rho * state.a[i * n + j];
             }
-            let warm = Some(&state.lambda[i * n..(i + 1) * n]);
-            let (c, out) = (&blk.c, &mut blk.out);
-            blk.qp.solve_into(c, warm, out)
+            blk.qp.solve_into(&blk.c, &mut blk.out);
         });
-        for (i, r) in lambda_results.into_iter().enumerate() {
-            r.map_err(|e| CoreError::subproblem(format!("lambda[{i}]"), e))?;
-        }
         for (i, blk) in self.lambda_blocks.iter().enumerate() {
             self.tilde.lambda[i * n..(i + 1) * n].copy_from_slice(&blk.out);
         }
-        Ok(())
     }
 
     /// The datacenter-side prediction phases (paper Eqs. (18)–(20) plus the
@@ -678,14 +734,12 @@ impl SolverWorkspace {
         Ok(())
     }
 
-    /// Solver-layer telemetry counters aggregated across every block
-    /// kernel. The pool counters are filled in by the caller that owns the
-    /// [`WorkerPool`].
+    /// Solver-layer telemetry counters aggregated across the a-column
+    /// kernels (the congested warm-start gates; the λ kernels count
+    /// nothing). The pool counters are filled in by the caller that owns
+    /// the [`WorkerPool`].
     pub(crate) fn counters(&self) -> SolverCounters {
         let mut c = SolverCounters::default();
-        for b in &self.lambda_blocks {
-            b.qp.add_counters(&mut c);
-        }
         for b in &self.a_blocks {
             b.qp.add_counters(&mut c);
         }
@@ -720,24 +774,19 @@ mod tests {
         .unwrap()
     }
 
-    /// The dense reference kernel the step functions of `subproblems` use.
-    fn dense() -> AdmgSettings {
-        AdmgSettings::default().with_rank1_kkt(false)
-    }
-
     /// One workspace prediction round from `state`, returning the predicted
     /// iterate.
-    fn predict(inst: &UfcInstance, settings: &AdmgSettings, state: &AdmgState) -> AdmgState {
+    fn predict(inst: &UfcInstance, state: &AdmgState) -> AdmgState {
         let pool = WorkerPool::new(1);
-        let mut ws = SolverWorkspace::new(inst, settings);
-        ws.predict_lambda(state, &pool).unwrap();
+        let mut ws = SolverWorkspace::new(inst, &AdmgSettings::default());
+        ws.predict_lambda(state, &pool);
         ws.predict_site_blocks(inst, state, &pool, true, true)
             .unwrap();
         ws.tilde
     }
 
-    /// The same round through the reference step functions (dense KKT,
-    /// cold starts).
+    /// The same round through the reference step functions (dense active
+    /// set).
     fn reference(inst: &UfcInstance, rho: f64, state: &AdmgState) -> AdmgState {
         let lt = lambda_step(inst, rho, state).unwrap();
         let mt = mu_step(inst, rho, state, true);
@@ -768,46 +817,31 @@ mod tests {
         }
     }
 
-    /// The rank-1 leg of the reference tests: the default kernel matches the
-    /// dense reference exactly on the closed-form μ/ν/d steps, which run
-    /// before any QP, and to solver precision on λ, a and the duals.
-    fn assert_rank1_matches(inst: &UfcInstance, state: &AdmgState, expected: &AdmgState) {
-        let fast = predict(inst, &AdmgSettings::default(), state);
-        assert_eq!(fast.mu, expected.mu);
-        assert_eq!(fast.nu, expected.nu);
-        assert_eq!(fast.d, expected.d);
-        assert_close(&fast.lambda, &expected.lambda, "rank-1 lambda");
-        assert_close(&fast.a, &expected.a, "rank-1 a");
-        assert_close(&fast.phi, &expected.phi, "rank-1 phi");
-        assert_close(&fast.varphi, &expected.varphi, "rank-1 varphi");
-    }
-
-    /// The fused workspace prediction must reproduce the five reference step
-    /// functions bit-for-bit on the dense kernel when warm starts cannot
-    /// engage (zero state), and to solver precision on the rank-1 kernel.
-    #[test]
-    fn predict_matches_reference_steps_on_cold_state() {
-        let inst = tiny();
-        let state = AdmgState::zeros(&inst);
-        let settings = dense();
-        let tilde = predict(&inst, &settings, &state);
-        let expected = reference(&inst, settings.rho, &state);
-        assert_eq!(tilde.lambda, expected.lambda);
+    /// The workspace round matches the reference steps exactly on the
+    /// closed-form μ/ν/d steps, which run before any QP, and to solver
+    /// precision on λ, a and the duals.
+    fn assert_matches_reference(inst: &UfcInstance, state: &AdmgState) -> AdmgState {
+        let expected = reference(inst, AdmgSettings::default().rho, state);
+        let tilde = predict(inst, state);
         assert_eq!(tilde.mu, expected.mu);
         assert_eq!(tilde.nu, expected.nu);
         assert_eq!(tilde.d, expected.d);
-        assert_eq!(tilde.a, expected.a);
-        assert_eq!(tilde.phi, expected.phi);
-        assert_eq!(tilde.varphi, expected.varphi);
-        assert_rank1_matches(&inst, &state, &expected);
+        assert_close(&tilde.lambda, &expected.lambda, "lambda");
+        assert_close(&tilde.a, &expected.a, "a");
+        assert_close(&tilde.phi, &expected.phi, "phi");
+        assert_close(&tilde.varphi, &expected.varphi, "varphi");
+        tilde
     }
 
-    /// From a warm, nonzero state the dense workspace must match the
-    /// cold-started reference steps: λ̃ exactly (the zero λ fails the
-    /// warm-start gate), μ̃/ν̃/d̃ exactly (closed forms computed before any
-    /// QP), and ã with the duals that depend on it to solver precision (the
-    /// a-QP starts from the warm column, the reference from zero). The
-    /// rank-1 kernel matches to solver precision.
+    /// The fused workspace prediction reproduces the five reference step
+    /// functions from the zero state.
+    #[test]
+    fn predict_matches_reference_steps_on_cold_state() {
+        let inst = tiny();
+        assert_matches_reference(&inst, &AdmgState::zeros(&inst));
+    }
+
+    /// The same from a nonzero state.
     #[test]
     fn predict_baseline_path_matches_reference_steps() {
         let inst = tiny();
@@ -815,25 +849,13 @@ mod tests {
         state.a = vec![0.4, 0.6, 1.5, 0.5];
         state.varphi = vec![0.1, -0.2, 0.05, 0.3];
         state.phi = vec![0.2, -0.1];
-        let settings = dense();
-        let tilde = predict(&inst, &settings, &state);
-        let expected = reference(&inst, settings.rho, &state);
-        assert_eq!(tilde.lambda, expected.lambda);
-        assert_eq!(tilde.mu, expected.mu);
-        assert_eq!(tilde.nu, expected.nu);
-        assert_eq!(tilde.d, expected.d);
-        assert_close(&tilde.a, &expected.a, "a");
-        assert_close(&tilde.phi, &expected.phi, "phi");
-        assert_close(&tilde.varphi, &expected.varphi, "varphi");
-        assert_rank1_matches(&inst, &state, &expected);
+        assert_matches_reference(&inst, &state);
     }
 
-    /// On a storage instance the fused datacenter phase must reproduce the
-    /// five reference step functions — μ bounds from the ramp limit, the
+    /// On a storage instance the fused datacenter phase reproduces the five
+    /// reference step functions — μ bounds from the ramp limit, the
     /// fresh-d storage solve, and the d-aware drift and duals — from a
-    /// warm, nonzero state: on the dense kernel exactly up to the
-    /// warm-started a-QP and to solver precision from there on, on the
-    /// rank-1 kernel to solver precision.
+    /// nonzero state.
     #[test]
     fn predict_matches_reference_steps_with_storage() {
         let fleet = StorageFleet::new(2.0, 1.0)
@@ -848,57 +870,38 @@ mod tests {
         state.phi = vec![0.2, -0.1];
         state.nu = vec![0.3, 0.2];
         state.d = vec![0.05, -0.1];
-        let settings = dense();
-        let tilde = predict(&inst, &settings, &state);
-        let expected = reference(&inst, settings.rho, &state);
-
+        let tilde = assert_matches_reference(&inst, &state);
         assert!(
-            expected.d.iter().any(|&d| d != 0.0),
+            tilde.d.iter().any(|&d| d != 0.0),
             "storage block should engage"
         );
-        assert_eq!(tilde.lambda, expected.lambda);
-        assert_eq!(tilde.mu, expected.mu);
-        assert_eq!(tilde.nu, expected.nu);
-        assert_eq!(tilde.d, expected.d);
-        assert_close(&tilde.a, &expected.a, "a");
-        assert_close(&tilde.phi, &expected.phi, "phi");
-        assert_close(&tilde.varphi, &expected.varphi, "varphi");
         // Ramp limit binds: μ̃ stays inside the [μ_prev ± ramp] box.
         for j in 0..2 {
             assert!(tilde.mu[j] <= 0.3 + 1e-12);
         }
-        assert_rank1_matches(&inst, &state, &expected);
     }
 
-    /// Warm-started solves accumulate KKT-solve counts across iterations:
-    /// cache hits on the dense kernel, Sherman–Morrison solves (and no
-    /// factorizations) on the rank-1 kernel.
+    /// The kernels carry nothing between solves: repeated rounds from the
+    /// same state on one workspace are bit-identical to a fresh
+    /// workspace's first round.
     #[test]
-    fn repeated_predictions_hit_the_cache() {
+    fn repeated_predictions_are_bit_identical() {
         let inst = tiny();
-        let state = AdmgState::zeros(&inst);
+        let mut state = AdmgState::zeros(&inst);
+        state.a = vec![0.4, 0.6, 1.5, 0.5];
+        state.varphi = vec![0.1, -0.2, 0.05, 0.3];
+        let fresh = predict(&inst, &state);
         let pool = WorkerPool::new(1);
-        let run = |settings: AdmgSettings| {
-            let mut ws = SolverWorkspace::new(&inst, &settings);
-            for _ in 0..3 {
-                ws.predict_lambda(&state, &pool).unwrap();
-                ws.predict_site_blocks(&inst, &state, &pool, true, true)
-                    .unwrap();
-            }
-            ws.counters()
-        };
-        let dense = run(dense());
-        assert!(dense.kkt_cache_hits > 0, "expected KKT cache reuse");
-        assert_eq!(dense.kkt_rank1_solves, 0);
-        let rank1 = run(AdmgSettings::default());
-        assert!(
-            rank1.kkt_rank1_solves > 0,
-            "expected Sherman–Morrison solves"
-        );
-        assert_eq!(
-            rank1.kkt_cache_misses, 0,
-            "no working set left the rank-1 shape"
-        );
+        let mut ws = SolverWorkspace::new(&inst, &AdmgSettings::default());
+        for _ in 0..3 {
+            ws.predict_lambda(&state, &pool);
+            ws.predict_site_blocks(&inst, &state, &pool, true, true)
+                .unwrap();
+            assert_eq!(ws.tilde.lambda, fresh.lambda);
+            assert_eq!(ws.tilde.a, fresh.a);
+            assert_eq!(ws.tilde.varphi, fresh.varphi);
+        }
+        assert_eq!(ws.counters(), SolverCounters::default());
     }
 
     /// Deterministic scaled instance for the thread-count bit-identity test:
@@ -935,24 +938,22 @@ mod tests {
         .unwrap()
     }
 
-    /// The tentpole invariant at scale: with the sharded gather and the
-    /// rank-1 fast KKT path engaged, prediction rounds on a 512×16 instance
-    /// are bit-identical at 1, 2, 4 and 8 worker threads. `exact` pools
-    /// bypass the core-count clamp so the multi-shard spawn path genuinely
-    /// runs regardless of the host machine.
+    /// The invariant at scale: with the sharded gather, prediction rounds
+    /// on a 512×16 instance are bit-identical at 1, 2, 4 and 8 worker
+    /// threads. `exact` pools bypass the core-count clamp so the
+    /// multi-shard spawn path genuinely runs regardless of the host
+    /// machine.
     #[test]
     fn scaled_predictions_bit_identical_across_thread_counts() {
         let inst = scaled(512, 16);
-        let settings = AdmgSettings::default()
-            .with_rank1_kkt(true)
-            .with_blocked_factorizations(true);
+        let settings = AdmgSettings::default();
         let mut reference: Option<AdmgState> = None;
         for threads in [1usize, 2, 4, 8] {
             let pool = WorkerPool::exact(threads);
             let mut ws = SolverWorkspace::new(&inst, &settings);
             let mut state = AdmgState::zeros(&inst);
             for _ in 0..3 {
-                ws.predict_lambda(&state, &pool).unwrap();
+                ws.predict_lambda(&state, &pool);
                 ws.predict_site_blocks(&inst, &state, &pool, true, true)
                     .unwrap();
                 state.lambda.copy_from_slice(&ws.tilde.lambda);
@@ -976,20 +977,26 @@ mod tests {
         }
     }
 
-    /// Infeasible warm candidates fall back to the classic cold start.
+    /// The congested a-step's gate: an infeasible warm column falls back
+    /// to the classic zero start, so its solve matches the unseeded one
+    /// bit for bit; a feasible one is accepted and lands on the same point.
     #[test]
     fn warm_start_gate_rejects_infeasible_points() {
-        let mut qp = LambdaQp::new(&[0.01, 0.02], 1.0, 10.0, 1.0, QpOptions::default());
-        let c = vec![0.1, -0.2];
-        // Row sum far from the arrival: gate must reject and use the uniform
-        // start, i.e. match the no-warm solve exactly.
+        let queueing = QueueingCost::default_interactive();
+        let mut qp = AColQp::new(2, 8.0, 0.12, 2.0, Some(queueing));
+        let c = vec![-3.0, -2.5];
         let cold = qp.solve(&c, None).unwrap();
         let gated = qp.solve(&c, Some(&[5.0, 5.0])).unwrap();
         assert_eq!(cold, gated);
-        // A feasible warm start is accepted and converges to the same point.
         let warm = qp.solve(&c, Some(&cold.clone())).unwrap();
         for (a, b) in cold.iter().zip(&warm) {
-            assert!((a - b).abs() < 1e-9);
+            assert!((a - b).abs() < 1e-6, "{cold:?} vs {warm:?}");
         }
+        let mut counters = SolverCounters::default();
+        qp.add_counters(&mut counters);
+        assert_eq!(
+            (counters.warm_starts_accepted, counters.warm_starts_rejected),
+            (1, 1)
+        );
     }
 }

@@ -211,10 +211,8 @@ impl<'a> LockstepTransport<'a> {
             let mut t = c.into_telemetry();
             // The lockstep engine keeps every node in-process, so the
             // per-node kernel counters are still readable here (evicted
-            // datacenters are gone — their counters go with them).
-            for fe in &self.frontends {
-                fe.add_counters(&mut t.solver);
-            }
+            // datacenters are gone — their counters go with them; the λ
+            // kernels count nothing).
             for dc in self.datacenters.iter().flatten() {
                 dc.add_counters(&mut t.solver);
             }
@@ -309,7 +307,7 @@ impl Transport for LockstepTransport<'_> {
                     }
                     let mut replayed = 0usize;
                     for entry in replay_entries(&self.history, base, k) {
-                        node.predict_lambda()?;
+                        node.predict_lambda();
                         node.receive_a_and_correct(&row_of(&entry.a_cols, i));
                         replayed += 1;
                     }
@@ -324,13 +322,9 @@ impl Transport for LockstepTransport<'_> {
                 }
             }
         }
-        // Gather in index order so a poisoned iterate surfaces as the
-        // lowest-indexed node's typed error, matching the threaded engine.
         let mut rows = self
             .pool
-            .map_mut(&mut self.frontends, |_, fe| fe.predict_lambda())
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+            .map_mut(&mut self.frontends, |_, fe| fe.predict_lambda());
         let phase_max = record_lambda_traffic(
             &mut self.stats,
             &mut self.tracker,

@@ -14,7 +14,7 @@
 //! integration tests).
 
 use ufc_core::subproblems::{mu_scalar_step_bounded, nu_scalar_step, storage_scalar_step};
-use ufc_core::{AColQp, AdmgSettings, CoreError, LambdaQp, QpOptions, SolverCounters};
+use ufc_core::{AColQp, AdmgSettings, CoreError, LambdaQp, SolverCounters};
 use ufc_model::{EmissionCostFn, UfcInstance};
 
 use crate::snapshot::{DatacenterSnapshot, FrontendSnapshot};
@@ -65,10 +65,8 @@ pub struct FrontendNode {
     varphi: Vec<f64>,
     /// Degraded-mode mask: datacenters this front-end must not route to.
     evicted: Vec<bool>,
-    /// Persistent λ-QP kernel (cached KKT factorizations, warm starts).
+    /// The λ-QP kernel (its buffers are reused across rounds).
     qp: LambdaQp,
-    /// KKT kernels of `qp`, reused for the restricted degraded-mode QP.
-    options: QpOptions,
     /// Scratch buffer for the per-round linear term.
     c_buf: Vec<f64>,
 }
@@ -83,7 +81,6 @@ impl FrontendNode {
     pub fn new(instance: &UfcInstance, i: usize, settings: &AdmgSettings) -> Self {
         assert!(i < instance.m_frontends(), "front-end {i} out of range");
         let n = instance.n_datacenters();
-        let options = QpOptions::from_settings(settings);
         FrontendNode {
             index: i,
             arrival: instance.arrivals[i],
@@ -101,9 +98,7 @@ impl FrontendNode {
                 instance.arrivals[i],
                 instance.weight_per_kserver(),
                 settings.rho,
-                options,
             ),
-            options,
             c_buf: vec![0.0; n],
         }
     }
@@ -150,34 +145,21 @@ impl FrontendNode {
         &self.evicted
     }
 
-    /// Telemetry: adds the λ-kernel's KKT-solve and warm-start counts
-    /// since this node was constructed (or last respawned) to `c`.
-    pub fn add_counters(&self, c: &mut SolverCounters) {
-        self.qp.add_counters(c);
-    }
-
     /// Step 1: solve the λ-sub-problem (17) from the local replicas and
     /// return `λ̃_i·` for dispatch to the datacenters.
     ///
     /// With an empty eviction mask this is, expression for expression, the
     /// full problem (17); with evicted datacenters the same QP is solved
     /// over the active columns only and zeros are scattered back into the
-    /// masked slots.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Subproblem`] when the inner QP fails — which cannot
-    /// happen for finite iterates (the constraint set is a nonempty
-    /// simplex), but *does* happen when an unverified corrupted delivery
-    /// poisoned the replicas with NaN. Surfacing that as a typed error
-    /// keeps the §12 "delivered poison is a typed error, never a panic"
-    /// contract at the node layer.
+    /// masked slots. Replicas poisoned by an unverified corrupted delivery
+    /// yield an all-NaN row, which the coordinator's divergence gate
+    /// flags.
     ///
     /// # Panics
     ///
     /// Panics if every datacenter is evicted (a coordinator invariant:
     /// eviction declines before the live set empties).
-    pub fn predict_lambda(&mut self) -> Result<Vec<f64>, CoreError> {
+    pub fn predict_lambda(&mut self) -> Vec<f64> {
         let n = self.latencies.len();
         let row = if self.evicted.iter().any(|&e| e) {
             let active: Vec<usize> = (0..n).filter(|&j| !self.evicted[j]).collect();
@@ -192,35 +174,22 @@ impl FrontendNode {
                 .map(|&j| self.varphi[j] - self.rho * self.a[j])
                 .collect();
             // The restricted QP has fewer columns than the persistent
-            // kernel: solve it with a fresh, cold-started kernel on the
-            // same KKT options.
-            let sub = LambdaQp::new(
-                &lat,
-                self.arrival,
-                self.weight_per_kserver,
-                self.rho,
-                self.options,
-            )
-            .solve(&c, None)
-            .map_err(|e| CoreError::subproblem(format!("lambda[{}]", self.index), e))?;
+            // kernel: solve it with a kernel built for them.
+            let sub =
+                LambdaQp::new(&lat, self.arrival, self.weight_per_kserver, self.rho).solve(&c);
             let mut full = vec![0.0; n];
             for (t, &j) in active.iter().enumerate() {
                 full[j] = sub[t];
             }
             full
         } else {
-            // Clean path: the persistent kernel with cached factorizations,
-            // warm-started from the corrected λ (which is snapshotted, so
-            // checkpoint/restore resumes bit-identically).
             for j in 0..n {
                 self.c_buf[j] = self.varphi[j] - self.rho * self.a[j];
             }
-            self.qp
-                .solve(&self.c_buf, Some(self.lambda.as_slice()))
-                .map_err(|e| CoreError::subproblem(format!("lambda[{}]", self.index), e))?
+            self.qp.solve(&self.c_buf)
         };
         self.lambda_tilde = row.clone();
-        Ok(row)
+        row
     }
 
     /// Captures this node's iterate slice for checkpointing.
@@ -338,7 +307,7 @@ pub struct DatacenterNode {
     phi: f64,
     a: Vec<f64>,
     varphi: Vec<f64>,
-    /// Persistent a-QP kernel (cached KKT factorizations, warm starts).
+    /// The a-QP kernel (its buffers are reused across rounds).
     qp: AColQp,
     /// Scratch buffer for the per-round linear term.
     c_buf: Vec<f64>,
@@ -412,7 +381,6 @@ impl DatacenterNode {
                 instance.beta[j],
                 instance.capacities[j],
                 instance.queueing,
-                QpOptions::from_settings(settings),
             ),
             c_buf: vec![0.0; instance.m_frontends()],
         }
@@ -443,8 +411,8 @@ impl DatacenterNode {
         self.d
     }
 
-    /// Telemetry: adds the a-kernel's KKT-solve and warm-start counts
-    /// since this node was constructed (or last respawned) to `c`.
+    /// Telemetry: adds the a-kernel's congested warm-start counts since
+    /// this node was constructed (or last respawned) to `c`.
     pub fn add_counters(&self, c: &mut SolverCounters) {
         self.qp.add_counters(c);
     }
@@ -492,9 +460,10 @@ impl DatacenterNode {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Subproblem`] when the inner a-QP fails — unreachable on
-    /// finite iterates, but reachable when an unverified corrupted delivery
-    /// poisoned the column with NaN (typed error, never a panic).
+    /// [`CoreError::Subproblem`] when the congested a-step's inner solve
+    /// fails. The quadratic a-QP cannot fail: a column poisoned by an
+    /// unverified corrupted delivery yields an all-NaN `ã` for the
+    /// divergence gate, never a panic.
     ///
     /// # Panics
     ///
@@ -563,9 +532,9 @@ impl DatacenterNode {
             _ => 0.0,
         };
 
-        // Step 4: ã (Eq. (20)) via the persistent kernel, warm-started from
-        // the corrected column `a_·j` (snapshotted, so checkpoint/restore
-        // resumes bit-identically).
+        // Step 4: ã (Eq. (20)). Only the congested kernel reads the
+        // corrected column `a_·j` as its warm start (snapshotted, so
+        // checkpoint/restore resumes bit-identically).
         let drift = self.alpha - mu_tilde - nu_tilde - d_tilde;
         for (i, ci) in self.c_buf.iter_mut().enumerate() {
             *ci = -rho * lambda_tilde[i] - self.varphi[i] - self.phi * self.beta
@@ -659,7 +628,7 @@ mod tests {
         let mut fe = FrontendNode::new(&inst, 0, &settings);
         let state = ufc_core::AdmgState::zeros(&inst);
         let expected = ufc_core::subproblems::lambda_step(&inst, settings.rho, &state).unwrap();
-        let row = fe.predict_lambda().unwrap();
+        let row = fe.predict_lambda();
         for j in 0..2 {
             assert!(
                 (row[j] - expected[j]).abs() < 1e-12,
@@ -672,7 +641,7 @@ mod tests {
     fn frontend_correction_tracks_replicas() {
         let inst = tiny();
         let mut fe = FrontendNode::new(&inst, 0, &AdmgSettings::default());
-        let lt = fe.predict_lambda().unwrap();
+        let lt = fe.predict_lambda();
         let res = fe.receive_a_and_correct(&lt.clone());
         // With ã = λ̃: link residual is |λ − a| after partial relaxation of a.
         assert!(res.link >= 0.0);
@@ -712,7 +681,7 @@ mod tests {
         let inst = tiny();
         let mut fe = FrontendNode::new(&inst, 1, &AdmgSettings::default());
         fe.set_evicted(0);
-        let row = fe.predict_lambda().unwrap();
+        let row = fe.predict_lambda();
         assert_eq!(row[0], 0.0, "evicted column must stay zero");
         let sum: f64 = row.iter().sum();
         assert!(
@@ -730,34 +699,35 @@ mod tests {
 
     #[test]
     fn clean_path_unchanged_by_eviction_support() {
-        // With no evictions the restricted branch is never taken; on the
-        // dense kernel the prediction must match the core sub-problem bit
-        // for bit, on the rank-1 kernel to solver precision.
+        // With no evictions the restricted branch is never taken: the
+        // prediction is the persistent kernel's solve, bit for bit that of
+        // a fresh kernel, and matches the core sub-problem (dense active
+        // set) to solver precision.
         let inst = tiny();
-        let settings = AdmgSettings::default().with_rank1_kkt(false);
+        let settings = AdmgSettings::default();
         let mut fe = FrontendNode::new(&inst, 0, &settings);
         let state = ufc_core::AdmgState::zeros(&inst);
         let expected = ufc_core::subproblems::lambda_step(&inst, settings.rho, &state).unwrap();
-        let row = fe.predict_lambda().unwrap();
-        for j in 0..2 {
-            assert_eq!(row[j], expected[j], "column {j} diverged");
-        }
-        let mut fe = FrontendNode::new(&inst, 0, &AdmgSettings::default());
-        let row = fe.predict_lambda().unwrap();
+        let row = fe.predict_lambda();
+        let w = inst.weight_per_kserver();
+        let fresh =
+            LambdaQp::new(&inst.latency_s[0], inst.arrivals[0], w, settings.rho).solve(&[0.0, 0.0]);
+        assert_eq!(row, fresh);
         for j in 0..2 {
             assert!(
                 (row[j] - expected[j]).abs() <= 1e-9 * (1.0 + expected[j].abs()),
-                "rank-1 column {j} diverged: {row:?} vs {expected:?}"
+                "column {j} diverged: {row:?} vs {expected:?}"
             );
         }
     }
 
-    /// The degraded-mode λ-QP runs on the node's configured KKT kernel:
-    /// over the two surviving columns of a three-datacenter instance the
-    /// rank-1 restricted row matches the dense one to within 1e-9, round
-    /// after round.
+    /// The degraded-mode λ-QP over the two surviving columns of a
+    /// three-datacenter instance runs the exact KKT kernel: it matches the
+    /// dense reference step on the instance restricted to the survivors,
+    /// round after round.
     #[test]
     fn restricted_lambda_row_honours_the_kkt_kernel() {
+        let emission = vec![EmissionCostFn::linear(25.0).unwrap(); 3];
         let inst = UfcInstance::new(
             vec![1.0, 2.0],
             vec![2.0, 2.0, 2.0],
@@ -769,32 +739,50 @@ mod tests {
             vec![0.5, 0.3, 0.4],
             vec![vec![0.01, 0.02, 0.015], vec![0.02, 0.01, 0.0102]],
             10.0,
-            vec![EmissionCostFn::linear(25.0).unwrap(); 3],
+            emission.clone(),
             1.0,
         )
         .unwrap();
-        let rows = |settings: AdmgSettings| {
-            let mut fe = FrontendNode::new(&inst, 1, &settings);
-            fe.set_evicted(0);
-            let first = fe.predict_lambda().unwrap();
-            fe.receive_a_and_correct(&[0.0, 0.9, 1.1]);
-            let second = fe.predict_lambda().unwrap();
-            [first, second]
-        };
-        let dense = rows(AdmgSettings::default().with_rank1_kkt(false));
-        let rank1 = rows(AdmgSettings::default());
-        // The kernels round differently, so equal bits would mean the
-        // restricted solve ignored the configured kernel.
-        assert_ne!(rank1, dense, "restricted solve ran the dense kernel");
-        for (fast, slow) in rank1.iter().zip(&dense) {
-            assert_eq!((fast[0], slow[0]), (0.0, 0.0), "evicted column");
-            assert!(
-                slow[1] > 0.1 && slow[2] > 0.1,
-                "both survivors carry load: {slow:?}"
-            );
-            for (a, b) in fast.iter().zip(slow) {
-                assert!((a - b).abs() <= 1e-9, "{fast:?} vs {slow:?}");
+        let survivors = [1usize, 2];
+        let restricted = UfcInstance::new(
+            vec![1.0, 2.0],
+            vec![2.0, 2.0],
+            vec![0.24; 2],
+            vec![0.12; 2],
+            vec![0.48; 2],
+            vec![70.0, 50.0],
+            80.0,
+            vec![0.3, 0.4],
+            vec![vec![0.02, 0.015], vec![0.01, 0.0102]],
+            10.0,
+            emission[..2].to_vec(),
+            1.0,
+        )
+        .unwrap();
+        let rho = AdmgSettings::default().rho;
+        let mut fe = FrontendNode::new(&inst, 1, &AdmgSettings::default());
+        fe.set_evicted(0);
+        for a_tilde in [[0.0, 0.9, 1.1], [0.0, 1.2, 0.8]] {
+            let snap = fe.snapshot();
+            let mut state = ufc_core::AdmgState::zeros(&restricted);
+            for (t, &j) in survivors.iter().enumerate() {
+                state.a[2 + t] = snap.a[j];
+                state.varphi[2 + t] = snap.varphi[j];
             }
+            let expected = ufc_core::subproblems::lambda_step(&restricted, rho, &state).unwrap();
+            let row = fe.predict_lambda();
+            assert_eq!(row[0], 0.0, "evicted column");
+            assert!(
+                row[1] > 0.1 && row[2] > 0.1,
+                "both survivors carry load: {row:?}"
+            );
+            for (t, &j) in survivors.iter().enumerate() {
+                assert!(
+                    (row[j] - expected[2 + t]).abs() <= 1e-9,
+                    "{row:?} vs {expected:?}"
+                );
+            }
+            fe.receive_a_and_correct(&a_tilde);
         }
     }
 
@@ -805,7 +793,7 @@ mod tests {
         let mut fe = FrontendNode::new(&inst, 0, &settings);
         let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
         // Advance one protocol round to get nonzero state.
-        let lt = fe.predict_lambda().unwrap();
+        let lt = fe.predict_lambda();
         let step = dc.process(&[lt[0], lt[0]]).unwrap();
         fe.receive_a_and_correct(&[step.a_tilde[0], step.a_tilde[0]]);
 
@@ -820,8 +808,8 @@ mod tests {
             .unwrap();
 
         // The next round must be bit-identical.
-        let r1 = fe.predict_lambda().unwrap();
-        let r2 = fe2.predict_lambda().unwrap();
+        let r1 = fe.predict_lambda();
+        let r2 = fe2.predict_lambda();
         assert_eq!(r1, r2);
         let s1 = dc.process(&[r1[0], r1[0]]).unwrap();
         let s2 = dc2.process(&[r2[0], r2[0]]).unwrap();
@@ -933,7 +921,7 @@ mod tests {
 
         let inst = tiny();
         let mut fe = FrontendNode::new(&inst, 0, &AdmgSettings::default());
-        fe.predict_lambda().unwrap();
+        fe.predict_lambda();
         let res = fe.receive_a_and_correct(&[f64::NAN, 0.0]);
         assert!(
             res.link.is_nan() || res.movement.is_nan(),
@@ -942,66 +930,38 @@ mod tests {
     }
 
     /// Found by `repro fuzz --faults` (seed 777): an unverified corrupted
-    /// delivery poisons the replicas, the next λ-/a-QP cannot converge, and
-    /// the node used to `.expect()` — an abort instead of the typed
-    /// rejection the §12 corruption contract promises. Huge-magnitude
-    /// poison (a bit-flipped exponent) overflows the KKT steps into
-    /// NaN and the active set thrashes to its iteration cap; NaN poison
-    /// instead flows through to the residuals for the divergence gate.
-    /// Either way the process must survive with a typed outcome.
+    /// delivery poisons the replicas, and the node used to `.expect()` an
+    /// inner QP that could not converge — an abort instead of the outcome
+    /// the §12 corruption contract promises. The exact kernels solve
+    /// through huge-magnitude poison (a bit-flipped exponent) or, when an
+    /// intermediate overflows, return an all-NaN block; NaN poison always
+    /// yields an all-NaN block. Either way the process survives and the
+    /// divergence gate downstream flags the NaN residuals.
     #[test]
-    fn poisoned_iterate_is_a_typed_subproblem_error_not_a_panic() {
+    fn poisoned_iterate_yields_a_nan_block_not_a_panic() {
         let inst = tiny();
-        let dense = AdmgSettings::default().with_rank1_kkt(false);
-        let mut fe = FrontendNode::new(&inst, 0, &dense);
-        fe.predict_lambda().unwrap();
+        let settings = AdmgSettings::default();
+        let finite_or_nan =
+            |v: &[f64]| v.iter().all(|x| x.is_finite()) || v.iter().all(|x| x.is_nan());
+        let mut fe = FrontendNode::new(&inst, 0, &settings);
+        fe.predict_lambda();
         fe.receive_a_and_correct(&[-5.5e307, -5.5e307]);
-        let err = fe.predict_lambda().unwrap_err();
-        assert!(
-            matches!(err, CoreError::Subproblem { .. }),
-            "expected a typed Subproblem error, got {err:?}"
-        );
-
-        let mut dc = DatacenterNode::new(&inst, 0, &dense, true, true);
+        let row = fe.predict_lambda();
+        assert!(finite_or_nan(&row), "{row:?}");
+        let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
         dc.process(&[0.5, 1.0]).unwrap();
-        let err = dc.process(&[-5.5e307, -5.5e307]).unwrap_err();
-        assert!(
-            matches!(err, CoreError::Subproblem { .. }),
-            "expected a typed Subproblem error, got {err:?}"
-        );
+        let step = dc.process(&[-5.5e307, -5.5e307]).unwrap();
+        assert!(finite_or_nan(&step.a_tilde), "{:?}", step.a_tilde);
 
-        // The rank-1 kernel solves through this poison without the dense
-        // path's overflowing KKT factorization, so its step may come back
-        // `Ok`; an error must still be the typed one, never a panic.
-        let typed = |r: Result<(), CoreError>| {
-            if let Err(err) = r {
-                assert!(
-                    matches!(err, CoreError::Subproblem { .. }),
-                    "expected a typed Subproblem error, got {err:?}"
-                );
-            }
-        };
-        let rank1 = AdmgSettings::default();
-        let mut fe = FrontendNode::new(&inst, 0, &rank1);
-        fe.predict_lambda().unwrap();
-        fe.receive_a_and_correct(&[-5.5e307, -5.5e307]);
-        typed(fe.predict_lambda().map(drop));
-        let mut dc = DatacenterNode::new(&inst, 0, &rank1, true, true);
+        let mut fe = FrontendNode::new(&inst, 0, &settings);
+        fe.predict_lambda();
+        fe.receive_a_and_correct(&[f64::NAN, f64::NAN]);
+        assert!(fe.predict_lambda().iter().all(|v| v.is_nan()));
+        let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
         dc.process(&[0.5, 1.0]).unwrap();
-        typed(dc.process(&[-5.5e307, -5.5e307]).map(drop));
-
-        // NaN poison takes the graceful path on both kernels: the QP
-        // accepts the iterate and the divergence gate downstream flags the
-        // NaN residuals.
-        for settings in [dense, rank1] {
-            let mut fe = FrontendNode::new(&inst, 0, &settings);
-            fe.predict_lambda().unwrap();
-            fe.receive_a_and_correct(&[f64::NAN, f64::NAN]);
-            let _ = fe.predict_lambda();
-            let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
-            dc.process(&[0.5, 1.0]).unwrap();
-            let _ = dc.process(&[f64::NAN, f64::NAN]);
-        }
+        let step = dc.process(&[f64::NAN, f64::NAN]).unwrap();
+        assert!(step.a_tilde.iter().all(|v| v.is_nan()));
+        assert!(step.residuals.link.is_nan() || step.residuals.movement.is_nan());
     }
 
     #[test]

@@ -148,18 +148,8 @@ pub(crate) fn spawn_frontend_worker(
                         return; // crash-stop: die silently
                     }
                     script.straggle(iteration);
-                    let reply = match node.predict_lambda() {
-                        Ok(row) => Reply::Lambda { i, iteration, row },
-                        // Poisoned iterate: report the typed rejection and
-                        // stop — the coordinator aborts with it.
-                        Err(error) => Reply::NodeError {
-                            node: NodeId::Frontend(i),
-                            iteration,
-                            error,
-                        },
-                    };
-                    let failed = matches!(reply, Reply::NodeError { .. });
-                    if out.send(reply).is_err() || failed {
+                    let row = node.predict_lambda();
+                    if out.send(Reply::Lambda { i, iteration, row }).is_err() {
                         return;
                     }
                 }

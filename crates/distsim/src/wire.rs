@@ -1091,8 +1091,6 @@ impl RunConfig {
         put_f64(&mut buf, s.eps_balance);
         put_f64(&mut buf, s.eps_dual);
         put_u64(&mut buf, s.num_threads as u64);
-        put_bool(&mut buf, s.rank1_kkt);
-        put_bool(&mut buf, s.blocked_factorizations);
         put_bool(&mut buf, s.telemetry);
         put_bool(&mut buf, s.verify_checksums);
         put_f64(&mut buf, s.divergence_kappa);
@@ -1189,8 +1187,6 @@ impl RunConfig {
             eps_balance: get_f64(bytes, &mut pos)?,
             eps_dual: get_f64(bytes, &mut pos)?,
             num_threads: get_u64(bytes, &mut pos)? as usize,
-            rank1_kkt: get_bool(bytes, &mut pos)?,
-            blocked_factorizations: get_bool(bytes, &mut pos)?,
             telemetry: get_bool(bytes, &mut pos)?,
             verify_checksums: get_bool(bytes, &mut pos)?,
             divergence_kappa: get_f64(bytes, &mut pos)?,
@@ -1581,10 +1577,7 @@ mod tests {
         instance.queueing = Some(QueueingCost::default_interactive());
         let config = RunConfig {
             instance,
-            settings: AdmgSettings::default()
-                .with_threads(3)
-                .with_rank1_kkt(true)
-                .with_blocked_factorizations(true),
+            settings: AdmgSettings::default().with_threads(3).with_checksums(true),
             active_mu: true,
             active_nu: false,
             processes: 4,

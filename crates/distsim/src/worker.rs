@@ -302,22 +302,11 @@ fn dispatch(
         )
     };
     match (hosted, cmd) {
-        (Hosted::Fe(node), NodeCmd::Predict { iteration }) => {
-            Ok(Some(match node.predict_lambda() {
-                Ok(row) => Reply::Lambda {
-                    i: node.index(),
-                    iteration,
-                    row,
-                },
-                // Poisoned iterate: ship the typed rejection before dying so
-                // the coordinator aborts instead of respawning into the poison.
-                Err(error) => Reply::NodeError {
-                    node: NodeId::Frontend(node.index()),
-                    iteration,
-                    error,
-                },
-            }))
-        }
+        (Hosted::Fe(node), NodeCmd::Predict { iteration }) => Ok(Some(Reply::Lambda {
+            i: node.index(),
+            iteration,
+            row: node.predict_lambda(),
+        })),
         (Hosted::Fe(node), NodeCmd::Correct { iteration, a_row }) => Ok(Some(Reply::FeResidual {
             i: node.index(),
             iteration,

@@ -34,9 +34,9 @@
 //!              horizon for CI smoke runs
 //!   wsweep     extension: latency-weight (w) Pareto sweep
 //!   bench      solver hot-path wall-clock (writes BENCH_solver.json);
-//!              fails when the 1-thread leg on the dense KKT kernel stops
-//!              reusing factorizations or warm starts; `--quick` shrinks the
-//!              workload for CI smoke runs
+//!              fails when the largest size's cost per routing variable
+//!              per iteration exceeds 3x the 1-thread 32x4 leg's;
+//!              `--quick` shrinks the workload for CI smoke runs
 //!   trace      run-telemetry JSONL trace of one instrumented solve;
 //!              `--engine inprocess|lockstep|threaded|faulty|corrupt|sockets`
 //!              picks the execution engine, `--check` validates the emitted
@@ -907,10 +907,6 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "{}",
         text_table(&["configuration", "wall ms", "iterations"], &rows)
     );
-    println!(
-        "1 thread, dense KKT: {:.2} factorizations per iteration, {:.3} of warm starts accepted",
-        report.cache.factorizations_per_iter, report.cache.warm_start_accept_ratio
-    );
     if !report.sizes.is_empty() {
         let rows: Vec<Vec<String>> = report
             .sizes
@@ -921,10 +917,7 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
                     fmt(leg.wall_ms, 1),
                     leg.iters.to_string(),
                     fmt(leg.per_iter_ms(), 3),
-                    leg.dense_wall_ms
-                        .map_or("intractable".to_owned(), |d| fmt(d, 1)),
-                    leg.dense_speedup()
-                        .map_or("-".to_owned(), |s| format!("{s:.2}x")),
+                    fmt(leg.us_per_var_iter(), 4),
                 ]
             })
             .collect();
@@ -933,14 +926,27 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             text_table(
                 &[
                     "size (FE x DC)",
-                    "fast wall ms",
+                    "wall ms",
                     "iters",
                     "ms/iter",
-                    "dense wall ms",
-                    "rank-1 speedup"
+                    "us/var/iter"
                 ],
                 &rows
             )
+        );
+    }
+    if let Some(g) = &report.scaling {
+        println!(
+            "scaling guard: {}x{} costs {:.4} us per routing variable per iteration, \
+             {:.2}x the 1-thread {}x{} leg's {:.4} us (at most {}x)",
+            g.frontends,
+            g.datacenters,
+            g.large_us_per_var_iter,
+            g.ratio(),
+            solver_bench::SCALING_FRONTENDS,
+            solver_bench::SCALING_DATACENTERS,
+            g.seed_us_per_var_iter,
+            solver_bench::ScalingGuard::MAX_RATIO
         );
     }
     match &report.socket {
@@ -959,7 +965,9 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let path = PathBuf::from("BENCH_solver.json");
     std::fs::write(&path, report.to_json())?;
     println!("(written to {})\n", path.display());
-    report.cache.check()?;
+    if let Some(g) = report.scaling {
+        g.check()?;
+    }
     Ok(())
 }
 

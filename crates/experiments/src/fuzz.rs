@@ -9,17 +9,17 @@
 //!   datacenters, `p₀` below/above/crossing every grid price,
 //!   near-singular Hessians, infeasible totals);
 //! * the *engines* solve each valid case on the in-process solver (with
-//!   the sampled knob combination, again with reference knobs, and on the
-//!   KKT kernel the case did not draw), the lockstep and threaded
-//!   runtimes, and — on a sampled subset — the multi-process socket
-//!   runtime;
-//! * the *oracles* cross-check bit-identity between engines,
-//!   tolerance-equality between the rank-1 and dense KKT kernels,
-//!   feasibility of the polished point, the centralized QP's UFC value,
-//!   the generic matrix-form correction against the closed form, and that
-//!   invalid inputs are rejected with the **same typed error everywhere**;
+//!   the sampled thread count and again on one thread), the lockstep and
+//!   threaded runtimes, and — on a sampled subset — the multi-process
+//!   socket runtime;
+//! * the *oracles* cross-check bit-identity between engines, every exact
+//!   λ-row and a-column kernel against the dense active-set reference
+//!   steps, feasibility of the polished point, the centralized QP's UFC
+//!   value, the generic matrix-form correction against the closed form,
+//!   and that invalid inputs are rejected with the **same typed error
+//!   everywhere**;
 //! * the *shrinker* greedily simplifies any failing case (fewer
-//!   front-ends/datacenters, no storage, plainer tariffs, plainer knobs)
+//!   front-ends/datacenters, no storage, plainer tariffs, one thread)
 //!   while the failure *kind* reproduces, and persists the minimal
 //!   reproducer to the corpus under `tests/corpus/`.
 //!
@@ -30,17 +30,21 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use ufc_core::subproblems::{a_step, lambda_step, mu_step, nu_step, storage_step};
 use ufc_core::{
-    centralized, correction, generic, AdmgSettings, AdmgSolver, AdmgState, CoreError,
-    HistoryRecorder, IterationRecord, Strategy,
+    centralized, correction, generic, AColQp, AdmgSettings, AdmgSolver, AdmgState, CoreError,
+    HistoryRecorder, IterationRecord, LambdaQp, Strategy,
 };
 use ufc_distsim::{CorruptionConfig, DistributedAdmg, FaultPlan, NodeId, Runtime, SocketOptions};
+use ufc_linalg::Matrix;
 use ufc_model::generator::{arbitrary_params, InstanceParams, SplitMix64};
+use ufc_model::utility::disutility_rank1_gamma;
 use ufc_model::{EmissionCostFn, StorageParams, UfcInstance};
+use ufc_opt::{kkt, QuadObjective};
 
-/// Relative UFC tolerance between the rank-1 and dense KKT kernels: the
-/// rank-1 path reorders floating-point work.
-const TOLERANT_REL_TOL: f64 = 1e-6;
+/// Per-entry tolerance `KERNEL_TOL·(1 + |x|)` of the exact block kernels
+/// against the dense active-set reference steps.
+const KERNEL_TOL: f64 = 1e-9;
 /// Relative UFC tolerance against the centralized QP oracle (same gate as
 /// `repro verify`).
 const CENTRAL_REL_TOL: f64 = 5e-3;
@@ -65,10 +69,6 @@ pub struct FuzzCase {
     pub strategy: Strategy,
     /// Worker-thread count of the main leg (bit-identity knob).
     pub threads: usize,
-    /// Rank-1 KKT updates (tolerance-equal knob).
-    pub rank1_kkt: bool,
-    /// Blocked factorization kernels (bit-identity knob).
-    pub blocked: bool,
     /// Whether construction is expected to fail with a typed error.
     pub expect_reject: bool,
     /// Whether to also run the multi-process socket engine.
@@ -120,11 +120,12 @@ pub fn arbitrary_case(seed: u64) -> FuzzCase {
     let params = arbitrary_params(seed);
     let mut rng = SplitMix64::new(seed ^ 0xA5A5_5A5A_0F0F_F0F0);
     let threads = [1usize, 2, 4][rng.below(3)];
-    // The retired caching knob's draw: kept so every seed still maps to
-    // the case it produced when the knob existed.
+    // The draws of the retired caching, rank-1 KKT and blocked
+    // factorization knobs: kept so every seed still maps to the case it
+    // produced when the knobs existed.
     let _ = rng.chance(0.5);
-    let rank1_kkt = rng.chance(0.3);
-    let blocked = rng.chance(0.3);
+    let _ = rng.chance(0.3);
+    let _ = rng.chance(0.3);
     let strategy = {
         let r = rng.next_f64();
         if r < 0.6 {
@@ -148,8 +149,6 @@ pub fn arbitrary_case(seed: u64) -> FuzzCase {
         params,
         strategy,
         threads,
-        rank1_kkt,
-        blocked,
         expect_reject,
         socket,
         fault_seed,
@@ -158,10 +157,7 @@ pub fn arbitrary_case(seed: u64) -> FuzzCase {
 }
 
 fn settings_for(case: &FuzzCase) -> AdmgSettings {
-    AdmgSettings::default()
-        .with_threads(case.threads)
-        .with_rank1_kkt(case.rank1_kkt)
-        .with_blocked_factorizations(case.blocked)
+    AdmgSettings::default().with_threads(case.threads)
 }
 
 fn error_key(e: &CoreError) -> String {
@@ -236,6 +232,156 @@ fn pseudo_random_state(inst: &UfcInstance, rng: &mut SplitMix64) -> AdmgState {
     s
 }
 
+/// The per-block kernel oracle: from a pseudo-random iterate, every
+/// front-end's [`LambdaQp`] row and every datacenter's [`AColQp`] column
+/// must match the dense active-set reference steps
+/// (`subproblems::{lambda_step, a_step}`) to `KERNEL_TOL·(1 + |x|)`. The
+/// a-columns see the reference λ̃, μ̃, ν̃ and d̃, so each block is checked
+/// on exactly the problem its reference solved. A reference that fails is
+/// no verdict on the kernels: the leg is skipped.
+///
+/// The reference factors Hessian-shifted KKT systems (`ActiveSetQp`), which
+/// moves its answer by about `1e-11·max_j(ρ + γL_j²)·|x|/ρ` — past the
+/// tolerance on stiff rows (`γ ≳ 2e4`). So where the two disagree, the
+/// quadratic blocks are judged by their KKT certificates instead: the
+/// kernel fails only if its largest KKT residual exceeds the reference's.
+fn check_block_kernels(
+    inst: &UfcInstance,
+    strategy: Strategy,
+    rho: f64,
+    salt: usize,
+) -> Result<(), CaseFailure> {
+    let Ok((active_mu, active_nu)) = strategy.block_activation(inst) else {
+        return Ok(());
+    };
+    let mut rng = SplitMix64::new(0x0B10_C4ED ^ salt as u64);
+    let state = pseudo_random_state(inst, &mut rng);
+    let (m, n) = (state.m, state.n);
+    let Ok(lt) = lambda_step(inst, rho, &state) else {
+        return Ok(());
+    };
+    let mt = mu_step(inst, rho, &state, active_mu);
+    let nt = nu_step(inst, rho, &state, &mt, active_nu);
+    let dt = storage_step(inst, rho, &state, &mt, &nt);
+    let Ok(at) = a_step(inst, rho, &state, &lt, &mt, &nt, &dt) else {
+        return Ok(());
+    };
+    // `residual` is the block's KKT certificate. A NaN fails both tests, so
+    // a NaN entry fails the gate and a certificate of NaN leaves only
+    // agreement.
+    let compare = |block: String, got: &[f64], want: &[f64], residual: &dyn Fn(&[f64]) -> f64| {
+        let agree = got
+            .iter()
+            .zip(want)
+            .all(|(&x, &y)| (x - y).abs() <= KERNEL_TOL * (1.0 + y.abs()));
+        if agree {
+            return Ok(());
+        }
+        let (rk, rr) = (residual(got), residual(want));
+        if rk <= rr {
+            return Ok(());
+        }
+        Err(fail(
+            "kernel-oracle",
+            format!(
+                "{block}: kernel {got:?} (KKT residual {rk:e}) vs dense reference {want:?} \
+                 ({rr:e})"
+            ),
+        ))
+    };
+    let w = inst.weight_per_kserver();
+    for i in 0..m {
+        let (l, arrival) = (&inst.latency_s[i], inst.arrivals[i]);
+        let c: Vec<f64> = (0..n)
+            .map(|j| state.varphi[i * n + j] - rho * state.a[i * n + j])
+            .collect();
+        let row = LambdaQp::new(l, arrival, w, rho).solve(&c);
+        let gamma = disutility_rank1_gamma(w, arrival);
+        let residual = |x: &[f64]| block_kkt_residual(rho, gamma, l, &c, arrival, false, x);
+        compare(
+            format!("lambda[{i}]"),
+            &row,
+            &lt[i * n..(i + 1) * n],
+            &residual,
+        )?;
+    }
+    let ones = vec![1.0; m];
+    for j in 0..n {
+        let (beta, cap) = (inst.beta[j], inst.capacities[j]);
+        let drift = inst.alpha[j] - mt[j] - nt[j] - dt[j];
+        let c: Vec<f64> = (0..m)
+            .map(|i| {
+                -rho * lt[i * n + j] - state.varphi[i * n + j] - state.phi[j] * beta
+                    + rho * beta * drift
+            })
+            .collect();
+        let col = AColQp::new(m, rho, beta, cap, inst.queueing)
+            .solve(&c, None)
+            .map_err(|e| fail("kernel-oracle", format!("a[{j}] kernel fails: {e}")))?;
+        let want: Vec<f64> = (0..m).map(|i| at[i * n + j]).collect();
+        // The congested column is not a QP: both sides run the same FISTA
+        // solve, so only agreement counts.
+        let residual = |x: &[f64]| match inst.queueing {
+            None => block_kkt_residual(rho, rho * beta * beta, &ones, &c, cap, true, x),
+            Some(_) => f64::NAN,
+        };
+        compare(format!("a[{j}]"), &col, &want, &residual)?;
+    }
+    Ok(())
+}
+
+/// Largest KKT residual (`ufc_opt::kkt::qp_residuals`) of a block point `x`
+/// for `min ½ρ‖x‖² + ½γ(uᵀx)² + cᵀx` over `{x ≥ 0, Σx = s}`, or
+/// `{x ≥ 0, Σx ≤ s}` when `capped`. The all-ones row's multiplier is
+/// recovered from the gradient on the support (nonnegative and zero off a
+/// slack cap when `capped`), each bound's from its own gradient entry.
+fn block_kkt_residual(
+    rho: f64,
+    gamma: f64,
+    u: &[f64],
+    c: &[f64],
+    s: f64,
+    capped: bool,
+    x: &[f64],
+) -> f64 {
+    let n = x.len();
+    let f = QuadObjective::diag_rank1(vec![rho; n], gamma, u.to_vec(), c.to_vec(), 0.0);
+    let g = f.gradient(x);
+    let support: Vec<usize> = (0..n).filter(|&i| x[i] > 0.0).collect();
+    let mut v = if support.is_empty() {
+        g.iter().fold(f64::NEG_INFINITY, |v, &gi| v.max(-gi))
+    } else {
+        -support.iter().map(|&i| g[i]).sum::<f64>() / support.len() as f64
+    };
+    if capped {
+        let binding = x.iter().sum::<f64>() >= s * (1.0 - 1e-12);
+        v = if binding { v.max(0.0) } else { 0.0 };
+    }
+    let mut mults: Vec<f64> = (0..n)
+        .map(|i| if x[i] > 0.0 { 0.0 } else { g[i] + v })
+        .collect();
+    let bounds = Matrix::from_fn(n, n, |r, k| if r == k { -1.0 } else { 0.0 });
+    let ones = Matrix::from_fn(1, n, |_, _| 1.0);
+    let r = if capped {
+        mults.push(v);
+        let a_in = Matrix::from_fn(n + 1, n, |r, k| {
+            if r == n {
+                1.0
+            } else if r == k {
+                -1.0
+            } else {
+                0.0
+            }
+        });
+        let mut b_in = vec![0.0; n + 1];
+        b_in[n] = s;
+        kkt::qp_residuals(&f, &Matrix::zeros(0, n), &[], &a_in, &b_in, x, &[], &mults)
+    } else {
+        kkt::qp_residuals(&f, &ones, &[s], &bounds, &vec![0.0; n], x, &[v], &mults)
+    };
+    r.max()
+}
+
 /// Runs every engine and oracle on one case.
 ///
 /// `worker` is the `ufc-node` binary for the socket engine; `None` skips
@@ -281,12 +427,8 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     };
 
     let main_settings = settings_for(case);
-    // The bitwise knobs (threads, blocked) must not change a single bit;
-    // the reference leg therefore shares the tolerance-class rank-1 knob
-    // and resets only the bitwise ones.
-    let ref_settings = main_settings
-        .with_threads(1)
-        .with_blocked_factorizations(false);
+    // The thread count must not change a single bit.
+    let ref_settings = main_settings.with_threads(1);
     let mem = AdmgSolver::new(main_settings).solve(&inst, case.strategy);
     let reference = AdmgSolver::new(ref_settings).solve(&inst, case.strategy);
 
@@ -341,53 +483,17 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
         }
     };
 
-    // --- Knob contracts. Threads and blocked factorizations are bitwise
-    // knobs: flipping them must not change a single bit.
+    // --- Knob contract: the thread count is a bitwise knob.
     if mem.state != reference.state || mem.iterations != reference.iterations {
         return Err(fail(
             "knob-bitwise",
             format!(
-                "threads={} blocked={} must be bit-identical to threads=1 blocked=false \
-                 (iterations {} vs {})",
-                case.threads, case.blocked, mem.iterations, reference.iterations
+                "threads={} must be bit-identical to threads=1 (iterations {} vs {})",
+                case.threads, mem.iterations, reference.iterations
             ),
         ));
     }
-    // Rank-1 KKT is tolerance-equal to the dense kernel (it legitimately
-    // reorders floating-point work): every case is checked against the
-    // kernel it did not draw, so both directions stay covered.
-    let other = ref_settings.with_rank1_kkt(!case.rank1_kkt);
-    let kernel = |rank1: bool| if rank1 { "rank-1" } else { "dense" };
-    match AdmgSolver::new(other).solve(&inst, case.strategy) {
-        Ok(other_run) => {
-            let gap = rel_gap(mem.breakdown.ufc(), other_run.breakdown.ufc());
-            if gap > TOLERANT_REL_TOL || mem.converged != other_run.converged {
-                return Err(fail(
-                    "knob-tolerance",
-                    format!(
-                        "{} kernel drifts from {}: UFC {} vs {} (rel {gap:e}), \
-                         converged {} vs {}",
-                        kernel(case.rank1_kkt),
-                        kernel(other.rank1_kkt),
-                        mem.breakdown.ufc(),
-                        other_run.breakdown.ufc(),
-                        mem.converged,
-                        other_run.converged
-                    ),
-                ));
-            }
-        }
-        Err(e) => {
-            return Err(fail(
-                "knob-tolerance",
-                format!(
-                    "the {} kernel rejects (`{e}`) what the {} kernel solves",
-                    kernel(other.rank1_kkt),
-                    kernel(case.rank1_kkt)
-                ),
-            ));
-        }
-    }
+    check_block_kernels(&inst, case.strategy, main_settings.rho, mem.iterations)?;
 
     // --- Engine bit-identity: lockstep and threaded runtimes, same knobs.
     // Each engine streams its per-iterate residuals through an observer,
@@ -581,11 +687,10 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
                         format!("unverified engines fail differently: `{a}` vs `{b}`"),
                     ));
                 }
-                // `Subproblem` joined the allowed classes when the fault
-                // legs surfaced a real bug: NaN poison reaching a node's
-                // λ-/a-QP used to panic inside the worker instead of
-                // rejecting typed (`node.rs` now maps it to
-                // `CoreError::Subproblem`).
+                // The exact λ/a kernels turn poison into NaN blocks for
+                // the divergence gate; `Subproblem` stays allowed for the
+                // congested a-step's inner solve, the one kernel that can
+                // still fail.
                 let typed = matches!(
                     a,
                     CoreError::Divergence { .. }
@@ -808,13 +913,10 @@ fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         c.params.slot_hours = 1.0;
         out.push(c);
     }
-    // Knobs toward the plainest combination: one thread, dense unblocked
-    // kernels (kept only if the failure still fires).
-    if case.threads != 1 || case.rank1_kkt || case.blocked {
+    // One thread (kept only if the failure still fires).
+    if case.threads != 1 {
         let mut c = case.clone();
         c.threads = 1;
-        c.rank1_kkt = false;
-        c.blocked = false;
         out.push(c);
     }
     if case.socket {
@@ -903,8 +1005,6 @@ pub fn encode_case(case: &FuzzCase, note: &str) -> String {
     }
     let _ = writeln!(out, "strategy = {:?}", case.strategy);
     let _ = writeln!(out, "threads = {}", case.threads);
-    let _ = writeln!(out, "rank1_kkt = {}", case.rank1_kkt);
-    let _ = writeln!(out, "blocked = {}", case.blocked);
     let _ = writeln!(out, "socket = {}", case.socket);
     if let Some(fseed) = case.fault_seed {
         let _ = writeln!(out, "fault_seed = {fseed}");
@@ -995,7 +1095,7 @@ fn parse_emission(s: &str) -> Result<EmissionCostFn, String> {
 pub fn decode_case(text: &str) -> Result<FuzzCase, String> {
     let mut strategy = None;
     let mut threads = 1usize;
-    let (mut rank1_kkt, mut blocked, mut socket) = (false, false, false);
+    let mut socket = false;
     let (mut fault_seed, mut corrupt_seed) = (None, None);
     let mut expect_reject = None;
     let mut fields: std::collections::HashMap<&str, Vec<f64>> = std::collections::HashMap::new();
@@ -1023,8 +1123,6 @@ pub fn decode_case(text: &str) -> Result<FuzzCase, String> {
                 });
             }
             "threads" => threads = value.parse().map_err(|e| format!("threads: {e}"))?,
-            "rank1_kkt" => rank1_kkt = value.parse().map_err(|e| format!("rank1_kkt: {e}"))?,
-            "blocked" => blocked = value.parse().map_err(|e| format!("blocked: {e}"))?,
             "socket" => socket = value.parse().map_err(|e| format!("socket: {e}"))?,
             "fault_seed" => {
                 fault_seed = Some(value.parse().map_err(|e| format!("fault_seed: {e}"))?);
@@ -1100,8 +1198,6 @@ pub fn decode_case(text: &str) -> Result<FuzzCase, String> {
         params,
         strategy: strategy.ok_or("missing strategy")?,
         threads,
-        rank1_kkt,
-        blocked,
         expect_reject: expect_reject.ok_or("missing expect")?,
         socket,
         fault_seed,
@@ -1337,10 +1433,11 @@ pub fn mutate_case(base: &FuzzCase, rng: &mut SplitMix64) -> FuzzCase {
             }
             5 => {
                 case.threads = [1usize, 2, 4][rng.below(3)];
-                // Retired caching knob: its draw keeps mutants stable.
+                // Retired caching, rank-1 and blocked knobs: their draws
+                // keep mutants stable.
                 let _ = rng.chance(0.5);
-                case.rank1_kkt = rng.chance(0.5);
-                case.blocked = rng.chance(0.5);
+                let _ = rng.chance(0.5);
+                let _ = rng.chance(0.5);
             }
             6 => case.params.fuel_cell_price *= rng.uniform(0.25, 4.0),
             _ => case.params.slot_hours *= rng.uniform(0.5, 2.0),
@@ -1366,20 +1463,18 @@ mod tests {
     }
 
     /// Pins the knob draws of a few seeds to the values they had while the
-    /// caching knob existed: dropping its draw would shift the later knobs
-    /// of every seed.
+    /// caching, rank-1 KKT and blocked-factorization knobs existed:
+    /// dropping their draws would shift the later knobs of every seed.
     #[test]
     fn knob_draws_stay_pinned_to_their_seeds() {
-        type Knobs = (usize, bool, bool, Strategy, bool, Option<u64>, Option<u64>);
+        type Knobs = (usize, Strategy, bool, Option<u64>, Option<u64>);
         let pinned: [(u64, Knobs); 6] = [
-            (0, (4, false, true, Strategy::GridOnly, false, None, None)),
-            (7, (2, true, false, Strategy::Hybrid, false, None, None)),
+            (0, (4, Strategy::GridOnly, false, None, None)),
+            (7, (2, Strategy::Hybrid, false, None, None)),
             (
                 42,
                 (
                     2,
-                    true,
-                    true,
                     Strategy::Hybrid,
                     false,
                     Some(4_423_767_079_305_008_140),
@@ -1390,8 +1485,6 @@ mod tests {
                 777,
                 (
                     2,
-                    false,
-                    false,
                     Strategy::Hybrid,
                     false,
                     Some(8_037_712_325_510_734_474),
@@ -1402,8 +1495,6 @@ mod tests {
                 2012,
                 (
                     2,
-                    false,
-                    true,
                     Strategy::Hybrid,
                     false,
                     None,
@@ -1414,8 +1505,6 @@ mod tests {
                 123_456_789,
                 (
                     4,
-                    false,
-                    false,
                     Strategy::GridOnly,
                     true,
                     None,
@@ -1427,8 +1516,6 @@ mod tests {
             let c = arbitrary_case(seed);
             let drawn = (
                 c.threads,
-                c.rank1_kkt,
-                c.blocked,
                 c.strategy,
                 c.socket,
                 c.fault_seed,
@@ -1443,6 +1530,15 @@ mod tests {
         let text = encode_case(&arbitrary_case(0), "retired key");
         let err = decode_case(&format!("cache = true\n{text}")).unwrap_err();
         assert!(err.contains("cache"), "{err}");
+    }
+
+    #[test]
+    fn codec_rejects_the_retired_kernel_keys() {
+        let text = encode_case(&arbitrary_case(0), "retired keys");
+        for key in ["rank1_kkt", "blocked"] {
+            let err = decode_case(&format!("{key} = true\n{text}")).unwrap_err();
+            assert!(err.contains(key), "{err}");
+        }
     }
 
     #[test]

@@ -7,22 +7,13 @@
 //! 2. **parallel** — `threads` workers. The headline configuration written
 //!    to `BENCH_solver.json`.
 //!
-//! One more, untimed pass of the sequential leg runs on the dense KKT
-//! kernel (rank-1 off; the default rank-1 kernel factors nothing) with
-//! telemetry on (which leaves the iterates bit-identical) to count KKT
-//! factorizations and warm starts; [`CacheCounters::check`] fails the bench
-//! when the leg re-factors or cold-starts the way a solver without
-//! factorization caching or warm starts would.
-//!
 //! On top of the seed-size legs, the bench walks a **size trajectory**
 //! (front-ends × datacenters, up to 1024 × 32, one hour per size, single
-//! repetition): each size is timed on the default kernels (rank-1 KKT +
-//! blocked factorizations), and sizes up to [`DENSE_CEILING`]
-//! front-ends are also timed with the rank-1 path off, yielding a measured
-//! dense-vs-rank-1 speedup. Beyond the ceiling the dense reference is intractable by
-//! construction (`O(n³)` per working-set change) — those entries report
-//! the fast-path wall-clock only and the JSON says so explicitly with a
-//! `null` instead of a silently extrapolated number.
+//! repetition). [`ScalingGuard::check`] fails the bench when the largest
+//! size's cost per routing variable per iteration outgrows the sequential
+//! seed leg's by more than [`ScalingGuard::MAX_RATIO`]: the two are
+//! measured in one process, so the ratio cancels the host's speed and
+//! flags a kernel that scales superlinearly in the block size.
 //!
 //! Results go through [`BenchReport::to_json`] — a hand-rolled writer, so
 //! the harness stays dependency-free.
@@ -47,9 +38,9 @@ pub enum BenchError {
         /// Iterations of the socket run.
         socket_iterations: usize,
     },
-    /// The sequential leg re-factored or cold-started like a solver without
-    /// factorization caching or warm starts.
-    CacheRegression(CacheCounters),
+    /// The largest trajectory leg's cost per routing variable outgrew the
+    /// seed leg's beyond [`ScalingGuard::MAX_RATIO`].
+    ScalingRegression(ScalingGuard),
 }
 
 impl fmt::Display for BenchError {
@@ -64,14 +55,16 @@ impl fmt::Display for BenchError {
                 "socket engine ran {socket_iterations} iterations where the threaded engine \
                  ran {threaded_iterations}"
             ),
-            BenchError::CacheRegression(c) => write!(
+            BenchError::ScalingRegression(g) => write!(
                 f,
-                "bench regression: {:.1} KKT factorizations per iteration (at most {}) and \
-                 {:.3} of warm starts accepted (at least {})",
-                c.factorizations_per_iter,
-                CacheCounters::MAX_FACTORIZATIONS_PER_ITER,
-                c.warm_start_accept_ratio,
-                CacheCounters::MIN_WARM_START_ACCEPT_RATIO,
+                "bench regression: {}x{} costs {:.4} us per routing variable per iteration, \
+                 {:.2}x the 1-thread 32x4 leg's {:.4} us (at most {}x)",
+                g.frontends,
+                g.datacenters,
+                g.large_us_per_var_iter,
+                g.ratio(),
+                g.seed_us_per_var_iter,
+                ScalingGuard::MAX_RATIO,
             ),
         }
     }
@@ -85,38 +78,63 @@ impl From<CoreError> for BenchError {
     }
 }
 
-/// KKT-cache and warm-start counters of the sequential leg on the dense
-/// kernel, taken from one untimed pass with telemetry on.
+/// The scaling check of `repro bench`: cost per routing variable per
+/// ADM-G iteration of the largest trajectory leg against the sequential
+/// seed leg, both measured in the same process.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheCounters {
-    /// KKT factorizations (cache misses) per ADM-G iteration.
-    pub factorizations_per_iter: f64,
-    /// Share of warm-start candidates the feasibility gates accepted; `0`
-    /// when no candidate was offered.
-    pub warm_start_accept_ratio: f64,
+pub struct ScalingGuard {
+    /// Front-ends of the largest trajectory leg.
+    pub frontends: usize,
+    /// Datacenters of the largest trajectory leg.
+    pub datacenters: usize,
+    /// Its microseconds per routing variable per iteration.
+    pub large_us_per_var_iter: f64,
+    /// The same cost of the 1-thread 32 × 4 seed leg.
+    pub seed_us_per_var_iter: f64,
 }
 
-impl CacheCounters {
-    /// Most KKT factorizations per ADM-G iteration [`Self::check`] accepts.
-    /// The cached leg does 1.6 (24 hours) to 3.4 (`--quick`); re-factoring
-    /// every working set of every block costs over 200.
-    pub const MAX_FACTORIZATIONS_PER_ITER: f64 = 10.0;
-    /// Smallest warm-start accept ratio [`Self::check`] accepts. The cached
-    /// leg accepts 0.99; cold-starting every block accepts none.
-    pub const MIN_WARM_START_ACCEPT_RATIO: f64 = 0.9;
+impl ScalingGuard {
+    /// Largest ratio [`Self::check`] accepts. Ten `repro bench --quick`
+    /// runs (256 × 8 on 2 threads against 32 × 4 on 1, seed 2012, on a
+    /// 2-vCPU VM) read 1.75, 1.34, 1.63, 1.57, 1.38, 1.68, 1.05, 1.50,
+    /// 1.07 and 1.38; the bound is 1.71× the largest. The active-set
+    /// kernels the exact ones replaced read 5.65, 5.00, 4.98, 5.21 and 7.87
+    /// in five runs on the same host.
+    pub const MAX_RATIO: f64 = 3.0;
 
-    /// Fails unless the leg reuses KKT factorizations and warm starts.
+    /// Builds the guard from the largest leg (by routing variables) and the
+    /// sequential seed leg; `None` without trajectory legs.
+    #[must_use]
+    pub fn from_legs(sizes: &[SizeLeg], seed: &BenchLeg) -> Option<Self> {
+        let large = sizes
+            .iter()
+            .max_by_key(|leg| leg.frontends * leg.datacenters)?;
+        Some(ScalingGuard {
+            frontends: large.frontends,
+            datacenters: large.datacenters,
+            large_us_per_var_iter: large.us_per_var_iter(),
+            seed_us_per_var_iter: 1e3 * seed.wall_ms
+                / seed.iters.max(1) as f64
+                / (SCALING_FRONTENDS * SCALING_DATACENTERS) as f64,
+        })
+    }
+
+    /// Large-leg cost over seed-leg cost, per variable and iteration.
+    #[must_use]
+    pub fn ratio(&self) -> f64 {
+        self.large_us_per_var_iter / self.seed_us_per_var_iter
+    }
+
+    /// Fails when the ratio exceeds [`Self::MAX_RATIO`] (or is NaN).
     ///
     /// # Errors
     ///
-    /// [`BenchError::CacheRegression`] carrying both counters.
+    /// [`BenchError::ScalingRegression`] carrying the guard.
     pub fn check(self) -> Result<(), BenchError> {
-        if self.factorizations_per_iter <= Self::MAX_FACTORIZATIONS_PER_ITER
-            && self.warm_start_accept_ratio >= Self::MIN_WARM_START_ACCEPT_RATIO
-        {
+        if self.ratio() <= Self::MAX_RATIO {
             Ok(())
         } else {
-            Err(BenchError::CacheRegression(self))
+            Err(BenchError::ScalingRegression(self))
         }
     }
 }
@@ -134,38 +152,30 @@ pub struct BenchLeg {
     pub iters: usize,
 }
 
-/// One instance size of the scaling trajectory, timed with every fast path
-/// engaged (and, where tractable, with the dense reference KKT path).
+/// One instance size of the scaling trajectory.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeLeg {
     /// Front-ends (`m`).
     pub frontends: usize,
     /// Datacenters (`n`).
     pub datacenters: usize,
-    /// Wall-clock of the fast configuration (milliseconds, one hour,
-    /// single repetition).
+    /// Wall-clock (milliseconds, one hour, single repetition).
     pub wall_ms: f64,
-    /// ADM-G iterations of the fast configuration.
+    /// ADM-G iterations.
     pub iters: usize,
-    /// Wall-clock with the rank-1 fast path off (dense cached KKT solves);
-    /// `None` above [`DENSE_CEILING`] front-ends, where the dense path is
-    /// intractable.
-    pub dense_wall_ms: Option<f64>,
-    /// Iterations of the dense leg, when it ran.
-    pub dense_iters: Option<usize>,
 }
 
 impl SizeLeg {
-    /// Fast-path wall-clock per ADM-G iteration (milliseconds).
+    /// Wall-clock per ADM-G iteration (milliseconds).
     #[must_use]
     pub fn per_iter_ms(&self) -> f64 {
         self.wall_ms / self.iters.max(1) as f64
     }
 
-    /// Measured dense-over-fast speedup, when the dense leg ran.
+    /// Microseconds per routing variable (`m·n`) per ADM-G iteration.
     #[must_use]
-    pub fn dense_speedup(&self) -> Option<f64> {
-        self.dense_wall_ms.map(|d| d / self.wall_ms)
+    pub fn us_per_var_iter(&self) -> f64 {
+        1e3 * self.per_iter_ms() / (self.frontends * self.datacenters) as f64
     }
 }
 
@@ -216,9 +226,9 @@ impl SocketLatency {
     }
 }
 
-/// The full comparison: the two seed-size legs with the sequential leg's
-/// cache counters, the size trajectory, and (when the `ufc-node` worker
-/// binary is available) the socket-engine per-iteration latency.
+/// The full comparison: the two seed-size legs, the size trajectory with
+/// its scaling guard, and (when the `ufc-node` worker binary is available)
+/// the socket-engine per-iteration latency.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Hours (instances) in the workload.
@@ -227,10 +237,10 @@ pub struct BenchReport {
     pub sequential: BenchLeg,
     /// The solver at the requested thread count.
     pub parallel: BenchLeg,
-    /// KKT-cache and warm-start counters of the sequential leg.
-    pub cache: CacheCounters,
     /// The size trajectory (empty when not requested).
     pub sizes: Vec<SizeLeg>,
+    /// The scaling guard over [`Self::sizes`]; `None` without them.
+    pub scaling: Option<ScalingGuard>,
     /// Socket-vs-threaded per-iteration latency; `None` when the worker
     /// binary is unavailable (the bench then skips the measurement rather
     /// than failing).
@@ -242,35 +252,42 @@ impl BenchReport {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\n  \"workload\": \"admg_scaling\",\n  \"hours\": {},\n  \"threads\": {},\n  \"wall_ms\": {:.3},\n  \"iters\": {},\n  \"sequential_wall_ms\": {:.3},\n  \"kkt_factorizations_per_iter\": {:.3},\n  \"warm_start_accept_ratio\": {:.4},\n",
+            "{{\n  \"workload\": \"admg_scaling\",\n  \"hours\": {},\n  \"threads\": {},\n  \"wall_ms\": {:.3},\n  \"iters\": {},\n  \"sequential_wall_ms\": {:.3},\n",
             self.hours,
             self.parallel.threads,
             self.parallel.wall_ms,
             self.parallel.iters,
             self.sequential.wall_ms,
-            self.cache.factorizations_per_iter,
-            self.cache.warm_start_accept_ratio,
         );
         out.push_str("  \"sizes\": [");
         for (k, leg) in self.sizes.iter().enumerate() {
-            let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".to_owned());
             out.push_str(&format!(
-                "{}\n    {{\"frontends\": {}, \"datacenters\": {}, \"wall_ms\": {:.3}, \"iters\": {}, \"per_iter_ms\": {:.4}, \"dense_wall_ms\": {}, \"dense_iters\": {}, \"dense_speedup\": {}}}",
+                "{}\n    {{\"frontends\": {}, \"datacenters\": {}, \"wall_ms\": {:.3}, \"iters\": {}, \"per_iter_ms\": {:.4}, \"us_per_var_iter\": {:.4}}}",
                 if k == 0 { "" } else { "," },
                 leg.frontends,
                 leg.datacenters,
                 leg.wall_ms,
                 leg.iters,
                 leg.per_iter_ms(),
-                or_null(leg.dense_wall_ms.map(|d| format!("{d:.3}"))),
-                or_null(leg.dense_iters.map(|i| i.to_string())),
-                or_null(leg.dense_speedup().map(|s| format!("{s:.3}"))),
+                leg.us_per_var_iter(),
             ));
         }
         if self.sizes.is_empty() {
             out.push_str("],\n");
         } else {
             out.push_str("\n  ],\n");
+        }
+        match &self.scaling {
+            Some(g) => out.push_str(&format!(
+                "  \"scaling_guard\": {{\"frontends\": {}, \"datacenters\": {}, \"us_per_var_iter\": {:.4}, \"seed_us_per_var_iter\": {:.4}, \"ratio\": {:.3}, \"max_ratio\": {}}},\n",
+                g.frontends,
+                g.datacenters,
+                g.large_us_per_var_iter,
+                g.seed_us_per_var_iter,
+                g.ratio(),
+                ScalingGuard::MAX_RATIO,
+            )),
+            None => out.push_str("  \"scaling_guard\": null,\n"),
         }
         match &self.socket {
             Some(s) => out.push_str(&format!(
@@ -294,6 +311,9 @@ impl BenchReport {
 /// a-QP (one variable per front-end) dominates each iteration the way it
 /// would in a large deployment.
 pub const SCALING_FRONTENDS: usize = 32;
+
+/// Datacenters in the `admg_scaling` workload: the paper's four.
+pub const SCALING_DATACENTERS: usize = 4;
 
 /// Widens an hourly instance to `m_wide` front-ends by tiling the
 /// paper-default front-end set: arrivals are rescaled so the total
@@ -409,20 +429,13 @@ pub fn admg_scaling_sized(
 }
 
 /// The scaling trajectory: (front-ends, datacenters) per size, from the
-/// seed-bench size up to the ~100×-scaled 1024 × 32 instance.
-pub const TRAJECTORY: &[(usize, usize)] = &[(32, 4), (128, 8), (512, 16), (1024, 32)];
+/// seed-bench size up to the ~100×-scaled 1024 × 32 instance, through the
+/// `--quick` smoke's 256 × 8.
+pub const TRAJECTORY: &[(usize, usize)] = &[(32, 4), (128, 8), (256, 8), (512, 16), (1024, 32)];
 
-/// The CI smoke trajectory: one genuinely scaled size, chosen *above*
-/// [`DENSE_CEILING`] so the smoke times only the fast path — the dense
-/// reference leg at 128 front-ends alone takes ~9 minutes and belongs in
-/// the full trajectory, not an interactive `repro bench --quick`.
+/// The CI smoke trajectory: one genuinely scaled size, 16× the seed leg's
+/// routing variables, which the scaling guard compares against it.
 pub const QUICK_TRAJECTORY: &[(usize, usize)] = &[(256, 8)];
-
-/// Largest front-end count at which the dense reference leg (rank-1 fast
-/// path off) is still timed. Beyond this the dense path's `O(n³)`-per-
-/// working-set-change cost makes the leg intractable — the trajectory
-/// reports `null` for it rather than an extrapolated guess.
-pub const DENSE_CEILING: usize = 128;
 
 /// Timed repetitions per leg; the fastest repetition is reported, which
 /// filters out scheduler and frequency-scaling noise.
@@ -451,41 +464,6 @@ fn time_leg(instances: &[UfcInstance], settings: AdmgSettings) -> BenchLeg {
     }
 }
 
-/// The dense reference kernel (rank-1 off) at `threads` workers. The size
-/// trajectory's dense legs time it and the cache-counter pass runs it: the
-/// default rank-1 kernel does no factorizations, so on it the pass could
-/// not tell a working factorization cache from a disabled one.
-fn dense_kernel(threads: usize) -> AdmgSettings {
-    AdmgSettings::default()
-        .with_threads(threads)
-        .with_rank1_kkt(false)
-}
-
-/// Solves every instance once more with telemetry on (the iterates stay
-/// bit-identical) and sums the KKT-cache and warm-start counters.
-fn cache_counters(instances: &[UfcInstance], settings: AdmgSettings) -> CacheCounters {
-    let solver = AdmgSolver::new(settings.with_telemetry(true));
-    let (mut iterations, mut misses, mut accepted, mut offered) = (0u64, 0u64, 0u64, 0u64);
-    for inst in instances {
-        let telemetry = solver
-            .solve(inst, Strategy::Hybrid)
-            .expect("bench solve failed")
-            .telemetry
-            .expect("telemetry was requested");
-        let c = telemetry.solver;
-        iterations += telemetry.iterations;
-        misses += c.kkt_cache_misses;
-        accepted += c.warm_starts_accepted;
-        offered += c.warm_starts_accepted + c.warm_starts_rejected;
-    }
-    // Each numerator is 0 whenever its denominator is, so this yields 0.
-    let ratio = |num: u64, den: u64| num as f64 / den.max(1) as f64;
-    CacheCounters {
-        factorizations_per_iter: ratio(misses, iterations),
-        warm_start_accept_ratio: ratio(accepted, offered),
-    }
-}
-
 /// Times one pass over the instances (no repetition — the trajectory's
 /// larger sizes are too slow to triplicate and their runtimes are long
 /// enough to swamp scheduler noise anyway).
@@ -502,9 +480,7 @@ fn time_once(instances: &[UfcInstance], settings: AdmgSettings) -> (f64, usize) 
     (start.elapsed().as_secs_f64() * 1e3, iters)
 }
 
-/// Walks the size trajectory: one hour per size, fast configuration
-/// (rank-1 + blocked) at `threads` workers, plus the dense reference leg up
-/// to [`DENSE_CEILING`] front-ends.
+/// Walks the size trajectory: one hour per size at `threads` workers.
 ///
 /// # Errors
 ///
@@ -514,25 +490,16 @@ pub fn size_trajectory(
     threads: usize,
     sizes: &[(usize, usize)],
 ) -> Result<Vec<SizeLeg>, ufc_model::ModelError> {
-    let fast = AdmgSettings::default().with_threads(threads);
-    let dense = dense_kernel(threads);
+    let settings = AdmgSettings::default().with_threads(threads);
     let mut legs = Vec::with_capacity(sizes.len());
     for &(m, n) in sizes {
         let instances = admg_scaling_sized(seed, 1, m, n)?;
-        let (wall_ms, iters) = time_once(&instances, fast);
-        let (dense_wall_ms, dense_iters) = if m <= DENSE_CEILING {
-            let (w, i) = time_once(&instances, dense);
-            (Some(w), Some(i))
-        } else {
-            (None, None)
-        };
+        let (wall_ms, iters) = time_once(&instances, settings);
         legs.push(SizeLeg {
             frontends: m,
             datacenters: n,
             wall_ms,
             iters,
-            dense_wall_ms,
-            dense_iters,
         });
     }
     Ok(legs)
@@ -589,11 +556,10 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     }))
 }
 
-/// Runs the two seed-size legs and the cache-counter pass on the
-/// `admg_scaling` workload, then walks the requested size trajectory (pass
-/// `&[]` to skip it). The socket latency section is left `None`; callers
-/// with a worker binary stitch it in via [`socket_latency`]. The caller
-/// applies [`CacheCounters::check`].
+/// Runs the two seed-size legs on the `admg_scaling` workload, then walks
+/// the requested size trajectory (pass `&[]` to skip it). The socket
+/// latency section is left `None`; callers with a worker binary stitch it
+/// in via [`socket_latency`]. The caller applies [`ScalingGuard::check`].
 ///
 /// # Errors
 ///
@@ -610,12 +576,15 @@ pub fn run(
     // Warm-up pass so first-touch effects (page faults, lazy init) land
     // outside every timed leg equally.
     let _ = time_leg(&instances[..1.min(instances.len())], seq);
+    let sequential = time_leg(&instances, seq);
+    let parallel = time_leg(&instances, par);
+    let sizes = size_trajectory(seed, threads, sizes)?;
     Ok(BenchReport {
         hours: instances.len(),
-        sequential: time_leg(&instances, seq),
-        parallel: time_leg(&instances, par),
-        cache: cache_counters(&instances, dense_kernel(1)),
-        sizes: size_trajectory(seed, threads, sizes)?,
+        sequential,
+        parallel,
+        scaling: ScalingGuard::from_legs(&sizes, &sequential),
+        sizes,
         socket: None,
     })
 }
@@ -632,66 +601,37 @@ mod tests {
         // Thread counts are bit-transparent, so both legs run the same
         // iterations.
         assert_eq!(report.sequential.iters, report.parallel.iters);
-        report.cache.check().unwrap();
-        assert!(
-            report.cache.factorizations_per_iter > 0.0,
-            "the counter pass must run the dense kernel: {:?}",
-            report.cache
-        );
+        assert!(report.scaling.is_none(), "no trajectory, nothing to guard");
         let json = report.to_json();
         let width = WorkerPool::new(2).threads();
         assert!(json.contains(&format!("\"threads\": {width},")), "{json}");
         assert!(json.contains("\"wall_ms\""));
-        assert!(json.contains("\"kkt_factorizations_per_iter\""));
-        assert!(json.contains("\"warm_start_accept_ratio\""));
         assert!(json.contains("\"sizes\": []"));
+        assert!(json.contains("\"scaling_guard\": null"));
         assert!(json.contains("\"socket_engine\": null"));
     }
 
-    /// The trajectory's dense legs and the cache-counter pass run with
-    /// rank-1 off. On the default rank-1 kernel the counter pass reads 0
-    /// factorizations per iteration, which a disabled cache reads too.
-    #[test]
-    fn dense_legs_run_with_rank1_off() {
-        assert!(AdmgSettings::default().rank1_kkt);
-        let dense = dense_kernel(2);
-        assert!(!dense.rank1_kkt && dense.num_threads == 2);
-        let instances = admg_scaling(2012, 1).unwrap();
-        let rank1 = cache_counters(&instances, AdmgSettings::default());
-        assert_eq!(rank1.factorizations_per_iter, 0.0);
-        let counted = cache_counters(&instances, dense_kernel(1));
-        assert!(counted.factorizations_per_iter > 0.0, "{counted:?}");
-        counted.check().unwrap();
+    fn guard(large_us_per_var_iter: f64) -> ScalingGuard {
+        ScalingGuard {
+            frontends: 256,
+            datacenters: 8,
+            large_us_per_var_iter,
+            seed_us_per_var_iter: 0.215,
+        }
     }
 
     #[test]
-    fn cache_check_rejects_uncached_counters() {
-        // What the solver did with factorization caching and warm starts
-        // switched off: ~216 factorizations per iteration, no warm starts.
-        let uncached = CacheCounters {
-            factorizations_per_iter: 216.0,
-            warm_start_accept_ratio: 0.0,
-        };
+    fn scaling_check_rejects_superlinear_cost() {
+        // What the active-set kernels cost at 256×8 against 32×4 on the
+        // reference host: 4.58 ms per iteration over 2048 variables.
+        let active_set = guard(4580.0 / 2048.0);
+        assert!(active_set.ratio() > 10.0);
         assert!(matches!(
-            uncached.check(),
-            Err(BenchError::CacheRegression(c)) if c == uncached
+            active_set.check(),
+            Err(BenchError::ScalingRegression(g)) if g == active_set
         ));
-        // Either counter alone trips the check.
-        let cached = CacheCounters {
-            factorizations_per_iter: 1.6,
-            warm_start_accept_ratio: 0.995,
-        };
-        assert!(cached.check().is_ok());
-        let cold = CacheCounters {
-            warm_start_accept_ratio: 0.0,
-            ..cached
-        };
-        assert!(cold.check().is_err());
-        let refactoring = CacheCounters {
-            factorizations_per_iter: 216.0,
-            ..cached
-        };
-        assert!(refactoring.check().is_err());
+        assert!(guard(0.3).check().is_ok());
+        assert!(guard(f64::NAN).check().is_err());
     }
 
     #[test]
@@ -720,34 +660,30 @@ mod tests {
     }
 
     #[test]
-    fn size_trajectory_reports_dense_leg_only_below_ceiling() {
-        let legs = size_trajectory(2012, 1, &[(32, 4), (256, 8)]).unwrap();
+    fn size_trajectory_feeds_the_scaling_guard() {
+        let legs = size_trajectory(2012, 1, &[(32, 4), (64, 8)]).unwrap();
         assert_eq!(legs.len(), 2);
-        assert!(legs[0].dense_wall_ms.is_some(), "32 ≤ ceiling: dense timed");
-        assert!(legs[1].dense_wall_ms.is_none(), "256 > ceiling: dense null");
         assert!(legs.iter().all(|l| l.wall_ms > 0.0 && l.iters > 0));
-        let leg = BenchLeg {
+        let seed = BenchLeg {
             threads: 1,
-            wall_ms: 1.0,
-            iters: 1,
+            wall_ms: legs[0].wall_ms,
+            iters: legs[0].iters,
         };
         let report = BenchReport {
             hours: 1,
-            sequential: leg,
-            parallel: leg,
-            cache: CacheCounters {
-                factorizations_per_iter: 1.0,
-                warm_start_accept_ratio: 1.0,
-            },
+            sequential: seed,
+            parallel: seed,
+            scaling: ScalingGuard::from_legs(&legs, &seed),
             sizes: legs,
             socket: None,
         };
+        let g = report.scaling.expect("legs were timed");
+        assert_eq!((g.frontends, g.datacenters), (64, 8), "the largest leg");
+        assert!((g.seed_us_per_var_iter - report.sizes[0].us_per_var_iter()).abs() < 1e-12);
         let json = report.to_json();
-        assert!(json.contains("\"frontends\": 256"));
-        assert!(json.contains("\"dense_wall_ms\": null"));
-        assert!(json.contains("\"dense_iters\": null"));
-        assert!(json.contains("\"dense_speedup\": null"));
-        let dense_iters = report.sizes[0].dense_iters.expect("32 ≤ ceiling");
-        assert!(json.contains(&format!("\"dense_iters\": {dense_iters},")));
+        assert!(json.contains("\"frontends\": 64"));
+        assert!(json.contains("\"us_per_var_iter\""));
+        assert!(json.contains("\"scaling_guard\": {\"frontends\": 64"));
+        assert!(!json.contains("dense"), "{json}");
     }
 }

@@ -83,6 +83,10 @@ pub struct TraceOutput {
     pub iterations: usize,
     /// Whether the run converged before the iteration cap.
     pub converged: bool,
+    /// Prediction blocks per iteration, one per front-end and one per
+    /// datacenter (`m + n`): the worker-pool tasks an in-process iteration
+    /// dispatches.
+    pub blocks: usize,
 }
 
 /// The deterministic fault script the `faulty` trace engine runs under:
@@ -184,13 +188,15 @@ pub fn run(
         telemetry,
         iterations,
         converged,
+        blocks: instance.m_frontends() + instance.n_datacenters(),
     })
 }
 
 /// Validates a finished trace: every line is well-formed JSON, the line
 /// count matches the iteration count, every phase histogram saw every
-/// iteration with non-zero total time, and the counter groups the engine
-/// can observe all moved.
+/// iteration with non-zero total time, the counter groups the engine can
+/// observe all moved, and in process the pool ran exactly one task per
+/// prediction block per iteration.
 ///
 /// # Errors
 ///
@@ -232,16 +238,17 @@ pub fn check(out: &TraceOutput) -> Result<(), String> {
     // The threaded and socket engines host the kernels in worker threads /
     // processes, so the coordinator-side solver counters read 0.
     let solver_observable = !matches!(out.engine, TraceEngine::Threaded | TraceEngine::Sockets);
-    if solver_observable {
-        let s = &t.solver;
-        if s.kkt_cache_hits + s.kkt_cache_misses + s.kkt_rank1_solves == 0 {
-            return Err("KKT solve counters never moved".to_owned());
-        }
-        if s.pool_maps == 0 {
-            return Err("worker-pool counters never moved".to_owned());
-        }
+    if solver_observable && t.solver.pool_maps == 0 {
+        return Err("worker-pool counters never moved".to_owned());
     }
     if out.engine == TraceEngine::InProcess {
+        let expected = (out.blocks as u64) * t.iterations;
+        if t.solver.pool_tasks != expected {
+            return Err(format!(
+                "pool ran {} tasks, expected {} blocks x {} iterations = {expected}",
+                t.solver.pool_tasks, out.blocks, t.iterations
+            ));
+        }
         if t.traffic.is_some() {
             return Err("in-process run reported traffic counters".to_owned());
         }
@@ -609,13 +616,12 @@ mod tests {
             .expect("summary")
             .contains("\"type\":\"summary\""));
         assert!(out.lines[0].contains("\"type\":\"iteration\""));
-        // The default rank-1 kernel moves only the Sherman–Morrison count;
-        // the check still fails once no KKT solve was counted at all.
+        // One pool task per front-end and per datacenter each iteration
+        // (14 at 10×4); one task more or fewer fails the check.
+        assert_eq!(out.blocks, 14);
         let mut out = out;
-        let s = &mut out.telemetry.solver;
-        assert!(s.kkt_rank1_solves > 0 && s.kkt_cache_hits + s.kkt_cache_misses == 0);
-        s.kkt_rank1_solves = 0;
-        assert_eq!(check(&out).unwrap_err(), "KKT solve counters never moved");
+        out.telemetry.solver.pool_tasks += 1;
+        assert!(check(&out).unwrap_err().starts_with("pool ran"));
     }
 
     #[test]

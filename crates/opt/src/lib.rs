@@ -38,7 +38,6 @@
 
 mod active_set;
 mod admm_qp;
-mod cache;
 mod error;
 mod fista;
 pub mod kkt;
@@ -49,7 +48,6 @@ mod smooth;
 
 pub use active_set::{ActiveSetQp, QpSolution};
 pub use admm_qp::{AdmmQp, AdmmQpSettings, AdmmQpSolution, AdmmWorkspace};
-pub use cache::KktCache;
 pub use error::OptError;
 pub use fista::{Fista, FistaResult};
 pub use quadratic::QuadObjective;

@@ -22,29 +22,40 @@ pub fn project_simplex(x: &[f64], s: f64) -> Vec<f64> {
     // the projection then degrades gracefully instead of aborting the
     // whole solve, and the driver's divergence gate flags the iterate.
     u.sort_by(|a, b| b.total_cmp(a));
-    // Find the largest k with u_k - (Σ_{i≤k} u_i - s)/k > 0.
+    match simplex_threshold(&u, s) {
+        Some(theta) => x.iter().map(|&v| (v - theta).max(0.0)).collect(),
+        // Keep the degrade-gracefully promise above: a fully poisoned
+        // vector for the divergence gate to flag, rather than an assert.
+        None => vec![f64::NAN; x.len()],
+    }
+}
+
+/// The Held/Wolfe/Crowder threshold θ of the projection onto the scaled
+/// simplex `{y ≥ 0, Σy = s}`, given the entries of `x` sorted in
+/// **descending** order: the projection is `max(x_i − θ, 0)`.
+///
+/// θ belongs to the largest `k` with `u_k − (Σ_{i≤k} u_i − s)/k ≥ 0`. The
+/// scan is `O(n)`; [`project_simplex`] and the ADM-G block kernels share
+/// it, so they compute the same θ from the same sorted entries.
+///
+/// Returns `None` when no pivot exists, which for finite inputs is
+/// impossible (the first candidate evaluates to `s ≥ 0`) and otherwise
+/// means the largest entry is NaN.
+#[must_use]
+pub fn simplex_threshold(desc: &[f64], s: f64) -> Option<f64> {
     let mut cssv = 0.0;
-    let mut rho = 0;
-    let mut theta = 0.0;
-    for (k, &uk) in u.iter().enumerate() {
+    let mut theta = None;
+    for (k, &uk) in desc.iter().enumerate() {
         cssv += uk;
         let t = (cssv - s) / (k + 1) as f64;
         // `>=` (rather than the textbook strict `>`) makes the degenerate
         // radius s = 0 well-defined: the first pivot then satisfies
         // u₀ − t = s = 0 and θ = u₀ clamps every coordinate to zero.
         if uk - t >= 0.0 {
-            rho = k + 1;
-            theta = t;
+            theta = Some(t);
         }
     }
-    if rho == 0 {
-        // No pivot is only possible when the largest entry is NaN (for
-        // finite inputs the first candidate evaluates to `s ≥ 0`): keep the
-        // degrade-gracefully promise above by returning a fully poisoned
-        // vector for the divergence gate to flag, rather than asserting.
-        return vec![f64::NAN; x.len()];
-    }
-    x.iter().map(|&v| (v - theta).max(0.0)).collect()
+    theta
 }
 
 /// Euclidean projection of `x` onto the capped simplex `{y ≥ 0, Σy ≤ cap}`.

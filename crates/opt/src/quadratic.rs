@@ -193,27 +193,12 @@ impl QuadObjective {
         &self.linear
     }
 
-    /// Borrows the `(diag, gamma, u)` parts of a diagonal-plus-rank-one
-    /// Hessian `diag(d) + γ·u uᵀ`, or `None` for dense Hessians.
-    ///
-    /// The active-set solver's rank-1 fast KKT path
-    /// ([`crate::ActiveSetQp::with_rank1_kkt`]) uses this to solve working-set
-    /// systems in `O(n)` via Sherman–Morrison instead of materializing and
-    /// factoring a dense KKT matrix.
-    #[must_use]
-    pub fn diag_rank1_parts(&self) -> Option<(&[f64], f64, &[f64])> {
-        match &self.hessian {
-            Hessian::DiagRank1 { diag, gamma, u } => Some((diag, *gamma, u)),
-            Hessian::Dense(_) => None,
-        }
-    }
-
     /// Overwrites the linear term `c` in place, leaving the Hessian intact.
     ///
     /// This is the hot-path mutator used by the ADM-G solver workspaces: the
     /// sub-problem Hessians are constant across iterations while the linear
     /// term changes every iteration, so retargeting `c` avoids rebuilding the
-    /// objective (and invalidating any cached factorization keyed on it).
+    /// objective.
     ///
     /// # Panics
     ///

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use ufc_linalg::{vec_ops, Matrix};
 use ufc_opt::projection::{project_box, project_capped_simplex, project_simplex};
-use ufc_opt::{kkt, ActiveSetQp, AdmmQp, Fista, KktCache, QuadObjective};
+use ufc_opt::{kkt, ActiveSetQp, AdmmQp, Fista, QuadObjective};
 
 fn vec_in(n: usize, lo: f64, hi: f64) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(lo..hi, n)
@@ -127,138 +127,6 @@ proptest! {
             (admm.value - exact.value).abs() <= 1e-4 * (1.0 + exact.value.abs()),
             "admm {} vs exact {}", admm.value, exact.value
         );
-    }
-
-    /// Cached-factorization QP solves match fresh-factorization solves to
-    /// 1e-12 (they are in fact bit-identical — the cache is a pure memo).
-    /// Exercised on both sub-problem shapes: the simplex λ-QP and the
-    /// capped-simplex a-QP, with a sequence of linear terms sharing one
-    /// cache, like successive ADM-G iterations.
-    #[test]
-    fn cached_qp_solves_match_fresh(
-        latencies in vec_in(4, 0.005, 0.05),
-        c1 in vec_in(4, -2.0, 2.0),
-        c2 in vec_in(4, -2.0, 2.0),
-        arrival in 0.5f64..5.0,
-        cap in 0.5f64..3.0,
-    ) {
-        let rho = 0.3;
-        // λ shape: simplex with equality row.
-        let a_eq = Matrix::from_rows(&[&[1.0; 4]]).unwrap();
-        let a_in = Matrix::from_fn(4, 4, |i, j| if i == j { -1.0 } else { 0.0 });
-        let mut cache = KktCache::default();
-        for c in [&c1, &c2] {
-            let f = QuadObjective::diag_rank1(
-                vec![rho; 4], 2.0 * 10.0 / arrival, latencies.clone(), c.clone(), 0.0,
-            );
-            let start = vec![arrival / 4.0; 4];
-            let fresh = ActiveSetQp::default()
-                .solve(&f, &a_eq, &[arrival], &a_in, &[0.0; 4], start.clone())
-                .unwrap();
-            let cached = ActiveSetQp::default()
-                .solve_with_cache(&f, &a_eq, &[arrival], &a_in, &[0.0; 4], start, &mut cache)
-                .unwrap();
-            prop_assert!(vec_ops::norm_inf(&vec_ops::sub(&fresh.x, &cached.x)) <= 1e-12);
-            prop_assert!((fresh.value - cached.value).abs() <= 1e-12 * (1.0 + fresh.value.abs()));
-            prop_assert_eq!(fresh.iterations, cached.iterations);
-        }
-        // a shape: capped simplex, inequality-only.
-        let beta = 0.12;
-        let mut a_in2 = Matrix::zeros(5, 4);
-        let mut b_in2 = vec![0.0; 5];
-        for i in 0..4 { a_in2[(i, i)] = -1.0; }
-        for j in 0..4 { a_in2[(4, j)] = 1.0; }
-        b_in2[4] = cap;
-        let mut cache2 = KktCache::default();
-        for c in [&c1, &c2] {
-            let f = QuadObjective::diag_rank1(
-                vec![rho; 4], rho * beta * beta, vec![1.0; 4], c.clone(), 0.0,
-            );
-            let fresh = ActiveSetQp::default()
-                .solve(&f, &Matrix::zeros(0, 4), &[], &a_in2, &b_in2, vec![0.0; 4])
-                .unwrap();
-            let cached = ActiveSetQp::default()
-                .solve_with_cache(
-                    &f, &Matrix::zeros(0, 4), &[], &a_in2, &b_in2, vec![0.0; 4], &mut cache2,
-                )
-                .unwrap();
-            prop_assert!(vec_ops::norm_inf(&vec_ops::sub(&fresh.x, &cached.x)) <= 1e-12);
-            prop_assert_eq!(fresh.iterations, cached.iterations);
-        }
-    }
-
-    /// The rank-1 fast KKT path agrees with the dense refactorization path
-    /// on both sub-problem shapes, to a tolerance gate — and *bitwise* when
-    /// the gate demands exactness, i.e. whenever the structure prevents the
-    /// fast path from engaging (dense Hessian), where enabling the knob
-    /// must not change a single bit.
-    #[test]
-    fn rank1_fast_solve_matches_dense_refactorization(
-        latencies in vec_in(4, 0.005, 0.05),
-        c in vec_in(4, -2.0, 2.0),
-        arrival in 0.5f64..5.0,
-        cap in 0.5f64..3.0,
-    ) {
-        let rho = 0.3;
-        // λ shape: rank-1 + diagonal over the simplex.
-        let a_eq = Matrix::from_rows(&[&[1.0; 4]]).unwrap();
-        let a_in = Matrix::from_fn(4, 4, |i, j| if i == j { -1.0 } else { 0.0 });
-        let f = QuadObjective::diag_rank1(
-            vec![rho; 4], 2.0 * 10.0 / arrival, latencies.clone(), c.clone(), 0.0,
-        );
-        let start = vec![arrival / 4.0; 4];
-        let dense = ActiveSetQp::default()
-            .solve(&f, &a_eq, &[arrival], &a_in, &[0.0; 4], start.clone())
-            .unwrap();
-        let fast = ActiveSetQp::default()
-            .with_rank1_kkt(true)
-            .solve(&f, &a_eq, &[arrival], &a_in, &[0.0; 4], start.clone())
-            .unwrap();
-        prop_assert!(
-            vec_ops::norm_inf(&vec_ops::sub(&fast.x, &dense.x)) <= 1e-6 * (1.0 + arrival),
-            "λ shape: {:?} vs {:?}", fast.x, dense.x
-        );
-        let res = kkt::qp_residuals(
-            &f, &a_eq, &[arrival], &a_in, &[0.0; 4],
-            &fast.x, &fast.eq_multipliers, &fast.ineq_multipliers,
-        );
-        prop_assert!(res.is_optimal(1e-5), "λ shape KKT residuals {res:?}");
-
-        // a shape: capped simplex, inequality-only.
-        let beta = 0.12;
-        let mut a_in2 = Matrix::zeros(5, 4);
-        let mut b_in2 = vec![0.0; 5];
-        for i in 0..4 { a_in2[(i, i)] = -1.0; }
-        for j in 0..4 { a_in2[(4, j)] = 1.0; }
-        b_in2[4] = cap;
-        let f2 = QuadObjective::diag_rank1(
-            vec![rho; 4], rho * beta * beta, vec![1.0; 4], c.clone(), 0.0,
-        );
-        let dense2 = ActiveSetQp::default()
-            .solve(&f2, &Matrix::zeros(0, 4), &[], &a_in2, &b_in2, vec![0.0; 4])
-            .unwrap();
-        let fast2 = ActiveSetQp::default()
-            .with_rank1_kkt(true)
-            .solve(&f2, &Matrix::zeros(0, 4), &[], &a_in2, &b_in2, vec![0.0; 4])
-            .unwrap();
-        prop_assert!(
-            vec_ops::norm_inf(&vec_ops::sub(&fast2.x, &dense2.x)) <= 1e-6 * (1.0 + cap),
-            "a shape: {:?} vs {:?}", fast2.x, dense2.x
-        );
-
-        // Exactness gate: with a dense Hessian the fast path cannot engage,
-        // and the knob must be bitwise inert.
-        let fd = QuadObjective::dense(f.dense_hessian(), c, 0.0).unwrap();
-        let off = ActiveSetQp::default()
-            .solve(&fd, &a_eq, &[arrival], &a_in, &[0.0; 4], start.clone())
-            .unwrap();
-        let on = ActiveSetQp::default()
-            .with_rank1_kkt(true)
-            .solve(&fd, &a_eq, &[arrival], &a_in, &[0.0; 4], start)
-            .unwrap();
-        prop_assert_eq!(off.x, on.x);
-        prop_assert_eq!(off.value.to_bits(), on.value.to_bits());
-        prop_assert_eq!(off.iterations, on.iterations);
     }
 
     /// FISTA monotonically improves over the projected start value.
