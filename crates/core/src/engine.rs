@@ -14,9 +14,12 @@
 //! * **in-process** (`InProcessTransport`, crate-private): direct calls through the
 //!   [`crate::AdmgSolver`] workspace and [`WorkerPool`];
 //! * **lockstep message-passing** (`ufc_distsim`): deterministic rounds
-//!   over explicit messages, with optional loss and fault injection;
+//!   over explicit messages, with optional fault, corruption and drop
+//!   injection;
 //! * **supervised threaded** (`ufc_distsim`): one OS thread per node over
-//!   mpsc channels, driven by a supervising coordinator.
+//!   mpsc channels, driven by a supervising coordinator;
+//! * **multi-process sockets** (`ufc_distsim`): worker OS processes over
+//!   TCP, driven by the same kind of coordinator.
 //!
 //! Every transport must preserve the numerical contract bit-for-bit:
 //! parallel ≡ sequential, reused ≡ fresh, lockstep ≡ threaded, and

@@ -242,7 +242,8 @@ pub struct TrafficCounters {
     pub control_messages: u64,
     /// Total bytes on the wire.
     pub total_bytes: u64,
-    /// Loss-induced retransmissions.
+    /// Resent dropped copies (the drop kind of the distributed link
+    /// channel).
     pub retransmissions: u64,
     /// Command frames the socket coordinator sent (0 on every other
     /// engine).

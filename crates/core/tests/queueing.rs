@@ -24,7 +24,7 @@ fn congested_solution() -> &'static ufc_core::AdmgSolution {
             .unwrap()
     })
 }
-use ufc_distsim::{DistributedAdmg, Runtime};
+use ufc_distsim::{DistributedAdmg, Engine, RunSpec};
 use ufc_model::{EmissionCostFn, QueueingCost, UfcInstance};
 
 /// Two front-ends, two datacenters; DC0 is close to everyone (latency-wise)
@@ -127,7 +127,12 @@ fn distributed_runtime_matches_in_memory_with_queueing() {
         .solve(&inst, Strategy::Hybrid)
         .unwrap();
     let net = DistributedAdmg::new(settings)
-        .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .unwrap();
     assert_eq!(mem.iterations, net.iterations);
     assert!(

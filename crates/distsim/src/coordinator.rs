@@ -1,23 +1,25 @@
-//! Coordinator-side helpers shared by both distributed engines.
+//! Coordinator-side helpers shared by the three distributed engines.
 //!
 //! Everything here is transport-independent bookkeeping: traffic recording
-//! (with loss retransmission and partition relay accounting), plan-driven
+//! (with drop, corruption and partition relay accounting), plan-driven
 //! straggler charging, residual reduction, replay-history filtering, and
-//! the final gather→polish step. The lockstep engine
-//! (`crate::engine_lockstep`) and the supervised threaded engine
-//! (`crate::engine_threaded`) both call into these, so the two runtimes
-//! stay decision-for-decision identical by construction.
+//! the final gather→polish→report step ([`Tally::into_report`]). The
+//! lockstep engine (`crate::engine_lockstep`), the supervised threaded
+//! engine (`crate::engine_threaded`) and the socket engine
+//! (`crate::engine_socket`) all call into these, so the engines stay
+//! decision-for-decision identical by construction.
 
-use ufc_core::engine::BlockResiduals;
+use ufc_core::engine::{BlockResiduals, DriveOutcome};
 use ufc_core::repair::assemble_point;
+use ufc_core::telemetry::{IntegrityCounters, RunTelemetry, TrafficCounters};
 use ufc_core::{AdmgState, CoreError};
 use ufc_model::{evaluate, OperatingPoint, UfcBreakdown, UfcInstance};
 
-use crate::fault::{FaultTracker, IntegrityState, NodeId};
-use crate::loss::LossyChannel;
+use crate::fault::{FaultReport, FaultTracker, IntegrityState, NodeId};
 use crate::message::{Message, CHECKSUM_OVERHEAD_BYTES};
 use crate::node::{nan_max, NodeResiduals};
-use crate::stats::MessageStats;
+use crate::runtime::DistRunReport;
+use crate::stats::{estimated_wan_seconds_live, MessageStats};
 
 /// One iteration's inputs, buffered for checkpoint-restart replay.
 pub(crate) struct HistoryEntry {
@@ -69,7 +71,7 @@ pub(crate) fn row_of(cols: &[Vec<f64>], i: usize) -> Vec<f64> {
     cols.iter().map(|col| col[i]).collect()
 }
 
-/// Plan-driven straggler accounting, identical in both engines: the
+/// Plan-driven straggler accounting, identical in every engine: the
 /// coordinator charges every scripted delay of a live node.
 pub(crate) fn account_stragglers(tracker: &mut FaultTracker, m: usize, n: usize, k: usize) {
     for i in 0..m {
@@ -89,15 +91,14 @@ pub(crate) fn account_stragglers(tracker: &mut FaultTracker, m: usize, n: usize,
     }
 }
 
-/// One data message through the loss, corruption, and partition machinery:
-/// charges retransmitted/relayed bytes, folds the worst attempt count into
-/// `phase_max`, and returns the override value when corruption altered the
-/// payload in flight.
+/// One data message through the corruption (or drop) and partition
+/// machinery: charges resent and relayed bytes, folds the worst attempt
+/// count into `phase_max`, and returns the override value when corruption
+/// altered the payload in flight.
 #[allow(clippy::too_many_arguments)]
 fn transmit_data(
     stats: &mut MessageStats,
     tracker: &mut FaultTracker,
-    channel: &mut Option<&mut LossyChannel>,
     integrity: &mut IntegrityState,
     msg: &Message,
     i: usize,
@@ -106,11 +107,6 @@ fn transmit_data(
     phase_max: &mut usize,
 ) -> Result<Option<f64>, CoreError> {
     stats.record(msg);
-    if let Some(ch) = channel.as_deref_mut() {
-        let attempts = ch.send();
-        stats.total_bytes += (attempts - 1) * msg.wire_bytes();
-        *phase_max = (*phase_max).max(attempts);
-    }
     let mut delivered = None;
     if integrity.active() {
         let frame_bytes = msg.wire_bytes()
@@ -133,14 +129,13 @@ fn transmit_data(
     Ok(delivered)
 }
 
-/// Records the λ̃ scatter to every non-evicted datacenter. A lossy
-/// `channel` charges the retransmitted bytes and reports the phase's
-/// worst attempt count (the synchronous phase waits for its slowest
-/// message); the integrity layer may corrupt a payload in flight (the
-/// delivered value is written back into `rows`) or, when checksums are
-/// verified, charge the trailer bytes and bounded retransmits; severed
-/// partition links double their bytes (relay path). Returns the phase-max
-/// attempt count (1 when lossless and uncorrupted).
+/// Records the λ̃ scatter to every non-evicted datacenter. The integrity
+/// layer may drop a copy (resent until delivered), corrupt a payload in
+/// flight (the delivered value is written back into `rows`) or, when
+/// checksums are verified, charge the trailer bytes and bounded
+/// retransmits; severed partition links double their bytes (relay path).
+/// Returns the phase's worst attempt count — the synchronous phase waits
+/// for its slowest message (1 when nothing was resent).
 ///
 /// # Errors
 ///
@@ -149,7 +144,6 @@ fn transmit_data(
 pub(crate) fn record_lambda_traffic(
     stats: &mut MessageStats,
     tracker: &mut FaultTracker,
-    mut channel: Option<&mut LossyChannel>,
     integrity: &mut IntegrityState,
     rows: &mut [Vec<f64>],
     k: usize,
@@ -165,17 +159,8 @@ pub(crate) fn record_lambda_traffic(
                 datacenter: j,
                 value: *value,
             };
-            let delivered = transmit_data(
-                stats,
-                tracker,
-                &mut channel,
-                integrity,
-                &msg,
-                i,
-                j,
-                k,
-                &mut phase_max,
-            )?;
+            let delivered =
+                transmit_data(stats, tracker, integrity, &msg, i, j, k, &mut phase_max)?;
             if let Some(v) = delivered {
                 *value = v;
             }
@@ -185,8 +170,7 @@ pub(crate) fn record_lambda_traffic(
 }
 
 /// Records one datacenter's ã gather (mirror of [`record_lambda_traffic`]).
-/// Returns this column's worst attempt count (1 when lossless and
-/// uncorrupted).
+/// Returns this column's worst attempt count (1 when nothing was resent).
 ///
 /// # Errors
 ///
@@ -194,7 +178,6 @@ pub(crate) fn record_lambda_traffic(
 pub(crate) fn record_a_traffic(
     stats: &mut MessageStats,
     tracker: &mut FaultTracker,
-    mut channel: Option<&mut LossyChannel>,
     integrity: &mut IntegrityState,
     a_tilde: &mut [f64],
     j: usize,
@@ -207,17 +190,7 @@ pub(crate) fn record_a_traffic(
             datacenter: j,
             value: *value,
         };
-        let delivered = transmit_data(
-            stats,
-            tracker,
-            &mut channel,
-            integrity,
-            &msg,
-            i,
-            j,
-            k,
-            &mut phase_max,
-        )?;
+        let delivered = transmit_data(stats, tracker, integrity, &msg, i, j, k, &mut phase_max)?;
         if let Some(v) = delivered {
             *value = v;
         }
@@ -274,14 +247,16 @@ pub(crate) fn record_control(stats: &mut MessageStats, stop: bool, node_count: u
     }
 }
 
+/// The gathered final iterate: per-front-end λ rows, per-datacenter μ,
+/// and the storage column `d` (all zeros when the schedule has no storage
+/// block).
+pub(crate) type Gathered = (Vec<Vec<f64>>, Vec<f64>, Vec<f64>);
+
 /// Polishes the gathered iterate into a feasible point and evaluates it
-/// (same repair as the in-memory solver). `d` is the gathered storage
-/// column — all zeros when the schedule has no storage block.
-pub(crate) fn finish(
+/// (same repair as the in-memory solver).
+fn finish(
     instance: &UfcInstance,
-    lambda_rows: Vec<Vec<f64>>,
-    mu: Vec<f64>,
-    d: Vec<f64>,
+    (lambda_rows, mu, d): Gathered,
     fuel_cell_only: bool,
 ) -> Result<(OperatingPoint, UfcBreakdown), CoreError> {
     let mut state = AdmgState::zeros(instance);
@@ -296,4 +271,98 @@ pub(crate) fn finish(
     let point = assemble_point(instance, &state, fuel_cell_only)?;
     let breakdown = evaluate(instance, &point)?;
     Ok((point, breakdown))
+}
+
+/// A finished run's accounting, read off the coordinator state that every
+/// engine keeps. [`Tally::into_report`] turns it into the report by one
+/// rule for all engines.
+pub(crate) struct Tally {
+    pub(crate) stats: MessageStats,
+    pub(crate) fault: FaultReport,
+    /// Whether the plan scripts no node-level fault
+    /// ([`crate::FaultPlan::is_trivial`]).
+    pub(crate) trivial_plan: bool,
+    pub(crate) evicted: Vec<bool>,
+    /// Whole phases lost to partitions and resends.
+    pub(crate) stall_phases: f64,
+    /// Resent dropped copies.
+    pub(crate) retransmissions: usize,
+    /// Integrity counters, when the integrity layer ran.
+    pub(crate) integrity: Option<IntegrityCounters>,
+    /// Command frames sent and the socket writes that carried them (socket
+    /// engine only).
+    pub(crate) frames: (u64, u64),
+}
+
+impl Tally {
+    /// Reads the accounting off an engine's coordinator state.
+    pub(crate) fn new(
+        stats: MessageStats,
+        tracker: &FaultTracker,
+        integrity: &IntegrityState,
+        stall_phases: f64,
+    ) -> Self {
+        Tally {
+            stats,
+            fault: tracker.report.clone(),
+            trivial_plan: tracker.plan().is_trivial(),
+            evicted: tracker.evicted_mask(),
+            stall_phases,
+            retransmissions: integrity.retransmissions,
+            integrity: integrity.active().then_some(integrity.counters),
+            frames: (0, 0),
+        }
+    }
+
+    /// Polishes the gathered iterate and assembles the report. One rule for
+    /// every engine: the WAN estimate is four latency-bound phases per
+    /// iteration plus recovery, straggler and stall time, and the fault
+    /// section — in the report and in the telemetry alike — exists iff the
+    /// plan scripts node faults or the run took checkpoints.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Model`] if the point cannot be polished or evaluated.
+    pub(crate) fn into_report(
+        self,
+        instance: &UfcInstance,
+        outcome: DriveOutcome,
+        gathered: Gathered,
+        fuel_cell_only: bool,
+        telemetry: Option<RunTelemetry>,
+    ) -> Result<DistRunReport, CoreError> {
+        let (point, breakdown) = finish(instance, gathered, fuel_cell_only)?;
+        let estimated =
+            estimated_wan_seconds_live(outcome.iterations, &instance.latency_s, &self.evicted)
+                + self.fault.downtime_seconds
+                + self.fault.straggler_seconds
+                + self.stall_phases * max_latency(instance, &self.evicted);
+        let fault = (!self.trivial_plan || self.fault.checkpoints_taken > 0).then_some(self.fault);
+        let telemetry = telemetry.map(|mut t| {
+            let (frames_sent, socket_writes) = self.frames;
+            t.traffic = Some(TrafficCounters {
+                data_messages: self.stats.data_messages as u64,
+                control_messages: self.stats.control_messages as u64,
+                total_bytes: self.stats.total_bytes as u64,
+                retransmissions: self.retransmissions as u64,
+                frames_sent,
+                socket_writes,
+            });
+            t.fault = fault.as_ref().map(FaultReport::counters);
+            t.integrity = self.integrity;
+            t
+        });
+        Ok(DistRunReport {
+            point,
+            breakdown,
+            iterations: outcome.iterations,
+            converged: outcome.converged,
+            stats: self.stats,
+            estimated_wan_seconds: estimated,
+            retransmissions: self.retransmissions,
+            fault,
+            integrity: self.integrity,
+            telemetry,
+        })
+    }
 }

@@ -1,49 +1,42 @@
 //! The deterministic lockstep engine as a `Transport` for the unified
 //! ADM-G driver (`ufc_core::engine::drive`).
 //!
-//! One transport covers all three lockstep flavors: the clean and lossy
-//! runs are literally the [`FaultPlan::none`] degenerate case of the
-//! fault-aware engine — with a trivial plan the readmission probes return
-//! nothing, no crash ever resolves, no link is partitioned, and the replay
-//! history stays unbuffered, so the code path reduces to the plain
-//! synchronous rounds. Per-node compute fans out over the shared
-//! [`WorkerPool`] (indexed-slot gather ⇒ bit-identical at any thread
-//! count); message recording stays sequential so traffic accounting is
-//! deterministic.
+//! One transport covers every lockstep run: a clean run is literally the
+//! [`FaultPlan::none`] degenerate case of the fault-aware engine — with a
+//! trivial plan the readmission probes return nothing, no crash ever
+//! resolves, no link is partitioned, and the replay history stays
+//! unbuffered, so the code path reduces to the plain synchronous rounds.
+//! Per-node compute fans out over the shared [`WorkerPool`] (indexed-slot
+//! gather ⇒ bit-identical at any thread count); message recording stays
+//! sequential so traffic accounting is deterministic.
 
 use ufc_core::engine::{drive, BlockResiduals, DriveOutcome, IterationObserver, Transport};
-use ufc_core::telemetry::{ObserverChain, TelemetryCollector, TrafficCounters};
+use ufc_core::telemetry::{ObserverChain, TelemetryCollector};
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError, WorkerPool};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::{
-    account_stragglers, column_of, finish, max_latency, record_a_traffic, record_control,
-    record_lambda_traffic, reduce_residuals, replay_entries, row_of, HistoryEntry,
+    account_stragglers, column_of, record_a_traffic, record_control, record_lambda_traffic,
+    reduce_residuals, replay_entries, row_of, HistoryEntry, Tally,
 };
 use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution};
-use crate::loss::{LossConfig, LossyChannel};
 use crate::message::Message;
 use crate::node::{DatacenterNode, FrontendNode, NodeResiduals};
 use crate::runtime::DistRunReport;
 use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
-use crate::stats::{estimated_wan_seconds_live, MessageStats};
+use crate::stats::MessageStats;
 
-/// Runs the lockstep engine under a fault plan and an optional lossy
-/// channel (the two never combine: loss is only driven with a trivial
-/// plan). Returns the full report with `fault` always populated; the
-/// facade strips it for clean/lossy runs.
+/// Runs the lockstep engine under a fault plan.
 pub(crate) fn run_lockstep(
     settings: &AdmgSettings,
     instance: &UfcInstance,
     active_mu: bool,
     active_nu: bool,
     plan: FaultPlan,
-    loss: Option<LossConfig>,
     observer: &mut dyn IterationObserver,
 ) -> Result<DistRunReport, CoreError> {
     let tolerances = settings.scaled_tolerances(instance);
-    let mut transport =
-        LockstepTransport::new(instance, settings, active_mu, active_nu, plan, loss);
+    let mut transport = LockstepTransport::new(instance, settings, active_mu, active_nu, plan);
     let mut collector = settings.telemetry.then(TelemetryCollector::default);
     let outcome = match collector.as_mut() {
         Some(c) => {
@@ -72,18 +65,14 @@ struct LockstepTransport<'a> {
     /// checkpointing on) — a clean run skips the copies entirely.
     buffer_history: bool,
     checkpoint_interval: usize,
-    channel: Option<LossyChannel>,
     integrity: IntegrityState,
     /// First node whose residual report was non-finite this iteration —
     /// the divergence gate's suspect.
     suspect: Option<NodeId>,
     stats: MessageStats,
-    /// Fault-induced full-phase stalls (partition windows), in phases.
+    /// Whole-phase stalls, in phases: partition windows, and the resends
+    /// each data phase waits out for its slowest message.
     stall_phases: f64,
-    /// Loss-induced stalls: each data phase waits for its slowest
-    /// message's attempt count. Accumulated unconditionally, consumed only
-    /// for lossy runs.
-    lossy_stalled_phases: f64,
     // Per-iteration scratch, produced by one phase and consumed by the next.
     rows: Vec<Vec<f64>>,
     a_cols: Vec<Vec<f64>>,
@@ -100,7 +89,6 @@ impl<'a> LockstepTransport<'a> {
         active_mu: bool,
         active_nu: bool,
         plan: FaultPlan,
-        loss: Option<LossConfig>,
     ) -> Self {
         let m = instance.m_frontends();
         let n = instance.n_datacenters();
@@ -130,12 +118,10 @@ impl<'a> LockstepTransport<'a> {
             history: Vec::new(),
             buffer_history,
             checkpoint_interval,
-            channel: loss.map(LossyChannel::new),
             integrity,
             suspect: None,
             stats: MessageStats::default(),
             stall_phases: 0.0,
-            lossy_stalled_phases: 0.0,
             rows: Vec::new(),
             a_cols: Vec::new(),
             dc_residuals: Vec::new(),
@@ -189,24 +175,6 @@ impl<'a> LockstepTransport<'a> {
             .iter()
             .map(|dc| dc.as_ref().map_or(0.0, DatacenterNode::d))
             .collect();
-        let (point, breakdown) = finish(self.instance, lambda_rows, mu, d, !self.active_nu)?;
-        let trivial_plan = self.tracker.plan().is_trivial();
-        let evicted = self.tracker.evicted_mask();
-        let report = self.tracker.report;
-        let l_max = max_latency(self.instance, &evicted);
-        // Lossless: 4 phases per iteration, plus fault recovery/stall time.
-        // Lossy: the two data phases stall for their slowest message; the
-        // two control phases are assumed reliable (coordinator links).
-        let estimated = if self.channel.is_some() {
-            (self.lossy_stalled_phases + 2.0 * outcome.iterations as f64) * l_max
-        } else {
-            estimated_wan_seconds_live(outcome.iterations, &self.instance.latency_s, &evicted)
-                + report.downtime_seconds
-                + report.straggler_seconds
-                + self.stall_phases * l_max
-        };
-        let retransmissions = self.channel.map_or(0, |ch| ch.retransmissions);
-        let integrity = self.integrity.active().then_some(self.integrity.counters);
         let telemetry = collector.map(|c| {
             let mut t = c.into_telemetry();
             // The lockstep engine keeps every node in-process, so the
@@ -218,31 +186,21 @@ impl<'a> LockstepTransport<'a> {
             }
             t.solver.pool_tasks = self.pool.tasks_dispatched();
             t.solver.pool_maps = self.pool.maps_run();
-            t.traffic = Some(TrafficCounters {
-                data_messages: self.stats.data_messages as u64,
-                control_messages: self.stats.control_messages as u64,
-                total_bytes: self.stats.total_bytes as u64,
-                retransmissions: retransmissions as u64,
-                ..TrafficCounters::default()
-            });
-            if !trivial_plan {
-                t.fault = Some(report.counters());
-            }
-            t.integrity = integrity;
             t
         });
-        Ok(DistRunReport {
-            point,
-            breakdown,
-            iterations: outcome.iterations,
-            converged: outcome.converged,
-            stats: self.stats,
-            estimated_wan_seconds: estimated,
-            retransmissions,
-            fault: Some(report),
-            integrity,
+        Tally::new(
+            self.stats,
+            &self.tracker,
+            &self.integrity,
+            self.stall_phases,
+        )
+        .into_report(
+            self.instance,
+            outcome,
+            (lambda_rows, mu, d),
+            !self.active_nu,
             telemetry,
-        })
+        )
     }
 }
 
@@ -328,15 +286,10 @@ impl Transport for LockstepTransport<'_> {
         let phase_max = record_lambda_traffic(
             &mut self.stats,
             &mut self.tracker,
-            self.channel.as_mut(),
             &mut self.integrity,
             &mut rows,
             k,
         )?;
-        // Retransmit stalls land in whichever pool the WAN estimate reads:
-        // `lossy_stalled_phases` for lossy runs, `stall_phases` otherwise
-        // (checksum retransmits under corruption).
-        self.lossy_stalled_phases += phase_max as f64;
         self.stall_phases += (phase_max - 1) as f64;
         self.rows = rows;
         Ok(())
@@ -410,7 +363,6 @@ impl Transport for LockstepTransport<'_> {
             phase_max = phase_max.max(record_a_traffic(
                 &mut self.stats,
                 &mut self.tracker,
-                self.channel.as_mut(),
                 &mut self.integrity,
                 &mut step.a_tilde,
                 j,
@@ -420,7 +372,7 @@ impl Transport for LockstepTransport<'_> {
             self.dc_residuals[j] = Some(step.residuals);
             // Storage-active datacenters report their corrected block value
             // to the coordinator: control-plane traffic (like residual
-            // reports), so it rides outside the lossy/corruptible data path
+            // reports), so it rides outside the droppable/corruptible data path
             // and the classic schedule's accounting is untouched.
             if self
                 .instance
@@ -435,7 +387,6 @@ impl Transport for LockstepTransport<'_> {
                 });
             }
         }
-        self.lossy_stalled_phases += phase_max as f64;
         self.stall_phases += (phase_max - 1) as f64;
         Ok(())
     }

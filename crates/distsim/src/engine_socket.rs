@@ -60,13 +60,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ufc_core::engine::{drive, BlockResiduals, IterationObserver, Transport};
-use ufc_core::telemetry::{IntegrityCounters, ObserverChain, TelemetryCollector, TrafficCounters};
+use ufc_core::telemetry::{IntegrityCounters, ObserverChain, TelemetryCollector};
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::{
-    account_stragglers, column_of, finish, max_latency, record_a_traffic, record_control,
-    record_lambda_traffic, reduce_residuals, replay_entries, row_of, HistoryEntry,
+    account_stragglers, column_of, record_a_traffic, record_control, record_lambda_traffic,
+    reduce_residuals, replay_entries, row_of, Gathered, HistoryEntry, Tally,
 };
 use crate::fault::{
     CorruptionConfig, FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution, WireChaos,
@@ -76,7 +76,7 @@ use crate::message::Message;
 use crate::node::{DatacenterNode, NodeResiduals};
 use crate::runtime::{DistRunReport, SocketOptions};
 use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
-use crate::stats::{estimated_wan_seconds_live, MessageStats};
+use crate::stats::MessageStats;
 use crate::supervision::{gather_phase, Reply};
 use crate::wire::{
     process_of, sha256, verify_auth_hello, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
@@ -121,18 +121,13 @@ pub(crate) fn run_socket_engine(
     }
     .and_then(|outcome| {
         sup.final_gather(outcome.iterations)
-            .map(|(lambda_rows, mu, d)| (outcome, lambda_rows, mu, d))
+            .map(|gathered| (outcome, gathered))
     });
-    // Extract everything the report needs before the supervisor is consumed
-    // by shutdown; the error path still tears down every worker process.
-    let stats = sup.stats;
-    let fault_report = sup.tracker.report.clone();
-    let plan_trivial = sup.tracker.plan().is_trivial();
-    let evicted = sup.tracker.evicted_mask();
-    let stall_phases = sup.stall_phases;
+    // Read the accounting before the supervisor is consumed by shutdown;
+    // the error path still tears down every worker process.
+    let mut tally = Tally::new(sup.stats, &sup.tracker, &sup.integrity, sup.stall_phases);
     let mut counters = sup.integrity.counters;
-    let integrity_active = sup.integrity.active();
-    let (frames_sent, socket_writes) = {
+    tally.frames = {
         let egress = sup.egress.borrow();
         (egress.frames_sent, egress.socket_writes)
     };
@@ -150,53 +145,25 @@ pub(crate) fn run_socket_engine(
         }
     }
     let socket_activity = counters.reconnects > 0 || counters.dead_node_declarations > 0;
-    let integrity =
-        (integrity_active || wire_shared.is_some() || socket_activity).then_some(counters);
-    let (outcome, lambda_rows, mu, d) = outcome.map_err(|e| {
+    tally.integrity =
+        (tally.integrity.is_some() || wire_shared.is_some() || socket_activity).then_some(counters);
+    let (outcome, gathered) = outcome.map_err(|e| {
         wire_shared
             .as_ref()
             .and_then(|shared| shared.error.lock().ok().and_then(|mut slot| slot.take()))
             .unwrap_or(e)
     })?;
     shutdown?;
-
-    let (point, breakdown) = finish(instance, lambda_rows, mu, d, !active_nu)?;
-    let estimated = estimated_wan_seconds_live(outcome.iterations, &instance.latency_s, &evicted)
-        + fault_report.downtime_seconds
-        + fault_report.straggler_seconds
-        + stall_phases * max_latency(instance, &evicted);
-    let report_fault = !plan_trivial || fault_report.checkpoints_taken > 0;
-    let telemetry = collector.map(|c| {
-        let mut t = c.into_telemetry();
-        // Solver counters stay zero: the per-node kernels live in other OS
-        // processes. Use the lockstep engine (bit-identical) to observe the
-        // solver layer.
-        t.traffic = Some(TrafficCounters {
-            data_messages: stats.data_messages as u64,
-            control_messages: stats.control_messages as u64,
-            total_bytes: stats.total_bytes as u64,
-            retransmissions: 0,
-            frames_sent,
-            socket_writes,
-        });
-        if report_fault {
-            t.fault = Some(fault_report.counters());
-        }
-        t.integrity = integrity;
-        t
-    });
-    Ok(DistRunReport {
-        point,
-        breakdown,
-        iterations: outcome.iterations,
-        converged: outcome.converged,
-        stats,
-        estimated_wan_seconds: estimated,
-        retransmissions: 0,
-        fault: report_fault.then_some(fault_report),
-        integrity,
-        telemetry,
-    })
+    // Solver counters stay zero in the telemetry: the per-node kernels live
+    // in other OS processes. Use the lockstep engine (bit-identical) to
+    // observe the solver layer.
+    tally.into_report(
+        instance,
+        outcome,
+        gathered,
+        !active_nu,
+        collector.map(TelemetryCollector::into_telemetry),
+    )
 }
 
 /// A completed handshake delivered by the acceptor thread: the stream the
@@ -992,11 +959,7 @@ impl<'a> SocketSupervisor<'a> {
     }
 
     /// Ships `Finish` to every live worker and gathers the final iterate.
-    #[allow(clippy::type_complexity)]
-    fn final_gather(
-        &mut self,
-        iterations: usize,
-    ) -> Result<(Vec<Vec<f64>>, Vec<f64>, Vec<f64>), CoreError> {
+    fn final_gather(&mut self, iterations: usize) -> Result<Gathered, CoreError> {
         let (m, n) = (self.m, self.n);
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
         pending.extend(self.live_datacenters().map(NodeId::Datacenter));
@@ -1238,7 +1201,6 @@ impl Transport for SocketSupervisor<'_> {
         let phase_max = record_lambda_traffic(
             &mut self.stats,
             &mut self.tracker,
-            None,
             &mut self.integrity,
             &mut rows,
             k,
@@ -1348,7 +1310,6 @@ impl Transport for SocketSupervisor<'_> {
                 phase_max = phase_max.max(record_a_traffic(
                     &mut self.stats,
                     &mut self.tracker,
-                    None,
                     &mut self.integrity,
                     &mut a_cols[j],
                     j,

@@ -22,20 +22,20 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ufc_core::engine::{drive, BlockResiduals, IterationObserver, Transport};
-use ufc_core::telemetry::{ObserverChain, TelemetryCollector, TrafficCounters};
+use ufc_core::telemetry::{ObserverChain, TelemetryCollector};
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::{
-    account_stragglers, column_of, finish, max_latency, record_a_traffic, record_control,
-    record_lambda_traffic, reduce_residuals, row_of, HistoryEntry,
+    account_stragglers, column_of, record_a_traffic, record_control, record_lambda_traffic,
+    reduce_residuals, row_of, HistoryEntry, Tally,
 };
 use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution};
 use crate::message::Message;
 use crate::node::{DatacenterNode, FrontendNode, NodeResiduals};
 use crate::runtime::DistRunReport;
 use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
-use crate::stats::{estimated_wan_seconds_live, MessageStats};
+use crate::stats::MessageStats;
 use crate::supervision::{
     gather_phase, spawn_datacenter_worker, spawn_frontend_worker, DcCmd, FaultScript, FeCmd, Reply,
 };
@@ -66,57 +66,25 @@ pub(crate) fn run_supervised(
     }
     .and_then(|outcome| {
         sup.final_gather(outcome.iterations)
-            .map(|(lambda_rows, mu, d)| (outcome, lambda_rows, mu, d))
+            .map(|gathered| (outcome, gathered))
     });
-    // Extract everything the report needs before the supervisor is consumed
-    // by shutdown; the error path still joins every worker thread.
-    let stats = sup.stats;
-    let fault_report = sup.tracker.report.clone();
-    let plan_trivial = sup.tracker.plan().is_trivial();
-    let evicted = sup.tracker.evicted_mask();
-    let stall_phases = sup.stall_phases;
-    let integrity = sup.integrity.active().then_some(sup.integrity.counters);
+    // Read the accounting before the supervisor is consumed by shutdown;
+    // the error path still joins every worker thread.
+    let tally = Tally::new(sup.stats, &sup.tracker, &sup.integrity, sup.stall_phases);
     let shutdown = sup.shutdown();
-    let (outcome, lambda_rows, mu, d) = outcome?;
+    let (outcome, gathered) = outcome?;
     shutdown?;
-
-    let (point, breakdown) = finish(instance, lambda_rows, mu, d, !active_nu)?;
-    let estimated = estimated_wan_seconds_live(outcome.iterations, &instance.latency_s, &evicted)
-        + fault_report.downtime_seconds
-        + fault_report.straggler_seconds
-        + stall_phases * max_latency(instance, &evicted);
-    let report_fault = !plan_trivial || fault_report.checkpoints_taken > 0;
-    let telemetry = collector.map(|c| {
-        let mut t = c.into_telemetry();
-        // Solver counters stay zero here: the per-node kernels live inside
-        // the worker threads and are dropped with them at shutdown, so the
-        // supervisor has nothing to read. Use the lockstep engine (which is
-        // bit-identical) to observe the solver layer.
-        t.traffic = Some(TrafficCounters {
-            data_messages: stats.data_messages as u64,
-            control_messages: stats.control_messages as u64,
-            total_bytes: stats.total_bytes as u64,
-            retransmissions: 0,
-            ..TrafficCounters::default()
-        });
-        if report_fault {
-            t.fault = Some(fault_report.counters());
-        }
-        t.integrity = integrity;
-        t
-    });
-    Ok(DistRunReport {
-        point,
-        breakdown,
-        iterations: outcome.iterations,
-        converged: outcome.converged,
-        stats,
-        estimated_wan_seconds: estimated,
-        retransmissions: 0,
-        fault: report_fault.then_some(fault_report),
-        integrity,
-        telemetry,
-    })
+    // Solver counters stay zero in the telemetry: the per-node kernels live
+    // inside the worker threads and are dropped with them at shutdown, so
+    // the supervisor has nothing to read. Use the lockstep engine (which is
+    // bit-identical) to observe the solver layer.
+    tally.into_report(
+        instance,
+        outcome,
+        gathered,
+        !active_nu,
+        collector.map(TelemetryCollector::into_telemetry),
+    )
 }
 
 /// The supervising coordinator of the threaded runtime.
@@ -402,7 +370,6 @@ impl Transport for Supervisor<'_> {
         let phase_max = record_lambda_traffic(
             &mut self.stats,
             &mut self.tracker,
-            None,
             &mut self.integrity,
             &mut rows,
             k,
@@ -515,7 +482,6 @@ impl Transport for Supervisor<'_> {
                 phase_max = phase_max.max(record_a_traffic(
                     &mut self.stats,
                     &mut self.tracker,
-                    None,
                     &mut self.integrity,
                     &mut a_cols[j],
                     j,

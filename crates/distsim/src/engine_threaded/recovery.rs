@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use ufc_core::CoreError;
 
-use crate::coordinator::{column_of, replay_entries, row_of};
+use crate::coordinator::{column_of, replay_entries, row_of, Gathered};
 use crate::fault::NodeId;
 use crate::message::Message;
 use crate::node::{DatacenterNode, FrontendNode};
@@ -186,11 +186,7 @@ impl Supervisor<'_> {
     }
 
     /// Ships `Finish` to every live worker and gathers the final iterate.
-    #[allow(clippy::type_complexity)]
-    pub(super) fn final_gather(
-        &mut self,
-        iterations: usize,
-    ) -> Result<(Vec<Vec<f64>>, Vec<f64>, Vec<f64>), CoreError> {
+    pub(super) fn final_gather(&mut self, iterations: usize) -> Result<Gathered, CoreError> {
         let (m, n) = (self.m, self.n);
         let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
         for i in 0..m {

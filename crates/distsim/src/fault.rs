@@ -1,9 +1,11 @@
 //! Deterministic fault injection for the distributed runtime.
 //!
-//! [`crate::loss::LossConfig`] models i.i.d. *message* loss; this module
-//! extends the failure model to the node level: crash-stop failures with
-//! optional recovery, stragglers (slow replies), and partition windows that
-//! sever front-end/datacenter links for a span of iterations. A
+//! The link level has one seeded channel, [`CorruptionConfig`]: it mangles
+//! payloads in flight or, pinned to [`CorruptionKind::Drop`], loses copies
+//! that are resent until delivered. This module also models the node
+//! level: crash-stop failures with optional recovery, stragglers (slow
+//! replies), and partition windows that sever front-end/datacenter links
+//! for a span of iterations. A
 //! [`FaultPlan`] is a fully deterministic schedule — either hand-built or
 //! expanded from a seed by [`FaultPlan::random`] — so that a faulty run is
 //! exactly reproducible and the lockstep engine can mirror the threaded
@@ -94,7 +96,8 @@ pub struct PartitionWindow {
 /// [`CorruptionConfig::kind`] is `None`. The `Frame*` kinds are
 /// *wire-level*: they act on whole TCP frames of the socket engine
 /// (truncation, duplication, reordering) and are only exercised when
-/// pinned explicitly — see [`CorruptionKind::is_wire_level`].
+/// pinned explicitly — see [`CorruptionKind::is_wire_level`]. So is
+/// [`CorruptionKind::Drop`], the lossy channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionKind {
     /// Flip one uniformly chosen bit of the 8-byte value field.
@@ -115,6 +118,13 @@ pub enum CorruptionKind {
     /// Hold a reply frame and deliver it after its successor (socket engine
     /// only); the coordinator's gather must stay order-insensitive.
     FrameReorder,
+    /// Lose the copy in flight (every engine). A lost copy is resent until
+    /// one arrives, with no retransmit budget, so the iterates are those of
+    /// a clean run; each resend costs the frame's wire bytes, the phase
+    /// stalls for its slowest message, and resends count as
+    /// [`crate::DistRunReport::retransmissions`]. With `rate = p` a message
+    /// takes a geometric number of attempts with mean `1/(1 − p)`.
+    Drop,
 }
 
 impl CorruptionKind {
@@ -132,9 +142,9 @@ impl CorruptionKind {
     }
 }
 
-/// Seeded, deterministic payload-corruption configuration, applied at the
-/// link level like [`crate::loss::LossConfig`]: every λ̃/ã data message is
-/// independently corrupted in flight with probability `rate`.
+/// Seeded, deterministic link-level channel: every λ̃/ã data message is
+/// independently corrupted (or, for [`CorruptionKind::Drop`], lost) in
+/// flight with probability `rate`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionConfig {
     /// Per-message corruption probability in `[0, 1)`.
@@ -145,7 +155,8 @@ pub struct CorruptionConfig {
     pub kind: Option<CorruptionKind>,
     /// Retransmits granted per message when the receiver verifies
     /// checksums; a payload still corrupt after this many resends is a
-    /// typed [`CoreError::CorruptPayload`].
+    /// typed [`CoreError::CorruptPayload`]. Dropped copies are not bounded
+    /// by it.
     pub max_retransmits: u32,
 }
 
@@ -741,7 +752,7 @@ impl FaultTracker {
         back
     }
 
-    /// Accounts a straggler firing (both runtimes charge the *planned*
+    /// Accounts a straggler firing (every engine charges the *planned*
     /// delay so their reports agree exactly).
     pub fn record_straggler(&mut self, delay: Duration) {
         self.report.stragglers_observed += 1;
@@ -796,12 +807,14 @@ impl CorruptionChannel {
                 let v = f64::from_le_bytes(value.try_into().expect("8-byte field"));
                 value.copy_from_slice(&(v * f64::powi(2.0, e)).to_le_bytes());
             }
-            // Wire-level kinds never reach the value channel:
-            // `IntegrityState::new` leaves the channel disarmed for them and
-            // the per-event draw above only covers the four value kinds.
+            // Wire-level kinds and drops never reach here:
+            // `IntegrityState::new` leaves the channel disarmed for the
+            // former, `IntegrityState::transmit` resends the latter, and the
+            // per-event draw above only covers the four value kinds.
             CorruptionKind::FrameTruncate
             | CorruptionKind::FrameDuplicate
-            | CorruptionKind::FrameReorder => {}
+            | CorruptionKind::FrameReorder
+            | CorruptionKind::Drop => {}
         }
     }
 }
@@ -905,11 +918,11 @@ impl WireChaos {
     }
 }
 
-/// Per-run integrity machinery shared by both engines: the corruption
-/// channel, the receiver-side verify flag, and the counters that land in
-/// the run report. Both engines drive it through the shared coordinator
-/// record helpers in deterministic link order, so a lockstep run and a
-/// threaded run with the same seed corrupt the same messages.
+/// Per-run integrity machinery shared by every engine: the link channel
+/// (corruption or drops), the receiver-side verify flag, and the counters
+/// that land in the run report. Every engine drives it through the shared
+/// coordinator record helpers in deterministic link order, so runs with
+/// the same seed corrupt (or drop) the same messages on every engine.
 #[derive(Debug, Clone)]
 pub(crate) struct IntegrityState {
     channel: Option<CorruptionChannel>,
@@ -919,6 +932,9 @@ pub(crate) struct IntegrityState {
     max_retransmits: u32,
     /// Counters for the run report / telemetry.
     pub(crate) counters: IntegrityCounters,
+    /// Resends of dropped copies ([`CorruptionKind::Drop`]), reported as
+    /// [`crate::DistRunReport::retransmissions`] rather than in `counters`.
+    pub(crate) retransmissions: usize,
     /// Receiver of the most recent *delivered* corruption (verify off) —
     /// the divergence gate's prime suspect when residuals later explode.
     pub(crate) last_corrupted: Option<String>,
@@ -959,6 +975,7 @@ impl IntegrityState {
             verify,
             max_retransmits: corruption.map_or(1, |c| c.max_retransmits),
             counters: IntegrityCounters::default(),
+            retransmissions: 0,
             last_corrupted: None,
         }
     }
@@ -974,7 +991,8 @@ impl IntegrityState {
     /// `(delivered, attempts)`: `delivered` is `Some(v)` when the receiver
     /// accepted a value different from (or coincidentally equal to) the
     /// sent one, `None` for an untouched delivery; `attempts ≥ 1` counts
-    /// sends including checksum-triggered retransmits.
+    /// sends including checksum-triggered retransmits and resends of
+    /// dropped copies.
     ///
     /// # Errors
     ///
@@ -991,6 +1009,14 @@ impl IntegrityState {
         let Some(channel) = self.channel.as_mut() else {
             return Ok((None, 1));
         };
+        if channel.kind == Some(CorruptionKind::Drop) {
+            let mut attempts = 1usize;
+            while channel.strikes() {
+                attempts += 1;
+            }
+            self.retransmissions += attempts - 1;
+            return Ok((None, attempts));
+        }
         let mut attempts = 0usize;
         loop {
             attempts += 1;
@@ -1311,6 +1337,7 @@ mod tests {
         assert!(CorruptionKind::FrameReorder.is_wire_level());
         assert!(!CorruptionKind::BitFlip.is_wire_level());
         assert!(!CorruptionKind::MagnitudeScale.is_wire_level());
+        assert!(!CorruptionKind::Drop.is_wire_level());
         // A wire-pinned config leaves the value channel inert (the socket
         // pumps own those draws) but keeps checksum verification active.
         let cfg = CorruptionConfig::new(0.9, 3).with_kind(CorruptionKind::FrameTruncate);
@@ -1385,5 +1412,75 @@ mod tests {
             diverged |= va != c.next_ingress(&mut pc);
         }
         assert!(diverged, "different salts must decorrelate the streams");
+    }
+
+    /// A drop channel of the given rate on an unverified link.
+    fn drop_state(rate: f64, seed: u64) -> IntegrityState {
+        let cfg = CorruptionConfig::new(rate, seed).with_kind(CorruptionKind::Drop);
+        IntegrityState::new(Some(&cfg), false)
+    }
+
+    /// Sends one message through `state`; returns the attempts it took.
+    fn send(state: &mut IntegrityState) -> usize {
+        let msg = Message::LambdaTilde {
+            frontend: 0,
+            datacenter: 0,
+            value: 1.0,
+        };
+        let (delivered, attempts) = state.transmit(&msg, 1).unwrap();
+        assert_eq!(delivered, None, "a dropped copy is resent, never altered");
+        attempts
+    }
+
+    #[test]
+    fn lossless_channel_never_retransmits() {
+        let mut state = drop_state(0.0, 1);
+        for _ in 0..1000 {
+            assert_eq!(send(&mut state), 1);
+        }
+        assert_eq!(state.retransmissions, 0);
+    }
+
+    #[test]
+    fn attempts_match_geometric_mean() {
+        // E[attempts] = 1/(1−p); p = 0.5 ⇒ 2.
+        let mut state = drop_state(0.5, 42);
+        let n = 20_000;
+        let total: usize = (0..n).map(|_| send(&mut state)).sum();
+        let mean = total as f64 / n as f64;
+        assert!((mean - 2.0).abs() < 0.1, "mean attempts {mean}");
+        assert_eq!(state.retransmissions, total - n);
+        // Drops are resends, not corruptions: no budget, no counters.
+        assert!(state.counters.is_zero());
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let mut a = drop_state(0.3, 7);
+        let mut b = drop_state(0.3, 7);
+        for _ in 0..100 {
+            assert_eq!(send(&mut a), send(&mut b));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "corruption rate")]
+    fn rejects_certain_loss() {
+        let _ = CorruptionConfig::new(1.0, 0).with_kind(CorruptionKind::Drop);
+    }
+
+    #[test]
+    fn try_new_returns_typed_error() {
+        assert!(matches!(
+            CorruptionConfig::try_new(1.5, 0),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+        let mut certain = CorruptionConfig::new(0.25, 0).with_kind(CorruptionKind::Drop);
+        assert!(FaultPlan::none().with_corruption(certain).check().is_ok());
+        certain.rate = 1.0;
+        assert!(matches!(
+            FaultPlan::none().with_corruption(certain).check(),
+            Err(CoreError::InvalidConfig { .. })
+        ));
     }
 }

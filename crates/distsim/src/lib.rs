@@ -16,15 +16,18 @@
 //! 5. a coordinator max-reduces the per-node residuals and broadcasts the
 //!    continue/stop decision.
 //!
-//! Two runtimes execute the same node logic: [`Runtime::Lockstep`] (a
+//! Three engines execute the same node logic: [`Engine::Lockstep`] (a
 //! deterministic round engine, bit-identical to `ufc_core::AdmgSolver` by
-//! construction — asserted in tests) and [`Runtime::Threaded`] (one OS
-//! thread per node over std::sync::mpsc channels). Both are `Transport`
-//! implementations sequenced by the single transport-agnostic iteration
-//! driver `ufc_core::engine::drive` — the λ→μ→ν→a prediction order, the
-//! correction step, and the stop rule exist in exactly one place. Both
-//! account every logical message and estimate the wall-clock cost of a
-//! real WAN deployment from the latency matrix.
+//! construction — asserted in tests), [`Engine::Threaded`] (one OS thread
+//! per node over std::sync::mpsc channels) and [`Engine::Sockets`] (worker
+//! OS processes over TCP). All are `Transport` implementations sequenced
+//! by the single transport-agnostic iteration driver
+//! `ufc_core::engine::drive` — the λ→μ→ν→a prediction order, the
+//! correction step, and the stop rule exist in exactly one place — and all
+//! are reached through one entry point, [`DistributedAdmg::execute`], that
+//! takes a [`RunSpec`]: the engine and the [`FaultPlan`] it runs under.
+//! Every engine accounts every logical message and estimates the
+//! wall-clock cost of a real WAN deployment from the latency matrix.
 //!
 //! # Failure model
 //!
@@ -40,9 +43,12 @@
 //! run is reproducible and testable; accounting lands in a [`FaultReport`]
 //! attached to the [`DistRunReport`].
 //!
-//! Orthogonally to crash faults, a seeded [`CorruptionConfig`] poisons
-//! data payloads in flight (bit-flips, sign flips, NaN substitution,
-//! magnitude scaling). With `AdmgSettings::verify_checksums` on, payloads
+//! Orthogonally to crash faults, the plan's seeded [`CorruptionConfig`]
+//! is the one link-level channel. It poisons data payloads in flight
+//! (bit-flips, sign flips, NaN substitution, magnitude scaling) or, pinned
+//! to [`CorruptionKind::Drop`], loses copies that are resent until
+//! delivered — the iterates are unchanged and only traffic and the WAN
+//! estimate grow. With `AdmgSettings::verify_checksums` on, payloads
 //! travel in CRC32-framed [`message`]s, corrupt copies are detected on
 //! receive and retransmitted (bounded), and the run converges to the clean
 //! answer; with verification off, delivered poison is caught by the
@@ -55,22 +61,34 @@
 //! state moves), and the wire-level [`CorruptionKind`]s
 //! (`FrameTruncate`/`FrameDuplicate`/`FrameReorder`) mangle real TCP
 //! frames in the socket I/O pumps, repaired by the CRC + `Nak`/resend
-//! ladder (`DistributedAdmg::run_sockets_corrupt`).
+//! ladder.
 //!
 //! # Example
 //!
 //! ```
 //! use ufc_core::{AdmgSettings, Strategy};
-//! use ufc_distsim::{DistributedAdmg, Runtime};
+//! use ufc_distsim::{CorruptionConfig, CorruptionKind, DistributedAdmg, Engine, RunSpec};
 //! use ufc_model::scenario::ScenarioBuilder;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scenario = ScenarioBuilder::paper_default().hours(1).build()?;
-//! let report = DistributedAdmg::new(AdmgSettings::default())
-//!     .run(&scenario.instances[0], Strategy::Hybrid, Runtime::Lockstep)?;
+//! let runner = DistributedAdmg::new(AdmgSettings::default());
+//! let spec = RunSpec::new(Engine::Lockstep);
+//! let report = runner.execute(&scenario.instances[0], Strategy::Hybrid, &spec, &mut ())?;
 //! assert!(report.converged);
 //! // Two data messages per (front-end, datacenter) pair per iteration.
 //! assert_eq!(report.stats.data_messages, 2 * 10 * 4 * report.iterations);
+//!
+//! // Drop 10% of the copies in flight: the same answer, at a price.
+//! let drops = CorruptionConfig::new(0.1, 7).with_kind(CorruptionKind::Drop);
+//! let lossy = runner.execute(
+//!     &scenario.instances[0],
+//!     Strategy::Hybrid,
+//!     &spec.with_corruption(drops),
+//!     &mut (),
+//! )?;
+//! assert_eq!(lossy.point, report.point);
+//! assert!(lossy.retransmissions > 0);
 //! # Ok(())
 //! # }
 //! ```
@@ -83,7 +101,6 @@ mod engine_lockstep;
 mod engine_socket;
 mod engine_threaded;
 pub mod fault;
-pub mod loss;
 pub mod message;
 pub mod node;
 mod rng;
@@ -97,6 +114,6 @@ pub mod worker;
 pub use fault::{
     CorruptionConfig, CorruptionKind, FaultPlan, FaultReport, NodeId, PartitionWindow,
 };
-pub use runtime::{DistRunReport, DistributedAdmg, Runtime, SocketOptions};
+pub use runtime::{DistRunReport, DistributedAdmg, Engine, RunSpec, SocketOptions};
 pub use snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
 pub use wire::{AuthKey, BindConfig};

@@ -1,8 +1,8 @@
 //! The crate's tiny deterministic generator.
 //!
 //! SplitMix64 (Steele et al.) — well-distributed, seedable, and free of
-//! external dependencies. Fault schedules, loss processes, and corruption
-//! injection all draw from private instances of this one generator so every
+//! external dependencies. Fault schedules and the link channel (corruption
+//! and drops) all draw from private instances of this one generator so every
 //! injected event is exactly reproducible from its seed.
 
 /// SplitMix64 state.

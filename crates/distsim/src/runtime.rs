@@ -1,14 +1,18 @@
-//! The public runtime facade: picks an execution engine and packages the
-//! result.
+//! The public runtime facade: one entry point,
+//! [`DistributedAdmg::execute`], that runs a [`RunSpec`] — an [`Engine`]
+//! and the [`FaultPlan`] it runs under — and packages the result.
 //!
-//! Both engines — the deterministic lockstep rounds
-//! (`crate::engine_lockstep`) and the supervised threaded message-passing
-//! coordinator (`crate::engine_threaded`) — implement
+//! All three engines — the deterministic lockstep rounds
+//! (`crate::engine_lockstep`), the supervised threaded message-passing
+//! coordinator (`crate::engine_threaded`) and the multi-process socket
+//! engine (`crate::engine_socket`) — implement
 //! [`ufc_core::engine::Transport`] and are sequenced by the single
 //! transport-agnostic driver `ufc_core::engine::drive`, so the prediction
-//! order, correction step, and stop rule exist in exactly one place. The
-//! fault-injected variants are not separate code paths: a clean run is the
-//! [`FaultPlan::none`] degenerate case of the same engines.
+//! order, correction step, and stop rule exist in exactly one place. Faults,
+//! corruption and drops are not separate code paths either: a clean run is
+//! the [`FaultPlan::none`] degenerate case of the same engines, and the run
+//! policy (validation, rollback checkpoints, the clean baseline) lives in
+//! [`DistributedAdmg::execute`] alone.
 
 use std::path::PathBuf;
 
@@ -20,16 +24,20 @@ use ufc_model::{OperatingPoint, UfcBreakdown, UfcInstance};
 use crate::engine_lockstep::run_lockstep;
 use crate::engine_socket::run_socket_engine;
 use crate::engine_threaded::run_supervised;
-use crate::fault::{CorruptionConfig, FaultPlan, FaultReport};
-use crate::loss::LossConfig;
+use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, FaultReport};
 use crate::stats::MessageStats;
 use crate::wire::{AuthKey, BindConfig};
+
+/// Checkpoint cadence [`DistributedAdmg::execute`] gives a corrupting plan
+/// without one when [`AdmgSettings::divergence_rollback`] is on: rollback
+/// needs a recent finite state to return to.
+const ROLLBACK_CHECKPOINT_INTERVAL: usize = 4;
 
 /// Configuration of the multi-process socket engine: where the worker
 /// binary lives, how many OS processes to spread the nodes over, which
 /// address the coordinator listens on, and (for non-loopback binds) the
 /// shared authentication key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocketOptions {
     /// Path to the `ufc-node` worker binary (built from
     /// `experiments/src/bin/ufc-node.rs`).
@@ -85,14 +93,55 @@ impl SocketOptions {
 }
 
 /// Which execution engine runs the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Runtime {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Engine {
     /// Single-threaded round engine — deterministic and bit-identical to
     /// the in-memory `AdmgSolver`.
     Lockstep,
     /// One OS thread per node over std::sync::mpsc channels, driven by the
     /// supervising coordinator.
     Threaded,
+    /// Every node in a worker OS process (per [`SocketOptions::processes`])
+    /// speaking the checksummed wire framing over TCP; bit-identical to
+    /// [`Engine::Lockstep`] on a clean plan.
+    Sockets(SocketOptions),
+}
+
+/// One distributed run: the engine, and the plan it runs under. The plan
+/// carries the node-level faults and the link-level
+/// [`CorruptionConfig`] (corruption, or drops with
+/// [`CorruptionKind::Drop`]); [`FaultPlan::none`] is a clean run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSpec {
+    /// The execution engine.
+    pub engine: Engine,
+    /// Faults, corruption and drops injected into the run.
+    pub plan: FaultPlan,
+}
+
+impl RunSpec {
+    /// A clean run on `engine`.
+    #[must_use]
+    pub fn new(engine: Engine) -> Self {
+        RunSpec {
+            engine,
+            plan: FaultPlan::none(),
+        }
+    }
+
+    /// Runs under `plan` instead.
+    #[must_use]
+    pub fn with_plan(mut self, plan: FaultPlan) -> Self {
+        self.plan = plan;
+        self
+    }
+
+    /// Adds link-level corruption (or drops) to the plan.
+    #[must_use]
+    pub fn with_corruption(mut self, corruption: CorruptionConfig) -> Self {
+        self.plan.corruption = Some(corruption);
+        self
+    }
 }
 
 /// Result of a distributed run.
@@ -110,18 +159,17 @@ pub struct DistRunReport {
     /// Message/byte accounting.
     pub stats: MessageStats,
     /// Estimated wall-clock of a real WAN deployment (see
-    /// [`crate::stats::estimated_wan_seconds`]); under a lossy channel or a
-    /// fault plan this includes the retransmission/recovery stalls.
+    /// [`crate::stats::estimated_wan_seconds`]); under drops, corruption or
+    /// a fault plan this includes the resend/recovery stalls.
     pub estimated_wan_seconds: f64,
-    /// Failed message attempts (0 unless run through
-    /// [`DistributedAdmg::run_lossy`]).
+    /// Resent dropped copies (0 unless the plan pins
+    /// [`CorruptionKind::Drop`]).
     pub retransmissions: usize,
-    /// Fault accounting — `Some` for runs driven by a non-trivial
-    /// [`FaultPlan`] (see [`DistributedAdmg::run_faulty`]).
+    /// Fault accounting — `Some` iff the plan scripts node-level faults
+    /// ([`FaultPlan::is_trivial`] is false) or the run took checkpoints.
     pub fault: Option<FaultReport>,
     /// Payload-integrity accounting — `Some` when the run injected
-    /// corruption or verified checksums (see
-    /// [`DistributedAdmg::run_corrupt`]).
+    /// corruption or drops, or verified checksums.
     pub integrity: Option<IntegrityCounters>,
     /// Run telemetry (phase timings plus solver/traffic/fault counters),
     /// present iff [`AdmgSettings::telemetry`] was enabled. Strictly
@@ -161,92 +209,113 @@ impl DistributedAdmg {
         }
     }
 
-    /// Runs the protocol to convergence (or the iteration cap).
+    /// Runs the protocol as `spec` says, to convergence (or the iteration
+    /// cap), streaming per-iteration (and, if the observer asks for them,
+    /// per-phase) events to `observer` — e.g. a
+    /// `ufc_core::telemetry::JsonlSink` writing a trace; pass `&mut ()` to
+    /// watch nothing. The observer never affects the iterate stream.
+    ///
+    /// The run policy, for every engine:
+    ///
+    /// * The plan is validated ([`FaultPlan::check`]), and wire-level
+    ///   [`CorruptionKind`]s run only on [`Engine::Sockets`].
+    /// * With [`AdmgSettings::divergence_rollback`] on, a plan that carries
+    ///   corruption but no checkpoint cadence checkpoints every 4
+    ///   iterations, so a tripped divergence gate finds a recent finite
+    ///   state.
+    /// * A plan with node-level faults ([`FaultPlan::is_trivial`] false)
+    ///   first runs a clean, unobserved, telemetry-off lockstep baseline;
+    ///   [`FaultReport::ufc_delta_vs_clean`] is the UFC difference to it,
+    ///   and `0.0` otherwise.
+    ///
+    /// A run whose every crash recovers, and a run whose corruption is
+    /// caught by verified checksums or whose copies are only dropped,
+    /// reproduces the clean iterates exactly.
     ///
     /// # Errors
     ///
+    /// * [`CoreError::InvalidConfig`] for an inconsistent plan, a
+    ///   wire-level corruption kind off the socket engine, or socket-engine
+    ///   options the plan cannot run under (process-level faults and
+    ///   wire-level chaos need one process per node).
     /// * [`CoreError::Unsupported`] for an infeasible `FuelCellOnly`
     ///   restriction.
     /// * [`CoreError::Model`] if the final point cannot be polished or
     ///   evaluated.
-    /// * [`CoreError::NodeFailure`] if a worker thread dies unexpectedly
-    ///   (threaded runtime).
-    pub fn run(
+    /// * [`CoreError::NodeFailure`] for an unrecoverable failure (a
+    ///   permanently dead front-end, the last active datacenter, a worker
+    ///   that dies unplanned, or a worker process that cannot be spawned or
+    ///   never completes the handshake).
+    /// * [`CoreError::CorruptPayload`] when a verified link exhausts its
+    ///   retransmit budget, and [`CoreError::Divergence`] when undetected
+    ///   corruption poisons the iterate stream.
+    pub fn execute(
         &self,
         instance: &UfcInstance,
         strategy: Strategy,
-        runtime: Runtime,
-    ) -> Result<DistRunReport, CoreError> {
-        self.run_observed(instance, strategy, runtime, &mut ())
-    }
-
-    /// Like [`DistributedAdmg::run`], streaming per-iteration (and, if the
-    /// observer asks for them, per-phase) events to a caller-supplied
-    /// observer — e.g. a `ufc_core::telemetry::JsonlSink` writing a trace.
-    /// The observer never affects the iterate stream.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run`].
-    pub fn run_observed(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        runtime: Runtime,
+        spec: &RunSpec,
         observer: &mut dyn IterationObserver,
     ) -> Result<DistRunReport, CoreError> {
+        let mut plan = spec.plan.clone();
+        plan.check()?;
+        let wire_level = plan
+            .corruption
+            .and_then(|c| c.kind)
+            .is_some_and(CorruptionKind::is_wire_level);
+        if wire_level && !matches!(spec.engine, Engine::Sockets(_)) {
+            return Err(CoreError::invalid_config(
+                "wire-level corruption kinds (frame truncate/duplicate/reorder) need real \
+                 TCP frames; run them on Engine::Sockets",
+            ));
+        }
         let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        match runtime {
-            Runtime::Lockstep => {
-                let mut report = run_lockstep(
-                    &self.settings,
-                    instance,
-                    active_mu,
-                    active_nu,
-                    FaultPlan::none(),
-                    None,
-                    observer,
-                )?;
-                report.fault = None;
-                Ok(report)
-            }
-            Runtime::Threaded => run_supervised(
-                &self.settings,
+        if self.settings.divergence_rollback
+            && plan.corruption.is_some()
+            && plan.checkpoint_interval == 0
+        {
+            plan.checkpoint_interval = ROLLBACK_CHECKPOINT_INTERVAL;
+        }
+        // The clean baseline run is support machinery, not the run the
+        // caller asked to watch: no observer, no telemetry.
+        let clean_ufc = if plan.is_trivial() {
+            None
+        } else {
+            let clean = run_lockstep(
+                &self.settings.with_telemetry(false),
                 instance,
                 active_mu,
                 active_nu,
                 FaultPlan::none(),
-                observer,
+                &mut (),
+            )?;
+            Some(clean.breakdown.ufc())
+        };
+        let settings = &self.settings;
+        let mut report = match &spec.engine {
+            Engine::Lockstep => {
+                run_lockstep(settings, instance, active_mu, active_nu, plan, observer)
+            }
+            Engine::Threaded => {
+                run_supervised(settings, instance, active_mu, active_nu, plan, observer)
+            }
+            Engine::Sockets(options) => run_socket_engine(
+                settings, instance, active_mu, active_nu, plan, options, observer,
             ),
+        }?;
+        let ufc = report.breakdown.ufc();
+        if let Some(fault) = report.fault.as_mut() {
+            fault.ufc_delta_vs_clean = clean_ufc.map_or(0.0, |clean| ufc - clean);
         }
+        Ok(report)
     }
 
-    /// Runs the protocol on the multi-process socket engine: every node in
-    /// its own OS process (per [`SocketOptions::processes`]) speaking the
-    /// checksummed wire framing over loopback TCP. The clean path is
-    /// bit-identical to the lockstep engine (asserted in
-    /// `experiments/tests/engine_equivalence.rs`).
+    /// A clean run on the socket engine: `execute` with
+    /// [`Engine::Sockets`] and [`FaultPlan::none`]. Kept for the benchmark
+    /// package, which calls it.
     ///
     /// # Errors
     ///
-    /// As for [`DistributedAdmg::run`], plus [`CoreError::NodeFailure`]
-    /// when a worker process cannot be spawned or never completes the
-    /// handshake.
-    pub fn run_sockets(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        options: &SocketOptions,
-    ) -> Result<DistRunReport, CoreError> {
-        self.run_sockets_observed(instance, strategy, options, &mut ())
-    }
-
-    /// Like [`DistributedAdmg::run_sockets`], streaming events to a
-    /// caller-supplied observer.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run_sockets`].
+    /// As for [`DistributedAdmg::execute`].
     pub fn run_sockets_observed(
         &self,
         instance: &UfcInstance,
@@ -254,352 +323,8 @@ impl DistributedAdmg {
         options: &SocketOptions,
         observer: &mut dyn IterationObserver,
     ) -> Result<DistRunReport, CoreError> {
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        run_socket_engine(
-            &self.settings,
-            instance,
-            active_mu,
-            active_nu,
-            FaultPlan::none(),
-            options,
-            observer,
-        )
-    }
-
-    /// Runs the socket engine under a deterministic [`FaultPlan`] whose
-    /// faults are delivered by the operating system: a scripted crash is a
-    /// real `SIGKILL` to the live worker process mid-iteration, and a
-    /// partition window tears down the affected TCP connections (the
-    /// workers reconnect with backoff when it heals). Recovery is the same
-    /// checkpoint-restart protocol as the threaded engine's, and a run
-    /// whose every crash recovers reproduces the clean iterates exactly. A
-    /// clean fault-free lockstep run is performed first so the returned
-    /// [`FaultReport::ufc_delta_vs_clean`] measures the cost of running
-    /// degraded.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run_faulty`], plus
-    /// [`CoreError::InvalidConfig`] when the plan injects process-level
-    /// faults without the one-process-per-node split.
-    pub fn run_sockets_faulty(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        options: &SocketOptions,
-        plan: FaultPlan,
-    ) -> Result<DistRunReport, CoreError> {
-        self.run_sockets_faulty_observed(instance, strategy, options, plan, &mut ())
-    }
-
-    /// Like [`DistributedAdmg::run_sockets_faulty`], streaming events from
-    /// the faulty run to a caller-supplied observer (the preliminary clean
-    /// lockstep run is not observed).
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run_sockets_faulty`].
-    pub fn run_sockets_faulty_observed(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        options: &SocketOptions,
-        plan: FaultPlan,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DistRunReport, CoreError> {
-        plan.check()?;
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        // The clean baseline run is support machinery, not the run the
-        // caller asked to watch: no observer, no telemetry.
-        let clean = run_lockstep(
-            &self.settings.with_telemetry(false),
-            instance,
-            active_mu,
-            active_nu,
-            FaultPlan::none(),
-            None,
-            &mut (),
-        )?;
-        let mut report = run_socket_engine(
-            &self.settings,
-            instance,
-            active_mu,
-            active_nu,
-            plan,
-            options,
-            observer,
-        )?;
-        let delta = report.breakdown.ufc() - clean.breakdown.ufc();
-        if let Some(fault) = report.fault.as_mut() {
-            fault.ufc_delta_vs_clean = delta;
-        }
-        Ok(report)
-    }
-
-    /// Runs the socket engine under seeded payload corruption applied to
-    /// the actual TCP traffic. Value-level kinds (bit flips, sign flips,
-    /// NaN/∞, magnitude scaling — [`CorruptionConfig::kind`] `None` or a
-    /// value kind) draw in the exact order of the in-process engines, so a
-    /// verified run reproduces [`DistributedAdmg::run_corrupt`]
-    /// bit-for-bit. The wire-level kinds
-    /// ([`crate::CorruptionKind::FrameTruncate`] /
-    /// [`crate::CorruptionKind::FrameDuplicate`] /
-    /// [`crate::CorruptionKind::FrameReorder`]) instead mangle whole wire
-    /// frames in the socket I/O pumps — truncations are detected by the
-    /// framing CRC and repaired over a `Nak`/clean-resend exchange, while
-    /// duplicates and reorders are absorbed by the existing dedup and
-    /// order-insensitive gather — and require the one-process-per-node
-    /// split.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run_corrupt`], plus
-    /// [`CoreError::InvalidConfig`] when a wire-level kind is combined
-    /// with co-hosted nodes.
-    pub fn run_sockets_corrupt(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        options: &SocketOptions,
-        corruption: CorruptionConfig,
-    ) -> Result<DistRunReport, CoreError> {
-        self.run_sockets_corrupt_observed(instance, strategy, options, corruption, &mut ())
-    }
-
-    /// Like [`DistributedAdmg::run_sockets_corrupt`], streaming events to
-    /// a caller-supplied observer.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run_sockets_corrupt`].
-    pub fn run_sockets_corrupt_observed(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        options: &SocketOptions,
-        corruption: CorruptionConfig,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DistRunReport, CoreError> {
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        let mut plan = FaultPlan::none().with_corruption(corruption);
-        if self.settings.divergence_rollback {
-            // Same policy as run_corrupt: rollback needs checkpoints.
-            plan.checkpoint_interval = 4;
-        }
-        let mut report = run_socket_engine(
-            &self.settings,
-            instance,
-            active_mu,
-            active_nu,
-            plan,
-            options,
-            observer,
-        )?;
-        if let Some(fault) = report.fault.as_mut() {
-            fault.ufc_delta_vs_clean = 0.0;
-        }
-        Ok(report)
-    }
-
-    /// Runs the protocol (lockstep engine) over a lossy channel with
-    /// retransmission. The iterates — and therefore the solution — are
-    /// identical to a lossless run; only the traffic and the estimated WAN
-    /// wall-clock grow (see [`crate::loss`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run`].
-    pub fn run_lossy(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        loss: LossConfig,
-    ) -> Result<DistRunReport, CoreError> {
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        let mut report = run_lockstep(
-            &self.settings,
-            instance,
-            active_mu,
-            active_nu,
-            FaultPlan::none(),
-            Some(loss),
-            &mut (),
-        )?;
-        report.fault = None;
-        Ok(report)
-    }
-
-    /// Runs the protocol under seeded link-level payload corruption (see
-    /// [`crate::fault::CorruptionConfig`]). With
-    /// [`AdmgSettings::verify_checksums`] on, every data payload travels in
-    /// a CRC32-checksummed frame: a corrupted copy is detected on receive
-    /// and retransmitted (bounded by the config's budget), so the iterate
-    /// stream — and the solution — match a clean run exactly. With
-    /// verification off, corrupted payloads are *delivered*; the driver's
-    /// divergence gate is then the only line of defense, and the run may
-    /// fail with a typed error instead of converging. When
-    /// [`AdmgSettings::divergence_rollback`] is on, periodic checkpoints
-    /// are taken so a tripped gate can restore the last finite state
-    /// instead of failing.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run`], plus
-    /// [`CoreError::CorruptPayload`] when the retransmit budget is
-    /// exhausted and [`CoreError::Divergence`] when an undetected
-    /// corruption poisons the iterate stream.
-    pub fn run_corrupt(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        runtime: Runtime,
-        corruption: CorruptionConfig,
-    ) -> Result<DistRunReport, CoreError> {
-        self.run_corrupt_observed(instance, strategy, runtime, corruption, &mut ())
-    }
-
-    /// Like [`DistributedAdmg::run_corrupt`], streaming events to a
-    /// caller-supplied observer.
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run_corrupt`].
-    pub fn run_corrupt_observed(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        runtime: Runtime,
-        corruption: CorruptionConfig,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DistRunReport, CoreError> {
-        if corruption.kind.is_some_and(|k| k.is_wire_level()) {
-            return Err(CoreError::invalid_config(
-                "wire-level corruption kinds (frame truncate/duplicate/reorder) need real \
-                 TCP frames; use run_sockets_corrupt",
-            ));
-        }
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        let mut plan = FaultPlan::none().with_corruption(corruption);
-        if self.settings.divergence_rollback {
-            // Rollback needs something to roll back to: checkpoint every
-            // few iterations so a tripped gate finds a recent finite state.
-            plan.checkpoint_interval = 4;
-        }
-        let mut report = match runtime {
-            Runtime::Lockstep => {
-                let mut report = run_lockstep(
-                    &self.settings,
-                    instance,
-                    active_mu,
-                    active_nu,
-                    plan,
-                    None,
-                    observer,
-                )?;
-                // Corruption is link-level, not a node-fault scenario: the
-                // fault report only stays when checkpointing actually ran.
-                if report
-                    .fault
-                    .as_ref()
-                    .is_some_and(|f| f.checkpoints_taken == 0)
-                {
-                    report.fault = None;
-                }
-                report
-            }
-            Runtime::Threaded => run_supervised(
-                &self.settings,
-                instance,
-                active_mu,
-                active_nu,
-                plan,
-                observer,
-            )?,
-        };
-        if let Some(fault) = report.fault.as_mut() {
-            fault.ufc_delta_vs_clean = 0.0;
-        }
-        Ok(report)
-    }
-
-    /// Runs the protocol under a deterministic [`FaultPlan`]: scripted
-    /// crash-stop failures (with checkpoint-restart recovery), stragglers,
-    /// and partition windows. A clean fault-free lockstep run is performed
-    /// first so the returned [`FaultReport::ufc_delta_vs_clean`] measures
-    /// the cost of running degraded.
-    ///
-    /// Both runtimes make identical recovery/eviction decisions; a run
-    /// whose every crash recovers reproduces the clean iterates exactly
-    /// (checkpoint-restart plus input replay is bit-faithful).
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run`], plus [`CoreError::InvalidConfig`]
-    /// for an inconsistent plan and [`CoreError::NodeFailure`] for
-    /// unrecoverable failures (a permanently dead front-end, or the last
-    /// active datacenter).
-    pub fn run_faulty(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        runtime: Runtime,
-        plan: FaultPlan,
-    ) -> Result<DistRunReport, CoreError> {
-        self.run_faulty_observed(instance, strategy, runtime, plan, &mut ())
-    }
-
-    /// Like [`DistributedAdmg::run_faulty`], streaming events from the
-    /// faulty run to a caller-supplied observer (the preliminary clean
-    /// lockstep run is not observed).
-    ///
-    /// # Errors
-    ///
-    /// As for [`DistributedAdmg::run_faulty`].
-    pub fn run_faulty_observed(
-        &self,
-        instance: &UfcInstance,
-        strategy: Strategy,
-        runtime: Runtime,
-        plan: FaultPlan,
-        observer: &mut dyn IterationObserver,
-    ) -> Result<DistRunReport, CoreError> {
-        plan.check()?;
-        let (active_mu, active_nu) = strategy.block_activation(instance)?;
-        // The clean baseline run is support machinery, not the run the
-        // caller asked to watch: no observer, no telemetry.
-        let clean = run_lockstep(
-            &self.settings.with_telemetry(false),
-            instance,
-            active_mu,
-            active_nu,
-            FaultPlan::none(),
-            None,
-            &mut (),
-        )?;
-        let mut report = match runtime {
-            Runtime::Lockstep => run_lockstep(
-                &self.settings,
-                instance,
-                active_mu,
-                active_nu,
-                plan,
-                None,
-                observer,
-            )?,
-            Runtime::Threaded => run_supervised(
-                &self.settings,
-                instance,
-                active_mu,
-                active_nu,
-                plan,
-                observer,
-            )?,
-        };
-        let delta = report.breakdown.ufc() - clean.breakdown.ufc();
-        if let Some(fault) = report.fault.as_mut() {
-            fault.ufc_delta_vs_clean = delta;
-        }
-        Ok(report)
+        let spec = RunSpec::new(Engine::Sockets(options.clone()));
+        self.execute(instance, strategy, &spec, observer)
     }
 }
 
@@ -633,7 +358,12 @@ mod tests {
     fn lockstep_converges_and_counts_messages() {
         let inst = tiny();
         let report = DistributedAdmg::new(AdmgSettings::default())
-            .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .unwrap();
         assert!(report.converged);
         // 2·M·N data messages per iteration.
@@ -650,10 +380,20 @@ mod tests {
         let inst = tiny();
         let runner = DistributedAdmg::new(AdmgSettings::default());
         let lockstep = runner
-            .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .unwrap();
         let threaded = runner
-            .run(&inst, Strategy::Hybrid, Runtime::Threaded)
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Threaded),
+                &mut (),
+            )
             .unwrap();
         assert_eq!(lockstep.iterations, threaded.iterations);
         assert!(
@@ -671,11 +411,21 @@ mod tests {
         let inst = tiny();
         let runner = DistributedAdmg::new(AdmgSettings::default());
         let grid = runner
-            .run(&inst, Strategy::GridOnly, Runtime::Lockstep)
+            .execute(
+                &inst,
+                Strategy::GridOnly,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .unwrap();
         assert!(grid.point.mu.iter().all(|&v| v == 0.0));
         let fc = runner
-            .run(&inst, Strategy::FuelCellOnly, Runtime::Lockstep)
+            .execute(
+                &inst,
+                Strategy::FuelCellOnly,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .unwrap();
         assert!(fc.point.nu.iter().all(|&v| v.abs() < 1e-9));
     }
@@ -685,7 +435,12 @@ mod tests {
         let mut inst = tiny();
         inst.mu_max = vec![0.0, 0.0];
         let err = DistributedAdmg::new(AdmgSettings::default())
-            .run(&inst, Strategy::FuelCellOnly, Runtime::Lockstep)
+            .execute(
+                &inst,
+                Strategy::FuelCellOnly,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .unwrap_err();
         assert!(matches!(err, CoreError::Unsupported { .. }));
     }

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use ufc_core::{AdmgSettings, CoreError, Strategy};
 use ufc_distsim::message::Message;
-use ufc_distsim::{CorruptionConfig, CorruptionKind, DistributedAdmg, Runtime};
+use ufc_distsim::{CorruptionConfig, CorruptionKind, DistributedAdmg, Engine, RunSpec};
 use ufc_model::{EmissionCostFn, UfcInstance};
 
 /// Same 2×2 instance as `tests/fault_injection.rs`.
@@ -39,22 +39,32 @@ fn slack_instance() -> UfcInstance {
 fn checksummed_corruption_converges_to_the_clean_answer() {
     let inst = slack_instance();
     let clean = DistributedAdmg::new(AdmgSettings::default())
-        .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean run must succeed");
     let runner = DistributedAdmg::new(AdmgSettings::default().with_checksums(true));
     let cfg = CorruptionConfig::new(0.02, 7);
-    for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+    for engine in [Engine::Lockstep, Engine::Threaded] {
         let report = runner
-            .run_corrupt(&inst, Strategy::Hybrid, runtime, cfg)
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()).with_corruption(cfg),
+                &mut (),
+            )
             .expect("verified links repair every corruption");
-        assert!(report.converged, "{runtime:?} must converge");
+        assert!(report.converged, "{engine:?} must converge");
         assert_eq!(report.iterations, clean.iterations);
         // Retransmission delivers the clean copy, so the iterate stream —
         // and the polished answer — are bit-identical to the clean run.
         assert_eq!(
             report.breakdown.ufc().to_bits(),
             clean.breakdown.ufc().to_bits(),
-            "{runtime:?}: checksummed corruption must not move the answer"
+            "{engine:?}: checksummed corruption must not move the answer"
         );
         assert_eq!(report.stats.data_messages, clean.stats.data_messages);
         assert!(
@@ -83,10 +93,20 @@ fn lockstep_and_threaded_agree_under_corruption() {
     let runner = DistributedAdmg::new(AdmgSettings::default().with_checksums(true));
     let cfg = CorruptionConfig::new(0.05, 11);
     let lockstep = runner
-        .run_corrupt(&inst, Strategy::Hybrid, Runtime::Lockstep, cfg)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+            &mut (),
+        )
         .expect("lockstep corrupt run");
     let threaded = runner
-        .run_corrupt(&inst, Strategy::Hybrid, Runtime::Threaded, cfg)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded).with_corruption(cfg),
+            &mut (),
+        )
         .expect("threaded corrupt run");
     assert_eq!(lockstep.iterations, threaded.iterations);
     assert_eq!(lockstep.stats, threaded.stats);
@@ -102,19 +122,24 @@ fn unverified_nan_corruption_is_a_typed_error_not_a_panic() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let cfg = CorruptionConfig::new(0.05, 3).with_kind(CorruptionKind::NanSubstitution);
-    for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+    for engine in [Engine::Lockstep, Engine::Threaded] {
         let err = runner
-            .run_corrupt(&inst, Strategy::Hybrid, runtime, cfg)
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()).with_corruption(cfg),
+                &mut (),
+            )
             .expect_err("a delivered NaN must fail the run");
         match err {
             CoreError::Divergence { node, context, .. } => {
-                assert!(node.is_some(), "{runtime:?}: the receiver is named");
+                assert!(node.is_some(), "{engine:?}: the receiver is named");
                 assert!(
                     context.contains("non-finite"),
-                    "{runtime:?}: context names the poison: {context}"
+                    "{engine:?}: context names the poison: {context}"
                 );
             }
-            other => panic!("{runtime:?}: expected Divergence, got {other}"),
+            other => panic!("{engine:?}: expected Divergence, got {other}"),
         }
     }
 }
@@ -126,18 +151,23 @@ fn exhausted_retransmit_budget_is_a_typed_error() {
     // Rate ~1 with a budget of 1: the second attempt also corrupts and the
     // ladder gives up with the link named.
     let cfg = CorruptionConfig::new(0.999, 5).with_max_retransmits(1);
-    for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+    for engine in [Engine::Lockstep, Engine::Threaded] {
         let err = runner
-            .run_corrupt(&inst, Strategy::Hybrid, runtime, cfg)
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()).with_corruption(cfg),
+                &mut (),
+            )
             .expect_err("an unrepairable link must fail the run");
         match err {
             CoreError::CorruptPayload { node, .. } => {
                 assert!(
                     node.contains('→'),
-                    "{runtime:?}: the failing link is named: {node}"
+                    "{engine:?}: the failing link is named: {node}"
                 );
             }
-            other => panic!("{runtime:?}: expected CorruptPayload, got {other}"),
+            other => panic!("{engine:?}: expected CorruptPayload, got {other}"),
         }
     }
 }
@@ -147,14 +177,19 @@ fn rate_zero_without_checksums_is_bit_identical_to_a_plain_run() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let plain = runner
-        .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
-        .expect("plain run");
-    let corrupt = runner
-        .run_corrupt(
+        .execute(
             &inst,
             Strategy::Hybrid,
-            Runtime::Lockstep,
-            CorruptionConfig::new(0.0, 1),
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
+        .expect("plain run");
+    let corrupt = runner
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_corruption(CorruptionConfig::new(0.0, 1)),
+            &mut (),
         )
         .expect("rate-0 corrupt run");
     assert_eq!(plain.iterations, corrupt.iterations);
@@ -179,26 +214,40 @@ fn rollback_repairs_a_poisoned_run_in_both_engines() {
     let inst = slack_instance();
     let settings = AdmgSettings::default()
         .with_divergence_gate(10.0, 1)
-        .with_divergence_rollback(true);
+        .with_divergence_rollback(true)
+        .with_telemetry(true);
     let runner = DistributedAdmg::new(settings);
     // Seeded so the first magnitude-scale strike lands after the first
     // checkpoint round: the gate trips once, the rollback restores the
     // last finite state, and the run still converges.
     let cfg = CorruptionConfig::new(0.002, 1).with_kind(CorruptionKind::MagnitudeScale);
     let lockstep = runner
-        .run_corrupt(&inst, Strategy::Hybrid, Runtime::Lockstep, cfg)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+            &mut (),
+        )
         .expect("rollback must repair the lockstep run");
     assert!(lockstep.converged);
     let integrity = lockstep.integrity.expect("integrity report");
     assert_eq!(integrity.divergence_trips, 1);
     assert_eq!(integrity.rollbacks, 1);
-    let fault = lockstep.fault.expect("checkpointing ran for rollback");
+    let fault = lockstep
+        .fault
+        .as_ref()
+        .expect("checkpointing ran for rollback");
     assert!(fault.checkpoints_taken > 0);
     // A rolled-back run re-solves from an earlier iterate, so it lands on
     // the same answer as a clean run (within the stop tolerance), just
     // later.
     let clean = DistributedAdmg::new(AdmgSettings::default())
-        .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean run");
     assert!(
         (lockstep.breakdown.ufc() - clean.breakdown.ufc()).abs()
@@ -209,7 +258,12 @@ fn rollback_repairs_a_poisoned_run_in_both_engines() {
     );
     // Both engines make the identical trip/rollback decisions.
     let threaded = runner
-        .run_corrupt(&inst, Strategy::Hybrid, Runtime::Threaded, cfg)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded).with_corruption(cfg),
+            &mut (),
+        )
         .expect("rollback must repair the threaded run");
     assert_eq!(lockstep.iterations, threaded.iterations);
     assert_eq!(lockstep.integrity, threaded.integrity);
@@ -217,6 +271,18 @@ fn rollback_repairs_a_poisoned_run_in_both_engines() {
         lockstep.breakdown.ufc().to_bits(),
         threaded.breakdown.ufc().to_bits()
     );
+    // ...and report the checkpointing alike, in the telemetry too.
+    assert_eq!(lockstep.fault, threaded.fault);
+    let fault_section = |report: &ufc_distsim::DistRunReport| {
+        report
+            .telemetry
+            .as_ref()
+            .expect("telemetry was on")
+            .fault
+            .is_some()
+    };
+    assert!(fault_section(&lockstep));
+    assert_eq!(fault_section(&lockstep), fault_section(&threaded));
 }
 
 proptest! {

@@ -3,7 +3,7 @@
 //! `AdmgSolver`, at the paper's full scale (M = 10, N = 4).
 
 use ufc_core::{AdmgSettings, AdmgSolver, Strategy};
-use ufc_distsim::{DistributedAdmg, Runtime};
+use ufc_distsim::{DistributedAdmg, Engine, RunSpec};
 use ufc_model::scenario::ScenarioBuilder;
 
 #[test]
@@ -20,7 +20,12 @@ fn lockstep_equals_in_memory_solver_at_paper_scale() {
             .solve(inst, Strategy::Hybrid)
             .expect("in-memory solve must succeed on a paper-default instance");
         let net = dist
-            .run(inst, Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .expect("lockstep run must succeed on a paper-default instance");
         assert_eq!(
             mem.iterations, net.iterations,
@@ -54,10 +59,20 @@ fn threaded_equals_lockstep_at_paper_scale() {
     let dist = DistributedAdmg::new(AdmgSettings::default());
     for inst in &scenario.instances {
         let lock = dist
-            .run(inst, Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .expect("lockstep run must succeed on a paper-default instance");
         let thr = dist
-            .run(inst, Strategy::Hybrid, Runtime::Threaded)
+            .execute(
+                inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Threaded),
+                &mut (),
+            )
             .expect("threaded run must succeed on a paper-default instance");
         assert_eq!(lock.iterations, thr.iterations);
         assert_eq!(lock.stats, thr.stats);
@@ -73,7 +88,12 @@ fn message_complexity_is_linear_in_pairs() {
         .expect("paper-default scenario must build");
     let inst = &scenario.instances[0];
     let report = DistributedAdmg::new(AdmgSettings::default())
-        .run(inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("lockstep run must succeed on a paper-default instance");
     let m = inst.m_frontends();
     let n = inst.n_datacenters();

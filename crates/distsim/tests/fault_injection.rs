@@ -1,5 +1,5 @@
-//! Fault injection: the protocol's results are loss-invariant; only its
-//! cost grows with the channel loss rate. Crash-stop faults with
+//! Fault injection: the protocol's results are invariant under dropped
+//! copies; only its cost grows with the drop rate. Crash-stop faults with
 //! checkpoint-restart recovery reproduce the clean iterates exactly;
 //! permanent crashes degrade to the surviving datacenters.
 
@@ -8,8 +8,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 use ufc_core::{AdmgSettings, Strategy};
 use ufc_distsim::fault::NodeId;
-use ufc_distsim::loss::LossConfig;
-use ufc_distsim::{DatacenterSnapshot, DistributedAdmg, FaultPlan, FrontendSnapshot, Runtime};
+use ufc_distsim::{
+    CorruptionConfig, CorruptionKind, DatacenterSnapshot, DistributedAdmg, Engine, FaultPlan,
+    FrontendSnapshot, RunSpec,
+};
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_model::{EmissionCostFn, UfcInstance};
 
@@ -37,12 +39,23 @@ fn slack_instance() -> UfcInstance {
     .expect("slack instance parameters are consistent")
 }
 
+/// A run on `engine` that drops each copy with probability `rate`.
+fn lossy(engine: Engine, rate: f64, seed: u64) -> RunSpec {
+    let drops = CorruptionConfig::new(rate, seed).with_kind(CorruptionKind::Drop);
+    RunSpec::new(engine).with_corruption(drops)
+}
+
 #[test]
 fn crash_and_recover_matches_clean_run() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let clean = runner
-        .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean lockstep run must succeed");
 
     // One datacenter crash that recovers from checkpoint, plus a straggler.
@@ -51,7 +64,12 @@ fn crash_and_recover_matches_clean_run() {
         .straggle(NodeId::Frontend(0), 2, Duration::from_millis(1))
         .with_phase_timeout(Duration::from_millis(40));
     let faulty = runner
-        .run_faulty(&inst, Strategy::Hybrid, Runtime::Threaded, plan)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded).with_plan(plan),
+            &mut (),
+        )
         .expect("crash-and-recover plan must complete");
 
     assert!(faulty.converged, "recovered run must still converge");
@@ -83,28 +101,42 @@ fn crash_and_recover_matches_clean_run() {
 fn lockstep_and_threaded_agree_under_faults() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
-    let plan = FaultPlan::new()
+    let faulty = FaultPlan::new()
         .crash_and_recover(NodeId::Datacenter(0), 5, 2)
         .crash_and_recover(NodeId::Frontend(1), 7, 1)
         .straggle(NodeId::Datacenter(1), 4, Duration::from_millis(2))
         .with_phase_timeout(Duration::from_millis(40));
 
-    let lockstep = runner
-        .run_faulty(&inst, Strategy::Hybrid, Runtime::Lockstep, plan.clone())
-        .expect("faulty lockstep run must complete");
-    let threaded = runner
-        .run_faulty(&inst, Strategy::Hybrid, Runtime::Threaded, plan)
-        .expect("faulty threaded run must complete");
+    // The empty plan too: both engines must agree that it has no fault
+    // section.
+    for plan in [faulty, FaultPlan::none()] {
+        let lockstep = runner
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep).with_plan(plan.clone()),
+                &mut (),
+            )
+            .expect("faulty lockstep run must complete");
+        let threaded = runner
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Threaded).with_plan(plan),
+                &mut (),
+            )
+            .expect("faulty threaded run must complete");
 
-    assert_eq!(lockstep.iterations, threaded.iterations);
-    assert_eq!(lockstep.stats, threaded.stats);
-    assert_eq!(lockstep.fault, threaded.fault);
-    assert!(
-        (lockstep.breakdown.ufc() - threaded.breakdown.ufc()).abs() < 1e-12,
-        "lockstep {} vs threaded {}",
-        lockstep.breakdown.ufc(),
-        threaded.breakdown.ufc()
-    );
+        assert_eq!(lockstep.iterations, threaded.iterations);
+        assert_eq!(lockstep.stats, threaded.stats);
+        assert_eq!(lockstep.fault, threaded.fault);
+        assert!(
+            (lockstep.breakdown.ufc() - threaded.breakdown.ufc()).abs() < 1e-12,
+            "lockstep {} vs threaded {}",
+            lockstep.breakdown.ufc(),
+            threaded.breakdown.ufc()
+        );
+    }
 }
 
 #[test]
@@ -112,13 +144,23 @@ fn permanent_crash_degrades_gracefully() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let clean = runner
-        .run(&inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean lockstep run must succeed");
     let plan = FaultPlan::new()
         .crash_at(NodeId::Datacenter(1), 3)
         .with_phase_timeout(Duration::from_millis(40));
     let degraded = runner
-        .run_faulty(&inst, Strategy::Hybrid, Runtime::Threaded, plan)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded).with_plan(plan),
+            &mut (),
+        )
         .expect("a permanent datacenter crash must degrade, not error");
 
     let fault = degraded.fault.expect("fault report");
@@ -155,9 +197,14 @@ fn eviction_then_readmission_completes() {
     let plan = FaultPlan::new()
         .crash_and_recover(NodeId::Datacenter(1), 2, 5)
         .with_phase_timeout(Duration::from_millis(40));
-    for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+    for engine in [Engine::Lockstep, Engine::Threaded] {
         let report = runner
-            .run_faulty(&inst, Strategy::Hybrid, runtime, plan.clone())
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()).with_plan(plan.clone()),
+                &mut (),
+            )
             .expect("eviction-then-readmission plan must complete");
         let fault = report.fault.expect("fault report");
         assert_eq!(fault.evicted, vec![1]);
@@ -177,7 +224,12 @@ fn unplanned_missing_frontend_is_a_typed_error() {
         .crash_at(NodeId::Frontend(0), 2)
         .with_phase_timeout(Duration::from_millis(40));
     let err = runner
-        .run_faulty(&inst, Strategy::Hybrid, Runtime::Threaded, plan)
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded).with_plan(plan),
+            &mut (),
+        )
         .unwrap_err();
     assert!(
         matches!(err, ufc_core::CoreError::NodeFailure { .. }),
@@ -235,22 +287,36 @@ fn lossy_run_is_result_identical_to_lossless() {
     let runner = DistributedAdmg::new(AdmgSettings::default());
 
     let clean = runner
-        .run(inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("lossless lockstep run must succeed");
-    let lossy = runner
-        .run_lossy(inst, Strategy::Hybrid, LossConfig::new(0.2, 99))
+    let dropped = runner
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &lossy(Engine::Lockstep, 0.2, 99),
+            &mut (),
+        )
         .expect("lossy run must succeed: retransmission hides all loss");
 
-    assert_eq!(clean.iterations, lossy.iterations);
-    assert!((clean.breakdown.ufc() - lossy.breakdown.ufc()).abs() < 1e-12);
-    assert_eq!(clean.stats.data_messages, lossy.stats.data_messages);
+    assert_eq!(clean.iterations, dropped.iterations);
+    assert!((clean.breakdown.ufc() - dropped.breakdown.ufc()).abs() < 1e-12);
+    assert_eq!(clean.stats.data_messages, dropped.stats.data_messages);
     // ...but the lossy run paid for it.
     assert!(
-        lossy.retransmissions > 0,
+        dropped.retransmissions > 0,
         "20% loss must cause retransmissions"
     );
-    assert!(lossy.stats.total_bytes > clean.stats.total_bytes);
-    assert!(lossy.estimated_wan_seconds > clean.estimated_wan_seconds);
+    assert!(dropped.stats.total_bytes > clean.stats.total_bytes);
+    assert!(dropped.estimated_wan_seconds > clean.estimated_wan_seconds);
+    // Drops are resends, not corruptions.
+    let integrity = dropped.integrity.expect("the drop channel was armed");
+    assert!(integrity.is_zero());
+    assert!(dropped.fault.is_none());
 }
 
 #[test]
@@ -264,13 +330,43 @@ fn cost_grows_with_loss_rate() {
     let runner = DistributedAdmg::new(AdmgSettings::default());
 
     let mild = runner
-        .run_lossy(inst, Strategy::Hybrid, LossConfig::new(0.05, 7))
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &lossy(Engine::Lockstep, 0.05, 7),
+            &mut (),
+        )
         .expect("mildly lossy run must succeed");
     let harsh = runner
-        .run_lossy(inst, Strategy::Hybrid, LossConfig::new(0.4, 7))
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &lossy(Engine::Lockstep, 0.4, 7),
+            &mut (),
+        )
         .expect("harshly lossy run must succeed");
     assert!(harsh.retransmissions > mild.retransmissions);
     assert!(harsh.estimated_wan_seconds > mild.estimated_wan_seconds);
+    // The threaded engine draws the same drops in the same link order, and
+    // resending until delivery (no budget) lands it on the clean point.
+    let clean = runner
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
+        .expect("lossless lockstep run must succeed");
+    let threaded = runner
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &lossy(Engine::Threaded, 0.4, 7),
+            &mut (),
+        )
+        .expect("harshly lossy threaded run must succeed");
+    assert_eq!(threaded.point, clean.point);
+    assert_eq!(threaded.retransmissions, harsh.retransmissions);
     // Sanity: expected retransmissions ≈ messages × p/(1−p).
     let msgs = mild.stats.data_messages as f64;
     let expected = msgs * 0.05 / 0.95;
@@ -291,10 +387,20 @@ fn zero_loss_is_free() {
     let inst = &scenario.instances[0];
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let clean = runner
-        .run(inst, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("lossless lockstep run must succeed");
     let lossy0 = runner
-        .run_lossy(inst, Strategy::Hybrid, LossConfig::new(0.0, 1))
+        .execute(
+            inst,
+            Strategy::Hybrid,
+            &lossy(Engine::Lockstep, 0.0, 1),
+            &mut (),
+        )
         .expect("zero-loss lossy run must succeed");
     assert_eq!(lossy0.retransmissions, 0);
     assert_eq!(lossy0.stats.total_bytes, clean.stats.total_bytes);

@@ -615,7 +615,7 @@ fn run_chaos(opts: &Options, settings: AdmgSettings) -> Result<(), Box<dyn std::
         .map(|p| {
             vec![
                 format!("{:.0e}", p.rate),
-                format!("{:?}", p.runtime).to_lowercase(),
+                format!("{:?}", p.engine).to_lowercase(),
                 if p.verified { "on" } else { "off" }.to_owned(),
                 format!(
                     "{}/{}/{}",
@@ -1002,7 +1002,7 @@ fn run_trace(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
 fn run_verify(opts: &Options, settings: AdmgSettings) -> Result<(), Box<dyn std::error::Error>> {
     use ufc_core::{centralized, AdmgSolver, Strategy};
-    use ufc_distsim::{DistributedAdmg, Runtime};
+    use ufc_distsim::{DistributedAdmg, Engine, RunSpec};
     use ufc_model::scenario::ScenarioBuilder;
 
     let hours = opts.hours.min(3);
@@ -1017,7 +1017,12 @@ fn run_verify(opts: &Options, settings: AdmgSettings) -> Result<(), Box<dyn std:
     let mut ok = true;
     for (t, inst) in scenario.instances.iter().enumerate() {
         let mem = solver.solve(inst, Strategy::Hybrid)?;
-        let net = dist.run(inst, Strategy::Hybrid, Runtime::Threaded)?;
+        let net = dist.execute(
+            inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded),
+            &mut (),
+        )?;
         let cen = centralized::solve(inst, Strategy::Hybrid, centralized::Backend::Admm)?;
         let scale = cen.breakdown.ufc().abs().max(1.0);
         let gap_mc = (mem.breakdown.ufc() - cen.breakdown.ufc()).abs() / scale;

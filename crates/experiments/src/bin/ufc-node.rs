@@ -1,7 +1,8 @@
 //! `ufc-node` — a worker process of the multi-process socket runtime.
 //!
 //! Spawned by the socket engine's coordinator
-//! (`ufc_distsim::DistributedAdmg::run_sockets`), one per process slot:
+//! (`ufc_distsim::DistributedAdmg::execute` with `Engine::Sockets`), one per
+//! process slot:
 //!
 //! ```text
 //! ufc-node --connect 127.0.0.1:PORT --process P --session S \

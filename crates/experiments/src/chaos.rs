@@ -13,7 +13,9 @@
 use std::path::Path;
 
 use ufc_core::{AdmgSettings, CoreError, Result, Strategy};
-use ufc_distsim::{CorruptionConfig, CorruptionKind, DistributedAdmg, Runtime, SocketOptions};
+use ufc_distsim::{
+    CorruptionConfig, CorruptionKind, DistributedAdmg, Engine, RunSpec, SocketOptions,
+};
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_traces::csv::Csv;
 
@@ -23,12 +25,12 @@ use crate::parallel::{default_threads, par_map};
 pub const CORRUPTION_RATES: [f64; 4] = [0.0, 1e-4, 1e-3, 1e-2];
 
 /// Aggregate over all hours for one (rate, engine, posture) cell.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPoint {
     /// Per-payload corruption probability.
     pub rate: f64,
     /// Execution engine the cell ran on.
-    pub runtime: Runtime,
+    pub engine: Engine,
     /// Whether receivers verified CRC32 checksums.
     pub verified: bool,
     /// Hours attempted.
@@ -110,14 +112,19 @@ pub fn run_rates(
     let clean_runner = DistributedAdmg::try_new(settings)?;
     let baselines = par_map(&hour_ids, default_threads(), |_, &t| {
         clean_runner
-            .run(&scenario.instances[t], Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                &scenario.instances[t],
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .map(|r| (r.breakdown.ufc(), r.stats.total_bytes))
     });
     let baselines: Vec<(f64, usize)> = baselines.into_iter().collect::<Result<_>>()?;
 
     let mut points = Vec::new();
     for (r, &rate) in rates.iter().enumerate() {
-        for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+        for engine in [Engine::Lockstep, Engine::Threaded] {
             for verified in [true, false] {
                 let runner = DistributedAdmg::try_new(settings.with_checksums(verified))?;
                 let outcomes = par_map(&hour_ids, default_threads(), |_, &t| {
@@ -127,7 +134,12 @@ pub fn run_rates(
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                         .wrapping_add((r * hours + t) as u64);
                     let cfg = CorruptionConfig::try_new(rate, cfg_seed)?;
-                    match runner.run_corrupt(inst, Strategy::Hybrid, runtime, cfg) {
+                    match runner.execute(
+                        inst,
+                        Strategy::Hybrid,
+                        &RunSpec::new(engine.clone()).with_corruption(cfg),
+                        &mut (),
+                    ) {
                         Ok(report) => {
                             let (clean_ufc, clean_bytes) = baselines[t];
                             let delta = report.breakdown.ufc() - clean_ufc;
@@ -146,7 +158,7 @@ pub fn run_rates(
 
                 let mut point = ChaosPoint {
                     rate,
-                    runtime,
+                    engine: engine.clone(),
                     verified,
                     hours_attempted: hour_ids.len(),
                     hours_converged: 0,
@@ -219,7 +231,7 @@ impl ChaosStudy {
         for p in &self.points {
             csv.push_row(&[
                 p.rate,
-                f64::from(u8::from(p.runtime == Runtime::Threaded)),
+                f64::from(u8::from(p.engine == Engine::Threaded)),
                 f64::from(u8::from(p.verified)),
                 p.hours_converged as f64,
                 p.hours_diverged as f64,
@@ -302,7 +314,12 @@ pub fn run_sockets_chaos(
     let clean_runner = DistributedAdmg::try_new(settings)?;
     let baselines = par_map(&hour_ids, default_threads(), |_, &t| {
         clean_runner
-            .run(&scenario.instances[t], Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                &scenario.instances[t],
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .map(|r| r.breakdown.ufc().to_bits())
     });
     let baselines: Vec<u64> = baselines.into_iter().collect::<Result<_>>()?;
@@ -321,7 +338,7 @@ pub fn run_sockets_chaos(
         }
     }
 
-    let options = SocketOptions::new(worker);
+    let sockets = RunSpec::new(Engine::Sockets(SocketOptions::new(worker)));
     let mut points = Vec::new();
     for (c, &(rate, kind)) in cells.iter().enumerate() {
         // Value-level cells verify checksums so every strike is repaired;
@@ -347,11 +364,11 @@ pub fn run_sockets_chaos(
                 .wrapping_add((c * hours + t) as u64);
             let mut cfg = CorruptionConfig::try_new(rate, cfg_seed)?;
             cfg.kind = kind;
-            match runner.run_sockets_corrupt(
+            match runner.execute(
                 &scenario.instances[t],
                 Strategy::Hybrid,
-                &options,
-                cfg,
+                &sockets.clone().with_corruption(cfg),
+                &mut (),
             ) {
                 Ok(report) => {
                     point.hours_converged += usize::from(report.converged);
@@ -480,7 +497,9 @@ mod tests {
 
         // Both engines agree cell for cell.
         for pair in study.points.chunks(4) {
-            let (lock_v, lock_u, thr_v, thr_u) = (pair[0], pair[1], pair[2], pair[3]);
+            let [lock_v, lock_u, thr_v, thr_u] = pair else {
+                panic!("cells come in fours");
+            };
             assert_eq!(lock_v.hours_converged, thr_v.hours_converged);
             assert_eq!(lock_v.corruptions_injected, thr_v.corruptions_injected);
             assert_eq!(lock_u.hours_diverged, thr_u.hours_diverged);

@@ -5,12 +5,12 @@
 //! under seeded random [`FaultPlan`]s at increasing crash rates — node
 //! crashes recovered from checkpoints, permanent crashes answered by
 //! degraded-mode eviction — and the achieved UFC is compared with the
-//! clean run. The measurement mirrors the loss study: recoverable faults
+//! clean run. As with dropped messages, recoverable faults
 //! are *result-free* (checkpoint replay is bit-faithful) and only evictions
 //! move the objective, by an amount the [`FaultStudy`] reports per rate.
 
 use ufc_core::{AdmgSettings, CoreError, Result, Strategy};
-use ufc_distsim::{DistributedAdmg, FaultPlan, Runtime};
+use ufc_distsim::{DistributedAdmg, Engine, FaultPlan, RunSpec};
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_traces::csv::Csv;
 
@@ -110,7 +110,12 @@ pub fn run(seed: u64, hours: usize, settings: AdmgSettings) -> Result<FaultStudy
                 STRAGGLER_RATE,
             );
             let scheduled = plan.crash_count();
-            match runner.run_faulty(inst, Strategy::Hybrid, Runtime::Lockstep, plan) {
+            match runner.execute(
+                inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep).with_plan(plan),
+                &mut (),
+            ) {
                 Ok(report) => {
                     let fault = report.fault.unwrap_or_default();
                     let clean_ufc = report.breakdown.ufc() - fault.ufc_delta_vs_clean;

@@ -35,7 +35,9 @@ use ufc_core::{
     centralized, correction, generic, AColQp, AdmgSettings, AdmgSolver, AdmgState, CoreError,
     HistoryRecorder, IterationRecord, LambdaQp, Strategy,
 };
-use ufc_distsim::{CorruptionConfig, DistributedAdmg, FaultPlan, NodeId, Runtime, SocketOptions};
+use ufc_distsim::{
+    CorruptionConfig, DistributedAdmg, Engine, FaultPlan, NodeId, RunSpec, SocketOptions,
+};
 use ufc_linalg::Matrix;
 use ufc_model::generator::{arbitrary_params, InstanceParams, SplitMix64};
 use ufc_model::utility::disutility_rank1_gamma;
@@ -446,11 +448,21 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
             for (name, run) in [
                 (
                     "lockstep",
-                    dist.run(&inst, case.strategy, Runtime::Lockstep),
+                    dist.execute(
+                        &inst,
+                        case.strategy,
+                        &RunSpec::new(Engine::Lockstep),
+                        &mut (),
+                    ),
                 ),
                 (
                     "threaded",
-                    dist.run(&inst, case.strategy, Runtime::Threaded),
+                    dist.execute(
+                        &inst,
+                        case.strategy,
+                        &RunSpec::new(Engine::Threaded),
+                        &mut (),
+                    ),
                 ),
             ] {
                 match run {
@@ -500,13 +512,13 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     // so the whole KKT trajectory — not just the final point — is
     // cross-checked against the in-process history.
     let dist = DistributedAdmg::new(main_settings);
-    for (name, runtime) in [
-        ("lockstep", Runtime::Lockstep),
-        ("threaded", Runtime::Threaded),
+    for (name, engine) in [
+        ("lockstep", Engine::Lockstep),
+        ("threaded", Engine::Threaded),
     ] {
         let mut recorder = HistoryRecorder::default();
         let rep = dist
-            .run_observed(&inst, case.strategy, runtime, &mut recorder)
+            .execute(&inst, case.strategy, &RunSpec::new(engine), &mut recorder)
             .map_err(|e| {
                 fail(
                     "engine-divergence",
@@ -535,7 +547,12 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     if case.socket {
         if let Some(worker) = worker {
             let rep = dist
-                .run_sockets(&inst, case.strategy, &SocketOptions::new(worker))
+                .execute(
+                    &inst,
+                    case.strategy,
+                    &RunSpec::new(Engine::Sockets(SocketOptions::new(worker))),
+                    &mut (),
+                )
                 .map_err(|e| {
                     fail(
                         "engine-divergence",
@@ -572,12 +589,17 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
         };
         let crash_at = 2 + frng.below(6);
         let plan = FaultPlan::new().crash_and_recover(node, crash_at, 1);
-        for (name, runtime) in [
-            ("lockstep", Runtime::Lockstep),
-            ("threaded", Runtime::Threaded),
+        for (name, engine) in [
+            ("lockstep", Engine::Lockstep),
+            ("threaded", Engine::Threaded),
         ] {
             let rep = dist
-                .run_faulty(&inst, case.strategy, runtime, plan.clone())
+                .execute(
+                    &inst,
+                    case.strategy,
+                    &RunSpec::new(engine).with_plan(plan.clone()),
+                    &mut (),
+                )
                 .map_err(|e| {
                     fail(
                         "fault-recovery",
@@ -611,12 +633,17 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     if let (Some(cseed), true) = (case.corrupt_seed, mem.converged) {
         let cfg = CorruptionConfig::new(1e-2, cseed);
         let verified = DistributedAdmg::new(main_settings.with_checksums(true));
-        for (name, runtime) in [
-            ("lockstep", Runtime::Lockstep),
-            ("threaded", Runtime::Threaded),
+        for (name, engine) in [
+            ("lockstep", Engine::Lockstep),
+            ("threaded", Engine::Threaded),
         ] {
             let rep = verified
-                .run_corrupt(&inst, case.strategy, runtime, cfg)
+                .execute(
+                    &inst,
+                    case.strategy,
+                    &RunSpec::new(engine).with_corruption(cfg),
+                    &mut (),
+                )
                 .map_err(|e| {
                     fail(
                         "corrupt-verified",
@@ -646,7 +673,13 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
         if case.socket {
             if let Some(worker) = worker {
                 let rep = verified
-                    .run_sockets_corrupt(&inst, case.strategy, &SocketOptions::new(worker), cfg)
+                    .execute(
+                        &inst,
+                        case.strategy,
+                        &RunSpec::new(Engine::Sockets(SocketOptions::new(worker)))
+                            .with_corruption(cfg),
+                        &mut (),
+                    )
                     .map_err(|e| {
                         fail(
                             "corrupt-verified",
@@ -665,8 +698,18 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
                 }
             }
         }
-        let lock = dist.run_corrupt(&inst, case.strategy, Runtime::Lockstep, cfg);
-        let thread = dist.run_corrupt(&inst, case.strategy, Runtime::Threaded, cfg);
+        let lock = dist.execute(
+            &inst,
+            case.strategy,
+            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+            &mut (),
+        );
+        let thread = dist.execute(
+            &inst,
+            case.strategy,
+            &RunSpec::new(Engine::Threaded).with_corruption(cfg),
+            &mut (),
+        );
         match (lock, thread) {
             (Ok(a), Ok(b)) => {
                 if a.point != b.point {

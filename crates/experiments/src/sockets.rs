@@ -16,7 +16,8 @@ use std::time::Duration;
 
 use ufc_core::{AdmgSettings, CoreError, Result, Strategy};
 use ufc_distsim::{
-    DistRunReport, DistributedAdmg, FaultPlan, NodeId, PartitionWindow, Runtime, SocketOptions,
+    DistRunReport, DistributedAdmg, Engine, FaultPlan, NodeId, PartitionWindow, RunSpec,
+    SocketOptions,
 };
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_traces::csv::Csv;
@@ -191,26 +192,31 @@ pub fn run(seed: u64, hours: usize, settings: AdmgSettings, worker: &Path) -> Re
         .build()
         .map_err(CoreError::Model)?;
     let runner = DistributedAdmg::try_new(settings)?;
-    let options = SocketOptions::new(worker);
+    let lockstep = RunSpec::new(Engine::Lockstep);
+    let sockets = RunSpec::new(Engine::Sockets(SocketOptions::new(worker)));
     let processes = scenario.instances[0].m_frontends() + scenario.instances[0].n_datacenters();
 
     let mut rows = Vec::with_capacity(scenario.instances.len());
     for (hour, instance) in scenario.instances.iter().enumerate() {
-        let lockstep = runner.run(instance, Strategy::Hybrid, Runtime::Lockstep)?;
-        let socket = runner.run_sockets(instance, Strategy::Hybrid, &options)?;
+        let clean = runner.execute(instance, Strategy::Hybrid, &lockstep, &mut ())?;
+        let socket = runner.execute(instance, Strategy::Hybrid, &sockets, &mut ())?;
         rows.push(SocketHour {
             hour,
             iterations: socket.iterations,
             converged: socket.converged,
-            bitwise_match: reports_bitwise_equal(&lockstep, &socket),
+            bitwise_match: reports_bitwise_equal(&clean, &socket),
             wan_seconds: socket.estimated_wan_seconds,
         });
     }
 
     let instance = &scenario.instances[0];
-    let clean = runner.run(instance, Strategy::Hybrid, Runtime::Lockstep)?;
-    let recovered =
-        runner.run_sockets_faulty(instance, Strategy::Hybrid, &options, recovery_fault_plan())?;
+    let clean = runner.execute(instance, Strategy::Hybrid, &lockstep, &mut ())?;
+    let recovered = runner.execute(
+        instance,
+        Strategy::Hybrid,
+        &sockets.with_plan(recovery_fault_plan()),
+        &mut (),
+    )?;
     let fault = recovered
         .fault
         .clone()

@@ -518,7 +518,7 @@ pub fn size_trajectory(
 /// [`BenchError::EngineMismatch`] when a socket run disagrees with the
 /// threaded engine on the iteration count.
 pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
-    use ufc_distsim::{DistributedAdmg, Runtime, SocketOptions};
+    use ufc_distsim::{DistributedAdmg, Engine, RunSpec, SocketOptions};
 
     let Ok(worker) = crate::sockets::locate_worker() else {
         return Ok(None);
@@ -531,11 +531,21 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     let instance = &scenario.instances[0];
     let runner = DistributedAdmg::try_new(AdmgSettings::default())?;
     let start = Instant::now();
-    let threaded = runner.run(instance, Strategy::Hybrid, Runtime::Threaded)?;
+    let threaded = runner.execute(
+        instance,
+        Strategy::Hybrid,
+        &RunSpec::new(Engine::Threaded),
+        &mut (),
+    )?;
     let threaded_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let time_socket = |options: SocketOptions| -> Result<f64, BenchError> {
         let start = Instant::now();
-        let socket = runner.run_sockets(instance, Strategy::Hybrid, &options)?;
+        let socket = runner.execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(options)),
+            &mut (),
+        )?;
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         if threaded.iterations != socket.iterations {
             return Err(BenchError::EngineMismatch {

@@ -22,7 +22,7 @@
 //! run cannot look good by merely draining its batteries).
 
 use ufc_core::{AdmgSettings, AdmgSolver, CoreError, Result, Strategy};
-use ufc_distsim::{DistRunReport, DistributedAdmg, Runtime};
+use ufc_distsim::{DistRunReport, DistributedAdmg, Engine, RunSpec};
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_model::{StorageFleet, StorageParams};
 use ufc_traces::csv::Csv;
@@ -242,8 +242,18 @@ pub fn run(
             .with_storage(params)
             .map_err(CoreError::Model)?;
 
-        let lockstep = dist.run(&sinst, Strategy::Hybrid, Runtime::Lockstep)?;
-        let threaded = dist.run(&sinst, Strategy::Hybrid, Runtime::Threaded)?;
+        let lockstep = dist.execute(
+            &sinst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )?;
+        let threaded = dist.execute(
+            &sinst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded),
+            &mut (),
+        )?;
         let bitwise =
             report_bits(&lockstep) == report_bits(&threaded) && lockstep.stats == threaded.stats;
 

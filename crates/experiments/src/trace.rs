@@ -13,7 +13,9 @@ use std::time::Duration;
 
 use ufc_core::telemetry::{RunTelemetry, TrafficCounters};
 use ufc_core::{AdmgSettings, AdmgSolver, BlockSchedule, JsonlSink, Strategy};
-use ufc_distsim::{CorruptionConfig, DistributedAdmg, FaultPlan, NodeId, Runtime, SocketOptions};
+use ufc_distsim::{
+    CorruptionConfig, DistributedAdmg, Engine, FaultPlan, NodeId, RunSpec, SocketOptions,
+};
 use ufc_model::scenario::ScenarioBuilder;
 
 /// Which execution engine the trace drives.
@@ -121,55 +123,39 @@ pub fn run(
         .build()?;
     let instance = &scenario.instances[0];
     let mut sink = JsonlSink::new(Vec::new());
-    let (iterations, converged, telemetry) = match engine {
-        TraceEngine::InProcess => {
+    let distributed = match engine {
+        TraceEngine::InProcess => None,
+        TraceEngine::Lockstep => Some((settings, RunSpec::new(Engine::Lockstep))),
+        TraceEngine::Threaded => Some((settings, RunSpec::new(Engine::Threaded))),
+        TraceEngine::Faulty => Some((
+            settings,
+            RunSpec::new(Engine::Lockstep).with_plan(trace_fault_plan()),
+        )),
+        // Rate 0.02 over tens of thousands of payloads: every seed sees
+        // strikes, and every strike is caught by the checksum.
+        TraceEngine::Corrupt => Some((
+            settings.with_checksums(true),
+            RunSpec::new(Engine::Lockstep).with_corruption(CorruptionConfig::new(0.02, seed)),
+        )),
+        TraceEngine::Sockets => Some((
+            settings,
+            RunSpec::new(Engine::Sockets(SocketOptions::new(
+                crate::sockets::locate_worker()?,
+            )))
+            .with_plan(crate::sockets::recovery_fault_plan()),
+        )),
+    };
+    let (iterations, converged, telemetry) = match distributed {
+        None => {
             let sol =
                 AdmgSolver::new(settings).solve_observed(instance, Strategy::Hybrid, &mut sink)?;
             (sol.iterations, sol.converged, sol.telemetry)
         }
-        TraceEngine::Lockstep | TraceEngine::Threaded => {
-            let runtime = if engine == TraceEngine::Lockstep {
-                Runtime::Lockstep
-            } else {
-                Runtime::Threaded
-            };
-            let report = DistributedAdmg::new(settings).run_observed(
+        Some((settings, spec)) => {
+            let report = DistributedAdmg::new(settings).execute(
                 instance,
                 Strategy::Hybrid,
-                runtime,
-                &mut sink,
-            )?;
-            (report.iterations, report.converged, report.telemetry)
-        }
-        TraceEngine::Faulty => {
-            let report = DistributedAdmg::new(settings).run_faulty_observed(
-                instance,
-                Strategy::Hybrid,
-                Runtime::Lockstep,
-                trace_fault_plan(),
-                &mut sink,
-            )?;
-            (report.iterations, report.converged, report.telemetry)
-        }
-        TraceEngine::Corrupt => {
-            // Rate 0.02 over tens of thousands of payloads: every seed
-            // sees strikes, and every strike is caught by the checksum.
-            let report = DistributedAdmg::new(settings.with_checksums(true)).run_corrupt_observed(
-                instance,
-                Strategy::Hybrid,
-                Runtime::Lockstep,
-                CorruptionConfig::new(0.02, seed),
-                &mut sink,
-            )?;
-            (report.iterations, report.converged, report.telemetry)
-        }
-        TraceEngine::Sockets => {
-            let options = SocketOptions::new(crate::sockets::locate_worker()?);
-            let report = DistributedAdmg::new(settings).run_sockets_faulty_observed(
-                instance,
-                Strategy::Hybrid,
-                &options,
-                crate::sockets::recovery_fault_plan(),
+                &spec,
                 &mut sink,
             )?;
             (report.iterations, report.converged, report.telemetry)

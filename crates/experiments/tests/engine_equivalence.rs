@@ -7,7 +7,7 @@
 
 use ufc_core::{AdmgSettings, AdmgSolver, BlockSchedule, Phase, Strategy};
 use ufc_distsim::{
-    CorruptionConfig, DistRunReport, DistributedAdmg, FaultPlan, Runtime, SocketOptions,
+    CorruptionConfig, DistRunReport, DistributedAdmg, Engine, FaultPlan, RunSpec, SocketOptions,
 };
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
@@ -121,7 +121,12 @@ fn sweep_engines(num_threads: usize) {
     let runner = DistributedAdmg::new(settings);
 
     let lockstep = runner
-        .run(instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("lockstep run must succeed");
     assert_report_matches(&reference, &lockstep, "lockstep");
     assert!(
@@ -130,7 +135,12 @@ fn sweep_engines(num_threads: usize) {
     );
 
     let threaded = runner
-        .run(instance, Strategy::Hybrid, Runtime::Threaded)
+        .execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Threaded),
+            &mut (),
+        )
         .expect("threaded run must succeed");
     assert_report_matches(&reference, &threaded, "threaded");
     assert_eq!(
@@ -138,45 +148,51 @@ fn sweep_engines(num_threads: usize) {
         "lockstep and threaded runs must exchange identical traffic"
     );
 
-    for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+    for engine in [Engine::Lockstep, Engine::Threaded] {
         let faulty = runner
-            .run_faulty(instance, Strategy::Hybrid, runtime, FaultPlan::none())
+            .execute(
+                instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()).with_plan(FaultPlan::none()),
+                &mut (),
+            )
             .expect("trivial-plan run must succeed");
         assert_report_matches(&reference, &faulty, "trivial fault plan");
         assert_eq!(
             lockstep.stats, faulty.stats,
-            "a trivial fault plan must add no traffic ({runtime:?})"
+            "a trivial fault plan must add no traffic ({engine:?})"
         );
     }
 
     // Rate-0 corruption with checksums off must be indistinguishable from
     // a plain run: same iterates, same traffic, same wall-clock estimate.
     // This pins the "off by default costs nothing" contract of the codec.
-    for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+    for engine in [Engine::Lockstep, Engine::Threaded] {
         let corrupt = runner
-            .run_corrupt(
+            .execute(
                 instance,
                 Strategy::Hybrid,
-                runtime,
-                CorruptionConfig::new(0.0, DEFAULT_SEED),
+                &RunSpec::new(engine.clone())
+                    .with_corruption(CorruptionConfig::new(0.0, DEFAULT_SEED)),
+                &mut (),
             )
             .expect("rate-0 corrupt run must succeed");
         assert_report_matches(&reference, &corrupt, "rate-0 corruption");
         assert_eq!(
             lockstep.stats, corrupt.stats,
-            "rate-0 corruption without checksums must add no traffic ({runtime:?})"
+            "rate-0 corruption without checksums must add no traffic ({engine:?})"
         );
         assert_eq!(
             lockstep.estimated_wan_seconds.to_bits(),
             corrupt.estimated_wan_seconds.to_bits(),
-            "rate-0 corruption must not perturb the WAN-time estimate ({runtime:?})"
+            "rate-0 corruption must not perturb the WAN-time estimate ({engine:?})"
         );
         let integrity = corrupt
             .integrity
             .expect("an armed corruption channel reports integrity counters");
         assert!(
             integrity.is_zero(),
-            "a rate-0 channel must count nothing ({runtime:?}): {integrity:?}"
+            "a rate-0 channel must count nothing ({engine:?}): {integrity:?}"
         );
     }
 }
@@ -200,13 +216,23 @@ fn socket_engine_agrees_bitwise_across_process_counts() {
     let reference = reference_run(instance, settings);
     let runner = DistributedAdmg::new(settings);
     let lockstep = runner
-        .run(instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("lockstep run must succeed");
 
     for processes in [1usize, 4] {
         let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node")).with_processes(processes);
         let socket = runner
-            .run_sockets(instance, Strategy::Hybrid, &options)
+            .execute(
+                instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(options.clone())),
+                &mut (),
+            )
             .expect("socket run must succeed");
         let label = format!("sockets x{processes}");
         assert_report_matches(&reference, &socket, &label);
@@ -224,7 +250,12 @@ fn socket_engine_agrees_bitwise_across_process_counts() {
         );
 
         let traced = DistributedAdmg::new(settings.with_telemetry(true))
-            .run_sockets(instance, Strategy::Hybrid, &options)
+            .execute(
+                instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(options.clone())),
+                &mut (),
+            )
             .expect("traced socket run must succeed");
         assert_report_matches(&reference, &traced, &format!("{label} traced"));
         let traffic = traced
@@ -289,11 +320,21 @@ fn capped_socket_run_predicts_nothing_past_the_cap() {
     .with_telemetry(true);
     let runner = DistributedAdmg::new(settings);
     let lockstep = runner
-        .run(instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("capped lockstep run must succeed");
     let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node"));
     let socket = runner
-        .run_sockets(instance, Strategy::Hybrid, &options)
+        .execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(options.clone())),
+            &mut (),
+        )
         .expect("capped socket run must succeed");
     assert_eq!(socket.iterations, 5);
     assert!(!lockstep.converged && !socket.converged);
@@ -314,11 +355,12 @@ fn checkpointing_socket_run_stays_sequential() {
     let reference = reference_run(instance, settings);
     let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node"));
     let report = DistributedAdmg::new(settings.with_telemetry(true))
-        .run_sockets_faulty(
+        .execute(
             instance,
             Strategy::Hybrid,
-            &options,
-            FaultPlan::none().with_checkpoint_interval(4),
+            &RunSpec::new(Engine::Sockets(options.clone()))
+                .with_plan(FaultPlan::none().with_checkpoint_interval(4)),
+            &mut (),
         )
         .expect("checkpointing socket run must succeed");
     assert_report_matches(&reference, &report, "sockets, checkpoint every 4");
@@ -402,7 +444,12 @@ fn storage_schedule_agrees_bitwise_across_threaded_engines() {
         let reference = reference_run(&instance, settings);
         let runner = DistributedAdmg::new(settings);
         let lockstep = runner
-            .run(&instance, Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .expect("lockstep storage run must succeed");
         assert_report_matches(
             &reference,
@@ -410,7 +457,12 @@ fn storage_schedule_agrees_bitwise_across_threaded_engines() {
             &format!("storage lockstep x{num_threads}"),
         );
         let threaded = runner
-            .run(&instance, Strategy::Hybrid, Runtime::Threaded)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Threaded),
+                &mut (),
+            )
             .expect("threaded storage run must succeed");
         assert_report_matches(
             &reference,
@@ -443,7 +495,12 @@ fn storage_runs_ship_one_block_report_per_datacenter_per_iteration() {
     let runner = DistributedAdmg::new(AdmgSettings::default());
     for (instance, reports_per_iter) in [(&with_batteries, n), (&zero, 0)] {
         let report = runner
-            .run(instance, Strategy::Hybrid, Runtime::Lockstep)
+            .execute(
+                instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
             .expect("lockstep run must succeed");
         // Per iteration the control plane carries: one residual report per
         // node, one continue/stop broadcast per node, and one BlockReport
@@ -469,12 +526,22 @@ fn storage_schedule_agrees_bitwise_across_socket_process_counts() {
     let reference = reference_run(&instance, settings);
     let runner = DistributedAdmg::new(settings);
     let lockstep = runner
-        .run(&instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("lockstep storage run must succeed");
     for processes in [1usize, 4] {
         let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node")).with_processes(processes);
         let socket = runner
-            .run_sockets(&instance, Strategy::Hybrid, &options)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(options.clone())),
+                &mut (),
+            )
             .expect("socket storage run must succeed");
         let label = format!("storage sockets x{processes}");
         assert_report_matches(&reference, &socket, &label);
@@ -508,14 +575,19 @@ fn zero_capacity_storage_is_bitwise_spatial_only_on_every_engine() {
         // must change nothing about the solution.
         let reference = reference_run(&plain, settings);
         let runner = DistributedAdmg::new(settings);
-        for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+        for engine in [Engine::Lockstep, Engine::Threaded] {
             let report = runner
-                .run(&zero, Strategy::Hybrid, runtime)
+                .execute(
+                    &zero,
+                    Strategy::Hybrid,
+                    &RunSpec::new(engine.clone()),
+                    &mut (),
+                )
                 .expect("zero-capacity run must succeed");
             assert_report_matches(
                 &reference,
                 &report,
-                &format!("zero-capacity {runtime:?} x{num_threads}"),
+                &format!("zero-capacity {engine:?} x{num_threads}"),
             );
             assert!(
                 report
@@ -534,7 +606,12 @@ fn zero_capacity_storage_is_bitwise_spatial_only_on_every_engine() {
     for processes in [1usize, 4] {
         let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node")).with_processes(processes);
         let socket = runner
-            .run_sockets(&zero, Strategy::Hybrid, &options)
+            .execute(
+                &zero,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(options.clone())),
+                &mut (),
+            )
             .expect("zero-capacity socket run must succeed");
         assert_report_matches(
             &reference,

@@ -12,7 +12,7 @@ use std::time::Duration;
 use ufc_core::{AdmgSettings, CoreError, Strategy};
 use ufc_distsim::message::crc32;
 use ufc_distsim::wire::{frame, WIRE_MAGIC};
-use ufc_distsim::{AuthKey, BindConfig, DistributedAdmg, Runtime, SocketOptions};
+use ufc_distsim::{AuthKey, BindConfig, DistributedAdmg, Engine, RunSpec, SocketOptions};
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
 use ufc_model::UfcInstance;
@@ -110,7 +110,12 @@ fn acceptor_survives_hostile_peers_while_serving_honest_workers() {
     let instance = workload();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let clean = runner
-        .run(&instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean lockstep run must converge");
 
     let addr = format!("127.0.0.1:{}", free_port());
@@ -119,7 +124,14 @@ fn acceptor_survives_hostile_peers_while_serving_honest_workers() {
         .with_auth(test_key());
     let run = {
         let instance = instance.clone();
-        std::thread::spawn(move || runner.run_sockets(&instance, Strategy::Hybrid, &options))
+        std::thread::spawn(move || {
+            runner.execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(options.clone())),
+                &mut (),
+            )
+        })
     };
 
     // 1. Garbage before the magic: bytes that never form a frame.
@@ -190,14 +202,24 @@ fn authenticated_runs_match_lockstep_at_one_and_four_processes() {
     let instance = workload();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let clean = runner
-        .run(&instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean lockstep run must converge");
     for processes in [1, 4] {
         let options = worker_options()
             .with_processes(processes)
             .with_auth(test_key());
         let report = runner
-            .run_sockets(&instance, Strategy::Hybrid, &options)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(options.clone())),
+                &mut (),
+            )
             .unwrap_or_else(|e| panic!("authenticated run at {processes} processes: {e}"));
         assert!(report.converged);
         assert_eq!(
@@ -222,7 +244,12 @@ fn non_loopback_bind_without_key_is_rejected() {
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let options = worker_options().with_bind(BindConfig::new("0.0.0.0:0"));
     let err = runner
-        .run_sockets(&instance, Strategy::Hybrid, &options)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(options.clone())),
+            &mut (),
+        )
         .expect_err("remote bind without a key must be refused");
     match err {
         CoreError::InvalidConfig { context } => {

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use ufc_core::{AdmgSettings, CoreError, Strategy};
-use ufc_distsim::{DistributedAdmg, FaultPlan, NodeId, Runtime, SocketOptions};
+use ufc_distsim::{DistributedAdmg, Engine, FaultPlan, NodeId, RunSpec, SocketOptions};
 use ufc_experiments::sockets::recovery_fault_plan;
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
@@ -50,15 +50,20 @@ fn sigkilled_workers_recover_bit_identically() {
     let settings = AdmgSettings::default();
     let runner = DistributedAdmg::new(settings);
     let clean = runner
-        .run(&instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean lockstep run must succeed");
 
     let recovered = runner
-        .run_sockets_faulty(
+        .execute(
             &instance,
             Strategy::Hybrid,
-            &worker_options(),
-            recovery_fault_plan(),
+            &RunSpec::new(Engine::Sockets(worker_options())).with_plan(recovery_fault_plan()),
+            &mut (),
         )
         .expect("every scripted crash has a recovery budget, so the run must succeed");
 
@@ -121,7 +126,12 @@ fn unrecoverable_frontend_crash_fails_typed() {
         .with_phase_timeout(Duration::from_millis(25))
         .crash_at(NodeId::Frontend(0), 3);
     let err = runner
-        .run_sockets_faulty(&instance, Strategy::Hybrid, &worker_options(), plan)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(worker_options())).with_plan(plan),
+            &mut (),
+        )
         .expect_err("a permanent front-end crash must be fatal");
     match err {
         CoreError::NodeFailure { node, .. } => {
@@ -144,7 +154,12 @@ fn kill_plans_require_one_process_per_node() {
     let options = worker_options().with_processes(4);
     let plan = FaultPlan::new().crash_and_recover(NodeId::Datacenter(0), 3, 1);
     let err = runner
-        .run_sockets_faulty(&instance, Strategy::Hybrid, &options, plan)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(options.clone())).with_plan(plan),
+            &mut (),
+        )
         .expect_err("co-hosted kill plans must be rejected");
     assert!(
         matches!(err, CoreError::InvalidConfig { .. }),

@@ -10,7 +10,7 @@ use ufc_core::{
     AdmgSettings, AdmgSolution, AdmgSolver, HistoryRecorder, JsonlSink, RunTelemetry, Strategy,
     TelemetryCollector,
 };
-use ufc_distsim::{DistRunReport, DistributedAdmg, Runtime, SocketOptions};
+use ufc_distsim::{DistRunReport, DistributedAdmg, Engine, RunSpec, SocketOptions};
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
 use ufc_model::{UfcBreakdown, UfcInstance};
@@ -169,21 +169,31 @@ fn sweep_solver(num_threads: usize) {
 fn sweep_distributed(num_threads: usize) {
     let (instance, settings) = workload(num_threads);
 
-    for runtime in [Runtime::Lockstep, Runtime::Threaded] {
+    for engine in [Engine::Lockstep, Engine::Threaded] {
         let off = DistributedAdmg::new(settings)
-            .run(&instance, Strategy::Hybrid, runtime)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()),
+                &mut (),
+            )
             .expect("baseline run");
         assert!(off.converged);
         assert!(off.telemetry.is_none());
         let reference = report_bits(&off);
 
         let on = DistributedAdmg::new(settings.with_telemetry(true))
-            .run(&instance, Strategy::Hybrid, runtime)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()),
+                &mut (),
+            )
             .expect("telemetry run");
         assert_eq!(
             reference,
             report_bits(&on),
-            "{runtime:?}/{num_threads} threads: enabling telemetry changed the run"
+            "{engine:?}/{num_threads} threads: enabling telemetry changed the run"
         );
         let telemetry = on.telemetry.expect("telemetry on must attach a snapshot");
         assert_eq!(telemetry.iterations as usize, on.iterations);
@@ -194,13 +204,13 @@ fn sweep_distributed(num_threads: usize) {
         assert_eq!(
             (traffic.frames_sent, traffic.socket_writes),
             (0, 0),
-            "{runtime:?}: in-memory engines send no socket frames"
+            "{engine:?}: in-memory engines send no socket frames"
         );
         assert!(
             telemetry.fault.is_none(),
             "clean run must not report faults"
         );
-        if runtime == Runtime::Lockstep {
+        if engine == Engine::Lockstep {
             assert!(
                 pool_tasks(&telemetry) > 0,
                 "lockstep keeps the node fan-out observable"
@@ -209,12 +219,17 @@ fn sweep_distributed(num_threads: usize) {
 
         let mut collector = TelemetryCollector::default();
         let chained = DistributedAdmg::new(settings.with_telemetry(true))
-            .run_observed(&instance, Strategy::Hybrid, runtime, &mut collector)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine.clone()),
+                &mut collector,
+            )
             .expect("chained run");
         assert_eq!(
             reference,
             report_bits(&chained),
-            "{runtime:?}/{num_threads} threads: chained observers changed the run"
+            "{engine:?}/{num_threads} threads: chained observers changed the run"
         );
         let external = collector.into_telemetry();
         assert_eq!(external.iterations as usize, chained.iterations);
@@ -227,13 +242,23 @@ fn socket_telemetry_is_inert() {
     let (instance, settings) = workload(1);
     let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node"));
     let off = DistributedAdmg::new(settings)
-        .run_sockets(&instance, Strategy::Hybrid, &options)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(options.clone())),
+            &mut (),
+        )
         .expect("baseline socket run");
     assert!(off.converged);
     assert!(off.telemetry.is_none());
 
     let on = DistributedAdmg::new(settings.with_telemetry(true))
-        .run_sockets(&instance, Strategy::Hybrid, &options)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(options.clone())),
+            &mut (),
+        )
         .expect("telemetry socket run");
     assert_eq!(
         report_bits(&off),

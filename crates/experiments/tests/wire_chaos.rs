@@ -7,7 +7,9 @@
 //! operating point bitwise.
 
 use ufc_core::{AdmgSettings, CoreError, Strategy};
-use ufc_distsim::{CorruptionConfig, CorruptionKind, DistributedAdmg, Runtime, SocketOptions};
+use ufc_distsim::{
+    CorruptionConfig, CorruptionKind, DistributedAdmg, Engine, RunSpec, SocketOptions,
+};
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
 use ufc_model::UfcInstance;
@@ -48,10 +50,20 @@ fn value_corruption_over_sockets_matches_lockstep_corrupt_run() {
     let cfg = CorruptionConfig::new(1e-2, DEFAULT_SEED);
 
     let lockstep = runner
-        .run_corrupt(&instance, Strategy::Hybrid, Runtime::Lockstep, cfg)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+            &mut (),
+        )
         .expect("verified lockstep corrupt run must converge");
     let sockets = runner
-        .run_sockets_corrupt(&instance, Strategy::Hybrid, &worker_options(), cfg)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(worker_options())).with_corruption(cfg),
+            &mut (),
+        )
         .expect("verified socket corrupt run must converge");
 
     assert!(sockets.converged);
@@ -94,7 +106,12 @@ fn wire_chaos_is_fully_detected_and_bit_identical() {
     let instance = workload();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let clean = runner
-        .run(&instance, Strategy::Hybrid, Runtime::Lockstep)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep),
+            &mut (),
+        )
         .expect("clean lockstep run must converge");
 
     for kind in [
@@ -104,7 +121,12 @@ fn wire_chaos_is_fully_detected_and_bit_identical() {
     ] {
         let cfg = CorruptionConfig::new(1e-2, DEFAULT_SEED).with_kind(kind);
         let report = runner
-            .run_sockets_corrupt(&instance, Strategy::Hybrid, &worker_options(), cfg)
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(worker_options())).with_corruption(cfg),
+                &mut (),
+            )
             .unwrap_or_else(|e| panic!("wire chaos {kind:?} must be repaired, got {e}"));
         assert!(report.converged, "{kind:?}: run must converge");
         assert_eq!(
@@ -149,7 +171,12 @@ fn wire_chaos_budget_exhaustion_fails_typed() {
         .with_kind(CorruptionKind::FrameTruncate)
         .with_max_retransmits(2);
     let err = runner
-        .run_sockets_corrupt(&instance, Strategy::Hybrid, &worker_options(), cfg)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(worker_options())).with_corruption(cfg),
+            &mut (),
+        )
         .expect_err("a near-certain truncation storm must exhaust the budget");
     assert!(
         matches!(err, CoreError::CorruptPayload { .. }),
@@ -192,11 +219,11 @@ fn wire_kinds_are_gated_to_one_process_per_node_sockets() {
     let cfg = CorruptionConfig::new(1e-2, DEFAULT_SEED).with_kind(CorruptionKind::FrameReorder);
 
     let err = runner
-        .run_sockets_corrupt(
+        .execute(
             &instance,
             Strategy::Hybrid,
-            &worker_options().with_processes(2),
-            cfg,
+            &RunSpec::new(Engine::Sockets(worker_options().with_processes(2))).with_corruption(cfg),
+            &mut (),
         )
         .expect_err("co-hosted wire chaos must be rejected");
     assert!(
@@ -205,7 +232,12 @@ fn wire_kinds_are_gated_to_one_process_per_node_sockets() {
     );
 
     let err = runner
-        .run_corrupt(&instance, Strategy::Hybrid, Runtime::Lockstep, cfg)
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+            &mut (),
+        )
         .expect_err("in-process engines have no wire frames to mangle");
     assert!(
         matches!(err, CoreError::InvalidConfig { .. }),

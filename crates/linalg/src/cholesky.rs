@@ -1,4 +1,4 @@
-use crate::{LinalgError, Matrix, Result, FACTOR_BLOCK};
+use crate::{LinalgError, Matrix, Result};
 
 /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite matrix.
 ///
@@ -70,80 +70,6 @@ impl Cholesky {
                 }
                 l[(i, j)] = s / ljj;
             }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Factors a symmetric positive-definite matrix with a blocked
-    /// (tiled-panel) right-looking elimination.
-    ///
-    /// Identical contract to [`Cholesky::factor`], and **bit-identical
-    /// factors**: each entry's update sequence subtracts the same terms in
-    /// the same ascending-`k` order as the unblocked loop, only regrouped
-    /// into panel-sized passes — IEEE-754 addition order is preserved, so
-    /// the two entry points are interchangeable mid-run. The win is cache
-    /// locality: the trailing-submatrix update walks contiguous row
-    /// segments of at most [`FACTOR_BLOCK`] columns instead of re-streaming
-    /// whole rows per entry.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cholesky::factor`].
-    pub fn factor_blocked(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        let max_diag = (0..n).fold(0.0f64, |m, i| m.max(a[(i, i)].abs()));
-        let tol = 1e-13 * max_diag.max(1.0);
-        // Work array: the lower triangle of `a` minus the contributions of
-        // every already-finished panel.
-        let mut w = Matrix::zeros(n, n);
-        for i in 0..n {
-            let (wi, ai) = (w.row_mut(i), a.row(i));
-            wi[..=i].copy_from_slice(&ai[..=i]);
-        }
-        let mut p0 = 0;
-        while p0 < n {
-            let p1 = (p0 + FACTOR_BLOCK).min(n);
-            // Factor the panel columns; only within-panel `k` terms remain.
-            for j in p0..p1 {
-                let mut d = w[(j, j)];
-                for k in p0..j {
-                    d -= l[(j, k)] * l[(j, k)];
-                }
-                if d <= tol {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: j, value: d });
-                }
-                let ljj = d.sqrt();
-                l[(j, j)] = ljj;
-                for i in (j + 1)..n {
-                    let mut s = w[(i, j)];
-                    for k in p0..j {
-                        s -= l[(i, k)] * l[(j, k)];
-                    }
-                    l[(i, j)] = s / ljj;
-                }
-            }
-            // Right-looking trailing update: fold this panel's columns into
-            // the not-yet-factored block (ascending `k`, matching the
-            // unblocked subtraction order).
-            for i in p1..n {
-                for j in p1..=i {
-                    let li = &l.row(i)[p0..p1];
-                    let lj = &l.row(j)[p0..p1];
-                    let mut s = w[(i, j)];
-                    for (lik, ljk) in li.iter().zip(lj) {
-                        s -= lik * ljk;
-                    }
-                    w[(i, j)] = s;
-                }
-            }
-            p0 = p1;
         }
         Ok(Cholesky { l })
     }
@@ -330,61 +256,5 @@ mod tests {
         let a = Matrix::from_rows(&[&[4.0]]).unwrap();
         let c = Cholesky::factor(&a).unwrap();
         assert_eq!(c.solve(&[8.0]).unwrap(), vec![2.0]);
-    }
-
-    /// Deterministic SPD test matrix spanning multiple factorization panels.
-    fn spd_big(n: usize) -> Matrix {
-        let mut a = Matrix::zeros(n, n);
-        let mut s = 0x9e37_79b9_u64;
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                m[(i, j)] = ((s >> 33) as f64) / ((1u64 << 31) as f64) - 0.5;
-            }
-        }
-        // A = MᵀM + n·I: symmetric, comfortably positive definite.
-        for i in 0..n {
-            for j in 0..n {
-                let mut v = if i == j { n as f64 } else { 0.0 };
-                for k in 0..n {
-                    v += m[(k, i)] * m[(k, j)];
-                }
-                a[(i, j)] = v;
-            }
-        }
-        a
-    }
-
-    #[test]
-    fn blocked_factor_is_bit_identical() {
-        // 113 > 2×FACTOR_BLOCK exercises full panels plus a remainder panel.
-        for n in [1, 5, crate::FACTOR_BLOCK, crate::FACTOR_BLOCK + 1, 113] {
-            let a = spd_big(n);
-            let plain = Cholesky::factor(&a).unwrap();
-            let blocked = Cholesky::factor_blocked(&a).unwrap();
-            for i in 0..n {
-                for j in 0..=i {
-                    assert_eq!(
-                        plain.l[(i, j)].to_bits(),
-                        blocked.l[(i, j)].to_bits(),
-                        "L[{i},{j}] differs at n={n}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_factor_rejects_indefinite_and_non_square() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(matches!(
-            Cholesky::factor_blocked(&a),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
-        assert!(matches!(
-            Cholesky::factor_blocked(&Matrix::zeros(2, 3)),
-            Err(LinalgError::NotSquare { .. })
-        ));
     }
 }

@@ -1,4 +1,4 @@
-use crate::{LinalgError, Matrix, Result, FACTOR_BLOCK};
+use crate::{LinalgError, Matrix, Result};
 
 /// `A = L D Lᵀ` factorization (unit lower-triangular `L`, diagonal `D`) for
 /// symmetric matrices that are *quasi-definite* rather than positive
@@ -74,82 +74,6 @@ impl Ldlt {
                 }
                 l[(i, j)] = s / dj;
             }
-        }
-        Ok(Ldlt { l, d })
-    }
-
-    /// Factors a symmetric matrix with a blocked (tiled-panel)
-    /// right-looking elimination.
-    ///
-    /// Identical contract to [`Ldlt::factor`], and **bit-identical
-    /// factors**: each entry's update sequence subtracts the same terms in
-    /// the same ascending-`k` order as the unblocked loop, only regrouped
-    /// into panel-sized passes — IEEE-754 addition order is preserved, so
-    /// the two entry points are interchangeable mid-run. The win is cache
-    /// locality: the trailing-submatrix update walks contiguous row
-    /// segments of at most [`FACTOR_BLOCK`] columns (a dot-product
-    /// microkernel) instead of re-streaming whole rows per entry, which is
-    /// what keeps large KKT factorizations (n ≳ a few hundred) off the
-    /// memory wall.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ldlt::factor`].
-    pub fn factor_blocked(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::identity(n);
-        let mut d = vec![0.0; n];
-        let max_abs = a.norm_max().max(1.0);
-        let tol = 1e-14 * max_abs;
-        // Work array: the lower triangle of `a` minus the contributions of
-        // every already-finished panel.
-        let mut w = Matrix::zeros(n, n);
-        for i in 0..n {
-            let (wi, ai) = (w.row_mut(i), a.row(i));
-            wi[..=i].copy_from_slice(&ai[..=i]);
-        }
-        let mut p0 = 0;
-        while p0 < n {
-            let p1 = (p0 + FACTOR_BLOCK).min(n);
-            // Factor the panel columns; only within-panel `k` terms remain.
-            for j in p0..p1 {
-                let mut dj = w[(j, j)];
-                for k in p0..j {
-                    dj -= l[(j, k)] * l[(j, k)] * d[k];
-                }
-                if dj.abs() <= tol {
-                    return Err(LinalgError::Singular { pivot: j });
-                }
-                d[j] = dj;
-                for i in (j + 1)..n {
-                    let mut s = w[(i, j)];
-                    for k in p0..j {
-                        s -= l[(i, k)] * l[(j, k)] * d[k];
-                    }
-                    l[(i, j)] = s / dj;
-                }
-            }
-            // Right-looking trailing update: fold this panel's columns into
-            // the not-yet-factored block (ascending `k`, matching the
-            // unblocked subtraction order).
-            for i in p1..n {
-                for j in p1..=i {
-                    let li = &l.row(i)[p0..p1];
-                    let lj = &l.row(j)[p0..p1];
-                    let mut s = w[(i, j)];
-                    for (k, (lik, ljk)) in li.iter().zip(lj).enumerate() {
-                        s -= lik * ljk * d[p0 + k];
-                    }
-                    w[(i, j)] = s;
-                }
-            }
-            p0 = p1;
         }
         Ok(Ldlt { l, d })
     }
@@ -303,69 +227,5 @@ mod tests {
         assert!(Ldlt::factor(&Matrix::zeros(2, 3)).is_err());
         let f = Ldlt::factor(&Matrix::identity(2)).unwrap();
         assert!(f.solve(&[1.0]).is_err());
-    }
-
-    /// Deterministic quasi-definite KKT-style matrix spanning multiple
-    /// factorization panels: `[[H, Aᵀ], [A, -δI]]` with H diagonally
-    /// dominant.
-    fn kkt_big(nx: usize, mc: usize) -> Matrix {
-        let n = nx + mc;
-        let mut a = Matrix::zeros(n, n);
-        let mut s = 0x2545_f491_4f6c_dd1d_u64;
-        let mut rnd = move || {
-            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            ((s >> 33) as f64) / ((1u64 << 31) as f64) - 0.5
-        };
-        for i in 0..nx {
-            for j in 0..i {
-                let v = 0.1 * rnd();
-                a[(i, j)] = v;
-                a[(j, i)] = v;
-            }
-            a[(i, i)] = 2.0 + rnd().abs();
-        }
-        for r in 0..mc {
-            for j in 0..nx {
-                let v = rnd();
-                a[(nx + r, j)] = v;
-                a[(j, nx + r)] = v;
-            }
-            a[(nx + r, nx + r)] = -1e-6;
-        }
-        a
-    }
-
-    #[test]
-    fn blocked_factor_is_bit_identical() {
-        // nx+mc spans one, exactly-one, and multiple panels (113 > 2×48).
-        for (nx, mc) in [(3, 1), (40, 8), (44, 5), (90, 23)] {
-            let a = kkt_big(nx, mc);
-            let plain = Ldlt::factor(&a).unwrap();
-            let blocked = Ldlt::factor_blocked(&a).unwrap();
-            let n = nx + mc;
-            for (dp, db) in plain.d.iter().zip(&blocked.d) {
-                assert_eq!(dp.to_bits(), db.to_bits(), "D differs at n={n}");
-            }
-            for i in 0..n {
-                for j in 0..i {
-                    assert_eq!(
-                        plain.l[(i, j)].to_bits(),
-                        blocked.l[(i, j)].to_bits(),
-                        "L[{i},{j}] differs at n={n}"
-                    );
-                }
-            }
-            assert_eq!(blocked.negative_pivots(), mc);
-        }
-    }
-
-    #[test]
-    fn blocked_factor_rejects_singular_and_non_square() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!(matches!(
-            Ldlt::factor_blocked(&a),
-            Err(LinalgError::Singular { .. })
-        ));
-        assert!(Ldlt::factor_blocked(&Matrix::zeros(2, 3)).is_err());
     }
 }

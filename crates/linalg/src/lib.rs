@@ -44,13 +44,3 @@ pub use matrix::Matrix;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;
-
-/// Panel width of the blocked factorization kernels
-/// ([`Cholesky::factor_blocked`], [`Ldlt::factor_blocked`]).
-///
-/// 48 columns of f64 per panel keeps a panel row (384 bytes) plus the
-/// trailing-row segment it is folded into comfortably inside L1 while the
-/// trailing update streams the rest of the matrix once per panel. The
-/// blocked kernels produce bit-identical factors for every width, so this
-/// constant is a pure performance tuning knob.
-pub const FACTOR_BLOCK: usize = 48;

@@ -7,7 +7,7 @@
 //! ```
 
 use ufc_core::{centralized, AdmgSettings, AdmgSolver, Strategy};
-use ufc_distsim::{DistributedAdmg, Runtime};
+use ufc_distsim::{DistributedAdmg, Engine, RunSpec};
 use ufc_model::scenario::ScenarioBuilder;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let settings = AdmgSettings::default();
 
     // Distributed protocol over OS threads and mpsc channels (one per node).
-    let report = DistributedAdmg::new(settings).run(inst, Strategy::Hybrid, Runtime::Threaded)?;
+    let report = DistributedAdmg::new(settings).execute(
+        inst,
+        Strategy::Hybrid,
+        &RunSpec::new(Engine::Threaded),
+        &mut (),
+    )?;
     println!(
         "distributed run: {} iterations, UFC = {:.2} $",
         report.iterations,

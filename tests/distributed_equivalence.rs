@@ -3,7 +3,7 @@
 //! instances, across all strategies.
 
 use ufc_core::{centralized, AdmgSettings, AdmgSolver, Strategy};
-use ufc_distsim::{DistributedAdmg, Runtime};
+use ufc_distsim::{DistributedAdmg, Engine, RunSpec};
 use ufc_model::scenario::ScenarioBuilder;
 
 #[test]
@@ -20,7 +20,9 @@ fn three_paths_one_answer() {
     for inst in &scenario.instances {
         for strategy in [Strategy::Hybrid, Strategy::GridOnly] {
             let mem = solver.solve(inst, strategy).unwrap();
-            let net = dist.run(inst, strategy, Runtime::Lockstep).unwrap();
+            let net = dist
+                .execute(inst, strategy, &RunSpec::new(Engine::Lockstep), &mut ())
+                .unwrap();
             let central = centralized::solve(inst, strategy, centralized::Backend::Admm).unwrap();
 
             let scale = central.breakdown.ufc().abs().max(1.0);
@@ -54,7 +56,12 @@ fn fuel_cell_strategy_distributed_matches_memory() {
     for inst in &scenario.instances {
         let mem = solver.solve(inst, Strategy::FuelCellOnly).unwrap();
         let net = dist
-            .run(inst, Strategy::FuelCellOnly, Runtime::Threaded)
+            .execute(
+                inst,
+                Strategy::FuelCellOnly,
+                &RunSpec::new(Engine::Threaded),
+                &mut (),
+            )
             .unwrap();
         assert_eq!(mem.iterations, net.iterations);
         assert!((mem.breakdown.ufc() - net.breakdown.ufc()).abs() < 1e-6);
