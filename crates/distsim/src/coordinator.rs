@@ -1,13 +1,13 @@
-//! Coordinator-side helpers shared by the three distributed engines.
+//! Coordinator-side helpers shared by the distributed engines.
 //!
 //! Everything here is transport-independent bookkeeping: traffic recording
 //! (with drop, corruption and partition relay accounting), plan-driven
-//! straggler charging, residual reduction, replay-history filtering, and
-//! the final gather→polish→report step ([`Tally::into_report`]). The
-//! lockstep engine (`crate::engine_lockstep`), the supervised threaded
-//! engine (`crate::engine_threaded`) and the socket engine
-//! (`crate::engine_socket`) all call into these, so the engines stay
-//! decision-for-decision identical by construction.
+//! straggler charging, residual reduction, replay-history filtering, the
+//! checkpoint cadence and rollback point, and the final
+//! gather→polish→report step ([`Tally::into_report`]). The lockstep engine
+//! (`crate::engine_lockstep`) and the supervised coordinator
+//! (`crate::supervision`, over threads or processes) both call into these,
+//! so the engines stay decision-for-decision identical by construction.
 
 use ufc_core::engine::{BlockResiduals, DriveOutcome};
 use ufc_core::repair::assemble_point;
@@ -19,7 +19,8 @@ use crate::fault::{FaultReport, FaultTracker, IntegrityState, NodeId};
 use crate::message::{Message, CHECKSUM_OVERHEAD_BYTES};
 use crate::node::{nan_max, NodeResiduals};
 use crate::runtime::DistRunReport;
-use crate::stats::{estimated_wan_seconds_live, MessageStats};
+use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
+use crate::stats::{estimated_wan_seconds_live, max_live_latency, MessageStats};
 
 /// One iteration's inputs, buffered for checkpoint-restart replay.
 pub(crate) struct HistoryEntry {
@@ -43,20 +44,92 @@ pub(crate) fn replay_entries(
         .filter(move |entry| entry.iteration > base && entry.iteration < k)
 }
 
-/// Worst *live* link latency in the deployment — the per-phase stall unit.
-/// Links to evicted datacenters carry no traffic in degraded mode, so they
-/// are excluded; with every datacenter evicted the stall unit is 0.
-pub(crate) fn max_latency(instance: &UfcInstance, evicted: &[bool]) -> f64 {
-    instance
-        .latency_s
-        .iter()
-        .flat_map(|row| {
-            row.iter()
-                .enumerate()
-                .filter(|&(j, _)| !evicted.get(j).copied().unwrap_or(false))
-                .map(|(_, &l)| l)
-        })
-        .fold(0.0f64, f64::max)
+/// Whether iteration `k` ends with a checkpoint round: after a membership
+/// change, or on the plan's cadence (`interval` 0 is off) — never at the
+/// stopping iteration.
+pub(crate) fn checkpoint_due(
+    k: usize,
+    stop: bool,
+    membership_changed: bool,
+    interval: usize,
+) -> bool {
+    !stop && (membership_changed || (interval > 0 && k.is_multiple_of(interval)))
+}
+
+/// What a divergence rollback returns the live nodes to: each one's last
+/// checkpoint, decoded.
+pub(crate) struct RollbackPoint {
+    /// The oldest of those checkpoints' iterations.
+    pub(crate) base: usize,
+    /// Front-end snapshots, carrying the live membership view.
+    pub(crate) frontends: Vec<FrontendSnapshot>,
+    /// Datacenter snapshots; `None` for an evicted datacenter.
+    pub(crate) datacenters: Vec<Option<DatacenterSnapshot>>,
+}
+
+impl RollbackPoint {
+    /// Reads the rollback point of `m` front-ends and the datacenters of
+    /// the `evicted` mask off `store`. `None` when a live node has no
+    /// checkpoint or a non-finite one: a partial restore would leave the
+    /// deployment inconsistent, so the caller declines the rollback.
+    ///
+    /// The live membership view stays authoritative over whatever a
+    /// snapshot recorded: each front-end snapshot takes the current mask,
+    /// with the blocks of every evicted datacenter zeroed, as
+    /// [`crate::node::FrontendNode::set_evicted`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Checkpoint`] for a blob that does not decode.
+    pub(crate) fn read(
+        store: &CheckpointStore,
+        m: usize,
+        evicted: &[bool],
+    ) -> Result<Option<Self>, CoreError> {
+        let mut base = usize::MAX;
+        let mut frontends = Vec::with_capacity(m);
+        for i in 0..m {
+            let Some((it, blob)) = store.frontend(i) else {
+                return Ok(None);
+            };
+            let mut snap = FrontendSnapshot::from_bytes(blob)?;
+            if !snap.is_finite() {
+                return Ok(None);
+            }
+            base = base.min(it);
+            for (j, &gone) in evicted.iter().enumerate() {
+                if gone {
+                    snap.lambda[j] = 0.0;
+                    snap.lambda_tilde[j] = 0.0;
+                    snap.a[j] = 0.0;
+                    snap.varphi[j] = 0.0;
+                }
+            }
+            snap.evicted = evicted.to_vec();
+            frontends.push(snap);
+        }
+        let mut datacenters = Vec::with_capacity(evicted.len());
+        for (j, &gone) in evicted.iter().enumerate() {
+            if gone {
+                datacenters.push(None);
+                continue;
+            }
+            let Some((it, blob)) = store.datacenter(j) else {
+                return Ok(None);
+            };
+            let snap = DatacenterSnapshot::from_bytes(blob)?;
+            if !snap.is_finite() {
+                return Ok(None);
+            }
+            base = base.min(it);
+            datacenters.push(Some(snap));
+        }
+        Ok(Some(RollbackPoint {
+            base,
+            frontends,
+            datacenters,
+        }))
+    }
 }
 
 /// Column `j` of the per-front-end λ̃ rows: the values bound for
@@ -287,8 +360,11 @@ pub(crate) struct Tally {
     pub(crate) stall_phases: f64,
     /// Resent dropped copies.
     pub(crate) retransmissions: usize,
-    /// Integrity counters, when the integrity layer ran.
-    pub(crate) integrity: Option<IntegrityCounters>,
+    /// Integrity counters, reported iff `report_integrity`.
+    pub(crate) counters: IntegrityCounters,
+    /// Whether the report carries the integrity counters: the integrity
+    /// layer ran, or the socket fleet counted something of its own.
+    pub(crate) report_integrity: bool,
     /// Command frames sent and the socket writes that carried them (socket
     /// engine only).
     pub(crate) frames: (u64, u64),
@@ -309,7 +385,8 @@ impl Tally {
             evicted: tracker.evicted_mask(),
             stall_phases,
             retransmissions: integrity.retransmissions,
-            integrity: integrity.active().then_some(integrity.counters),
+            counters: integrity.counters,
+            report_integrity: integrity.active(),
             frames: (0, 0),
         }
     }
@@ -336,7 +413,8 @@ impl Tally {
             estimated_wan_seconds_live(outcome.iterations, &instance.latency_s, &self.evicted)
                 + self.fault.downtime_seconds
                 + self.fault.straggler_seconds
-                + self.stall_phases * max_latency(instance, &self.evicted);
+                + self.stall_phases * max_live_latency(&instance.latency_s, &self.evicted);
+        let integrity = self.report_integrity.then_some(self.counters);
         let fault = (!self.trivial_plan || self.fault.checkpoints_taken > 0).then_some(self.fault);
         let telemetry = telemetry.map(|mut t| {
             let (frames_sent, socket_writes) = self.frames;
@@ -349,7 +427,7 @@ impl Tally {
                 socket_writes,
             });
             t.fault = fault.as_ref().map(FaultReport::counters);
-            t.integrity = self.integrity;
+            t.integrity = integrity;
             t
         });
         Ok(DistRunReport {
@@ -361,7 +439,7 @@ impl Tally {
             estimated_wan_seconds: estimated,
             retransmissions: self.retransmissions,
             fault,
-            integrity: self.integrity,
+            integrity,
             telemetry,
         })
     }

@@ -16,8 +16,9 @@ use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError, WorkerPool};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::{
-    account_stragglers, column_of, record_a_traffic, record_control, record_lambda_traffic,
-    reduce_residuals, replay_entries, row_of, HistoryEntry, Tally,
+    account_stragglers, checkpoint_due, column_of, record_a_traffic, record_control,
+    record_lambda_traffic, reduce_residuals, replay_entries, row_of, HistoryEntry, RollbackPoint,
+    Tally,
 };
 use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution};
 use crate::message::Message;
@@ -64,7 +65,6 @@ struct LockstepTransport<'a> {
     /// Whether replay history is worth buffering (non-trivial plan or
     /// checkpointing on) — a clean run skips the copies entirely.
     buffer_history: bool,
-    checkpoint_interval: usize,
     integrity: IntegrityState,
     /// First node whose residual report was non-finite this iteration —
     /// the divergence gate's suspect.
@@ -102,8 +102,7 @@ impl<'a> LockstepTransport<'a> {
                 ))
             })
             .collect();
-        let checkpoint_interval = plan.checkpoint_interval;
-        let buffer_history = !plan.is_trivial() || checkpoint_interval > 0;
+        let buffer_history = !plan.is_trivial() || plan.checkpoint_interval > 0;
         let integrity = IntegrityState::new(plan.corruption.as_ref(), settings.verify_checksums);
         LockstepTransport {
             instance,
@@ -117,7 +116,6 @@ impl<'a> LockstepTransport<'a> {
             store: CheckpointStore::new(m, n),
             history: Vec::new(),
             buffer_history,
-            checkpoint_interval,
             integrity,
             suspect: None,
             stats: MessageStats::default(),
@@ -408,62 +406,23 @@ impl Transport for LockstepTransport<'_> {
 
     fn rollback(&mut self, _k: usize) -> Result<Option<usize>, CoreError> {
         self.integrity.counters.divergence_trips += 1;
-        // Every live node needs a finite checkpoint before anything is
-        // touched — a partial restore would leave the deployment
-        // inconsistent, so decline instead.
-        let mut base = usize::MAX;
-        let mut fe_snaps = Vec::with_capacity(self.frontends.len());
-        for i in 0..self.frontends.len() {
-            let Some((it, blob)) = self.store.frontend(i) else {
-                return Ok(None);
-            };
-            let snap = FrontendSnapshot::from_bytes(blob)?;
-            if !snap.is_finite() {
-                return Ok(None);
-            }
-            base = base.min(it);
-            fe_snaps.push(snap);
-        }
-        let mut dc_snaps: Vec<Option<DatacenterSnapshot>> =
-            Vec::with_capacity(self.datacenters.len());
-        for (j, dc) in self.datacenters.iter().enumerate() {
-            if dc.is_none() {
-                dc_snaps.push(None);
-                continue;
-            }
-            let Some((it, blob)) = self.store.datacenter(j) else {
-                return Ok(None);
-            };
-            let snap = DatacenterSnapshot::from_bytes(blob)?;
-            if !snap.is_finite() {
-                return Ok(None);
-            }
-            base = base.min(it);
-            dc_snaps.push(Some(snap));
-        }
-        let evicted = self.tracker.evicted_mask();
-        for (fe, snap) in self.frontends.iter_mut().zip(&fe_snaps) {
+        let m = self.frontends.len();
+        let Some(point) = RollbackPoint::read(&self.store, m, &self.tracker.evicted_mask())? else {
+            return Ok(None);
+        };
+        for (fe, snap) in self.frontends.iter_mut().zip(&point.frontends) {
             fe.restore(snap)?;
-            // The live membership view stays authoritative over whatever
-            // the snapshot recorded.
-            for (j, &gone) in evicted.iter().enumerate() {
-                if gone {
-                    fe.set_evicted(j);
-                } else {
-                    fe.clear_evicted(j);
-                }
-            }
         }
-        for (dc, snap) in self.datacenters.iter_mut().zip(dc_snaps) {
+        for (dc, snap) in self.datacenters.iter_mut().zip(&point.datacenters) {
             if let (Some(node), Some(snap)) = (dc.as_mut(), snap) {
-                node.restore(&snap)?;
+                node.restore(snap)?;
             }
         }
         // Buffered inputs may hold the very payloads that poisoned the run;
         // never replay them into the restored state.
         self.history.clear();
         self.integrity.counters.rollbacks += 1;
-        Ok(Some(base))
+        Ok(Some(point.base))
     }
 
     fn divergence_suspect(&self) -> Option<String> {
@@ -481,10 +440,8 @@ impl Transport for LockstepTransport<'_> {
                 a_cols: std::mem::take(&mut self.a_cols),
             });
         }
-        if !stop
-            && (self.membership_changed
-                || (self.checkpoint_interval > 0 && k.is_multiple_of(self.checkpoint_interval)))
-        {
+        let interval = self.tracker.plan().checkpoint_interval;
+        if checkpoint_due(k, stop, self.membership_changed, interval) {
             self.checkpoint(k);
         }
         Ok(())

@@ -30,8 +30,9 @@ use ufc_core::CoreError;
 use crate::message::{Message, VALUE_OFFSET};
 use crate::rng::SplitMix64;
 
-/// A protocol participant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A protocol participant. Nodes order front-ends first, then
+/// datacenters, each by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// Front-end `i`.
     Frontend(usize),
@@ -266,8 +267,8 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// An empty plan: supervision on, nothing injected, checkpoints off.
-    /// This is what the plain threaded runtime runs under, so a clean run
-    /// carries no checkpoint traffic and matches lockstep byte-for-byte.
+    /// This is what a clean supervised run runs under, so it carries no
+    /// checkpoint traffic and matches lockstep byte-for-byte.
     #[must_use]
     pub fn none() -> Self {
         FaultPlan {
@@ -614,7 +615,7 @@ impl FaultReport {
 }
 
 /// The supervisor's decision state machine, shared verbatim by the
-/// threaded runtime and its lockstep mirror so both make identical
+/// supervised coordinator and its lockstep mirror so both make identical
 /// recovery/eviction/readmission decisions.
 #[derive(Debug, Clone)]
 pub struct FaultTracker {

@@ -18,9 +18,10 @@
 //!
 //! Three engines execute the same node logic: [`Engine::Lockstep`] (a
 //! deterministic round engine, bit-identical to `ufc_core::AdmgSolver` by
-//! construction — asserted in tests), [`Engine::Threaded`] (one OS thread
-//! per node over std::sync::mpsc channels) and [`Engine::Sockets`] (worker
-//! OS processes over TCP). All are `Transport` implementations sequenced
+//! construction — asserted in tests), and one supervised coordinator over
+//! a fleet of worker threads, one per node over std::sync::mpsc channels
+//! ([`Engine::Threaded`]), or of worker OS processes over TCP
+//! ([`Engine::Sockets`]). Both are `Transport` implementations sequenced
 //! by the single transport-agnostic iteration driver
 //! `ufc_core::engine::drive` — the λ→μ→ν→a prediction order, the
 //! correction step, and the stop rule exist in exactly one place — and all
@@ -31,11 +32,12 @@
 //!
 //! # Failure model
 //!
-//! The threaded runtime is *supervised*: a deterministic, seeded
-//! [`FaultPlan`] can script crash-stop failures (with or without recovery),
-//! straggler delays, and partition windows. The coordinator awaits every
-//! reply with `recv_timeout` deadlines and an exponential backoff ladder;
-//! a node silent past its eviction deadline is respawned from its last
+//! The threaded and socket engines are *supervised*, by one coordinator
+//! written once over either fleet: a deterministic, seeded [`FaultPlan`]
+//! can script crash-stop failures (with or without recovery), straggler
+//! delays, and partition windows. The coordinator awaits every reply with
+//! `recv_timeout` deadlines and an exponential backoff ladder; a node
+//! silent past its eviction deadline is respawned from its last
 //! [`snapshot`] checkpoint and replayed, or — for datacenters only —
 //! evicted so the survivors continue in degraded mode (the evicted `μ_j`
 //! and `λ_·j` blocks are pinned to zero) until the node is readmitted.
@@ -99,7 +101,6 @@
 mod coordinator;
 mod engine_lockstep;
 mod engine_socket;
-mod engine_threaded;
 pub mod fault;
 pub mod message;
 pub mod node;

@@ -2,11 +2,11 @@
 //! [`DistributedAdmg::execute`], that runs a [`RunSpec`] — an [`Engine`]
 //! and the [`FaultPlan`] it runs under — and packages the result.
 //!
-//! All three engines — the deterministic lockstep rounds
-//! (`crate::engine_lockstep`), the supervised threaded message-passing
-//! coordinator (`crate::engine_threaded`) and the multi-process socket
-//! engine (`crate::engine_socket`) — implement
-//! [`ufc_core::engine::Transport`] and are sequenced by the single
+//! The three engines are two [`ufc_core::engine::Transport`]s: the
+//! deterministic lockstep rounds (`crate::engine_lockstep`), and the one
+//! supervised coordinator (`crate::supervision`) over a fleet of worker
+//! threads ([`Engine::Threaded`]) or worker processes ([`Engine::Sockets`],
+//! `crate::engine_socket`). Both are sequenced by the single
 //! transport-agnostic driver `ufc_core::engine::drive`, so the prediction
 //! order, correction step, and stop rule exist in exactly one place. Faults,
 //! corruption and drops are not separate code paths either: a clean run is
@@ -22,11 +22,12 @@ use ufc_core::{AdmgSettings, CoreError, Strategy};
 use ufc_model::{OperatingPoint, UfcBreakdown, UfcInstance};
 
 use crate::engine_lockstep::run_lockstep;
-use crate::engine_socket::run_socket_engine;
-use crate::engine_threaded::run_supervised;
+use crate::engine_socket::ProcessFleet;
 use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, FaultReport};
 use crate::stats::MessageStats;
+use crate::supervision::run_supervised;
 use crate::wire::{AuthKey, BindConfig};
+use crate::worker::ThreadFleet;
 
 /// Checkpoint cadence [`DistributedAdmg::execute`] gives a corrupting plan
 /// without one when [`AdmgSettings::divergence_rollback`] is on: rollback
@@ -296,11 +297,25 @@ impl DistributedAdmg {
                 run_lockstep(settings, instance, active_mu, active_nu, plan, observer)
             }
             Engine::Threaded => {
-                run_supervised(settings, instance, active_mu, active_nu, plan, observer)
+                let launch = |plan: &FaultPlan, replies| {
+                    Ok(ThreadFleet::launch(
+                        instance, settings, active_mu, active_nu, plan, replies,
+                    ))
+                };
+                run_supervised(
+                    settings, instance, active_mu, active_nu, plan, launch, observer,
+                )
             }
-            Engine::Sockets(options) => run_socket_engine(
-                settings, instance, active_mu, active_nu, plan, options, observer,
-            ),
+            Engine::Sockets(options) => {
+                let launch = |plan: &FaultPlan, replies| {
+                    ProcessFleet::launch(
+                        instance, settings, active_mu, active_nu, plan, options, replies,
+                    )
+                };
+                run_supervised(
+                    settings, instance, active_mu, active_nu, plan, launch, observer,
+                )
+            }
         }?;
         let ufc = report.breakdown.ufc();
         if let Some(fault) = report.fault.as_mut() {

@@ -60,7 +60,13 @@ pub fn estimated_wan_seconds_live(
     latency_s: &[Vec<f64>],
     evicted: &[bool],
 ) -> f64 {
-    let l_max = latency_s
+    iterations as f64 * 4.0 * max_live_latency(latency_s, evicted)
+}
+
+/// Worst *live* link latency — the per-phase stall unit (see
+/// [`estimated_wan_seconds_live`]); 0 with every datacenter evicted.
+pub(crate) fn max_live_latency(latency_s: &[Vec<f64>], evicted: &[bool]) -> f64 {
+    latency_s
         .iter()
         .flat_map(|row| {
             row.iter()
@@ -68,8 +74,7 @@ pub fn estimated_wan_seconds_live(
                 .filter(|&(j, _)| !evicted.get(j).copied().unwrap_or(false))
                 .map(|(_, &l)| l)
         })
-        .fold(0.0f64, f64::max);
-    iterations as f64 * 4.0 * l_max
+        .fold(0.0f64, f64::max)
 }
 
 #[cfg(test)]

@@ -1,47 +1,54 @@
-//! The worker-thread protocol of the supervised runtime: typed commands
-//! and replies, per-worker fault scripts, the exponential-backoff gather,
-//! and the worker thread bodies themselves.
+//! The supervised coordinator: the ADM-G protocol between front-ends and
+//! datacenters (§III, Fig. 2) as one `Transport` for the unified driver
+//! (`ufc_core::engine::drive`), written once over a [`Fleet`].
 //!
-//! The supervising coordinator (`crate::engine_threaded`) drives one OS
-//! thread per node through these channels. Every reply is iteration-tagged
-//! so stale replay traffic is discarded, and [`gather_phase`] only declares
-//! a silent node dead once its thread has actually exited.
+//! A fleet is how commands reach the nodes, and it is the only part the
+//! two supervised engines implement: one thread per node
+//! (`crate::worker::ThreadFleet`, [`crate::Engine::Threaded`]) or worker OS
+//! processes over TCP (`crate::engine_socket::ProcessFleet`,
+//! [`crate::Engine::Sockets`]). Both carry the same [`NodeCmd`]s to the same
+//! node dispatch (`crate::worker`), and every [`Reply`] comes back on one
+//! channel, tagged with its node and iteration so stale replay traffic is
+//! discarded.
+//!
+//! Everything else exists here once: the phase fan-outs and gathers; crash
+//! injection (a front-end is killed before its `Predict`, a datacenter
+//! before its `Process`); the deadline ladder ([`gather_phase`]), which
+//! declares a silent node dead only once it no longer runs; recovery
+//! through the [`FaultTracker`] — respawn from the last checkpoint with
+//! `Restore` plus input replay, or eviction (datacenters only) and later
+//! readmission; checkpoint rounds; rollback in place with `Restore`; the
+//! final gather; and, on a clean plan ([`pipelines`]), each front-end's
+//! next prediction riding in its correction's fan-out.
+//!
+//! The lockstep engine (`crate::engine_lockstep`) makes the same decisions
+//! through the same coordinator helpers, so a faulty run on either fleet
+//! reproduces the lockstep iterates, statistics and fault report (asserted
+//! in `tests/fault_injection.rs`).
 
 use std::collections::HashSet;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ufc_core::CoreError;
+use ufc_core::engine::{drive, BlockResiduals, IterationObserver, Transport};
+use ufc_core::telemetry::{ObserverChain, TelemetryCollector};
+use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError};
+use ufc_model::UfcInstance;
 
-use crate::fault::{FaultPlan, NodeId};
-use crate::node::{DatacenterNode, FrontendNode, NodeResiduals};
+use crate::coordinator::{
+    account_stragglers, checkpoint_due, column_of, record_a_traffic, record_control,
+    record_lambda_traffic, reduce_residuals, replay_entries, row_of, Gathered, HistoryEntry,
+    RollbackPoint, Tally,
+};
+use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution};
+use crate::message::Message;
+use crate::node::{DatacenterNode, NodeResiduals};
+use crate::runtime::DistRunReport;
+use crate::snapshot::CheckpointStore;
+use crate::stats::MessageStats;
+use crate::wire::NodeCmd;
 
-/// Commands to a front-end worker.
-pub(crate) enum FeCmd {
-    /// Run the λ prediction for `iteration`.
-    Predict { iteration: usize },
-    /// Apply the gathered ã row and correct.
-    Correct { iteration: usize, a_row: Vec<f64> },
-    /// Serialize the iterate slice for a checkpoint round.
-    Snapshot { iteration: usize },
-    /// Apply a membership change for `datacenter`.
-    Membership { datacenter: usize, evict: bool },
-    /// Ship the final λ row and exit.
-    Finish,
-}
-
-/// Commands to a datacenter worker.
-pub(crate) enum DcCmd {
-    /// Run the μ/ν/a steps on the gathered λ̃ column for `iteration`.
-    Process { iteration: usize, column: Vec<f64> },
-    /// Serialize the iterate slice for a checkpoint round.
-    Snapshot { iteration: usize },
-    /// Ship the final μ and exit.
-    Finish,
-}
-
-/// Worker replies, tagged with node and iteration so the coordinator can
+/// Node replies, tagged with node and iteration so the coordinator can
 /// discard stale replay traffic.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Reply {
@@ -82,11 +89,11 @@ pub(crate) enum Reply {
         d: f64,
     },
     /// A node's sub-problem rejected its inputs (e.g. NaN-poisoned
-    /// replicas under unverified corruption). The worker reports the typed
+    /// replicas under unverified corruption). The node reports the typed
     /// error and stops; the coordinator aborts the run with it instead of
     /// respawning into the same poison. Over the socket wire this variant
     /// is degraded to a rendered [`CoreError::NodeFailure`] (the full error
-    /// enum has no wire codec); in-process channels carry it verbatim.
+    /// enum has no wire codec); the thread fleet carries it verbatim.
     NodeError {
         node: NodeId,
         iteration: usize,
@@ -94,163 +101,732 @@ pub(crate) enum Reply {
     },
 }
 
-/// The fault injections one worker carries: iterations at which it
-/// crash-stops, and scripted reply delays.
-pub(crate) struct FaultScript {
-    crash_iterations: Vec<usize>,
-    stragglers: Vec<(usize, Duration)>,
+/// How the supervisor's commands reach the nodes, which are addressed by
+/// global id: front-ends `0..m`, datacenters `m..m + n`. Replies travel on
+/// the channel the fleet was launched with. Deadlines, recovery decisions
+/// and accounting are the supervisor's; this is the place a fleet of
+/// workers is spawned, kept and reaped.
+pub(crate) trait Fleet {
+    /// Delivers one fan-out. A command for a node that is down is dropped:
+    /// its silence is the gather ladder's to judge.
+    fn send(&self, cmds: Vec<(usize, NodeCmd)>);
+    /// Whether node `id` can still answer.
+    fn alive(&self, id: usize) -> bool;
+    /// Kills node `id`: a scripted crash, or an eviction.
+    fn kill(&mut self, id: usize);
+    /// Replaces node `id` with a fresh kernel, built as at launch.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NodeFailure`] when the node cannot be started.
+    fn start(&mut self, id: usize) -> Result<(), CoreError>;
+    /// Notes that the gather ladder declared node `id` dead.
+    fn declared_dead(&mut self, id: usize);
+    /// Per-iteration hook, run after the supervisor's own begin-iteration
+    /// work (readmissions, straggler charges).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NodeFailure`] when the carrier cannot recover a link.
+    fn begin_iteration(&mut self, k: usize, plan: &FaultPlan) -> Result<(), CoreError>;
+    /// Tears every node down, on every exit path. Folds the carrier's own
+    /// accounting into `tally` and returns the typed error the carrier
+    /// parked during the run, if any (it outranks the dead-node verdict its
+    /// silence produced), beside the teardown's own result.
+    fn shutdown(self, tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>);
 }
 
-impl FaultScript {
-    /// Script for `node`, keeping only events after iteration `after`
-    /// (respawned workers must not re-fire events that already happened).
-    pub(crate) fn for_node(plan: &FaultPlan, node: NodeId, after: usize) -> Self {
-        FaultScript {
-            crash_iterations: plan
-                .crash_iterations_for(node)
-                .into_iter()
-                .filter(|&t| t > after)
-                .collect(),
-            stragglers: plan
-                .stragglers_for(node)
-                .into_iter()
-                .filter(|&(t, _)| t > after)
-                .collect(),
+/// Whether a run under `plan` sends each front-end's next prediction in
+/// the same fan-out as its correction. Only a clean plan does: a scripted
+/// kill must land before its victim predicts, a rollback must restore in
+/// place before any node predicts on a poisoned iterate (and a prediction
+/// on NaN state ends its worker), a snapshot must record the corrected
+/// iterate, and a readmission changes the next prediction.
+pub(crate) fn pipelines(plan: &FaultPlan) -> bool {
+    plan.is_trivial() && plan.corruption.is_none() && plan.checkpoint_interval == 0
+}
+
+/// Runs the supervised coordinator under `plan` over the fleet `launch`
+/// starts, which sends its replies on the channel it is handed. A trivial
+/// plan reduces to the clean runtime: no kills, no extra traffic, and a
+/// report bit-identical to the lockstep engine's.
+pub(crate) fn run_supervised<F: Fleet>(
+    settings: &AdmgSettings,
+    instance: &UfcInstance,
+    active_mu: bool,
+    active_nu: bool,
+    plan: FaultPlan,
+    launch: impl FnOnce(&FaultPlan, Sender<Reply>) -> Result<F, CoreError>,
+    observer: &mut dyn IterationObserver,
+) -> Result<DistRunReport, CoreError> {
+    let tolerances = settings.scaled_tolerances(instance);
+    let (reply_tx, replies) = channel();
+    let fleet = launch(&plan, reply_tx)?;
+    let mut sup = Supervisor::new(
+        instance, *settings, active_mu, active_nu, plan, fleet, replies,
+    );
+    let mut collector = settings.telemetry.then(TelemetryCollector::default);
+    let outcome = match collector.as_mut() {
+        Some(c) => {
+            let mut chain = ObserverChain(&mut *c, observer);
+            drive(&mut sup, settings, tolerances, &mut chain)
+        }
+        None => drive(&mut sup, settings, tolerances, observer),
+    }
+    .and_then(|outcome| {
+        sup.final_gather(outcome.iterations)
+            .map(|gathered| (outcome, gathered))
+    });
+    // The error path tears the fleet down too.
+    let mut tally = Tally::new(sup.stats, &sup.tracker, &sup.integrity, sup.stall_phases);
+    let (parked, shutdown) = sup.fleet.shutdown(&mut tally);
+    let (outcome, gathered) = outcome.map_err(|e| parked.unwrap_or(e))?;
+    shutdown?;
+    // Solver counters stay zero in the telemetry: the node kernels live in
+    // the worker threads or processes and are gone with them. The lockstep
+    // engine (bit-identical) observes the solver layer.
+    tally.into_report(
+        instance,
+        outcome,
+        gathered,
+        !active_nu,
+        collector.map(TelemetryCollector::into_telemetry),
+    )
+}
+
+/// The supervising coordinator's state between driver callbacks.
+struct Supervisor<'a, F> {
+    instance: &'a UfcInstance,
+    settings: AdmgSettings,
+    active_mu: bool,
+    active_nu: bool,
+    m: usize,
+    n: usize,
+    fleet: F,
+    replies: Receiver<Reply>,
+    tracker: FaultTracker,
+    store: CheckpointStore,
+    history: Vec<HistoryEntry>,
+    /// Scripted crash iterations per node id, consumed as they fire.
+    remaining_crashes: Vec<Vec<usize>>,
+    stats: MessageStats,
+    integrity: IntegrityState,
+    /// The iteration whose `Predict` commands went out with the previous
+    /// correction ([`pipelines`]).
+    predicted: Option<usize>,
+    /// Replies to those commands that the correction gather drained.
+    early_predictions: Vec<Reply>,
+    /// First node whose residual report was non-finite this iteration —
+    /// the divergence gate's suspect.
+    suspect: Option<NodeId>,
+    /// Whole-phase stalls, in phases: partition windows, and the resends
+    /// each data phase waits out for its slowest message.
+    stall_phases: f64,
+    // Per-iteration scratch, produced by one phase and consumed by the next.
+    rows: Vec<Vec<f64>>,
+    a_cols: Vec<Vec<f64>>,
+    dc_residuals: Vec<Option<NodeResiduals>>,
+    readmitted_now: Vec<usize>,
+    membership_changed: bool,
+    node_count: usize,
+}
+
+impl<'a, F: Fleet> Supervisor<'a, F> {
+    fn new(
+        instance: &'a UfcInstance,
+        settings: AdmgSettings,
+        active_mu: bool,
+        active_nu: bool,
+        plan: FaultPlan,
+        fleet: F,
+        replies: Receiver<Reply>,
+    ) -> Self {
+        let m = instance.m_frontends();
+        let n = instance.n_datacenters();
+        let remaining_crashes = (0..m)
+            .map(NodeId::Frontend)
+            .chain((0..n).map(NodeId::Datacenter))
+            .map(|node| plan.crash_iterations_for(node))
+            .collect();
+        let integrity = IntegrityState::new(plan.corruption.as_ref(), settings.verify_checksums);
+        Supervisor {
+            instance,
+            settings,
+            active_mu,
+            active_nu,
+            m,
+            n,
+            fleet,
+            replies,
+            tracker: FaultTracker::new(plan, m, n),
+            store: CheckpointStore::new(m, n),
+            history: Vec::new(),
+            remaining_crashes,
+            stats: MessageStats::default(),
+            integrity,
+            predicted: None,
+            early_predictions: Vec::new(),
+            suspect: None,
+            stall_phases: 0.0,
+            rows: Vec::new(),
+            a_cols: Vec::new(),
+            dc_residuals: Vec::new(),
+            readmitted_now: Vec::new(),
+            membership_changed: false,
+            node_count: m + n,
         }
     }
 
-    fn crashes_at(&self, iteration: usize) -> bool {
-        self.crash_iterations.contains(&iteration)
-    }
-
-    fn straggle(&self, iteration: usize) {
-        if let Some(&(_, delay)) = self.stragglers.iter().find(|&&(t, _)| t == iteration) {
-            std::thread::sleep(delay);
+    /// `node`'s fleet address.
+    fn id(&self, node: NodeId) -> usize {
+        match node {
+            NodeId::Frontend(i) => i,
+            NodeId::Datacenter(j) => self.m + j,
         }
     }
-}
 
-/// Spawns front-end `i`'s worker thread, returning its command channel and
-/// join handle. The worker loops on commands until `Finish`, a crash-stop
-/// injection, or a closed channel.
-pub(crate) fn spawn_frontend_worker(
-    i: usize,
-    mut node: FrontendNode,
-    script: FaultScript,
-    out: Sender<Reply>,
-) -> (Sender<FeCmd>, JoinHandle<()>) {
-    let (tx, rx) = channel::<FeCmd>();
-    let handle = std::thread::spawn(move || {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                FeCmd::Predict { iteration } => {
-                    if script.crashes_at(iteration) {
-                        return; // crash-stop: die silently
-                    }
-                    script.straggle(iteration);
-                    let row = node.predict_lambda();
-                    if out.send(Reply::Lambda { i, iteration, row }).is_err() {
-                        return;
-                    }
+    /// The datacenters still in the membership view, in index order.
+    fn live_datacenters(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n).filter(|&j| !self.tracker.is_evicted(j))
+    }
+
+    /// One gather on the plan's deadline ladder ([`gather_phase`]).
+    fn gather(
+        &self,
+        pending: &mut HashSet<NodeId>,
+        accept: impl FnMut(Reply) -> Option<NodeId>,
+    ) -> Vec<NodeId> {
+        let plan = self.tracker.plan();
+        gather_phase(
+            &self.replies,
+            pending,
+            plan.phase_timeout,
+            plan.backoff_rounds,
+            |node| self.fleet.alive(self.id(node)),
+            accept,
+        )
+    }
+
+    /// The command `node` computes iteration `k` on: `Predict` for a
+    /// front-end, `Process` of its λ̃ column for a datacenter.
+    fn compute_cmd(&self, node: NodeId, k: usize) -> NodeCmd {
+        match node {
+            NodeId::Frontend(_) => NodeCmd::Predict { iteration: k },
+            NodeId::Datacenter(j) => NodeCmd::Process {
+                iteration: k,
+                column: column_of(&self.rows, j),
+            },
+        }
+    }
+
+    /// Fires the crashes scripted for iteration `k` among `ids`, before
+    /// their compute commands go out, so each victim dies mid-iteration.
+    fn inject_crashes(&mut self, ids: Vec<usize>, k: usize) {
+        for id in ids {
+            if self.remaining_crashes[id].first() == Some(&k) {
+                self.fleet.kill(id);
+                self.remaining_crashes[id].retain(|&it| it > k);
+            }
+        }
+    }
+
+    /// Broadcasts datacenter `j`'s membership change to every front-end.
+    fn broadcast_membership(&mut self, datacenter: usize, evict: bool) {
+        self.fleet.send(
+            (0..self.m)
+                .map(|i| (i, NodeCmd::Membership { datacenter, evict }))
+                .collect(),
+        );
+        for _ in 0..self.m {
+            self.stats
+                .record(&Message::Membership { datacenter, evict });
+        }
+    }
+
+    /// Gathers one compute phase's replies through the broad recovery
+    /// loop: dead nodes surface per ladder while live stragglers stay
+    /// pending. A node declared dead is resolved by the [`FaultTracker`]:
+    /// respawned, replayed and asked again (rejoining the same pending set,
+    /// so no reply is ever consumed by a narrower filter), or — for a
+    /// datacenter — evicted. A typed rejection (`NodeError`) fails the
+    /// phase with the lowest node's error; the node is never respawned
+    /// into the same poison. `early` holds replies an earlier gather
+    /// drained.
+    fn gather_compute(
+        &mut self,
+        k: usize,
+        early: Vec<Reply>,
+        mut pending: HashSet<NodeId>,
+        mut accept: impl FnMut(Reply) -> Option<NodeId>,
+    ) -> Result<(), CoreError> {
+        let phase = pending.clone();
+        let mut errors: Vec<(NodeId, CoreError)> = Vec::new();
+        let mut file = |reply: Reply| match reply {
+            Reply::NodeError {
+                node,
+                iteration,
+                error,
+            } if iteration == k && phase.contains(&node) => {
+                errors.push((node, error));
+                Some(node)
+            }
+            reply => accept(reply),
+        };
+        for reply in early {
+            if let Some(node) = file(reply) {
+                pending.remove(&node);
+            }
+        }
+        let mut respawned: HashSet<NodeId> = HashSet::new();
+        loop {
+            let missing = self.gather(&mut pending, &mut file);
+            if missing.is_empty() && pending.is_empty() {
+                break;
+            }
+            for node in missing {
+                self.fleet.declared_dead(self.id(node));
+                if !respawned.insert(node) {
+                    return Err(CoreError::node_failure(
+                        node.to_string(),
+                        k,
+                        "no reply after checkpoint respawn",
+                    ));
                 }
-                FeCmd::Correct { iteration, a_row } => {
-                    let residuals = node.receive_a_and_correct(&a_row);
-                    if out
-                        .send(Reply::FeResidual {
-                            i,
-                            iteration,
-                            residuals,
-                        })
-                        .is_err()
-                    {
-                        return;
+                match self.tracker.resolve_crash(node, k)? {
+                    Resolution::Recovered { .. } => {
+                        self.respawn(node, k)?;
+                        self.fleet
+                            .send(vec![(self.id(node), self.compute_cmd(node, k))]);
+                        pending.insert(node);
                     }
-                }
-                FeCmd::Snapshot { iteration } => {
-                    let blob = node.snapshot().to_bytes();
-                    if out.send(Reply::FeSnapshot { i, iteration, blob }).is_err() {
-                        return;
+                    Resolution::Evicted { .. } => {
+                        let NodeId::Datacenter(j) = node else {
+                            unreachable!("front-ends are never evicted")
+                        };
+                        self.fleet.kill(self.m + j);
+                        self.broadcast_membership(j, true);
+                        self.membership_changed = true;
                     }
-                }
-                FeCmd::Membership { datacenter, evict } => {
-                    if evict {
-                        node.set_evicted(datacenter);
-                    } else {
-                        node.clear_evicted(datacenter);
-                    }
-                }
-                FeCmd::Finish => {
-                    let _ = out.send(Reply::FeFinal {
-                        i,
-                        lambda: node.lambda().to_vec(),
-                    });
-                    return;
                 }
             }
         }
-    });
-    (tx, handle)
+        errors
+            .into_iter()
+            .min_by_key(|&(node, _)| node)
+            .map_or(Ok(()), |(_, error)| Err(error))
+    }
+
+    /// Starts `node` fresh, restores it from its last checkpoint, replays
+    /// the buffered inputs since, and (for a front-end) re-applies this
+    /// iteration's readmissions, so its state is exactly what the crashed
+    /// node's would have been entering iteration `k`.
+    fn respawn(&mut self, node: NodeId, k: usize) -> Result<(), CoreError> {
+        let id = self.id(node);
+        self.fleet.start(id)?;
+        self.remaining_crashes[id].retain(|&it| it > k);
+        let checkpoint = match node {
+            NodeId::Frontend(i) => self.store.frontend(i),
+            NodeId::Datacenter(j) => self.store.datacenter(j),
+        };
+        let mut base = 0usize;
+        if let Some((it, blob)) = checkpoint {
+            base = it;
+            self.fleet.send(vec![(
+                id,
+                NodeCmd::Restore {
+                    blob: blob.to_vec(),
+                },
+            )]);
+        }
+        let mut replayed = 0usize;
+        for entry in replay_entries(&self.history, base, k) {
+            let iteration = entry.iteration;
+            match node {
+                NodeId::Frontend(i) => {
+                    self.fleet.send(vec![(id, NodeCmd::Predict { iteration })]);
+                    let a_row = row_of(&entry.a_cols, i);
+                    self.fleet
+                        .send(vec![(id, NodeCmd::Correct { iteration, a_row })]);
+                }
+                NodeId::Datacenter(j) => {
+                    let column = column_of(&entry.rows, j);
+                    self.fleet
+                        .send(vec![(id, NodeCmd::Process { iteration, column })]);
+                }
+            }
+            replayed += 1;
+        }
+        self.tracker.report.recomputed_iterations += replayed;
+        if let NodeId::Frontend(_) = node {
+            for &datacenter in &self.readmitted_now {
+                self.fleet.send(vec![(
+                    id,
+                    NodeCmd::Membership {
+                        datacenter,
+                        evict: false,
+                    },
+                )]);
+            }
+        }
+        Ok(())
+    }
+
+    /// One checkpoint round: every live node snapshots its iterate slice
+    /// and ships it to the coordinator, which accounts the traffic and
+    /// clears the replay buffer.
+    fn checkpoint_round(&mut self, k: usize) -> Result<(), CoreError> {
+        let (m, n) = (self.m, self.n);
+        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
+        pending.extend(self.live_datacenters().map(NodeId::Datacenter));
+        self.fleet.send(
+            (0..m)
+                .chain(self.live_datacenters().map(|j| m + j))
+                .map(|id| (id, NodeCmd::Snapshot { iteration: k }))
+                .collect(),
+        );
+        let mut fe_blobs: Vec<Option<Vec<u8>>> = vec![None; m];
+        let mut dc_blobs: Vec<Option<Vec<u8>>> = vec![None; n];
+        let missing = self.gather(&mut pending, |reply| match reply {
+            Reply::FeSnapshot { i, iteration, blob } if iteration == k => {
+                fe_blobs[i] = Some(blob);
+                Some(NodeId::Frontend(i))
+            }
+            Reply::DcSnapshot { j, iteration, blob } if iteration == k => {
+                dc_blobs[j] = Some(blob);
+                Some(NodeId::Datacenter(j))
+            }
+            _ => None,
+        });
+        if let Some(node) = missing.first() {
+            return Err(CoreError::node_failure(
+                node.to_string(),
+                k,
+                "no reply to the checkpoint request",
+            ));
+        }
+        for (i, blob) in fe_blobs.into_iter().enumerate() {
+            let blob = blob.ok_or_else(|| {
+                CoreError::node_failure(
+                    NodeId::Frontend(i).to_string(),
+                    k,
+                    "checkpoint blob missing after gather",
+                )
+            })?;
+            self.stats.record(&Message::Checkpoint {
+                node: i,
+                payload_bytes: blob.len(),
+            });
+            self.store.put_frontend(i, k, blob);
+        }
+        for (j, blob) in dc_blobs.into_iter().enumerate() {
+            let Some(blob) = blob else { continue };
+            self.stats.record(&Message::Checkpoint {
+                node: m + j,
+                payload_bytes: blob.len(),
+            });
+            self.store.put_datacenter(j, k, blob);
+        }
+        self.tracker.report.checkpoints_taken += 1;
+        self.history.clear();
+        Ok(())
+    }
+
+    /// Ships `Finish` to every live node and gathers the final iterate.
+    fn final_gather(&mut self, iterations: usize) -> Result<Gathered, CoreError> {
+        let (m, n) = (self.m, self.n);
+        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
+        pending.extend(self.live_datacenters().map(NodeId::Datacenter));
+        self.fleet.send(
+            (0..m)
+                .chain(self.live_datacenters().map(|j| m + j))
+                .map(|id| (id, NodeCmd::Finish))
+                .collect(),
+        );
+        let mut lambda_rows: Vec<Vec<f64>> = vec![Vec::new(); m];
+        let mut mu = vec![0.0; n];
+        let mut d = vec![0.0; n];
+        let missing = self.gather(&mut pending, |reply| match reply {
+            Reply::FeFinal { i, lambda } => {
+                lambda_rows[i] = lambda;
+                Some(NodeId::Frontend(i))
+            }
+            Reply::DcFinal { j, mu: v, d: dv } => {
+                mu[j] = v;
+                d[j] = dv;
+                Some(NodeId::Datacenter(j))
+            }
+            _ => None,
+        });
+        if let Some(node) = missing.first() {
+            return Err(CoreError::node_failure(
+                node.to_string(),
+                iterations,
+                "no reply to the final gather",
+            ));
+        }
+        Ok((lambda_rows, mu, d))
+    }
 }
 
-/// Spawns datacenter `j`'s worker thread (mirror of
-/// [`spawn_frontend_worker`]).
-pub(crate) fn spawn_datacenter_worker(
-    j: usize,
-    mut node: DatacenterNode,
-    script: FaultScript,
-    out: Sender<Reply>,
-) -> (Sender<DcCmd>, JoinHandle<()>) {
-    let (tx, rx) = channel::<DcCmd>();
-    let handle = std::thread::spawn(move || {
-        while let Ok(cmd) = rx.recv() {
-            match cmd {
-                DcCmd::Process { iteration, column } => {
-                    if script.crashes_at(iteration) {
-                        return;
-                    }
-                    script.straggle(iteration);
-                    let reply = match node.process(&column) {
-                        Ok(step) => Reply::DcStep {
-                            j,
-                            iteration,
-                            a_tilde: step.a_tilde,
-                            d: step.d,
-                            residuals: step.residuals,
-                        },
-                        Err(error) => Reply::NodeError {
-                            node: NodeId::Datacenter(j),
-                            iteration,
-                            error,
-                        },
-                    };
-                    let failed = matches!(reply, Reply::NodeError { .. });
-                    if out.send(reply).is_err() || failed {
-                        return;
-                    }
-                }
-                DcCmd::Snapshot { iteration } => {
-                    let blob = node.snapshot().to_bytes();
-                    if out.send(Reply::DcSnapshot { j, iteration, blob }).is_err() {
-                        return;
-                    }
-                }
-                DcCmd::Finish => {
-                    let _ = out.send(Reply::DcFinal {
-                        j,
-                        mu: node.mu(),
-                        d: node.d(),
+impl<F: Fleet> Transport for Supervisor<'_, F> {
+    fn schedule(&self) -> BlockSchedule {
+        BlockSchedule::for_instance(self.instance)
+    }
+
+    fn begin_iteration(&mut self, k: usize) -> Result<(), CoreError> {
+        self.membership_changed = false;
+        let readmitted_now = self.tracker.probe_readmissions();
+        for &j in &readmitted_now {
+            // The fresh node builds the kernel this snapshot describes; the
+            // coordinator keeps it as the node's checkpoint.
+            let node = DatacenterNode::new(
+                self.instance,
+                j,
+                &self.settings,
+                self.active_mu,
+                self.active_nu,
+            );
+            self.store
+                .put_datacenter(j, k - 1, node.snapshot().to_bytes());
+            let id = self.m + j;
+            self.remaining_crashes[id].retain(|&it| it >= k);
+            self.fleet.start(id)?;
+            self.broadcast_membership(j, false);
+            self.membership_changed = true;
+        }
+        self.readmitted_now = readmitted_now;
+        account_stragglers(&mut self.tracker, self.m, self.n, k);
+        if self.tracker.plan().partition_active(k) {
+            self.stall_phases += 2.0;
+        }
+        self.fleet.begin_iteration(k, self.tracker.plan())
+    }
+
+    fn predict_lambda(&mut self, k: usize) -> Result<(), CoreError> {
+        let m = self.m;
+        if self.predicted.take() != Some(k) {
+            self.inject_crashes((0..m).collect(), k);
+            self.fleet.send(
+                (0..m)
+                    .map(|i| (i, NodeCmd::Predict { iteration: k }))
+                    .collect(),
+            );
+        }
+        let mut rows: Vec<Option<Vec<f64>>> = vec![None; m];
+        let early = std::mem::take(&mut self.early_predictions);
+        let pending = (0..m).map(NodeId::Frontend).collect();
+        self.gather_compute(k, early, pending, |reply| match reply {
+            Reply::Lambda { i, iteration, row } if iteration == k => {
+                rows[i] = Some(row);
+                Some(NodeId::Frontend(i))
+            }
+            _ => None,
+        })?;
+        let mut rows: Vec<Vec<f64>> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, row)| {
+                row.ok_or_else(|| {
+                    CoreError::node_failure(
+                        NodeId::Frontend(i).to_string(),
+                        k,
+                        "prediction missing after gather",
+                    )
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        let phase_max = record_lambda_traffic(
+            &mut self.stats,
+            &mut self.tracker,
+            &mut self.integrity,
+            &mut rows,
+            k,
+        )?;
+        self.stall_phases += (phase_max - 1) as f64;
+        self.rows = rows;
+        Ok(())
+    }
+
+    fn step_datacenters(&mut self, k: usize) -> Result<(), CoreError> {
+        let (m, n) = (self.m, self.n);
+        self.inject_crashes(self.live_datacenters().map(|j| m + j).collect(), k);
+        self.fleet.send(
+            self.live_datacenters()
+                .map(|j| (m + j, self.compute_cmd(NodeId::Datacenter(j), k)))
+                .collect(),
+        );
+        let mut a_cols = vec![vec![0.0; m]; n];
+        let mut d_vals = vec![0.0; n];
+        let mut dc_residuals: Vec<Option<NodeResiduals>> = vec![None; n];
+        let pending = self.live_datacenters().map(NodeId::Datacenter).collect();
+        self.gather_compute(k, Vec::new(), pending, |reply| match reply {
+            Reply::DcStep {
+                j,
+                iteration,
+                a_tilde,
+                d,
+                residuals,
+            } if iteration == k => {
+                a_cols[j] = a_tilde;
+                d_vals[j] = d;
+                dc_residuals[j] = Some(residuals);
+                Some(NodeId::Datacenter(j))
+            }
+            _ => None,
+        })?;
+        let mut phase_max = 1usize;
+        for j in 0..n {
+            if dc_residuals[j].is_some() {
+                // The integrity layer may overwrite corrupted entries of the
+                // gathered column in place.
+                phase_max = phase_max.max(record_a_traffic(
+                    &mut self.stats,
+                    &mut self.tracker,
+                    &mut self.integrity,
+                    &mut a_cols[j],
+                    j,
+                    k,
+                )?);
+                // Storage-active datacenters report their corrected block
+                // value on the control plane (same accounting as lockstep).
+                if self
+                    .instance
+                    .storage
+                    .as_ref()
+                    .is_some_and(|sp| sp.active(j))
+                {
+                    self.stats.record(&Message::BlockReport {
+                        datacenter: j,
+                        block: BlockKind::Storage.wire_id(),
+                        value: d_vals[j],
                     });
-                    return;
                 }
             }
         }
-    });
-    (tx, handle)
+        self.stall_phases += (phase_max - 1) as f64;
+        self.a_cols = a_cols;
+        self.dc_residuals = dc_residuals;
+        Ok(())
+    }
+
+    fn correct(&mut self, k: usize) -> Result<BlockResiduals, CoreError> {
+        let m = self.m;
+        let mut cmds: Vec<(usize, NodeCmd)> = (0..m)
+            .map(|i| {
+                (
+                    i,
+                    NodeCmd::Correct {
+                        iteration: k,
+                        a_row: row_of(&self.a_cols, i),
+                    },
+                )
+            })
+            .collect();
+        if k < self.settings.max_iterations && pipelines(self.tracker.plan()) {
+            // A front-end predicts k + 1 from exactly the state this
+            // correction leaves it in, so the prediction goes out now, in
+            // the same fan-out. At the stopping iteration its replies go
+            // unread; `Finish` still returns the corrected λ.
+            cmds.extend((0..m).map(|i| (i, NodeCmd::Predict { iteration: k + 1 })));
+            self.predicted = Some(k + 1);
+        }
+        self.fleet.send(cmds);
+        let mut fe_residuals: Vec<Option<NodeResiduals>> = vec![None; m];
+        let mut early = Vec::new();
+        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
+        let missing = self.gather(&mut pending, |reply| match reply {
+            Reply::FeResidual {
+                i,
+                iteration,
+                residuals,
+            } if iteration == k => {
+                fe_residuals[i] = Some(residuals);
+                Some(NodeId::Frontend(i))
+            }
+            Reply::Lambda { iteration, .. }
+            | Reply::NodeError {
+                node: NodeId::Frontend(_),
+                iteration,
+                ..
+            } if iteration == k + 1 => {
+                early.push(reply);
+                None
+            }
+            _ => None,
+        });
+        self.early_predictions = early;
+        if let Some(node) = missing.first() {
+            return Err(CoreError::node_failure(
+                node.to_string(),
+                k,
+                "no reply in correction phase",
+            ));
+        }
+        let fe_residuals: Vec<NodeResiduals> = fe_residuals
+            .into_iter()
+            .map(|r| r.unwrap_or_default())
+            .collect();
+        self.node_count = m + self.dc_residuals.iter().flatten().count();
+        let (reduced, suspect) =
+            reduce_residuals(&mut self.stats, &fe_residuals, &self.dc_residuals);
+        self.suspect = suspect;
+        Ok(reduced)
+    }
+
+    fn rollback(&mut self, _k: usize) -> Result<Option<usize>, CoreError> {
+        self.integrity.counters.divergence_trips += 1;
+        let Some(point) = RollbackPoint::read(&self.store, self.m, &self.tracker.evicted_mask())?
+        else {
+            return Ok(None);
+        };
+        // The nodes are alive — the poison is in their state, not their
+        // liveness — so they restore in place. Each node takes its commands
+        // in order, so the Restore lands before any later command.
+        let m = self.m;
+        let frontends = point.frontends.iter().enumerate().map(|(i, snap)| {
+            let blob = snap.to_bytes();
+            (i, NodeCmd::Restore { blob })
+        });
+        let datacenters = point
+            .datacenters
+            .iter()
+            .enumerate()
+            .filter_map(|(j, snap)| {
+                let blob = snap.as_ref()?.to_bytes();
+                Some((m + j, NodeCmd::Restore { blob }))
+            });
+        self.fleet.send(frontends.chain(datacenters).collect());
+        // Buffered inputs may hold the very payloads that poisoned the run;
+        // never replay them into the restored state.
+        self.history.clear();
+        self.integrity.counters.rollbacks += 1;
+        Ok(Some(point.base))
+    }
+
+    fn divergence_suspect(&self) -> Option<String> {
+        self.suspect
+            .map(|node| node.to_string())
+            .or_else(|| self.integrity.last_corrupted.clone())
+    }
+
+    fn finish_iteration(&mut self, k: usize, stop: bool) -> Result<(), CoreError> {
+        record_control(&mut self.stats, stop, self.node_count);
+        self.history.push(HistoryEntry {
+            iteration: k,
+            rows: std::mem::take(&mut self.rows),
+            a_cols: std::mem::take(&mut self.a_cols),
+        });
+        let interval = self.tracker.plan().checkpoint_interval;
+        if checkpoint_due(k, stop, self.membership_changed, interval) {
+            self.checkpoint_round(k)?;
+        }
+        Ok(())
+    }
 }
 
-/// Hard cap on ladder restarts granted to silent-but-running workers. At
-/// 1000 restarts of the full ladder a worker is treated as wedged and
-/// returned as missing regardless of thread liveness.
+/// Hard cap on ladder restarts granted to silent-but-running nodes. At
+/// 1000 restarts of the full ladder a node is treated as wedged and
+/// returned as missing regardless of liveness.
 const MAX_EXTENSIONS: u32 = 1000;
 
 /// Waits for the pending nodes' replies with an exponential-backoff ladder.
@@ -258,20 +834,20 @@ const MAX_EXTENSIONS: u32 = 1000;
 /// Each rung of the ladder is a fixed *phase deadline* (`base_timeout`
 /// doubled per rung, `rounds` rungs): timely replies drain the queue but
 /// never push the deadline out, so a trickle of replies cannot stretch the
-/// wait. When the ladder is exhausted, any pending node whose thread has
-/// actually exited (`alive` is false) is immediately returned as
-/// suspected-dead, in deterministic node order — a live straggler elsewhere
-/// in the pending set does not delay that verdict. Silent-but-running
-/// workers (long sub-problem, scheduling hiccup) get the ladder restarted,
-/// up to [`MAX_EXTENSIONS`] times.
+/// wait. When the ladder is exhausted, any pending node that no longer
+/// runs (`alive` is false) is immediately returned as suspected-dead, in
+/// deterministic node order — a live straggler elsewhere in the pending
+/// set does not delay that verdict. Silent-but-running nodes (long
+/// sub-problem, scheduling hiccup) get the ladder restarted, up to
+/// [`MAX_EXTENSIONS`] times.
 ///
 /// # Worst-case bound
 ///
 /// One ladder blocks for at most `Σ_{r<rounds} base_timeout·2^r =
 /// base_timeout·(2^rounds − 1)` — i.e. [`FaultPlan::ladder_seconds`] —
 /// *independent of how many replies arrive*. A dead node is therefore
-/// declared within one ladder of the moment its thread exits; with `E`
-/// ladder extensions granted to live stragglers the total wait is at most
+/// declared within one ladder of the moment it stops; with `E` ladder
+/// extensions granted to live stragglers the total wait is at most
 /// `(1 + E)` ladders, `E ≤ MAX_EXTENSIONS`.
 pub(crate) fn gather_phase(
     rx: &Receiver<Reply>,
@@ -306,7 +882,7 @@ pub(crate) fn gather_phase(
                     deadline = Instant::now() + wait;
                     continue;
                 }
-                // Ladder exhausted: declare exited threads dead right away.
+                // Ladder exhausted: declare stopped nodes dead right away.
                 let dead: Vec<NodeId> = pending.iter().copied().filter(|&n| !alive(n)).collect();
                 if !dead.is_empty() {
                     for node in &dead {
@@ -325,10 +901,7 @@ pub(crate) fn gather_phase(
             Err(RecvTimeoutError::Disconnected) => break pending.drain().collect(),
         }
     };
-    missing.sort_by_key(|node| match node {
-        NodeId::Frontend(i) => (0, *i),
-        NodeId::Datacenter(j) => (1, *j),
-    });
+    missing.sort_unstable();
     missing
 }
 

@@ -17,12 +17,12 @@
 //!   (instance + settings + block activation), from which the worker builds
 //!   its hosted node kernels exactly as the in-process engines do.
 //! * `Cmd` — a node-addressed command (predict/correct/process/snapshot/
-//!   membership/restore/finish), the socket spelling of the supervised
-//!   runtime's `FeCmd`/`DcCmd`.
-//! * `Reply` — a worker reply, decoded straight into the supervision
-//!   layer's `Reply` so the coordinator's gather machinery
-//!   (`supervision::gather_phase`) is shared verbatim with the threaded
-//!   engine.
+//!   membership/restore/finish): the supervisor's one command vocabulary,
+//!   which worker threads receive over channels and worker processes in
+//!   these frames.
+//! * `Reply` — a worker reply, decoded straight into the supervisor's
+//!   `Reply`, so its gather machinery (`supervision::gather_phase`) serves
+//!   both fleets.
 //! * `Shutdown` — orderly teardown.
 //!
 //! All `f64` fields travel as exact little-endian bit patterns, so a value
@@ -593,10 +593,9 @@ pub(crate) fn verify_auth_hello(
 
 // ---- protocol frames ----------------------------------------------------
 
-/// A node-addressed command from the coordinator to a worker process — the
-/// socket spelling of the supervised runtime's `FeCmd`/`DcCmd`, plus the
-/// `Restore` verb checkpoint-restart needs when the node kernel lives in
-/// another process.
+/// A node-addressed command from the supervisor to a node, over a thread's
+/// channel or, framed, to a worker process. `Restore` rebuilds a respawned
+/// or rolled-back node from a checkpoint blob.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum NodeCmd {
     /// Run the λ prediction for `iteration` (front-end nodes).

@@ -1,17 +1,20 @@
-//! The worker side of the multi-process socket runtime.
+//! The worker side of the supervised runtime: the one node-command
+//! dispatch, and the two carriers that serve it.
+//!
+//! Every node — in a worker thread of the in-process `ThreadFleet` or in
+//! a `ufc-node` process ([`run_worker`]) — is a hosted kernel that answers
+//! `NodeCmd`s through the same `dispatch`, calling the same node methods
+//! in the same order. That is what makes both supervised engines
+//! bit-identical to the lockstep engine on a clean run.
 //!
 //! [`run_worker`] is the entire body of the `ufc-node` binary: connect to
 //! the coordinator, introduce yourself (a `Hello` wire frame), rebuild
 //! your hosted node kernels from the `RunConfig` in the `Welcome` answer,
 //! then serve node-addressed commands until every hosted node has shipped
-//! its final iterate or the coordinator says `Shutdown`.
-//!
-//! A worker process hosts the nodes `id % processes == process` (see
+//! its final iterate or the coordinator says `Shutdown`. A worker process
+//! hosts the nodes `id % processes == process` (see
 //! [`crate::wire::hosted_nodes`]): front-end kernels for `id < m`,
-//! datacenter kernels above. The command dispatch is a byte-for-byte
-//! mirror of the supervised in-process workers in `supervision.rs` — same
-//! node methods in the same order — which is what makes the socket
-//! engine's clean path bit-identical to the lockstep engine.
+//! datacenter kernels above.
 //!
 //! Failure behaviour: a dropped connection (`ECONNRESET`, EOF — e.g. the
 //! coordinator simulating a WAN partition by shutting the socket down) is
@@ -24,15 +27,18 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::thread;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use ufc_core::CoreError;
+use ufc_core::{AdmgSettings, CoreError};
+use ufc_model::UfcInstance;
 
-use crate::fault::NodeId;
+use crate::coordinator::Tally;
+use crate::fault::{FaultPlan, NodeId};
 use crate::node::{DatacenterNode, FrontendNode};
 use crate::snapshot::{DatacenterSnapshot, FrontendSnapshot};
-use crate::supervision::Reply;
+use crate::supervision::{Fleet, Reply};
 use crate::wire::{
     handshake_mac, hosted_nodes, sha256, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
 };
@@ -52,13 +58,37 @@ const BACKOFF_CAP: Duration = Duration::from_millis(500);
 /// only prevents a livelock on a link that corrupts everything.
 const NAK_BUDGET: usize = 4096;
 
-/// One hosted node kernel: the worker-side spelling of the supervised
-/// runtime's per-thread node ownership.
+/// One hosted node kernel.
 // Both kernels are boxed: each carries per-node solver workspaces that
 // would otherwise bloat every enum slot to the largest kernel's size.
 enum Hosted {
     Fe(Box<FrontendNode>),
     Dc(Box<DatacenterNode>),
+}
+
+impl Hosted {
+    /// The fresh kernel of node `id`: front-end `id` below `m`, datacenter
+    /// `id − m` above — identical construction on every engine.
+    fn new(
+        instance: &UfcInstance,
+        settings: &AdmgSettings,
+        active_mu: bool,
+        active_nu: bool,
+        id: usize,
+    ) -> Self {
+        let m = instance.m_frontends();
+        if id < m {
+            Hosted::Fe(Box::new(FrontendNode::new(instance, id, settings)))
+        } else {
+            Hosted::Dc(Box::new(DatacenterNode::new(
+                instance,
+                id - m,
+                settings,
+                active_mu,
+                active_nu,
+            )))
+        }
+    }
 }
 
 fn io_failure(process: usize, context: &str, err: &std::io::Error) -> CoreError {
@@ -256,47 +286,34 @@ impl Session {
     }
 }
 
-/// Builds the node kernels this process hosts, in node-id order —
-/// identical construction to the in-process engines.
+/// Builds the node kernels this process hosts, in node-id order.
 fn build_nodes(config: &RunConfig, process: usize) -> Vec<(usize, Hosted)> {
     let m = config.instance.m_frontends();
     let n = config.instance.n_datacenters();
     hosted_nodes(process, config.processes, m, n)
         .into_iter()
         .map(|id| {
-            let hosted = if id < m {
-                Hosted::Fe(Box::new(FrontendNode::new(
-                    &config.instance,
-                    id,
-                    &config.settings,
-                )))
-            } else {
-                Hosted::Dc(Box::new(DatacenterNode::new(
-                    &config.instance,
-                    id - m,
-                    &config.settings,
-                    config.active_mu,
-                    config.active_nu,
-                )))
-            };
-            (id, hosted)
+            let settings = &config.settings;
+            let (mu, nu) = (config.active_mu, config.active_nu);
+            (id, Hosted::new(&config.instance, settings, mu, nu, id))
         })
         .collect()
 }
 
-/// Dispatches one command to the addressed hosted node; mirrors the
-/// supervised worker loops in `supervision.rs` verb for verb. Returns the
-/// reply to ship, or `None` for fire-and-forget verbs (membership,
-/// restore).
+/// Dispatches one command to the addressed hosted node: the one node
+/// dispatch of both supervised engines, for worker threads and worker
+/// processes alike (`carrier` names the thread or process in errors).
+/// Returns the reply to ship, or `None` for fire-and-forget verbs
+/// (membership, restore).
 fn dispatch(
     node_id: usize,
     hosted: &mut Hosted,
     cmd: NodeCmd,
-    process: usize,
+    carrier: usize,
 ) -> Result<Option<Reply>, CoreError> {
     let misaddressed = |verb: &str| {
         CoreError::node_failure(
-            format!("worker-{process}"),
+            format!("worker-{carrier}"),
             0,
             format!("{verb} command addressed to the wrong node kind (node {node_id})"),
         )
@@ -509,5 +526,173 @@ pub fn run_worker(
                 ));
             }
         }
+    }
+}
+
+/// The in-process [`Fleet`] of [`crate::Engine::Threaded`]: one OS thread
+/// per node, each serving `dispatch` on its own command channel. A killed
+/// node's channel is closed and its thread joined; a node started fresh
+/// gets a new thread and a new kernel. Threads sleep their plan's
+/// scripted straggler delays before computing.
+pub(crate) struct ThreadFleet<'a> {
+    instance: &'a UfcInstance,
+    settings: AdmgSettings,
+    active_mu: bool,
+    active_nu: bool,
+    /// Scripted `(iteration, delay)` stragglers per node.
+    stragglers: Vec<Vec<(usize, Duration)>>,
+    /// The iteration the supervisor began last. A node started now has
+    /// already served (or replays) every iteration up to it, so only later
+    /// delays are scripted into its thread.
+    iteration: usize,
+    replies: Sender<Reply>,
+    /// Command channel and thread per node; `None` while the node is down.
+    threads: Vec<Option<(Sender<NodeCmd>, JoinHandle<()>)>>,
+}
+
+impl<'a> ThreadFleet<'a> {
+    /// Starts one thread per node of `instance`, replying on `replies`.
+    pub(crate) fn launch(
+        instance: &'a UfcInstance,
+        settings: &AdmgSettings,
+        active_mu: bool,
+        active_nu: bool,
+        plan: &FaultPlan,
+        replies: Sender<Reply>,
+    ) -> Self {
+        let m = instance.m_frontends();
+        let nodes = m + instance.n_datacenters();
+        let stragglers = (0..nodes)
+            .map(|id| {
+                let node = if id < m {
+                    NodeId::Frontend(id)
+                } else {
+                    NodeId::Datacenter(id - m)
+                };
+                plan.stragglers_for(node)
+            })
+            .collect();
+        let mut fleet = ThreadFleet {
+            instance,
+            settings: *settings,
+            active_mu,
+            active_nu,
+            stragglers,
+            iteration: 0,
+            replies,
+            threads: (0..nodes).map(|_| None).collect(),
+        };
+        for id in 0..nodes {
+            fleet.spawn(id);
+        }
+        fleet
+    }
+
+    fn spawn(&mut self, id: usize) {
+        let node = Hosted::new(
+            self.instance,
+            &self.settings,
+            self.active_mu,
+            self.active_nu,
+            id,
+        );
+        let after = self.iteration;
+        let delays: Vec<(usize, Duration)> = self.stragglers[id]
+            .iter()
+            .copied()
+            .filter(|&(t, _)| t > after)
+            .collect();
+        let (tx, rx) = channel();
+        let replies = self.replies.clone();
+        let handle = thread::spawn(move || serve(id, node, &delays, &rx, &replies));
+        self.threads[id] = Some((tx, handle));
+    }
+}
+
+/// A worker thread's body: serves commands until `Finish`, a typed
+/// rejection, a command it cannot apply, or a closed channel.
+fn serve(
+    id: usize,
+    mut node: Hosted,
+    delays: &[(usize, Duration)],
+    commands: &Receiver<NodeCmd>,
+    replies: &Sender<Reply>,
+) {
+    while let Ok(cmd) = commands.recv() {
+        if let NodeCmd::Predict { iteration } | NodeCmd::Process { iteration, .. } = &cmd {
+            if let Some(&(_, delay)) = delays.iter().find(|&&(t, _)| t == *iteration) {
+                thread::sleep(delay);
+            }
+        }
+        let finish = cmd == NodeCmd::Finish;
+        let Ok(reply) = dispatch(id, &mut node, cmd, id) else {
+            return;
+        };
+        if let Some(reply) = reply {
+            let failed = matches!(reply, Reply::NodeError { .. });
+            if replies.send(reply).is_err() || failed {
+                return;
+            }
+        }
+        if finish {
+            return;
+        }
+    }
+}
+
+impl Fleet for ThreadFleet<'_> {
+    fn send(&self, cmds: Vec<(usize, NodeCmd)>) {
+        for (id, cmd) in cmds {
+            if let Some((tx, _)) = &self.threads[id] {
+                let _ = tx.send(cmd);
+            }
+        }
+    }
+
+    fn alive(&self, id: usize) -> bool {
+        self.threads[id]
+            .as_ref()
+            .is_some_and(|(_, handle)| !handle.is_finished())
+    }
+
+    fn kill(&mut self, id: usize) {
+        if let Some((tx, handle)) = self.threads[id].take() {
+            drop(tx);
+            let _ = handle.join();
+        }
+    }
+
+    fn start(&mut self, id: usize) -> Result<(), CoreError> {
+        self.kill(id);
+        self.spawn(id);
+        Ok(())
+    }
+
+    fn declared_dead(&mut self, _id: usize) {}
+
+    fn begin_iteration(&mut self, k: usize, _plan: &FaultPlan) -> Result<(), CoreError> {
+        self.iteration = k;
+        Ok(())
+    }
+
+    fn shutdown(mut self, _tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>) {
+        // Close every channel before the first join, so the threads wind
+        // down together.
+        let handles: Vec<JoinHandle<()>> = self
+            .threads
+            .iter_mut()
+            .filter_map(|slot| slot.take().map(|(_, handle)| handle))
+            .collect();
+        let mut result = Ok(());
+        for handle in handles {
+            if handle.join().is_err() {
+                result = Err(CoreError::node_failure(
+                    "worker",
+                    0,
+                    "node thread panicked during shutdown",
+                ));
+            }
+        }
+        (None, result)
     }
 }

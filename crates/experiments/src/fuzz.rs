@@ -578,8 +578,10 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     // --- Crash/recovery leg: a deterministic recovering fault plan
     // derived from `fault_seed` crashes one node mid-run; the checkpoint
     // restart must land back on the clean operating point bit-for-bit on
-    // both supervised runtimes. (A crash iteration past the run's length
-    // simply never fires — the contract still holds trivially.)
+    // lockstep and on the supervisor over both fleets — threads, and
+    // worker processes when the socket engine is sampled in. (A crash
+    // iteration past the run's length simply never fires — the contract
+    // still holds trivially.)
     if let (Some(fseed), true) = (case.fault_seed, mem.converged) {
         let mut frng = SplitMix64::new(fseed);
         let node = if frng.chance(0.5) {
@@ -589,10 +591,14 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
         };
         let crash_at = 2 + frng.below(6);
         let plan = FaultPlan::new().crash_and_recover(node, crash_at, 1);
-        for (name, engine) in [
+        let mut engines = vec![
             ("lockstep", Engine::Lockstep),
             ("threaded", Engine::Threaded),
-        ] {
+        ];
+        if let (true, Some(worker)) = (case.socket, worker) {
+            engines.push(("socket", Engine::Sockets(SocketOptions::new(worker))));
+        }
+        for (name, engine) in engines {
             let rep = dist
                 .execute(
                     &inst,
