@@ -27,15 +27,6 @@ pub struct AdmgSettings {
     /// the iterate stream bit-identical; disabling it (the default) removes
     /// every clock read from the driver loop.
     pub telemetry: bool,
-    /// Verify a CRC32 checksum on every data payload the distributed
-    /// runtimes deliver (the `ufc_distsim::message` wire codec). A failed
-    /// check triggers a bounded retransmit ladder; exhaustion surfaces as a
-    /// typed [`crate::CoreError::CorruptPayload`]. `false` (the default)
-    /// skips framing entirely and reproduces the unchecked wire behavior
-    /// bit-identically; `true` costs a few header bytes per message but the
-    /// codec round-trip is exact, so clean iterate streams stay
-    /// bit-identical either way.
-    pub verify_checksums: bool,
     /// Residual-explosion factor κ of the divergence gate in
     /// [`crate::engine::drive`]: the gate arms once the combined residual
     /// exceeds `κ ×` the best residual seen so far. Purely observational on
@@ -72,7 +63,6 @@ impl Default for AdmgSettings {
             eps_dual: 1e-3,
             num_threads: 1,
             telemetry: false,
-            verify_checksums: false,
             divergence_kappa: 1e6,
             divergence_window: 25,
             divergence_rollback: false,
@@ -216,13 +206,6 @@ impl AdmgSettings {
         self
     }
 
-    /// Returns a copy with wire checksum verification toggled.
-    #[must_use]
-    pub fn with_checksums(mut self, enabled: bool) -> Self {
-        self.verify_checksums = enabled;
-        self
-    }
-
     /// Returns a copy with the divergence gate's explosion factor κ and
     /// patience window K replaced.
     #[must_use]
@@ -318,7 +301,6 @@ mod tests {
     #[test]
     fn default_integrity_knobs_preserve_legacy_behavior() {
         let s = AdmgSettings::default();
-        assert!(!s.verify_checksums, "checksums must default off");
         assert!(!s.divergence_rollback, "rollback must default off");
         assert!(s.divergence_kappa >= 1e6);
         assert!(s.divergence_window >= 10);
@@ -327,10 +309,8 @@ mod tests {
     #[test]
     fn integrity_builders_and_validation() {
         let s = AdmgSettings::default()
-            .with_checksums(true)
             .with_divergence_gate(1e3, 5)
             .with_divergence_rollback(true);
-        assert!(s.verify_checksums);
         assert_eq!(s.divergence_kappa, 1e3);
         assert_eq!(s.divergence_window, 5);
         assert!(s.divergence_rollback);

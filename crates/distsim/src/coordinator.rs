@@ -15,7 +15,7 @@ use ufc_core::telemetry::{IntegrityCounters, RunTelemetry, TrafficCounters};
 use ufc_core::{AdmgState, CoreError};
 use ufc_model::{evaluate, OperatingPoint, UfcBreakdown, UfcInstance};
 
-use crate::fault::{FaultReport, FaultTracker, IntegrityState, NodeId};
+use crate::fault::{FaultPlan, FaultReport, FaultTracker, IntegrityState, NodeId};
 use crate::message::{Message, CHECKSUM_OVERHEAD_BYTES};
 use crate::node::{nan_max, NodeResiduals};
 use crate::runtime::DistRunReport;
@@ -30,6 +30,13 @@ pub(crate) struct HistoryEntry {
     pub(crate) rows: Vec<Vec<f64>>,
     /// Per-datacenter ã columns.
     pub(crate) a_cols: Vec<Vec<f64>>,
+}
+
+/// Whether a run under `plan` buffers each iteration's inputs for replay:
+/// only a respawned node replays them, and only a plan that scripts node
+/// faults or takes checkpoints can respawn one, so a clean run keeps none.
+pub(crate) fn buffers_history(plan: &FaultPlan) -> bool {
+    !plan.is_trivial() || plan.checkpoint_interval > 0
 }
 
 /// The buffered entries a node restored from a checkpoint taken after
@@ -442,5 +449,27 @@ impl Tally {
             integrity,
             telemetry,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::CorruptionConfig;
+
+    #[test]
+    fn only_node_faults_or_checkpoints_buffer_history() {
+        let clean = FaultPlan::none();
+        assert!(!buffers_history(&clean));
+        assert!(!buffers_history(
+            &clean.clone().with_corruption(CorruptionConfig::new(0.1, 1))
+        ));
+        assert!(buffers_history(&clean.clone().with_checkpoint_interval(4)));
+        assert!(buffers_history(&clean.crash_and_recover(
+            NodeId::Datacenter(0),
+            3,
+            1
+        )));
+        assert!(buffers_history(&FaultPlan::new()), "checkpoints by default");
     }
 }

@@ -16,9 +16,9 @@ use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError, WorkerPool};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::{
-    account_stragglers, checkpoint_due, column_of, record_a_traffic, record_control,
-    record_lambda_traffic, reduce_residuals, replay_entries, row_of, HistoryEntry, RollbackPoint,
-    Tally,
+    account_stragglers, buffers_history, checkpoint_due, column_of, record_a_traffic,
+    record_control, record_lambda_traffic, reduce_residuals, replay_entries, row_of, HistoryEntry,
+    RollbackPoint, Tally,
 };
 use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution};
 use crate::message::Message;
@@ -62,9 +62,6 @@ struct LockstepTransport<'a> {
     tracker: FaultTracker,
     store: CheckpointStore,
     history: Vec<HistoryEntry>,
-    /// Whether replay history is worth buffering (non-trivial plan or
-    /// checkpointing on) — a clean run skips the copies entirely.
-    buffer_history: bool,
     integrity: IntegrityState,
     /// First node whose residual report was non-finite this iteration —
     /// the divergence gate's suspect.
@@ -102,8 +99,7 @@ impl<'a> LockstepTransport<'a> {
                 ))
             })
             .collect();
-        let buffer_history = !plan.is_trivial() || plan.checkpoint_interval > 0;
-        let integrity = IntegrityState::new(plan.corruption.as_ref(), settings.verify_checksums);
+        let integrity = IntegrityState::new(plan.corruption.as_ref());
         LockstepTransport {
             instance,
             settings: *settings,
@@ -115,7 +111,6 @@ impl<'a> LockstepTransport<'a> {
             tracker: FaultTracker::new(plan, m, n),
             store: CheckpointStore::new(m, n),
             history: Vec::new(),
-            buffer_history,
             integrity,
             suspect: None,
             stats: MessageStats::default(),
@@ -433,7 +428,7 @@ impl Transport for LockstepTransport<'_> {
 
     fn finish_iteration(&mut self, k: usize, stop: bool) -> Result<(), CoreError> {
         record_control(&mut self.stats, stop, self.node_count);
-        if self.buffer_history {
+        if buffers_history(self.tracker.plan()) {
             self.history.push(HistoryEntry {
                 iteration: k,
                 rows: std::mem::take(&mut self.rows),

@@ -515,9 +515,19 @@ impl ProcessFleet {
         }
     }
 
+    /// Whether process `p` has a child that is still running.
+    fn runs(&self, p: usize) -> bool {
+        self.children[p]
+            .borrow_mut()
+            .as_mut()
+            .is_some_and(|child| matches!(child.try_wait(), Ok(None)))
+    }
+
     /// At a partition window's opening iteration, tears down the affected
     /// connections (the workers survive and reconnect with backoff — the
-    /// socket spelling of a healed WAN partition).
+    /// socket spelling of a healed WAN partition). A process that no longer
+    /// runs (an evicted datacenter's) has no connection to drop and would
+    /// never reconnect, so it is skipped.
     fn simulate_partition_drops(&mut self, k: usize, plan: &FaultPlan) -> Result<(), CoreError> {
         if !plan.partition_active(k) || (k > 1 && plan.partition_active(k - 1)) {
             return Ok(());
@@ -528,7 +538,7 @@ impl ProcessFleet {
                 if plan.is_partitioned(i, j, k) {
                     for id in [i, self.m + j] {
                         let p = process_of(id, self.processes);
-                        if !affected.contains(&p) {
+                        if !affected.contains(&p) && self.runs(p) {
                             affected.push(p);
                         }
                     }
@@ -675,11 +685,7 @@ impl Fleet for ProcessFleet {
     /// Liveness straight from the OS process table — unless a pump parked
     /// a typed error ([`WireShared::healthy`]).
     fn alive(&self, id: usize) -> bool {
-        self.shared.healthy()
-            && self.children[process_of(id, self.processes)]
-                .borrow_mut()
-                .as_mut()
-                .is_some_and(|child| matches!(child.try_wait(), Ok(None)))
+        self.shared.healthy() && self.runs(process_of(id, self.processes))
     }
 
     fn kill(&mut self, id: usize) {

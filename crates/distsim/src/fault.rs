@@ -15,7 +15,7 @@
 //! node is contacted with exponential-backoff deadlines; each expired
 //! ladder counts one *attempt*. A node whose plan says it recovers after
 //! `k` attempts is respawned from the last checkpoint and replayed. A
-//! datacenter still dead after [`FaultPlan::eviction_deadline`] attempts is
+//! datacenter still dead after [`EVICTION_DEADLINE`] attempts is
 //! evicted — its `μ_j`/`λ_·j` blocks are pinned to zero and the solve
 //! continues degraded — and re-admitted (fresh state) if it later recovers.
 //! A front-end cannot be evicted (its arrivals must be routed), so a
@@ -27,8 +27,18 @@ use std::time::Duration;
 use ufc_core::telemetry::IntegrityCounters;
 use ufc_core::CoreError;
 
-use crate::message::{Message, VALUE_OFFSET};
+use crate::message::Message;
 use crate::rng::SplitMix64;
+use crate::wire::crc32;
+
+/// Failed contact attempts before a dead datacenter is evicted (a
+/// front-end still dead at this point is fatal instead).
+pub const EVICTION_DEADLINE: u32 = 3;
+
+/// Exponential-backoff receive rounds per contact attempt: the supervisor
+/// waits `phase_timeout · 2^r` for `r = 0..BACKOFF_ROUNDS` before it
+/// declares the attempt failed.
+pub const BACKOFF_ROUNDS: u32 = 3;
 
 /// A protocol participant. Nodes order front-ends first, then
 /// datacenters, each by index.
@@ -92,8 +102,8 @@ pub struct PartitionWindow {
 
 /// How an injected corruption mangles a data payload's bytes.
 ///
-/// The first four kinds are *value-level*: they mangle the 8-byte value
-/// field of an encoded data message and are drawn per event when
+/// The first four kinds are *value-level*: they mangle the 8 little-endian
+/// bytes of a data message's value and are drawn per event when
 /// [`CorruptionConfig::kind`] is `None`. The `Frame*` kinds are
 /// *wire-level*: they act on whole TCP frames of the socket engine
 /// (truncation, duplication, reordering) and are only exercised when
@@ -101,7 +111,7 @@ pub struct PartitionWindow {
 /// [`CorruptionKind::Drop`], the lossy channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionKind {
-    /// Flip one uniformly chosen bit of the 8-byte value field.
+    /// Flip one uniformly chosen bit of the 8-byte value.
     BitFlip,
     /// Flip the IEEE-754 sign bit.
     SignFlip,
@@ -129,9 +139,9 @@ pub enum CorruptionKind {
 }
 
 impl CorruptionKind {
-    /// Whether this kind mangles whole wire frames instead of an encoded
-    /// value field. Wire-level kinds require the socket engine (they act on
-    /// real TCP bytes) and are rejected by the in-process engines.
+    /// Whether this kind mangles whole wire frames instead of a data
+    /// message's value. Wire-level kinds require the socket engine (they
+    /// act on real TCP bytes) and are rejected by the in-process engines.
     #[must_use]
     pub fn is_wire_level(self) -> bool {
         matches!(
@@ -143,9 +153,16 @@ impl CorruptionKind {
     }
 }
 
-/// Seeded, deterministic link-level channel: every λ̃/ã data message is
-/// independently corrupted (or, for [`CorruptionKind::Drop`], lost) in
-/// flight with probability `rate`.
+/// The seeded, deterministic link-level channel and its receivers' verify
+/// policy: every λ̃/ã data message is independently corrupted (or, for
+/// [`CorruptionKind::Drop`], lost) in flight with probability `rate`.
+///
+/// A verifying receiver ([`CorruptionConfig::with_checksums`]) rejects a
+/// copy iff the CRC32 ([`crate::wire::crc32`]) of the 8 value bytes it
+/// received differs from that of the bytes sent, and asks for a resend;
+/// each data message is charged
+/// [`crate::message::CHECKSUM_OVERHEAD_BYTES`] of modelled trailer. An
+/// unverified receiver folds whatever arrives into its iterate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionConfig {
     /// Per-message corruption probability in `[0, 1)`.
@@ -159,11 +176,15 @@ pub struct CorruptionConfig {
     /// typed [`CoreError::CorruptPayload`]. Dropped copies are not bounded
     /// by it.
     pub max_retransmits: u32,
+    /// Whether receivers verify a CRC32 checksum on every data payload and
+    /// request a resend on mismatch (`false` by default: corrupt copies are
+    /// delivered).
+    pub verify_checksums: bool,
 }
 
 impl CorruptionConfig {
-    /// Creates a configuration (random kind, 8 retransmits), validating the
-    /// rate.
+    /// Creates a configuration (random kind, 8 retransmits, unverified),
+    /// validating the rate.
     ///
     /// # Errors
     ///
@@ -179,6 +200,7 @@ impl CorruptionConfig {
             seed,
             kind: None,
             max_retransmits: 8,
+            verify_checksums: false,
         })
     }
 
@@ -207,6 +229,13 @@ impl CorruptionConfig {
     #[must_use]
     pub fn with_max_retransmits(mut self, retransmits: u32) -> Self {
         self.max_retransmits = retransmits.max(1);
+        self
+    }
+
+    /// Toggles checksum verification on receive.
+    #[must_use]
+    pub fn with_checksums(mut self, enabled: bool) -> Self {
+        self.verify_checksums = enabled;
         self
     }
 
@@ -239,15 +268,9 @@ pub struct FaultPlan {
     /// Take a checkpoint every this many iterations (`0` disables; forced
     /// checkpoints still happen after membership changes).
     pub checkpoint_interval: usize,
-    /// Failed contact attempts before a datacenter is evicted (a front-end
-    /// failure at this point is fatal instead).
-    pub eviction_deadline: u32,
-    /// Base reply deadline; the supervisor retries with deadlines
-    /// `phase_timeout · 2^r` for `r = 0..backoff_rounds` before declaring
-    /// a contact attempt failed.
+    /// Base reply deadline, the first rung of the [`BACKOFF_ROUNDS`]-rung
+    /// backoff ladder.
     pub phase_timeout: Duration,
-    /// Number of exponential-backoff receive rounds per contact attempt.
-    pub backoff_rounds: u32,
 }
 
 impl Default for FaultPlan {
@@ -258,9 +281,7 @@ impl Default for FaultPlan {
             partitions: Vec::new(),
             corruption: None,
             checkpoint_interval: 4,
-            eviction_deadline: 3,
             phase_timeout: Duration::from_millis(200),
-            backoff_rounds: 3,
         }
     }
 }
@@ -337,13 +358,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the eviction deadline (failed attempts; minimum 1).
-    #[must_use]
-    pub fn with_eviction_deadline(mut self, attempts: u32) -> Self {
-        self.eviction_deadline = attempts.max(1);
-        self
-    }
-
     /// Sets the base reply deadline.
     #[must_use]
     pub fn with_phase_timeout(mut self, timeout: Duration) -> Self {
@@ -374,8 +388,8 @@ impl FaultPlan {
                 if rng.uniform() < 0.3 {
                     plan = plan.crash_at(NodeId::Datacenter(j), at);
                 } else {
-                    // 1–5 attempts: outages longer than the default
-                    // eviction deadline (3) exercise evict-then-readmit.
+                    // 1–5 attempts: outages longer than
+                    // `EVICTION_DEADLINE` (3) exercise evict-then-readmit.
                     let attempts = 1 + (rng.next() % 5) as u32;
                     plan = plan.crash_and_recover(NodeId::Datacenter(j), at, attempts);
                 }
@@ -407,11 +421,8 @@ impl FaultPlan {
     ///
     /// [`CoreError::InvalidConfig`] if two crash events share a `(node,
     /// iteration)` pair, an iteration index is zero, a partition window is
-    /// empty, or the eviction deadline is zero.
+    /// empty, or the phase timeout is zero.
     pub fn check(&self) -> Result<(), CoreError> {
-        if self.eviction_deadline == 0 {
-            return Err(CoreError::invalid_config("eviction deadline must be ≥ 1"));
-        }
         if self.phase_timeout.is_zero() {
             return Err(CoreError::invalid_config("phase timeout must be nonzero"));
         }
@@ -543,10 +554,10 @@ impl FaultPlan {
     }
 
     /// Worst-case wall-clock of one failed contact attempt: the full
-    /// backoff ladder `Σ_{r<R} timeout·2^r`.
+    /// backoff ladder `Σ_{r<R} timeout·2^r` with `R =` [`BACKOFF_ROUNDS`].
     #[must_use]
     pub fn ladder_seconds(&self) -> f64 {
-        let factor = (1u64 << self.backoff_rounds) - 1;
+        let factor = (1u64 << BACKOFF_ROUNDS) - 1;
         self.phase_timeout.as_secs_f64() * factor as f64
     }
 }
@@ -689,7 +700,7 @@ impl FaultTracker {
             ));
         };
         self.report.crashes_observed += 1;
-        let deadline = self.plan.eviction_deadline;
+        let deadline = EVICTION_DEADLINE;
         let ladder = self.plan.ladder_seconds();
         // A node either recovers within its scripted attempt count or stays
         // dead until the deadline: the charge is plan-determined.
@@ -784,29 +795,25 @@ impl CorruptionChannel {
         self.rng.uniform() < self.rate
     }
 
-    /// Mangles the value field of an encoded data frame in place.
-    fn mangle(&mut self, frame: &mut [u8]) {
+    /// Mangles the 8 little-endian bytes of a data value in place.
+    fn mangle(&mut self, value: &mut [u8; 8]) {
         let kind = self.kind.unwrap_or_else(|| match self.rng.next() % 4 {
             0 => CorruptionKind::BitFlip,
             1 => CorruptionKind::SignFlip,
             2 => CorruptionKind::NanSubstitution,
             _ => CorruptionKind::MagnitudeScale,
         });
-        let value = &mut frame[VALUE_OFFSET..VALUE_OFFSET + 8];
         match kind {
             CorruptionKind::BitFlip => {
                 let bit = (self.rng.next() % 64) as usize;
                 value[bit / 8] ^= 1 << (bit % 8);
             }
             CorruptionKind::SignFlip => value[7] ^= 0x80,
-            CorruptionKind::NanSubstitution => {
-                value.copy_from_slice(&f64::NAN.to_le_bytes());
-            }
+            CorruptionKind::NanSubstitution => *value = f64::NAN.to_le_bytes(),
             CorruptionKind::MagnitudeScale => {
                 let e = 1 + (self.rng.next() % 30) as i32;
                 let e = if self.rng.next() & 1 == 0 { e } else { -e };
-                let v = f64::from_le_bytes(value.try_into().expect("8-byte field"));
-                value.copy_from_slice(&(v * f64::powi(2.0, e)).to_le_bytes());
+                *value = (f64::from_le_bytes(*value) * f64::powi(2.0, e)).to_le_bytes();
             }
             // Wire-level kinds and drops never reach here:
             // `IntegrityState::new` leaves the channel disarmed for the
@@ -920,15 +927,16 @@ impl WireChaos {
 }
 
 /// Per-run integrity machinery shared by every engine: the link channel
-/// (corruption or drops), the receiver-side verify flag, and the counters
-/// that land in the run report. Every engine drives it through the shared
-/// coordinator record helpers in deterministic link order, so runs with
-/// the same seed corrupt (or drop) the same messages on every engine.
+/// (corruption or drops), the receiver-side verify policy
+/// ([`CorruptionConfig::verify_checksums`]), and the counters that land in
+/// the run report. Every engine drives it through the shared coordinator
+/// record helpers in deterministic link order, so runs with the same seed
+/// corrupt (or drop) the same messages on every engine.
 #[derive(Debug, Clone)]
 pub(crate) struct IntegrityState {
     channel: Option<CorruptionChannel>,
-    /// Whether receivers verify the CRC32 trailer (and retransmit on
-    /// mismatch) — [`ufc_core::AdmgSettings::verify_checksums`].
+    /// Whether receivers check each value's CRC32 (and retransmit on
+    /// mismatch).
     pub(crate) verify: bool,
     max_retransmits: u32,
     /// Counters for the run report / telemetry.
@@ -965,7 +973,7 @@ fn data_endpoints(msg: &Message) -> (String, String) {
 }
 
 impl IntegrityState {
-    pub(crate) fn new(corruption: Option<&CorruptionConfig>, verify: bool) -> Self {
+    pub(crate) fn new(corruption: Option<&CorruptionConfig>) -> Self {
         IntegrityState {
             // A config pinned to a wire-level kind belongs to the socket
             // engine's `WireChaos` pumps; the value channel stays disarmed
@@ -973,7 +981,7 @@ impl IntegrityState {
             channel: corruption
                 .filter(|c| !c.kind.is_some_and(|k| k.is_wire_level()))
                 .map(CorruptionChannel::new),
-            verify,
+            verify: corruption.is_some_and(|c| c.verify_checksums),
             max_retransmits: corruption.map_or(1, |c| c.max_retransmits),
             counters: IntegrityCounters::default(),
             retransmissions: 0,
@@ -988,12 +996,14 @@ impl IntegrityState {
         self.channel.is_some() || self.verify
     }
 
-    /// Transmits one data message through the corruption channel. Returns
-    /// `(delivered, attempts)`: `delivered` is `Some(v)` when the receiver
-    /// accepted a value different from (or coincidentally equal to) the
-    /// sent one, `None` for an untouched delivery; `attempts ≥ 1` counts
-    /// sends including checksum-triggered retransmits and resends of
-    /// dropped copies.
+    /// Transmits one data message's value through the corruption channel.
+    /// Returns `(delivered, attempts)`: `delivered` is `Some(v)` when the
+    /// receiver accepted a struck copy — a value different from the sent
+    /// one, or bit-identical to it when the mangle changed nothing — and
+    /// `None` for an untouched delivery; `attempts ≥ 1` counts sends
+    /// including checksum-triggered retransmits and resends of dropped
+    /// copies. A verifying receiver rejects a copy iff the CRC32 of the
+    /// bytes it received differs from that of the bytes sent.
     ///
     /// # Errors
     ///
@@ -1018,6 +1028,13 @@ impl IntegrityState {
             self.retransmissions += attempts - 1;
             return Ok((None, attempts));
         }
+        let sent = match msg {
+            Message::LambdaTilde { value, .. } | Message::ATilde { value, .. } => {
+                value.to_le_bytes()
+            }
+            _ => unreachable!("only data messages cross the link channel"),
+        };
+        let sent_crc = crc32(&sent);
         let mut attempts = 0usize;
         loop {
             attempts += 1;
@@ -1025,35 +1042,30 @@ impl IntegrityState {
                 return Ok((None, attempts));
             }
             self.counters.corruptions_injected += 1;
-            let mut frame = msg.encode();
-            channel.mangle(&mut frame);
+            let mut received = sent;
+            channel.mangle(&mut received);
+            let value = f64::from_le_bytes(received);
             if self.verify {
-                match Message::decode(&frame) {
-                    Err(_) => {
-                        self.counters.corruptions_detected += 1;
-                        if attempts > self.max_retransmits as usize {
-                            let (link, _) = data_endpoints(msg);
-                            return Err(CoreError::corrupt_payload(
-                                link,
-                                k,
-                                format!(
-                                    "checksum still failing after {} retransmits",
-                                    self.max_retransmits
-                                ),
-                            ));
-                        }
-                        self.counters.checksum_retransmissions += 1;
-                    }
-                    // The mangling landed on bytes that left the frame
-                    // bit-identical (e.g. a magnitude scale of ±0.0): the
-                    // checksum passes because nothing corrupt arrived.
-                    Ok(delivered) => return Ok((delivered.data_value(), attempts)),
+                // A copy the CRC cannot tell from the sent one passes:
+                // above all a mangle that left the bytes bit-identical
+                // (e.g. a magnitude scale of ±0.0).
+                if crc32(&received) == sent_crc {
+                    return Ok((Some(value), attempts));
                 }
+                self.counters.corruptions_detected += 1;
+                if attempts > self.max_retransmits as usize {
+                    let (link, _) = data_endpoints(msg);
+                    return Err(CoreError::corrupt_payload(
+                        link,
+                        k,
+                        format!(
+                            "checksum still failing after {} retransmits",
+                            self.max_retransmits
+                        ),
+                    ));
+                }
+                self.counters.checksum_retransmissions += 1;
             } else {
-                let bytes: [u8; 8] = frame[VALUE_OFFSET..VALUE_OFFSET + 8]
-                    .try_into()
-                    .expect("8-byte field");
-                let value = f64::from_le_bytes(bytes);
                 self.counters.corruptions_delivered += 1;
                 let (link, receiver) = data_endpoints(msg);
                 if !value.is_finite() {
@@ -1128,9 +1140,7 @@ mod tests {
     fn tracker_evicts_then_readmits() {
         // Recovery after 5 attempts but deadline 3: evict with 2 remaining,
         // then readmit after 2 probes.
-        let plan = FaultPlan::new()
-            .crash_and_recover(NodeId::Datacenter(1), 4, 5)
-            .with_eviction_deadline(3);
+        let plan = FaultPlan::new().crash_and_recover(NodeId::Datacenter(1), 4, 5);
         let mut t = FaultTracker::new(plan, 2, 2);
         let r = t.resolve_crash(NodeId::Datacenter(1), 4).unwrap();
         assert_eq!(r, Resolution::Evicted { attempts: 3 });
@@ -1207,8 +1217,10 @@ mod tests {
         };
         // A generous budget: rate 0.4 makes a run of 33 straight corrupt
         // copies (the only way to exhaust it) essentially impossible.
-        let cfg = CorruptionConfig::new(0.4, 9).with_max_retransmits(32);
-        let mut state = IntegrityState::new(Some(&cfg), true);
+        let cfg = CorruptionConfig::new(0.4, 9)
+            .with_max_retransmits(32)
+            .with_checksums(true);
+        let mut state = IntegrityState::new(Some(&cfg));
         let mut worst = 1usize;
         for _ in 0..2000 {
             let (delivered, attempts) = state.transmit(&msg, 1).unwrap();
@@ -1236,8 +1248,9 @@ mod tests {
         // Near-certain corruption with a tiny budget: exhaustion is quick.
         let cfg = CorruptionConfig::new(0.999, 3)
             .with_kind(CorruptionKind::BitFlip)
-            .with_max_retransmits(2);
-        let mut state = IntegrityState::new(Some(&cfg), true);
+            .with_max_retransmits(2)
+            .with_checksums(true);
+        let mut state = IntegrityState::new(Some(&cfg));
         let err = loop {
             match state.transmit(&msg, 7) {
                 Ok(_) => continue,
@@ -1263,7 +1276,7 @@ mod tests {
             value: 0.5,
         };
         let cfg = CorruptionConfig::new(0.999, 5).with_kind(CorruptionKind::NanSubstitution);
-        let mut state = IntegrityState::new(Some(&cfg), false);
+        let mut state = IntegrityState::new(Some(&cfg));
         let err = loop {
             match state.transmit(&msg, 4) {
                 Ok(_) => continue,
@@ -1293,7 +1306,7 @@ mod tests {
             value: 1.5,
         };
         let cfg = CorruptionConfig::new(0.999, 11).with_kind(CorruptionKind::SignFlip);
-        let mut state = IntegrityState::new(Some(&cfg), false);
+        let mut state = IntegrityState::new(Some(&cfg));
         let (delivered, attempts) = state.transmit(&msg, 1).unwrap();
         assert_eq!(delivered, Some(-1.5), "sign flip must be delivered");
         assert_eq!(attempts, 1, "no retransmits without verification");
@@ -1308,9 +1321,9 @@ mod tests {
             datacenter: 1,
             value: 0.25,
         };
-        let cfg = CorruptionConfig::new(0.3, 77);
-        let mut a = IntegrityState::new(Some(&cfg), true);
-        let mut b = IntegrityState::new(Some(&cfg), true);
+        let cfg = CorruptionConfig::new(0.3, 77).with_checksums(true);
+        let mut a = IntegrityState::new(Some(&cfg));
+        let mut b = IntegrityState::new(Some(&cfg));
         for _ in 0..500 {
             assert_eq!(a.transmit(&msg, 1).unwrap(), b.transmit(&msg, 1).unwrap());
         }
@@ -1319,7 +1332,7 @@ mod tests {
 
     #[test]
     fn inactive_integrity_state_is_a_no_op() {
-        let mut state = IntegrityState::new(None, false);
+        let mut state = IntegrityState::new(None);
         assert!(!state.active());
         let msg = Message::LambdaTilde {
             frontend: 0,
@@ -1328,7 +1341,6 @@ mod tests {
         };
         assert_eq!(state.transmit(&msg, 1).unwrap(), (None, 1));
         assert!(state.counters.is_zero());
-        assert!(IntegrityState::new(None, true).active());
     }
 
     #[test]
@@ -1341,8 +1353,10 @@ mod tests {
         assert!(!CorruptionKind::Drop.is_wire_level());
         // A wire-pinned config leaves the value channel inert (the socket
         // pumps own those draws) but keeps checksum verification active.
-        let cfg = CorruptionConfig::new(0.9, 3).with_kind(CorruptionKind::FrameTruncate);
-        let mut state = IntegrityState::new(Some(&cfg), true);
+        let cfg = CorruptionConfig::new(0.9, 3)
+            .with_kind(CorruptionKind::FrameTruncate)
+            .with_checksums(true);
+        let mut state = IntegrityState::new(Some(&cfg));
         let msg = Message::LambdaTilde {
             frontend: 0,
             datacenter: 0,
@@ -1418,7 +1432,7 @@ mod tests {
     /// A drop channel of the given rate on an unverified link.
     fn drop_state(rate: f64, seed: u64) -> IntegrityState {
         let cfg = CorruptionConfig::new(rate, seed).with_kind(CorruptionKind::Drop);
-        IntegrityState::new(Some(&cfg), false)
+        IntegrityState::new(Some(&cfg))
     }
 
     /// Sends one message through `state`; returns the attempts it took.

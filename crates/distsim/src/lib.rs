@@ -4,7 +4,7 @@
 //! *fully distributed* protocol between `M` front-end proxies and `N`
 //! datacenters. This crate runs the algorithm that way — as independent
 //! [`node`]s that only hold their own slice of the problem data and only
-//! communicate through explicit [`message`]s:
+//! communicate through explicit, accounted [`message`]s:
 //!
 //! 1. each front-end solves its λ-sub-problem and sends `λ̃_ij` to
 //!    datacenter `j`,
@@ -50,12 +50,12 @@
 //! (bit-flips, sign flips, NaN substitution, magnitude scaling) or, pinned
 //! to [`CorruptionKind::Drop`], loses copies that are resent until
 //! delivered — the iterates are unchanged and only traffic and the WAN
-//! estimate grow. With `AdmgSettings::verify_checksums` on, payloads
-//! travel in CRC32-framed [`message`]s, corrupt copies are detected on
-//! receive and retransmitted (bounded), and the run converges to the clean
-//! answer; with verification off, delivered poison is caught by the
-//! driver's divergence gate as a typed error — never a panic or a silently
-//! wrong UFC.
+//! estimate grow. With [`CorruptionConfig::with_checksums`] on, receivers
+//! check the CRC32 ([`wire::crc32`]) of every value they receive, corrupt
+//! copies are detected and retransmitted (bounded), and the run converges
+//! to the clean answer; with verification off, delivered poison is caught
+//! by the driver's divergence gate as a typed error — never a panic or a
+//! silently wrong UFC.
 //!
 //! The multi-process socket engine extends both directions to a hostile
 //! network: a [`BindConfig`] allows non-loopback listen addresses gated on

@@ -167,7 +167,6 @@ impl DatacenterSnapshot {
 pub struct CheckpointStore {
     m: usize,
     slots: Vec<Option<(usize, Vec<u8>)>>,
-    taken: usize,
 }
 
 impl CheckpointStore {
@@ -177,7 +176,6 @@ impl CheckpointStore {
         CheckpointStore {
             m,
             slots: vec![None; m + n],
-            taken: 0,
         }
     }
 
@@ -203,23 +201,6 @@ impl CheckpointStore {
         self.slots[self.m + j]
             .as_ref()
             .map(|(it, b)| (*it, b.as_slice()))
-    }
-
-    /// Marks one complete checkpoint round (for reporting).
-    pub fn mark_round(&mut self) {
-        self.taken += 1;
-    }
-
-    /// Complete checkpoint rounds taken so far.
-    #[must_use]
-    pub fn rounds(&self) -> usize {
-        self.taken
-    }
-
-    /// Total bytes currently held (for wire accounting of one round).
-    #[must_use]
-    pub fn total_bytes(&self) -> usize {
-        self.slots.iter().flatten().map(|(_, b)| b.len()).sum()
     }
 }
 
@@ -281,8 +262,5 @@ mod tests {
         assert_eq!(store.frontend(0), Some((8, &[4u8, 5][..])));
         assert_eq!(store.datacenter(1), Some((4, &[9u8][..])));
         assert!(store.datacenter(0).is_none());
-        assert_eq!(store.total_bytes(), 3);
-        store.mark_round();
-        assert_eq!(store.rounds(), 1);
     }
 }

@@ -36,11 +36,11 @@ use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::{
-    account_stragglers, checkpoint_due, column_of, record_a_traffic, record_control,
-    record_lambda_traffic, reduce_residuals, replay_entries, row_of, Gathered, HistoryEntry,
-    RollbackPoint, Tally,
+    account_stragglers, buffers_history, checkpoint_due, column_of, record_a_traffic,
+    record_control, record_lambda_traffic, reduce_residuals, replay_entries, row_of, Gathered,
+    HistoryEntry, RollbackPoint, Tally,
 };
-use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution};
+use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution, BACKOFF_ROUNDS};
 use crate::message::Message;
 use crate::node::{DatacenterNode, NodeResiduals};
 use crate::runtime::DistRunReport;
@@ -88,12 +88,13 @@ pub(crate) enum Reply {
         mu: f64,
         d: f64,
     },
-    /// A node's sub-problem rejected its inputs (e.g. NaN-poisoned
-    /// replicas under unverified corruption). The node reports the typed
-    /// error and stops; the coordinator aborts the run with it instead of
-    /// respawning into the same poison. Over the socket wire this variant
-    /// is degraded to a rendered [`CoreError::NodeFailure`] (the full error
-    /// enum has no wire codec); the thread fleet carries it verbatim.
+    /// A datacenter's sub-problem rejected its inputs (e.g. NaN-poisoned
+    /// replicas under unverified corruption; a front-end's steps cannot
+    /// fail). The node reports the typed error and stops; the coordinator
+    /// aborts the run with it instead of respawning into the same poison.
+    /// Over the socket wire this variant is degraded to a rendered
+    /// [`CoreError::NodeFailure`] (the full error enum has no wire codec);
+    /// the thread fleet carries it verbatim.
     NodeError {
         node: NodeId,
         iteration: usize,
@@ -139,9 +140,9 @@ pub(crate) trait Fleet {
 /// Whether a run under `plan` sends each front-end's next prediction in
 /// the same fan-out as its correction. Only a clean plan does: a scripted
 /// kill must land before its victim predicts, a rollback must restore in
-/// place before any node predicts on a poisoned iterate (and a prediction
-/// on NaN state ends its worker), a snapshot must record the corrected
-/// iterate, and a readmission changes the next prediction.
+/// place before any node predicts on a poisoned iterate, a snapshot must
+/// record the corrected iterate, and a readmission changes the next
+/// prediction.
 pub(crate) fn pipelines(plan: &FaultPlan) -> bool {
     plan.is_trivial() && plan.corruption.is_none() && plan.checkpoint_interval == 0
 }
@@ -248,7 +249,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             .chain((0..n).map(NodeId::Datacenter))
             .map(|node| plan.crash_iterations_for(node))
             .collect();
-        let integrity = IntegrityState::new(plan.corruption.as_ref(), settings.verify_checksums);
+        let integrity = IntegrityState::new(plan.corruption.as_ref());
         Supervisor {
             instance,
             settings,
@@ -301,7 +302,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             &self.replies,
             pending,
             plan.phase_timeout,
-            plan.backoff_rounds,
+            BACKOFF_ROUNDS,
             |node| self.fleet.alive(self.id(node)),
             accept,
         )
@@ -743,12 +744,7 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
                 fe_residuals[i] = Some(residuals);
                 Some(NodeId::Frontend(i))
             }
-            Reply::Lambda { iteration, .. }
-            | Reply::NodeError {
-                node: NodeId::Frontend(_),
-                iteration,
-                ..
-            } if iteration == k + 1 => {
+            Reply::Lambda { iteration, .. } if iteration == k + 1 => {
                 early.push(reply);
                 None
             }
@@ -811,11 +807,13 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
 
     fn finish_iteration(&mut self, k: usize, stop: bool) -> Result<(), CoreError> {
         record_control(&mut self.stats, stop, self.node_count);
-        self.history.push(HistoryEntry {
-            iteration: k,
-            rows: std::mem::take(&mut self.rows),
-            a_cols: std::mem::take(&mut self.a_cols),
-        });
+        if buffers_history(self.tracker.plan()) {
+            self.history.push(HistoryEntry {
+                iteration: k,
+                rows: std::mem::take(&mut self.rows),
+                a_cols: std::mem::take(&mut self.a_cols),
+            });
+        }
         let interval = self.tracker.plan().checkpoint_interval;
         if checkpoint_due(k, stop, self.membership_changed, interval) {
             self.checkpoint_round(k)?;
@@ -908,6 +906,44 @@ pub(crate) fn gather_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::ThreadFleet;
+    use ufc_core::Strategy;
+    use ufc_model::scenario::ScenarioBuilder;
+
+    /// Replay entries a thread-fleet run of one paper hour under `plan`
+    /// still holds when it stops.
+    fn history_left_by(plan: FaultPlan) -> usize {
+        let scenario = ScenarioBuilder::paper_default()
+            .hours(1)
+            .build()
+            .expect("paper scenario builds");
+        let instance = &scenario.instances[0];
+        let settings = AdmgSettings::default();
+        let (active_mu, active_nu) = Strategy::Hybrid
+            .block_activation(instance)
+            .expect("hybrid runs every block");
+        let (reply_tx, replies) = channel();
+        let fleet = ThreadFleet::launch(instance, &settings, active_mu, active_nu, &plan, reply_tx);
+        let mut sup = Supervisor::new(
+            instance, settings, active_mu, active_nu, plan, fleet, replies,
+        );
+        let tolerances = settings.scaled_tolerances(instance);
+        let outcome = drive(&mut sup, &settings, tolerances, &mut ()).expect("run converges");
+        assert!(outcome.converged);
+        let left = sup.history.len();
+        let mut tally = Tally::new(sup.stats, &sup.tracker, &sup.integrity, sup.stall_phases);
+        let (_, shutdown) = sup.fleet.shutdown(&mut tally);
+        shutdown.expect("threads join");
+        left
+    }
+
+    /// A clean run never replays, so it keeps none of its iterations'
+    /// inputs; a checkpointing run keeps those since its last checkpoint.
+    #[test]
+    fn clean_thread_fleet_run_keeps_no_replay_history() {
+        assert_eq!(history_left_by(FaultPlan::none()), 0);
+        assert!(history_left_by(FaultPlan::new()) > 0);
+    }
 
     /// One live straggler (replies late) and one crash-stopped worker
     /// (thread exited, never replies) in the same gather: the dead node

@@ -4,10 +4,11 @@
 //! *wire frame*: a little-endian `u32` length prefix followed by a
 //! self-verifying payload `[WIRE_MAGIC, kind, body (LE fields), crc32]`.
 //! The length prefix lets [`FrameBuffer`] reassemble frames from the
-//! arbitrary partial reads a real TCP stream produces; the CRC32 trailer
-//! (same IEEE polynomial as [`crate::message`]) rejects bit-rot and framing
-//! desynchronization with a typed [`CoreError::CorruptPayload`] instead of
-//! a panic or a garbage parse.
+//! arbitrary partial reads a real TCP stream produces; the [`crc32`]
+//! trailer rejects bit-rot and framing desynchronization with a typed
+//! [`CoreError::CorruptPayload`] instead of a panic or a garbage parse.
+//! This is the crate's only byte framing: the simulated link channel
+//! (`crate::fault`) checks the values it carries with the same [`crc32`].
 //!
 //! The payload vocabulary is deliberately small:
 //!
@@ -35,13 +36,11 @@ use ufc_core::CoreError;
 use ufc_model::{EmissionCostFn, QueueingCost, StorageParams, UfcInstance};
 
 use crate::fault::NodeId;
-use crate::message::crc32;
 use crate::node::NodeResiduals;
 use crate::supervision::Reply;
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule};
 
-/// First payload byte of every wire frame (distinct from
-/// [`crate::message::FRAME_MAGIC`] so the two framings cannot be confused).
+/// First payload byte of every wire frame.
 pub const WIRE_MAGIC: u8 = 0xFD;
 
 /// Bytes of the little-endian length prefix in front of every payload.
@@ -57,6 +56,41 @@ pub const MAX_WIRE_FRAME_BYTES: usize = 4 * 1024 * 1024;
 /// payload; keeps a corrupted inner length from allocating gigabytes even
 /// when the outer frame passed its size check.
 const MAX_VEC_LEN: usize = MAX_WIRE_FRAME_BYTES / 8;
+
+/// CRC32 lookup table for the IEEE-reflected polynomial, built at compile
+/// time.
+const CRC32_TABLE: [u32; 256] = build_crc32_table();
+
+const fn build_crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        table[n] = c;
+        n += 1;
+    }
+    table
+}
+
+/// CRC32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`,
+/// hand-rolled over a const-built table so the crate stays std-only.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
 
 fn corrupt(context: String) -> CoreError {
     CoreError::corrupt_payload("wire", 0, context)
@@ -1091,7 +1125,6 @@ impl RunConfig {
         put_f64(&mut buf, s.eps_dual);
         put_u64(&mut buf, s.num_threads as u64);
         put_bool(&mut buf, s.telemetry);
-        put_bool(&mut buf, s.verify_checksums);
         put_f64(&mut buf, s.divergence_kappa);
         put_u64(&mut buf, s.divergence_window as u64);
         put_bool(&mut buf, s.divergence_rollback);
@@ -1187,7 +1220,6 @@ impl RunConfig {
             eps_dual: get_f64(bytes, &mut pos)?,
             num_threads: get_u64(bytes, &mut pos)? as usize,
             telemetry: get_bool(bytes, &mut pos)?,
-            verify_checksums: get_bool(bytes, &mut pos)?,
             divergence_kappa: get_f64(bytes, &mut pos)?,
             divergence_window: get_u64(bytes, &mut pos)? as usize,
             divergence_rollback: get_bool(bytes, &mut pos)?,
@@ -1490,6 +1522,13 @@ mod tests {
     }
 
     #[test]
+    fn crc32_matches_reference_vector() {
+        // The canonical IEEE check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
     fn payloads_round_trip() {
         for frame in sample_frames() {
             let payload = frame.encode_payload();
@@ -1576,7 +1615,7 @@ mod tests {
         instance.queueing = Some(QueueingCost::default_interactive());
         let config = RunConfig {
             instance,
-            settings: AdmgSettings::default().with_threads(3).with_checksums(true),
+            settings: AdmgSettings::default().with_threads(3).with_telemetry(true),
             active_mu: true,
             active_nu: false,
             processes: 4,

@@ -109,9 +109,9 @@ pub fn run_rates(
 
     // Clean per-hour baselines: the operating point every verified run
     // must reproduce and the byte count the overhead is measured against.
-    let clean_runner = DistributedAdmg::try_new(settings)?;
+    let runner = DistributedAdmg::try_new(settings)?;
     let baselines = par_map(&hour_ids, default_threads(), |_, &t| {
-        clean_runner
+        runner
             .execute(
                 &scenario.instances[t],
                 Strategy::Hybrid,
@@ -126,14 +126,13 @@ pub fn run_rates(
     for (r, &rate) in rates.iter().enumerate() {
         for engine in [Engine::Lockstep, Engine::Threaded] {
             for verified in [true, false] {
-                let runner = DistributedAdmg::try_new(settings.with_checksums(verified))?;
                 let outcomes = par_map(&hour_ids, default_threads(), |_, &t| {
                     let inst = &scenario.instances[t];
                     // One independent, reproducible stream per (rate, hour).
                     let cfg_seed = seed
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                         .wrapping_add((r * hours + t) as u64);
-                    let cfg = CorruptionConfig::try_new(rate, cfg_seed)?;
+                    let cfg = CorruptionConfig::try_new(rate, cfg_seed)?.with_checksums(verified);
                     match runner.execute(
                         inst,
                         Strategy::Hybrid,
@@ -311,9 +310,9 @@ pub fn run_sockets_chaos(
 
     // Clean lockstep baselines: the socket engine is bit-identical to
     // lockstep, so these are the bits every repaired hour must reproduce.
-    let clean_runner = DistributedAdmg::try_new(settings)?;
+    let runner = DistributedAdmg::try_new(settings)?;
     let baselines = par_map(&hour_ids, default_threads(), |_, &t| {
-        clean_runner
+        runner
             .execute(
                 &scenario.instances[t],
                 Strategy::Hybrid,
@@ -341,9 +340,6 @@ pub fn run_sockets_chaos(
     let sockets = RunSpec::new(Engine::Sockets(SocketOptions::new(worker)));
     let mut points = Vec::new();
     for (c, &(rate, kind)) in cells.iter().enumerate() {
-        // Value-level cells verify checksums so every strike is repaired;
-        // wire-level cells rely on the always-on framing CRC.
-        let runner = DistributedAdmg::try_new(settings.with_checksums(kind.is_none()))?;
         let mut point = SocketChaosPoint {
             rate,
             kind,
@@ -362,7 +358,9 @@ pub fn run_sockets_chaos(
             let cfg_seed = seed
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add((c * hours + t) as u64);
-            let mut cfg = CorruptionConfig::try_new(rate, cfg_seed)?;
+            // Value-level cells verify checksums so every strike is
+            // repaired; wire-level cells rely on the always-on framing CRC.
+            let mut cfg = CorruptionConfig::try_new(rate, cfg_seed)?.with_checksums(kind.is_none());
             cfg.kind = kind;
             match runner.execute(
                 &scenario.instances[t],

@@ -638,16 +638,16 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     // different answer on one engine only.
     if let (Some(cseed), true) = (case.corrupt_seed, mem.converged) {
         let cfg = CorruptionConfig::new(1e-2, cseed);
-        let verified = DistributedAdmg::new(main_settings.with_checksums(true));
+        let verified_cfg = cfg.with_checksums(true);
         for (name, engine) in [
             ("lockstep", Engine::Lockstep),
             ("threaded", Engine::Threaded),
         ] {
-            let rep = verified
+            let rep = dist
                 .execute(
                     &inst,
                     case.strategy,
-                    &RunSpec::new(engine).with_corruption(cfg),
+                    &RunSpec::new(engine).with_corruption(verified_cfg),
                     &mut (),
                 )
                 .map_err(|e| {
@@ -678,12 +678,12 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
         }
         if case.socket {
             if let Some(worker) = worker {
-                let rep = verified
+                let rep = dist
                     .execute(
                         &inst,
                         case.strategy,
                         &RunSpec::new(Engine::Sockets(SocketOptions::new(worker)))
-                            .with_corruption(cfg),
+                            .with_corruption(verified_cfg),
                         &mut (),
                     )
                     .map_err(|e| {

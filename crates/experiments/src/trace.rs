@@ -134,8 +134,9 @@ pub fn run(
         // Rate 0.02 over tens of thousands of payloads: every seed sees
         // strikes, and every strike is caught by the checksum.
         TraceEngine::Corrupt => Some((
-            settings.with_checksums(true),
-            RunSpec::new(Engine::Lockstep).with_corruption(CorruptionConfig::new(0.02, seed)),
+            settings,
+            RunSpec::new(Engine::Lockstep)
+                .with_corruption(CorruptionConfig::new(0.02, seed).with_checksums(true)),
         )),
         TraceEngine::Sockets => Some((
             settings,

@@ -10,8 +10,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use ufc_core::{AdmgSettings, CoreError, Strategy};
-use ufc_distsim::message::crc32;
-use ufc_distsim::wire::{frame, WIRE_MAGIC};
+use ufc_distsim::wire::{crc32, frame, WIRE_MAGIC};
 use ufc_distsim::{AuthKey, BindConfig, DistributedAdmg, Engine, RunSpec, SocketOptions};
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;

@@ -10,7 +10,9 @@
 use std::time::Duration;
 
 use ufc_core::{AdmgSettings, CoreError, Strategy};
-use ufc_distsim::{DistributedAdmg, Engine, FaultPlan, NodeId, RunSpec, SocketOptions};
+use ufc_distsim::{
+    DistributedAdmg, Engine, FaultPlan, NodeId, PartitionWindow, RunSpec, SocketOptions,
+};
 use ufc_experiments::sockets::recovery_fault_plan;
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
@@ -112,6 +114,56 @@ fn sigkilled_workers_recover_bit_identically() {
     assert!(
         integrity.reconnects >= 2,
         "the partition window must tear down and re-establish both sides"
+    );
+}
+
+/// A partition window that opens after a datacenter's eviction severs
+/// only links that still run: the evicted datacenter's process is gone, so
+/// there is no connection to drop and no reconnect to await. The socket
+/// run finishes the plan as lockstep does.
+#[test]
+fn partition_after_an_eviction_skips_the_evicted_process() {
+    let instance = workload();
+    let runner = DistributedAdmg::new(AdmgSettings::default());
+    let plan = FaultPlan::new()
+        .with_phase_timeout(Duration::from_millis(20))
+        .crash_at(NodeId::Datacenter(0), 2)
+        .partition(PartitionWindow {
+            from_iteration: 5,
+            to_iteration: 7,
+            frontends: vec![0],
+            datacenters: vec![0],
+        });
+    let lockstep = runner
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_plan(plan.clone()),
+            &mut (),
+        )
+        .expect("lockstep finishes the plan degraded");
+    let sockets = runner
+        .execute(
+            &instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Sockets(worker_options())).with_plan(plan),
+            &mut (),
+        )
+        .expect("the socket run must not wait on the evicted process");
+    assert_eq!(lockstep.iterations, sockets.iterations);
+    let evicted = |report: &ufc_distsim::DistRunReport| {
+        report
+            .fault
+            .as_ref()
+            .expect("faulty run reports fault counters")
+            .evicted
+            .clone()
+    };
+    assert_eq!(evicted(&lockstep), vec![0]);
+    assert_eq!(evicted(&lockstep), evicted(&sockets));
+    assert_eq!(
+        lockstep.breakdown.ufc().to_bits(),
+        sockets.breakdown.ufc().to_bits()
     );
 }
 

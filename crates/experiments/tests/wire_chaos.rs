@@ -45,9 +45,8 @@ fn point_bits(report: &ufc_distsim::DistRunReport) -> Vec<u64> {
 #[test]
 fn value_corruption_over_sockets_matches_lockstep_corrupt_run() {
     let instance = workload();
-    let settings = AdmgSettings::default().with_checksums(true);
-    let runner = DistributedAdmg::new(settings);
-    let cfg = CorruptionConfig::new(1e-2, DEFAULT_SEED);
+    let runner = DistributedAdmg::new(AdmgSettings::default());
+    let cfg = CorruptionConfig::new(1e-2, DEFAULT_SEED).with_checksums(true);
 
     let lockstep = runner
         .execute(
