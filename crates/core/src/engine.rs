@@ -11,8 +11,9 @@
 //! while a [`Transport`] implementation supplies only *how* block inputs
 //! are broadcast and block results gathered:
 //!
-//! * **in-process** (`InProcessTransport`, crate-private): direct calls through the
-//!   [`crate::AdmgSolver`] workspace and [`WorkerPool`];
+//! * **in-process** (`InProcessTransport`, crate-private): the
+//!   [`crate::AdmgSolver`] steps the [`crate::node`] types, one per
+//!   front-end and datacenter, on a [`crate::WorkerPool`];
 //! * **lockstep message-passing** (`ufc_distsim`): deterministic rounds
 //!   over explicit messages, with optional fault, corruption and drop
 //!   injection;
@@ -30,11 +31,8 @@ use std::time::{Duration, Instant};
 
 use ufc_model::UfcInstance;
 
-use crate::correction::gaussian_back_substitution;
-use crate::pool::WorkerPool;
 use crate::telemetry::Phase;
-use crate::workspace::SolverWorkspace;
-use crate::{AdmgSettings, AdmgState, Result};
+use crate::{AdmgSettings, Result};
 
 /// Per-iteration residual record (the raw material of Fig. 11).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -680,115 +678,6 @@ pub fn drive<T: Transport + ?Sized>(
         iterations,
         converged,
     })
-}
-
-/// ∞-norm movement of the corrected blocks `(μ, ν, d, a, φ, φ_ij)` between
-/// two iterates — the dual-residual proxy used in the stopping rule. On
-/// classic (spatial-only) schedules `d` never moves, so including it is
-/// a max with `0.0` and the 4-block residual stream is unchanged.
-pub(crate) fn iterate_movement(prev: &AdmgState, next: &AdmgState) -> f64 {
-    let mut m = 0.0f64;
-    for (a, b) in prev.mu.iter().zip(&next.mu) {
-        m = m.max((a - b).abs());
-    }
-    for (a, b) in prev.nu.iter().zip(&next.nu) {
-        m = m.max((a - b).abs());
-    }
-    for (a, b) in prev.d.iter().zip(&next.d) {
-        m = m.max((a - b).abs());
-    }
-    for (a, b) in prev.a.iter().zip(&next.a) {
-        m = m.max((a - b).abs());
-    }
-    for (a, b) in prev.phi.iter().zip(&next.phi) {
-        m = m.max((a - b).abs());
-    }
-    for (a, b) in prev.varphi.iter().zip(&next.varphi) {
-        m = m.max((a - b).abs());
-    }
-    m
-}
-
-/// The in-process transport: the global iterate lives in one [`AdmgState`]
-/// and the block phases are direct calls through the persistent
-/// [`SolverWorkspace`] kernels, fanned across a [`WorkerPool`].
-pub(crate) struct InProcessTransport<'a> {
-    instance: &'a UfcInstance,
-    pool: &'a WorkerPool,
-    ws: &'a mut SolverWorkspace,
-    state: AdmgState,
-    epsilon: f64,
-    active_mu: bool,
-    active_nu: bool,
-}
-
-impl<'a> InProcessTransport<'a> {
-    pub(crate) fn new(
-        instance: &'a UfcInstance,
-        settings: &AdmgSettings,
-        start: AdmgState,
-        ws: &'a mut SolverWorkspace,
-        pool: &'a WorkerPool,
-        active_mu: bool,
-        active_nu: bool,
-    ) -> Self {
-        InProcessTransport {
-            instance,
-            pool,
-            ws,
-            state: start,
-            epsilon: settings.epsilon,
-            active_mu,
-            active_nu,
-        }
-    }
-
-    /// The final corrected iterate.
-    pub(crate) fn into_state(self) -> AdmgState {
-        self.state
-    }
-}
-
-impl Transport for InProcessTransport<'_> {
-    fn schedule(&self) -> BlockSchedule {
-        BlockSchedule::for_instance(self.instance)
-    }
-
-    fn predict_lambda(&mut self, _k: usize) -> Result<()> {
-        self.ws.predict_lambda(&self.state, self.pool);
-        Ok(())
-    }
-
-    fn step_datacenters(&mut self, _k: usize) -> Result<()> {
-        self.ws.predict_site_blocks(
-            self.instance,
-            &self.state,
-            self.pool,
-            self.active_mu,
-            self.active_nu,
-        )
-    }
-
-    fn correct(&mut self, _k: usize) -> Result<BlockResiduals> {
-        self.ws.prev.clone_from(&self.state);
-        gaussian_back_substitution(
-            self.instance,
-            &mut self.state,
-            &self.ws.tilde,
-            self.epsilon,
-            self.active_mu,
-            self.active_nu,
-        );
-        Ok(BlockResiduals {
-            link: self.state.link_residual(),
-            balance: self.state.balance_residual(self.instance),
-            movement: iterate_movement(&self.ws.prev, &self.state),
-        })
-    }
-
-    fn objective(&mut self) -> Option<f64> {
-        Some(self.state.objective(self.instance))
-    }
 }
 
 #[cfg(test)]

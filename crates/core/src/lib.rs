@@ -25,7 +25,9 @@
 //! Both steps are sequenced by exactly one iteration loop: the
 //! transport-agnostic driver in [`engine`], whose [`Transport`] trait is
 //! implemented by the in-process solver here and by the lockstep and
-//! supervised-threaded runtimes in `ufc-distsim`.
+//! supervised runtimes in `ufc-distsim`. Each step is written once, per
+//! node, in [`node`]: every engine steps the same front-end and datacenter
+//! nodes and moves only their `λ̃`/`ã` shares.
 //!
 //! The crate also provides the paper's three procurement strategies
 //! ([`Strategy`]: `Hybrid`, `GridOnly`, `FuelCellOnly`) as block
@@ -59,12 +61,13 @@ pub mod correction;
 pub mod engine;
 mod error;
 pub mod generic;
+pub mod node;
 mod pool;
 pub mod repair;
 pub mod right_sizing;
 mod settings;
 mod solver;
-/// ADM-G iterate state and its checkpoint byte codec.
+/// ADM-G iterate state and the checkpoint byte-codec primitives.
 pub mod state;
 mod strategy;
 pub mod subproblems;

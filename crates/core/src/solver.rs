@@ -1,13 +1,11 @@
 use ufc_model::{evaluate, OperatingPoint, UfcBreakdown, UfcInstance};
 
-use crate::engine::{
-    drive, HistoryRecorder, InProcessTransport, IterationObserver, IterationRecord,
-};
+use crate::engine::{drive, HistoryRecorder, IterationObserver, IterationRecord};
 use crate::pool::WorkerPool;
 use crate::repair::assemble_point;
 use crate::strategy::Strategy;
 use crate::telemetry::{ObserverChain, RunTelemetry, TelemetryCollector};
-use crate::workspace::SolverWorkspace;
+use crate::workspace::InProcessTransport;
 use crate::{AdmgSettings, AdmgState, CoreError, Result};
 
 /// Output of one ADM-G run.
@@ -109,15 +107,11 @@ impl AdmgSolver {
         strategy: Strategy,
         start: AdmgState,
     ) -> Result<AdmgSolution> {
-        // Per-block kernels built once: sub-problem Hessians and constraints
-        // are constant across iterations, so each block's data and buffers
-        // are reused for the whole run. The worker
-        // pool fans the per-front-end and per-datacenter solves; results are
-        // gathered in block order, so every thread count (and the sequential
-        // path) produces bit-identical iterates.
+        // The worker pool fans the per-front-end and per-datacenter node
+        // steps; results are gathered in block order, so every thread count
+        // (and the sequential path) produces bit-identical iterates.
         let pool = WorkerPool::new(self.settings.num_threads);
-        let mut ws = SolverWorkspace::new(instance, &self.settings);
-        self.solve_with(instance, strategy, start, &mut ws, &pool, &mut ())
+        self.solve_with(instance, strategy, start, &pool, &mut ())
     }
 
     /// Runs ADM-G while streaming per-iteration (and, if the observer asks
@@ -137,38 +131,31 @@ impl AdmgSolver {
         observer: &mut dyn IterationObserver,
     ) -> Result<AdmgSolution> {
         let pool = WorkerPool::new(self.settings.num_threads);
-        let mut ws = SolverWorkspace::new(instance, &self.settings);
         self.solve_with(
             instance,
             strategy,
             AdmgState::zeros(instance),
-            &mut ws,
             &pool,
             observer,
         )
     }
 
-    /// Runs one ADM-G solve over caller-provided workspace and pool — the
+    /// Runs one ADM-G solve from `start` on a caller-provided pool — the
     /// shared backend of [`AdmgSolver::solve_warm`] and
-    /// [`crate::solve_all_strategies`] (which reuses one workspace across
-    /// the three strategy restrictions).
-    ///
-    /// The workspace must have been built for the same instance and
-    /// settings; strategy restrictions only gate the scalar μ/ν steps, so a
-    /// reused workspace yields bit-identical results to a fresh one.
+    /// [`crate::solve_all_strategies`] (which reuses one pool across the
+    /// three strategy restrictions). The solve builds its own nodes and
+    /// loads them from `start`.
     ///
     /// `extra` is an additional observer chained after the history recorder
     /// (pass `&mut ()` for none). When [`AdmgSettings::telemetry`] is on, a
     /// [`TelemetryCollector`] is chained in as well and its snapshot —
-    /// together with the workspace's solver counters and the pool's fan-out
-    /// counters, both cumulative since construction — lands in
-    /// [`AdmgSolution::telemetry`].
+    /// together with this solve's kernel counters and pool fan-outs —
+    /// lands in [`AdmgSolution::telemetry`].
     pub(crate) fn solve_with(
         &self,
         instance: &UfcInstance,
         strategy: Strategy,
         start: AdmgState,
-        ws: &mut SolverWorkspace,
         pool: &WorkerPool,
         extra: &mut dyn IterationObserver,
     ) -> Result<AdmgSolution> {
@@ -187,8 +174,8 @@ impl AdmgSolver {
         let tolerances = s.scaled_tolerances(instance);
         let mut recorder = HistoryRecorder::default();
         let mut collector = s.telemetry.then(TelemetryCollector::default);
-        let mut transport =
-            InProcessTransport::new(instance, s, start, ws, pool, active_mu, active_nu);
+        let (tasks, maps) = (pool.tasks_dispatched(), pool.maps_run());
+        let mut transport = InProcessTransport::new(instance, s, start, pool, active_mu, active_nu);
         let outcome = match collector.as_mut() {
             Some(c) => {
                 let mut chain = ObserverChain(&mut recorder, ObserverChain(&mut *c, extra));
@@ -199,14 +186,14 @@ impl AdmgSolver {
                 drive(&mut transport, s, tolerances, &mut chain)?
             }
         };
-        let state = transport.into_state();
         let telemetry = collector.map(|c| {
             let mut t = c.into_telemetry();
-            t.solver = ws.counters();
-            t.solver.pool_tasks = pool.tasks_dispatched();
-            t.solver.pool_maps = pool.maps_run();
+            t.solver = transport.counters();
+            t.solver.pool_tasks = pool.tasks_dispatched() - tasks;
+            t.solver.pool_maps = pool.maps_run() - maps;
             t
         });
+        let state = transport.into_state();
 
         let point = assemble_point(instance, &state, !active_nu)?;
         let breakdown = evaluate(instance, &point)?;

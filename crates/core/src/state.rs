@@ -1,10 +1,7 @@
 use ufc_model::UfcInstance;
 
-use crate::CoreError;
-
 /// Byte codec used for checkpoint blobs: little-endian, length-prefixed
-/// slices. Shared by [`AdmgState::to_bytes`] and the distributed runtime's
-/// per-node snapshots (`ufc_distsim`).
+/// slices, the primitives of the per-node snapshots in [`crate::node`].
 pub mod codec {
     use crate::CoreError;
 
@@ -214,91 +211,6 @@ impl AdmgState {
         loads
     }
 
-    /// Link residual `max_ij |λ_ij − a_ij|` (kilo-servers).
-    #[must_use]
-    pub fn link_residual(&self) -> f64 {
-        self.lambda
-            .iter()
-            .zip(&self.a)
-            .fold(0.0f64, |r, (l, a)| r.max((l - a).abs()))
-    }
-
-    /// Power-balance residual `max_j |α_j + β_j Σ_i a_ij − μ_j − ν_j − d_j|`
-    /// (MW). The battery term is identically zero without the storage
-    /// block, reducing bit-exactly to the 4-block residual.
-    #[must_use]
-    pub fn balance_residual(&self, instance: &UfcInstance) -> f64 {
-        let loads = self.a_loads();
-        (0..self.n).fold(0.0f64, |r, j| {
-            r.max((instance.demand_mw(j, loads[j]) - self.mu[j] - self.nu[j] - self.d[j]).abs())
-        })
-    }
-
-    /// Serializes the full iterate into a self-describing little-endian
-    /// blob (magic + `M`/`N` shape + the seven blocks), for checkpointing
-    /// in the distributed runtime.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + 8 * (3 * self.m * self.n + 4 * self.n));
-        buf.extend_from_slice(Self::MAGIC);
-        codec::put_u32(&mut buf, u32::try_from(self.m).expect("m fits u32"));
-        codec::put_u32(&mut buf, u32::try_from(self.n).expect("n fits u32"));
-        codec::put_f64s(&mut buf, &self.lambda);
-        codec::put_f64s(&mut buf, &self.mu);
-        codec::put_f64s(&mut buf, &self.nu);
-        codec::put_f64s(&mut buf, &self.a);
-        codec::put_f64s(&mut buf, &self.phi);
-        codec::put_f64s(&mut buf, &self.varphi);
-        codec::put_f64s(&mut buf, &self.d);
-        buf
-    }
-
-    /// Deserializes a blob produced by [`AdmgState::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Checkpoint`] on a bad magic number, truncation, or
-    /// block lengths inconsistent with the recorded `M × N` shape.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, CoreError> {
-        let mut pos = codec::check_magic(buf, Self::MAGIC)?;
-        let m = codec::get_u32(buf, &mut pos)? as usize;
-        let n = codec::get_u32(buf, &mut pos)? as usize;
-        let lambda = codec::get_f64s(buf, &mut pos)?;
-        let mu = codec::get_f64s(buf, &mut pos)?;
-        let nu = codec::get_f64s(buf, &mut pos)?;
-        let a = codec::get_f64s(buf, &mut pos)?;
-        let phi = codec::get_f64s(buf, &mut pos)?;
-        let varphi = codec::get_f64s(buf, &mut pos)?;
-        let d = codec::get_f64s(buf, &mut pos)?;
-        let state = AdmgState {
-            m,
-            n,
-            lambda,
-            mu,
-            nu,
-            d,
-            a,
-            phi,
-            varphi,
-        };
-        let routing_ok =
-            state.lambda.len() == m * n && state.a.len() == m * n && state.varphi.len() == m * n;
-        let site_ok = state.mu.len() == n
-            && state.nu.len() == n
-            && state.phi.len() == n
-            && state.d.len() == n;
-        if !routing_ok || !site_ok {
-            return Err(CoreError::checkpoint(format!(
-                "block lengths inconsistent with shape {m}×{n}"
-            )));
-        }
-        Ok(state)
-    }
-
-    /// Magic prefix of serialized state blobs (`UFCS` + format version 2;
-    /// version 2 appended the battery-discharge block `d`).
-    pub const MAGIC: &'static [u8] = b"UFCS\x02";
-
     /// The ADMM-form objective (12) at the current `(λ, μ, ν, d)` in
     /// dollars:
     /// `Σ_j [V_j(C_j ν_j h) + h p_j ν_j + h p₀ μ_j + γ h d_j² + κ_j h d_j]
@@ -391,56 +303,16 @@ mod tests {
     }
 
     #[test]
-    fn loads_and_residuals() {
+    fn loads_sum_each_datacenter_column() {
         let inst = tiny();
         let mut s = AdmgState::zeros(&inst);
         s.lambda = vec![0.5, 0.5, 1.0, 1.0];
         s.a = vec![0.5, 0.5, 1.0, 1.0];
         assert_eq!(s.lambda_loads(), vec![1.5, 1.5]);
         assert_eq!(s.a_loads(), vec![1.5, 1.5]);
-        assert_eq!(s.link_residual(), 0.0);
-        // Demand 0.42 MW per DC, μ = ν = 0 ⇒ balance residual 0.42.
-        assert!((s.balance_residual(&inst) - 0.42).abs() < 1e-12);
-        s.nu = vec![0.42, 0.42];
-        assert!(s.balance_residual(&inst) < 1e-12);
         s.a[0] = 0.0;
-        assert!((s.link_residual() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn byte_round_trip_is_exact() {
-        let inst = tiny();
-        let mut s = AdmgState::zeros(&inst);
-        s.lambda = vec![0.5, -0.25, 1.0, f64::MIN_POSITIVE];
-        s.mu = vec![0.1, 0.2];
-        s.nu = vec![0.42, 1e-300];
-        s.d = vec![-0.125, 0.0625];
-        s.a = vec![0.5, 0.5, 1.0, 1.0];
-        s.phi = vec![-3.25, 7.5];
-        s.varphi = vec![0.0, -0.0, 2.5, 9.75];
-        let blob = s.to_bytes();
-        let back = AdmgState::from_bytes(&blob).unwrap();
-        assert_eq!(s, back);
-    }
-
-    #[test]
-    fn from_bytes_rejects_corruption() {
-        let s = AdmgState::zeros(&tiny());
-        let blob = s.to_bytes();
-        // Bad magic.
-        let mut bad = blob.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            AdmgState::from_bytes(&bad),
-            Err(CoreError::Checkpoint { .. })
-        ));
-        // Truncation.
-        assert!(AdmgState::from_bytes(&blob[..blob.len() - 3]).is_err());
-        assert!(AdmgState::from_bytes(&blob[..4]).is_err());
-        // Shape mismatch: lie about n.
-        let mut lied = blob;
-        lied[AdmgState::MAGIC.len() + 4] = 3;
-        assert!(AdmgState::from_bytes(&lied).is_err());
+        assert_eq!(s.a_loads(), vec![1.0, 1.5]);
+        assert_eq!(s.lambda_loads(), vec![1.5, 1.5]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 use ufc_model::{ufc_improvement, UfcInstance};
 
 use crate::pool::WorkerPool;
-use crate::workspace::SolverWorkspace;
 use crate::{AdmgSettings, AdmgSolution, AdmgSolver, AdmgState, CoreError, Result};
 
 /// The paper's three procurement strategies (§IV-B).
@@ -86,12 +85,9 @@ impl StrategyComparison {
 
 /// Solves all three strategies on one instance with the same settings.
 ///
-/// One `SolverWorkspace` (block kernels, iterate buffers) and one
-/// [`WorkerPool`] are shared across the three solves: the strategy flags
-/// only gate the scalar μ/ν steps and every workspace buffer is fully
-/// overwritten per prediction, so the shared-workspace results are
-/// bit-identical to three independent solves while the kernels are built
-/// only once.
+/// The three solves share one [`WorkerPool`] and each builds its own
+/// nodes (the strategy's block gating is node data), so the results are
+/// bit-identical to three independent solves.
 ///
 /// # Errors
 ///
@@ -102,13 +98,11 @@ pub fn solve_all_strategies(
 ) -> Result<StrategyComparison> {
     let solver = AdmgSolver::new(settings);
     let pool = WorkerPool::new(solver.settings().num_threads);
-    let mut ws = SolverWorkspace::new(instance, solver.settings());
-    let mut run = |strategy| {
+    let run = |strategy| {
         solver.solve_with(
             instance,
             strategy,
             AdmgState::zeros(instance),
-            &mut ws,
             &pool,
             &mut (),
         )
@@ -154,10 +148,10 @@ mod tests {
         assert_eq!(Strategy::ALL.len(), 3);
     }
 
-    /// Sharing one workspace (and its block kernels) across the three strategy
-    /// solves must be bit-identical to three independent solves.
+    /// Sharing one pool across the three strategy solves must be
+    /// bit-identical to three independent solves.
     #[test]
-    fn shared_workspace_matches_independent_solves_bitwise() {
+    fn shared_pool_matches_independent_solves_bitwise() {
         let inst = tiny();
         let settings = AdmgSettings::default();
         let shared = solve_all_strategies(&inst, settings).unwrap();

@@ -1,4 +1,6 @@
-//! Per-block solver kernels for the ADM-G hot path.
+//! The in-process solver's hot path: the exact per-block kernels every
+//! node builds, and [`InProcessTransport`], which steps one node per block
+//! on a [`WorkerPool`].
 //!
 //! Across ADM-G iterations every sub-problem QP keeps the *same* Hessian and
 //! constraints — only the linear term (built from the current duals and
@@ -26,9 +28,9 @@
 //!
 //! * A kernel is a pure function of its block data, ρ and the linear term:
 //!   it takes no warm start and carries nothing between calls but scratch
-//!   buffers it overwrites. Every engine builds its kernels here, so the
-//!   in-process workspace, every node, a respawned node and a restored one
-//!   all produce the same bits.
+//!   buffers it overwrites. Every engine builds its kernels through
+//!   [`crate::node`], so every node — in process, on a distributed engine,
+//!   respawned or restored — produces the same bits.
 //! * Ties among breakpoints cannot change a result: the sorts use
 //!   [`f64::total_cmp`], a total order under which tied entries are equal
 //!   bit patterns, so the sorted sequence — and every prefix sum — is
@@ -47,13 +49,12 @@ use ufc_model::{utility::disutility_rank1_gamma, QueueingCost, UfcInstance};
 use ufc_opt::projection::{project_capped_simplex, simplex_threshold};
 use ufc_opt::{Fista, QuadObjective, SmoothObjective};
 
+use crate::engine::{BlockResiduals, BlockSchedule, Transport};
+use crate::node::{DatacenterNode, FrontendNode, NodeResiduals};
 use crate::pool::WorkerPool;
-use crate::subproblems::{
-    mu_scalar_step_bounded, nu_scalar_step, storage_scalar_step, CongestedAStep,
-    FISTA_CONGESTED_TOL, FISTA_MAX_ITER,
-};
+use crate::subproblems::{CongestedAStep, FISTA_CONGESTED_TOL, FISTA_MAX_ITER};
 use crate::telemetry::SolverCounters;
-use crate::{AdmgSettings, AdmgState, CoreError, Result};
+use crate::{AdmgSettings, AdmgState, Result};
 
 /// Entry tolerance for accepting a previous iterate as the congested
 /// a-step's warm start: component-wise nonnegativity slack, also the
@@ -499,257 +500,159 @@ impl AColQp {
     }
 }
 
-/// Per-front-end λ block: the kernel plus reusable linear-term and result
-/// buffers, so steady-state iterations allocate nothing per block.
-#[derive(Debug)]
-struct LambdaBlock {
-    c: Vec<f64>,
-    out: Vec<f64>,
-    qp: LambdaQp,
+/// The in-process transport: one [`FrontendNode`] per front-end and one
+/// [`DatacenterNode`] per datacenter — the nodes every distributed engine
+/// steps — run on a [`WorkerPool`]. Each iteration is two pool maps, the
+/// front-end predictions and then the datacenter steps (which carry the
+/// datacenter side of the correction); the front-end correction runs
+/// inline. The shares cross between the two sides through two flat
+/// buffers, so the nodes' clean path allocates nothing per iteration.
+pub(crate) struct InProcessTransport<'a> {
+    instance: &'a UfcInstance,
+    pool: &'a WorkerPool,
+    frontends: Vec<FrontendNode>,
+    datacenters: Vec<DatacenterNode>,
+    /// `λ̃` by column: datacenter `j` reads `columns[j·M..(j+1)·M]`.
+    columns: Vec<f64>,
+    /// `ã` by row: front-end `i` reads `rows[i·N..(i+1)·N]`.
+    rows: Vec<f64>,
+    dc_residuals: Vec<NodeResiduals>,
+    /// The iterate gathered back from the nodes: the objective's input,
+    /// and the final state.
+    state: AdmgState,
 }
 
-/// Per-datacenter μ/ν/d/a block (the datacenter-owned prediction steps are
-/// fused: they share the column load and demand). `d` is the storage block's
-/// net discharge — exactly `0.0` on spatial-only instances and for
-/// datacenters without a battery, which keeps the classic 4-block schedule
-/// the bit-identical degenerate case.
-#[derive(Debug)]
-struct ABlock {
-    c: Vec<f64>,
-    /// The previous column `a_·j`: the congested kernel's warm start.
-    warm: Vec<f64>,
-    out: Vec<f64>,
-    mu: f64,
-    nu: f64,
-    d: f64,
-    qp: AColQp,
-}
-
-/// The solver-wide workspace: one persistent kernel per ADM-G block plus the
-/// reusable `tilde`/`prev` iterate buffers. Built once per run (or shared
-/// across the strategy solves of `solve_all_strategies`) and reused across
-/// all iterations through the in-process `Transport`.
-#[derive(Debug)]
-pub(crate) struct SolverWorkspace {
-    /// Predicted (tilde) iterate, overwritten by each prediction phase.
-    pub(crate) tilde: AdmgState,
-    /// Scratch copy of the pre-correction iterate (for the dual residual).
-    pub(crate) prev: AdmgState,
-    lambda_blocks: Vec<LambdaBlock>,
-    a_blocks: Vec<ABlock>,
-    rho: f64,
-}
-
-impl SolverWorkspace {
-    pub(crate) fn new(instance: &UfcInstance, settings: &AdmgSettings) -> Self {
-        let (m, n) = (instance.m_frontends(), instance.n_datacenters());
-        let w = instance.weight_per_kserver();
-        let lambda_blocks = (0..m)
-            .map(|i| LambdaBlock {
-                c: vec![0.0; n],
-                out: vec![0.0; n],
-                qp: LambdaQp::new(
-                    &instance.latency_s[i],
-                    instance.arrivals[i],
-                    w,
-                    settings.rho,
-                ),
-            })
-            .collect();
-        let a_blocks = (0..n)
-            .map(|j| ABlock {
-                c: vec![0.0; m],
-                warm: vec![0.0; m],
-                out: vec![0.0; m],
-                mu: 0.0,
-                nu: 0.0,
-                d: 0.0,
-                qp: AColQp::new(
-                    m,
-                    settings.rho,
-                    instance.beta[j],
-                    instance.capacities[j],
-                    instance.queueing,
-                ),
-            })
-            .collect();
-        SolverWorkspace {
-            tilde: AdmgState::zeros(instance),
-            prev: AdmgState::zeros(instance),
-            lambda_blocks,
-            a_blocks,
-            rho: settings.rho,
-        }
-    }
-
-    /// The λ prediction phase (paper Eq. (17)): one simplex QP per
-    /// front-end, writing `λ̃` into `self.tilde.lambda`.
+impl<'a> InProcessTransport<'a> {
+    /// Builds the nodes for `instance` and loads them from `start`.
     ///
-    /// The per-front-end solves are fanned across `pool`; results land in
-    /// fixed per-block slots and are gathered in index order, so any thread
-    /// count yields bit-identical output.
+    /// # Panics
     ///
-    /// Called from the unified iteration driver (`crate::engine::drive`) —
-    /// the phase order λ → μ → ν → a lives there, not here.
-    pub(crate) fn predict_lambda(&mut self, state: &AdmgState, pool: &WorkerPool) {
-        let n = state.n;
-        let rho = self.rho;
-        pool.map_mut(&mut self.lambda_blocks, |i, blk| {
-            for j in 0..n {
-                blk.c[j] = state.varphi[i * n + j] - rho * state.a[i * n + j];
-            }
-            blk.qp.solve_into(&blk.c, &mut blk.out);
-        });
-        for (i, blk) in self.lambda_blocks.iter().enumerate() {
-            self.tilde.lambda[i * n..(i + 1) * n].copy_from_slice(&blk.out);
-        }
-    }
-
-    /// The datacenter-side prediction phases (paper Eqs. (18)–(20) plus the
-    /// storage block and the dual prediction): the fused per-datacenter
-    /// μ → ν → d → a steps followed by the in-place φ/φ_ij updates, writing
-    /// into `self.tilde`. Requires a preceding [`Self::predict_lambda`] for
-    /// the same `state` (it consumes `self.tilde.lambda`).
-    ///
-    /// Each column's closed-form μ, ν and d and its capped-simplex QP depend
-    /// only on that datacenter's load, so the steps run as one task per
-    /// datacenter, fanned across `pool` with index-ordered gather
-    /// (bit-identical at any thread count). On spatial-only instances the d
-    /// step is pinned at exactly `0.0` and the phase reproduces the classic
-    /// 4-block prediction bit-for-bit.
-    pub(crate) fn predict_site_blocks(
-        &mut self,
-        instance: &UfcInstance,
-        state: &AdmgState,
-        pool: &WorkerPool,
+    /// Panics if `start` is not shaped for `instance`.
+    pub(crate) fn new(
+        instance: &'a UfcInstance,
+        settings: &AdmgSettings,
+        start: AdmgState,
+        pool: &'a WorkerPool,
         active_mu: bool,
         active_nu: bool,
-    ) -> Result<()> {
-        let (m, n) = (state.m, state.n);
-        let rho = self.rho;
-        let tilde_lambda = &self.tilde.lambda;
-        let h = instance.slot_hours;
-        let a_results = pool.map_mut(&mut self.a_blocks, |j, blk| {
-            let mut load = 0.0;
-            for i in 0..m {
-                load += state.a[i * n + j];
-            }
-            let demand = instance.demand_mw(j, load);
-            // μ̃/ν̃ see the demand net of the previous iterate's storage
-            // draw; on spatial-only instances `state.d[j]` is exactly `0.0`
-            // and `x − 0.0 = x` bitwise, so the classic path is unchanged.
-            let demand_eff = demand - state.d[j];
-            let (mu_lo, mu_hi) = match &instance.storage {
-                Some(sp) => sp.mu_bounds(j, instance.mu_max[j]),
-                None => (0.0, instance.mu_max[j]),
-            };
-            blk.mu = if active_mu {
-                mu_scalar_step_bounded(
-                    demand_eff,
-                    state.nu[j],
-                    state.phi[j],
-                    h * instance.fuel_cell_price,
-                    rho,
-                    mu_lo,
-                    mu_hi,
-                )
-            } else {
-                0.0
-            };
-            blk.nu = if active_nu {
-                nu_scalar_step(
-                    demand_eff,
-                    blk.mu,
-                    state.phi[j],
-                    h * instance.grid_price[j],
-                    instance.carbon_t_per_mwh[j] * h,
-                    &instance.emission_cost[j],
-                    rho,
-                )
-            } else {
-                0.0
-            };
-            // Storage block: solves for a *fresh* net discharge against the
-            // full demand (not `demand_eff` — the block replaces `d`, it
-            // does not adjust it). Pinned at exactly `+0.0` without a
-            // battery.
-            blk.d = match &instance.storage {
-                Some(sp) if sp.active(j) => {
-                    let (d_lo, d_hi) = sp.discharge_bounds(j, h);
-                    storage_scalar_step(
-                        demand,
-                        blk.mu,
-                        blk.nu,
-                        state.phi[j],
-                        sp.value_per_mwh[j] * h,
-                        sp.degradation_per_mwh * h,
-                        rho,
-                        d_lo,
-                        d_hi,
-                    )
-                }
-                _ => 0.0,
-            };
-            let beta = instance.beta[j];
-            let drift = instance.alpha[j] - blk.mu - blk.nu - blk.d;
-            for i in 0..m {
-                blk.c[i] =
-                    -rho * tilde_lambda[i * n + j] - state.varphi[i * n + j] - state.phi[j] * beta
-                        + rho * beta * drift;
-            }
-            for i in 0..m {
-                blk.warm[i] = state.a[i * n + j];
-            }
-            let (c, warm, out) = (&blk.c, &blk.warm, &mut blk.out);
-            blk.qp.solve_into(c, Some(warm.as_slice()), out)
-        });
-        for (j, r) in a_results.into_iter().enumerate() {
-            r.map_err(|e| CoreError::subproblem(format!("a[{j}]"), e))?;
-        }
-        for (j, blk) in self.a_blocks.iter().enumerate() {
-            self.tilde.mu[j] = blk.mu;
-            self.tilde.nu[j] = blk.nu;
-            self.tilde.d[j] = blk.d;
-            for i in 0..m {
-                self.tilde.a[i * n + j] = blk.out[i];
-            }
-        }
+    ) -> Self {
+        let (m, n) = (instance.m_frontends(), instance.n_datacenters());
+        let mut transport = InProcessTransport {
+            instance,
+            pool,
+            frontends: (0..m)
+                .map(|i| FrontendNode::new(instance, i, settings))
+                .collect(),
+            datacenters: (0..n)
+                .map(|j| DatacenterNode::new(instance, j, settings, active_mu, active_nu))
+                .collect(),
+            columns: vec![0.0; m * n],
+            rows: vec![0.0; m * n],
+            dc_residuals: vec![NodeResiduals::default(); n],
+            state: start,
+        };
+        transport.load();
+        transport
+    }
 
-        // --- Dual updates, in place (no per-iteration allocation).
-        for j in 0..n {
-            let mut load = 0.0;
-            for i in 0..m {
-                load += self.tilde.a[i * n + j];
-            }
-            self.tilde.phi[j] = state.phi[j]
-                - rho
-                    * (instance.demand_mw(j, load)
-                        - self.tilde.mu[j]
-                        - self.tilde.nu[j]
-                        - self.tilde.d[j]);
+    /// Loads every node's slice of `self.state`.
+    fn load(&mut self) {
+        for fe in &mut self.frontends {
+            fe.load(&self.state);
         }
-        for k in 0..m * n {
-            self.tilde.varphi[k] = state.varphi[k] - rho * (self.tilde.a[k] - self.tilde.lambda[k]);
+        for dc in &mut self.datacenters {
+            dc.load(&self.state);
+        }
+    }
+
+    /// The datacenter kernels' counters (the congested a-step's warm-start
+    /// gates; the λ kernels count nothing).
+    pub(crate) fn counters(&self) -> SolverCounters {
+        let mut c = SolverCounters::default();
+        for dc in &self.datacenters {
+            dc.add_counters(&mut c);
+        }
+        c
+    }
+
+    /// The final corrected iterate, gathered from the nodes.
+    pub(crate) fn into_state(mut self) -> AdmgState {
+        for fe in &self.frontends {
+            fe.store(&mut self.state);
+        }
+        for dc in &self.datacenters {
+            dc.store(&mut self.state);
+        }
+        self.state
+    }
+}
+
+impl Transport for InProcessTransport<'_> {
+    fn schedule(&self) -> BlockSchedule {
+        BlockSchedule::for_instance(self.instance)
+    }
+
+    fn predict_lambda(&mut self, _k: usize) -> Result<()> {
+        self.pool.map_mut(&mut self.frontends, |_, fe| {
+            fe.predict_lambda();
+        });
+        let m = self.frontends.len();
+        for (i, fe) in self.frontends.iter().enumerate() {
+            for (column, &v) in self.columns.chunks_exact_mut(m).zip(fe.lambda_tilde()) {
+                column[i] = v;
+            }
         }
         Ok(())
     }
 
-    /// Solver-layer telemetry counters aggregated across the a-column
-    /// kernels (the congested warm-start gates; the λ kernels count
-    /// nothing). The pool counters are filled in by the caller that owns
-    /// the [`WorkerPool`].
-    pub(crate) fn counters(&self) -> SolverCounters {
-        let mut c = SolverCounters::default();
-        for b in &self.a_blocks {
-            b.qp.add_counters(&mut c);
+    fn step_datacenters(&mut self, _k: usize) -> Result<()> {
+        let (m, n) = (self.frontends.len(), self.datacenters.len());
+        let columns = &self.columns;
+        let steps = self.pool.map_mut(&mut self.datacenters, |j, dc| {
+            dc.process(&columns[j * m..(j + 1) * m])
+                .map(|step| step.residuals)
+        });
+        // Index-order gather: the lowest-indexed failing datacenter's
+        // error surfaces, as on every engine.
+        for ((j, step), dc) in steps.into_iter().enumerate().zip(&self.datacenters) {
+            self.dc_residuals[j] = step?;
+            for (row, &v) in self.rows.chunks_exact_mut(n).zip(dc.a_tilde()) {
+                row[j] = v;
+            }
         }
-        c
+        Ok(())
+    }
+
+    fn correct(&mut self, _k: usize) -> Result<BlockResiduals> {
+        let n = self.datacenters.len();
+        let mut reduced = BlockResiduals::default();
+        for (fe, row) in self.frontends.iter_mut().zip(self.rows.chunks_exact(n)) {
+            fe.receive_a_and_correct(row).fold_into(&mut reduced);
+        }
+        for r in &self.dc_residuals {
+            r.fold_into(&mut reduced);
+        }
+        Ok(reduced)
+    }
+
+    fn objective(&mut self) -> Option<f64> {
+        let n = self.datacenters.len();
+        for (row, fe) in self.state.lambda.chunks_exact_mut(n).zip(&self.frontends) {
+            row.copy_from_slice(fe.lambda());
+        }
+        for (j, dc) in self.datacenters.iter().enumerate() {
+            self.state.mu[j] = dc.mu();
+            self.state.nu[j] = dc.nu();
+            self.state.d[j] = dc.d();
+        }
+        Some(self.state.objective(self.instance))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correction::gaussian_back_substitution;
     use crate::subproblems::{a_step, dual_step, lambda_step, mu_step, nu_step, storage_step};
     use ufc_model::{EmissionCostFn, StorageFleet};
 
@@ -774,27 +677,37 @@ mod tests {
         .unwrap()
     }
 
-    /// One workspace prediction round from `state`, returning the predicted
+    /// One node round (predict, datacenter step, front-end correction)
+    /// through the in-process transport.
+    fn step(t: &mut InProcessTransport<'_>) {
+        t.predict_lambda(1).unwrap();
+        t.step_datacenters(1).unwrap();
+        t.correct(1).unwrap();
+    }
+
+    /// One node round from `state` on fresh nodes, returning the corrected
     /// iterate.
-    fn predict(inst: &UfcInstance, state: &AdmgState) -> AdmgState {
+    fn round(inst: &UfcInstance, state: &AdmgState) -> AdmgState {
         let pool = WorkerPool::new(1);
-        let mut ws = SolverWorkspace::new(inst, &AdmgSettings::default());
-        ws.predict_lambda(state, &pool);
-        ws.predict_site_blocks(inst, state, &pool, true, true)
-            .unwrap();
-        ws.tilde
+        let settings = AdmgSettings::default();
+        let mut t = InProcessTransport::new(inst, &settings, state.clone(), &pool, true, true);
+        step(&mut t);
+        t.into_state()
     }
 
     /// The same round through the reference step functions (dense active
-    /// set).
-    fn reference(inst: &UfcInstance, rho: f64, state: &AdmgState) -> AdmgState {
+    /// set) and the closed-form correction, returning the prediction and
+    /// the corrected iterate.
+    fn reference(inst: &UfcInstance, state: &AdmgState) -> (AdmgState, AdmgState) {
+        let settings = AdmgSettings::default();
+        let rho = settings.rho;
         let lt = lambda_step(inst, rho, state).unwrap();
         let mt = mu_step(inst, rho, state, true);
         let nt = nu_step(inst, rho, state, &mt, true);
         let dt = storage_step(inst, rho, state, &mt, &nt);
         let at = a_step(inst, rho, state, &lt, &mt, &nt, &dt).unwrap();
         let (pt, vt) = dual_step(inst, rho, state, &lt, &mt, &nt, &dt, &at);
-        AdmgState {
+        let tilde = AdmgState {
             lambda: lt,
             mu: mt,
             nu: nt,
@@ -803,7 +716,10 @@ mod tests {
             phi: pt,
             varphi: vt,
             ..state.clone()
-        }
+        };
+        let mut next = state.clone();
+        gaussian_back_substitution(inst, &mut next, &tilde, settings.epsilon, true, true);
+        (tilde, next)
     }
 
     /// Asserts `a ≈ b` entry by entry at `1e-9 · (1 + |b|)`.
@@ -817,24 +733,24 @@ mod tests {
         }
     }
 
-    /// The workspace round matches the reference steps exactly on the
-    /// closed-form μ/ν/d steps, which run before any QP, and to solver
-    /// precision on λ, a and the duals.
+    /// A node round matches the reference steps followed by
+    /// `correction::gaussian_back_substitution` — the closed form that
+    /// `generic` checks against the explicit `G` matrix — to the exact
+    /// kernels' precision against the dense active set.
     fn assert_matches_reference(inst: &UfcInstance, state: &AdmgState) -> AdmgState {
-        let expected = reference(inst, AdmgSettings::default().rho, state);
-        let tilde = predict(inst, state);
-        assert_eq!(tilde.mu, expected.mu);
-        assert_eq!(tilde.nu, expected.nu);
-        assert_eq!(tilde.d, expected.d);
-        assert_close(&tilde.lambda, &expected.lambda, "lambda");
-        assert_close(&tilde.a, &expected.a, "a");
-        assert_close(&tilde.phi, &expected.phi, "phi");
-        assert_close(&tilde.varphi, &expected.varphi, "varphi");
+        let (tilde, expected) = reference(inst, state);
+        let next = round(inst, state);
+        assert_close(&next.lambda, &expected.lambda, "lambda");
+        assert_close(&next.mu, &expected.mu, "mu");
+        assert_close(&next.nu, &expected.nu, "nu");
+        assert_close(&next.d, &expected.d, "d");
+        assert_close(&next.a, &expected.a, "a");
+        assert_close(&next.phi, &expected.phi, "phi");
+        assert_close(&next.varphi, &expected.varphi, "varphi");
         tilde
     }
 
-    /// The fused workspace prediction reproduces the five reference step
-    /// functions from the zero state.
+    /// A node round from the zero state.
     #[test]
     fn predict_matches_reference_steps_on_cold_state() {
         let inst = tiny();
@@ -852,10 +768,10 @@ mod tests {
         assert_matches_reference(&inst, &state);
     }
 
-    /// On a storage instance the fused datacenter phase reproduces the five
-    /// reference step functions — μ bounds from the ramp limit, the
-    /// fresh-d storage solve, and the d-aware drift and duals — from a
-    /// nonzero state.
+    /// On a storage instance the node round reproduces the reference —
+    /// μ bounds from the ramp limit, the fresh-d storage solve, the d-aware
+    /// drift, duals and correction — from a nonzero state whose balance
+    /// duals price power above the fuel cells' cost, so the ramp binds.
     #[test]
     fn predict_matches_reference_steps_with_storage() {
         let fleet = StorageFleet::new(2.0, 1.0)
@@ -867,7 +783,7 @@ mod tests {
         let mut state = AdmgState::zeros(&inst);
         state.a = vec![0.4, 0.6, 1.5, 0.5];
         state.varphi = vec![0.1, -0.2, 0.05, 0.3];
-        state.phi = vec![0.2, -0.1];
+        state.phi = vec![-90.0, -95.0];
         state.nu = vec![0.3, 0.2];
         state.d = vec![0.05, -0.1];
         let tilde = assert_matches_reference(&inst, &state);
@@ -875,33 +791,36 @@ mod tests {
             tilde.d.iter().any(|&d| d != 0.0),
             "storage block should engage"
         );
-        // Ramp limit binds: μ̃ stays inside the [μ_prev ± ramp] box.
-        for j in 0..2 {
-            assert!(tilde.mu[j] <= 0.3 + 1e-12);
-        }
+        // The ramp binds: μ̃ sits on the top of the [μ_prev ± ramp] box.
+        assert_eq!(tilde.mu, vec![0.3, 0.3], "ramp should bind");
     }
 
-    /// The kernels carry nothing between solves: repeated rounds from the
-    /// same state on one workspace are bit-identical to a fresh
-    /// workspace's first round.
+    /// The kernels carry nothing between solves: rounds from the same
+    /// state, reloaded into the same nodes, are bit-identical to fresh
+    /// nodes' first round.
     #[test]
     fn repeated_predictions_are_bit_identical() {
         let inst = tiny();
         let mut state = AdmgState::zeros(&inst);
         state.a = vec![0.4, 0.6, 1.5, 0.5];
         state.varphi = vec![0.1, -0.2, 0.05, 0.3];
-        let fresh = predict(&inst, &state);
+        let fresh = round(&inst, &state);
         let pool = WorkerPool::new(1);
-        let mut ws = SolverWorkspace::new(&inst, &AdmgSettings::default());
+        let settings = AdmgSettings::default();
+        let mut t = InProcessTransport::new(&inst, &settings, state.clone(), &pool, true, true);
         for _ in 0..3 {
-            ws.predict_lambda(&state, &pool);
-            ws.predict_site_blocks(&inst, &state, &pool, true, true)
-                .unwrap();
-            assert_eq!(ws.tilde.lambda, fresh.lambda);
-            assert_eq!(ws.tilde.a, fresh.a);
-            assert_eq!(ws.tilde.varphi, fresh.varphi);
+            t.state.clone_from(&state);
+            t.load();
+            step(&mut t);
+            for fe in &t.frontends {
+                fe.store(&mut t.state);
+            }
+            for dc in &t.datacenters {
+                dc.store(&mut t.state);
+            }
+            assert_eq!(t.state, fresh);
         }
-        assert_eq!(ws.counters(), SolverCounters::default());
+        assert_eq!(t.counters(), SolverCounters::default());
     }
 
     /// Deterministic scaled instance for the thread-count bit-identity test:
@@ -938,11 +857,10 @@ mod tests {
         .unwrap()
     }
 
-    /// The invariant at scale: with the sharded gather, prediction rounds
-    /// on a 512×16 instance are bit-identical at 1, 2, 4 and 8 worker
-    /// threads. `exact` pools bypass the core-count clamp so the
-    /// multi-shard spawn path genuinely runs regardless of the host
-    /// machine.
+    /// The invariant at scale: node rounds on a 512×16 instance are
+    /// bit-identical at 1, 2, 4 and 8 worker threads. `exact` pools bypass
+    /// the core-count clamp so the multi-shard spawn path genuinely runs
+    /// regardless of the host machine.
     #[test]
     fn scaled_predictions_bit_identical_across_thread_counts() {
         let inst = scaled(512, 16);
@@ -950,29 +868,15 @@ mod tests {
         let mut reference: Option<AdmgState> = None;
         for threads in [1usize, 2, 4, 8] {
             let pool = WorkerPool::exact(threads);
-            let mut ws = SolverWorkspace::new(&inst, &settings);
-            let mut state = AdmgState::zeros(&inst);
+            let start = AdmgState::zeros(&inst);
+            let mut t = InProcessTransport::new(&inst, &settings, start, &pool, true, true);
             for _ in 0..3 {
-                ws.predict_lambda(&state, &pool);
-                ws.predict_site_blocks(&inst, &state, &pool, true, true)
-                    .unwrap();
-                state.lambda.copy_from_slice(&ws.tilde.lambda);
-                state.mu.copy_from_slice(&ws.tilde.mu);
-                state.nu.copy_from_slice(&ws.tilde.nu);
-                state.a.copy_from_slice(&ws.tilde.a);
-                state.phi.copy_from_slice(&ws.tilde.phi);
-                state.varphi.copy_from_slice(&ws.tilde.varphi);
+                step(&mut t);
             }
+            let state = t.into_state();
             match &reference {
                 None => reference = Some(state),
-                Some(r) => {
-                    assert_eq!(r.lambda, state.lambda, "{threads} threads: λ diverged");
-                    assert_eq!(r.mu, state.mu, "{threads} threads: μ diverged");
-                    assert_eq!(r.nu, state.nu, "{threads} threads: ν diverged");
-                    assert_eq!(r.a, state.a, "{threads} threads: a diverged");
-                    assert_eq!(r.phi, state.phi, "{threads} threads: φ diverged");
-                    assert_eq!(r.varphi, state.varphi, "{threads} threads: φ_ij diverged");
-                }
+                Some(r) => assert_eq!(r, &state, "{threads} threads diverged"),
             }
         }
     }

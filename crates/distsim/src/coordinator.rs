@@ -10,6 +10,7 @@
 //! so the engines stay decision-for-decision identical by construction.
 
 use ufc_core::engine::{BlockResiduals, DriveOutcome};
+use ufc_core::node::{DatacenterSnapshot, FrontendSnapshot, NodeResiduals};
 use ufc_core::repair::assemble_point;
 use ufc_core::telemetry::{IntegrityCounters, RunTelemetry, TrafficCounters};
 use ufc_core::{AdmgState, CoreError};
@@ -17,9 +18,8 @@ use ufc_model::{evaluate, OperatingPoint, UfcBreakdown, UfcInstance};
 
 use crate::fault::{FaultPlan, FaultReport, FaultTracker, IntegrityState, NodeId};
 use crate::message::{Message, CHECKSUM_OVERHEAD_BYTES};
-use crate::node::{nan_max, NodeResiduals};
 use crate::runtime::DistRunReport;
-use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
+use crate::snapshot::CheckpointStore;
 use crate::stats::{estimated_wan_seconds_live, max_live_latency, MessageStats};
 
 /// One iteration's inputs, buffered for checkpoint-restart replay.
@@ -83,7 +83,7 @@ impl RollbackPoint {
     /// The live membership view stays authoritative over whatever a
     /// snapshot recorded: each front-end snapshot takes the current mask,
     /// with the blocks of every evicted datacenter zeroed, as
-    /// [`crate::node::FrontendNode::set_evicted`] does.
+    /// [`ufc_core::node::FrontendNode::set_evicted`] does.
     ///
     /// # Errors
     ///
@@ -280,10 +280,11 @@ pub(crate) fn record_a_traffic(
 
 /// Records every node's residual report and max-reduces the three
 /// residuals (NaN-sticky, so a poisoned iterate cannot hide — see
-/// [`nan_max`]); the stop decision itself belongs to the unified driver
-/// (`ufc_core::engine::drive`), which applies the tolerance tests and
-/// hands the verdict back through [`record_control`]. Also returns the
-/// first node whose report is non-finite — the divergence gate's suspect.
+/// [`NodeResiduals::fold_into`]); the stop decision itself belongs to the
+/// unified driver (`ufc_core::engine::drive`), which applies the tolerance
+/// tests and hands the verdict back through [`record_control`]. Also
+/// returns the first node whose report is non-finite — the divergence
+/// gate's suspect.
 pub(crate) fn reduce_residuals(
     stats: &mut MessageStats,
     fe: &[NodeResiduals],
@@ -305,9 +306,7 @@ pub(crate) fn reduce_residuals(
             balance: r.balance,
             movement: r.movement,
         });
-        reduced.link = nan_max(reduced.link, r.link);
-        reduced.balance = nan_max(reduced.balance, r.balance);
-        reduced.movement = nan_max(reduced.movement, r.movement);
+        r.fold_into(&mut reduced);
         let finite = r.link.is_finite() && r.balance.is_finite() && r.movement.is_finite();
         if suspect.is_none() && !finite {
             suspect = Some(if node < m {

@@ -11,6 +11,9 @@
 //! sequential so traffic accounting is deterministic.
 
 use ufc_core::engine::{drive, BlockResiduals, DriveOutcome, IterationObserver, Transport};
+use ufc_core::node::{
+    DatacenterNode, DatacenterSnapshot, FrontendNode, FrontendSnapshot, NodeResiduals,
+};
 use ufc_core::telemetry::{ObserverChain, TelemetryCollector};
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError, WorkerPool};
 use ufc_model::UfcInstance;
@@ -22,9 +25,8 @@ use crate::coordinator::{
 };
 use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution};
 use crate::message::Message;
-use crate::node::{DatacenterNode, FrontendNode, NodeResiduals};
 use crate::runtime::DistRunReport;
-use crate::snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
+use crate::snapshot::CheckpointStore;
 use crate::stats::MessageStats;
 
 /// Runs the lockstep engine under a fault plan.
@@ -275,7 +277,7 @@ impl Transport for LockstepTransport<'_> {
         }
         let mut rows = self
             .pool
-            .map_mut(&mut self.frontends, |_, fe| fe.predict_lambda());
+            .map_mut(&mut self.frontends, |_, fe| fe.predict_lambda().to_vec());
         let phase_max = record_lambda_traffic(
             &mut self.stats,
             &mut self.tracker,
@@ -341,6 +343,7 @@ impl Transport for LockstepTransport<'_> {
             dc.as_mut().map(|node| {
                 let column: Vec<f64> = (0..m).map(|i| rows[i][j]).collect();
                 node.process(&column)
+                    .map(|step| (step.a_tilde.to_vec(), step.d, step.residuals))
             })
         });
         self.rows = rows;
@@ -350,19 +353,19 @@ impl Transport for LockstepTransport<'_> {
         for (j, step) in steps.into_iter().enumerate() {
             // `transpose` surfaces a poisoned iterate as the lowest-indexed
             // datacenter's typed error (index-order gather).
-            let Some(mut step) = step.transpose()? else {
+            let Some((mut a_tilde, d, residuals)) = step.transpose()? else {
                 continue;
             };
             phase_max = phase_max.max(record_a_traffic(
                 &mut self.stats,
                 &mut self.tracker,
                 &mut self.integrity,
-                &mut step.a_tilde,
+                &mut a_tilde,
                 j,
                 k,
             )?);
-            self.a_cols[j] = step.a_tilde;
-            self.dc_residuals[j] = Some(step.residuals);
+            self.a_cols[j] = a_tilde;
+            self.dc_residuals[j] = Some(residuals);
             // Storage-active datacenters report their corrected block value
             // to the coordinator: control-plane traffic (like residual
             // reports), so it rides outside the droppable/corruptible data path
@@ -376,7 +379,7 @@ impl Transport for LockstepTransport<'_> {
                 self.stats.record(&Message::BlockReport {
                     datacenter: j,
                     block: BlockKind::Storage.wire_id(),
-                    value: step.d,
+                    value: d,
                 });
             }
         }

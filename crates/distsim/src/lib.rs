@@ -3,8 +3,9 @@
 //! The paper argues (§III, Fig. 2) that its 4-block ADM-G decomposes into a
 //! *fully distributed* protocol between `M` front-end proxies and `N`
 //! datacenters. This crate runs the algorithm that way — as independent
-//! [`node`]s that only hold their own slice of the problem data and only
-//! communicate through explicit, accounted [`message`]s:
+//! nodes ([`ufc_core::node`]) that only hold their own slice of the
+//! problem data and only communicate through explicit, accounted
+//! [`message`]s:
 //!
 //! 1. each front-end solves its λ-sub-problem and sends `λ̃_ij` to
 //!    datacenter `j`,
@@ -16,9 +17,10 @@
 //! 5. a coordinator max-reduces the per-node residuals and broadcasts the
 //!    continue/stop decision.
 //!
-//! Three engines execute the same node logic: [`Engine::Lockstep`] (a
-//! deterministic round engine, bit-identical to `ufc_core::AdmgSolver` by
-//! construction — asserted in tests), and one supervised coordinator over
+//! Three engines execute the node logic the in-process
+//! `ufc_core::AdmgSolver` steps: [`Engine::Lockstep`] (a deterministic round
+//! engine, bit-identical to the in-process solver by construction —
+//! asserted in tests), and one supervised coordinator over
 //! a fleet of worker threads, one per node over std::sync::mpsc channels
 //! ([`Engine::Threaded`]), or of worker OS processes over TCP
 //! ([`Engine::Sockets`]). Both are `Transport` implementations sequenced
@@ -103,7 +105,6 @@ mod engine_lockstep;
 mod engine_socket;
 pub mod fault;
 pub mod message;
-pub mod node;
 mod rng;
 mod runtime;
 pub mod snapshot;
@@ -116,5 +117,5 @@ pub use fault::{
     CorruptionConfig, CorruptionKind, FaultPlan, FaultReport, NodeId, PartitionWindow,
 };
 pub use runtime::{DistRunReport, DistributedAdmg, Engine, RunSpec, SocketOptions};
-pub use snapshot::{CheckpointStore, DatacenterSnapshot, FrontendSnapshot};
+pub use snapshot::CheckpointStore;
 pub use wire::{AuthKey, BindConfig};

@@ -1,164 +1,12 @@
-//! Per-node checkpoint snapshots for crash-restart.
+//! Per-node checkpoints for crash-restart.
 //!
-//! Each node's iterate slice serializes to the same self-describing
-//! little-endian layout as [`ufc_core::AdmgState::to_bytes`], built entirely
-//! from the shared primitives in `ufc_core::state::codec` (magic check,
-//! length-prefixed `f64` slices, packed boolean masks) — this crate defines
-//! no byte-format logic of its own. A [`CheckpointStore`] holds the most
+//! A checkpoint is a node's iterate slice serialized by its snapshot type
+//! ([`ufc_core::node::FrontendSnapshot`],
+//! [`ufc_core::node::DatacenterSnapshot`]) — this crate defines no
+//! byte-format logic of its own. A [`CheckpointStore`] holds the most
 //! recent blob per node plus the iteration it was taken at, so the
 //! supervisor can respawn a crashed worker from the last checkpoint and
 //! replay only the iterations since.
-
-use ufc_core::state::codec;
-use ufc_core::CoreError;
-
-/// Magic prefix of front-end snapshot blobs (`UFCF` + version 2: the
-/// eviction mask moved from an f64 vector to the codec's packed byte mask).
-pub const FRONTEND_MAGIC: &[u8] = b"UFCF\x02";
-/// Magic prefix of datacenter snapshot blobs (`UFCD` + version 2: the
-/// scalar block grew a fourth slot for the battery net discharge `d_j`).
-pub const DATACENTER_MAGIC: &[u8] = b"UFCD\x02";
-
-/// A front-end's iterate slice: `λ_i·`, its last prediction, and the local
-/// replicas of `a_i·` and the link duals `φ_i·`, plus the eviction mask.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontendSnapshot {
-    /// Corrected routing row `λ_i·`.
-    pub lambda: Vec<f64>,
-    /// Last predicted row `λ̃_i·`.
-    pub lambda_tilde: Vec<f64>,
-    /// Auxiliary replica `a_i·`.
-    pub a: Vec<f64>,
-    /// Link-dual replica `φ_i·`.
-    pub varphi: Vec<f64>,
-    /// Datacenters this front-end currently treats as evicted.
-    pub evicted: Vec<bool>,
-}
-
-impl FrontendSnapshot {
-    /// Serializes the snapshot.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(8 + 8 * 4 * self.lambda.len());
-        buf.extend_from_slice(FRONTEND_MAGIC);
-        codec::put_f64s(&mut buf, &self.lambda);
-        codec::put_f64s(&mut buf, &self.lambda_tilde);
-        codec::put_f64s(&mut buf, &self.a);
-        codec::put_f64s(&mut buf, &self.varphi);
-        codec::put_mask(&mut buf, &self.evicted);
-        buf
-    }
-
-    /// Deserializes a blob produced by [`FrontendSnapshot::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Checkpoint`] on bad magic, truncation, or blocks of
-    /// inconsistent length.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, CoreError> {
-        let mut pos = codec::check_magic(buf, FRONTEND_MAGIC)?;
-        let snap = FrontendSnapshot {
-            lambda: codec::get_f64s(buf, &mut pos)?,
-            lambda_tilde: codec::get_f64s(buf, &mut pos)?,
-            a: codec::get_f64s(buf, &mut pos)?,
-            varphi: codec::get_f64s(buf, &mut pos)?,
-            evicted: codec::get_mask(buf, &mut pos)?,
-        };
-        let n = snap.lambda.len();
-        if [
-            snap.lambda_tilde.len(),
-            snap.a.len(),
-            snap.varphi.len(),
-            snap.evicted.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-        {
-            return Err(CoreError::checkpoint("front-end block lengths disagree"));
-        }
-        Ok(snap)
-    }
-
-    /// Whether every stored value is finite — a poisoned snapshot is no
-    /// rollback target.
-    #[must_use]
-    pub fn is_finite(&self) -> bool {
-        self.lambda
-            .iter()
-            .chain(&self.lambda_tilde)
-            .chain(&self.a)
-            .chain(&self.varphi)
-            .all(|v| v.is_finite())
-    }
-}
-
-/// A datacenter's iterate slice: `μ_j`, `ν_j`, the balance dual `φ_j`, the
-/// battery net discharge `d_j`, and its column replicas `a_·j`, `φ_·j`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatacenterSnapshot {
-    /// Fuel-cell output `μ_j` (MW).
-    pub mu: f64,
-    /// Grid draw `ν_j` (MW).
-    pub nu: f64,
-    /// Balance dual `φ_j`.
-    pub phi: f64,
-    /// Battery net discharge `d_j` (MW; `0.0` without a storage block).
-    pub d: f64,
-    /// Auxiliary column `a_·j`.
-    pub a: Vec<f64>,
-    /// Link-dual replica `φ_·j`.
-    pub varphi: Vec<f64>,
-}
-
-impl DatacenterSnapshot {
-    /// Serializes the snapshot.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(8 + 8 * (4 + 2 * self.a.len()));
-        buf.extend_from_slice(DATACENTER_MAGIC);
-        codec::put_f64s(&mut buf, &[self.mu, self.nu, self.phi, self.d]);
-        codec::put_f64s(&mut buf, &self.a);
-        codec::put_f64s(&mut buf, &self.varphi);
-        buf
-    }
-
-    /// Deserializes a blob produced by [`DatacenterSnapshot::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Checkpoint`] on bad magic, truncation, or blocks of
-    /// inconsistent length.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, CoreError> {
-        let mut pos = codec::check_magic(buf, DATACENTER_MAGIC)?;
-        let scalars = codec::get_f64s(buf, &mut pos)?;
-        if scalars.len() != 4 {
-            return Err(CoreError::checkpoint("datacenter scalar block malformed"));
-        }
-        let snap = DatacenterSnapshot {
-            mu: scalars[0],
-            nu: scalars[1],
-            phi: scalars[2],
-            d: scalars[3],
-            a: codec::get_f64s(buf, &mut pos)?,
-            varphi: codec::get_f64s(buf, &mut pos)?,
-        };
-        if snap.a.len() != snap.varphi.len() {
-            return Err(CoreError::checkpoint("datacenter block lengths disagree"));
-        }
-        Ok(snap)
-    }
-
-    /// Whether every stored value is finite — a poisoned snapshot is no
-    /// rollback target.
-    #[must_use]
-    pub fn is_finite(&self) -> bool {
-        [self.mu, self.nu, self.phi, self.d]
-            .iter()
-            .chain(&self.a)
-            .chain(&self.varphi)
-            .all(|v| v.is_finite())
-    }
-}
 
 /// The supervisor's per-run checkpoint store: one slot per node (front-ends
 /// first, then datacenters), each holding the latest serialized snapshot
@@ -207,7 +55,9 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ufc_core::node::{DatacenterSnapshot, FrontendSnapshot};
 
+    /// A front-end checkpoint decodes from its store slot exactly.
     #[test]
     fn frontend_round_trip() {
         let snap = FrontendSnapshot {
@@ -217,10 +67,14 @@ mod tests {
             varphi: vec![-1.5, 0.0, 2.25],
             evicted: vec![false, true, false],
         };
-        let back = FrontendSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(snap, back);
+        let mut store = CheckpointStore::new(2, 1);
+        store.put_frontend(1, 3, snap.to_bytes());
+        let (iteration, blob) = store.frontend(1).unwrap();
+        assert_eq!(iteration, 3);
+        assert_eq!(FrontendSnapshot::from_bytes(blob).unwrap(), snap);
     }
 
+    /// A datacenter checkpoint decodes from its store slot exactly.
     #[test]
     fn datacenter_round_trip() {
         let snap = DatacenterSnapshot {
@@ -231,10 +85,15 @@ mod tests {
             a: vec![0.1, 0.9],
             varphi: vec![2.0, -2.0],
         };
-        let back = DatacenterSnapshot::from_bytes(&snap.to_bytes()).unwrap();
-        assert_eq!(snap, back);
+        let mut store = CheckpointStore::new(2, 1);
+        store.put_datacenter(0, 5, snap.to_bytes());
+        let (iteration, blob) = store.datacenter(0).unwrap();
+        assert_eq!(iteration, 5);
+        assert_eq!(DatacenterSnapshot::from_bytes(blob).unwrap(), snap);
     }
 
+    /// A slot holding the other kind's blob, a truncated blob or a bad
+    /// magic number fails to decode instead of restoring garbage.
     #[test]
     fn rejects_cross_kind_and_corrupt_blobs() {
         let fe = FrontendSnapshot {
@@ -245,7 +104,9 @@ mod tests {
             evicted: vec![false],
         };
         let blob = fe.to_bytes();
-        assert!(DatacenterSnapshot::from_bytes(&blob).is_err());
+        let mut store = CheckpointStore::new(1, 1);
+        store.put_datacenter(0, 1, blob.clone());
+        assert!(DatacenterSnapshot::from_bytes(store.datacenter(0).unwrap().1).is_err());
         assert!(FrontendSnapshot::from_bytes(&blob[..blob.len() - 2]).is_err());
         let mut bad = blob;
         bad[0] = b'X';

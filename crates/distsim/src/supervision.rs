@@ -31,6 +31,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use ufc_core::engine::{drive, BlockResiduals, IterationObserver, Transport};
+use ufc_core::node::{DatacenterNode, NodeResiduals};
 use ufc_core::telemetry::{ObserverChain, TelemetryCollector};
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule, CoreError};
 use ufc_model::UfcInstance;
@@ -42,7 +43,6 @@ use crate::coordinator::{
 };
 use crate::fault::{FaultPlan, FaultTracker, IntegrityState, NodeId, Resolution, BACKOFF_ROUNDS};
 use crate::message::Message;
-use crate::node::{DatacenterNode, NodeResiduals};
 use crate::runtime::DistRunReport;
 use crate::snapshot::CheckpointStore;
 use crate::stats::MessageStats;

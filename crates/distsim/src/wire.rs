@@ -32,11 +32,11 @@
 
 use std::fmt;
 
+use ufc_core::node::NodeResiduals;
 use ufc_core::CoreError;
 use ufc_model::{EmissionCostFn, QueueingCost, StorageParams, UfcInstance};
 
 use crate::fault::NodeId;
-use crate::node::NodeResiduals;
 use crate::supervision::Reply;
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule};
 

@@ -31,13 +31,12 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use ufc_core::node::{DatacenterNode, DatacenterSnapshot, FrontendNode, FrontendSnapshot};
 use ufc_core::{AdmgSettings, CoreError};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::Tally;
 use crate::fault::{FaultPlan, NodeId};
-use crate::node::{DatacenterNode, FrontendNode};
-use crate::snapshot::{DatacenterSnapshot, FrontendSnapshot};
 use crate::supervision::{Fleet, Reply};
 use crate::wire::{
     handshake_mac, hosted_nodes, sha256, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
@@ -322,7 +321,7 @@ fn dispatch(
         (Hosted::Fe(node), NodeCmd::Predict { iteration }) => Ok(Some(Reply::Lambda {
             i: node.index(),
             iteration,
-            row: node.predict_lambda(),
+            row: node.predict_lambda().to_vec(),
         })),
         (Hosted::Fe(node), NodeCmd::Correct { iteration, a_row }) => Ok(Some(Reply::FeResidual {
             i: node.index(),
@@ -330,16 +329,17 @@ fn dispatch(
             residuals: node.receive_a_and_correct(&a_row),
         })),
         (Hosted::Dc(node), NodeCmd::Process { iteration, column }) => {
+            let j = node.index();
             Ok(Some(match node.process(&column) {
                 Ok(step) => Reply::DcStep {
-                    j: node.index(),
+                    j,
                     iteration,
-                    a_tilde: step.a_tilde,
+                    a_tilde: step.a_tilde.to_vec(),
                     d: step.d,
                     residuals: step.residuals,
                 },
                 Err(error) => Reply::NodeError {
-                    node: NodeId::Datacenter(node.index()),
+                    node: NodeId::Datacenter(j),
                     iteration,
                     error,
                 },

@@ -6,12 +6,10 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
+use ufc_core::node::{DatacenterSnapshot, FrontendSnapshot};
 use ufc_core::{AdmgSettings, Strategy};
 use ufc_distsim::fault::NodeId;
-use ufc_distsim::{
-    CorruptionConfig, CorruptionKind, DatacenterSnapshot, DistributedAdmg, Engine, FaultPlan,
-    FrontendSnapshot, RunSpec,
-};
+use ufc_distsim::{CorruptionConfig, CorruptionKind, DistributedAdmg, Engine, FaultPlan, RunSpec};
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_model::{EmissionCostFn, UfcInstance};
 

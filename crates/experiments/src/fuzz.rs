@@ -54,11 +54,6 @@ const CENTRAL_REL_TOL: f64 = 5e-3;
 const FEASIBILITY_TOL: f64 = 1e-6;
 /// Component tolerance for the generic matrix-form correction oracle.
 const GENERIC_TOL: f64 = 1e-9;
-/// Per-iterate relative tolerance for the residual-trajectory cross-check
-/// between the in-process history and a distributed engine's observed
-/// stream. The engines run the same arithmetic in the same order, so any
-/// drift past rounding is a real divergence, not float noise.
-const RESIDUAL_REL_TOL: f64 = 1e-9;
 
 /// One fully-specified fuzz case: candidate instance parameters plus the
 /// sampled solver-knob combination. This is the unit of generation,
@@ -177,8 +172,10 @@ fn rel_gap(a: f64, b: f64) -> f64 {
 
 /// Compares a distributed engine's observed per-iterate residuals (link,
 /// balance, dual — the KKT quantities the stop rule max-reduces) against
-/// the in-process solver's recorded history. The objective column is
-/// excluded: distributed transports report it as `NaN` by contract.
+/// the in-process solver's recorded history, bit for bit: every engine
+/// steps the same nodes and reduces their reports in the same order. The
+/// objective column is excluded: distributed transports report it as
+/// `NaN` by contract.
 fn check_residual_trajectory(
     name: &str,
     expected: &[IterationRecord],
@@ -200,10 +197,7 @@ fn check_residual_trajectory(
             ("balance", e.balance_residual, o.balance_residual),
             ("dual", e.dual_residual, o.dual_residual),
         ] {
-            let diff = (x - y).abs();
-            // Negated form so a NaN on either side fails the gate.
-            let within = diff <= RESIDUAL_REL_TOL * x.abs().max(1.0);
-            if !within {
+            if x.to_bits() != y.to_bits() {
                 return Err(fail(
                     "residual-divergence",
                     format!(
@@ -1304,8 +1298,10 @@ pub struct FuzzReport {
 ///
 /// # Errors
 ///
-/// Propagates corpus-directory I/O failures. Cross-check failures are
-/// *reported* in the returned [`FuzzReport`], not raised as errors.
+/// Propagates corpus-directory I/O failures, a missing directory included
+/// (a run that replays no corpus would pass vacuously); the error names
+/// the directory's resolved path. Cross-check failures are *reported* in
+/// the returned [`FuzzReport`], not raised as errors.
 pub fn run(
     seed: u64,
     cases: usize,
@@ -1335,14 +1331,17 @@ pub fn run_with(
     let mut report = FuzzReport::default();
 
     // --- Corpus replay first: past findings must stay fixed.
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(corpus_dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "case"))
-            .collect(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
+    let entries = std::fs::read_dir(corpus_dir).map_err(|e| {
+        let resolved = std::path::absolute(corpus_dir).unwrap_or_else(|_| corpus_dir.into());
+        std::io::Error::new(
+            e.kind(),
+            format!("corpus directory {}: {e}", resolved.display()),
+        )
+    })?;
+    let mut paths: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "case"))
+        .collect();
     paths.sort();
     let mut bases: Vec<FuzzCase> = Vec::new();
     for path in paths {
@@ -1630,6 +1629,24 @@ mod tests {
         assert_eq!(f.kind, "residual-divergence");
         let f = check_residual_trajectory("lockstep", &[record(1.0)], &[]).unwrap_err();
         assert_eq!(f.kind, "residual-divergence");
+        // One ulp is a divergence: every engine steps the same nodes.
+        let ulp = record(1.0f64.next_up());
+        let f = check_residual_trajectory("lockstep", &[record(1.0)], &[ulp]).unwrap_err();
+        assert_eq!(f.kind, "residual-divergence");
+    }
+
+    /// A corpus directory that does not exist is an error naming its
+    /// resolved path, not an empty corpus that passes vacuously.
+    #[test]
+    fn missing_corpus_directory_is_an_error() {
+        let dir = Path::new("no-such-corpus-directory");
+        let err = run_with(1, 0, dir, None, false, false).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        let resolved = std::path::absolute(dir).unwrap();
+        assert!(
+            err.to_string().contains(&resolved.display().to_string()),
+            "{err}"
+        );
     }
 
     #[test]

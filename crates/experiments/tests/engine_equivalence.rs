@@ -1,11 +1,13 @@
 //! Cross-engine invariant of the unified iteration driver: the in-process
 //! solver, the lockstep engine, the supervised threaded engine, and both
 //! engines under a trivial fault plan ([`FaultPlan::none`]) all run the
-//! SAME iterates — bitwise, at any thread count — because every one of
-//! them is a `Transport` sequenced by `ufc_core::engine::drive` over the
-//! same block kernels.
+//! SAME iterates and residual streams — bitwise, at any thread count —
+//! because every one of them is a `Transport` sequenced by
+//! `ufc_core::engine::drive` over the same `ufc_core::node` types.
 
-use ufc_core::{AdmgSettings, AdmgSolver, BlockSchedule, Phase, Strategy};
+use ufc_core::{
+    AdmgSettings, AdmgSolver, BlockSchedule, HistoryRecorder, IterationRecord, Phase, Strategy,
+};
 use ufc_distsim::{
     CorruptionConfig, DistRunReport, DistributedAdmg, Engine, FaultPlan, RunSpec, SocketOptions,
 };
@@ -84,6 +86,43 @@ struct ReferenceRun {
     iterations: usize,
     point: Vec<u64>,
     breakdown: Vec<u64>,
+    /// Link, balance and dual residual bits, per iteration.
+    residuals: Vec<[u64; 3]>,
+}
+
+fn residual_bits(history: &[IterationRecord]) -> Vec<[u64; 3]> {
+    history
+        .iter()
+        .map(|r| {
+            [
+                r.link_residual.to_bits(),
+                r.balance_residual.to_bits(),
+                r.dual_residual.to_bits(),
+            ]
+        })
+        .collect()
+}
+
+/// Runs `spec` with a history observer and asserts that both the report
+/// and the observed residual stream match the in-process run bitwise.
+fn observed_run(
+    runner: &DistributedAdmg,
+    instance: &UfcInstance,
+    spec: &RunSpec,
+    reference: &ReferenceRun,
+    label: &str,
+) -> DistRunReport {
+    let mut recorder = HistoryRecorder::default();
+    let report = runner
+        .execute(instance, Strategy::Hybrid, spec, &mut recorder)
+        .unwrap_or_else(|e| panic!("{label} run must succeed: {e}"));
+    assert_report_matches(reference, &report, label);
+    assert_eq!(
+        reference.residuals,
+        residual_bits(&recorder.into_history()),
+        "{label}: residual stream diverged bitwise from the in-process history"
+    );
+    report
 }
 
 fn reference_run(instance: &UfcInstance, settings: AdmgSettings) -> ReferenceRun {
@@ -103,11 +142,13 @@ fn reference_run(instance: &UfcInstance, settings: AdmgSettings) -> ReferenceRun
             &solution.point.d,
         ),
         breakdown: breakdown_bits(&solution.breakdown),
+        residuals: residual_bits(&solution.history),
     }
 }
 
 /// One engine sweep at a fixed thread count: in-process vs lockstep vs
-/// threaded vs both fault-aware paths under `FaultPlan::none()`.
+/// threaded (points and residual streams) vs both fault-aware paths under
+/// `FaultPlan::none()`.
 fn sweep_engines(num_threads: usize) {
     let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
     let instance = instances
@@ -120,29 +161,25 @@ fn sweep_engines(num_threads: usize) {
     let reference = reference_run(instance, settings);
     let runner = DistributedAdmg::new(settings);
 
-    let lockstep = runner
-        .execute(
-            instance,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Lockstep),
-            &mut (),
-        )
-        .expect("lockstep run must succeed");
-    assert_report_matches(&reference, &lockstep, "lockstep");
+    let lockstep = observed_run(
+        &runner,
+        instance,
+        &RunSpec::new(Engine::Lockstep),
+        &reference,
+        "lockstep",
+    );
     assert!(
         lockstep.fault.is_none(),
         "clean lockstep run must not carry a fault report"
     );
 
-    let threaded = runner
-        .execute(
-            instance,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded),
-            &mut (),
-        )
-        .expect("threaded run must succeed");
-    assert_report_matches(&reference, &threaded, "threaded");
+    let threaded = observed_run(
+        &runner,
+        instance,
+        &RunSpec::new(Engine::Threaded),
+        &reference,
+        "threaded",
+    );
     assert_eq!(
         lockstep.stats, threaded.stats,
         "lockstep and threaded runs must exchange identical traffic"
@@ -428,9 +465,9 @@ fn storage_instance() -> UfcInstance {
         .expect("storage parameters must validate")
 }
 
-/// The 5-block storage schedule agrees bitwise across the in-process
-/// solver and both in-thread distributed engines, at 1 and 4 worker
-/// threads, with identical traffic (including the new per-datacenter
+/// The 5-block storage schedule agrees bitwise — point and residual
+/// stream — across the in-process solver and both in-thread distributed
+/// engines, at 1 and 4 worker threads, with identical traffic (including the new per-datacenter
 /// `BlockReport` control messages).
 #[test]
 fn storage_schedule_agrees_bitwise_across_threaded_engines() {
@@ -443,30 +480,18 @@ fn storage_schedule_agrees_bitwise_across_threaded_engines() {
         };
         let reference = reference_run(&instance, settings);
         let runner = DistributedAdmg::new(settings);
-        let lockstep = runner
-            .execute(
-                &instance,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Lockstep),
-                &mut (),
-            )
-            .expect("lockstep storage run must succeed");
-        assert_report_matches(
+        let lockstep = observed_run(
+            &runner,
+            &instance,
+            &RunSpec::new(Engine::Lockstep),
             &reference,
-            &lockstep,
             &format!("storage lockstep x{num_threads}"),
         );
-        let threaded = runner
-            .execute(
-                &instance,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Threaded),
-                &mut (),
-            )
-            .expect("threaded storage run must succeed");
-        assert_report_matches(
+        let threaded = observed_run(
+            &runner,
+            &instance,
+            &RunSpec::new(Engine::Threaded),
             &reference,
-            &threaded,
             &format!("storage threaded x{num_threads}"),
         );
         assert_eq!(
