@@ -8,12 +8,12 @@
 //! moves exactly the `λ̃`/`ã` shares of the paper's Fig. 2 between them.
 //!
 //! This is the one copy of the block arithmetic. The in-process solver
-//! (`crate::workspace`'s node transport), the lockstep engine and both
-//! supervised engines of `ufc_distsim` all step these nodes, so they run
-//! the same expressions in the same order and agree bit for bit. The
-//! per-block steps of [`crate::subproblems`] and the closed-form
-//! [`crate::correction`] stay as the references the nodes are tested
-//! against.
+//! (`crate::workspace`'s node transport) and the three distributed engines
+//! of `ufc_distsim` (one supervisor over three fleets) all step these
+//! nodes, so they run the same expressions in the same order and agree bit
+//! for bit. The per-block steps of [`crate::subproblems`] and the
+//! closed-form [`crate::correction`] stay as the references the nodes are
+//! tested against.
 //!
 //! A node's iterate slice checkpoints as a [`FrontendSnapshot`] or
 //! [`DatacenterSnapshot`], each with a self-describing little-endian byte

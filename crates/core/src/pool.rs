@@ -16,15 +16,20 @@
 //! bit-identical to sequential ones. The calling thread processes the first
 //! shard itself while the spawned workers chew on theirs, so a width-`k`
 //! fan-out spawns only `k − 1` threads.
+//!
+//! Two callers fan out through it: the in-process solver's node phases,
+//! and the inline fleet behind `ufc_distsim`'s lockstep engine, which maps
+//! each command fan-out over the nodes it addresses.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A fixed-width scoped-thread pool.
 ///
 /// The pool itself is stateless apart from telemetry counters (threads are
 /// spawned per call and joined before returning); what it provides is the
 /// deterministic chunked fan-out used by [`crate::AdmgSolver`] and the
-/// distributed lockstep engine.
+/// distributed lockstep engine's inline fleet.
 #[derive(Debug)]
 pub struct WorkerPool {
     threads: usize,
@@ -54,11 +59,18 @@ impl WorkerPool {
     /// are CPU-bound, so oversubscribing cores only adds spawn/join
     /// overhead, and because parallel runs are bit-identical to sequential
     /// ones the clamp can never change a result.
+    ///
+    /// The core count is read once per process and cached: std reads the
+    /// cgroup CPU quota files on every query, which would otherwise cost
+    /// every solve and every inline fleet tens of microseconds.
     #[must_use]
     pub fn new(num_threads: usize) -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        });
         let threads = if num_threads == 0 {
             cores
         } else {

@@ -4,15 +4,14 @@
 //! (with drop, corruption and partition relay accounting), plan-driven
 //! straggler charging, residual reduction, replay-history filtering, the
 //! checkpoint cadence and rollback point, and the final
-//! gather→polish→report step ([`Tally::into_report`]). The lockstep engine
-//! (`crate::engine_lockstep`) and the supervised coordinator
-//! (`crate::supervision`, over threads or processes) both call into these,
-//! so the engines stay decision-for-decision identical by construction.
+//! gather→polish→report step ([`Tally::into_report`]). The supervised
+//! coordinator (`crate::supervision`) calls into these on every fleet, so
+//! the report rules exist once for all three engines.
 
 use ufc_core::engine::{BlockResiduals, DriveOutcome};
 use ufc_core::node::{DatacenterSnapshot, FrontendSnapshot, NodeResiduals};
 use ufc_core::repair::assemble_point;
-use ufc_core::telemetry::{IntegrityCounters, RunTelemetry, TrafficCounters};
+use ufc_core::telemetry::{IntegrityCounters, RunTelemetry, SolverCounters, TrafficCounters};
 use ufc_core::{AdmgState, CoreError};
 use ufc_model::{evaluate, OperatingPoint, UfcBreakdown, UfcInstance};
 
@@ -374,6 +373,10 @@ pub(crate) struct Tally {
     /// Command frames sent and the socket writes that carried them (socket
     /// engine only).
     pub(crate) frames: (u64, u64),
+    /// Solver-layer counters of the node kernels and the worker pool. Only
+    /// the inline fleet can read them; on the thread and process fleets the
+    /// kernels are gone with their carriers, and these stay zero.
+    pub(crate) solver: SolverCounters,
 }
 
 impl Tally {
@@ -394,6 +397,7 @@ impl Tally {
             counters: integrity.counters,
             report_integrity: integrity.active(),
             frames: (0, 0),
+            solver: SolverCounters::default(),
         }
     }
 
@@ -432,6 +436,7 @@ impl Tally {
                 frames_sent,
                 socket_writes,
             });
+            t.solver = self.solver;
             t.fault = fault.as_ref().map(FaultReport::counters);
             t.integrity = integrity;
             t

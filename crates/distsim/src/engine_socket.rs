@@ -266,8 +266,8 @@ pub(crate) struct ProcessFleet {
     pumps: Vec<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     acceptor_stop: Arc<AtomicBool>,
-    /// Command egress. `RefCell` because [`Fleet::send`] takes `&self`.
-    egress: RefCell<Egress>,
+    /// Command egress.
+    egress: Egress,
     /// Per-connection cache of the last clean command bytes, shared with
     /// the pump so a worker `Nak` can be answered with a clean resend.
     last_sent: Vec<Arc<Mutex<Vec<u8>>>>,
@@ -386,14 +386,14 @@ impl ProcessFleet {
         let last_sent: Vec<Arc<Mutex<Vec<u8>>>> = (0..processes)
             .map(|_| Arc::new(Mutex::new(Vec::new())))
             .collect();
-        let egress = RefCell::new(Egress {
+        let egress = Egress {
             chaos: (0..processes)
                 .map(|p| WireChaos::egress(plan.corruption.as_ref(), wire_salt(p, false)))
                 .collect(),
             batches: vec![Vec::new(); processes],
             frames_sent: 0,
             socket_writes: 0,
-        });
+        };
         let (reg_tx, reg_rx) = channel::<Registration>();
         let acceptor_stop = Arc::new(AtomicBool::new(false));
         let acceptor = spawn_acceptor(
@@ -632,14 +632,13 @@ impl Fleet for ProcessFleet {
     /// the frame, in the order the frames go out on that connection. It
     /// takes a `Vec`, not a generic iterator, so that one copy of this body
     /// serves every call site.
-    fn send(&self, cmds: Vec<(usize, NodeCmd)>) {
-        let mut egress = self.egress.borrow_mut();
+    fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
         let Egress {
             chaos,
             batches,
             frames_sent,
             socket_writes,
-        } = &mut *egress;
+        } = &mut self.egress;
         for (node, cmd) in cmds {
             let p = process_of(node, self.processes);
             if self.conns[p].is_none() {
@@ -719,8 +718,7 @@ impl Fleet for ProcessFleet {
     /// reported whenever chaos was armed or either of the latter moved.
     fn shutdown(mut self, tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>) {
         let result = self.teardown();
-        let egress = self.egress.get_mut();
-        tally.frames = (egress.frames_sent, egress.socket_writes);
+        tally.frames = (self.egress.frames_sent, self.egress.socket_writes);
         let counters = &mut tally.counters;
         if let Ok(wire) = self.shared.counters.lock() {
             counters.corruptions_injected += wire.corruptions_injected;

@@ -8,8 +8,8 @@
 //! for a span of iterations. A
 //! [`FaultPlan`] is a fully deterministic schedule — either hand-built or
 //! expanded from a seed by [`FaultPlan::random`] — so that a faulty run is
-//! exactly reproducible and the lockstep engine can mirror the threaded
-//! supervisor decision-for-decision.
+//! exactly reproducible and makes the same decisions on every fleet of the
+//! supervisor.
 //!
 //! The supervisor's recovery policy lives in [`FaultTracker`]: a crashed
 //! node is contacted with exponential-backoff deadlines; each expired
@@ -602,7 +602,8 @@ pub struct FaultReport {
     pub readmitted: Vec<usize>,
     /// Extra message copies sent around partition windows.
     pub partition_retransmissions: usize,
-    /// Final UFC minus the clean (fault-free lockstep) UFC, in dollars.
+    /// Final UFC minus the clean run's UFC (an in-process solve, which every
+    /// engine reproduces bit for bit), in dollars.
     pub ufc_delta_vs_clean: f64,
 }
 

@@ -18,34 +18,37 @@
 //!    continue/stop decision.
 //!
 //! Three engines execute the node logic the in-process
-//! `ufc_core::AdmgSolver` steps: [`Engine::Lockstep`] (a deterministic round
-//! engine, bit-identical to the in-process solver by construction —
-//! asserted in tests), and one supervised coordinator over
-//! a fleet of worker threads, one per node over std::sync::mpsc channels
-//! ([`Engine::Threaded`]), or of worker OS processes over TCP
-//! ([`Engine::Sockets`]). Both are `Transport` implementations sequenced
-//! by the single transport-agnostic iteration driver
-//! `ufc_core::engine::drive` — the λ→μ→ν→a prediction order, the
-//! correction step, and the stop rule exist in exactly one place — and all
-//! are reached through one entry point, [`DistributedAdmg::execute`], that
-//! takes a [`RunSpec`]: the engine and the [`FaultPlan`] it runs under.
-//! Every engine accounts every logical message and estimates the
-//! wall-clock cost of a real WAN deployment from the latency matrix.
+//! `ufc_core::AdmgSolver` steps, and all three are one supervised
+//! coordinator over a different fleet of nodes: node kernels in the calling
+//! thread, fanned out over the worker pool ([`Engine::Lockstep`]), one
+//! worker thread per node over std::sync::mpsc channels
+//! ([`Engine::Threaded`]), or worker OS processes over TCP
+//! ([`Engine::Sockets`]). The coordinator is a `Transport` sequenced by the
+//! single transport-agnostic iteration driver `ufc_core::engine::drive` —
+//! the λ→μ→ν→a prediction order, the correction step, and the stop rule
+//! exist in exactly one place — and every engine is reached through one
+//! entry point, [`DistributedAdmg::execute`], that takes a [`RunSpec`]: the
+//! engine and the [`FaultPlan`] it runs under. All three are bit-identical
+//! to the in-process solver on a clean plan (asserted in tests), account
+//! every logical message, and estimate the wall-clock cost of a real WAN
+//! deployment from the latency matrix.
 //!
 //! # Failure model
 //!
-//! The threaded and socket engines are *supervised*, by one coordinator
-//! written once over either fleet: a deterministic, seeded [`FaultPlan`]
-//! can script crash-stop failures (with or without recovery), straggler
-//! delays, and partition windows. The coordinator awaits every reply with
-//! `recv_timeout` deadlines and an exponential backoff ladder; a node
-//! silent past its eviction deadline is respawned from its last
-//! [`snapshot`] checkpoint and replayed, or — for datacenters only —
+//! Every engine is *supervised*, by one coordinator written once over all
+//! three fleets: a deterministic, seeded [`FaultPlan`] can script
+//! crash-stop failures (with or without recovery), straggler delays, and
+//! partition windows. The coordinator awaits every reply with
+//! `recv_timeout` deadlines and an exponential backoff ladder (with zero
+//! rungs on the lockstep fleet, which has answered before the gather
+//! starts); a node silent past its eviction deadline is respawned from its
+//! last [`snapshot`] checkpoint and replayed, or — for datacenters only —
 //! evicted so the survivors continue in degraded mode (the evicted `μ_j`
 //! and `λ_·j` blocks are pinned to zero) until the node is readmitted.
-//! Every fault decision is mirrored by the lockstep engine, so a faulty
-//! run is reproducible and testable; accounting lands in a [`FaultReport`]
-//! attached to the [`DistRunReport`].
+//! The fault protocol exists once, so a faulty run makes the same
+//! decisions on every fleet and is reproducible and testable on the
+//! fastest one; accounting lands in a [`FaultReport`] attached to the
+//! [`DistRunReport`].
 //!
 //! Orthogonally to crash faults, the plan's seeded [`CorruptionConfig`]
 //! is the one link-level channel. It poisons data payloads in flight
@@ -101,7 +104,6 @@
 #![warn(missing_docs)]
 
 mod coordinator;
-mod engine_lockstep;
 mod engine_socket;
 pub mod fault;
 pub mod message;

@@ -2,32 +2,33 @@
 //! [`DistributedAdmg::execute`], that runs a [`RunSpec`] — an [`Engine`]
 //! and the [`FaultPlan`] it runs under — and packages the result.
 //!
-//! The three engines are two [`ufc_core::engine::Transport`]s: the
-//! deterministic lockstep rounds (`crate::engine_lockstep`), and the one
-//! supervised coordinator (`crate::supervision`) over a fleet of worker
-//! threads ([`Engine::Threaded`]) or worker processes ([`Engine::Sockets`],
-//! `crate::engine_socket`). Both are sequenced by the single
-//! transport-agnostic driver `ufc_core::engine::drive`, so the prediction
-//! order, correction step, and stop rule exist in exactly one place. Faults,
-//! corruption and drops are not separate code paths either: a clean run is
-//! the [`FaultPlan::none`] degenerate case of the same engines, and the run
-//! policy (validation, rollback checkpoints, the clean baseline) lives in
+//! The three engines are one [`ufc_core::engine::Transport`], the
+//! supervised coordinator (`crate::supervision`), over three fleets: node
+//! kernels in the calling thread ([`Engine::Lockstep`],
+//! `crate::worker::InlineFleet`), one worker thread per node
+//! ([`Engine::Threaded`]) or worker processes ([`Engine::Sockets`],
+//! `crate::engine_socket`). It is sequenced by the single transport-agnostic
+//! driver `ufc_core::engine::drive`, so the prediction order, correction
+//! step, and stop rule exist in exactly one place, and the fault protocol
+//! exists once in the supervisor. Faults, corruption and drops are not
+//! separate code paths either: a clean run is the [`FaultPlan::none`]
+//! degenerate case of the same engines, and the run policy (validation,
+//! rollback checkpoints, the clean baseline) lives in
 //! [`DistributedAdmg::execute`] alone.
 
 use std::path::PathBuf;
 
 use ufc_core::engine::IterationObserver;
 use ufc_core::telemetry::{IntegrityCounters, RunTelemetry};
-use ufc_core::{AdmgSettings, CoreError, Strategy};
+use ufc_core::{AdmgSettings, AdmgSolver, CoreError, Strategy};
 use ufc_model::{OperatingPoint, UfcBreakdown, UfcInstance};
 
-use crate::engine_lockstep::run_lockstep;
 use crate::engine_socket::ProcessFleet;
 use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, FaultReport};
 use crate::stats::MessageStats;
 use crate::supervision::run_supervised;
 use crate::wire::{AuthKey, BindConfig};
-use crate::worker::ThreadFleet;
+use crate::worker::{InlineFleet, ThreadFleet};
 
 /// Checkpoint cadence [`DistributedAdmg::execute`] gives a corrupting plan
 /// without one when [`AdmgSettings::divergence_rollback`] is on: rollback
@@ -96,15 +97,20 @@ impl SocketOptions {
 /// Which execution engine runs the protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Engine {
-    /// Single-threaded round engine — deterministic and bit-identical to
-    /// the in-memory `AdmgSolver`.
+    /// The supervised coordinator over node kernels in the calling
+    /// process: each command fan-out runs over the
+    /// [`AdmgSettings::num_threads`]-wide worker pool, and its replies are
+    /// queued before the coordinator gathers them. Deterministic,
+    /// bit-identical to the in-memory `AdmgSolver`, and the one distributed
+    /// engine whose telemetry carries the solver counters.
     Lockstep,
     /// One OS thread per node over std::sync::mpsc channels, driven by the
     /// supervising coordinator.
     Threaded,
     /// Every node in a worker OS process (per [`SocketOptions::processes`])
-    /// speaking the checksummed wire framing over TCP; bit-identical to
-    /// [`Engine::Lockstep`] on a clean plan.
+    /// speaking the checksummed wire framing over TCP, driven by the
+    /// supervising coordinator; bit-identical to [`Engine::Lockstep`] on a
+    /// clean plan.
     Sockets(SocketOptions),
 }
 
@@ -225,9 +231,10 @@ impl DistributedAdmg {
     ///   iterations, so a tripped divergence gate finds a recent finite
     ///   state.
     /// * A plan with node-level faults ([`FaultPlan::is_trivial`] false)
-    ///   first runs a clean, unobserved, telemetry-off lockstep baseline;
-    ///   [`FaultReport::ufc_delta_vs_clean`] is the UFC difference to it,
-    ///   and `0.0` otherwise.
+    ///   first runs a clean, unobserved, telemetry-off in-process
+    ///   [`AdmgSolver`] baseline, which every engine reproduces bit for bit
+    ///   on a clean plan; [`FaultReport::ufc_delta_vs_clean`] is the UFC
+    ///   difference to it, and `0.0` otherwise.
     ///
     /// A run whose every crash recovers, and a run whose corruption is
     /// caught by verified checksums or whose copies are only dropped,
@@ -281,20 +288,21 @@ impl DistributedAdmg {
         let clean_ufc = if plan.is_trivial() {
             None
         } else {
-            let clean = run_lockstep(
-                &self.settings.with_telemetry(false),
-                instance,
-                active_mu,
-                active_nu,
-                FaultPlan::none(),
-                &mut (),
-            )?;
+            let clean =
+                AdmgSolver::new(self.settings.with_telemetry(false)).solve(instance, strategy)?;
             Some(clean.breakdown.ufc())
         };
         let settings = &self.settings;
         let mut report = match &spec.engine {
             Engine::Lockstep => {
-                run_lockstep(settings, instance, active_mu, active_nu, plan, observer)
+                let launch = |_: &FaultPlan, replies| {
+                    Ok(InlineFleet::launch(
+                        instance, settings, active_mu, active_nu, replies,
+                    ))
+                };
+                run_supervised(
+                    settings, instance, active_mu, active_nu, plan, launch, observer,
+                )
             }
             Engine::Threaded => {
                 let launch = |plan: &FaultPlan, replies| {

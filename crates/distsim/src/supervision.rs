@@ -3,13 +3,14 @@
 //! (`ufc_core::engine::drive`), written once over a [`Fleet`].
 //!
 //! A fleet is how commands reach the nodes, and it is the only part the
-//! two supervised engines implement: one thread per node
-//! (`crate::worker::ThreadFleet`, [`crate::Engine::Threaded`]) or worker OS
-//! processes over TCP (`crate::engine_socket::ProcessFleet`,
-//! [`crate::Engine::Sockets`]). Both carry the same [`NodeCmd`]s to the same
-//! node dispatch (`crate::worker`), and every [`Reply`] comes back on one
-//! channel, tagged with its node and iteration so stale replay traffic is
-//! discarded.
+//! three engines implement: node kernels in the coordinator's thread
+//! (`crate::worker::InlineFleet`, [`crate::Engine::Lockstep`]), one thread
+//! per node (`crate::worker::ThreadFleet`, [`crate::Engine::Threaded`]) or
+//! worker OS processes over TCP (`crate::engine_socket::ProcessFleet`,
+//! [`crate::Engine::Sockets`]). All three carry the same [`NodeCmd`]s to the
+//! same node dispatch (`crate::worker`), and every [`Reply`] comes back on
+//! one channel, tagged with its node and iteration so stale replay traffic
+//! is discarded.
 //!
 //! Everything else exists here once: the phase fan-outs and gathers; crash
 //! injection (a front-end is killed before its `Predict`, a datacenter
@@ -21,10 +22,11 @@
 //! final gather; and, on a clean plan ([`pipelines`]), each front-end's
 //! next prediction riding in its correction's fan-out.
 //!
-//! The lockstep engine (`crate::engine_lockstep`) makes the same decisions
-//! through the same coordinator helpers, so a faulty run on either fleet
-//! reproduces the lockstep iterates, statistics and fault report (asserted
-//! in `tests/fault_injection.rs`).
+//! The inline fleet has queued every reply by the time `send` returns
+//! ([`Fleet::REPLIES_ON_SEND`]), so its gathers run the ladder with zero
+//! rungs: a node it stopped is declared dead as soon as the queue is
+//! drained. `tests/fault_injection.rs` pins the lockstep fault reports and
+//! holds the thread fleet to the same iterates, statistics and reports.
 
 use std::collections::HashSet;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -108,9 +110,14 @@ pub(crate) enum Reply {
 /// and accounting are the supervisor's; this is the place a fleet of
 /// workers is spawned, kept and reaped.
 pub(crate) trait Fleet {
+    /// Whether [`Fleet::send`] has queued every reply of its fan-out before
+    /// it returns. A node still silent once such a fleet's queue is drained
+    /// will never answer, so the gather ladder runs with a zero base
+    /// timeout instead of the plan's `phase_timeout`.
+    const REPLIES_ON_SEND: bool = false;
     /// Delivers one fan-out. A command for a node that is down is dropped:
     /// its silence is the gather ladder's to judge.
-    fn send(&self, cmds: Vec<(usize, NodeCmd)>);
+    fn send(&mut self, cmds: Vec<(usize, NodeCmd)>);
     /// Whether node `id` can still answer.
     fn alive(&self, id: usize) -> bool;
     /// Kills node `id`: a scripted crash, or an eviction.
@@ -122,14 +129,16 @@ pub(crate) trait Fleet {
     /// [`CoreError::NodeFailure`] when the node cannot be started.
     fn start(&mut self, id: usize) -> Result<(), CoreError>;
     /// Notes that the gather ladder declared node `id` dead.
-    fn declared_dead(&mut self, id: usize);
+    fn declared_dead(&mut self, _id: usize) {}
     /// Per-iteration hook, run after the supervisor's own begin-iteration
     /// work (readmissions, straggler charges).
     ///
     /// # Errors
     ///
     /// [`CoreError::NodeFailure`] when the carrier cannot recover a link.
-    fn begin_iteration(&mut self, k: usize, plan: &FaultPlan) -> Result<(), CoreError>;
+    fn begin_iteration(&mut self, _k: usize, _plan: &FaultPlan) -> Result<(), CoreError> {
+        Ok(())
+    }
     /// Tears every node down, on every exit path. Folds the carrier's own
     /// accounting into `tally` and returns the typed error the carrier
     /// parked during the run, if any (it outranks the dead-node verdict its
@@ -149,8 +158,8 @@ pub(crate) fn pipelines(plan: &FaultPlan) -> bool {
 
 /// Runs the supervised coordinator under `plan` over the fleet `launch`
 /// starts, which sends its replies on the channel it is handed. A trivial
-/// plan reduces to the clean runtime: no kills, no extra traffic, and a
-/// report bit-identical to the lockstep engine's.
+/// plan reduces to the clean runtime: no kills, no extra traffic, and the
+/// same report on every fleet.
 pub(crate) fn run_supervised<F: Fleet>(
     settings: &AdmgSettings,
     instance: &UfcInstance,
@@ -183,9 +192,6 @@ pub(crate) fn run_supervised<F: Fleet>(
     let (parked, shutdown) = sup.fleet.shutdown(&mut tally);
     let (outcome, gathered) = outcome.map_err(|e| parked.unwrap_or(e))?;
     shutdown?;
-    // Solver counters stay zero in the telemetry: the node kernels live in
-    // the worker threads or processes and are gone with them. The lockstep
-    // engine (bit-identical) observes the solver layer.
     tally.into_report(
         instance,
         outcome,
@@ -291,17 +297,22 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         (0..self.n).filter(|&j| !self.tracker.is_evicted(j))
     }
 
-    /// One gather on the plan's deadline ladder ([`gather_phase`]).
+    /// One gather on the plan's deadline ladder ([`gather_phase`]), or on
+    /// a zero ladder for a fleet that replies on send.
     fn gather(
         &self,
         pending: &mut HashSet<NodeId>,
         accept: impl FnMut(Reply) -> Option<NodeId>,
     ) -> Vec<NodeId> {
-        let plan = self.tracker.plan();
+        let base_timeout = if F::REPLIES_ON_SEND {
+            Duration::ZERO
+        } else {
+            self.tracker.plan().phase_timeout
+        };
         gather_phase(
             &self.replies,
             pending,
-            plan.phase_timeout,
+            base_timeout,
             BACKOFF_ROUNDS,
             |node| self.fleet.alive(self.id(node)),
             accept,
@@ -689,7 +700,8 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
                     k,
                 )?);
                 // Storage-active datacenters report their corrected block
-                // value on the control plane (same accounting as lockstep).
+                // value on the control plane, like residual reports, so it
+                // rides outside the droppable and corruptible data path.
                 if self
                     .instance
                     .storage

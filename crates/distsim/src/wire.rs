@@ -19,11 +19,11 @@
 //!   its hosted node kernels exactly as the in-process engines do.
 //! * `Cmd` — a node-addressed command (predict/correct/process/snapshot/
 //!   membership/restore/finish): the supervisor's one command vocabulary,
-//!   which worker threads receive over channels and worker processes in
-//!   these frames.
+//!   which inline nodes receive by call, worker threads over channels and
+//!   worker processes in these frames.
 //! * `Reply` — a worker reply, decoded straight into the supervisor's
 //!   `Reply`, so its gather machinery (`supervision::gather_phase`) serves
-//!   both fleets.
+//!   every fleet.
 //! * `Shutdown` — orderly teardown.
 //!
 //! All `f64` fields travel as exact little-endian bit patterns, so a value

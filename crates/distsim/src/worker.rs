@@ -1,11 +1,12 @@
 //! The worker side of the supervised runtime: the one node-command
-//! dispatch, and the two carriers that serve it.
+//! dispatch, and the three carriers that serve it.
 //!
-//! Every node — in a worker thread of the in-process `ThreadFleet` or in
-//! a `ufc-node` process ([`run_worker`]) — is a hosted kernel that answers
-//! `NodeCmd`s through the same `dispatch`, calling the same node methods
-//! in the same order. That is what makes both supervised engines
-//! bit-identical to the lockstep engine on a clean run.
+//! Every node — in the coordinator's own thread (`InlineFleet`), in a
+//! worker thread of the `ThreadFleet`, or in a `ufc-node` process
+//! ([`run_worker`]) — is a hosted kernel that answers `NodeCmd`s through
+//! the same `dispatch`, calling the same node methods in the same order.
+//! That is what makes the three engines bit-identical to each other, and to
+//! the in-process solver that steps the same node types.
 //!
 //! [`run_worker`] is the entire body of the `ufc-node` binary: connect to
 //! the coordinator, introduce yourself (a `Hello` wire frame), rebuild
@@ -32,7 +33,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use ufc_core::node::{DatacenterNode, DatacenterSnapshot, FrontendNode, FrontendSnapshot};
-use ufc_core::{AdmgSettings, CoreError};
+use ufc_core::{AdmgSettings, CoreError, WorkerPool};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::Tally;
@@ -300,7 +301,7 @@ fn build_nodes(config: &RunConfig, process: usize) -> Vec<(usize, Hosted)> {
 }
 
 /// Dispatches one command to the addressed hosted node: the one node
-/// dispatch of both supervised engines, for worker threads and worker
+/// dispatch of every engine, for inline nodes, worker threads and worker
 /// processes alike (`carrier` names the thread or process in errors).
 /// Returns the reply to ship, or `None` for fire-and-forget verbs
 /// (membership, restore).
@@ -641,7 +642,7 @@ fn serve(
 }
 
 impl Fleet for ThreadFleet<'_> {
-    fn send(&self, cmds: Vec<(usize, NodeCmd)>) {
+    fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
         for (id, cmd) in cmds {
             if let Some((tx, _)) = &self.threads[id] {
                 let _ = tx.send(cmd);
@@ -668,8 +669,6 @@ impl Fleet for ThreadFleet<'_> {
         Ok(())
     }
 
-    fn declared_dead(&mut self, _id: usize) {}
-
     fn begin_iteration(&mut self, k: usize, _plan: &FaultPlan) -> Result<(), CoreError> {
         self.iteration = k;
         Ok(())
@@ -694,5 +693,124 @@ impl Fleet for ThreadFleet<'_> {
             }
         }
         (None, result)
+    }
+}
+
+/// The [`Fleet`] of [`crate::Engine::Lockstep`]: every node kernel lives in
+/// the coordinator's thread. A fan-out runs `dispatch` over the
+/// [`WorkerPool`], one task per addressed node, and its replies are queued
+/// in node order before `send` returns. A killed node's slot is emptied; a
+/// node started fresh gets a new kernel. Scripted straggler delays are not
+/// slept: the supervisor charges them from the plan on every fleet.
+pub(crate) struct InlineFleet<'a> {
+    instance: &'a UfcInstance,
+    settings: AdmgSettings,
+    active_mu: bool,
+    active_nu: bool,
+    /// One kernel per node; `None` while the node is down.
+    nodes: Vec<Option<Hosted>>,
+    pool: WorkerPool,
+    replies: Sender<Reply>,
+}
+
+impl<'a> InlineFleet<'a> {
+    /// Builds every node of `instance`, replying on `replies`.
+    pub(crate) fn launch(
+        instance: &'a UfcInstance,
+        settings: &AdmgSettings,
+        active_mu: bool,
+        active_nu: bool,
+        replies: Sender<Reply>,
+    ) -> Self {
+        let nodes = (0..instance.m_frontends() + instance.n_datacenters())
+            .map(|id| Some(Hosted::new(instance, settings, active_mu, active_nu, id)))
+            .collect();
+        InlineFleet {
+            instance,
+            settings: *settings,
+            active_mu,
+            active_nu,
+            nodes,
+            pool: WorkerPool::new(settings.num_threads),
+            replies,
+        }
+    }
+}
+
+/// Serves one node's share of a fan-out, in order. Like a worker thread,
+/// the node stops at a typed rejection or a command it cannot apply.
+fn serve_inline(id: usize, slot: &mut Option<Hosted>, cmds: Vec<NodeCmd>) -> Vec<Reply> {
+    let mut replies = Vec::new();
+    for cmd in cmds {
+        let Some(node) = slot.as_mut() else { break };
+        match dispatch(id, node, cmd, id) {
+            Ok(None) => {}
+            Ok(Some(reply)) => {
+                if matches!(reply, Reply::NodeError { .. }) {
+                    *slot = None;
+                }
+                replies.push(reply);
+            }
+            Err(_) => *slot = None,
+        }
+    }
+    replies
+}
+
+impl Fleet for InlineFleet<'_> {
+    const REPLIES_ON_SEND: bool = true;
+
+    fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
+        let mut queues: Vec<Vec<NodeCmd>> = self.nodes.iter().map(|_| Vec::new()).collect();
+        for (id, cmd) in cmds {
+            queues[id].push(cmd);
+        }
+        let mut tasks: Vec<_> = self
+            .nodes
+            .iter_mut()
+            .zip(queues)
+            .enumerate()
+            .filter(|(_, (slot, queue))| slot.is_some() && !queue.is_empty())
+            .collect();
+        let replies = self.pool.map_mut(&mut tasks, |_, (id, (slot, queue))| {
+            serve_inline(*id, slot, std::mem::take(queue))
+        });
+        for reply in replies.into_iter().flatten() {
+            let _ = self.replies.send(reply);
+        }
+    }
+
+    fn alive(&self, id: usize) -> bool {
+        self.nodes[id].is_some()
+    }
+
+    fn kill(&mut self, id: usize) {
+        self.nodes[id] = None;
+    }
+
+    fn start(&mut self, id: usize) -> Result<(), CoreError> {
+        self.nodes[id] = Some(Hosted::new(
+            self.instance,
+            &self.settings,
+            self.active_mu,
+            self.active_nu,
+            id,
+        ));
+        Ok(())
+    }
+
+    /// Folds the surviving datacenter kernels' counters and the pool's
+    /// fan-outs into `tally`: the kernels are still in this process, so
+    /// lockstep keeps the solver layer observable (an evicted or respawned
+    /// kernel's counters went with it; the λ kernels count nothing).
+    fn shutdown(self, tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>) {
+        for node in self.nodes.iter().flatten() {
+            if let Hosted::Dc(dc) = node {
+                dc.add_counters(&mut tally.solver);
+            }
+        }
+        tally.solver.pool_tasks = self.pool.tasks_dispatched();
+        tally.solver.pool_maps = self.pool.maps_run();
+        (None, Ok(()))
     }
 }

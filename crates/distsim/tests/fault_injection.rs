@@ -2,14 +2,21 @@
 //! copies; only its cost grows with the drop rate. Crash-stop faults with
 //! checkpoint-restart recovery reproduce the clean iterates exactly;
 //! permanent crashes degrade to the surviving datacenters.
+//!
+//! The lockstep fault reports below are pinned to the values the earlier
+//! stand-alone lockstep engine produced; the lockstep and threaded fleets
+//! are held to them and to each other.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use ufc_core::node::{DatacenterSnapshot, FrontendSnapshot};
 use ufc_core::{AdmgSettings, Strategy};
 use ufc_distsim::fault::NodeId;
-use ufc_distsim::{CorruptionConfig, CorruptionKind, DistributedAdmg, Engine, FaultPlan, RunSpec};
+use ufc_distsim::{
+    CorruptionConfig, CorruptionKind, DistRunReport, DistributedAdmg, Engine, FaultPlan,
+    FaultReport, RunSpec,
+};
 use ufc_model::scenario::ScenarioBuilder;
 use ufc_model::{EmissionCostFn, UfcInstance};
 
@@ -35,6 +42,30 @@ fn slack_instance() -> UfcInstance {
         1.0,
     )
     .expect("slack instance parameters are consistent")
+}
+
+/// The pinned outcome of a faulty run: iterations, data and control
+/// messages, total bytes and the UFC's bits.
+fn assert_outcome(report: &DistRunReport, expected: (usize, usize, usize, usize, u64)) {
+    let (iterations, data, control, bytes, ufc_bits) = expected;
+    assert_eq!(report.iterations, iterations);
+    assert_eq!(report.stats.data_messages, data);
+    assert_eq!(report.stats.control_messages, control);
+    assert_eq!(report.stats.total_bytes, bytes);
+    assert_eq!(
+        report.breakdown.ufc().to_bits(),
+        ufc_bits,
+        "UFC {}",
+        report.breakdown.ufc()
+    );
+}
+
+/// The permanent crash of datacenter 1 at iteration 3, on a ladder of
+/// `phase_timeout` rungs.
+fn permanent_crash(phase_timeout: Duration) -> FaultPlan {
+    FaultPlan::new()
+        .crash_at(NodeId::Datacenter(1), 3)
+        .with_phase_timeout(phase_timeout)
 }
 
 /// A run on `engine` that drops each copy with probability `rate`.
@@ -105,9 +136,25 @@ fn lockstep_and_threaded_agree_under_faults() {
         .straggle(NodeId::Datacenter(1), 4, Duration::from_millis(2))
         .with_phase_timeout(Duration::from_millis(40));
 
+    let pinned = FaultReport {
+        crashes_observed: 2,
+        stragglers_observed: 1,
+        downtime_attempts: 3,
+        downtime_seconds: 0.840_000_000_000_000_1,
+        straggler_seconds: 0.002,
+        recomputed_iterations: 2,
+        checkpoints_taken: 51,
+        evicted: Vec::new(),
+        readmitted: Vec::new(),
+        partition_retransmissions: 0,
+        ufc_delta_vs_clean: 0.0,
+    };
     // The empty plan too: both engines must agree that it has no fault
     // section.
-    for plan in [faulty, FaultPlan::none()] {
+    for (plan, fault, control, bytes) in [
+        (faulty, Some(pinned), 1852, 107_328),
+        (FaultPlan::none(), None, 1648, 86_520),
+    ] {
         let lockstep = runner
             .execute(
                 &inst,
@@ -125,14 +172,17 @@ fn lockstep_and_threaded_agree_under_faults() {
             )
             .expect("faulty threaded run must complete");
 
+        assert_outcome(
+            &lockstep,
+            (206, 1648, control, bytes, 0xc04a_8ccc_ce1e_f4c0),
+        );
+        assert_eq!(lockstep.fault, fault);
         assert_eq!(lockstep.iterations, threaded.iterations);
         assert_eq!(lockstep.stats, threaded.stats);
         assert_eq!(lockstep.fault, threaded.fault);
-        assert!(
-            (lockstep.breakdown.ufc() - threaded.breakdown.ufc()).abs() < 1e-12,
-            "lockstep {} vs threaded {}",
-            lockstep.breakdown.ufc(),
-            threaded.breakdown.ufc()
+        assert_eq!(
+            lockstep.breakdown.ufc().to_bits(),
+            threaded.breakdown.ufc().to_bits()
         );
     }
 }
@@ -149,9 +199,28 @@ fn permanent_crash_degrades_gracefully() {
             &mut (),
         )
         .expect("clean lockstep run must succeed");
-    let plan = FaultPlan::new()
-        .crash_at(NodeId::Datacenter(1), 3)
-        .with_phase_timeout(Duration::from_millis(40));
+    let plan = permanent_crash(Duration::from_millis(40));
+    let lockstep = runner
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_plan(plan.clone()),
+            &mut (),
+        )
+        .expect("a permanent datacenter crash must degrade, not error");
+    assert_outcome(&lockstep, (87, 358, 594, 30_461, 0xc04a_909b_119e_8a78));
+    assert_eq!(
+        lockstep.fault,
+        Some(FaultReport {
+            crashes_observed: 1,
+            downtime_attempts: 3,
+            downtime_seconds: 0.840_000_000_000_000_1,
+            checkpoints_taken: 22,
+            evicted: vec![1],
+            ufc_delta_vs_clean: f64::from_bits(0xbf9e_721b_fcad_c000),
+            ..FaultReport::default()
+        })
+    );
     let degraded = runner
         .execute(
             &inst,
@@ -160,13 +229,11 @@ fn permanent_crash_degrades_gracefully() {
             &mut (),
         )
         .expect("a permanent datacenter crash must degrade, not error");
+    assert_eq!(degraded.stats, lockstep.stats);
+    assert_eq!(degraded.fault, lockstep.fault);
+    assert_eq!(degraded.point, lockstep.point);
 
     let fault = degraded.fault.expect("fault report");
-    assert_eq!(fault.evicted, vec![1]);
-    assert!(
-        fault.readmitted.is_empty(),
-        "permanent crashes never readmit"
-    );
     // The dead datacenter is pinned to zero; survivors carry all load.
     assert_eq!(degraded.point.mu[1], 0.0);
     for i in 0..inst.m_frontends() {
@@ -184,6 +251,49 @@ fn permanent_crash_degrades_gracefully() {
         gap.abs() > 1e-6,
         "eviction should change the operating point"
     );
+}
+
+/// The lockstep fleet answers every fan-out before the gather starts, so a
+/// node it stopped is declared dead without waiting out the ladder: a 10 s
+/// rung (a 70 s ladder) changes the charged downtime and the WAN estimate,
+/// never the run or its wall time.
+#[test]
+fn lockstep_declares_dead_nodes_without_waiting_out_the_ladder() {
+    let inst = slack_instance();
+    let runner = DistributedAdmg::new(AdmgSettings::default());
+    let run = |phase_timeout| {
+        runner
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep).with_plan(permanent_crash(phase_timeout)),
+                &mut (),
+            )
+            .expect("a permanent datacenter crash must degrade, not error")
+    };
+    let short = run(Duration::from_millis(40));
+    let start = Instant::now();
+    let long = run(Duration::from_secs(10));
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "a 70 s ladder took {elapsed:?} on the lockstep fleet"
+    );
+    assert_outcome(&long, (87, 358, 594, 30_461, 0xc04a_909b_119e_8a78));
+    assert_eq!(long.point, short.point);
+    let (short_fault, long_fault) = (
+        short.fault.expect("fault report"),
+        long.fault.expect("fault report"),
+    );
+    assert_eq!(long_fault.downtime_seconds, 210.0, "three 70 s ladders");
+    assert_eq!(
+        FaultReport {
+            downtime_seconds: short_fault.downtime_seconds,
+            ..long_fault
+        },
+        short_fault
+    );
+    assert!(long.estimated_wan_seconds > short.estimated_wan_seconds);
 }
 
 #[test]
@@ -204,10 +314,21 @@ fn eviction_then_readmission_completes() {
                 &mut (),
             )
             .expect("eviction-then-readmission plan must complete");
-        let fault = report.fault.expect("fault report");
-        assert_eq!(fault.evicted, vec![1]);
-        assert_eq!(fault.readmitted, vec![1]);
-        assert!(fault.downtime_attempts >= 5);
+        assert_outcome(&report, (210, 1674, 1891, 109_541, 0xc04a_8ccc_cd51_5f2a));
+        assert_eq!(
+            report.fault,
+            Some(FaultReport {
+                crashes_observed: 1,
+                downtime_attempts: 5,
+                downtime_seconds: 0.840_000_000_000_000_1,
+                checkpoints_taken: 53,
+                evicted: vec![1],
+                readmitted: vec![1],
+                ufc_delta_vs_clean: f64::from_bits(0x3e79_b2b2_c000_0000),
+                ..FaultReport::default()
+            }),
+            "{engine:?}"
+        );
         assert!(report.converged, "readmitted run must converge");
         assert!(report.point.feasibility_residual(&inst) < 1e-6);
     }

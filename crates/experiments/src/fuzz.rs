@@ -29,6 +29,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use ufc_core::subproblems::{a_step, lambda_step, mu_step, nu_step, storage_step};
 use ufc_core::{
@@ -572,10 +573,13 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     // --- Crash/recovery leg: a deterministic recovering fault plan
     // derived from `fault_seed` crashes one node mid-run; the checkpoint
     // restart must land back on the clean operating point bit-for-bit on
-    // lockstep and on the supervisor over both fleets — threads, and
+    // every fleet of the supervisor — inline (lockstep), threads, and
     // worker processes when the socket engine is sampled in. (A crash
     // iteration past the run's length simply never fires — the contract
-    // still holds trivially.)
+    // still holds trivially.) The ladder only declares dead a node that no
+    // longer runs, and grants a live one an extension, so a 20 ms rung
+    // cannot misdiagnose a slow worker; it only stops each thread or
+    // process kill from waiting out the default 1.4 s ladder.
     if let (Some(fseed), true) = (case.fault_seed, mem.converged) {
         let mut frng = SplitMix64::new(fseed);
         let node = if frng.chance(0.5) {
@@ -584,7 +588,9 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
             NodeId::Datacenter(frng.below(inst.capacities.len()))
         };
         let crash_at = 2 + frng.below(6);
-        let plan = FaultPlan::new().crash_and_recover(node, crash_at, 1);
+        let plan = FaultPlan::new()
+            .crash_and_recover(node, crash_at, 1)
+            .with_phase_timeout(Duration::from_millis(20));
         let mut engines = vec![
             ("lockstep", Engine::Lockstep),
             ("threaded", Engine::Threaded),
