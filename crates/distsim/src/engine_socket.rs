@@ -7,15 +7,24 @@
 //! when a shared [`crate::wire::AuthKey`] is configured. The coordinator
 //! accepts connections on a background acceptor thread, validates the
 //! handshake (a `Hello` session check on loopback; a challenge–response
-//! keyed MAC when authentication is on — see DESIGN.md §17), answers with
-//! the serialized run configuration, and spawns one I/O pump thread per
-//! connection that reassembles wire frames ([`crate::wire::FrameBuffer`])
-//! and feeds decoded replies into the supervisor's reply channel. The
-//! protocol, deadline ladder, fault tracker, checkpoint store and replay
-//! buffer are the supervisor's, shared with the thread fleet; this module
-//! only carries the bytes. A hostile peer (wrong key, replayed or
-//! truncated handshake, downgrade attempt) is dropped before any iteration
-//! state is exchanged and the acceptor keeps serving honest workers.
+//! keyed MAC when authentication is on — see DESIGN.md §17), and spawns
+//! one I/O pump thread per connection that reassembles wire frames
+//! ([`crate::wire::FrameBuffer`]) and feeds decoded replies into the
+//! fleet's reply channel. The protocol, deadline ladder, fault tracker,
+//! checkpoint store and replay buffer are the supervisor's, shared with
+//! the other fleets; this module only carries the bytes. A hostile peer
+//! (wrong key, replayed or truncated handshake, downgrade attempt) is
+//! dropped before any iteration state is exchanged and the acceptor keeps
+//! serving honest workers.
+//!
+//! A fleet outlives a run. Each run begins with a `Load` frame to every
+//! process ([`ProcessFleet::load`]), which carries the run's
+//! configuration, and so does every registration of a new incarnation.
+//! After a run that ends cleanly, with every process still running, no
+//! pump error and no wire chaos bound to the connections, the fleet stays
+//! up ([`ProcessFleet::reusable`]) and `DistributedAdmg::execute` parks it
+//! for its next socket run with the same options; any other run ends with
+//! the fleet's teardown.
 //!
 //! A reply stream the coordinator cannot parse — a payload failing its CRC
 //! or decode, a worker `Nak`, a frame kind a worker never sends, a framing
@@ -57,20 +66,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ufc_core::telemetry::IntegrityCounters;
-use ufc_core::{AdmgSettings, CoreError};
-use ufc_model::UfcInstance;
+use ufc_core::CoreError;
 
 use crate::coordinator::Tally;
-use crate::fault::{CorruptionConfig, FaultPlan, WireChaos, WireVerdict};
+use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, WireChaos, WireVerdict};
 use crate::runtime::SocketOptions;
 use crate::supervision::{Fleet, Reply};
 use crate::wire::{
-    process_of, sha256, verify_auth_hello, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
+    process_of, verify_auth_hello, AuthKey, FrameBuffer, Load, NodeCmd, RunConfig, WireFrame,
 };
 
 /// How long the coordinator waits for a spawned worker to complete the
-/// `Hello`/`Welcome` handshake before declaring the spawn failed. Covers
-/// process startup plus the worker's own connect backoff.
+/// handshake before declaring the spawn failed. Covers process startup
+/// plus the worker's own connect backoff.
 const REGISTRATION_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Grace period for workers to exit after a `Shutdown` frame before the
@@ -94,8 +102,8 @@ struct Registration {
 }
 
 /// State shared between the fleet and every pump: the wire-chaos counters
-/// folded into the report at teardown (zero unless chaos is armed), and
-/// the first typed error a pump parked.
+/// folded into the run's report (zero unless chaos is armed), and the
+/// first typed error a pump parked.
 #[derive(Default)]
 struct WireShared {
     counters: Mutex<IntegrityCounters>,
@@ -126,14 +134,11 @@ fn wire_salt(process: usize, ingress: bool) -> u64 {
 }
 
 /// Everything the acceptor thread needs to complete a handshake: the
-/// legacy session check, the optional challenge–response key (plus the
-/// run-config digest the MAC binds), and what each validated connection's
-/// pump is handed: the shared counters and error slot, and the
-/// ingress-chaos plumbing.
+/// session check, the optional challenge–response key, and what each
+/// validated connection's pump is handed: the shared counters and error
+/// slot, and the ingress-chaos plumbing.
 struct AcceptorState {
     session: u64,
-    welcome: Arc<Vec<u8>>,
-    config_digest: [u8; 32],
     auth: Option<AuthState>,
     shared: Arc<WireShared>,
     wire: Option<WireIngressSetup>,
@@ -168,9 +173,9 @@ struct WorkerLauncher {
     path: PathBuf,
     addr: String,
     session: u64,
-    /// The shared key as 64 hex digits. It reaches the worker through a
-    /// stdin pipe, never argv, which any local user can read from `/proc`.
-    auth_hex: Option<String>,
+    /// The shared key. It reaches the worker through a stdin pipe, never
+    /// argv, which any local user can read from `/proc`.
+    auth: Option<AuthKey>,
 }
 
 impl WorkerLauncher {
@@ -187,7 +192,7 @@ impl WorkerLauncher {
             .arg(self.session.to_string())
             .arg("--incarnation")
             .arg(incarnation.to_string());
-        let stdin = if self.auth_hex.is_some() {
+        let stdin = if self.auth.is_some() {
             command.arg("--auth-key-stdin");
             Stdio::piped()
         } else {
@@ -205,8 +210,8 @@ impl WorkerLauncher {
             .command(p, incarnation)
             .spawn()
             .map_err(|e| failure(format!("cannot spawn {}: {e}", self.path.display())))?;
-        if let (Some(hex), Some(mut stdin)) = (&self.auth_hex, child.stdin.take()) {
-            if let Err(e) = writeln!(stdin, "{hex}") {
+        if let (Some(key), Some(mut stdin)) = (&self.auth, child.stdin.take()) {
+            if let Err(e) = writeln!(stdin, "{}", key.to_hex()) {
                 let _ = child.kill();
                 let _ = child.wait();
                 return Err(failure(format!("cannot pass the auth key on stdin: {e}")));
@@ -246,15 +251,30 @@ struct Egress {
     socket_writes: u64,
 }
 
+/// The wire-level corruption kind `plan` pins, if any: chaos that is bound
+/// to a fleet's connections at launch.
+fn wire_kind(plan: &FaultPlan) -> Option<CorruptionKind> {
+    plan.corruption
+        .and_then(|c| c.kind)
+        .filter(|k| k.is_wire_level())
+}
+
 /// The [`Fleet`] of [`crate::Engine::Sockets`]: worker OS processes, each
 /// hosting its round-robin share of the nodes, behind one TCP connection
-/// apiece.
+/// apiece. It serves one run per [`ProcessFleet::load`] and is reaped by
+/// [`ProcessFleet::teardown`], at the end of a run that leaves it unfit
+/// for another, or when it is dropped.
 pub(crate) struct ProcessFleet {
+    /// The options it was launched with.
+    options: SocketOptions,
     m: usize,
     n: usize,
     processes: usize,
     launcher: WorkerLauncher,
     reg_rx: Receiver<Registration>,
+    /// Every pump's replies. The pumps hold the sending end, so the
+    /// channel lives as long as the fleet, across runs.
+    replies: Receiver<Reply>,
     /// Live worker processes, one slot per process index. `RefCell`
     /// because liveness probing (`try_wait`) needs `&mut Child` from
     /// inside the gather ladder's `Fn` closure.
@@ -262,8 +282,11 @@ pub(crate) struct ProcessFleet {
     /// Command streams to the workers (`None` while a worker is down or
     /// its connection is dropped).
     conns: Vec<Option<TcpStream>>,
+    /// Respawn generation per process slot. It only rises, across runs
+    /// too, so a stale registration from an earlier run is refused.
     incarnations: Vec<u32>,
     pumps: Vec<JoinHandle<()>>,
+    /// The acceptor thread; `None` once the fleet is torn down.
     acceptor: Option<JoinHandle<()>>,
     acceptor_stop: Arc<AtomicBool>,
     /// Command egress.
@@ -275,64 +298,57 @@ pub(crate) struct ProcessFleet {
     shared: Arc<WireShared>,
     /// Whether a wire-level corruption kind is armed.
     chaos_armed: bool,
-    /// Processes the gather ladder declared dead.
+    /// Processes the gather ladder declared dead in this run.
     dead_node_declarations: u64,
-    /// Connections re-established after a partition teardown.
+    /// Connections re-established after a partition teardown in this run.
     reconnects: u64,
+    /// The encoded [`RunConfig`] of the run being served.
+    config: Vec<u8>,
+    /// Loads sent so far: the current run's [`Load::seq`].
+    loads: u64,
 }
 
 impl ProcessFleet {
-    /// Validates `options` against `plan`, listens, and starts every
-    /// worker process, returning once each has completed its handshake.
+    /// The worker process count a run of `plan` on an instance of `nodes`
+    /// nodes gets under `options` (`0` means one per node), once the
+    /// options are checked against the plan.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] for options the plan cannot run under,
-    /// and [`CoreError::NodeFailure`] when the coordinator cannot listen or
-    /// a worker cannot be spawned or never completes its handshake.
-    pub(crate) fn launch(
-        instance: &UfcInstance,
-        settings: &AdmgSettings,
-        active_mu: bool,
-        active_nu: bool,
+    /// [`CoreError::InvalidConfig`] for more processes than nodes,
+    /// process-level faults or wire-level chaos without one process per
+    /// node, wire-level chaos beside node-level faults, and a non-loopback
+    /// listen address without a shared key.
+    pub(crate) fn processes_for(
+        nodes: usize,
         plan: &FaultPlan,
         options: &SocketOptions,
-        replies: Sender<Reply>,
-    ) -> Result<Self, CoreError> {
-        let m = instance.m_frontends();
-        let n = instance.n_datacenters();
+    ) -> Result<usize, CoreError> {
         let processes = if options.processes == 0 {
-            m + n
+            nodes
         } else {
             options.processes
         };
-        if processes > m + n {
+        if processes > nodes {
             return Err(CoreError::invalid_config(format!(
-                "{processes} worker processes for {} nodes",
-                m + n
+                "{processes} worker processes for {nodes} nodes"
             )));
         }
-        if (plan.crash_count() > 0 || plan.partition_count() > 0) && processes != m + n {
+        if (plan.crash_count() > 0 || plan.partition_count() > 0) && processes != nodes {
             return Err(CoreError::invalid_config(format!(
                 "process-level fault injection needs one process per node \
-                 ({} for this instance), got {processes}",
-                m + n
+                 ({nodes} for this instance), got {processes}"
             )));
         }
-        let wire_kind = plan
-            .corruption
-            .as_ref()
-            .and_then(|c| c.kind.filter(|k| k.is_wire_level()));
-        if wire_kind.is_some() {
+        if wire_kind(plan).is_some() {
             // The Nak/resend repair protocol relies on at most one command
             // being outstanding per connection: a co-hosted node (or a
             // replay burst after a crash) lets a later frame overtake the
             // Nak, so the cached clean resend would repair the wrong one.
-            if processes != m + n {
+            if processes != nodes {
                 return Err(CoreError::invalid_config(format!(
-                    "wire-level chaos needs one process per node ({} for \
-                     this instance), got {processes}",
-                    m + n
+                    "wire-level chaos needs one process per node ({nodes} for \
+                     this instance), got {processes}"
                 )));
             }
             if !plan.is_trivial() {
@@ -349,6 +365,26 @@ impl ProcessFleet {
                 options.bind.listen
             )));
         }
+        Ok(processes)
+    }
+
+    /// Listens, starts `config.processes` worker processes and loads
+    /// `config` into them, returning once each has completed its handshake.
+    /// `options` and `plan` must have passed [`ProcessFleet::processes_for`];
+    /// a wire-level corruption kind in `plan` binds its chaos to the
+    /// fleet's connections.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NodeFailure`] when the coordinator cannot listen or
+    /// a worker cannot be spawned or never completes its handshake.
+    pub(crate) fn launch(
+        config: &RunConfig,
+        plan: &FaultPlan,
+        options: &SocketOptions,
+    ) -> Result<Self, CoreError> {
+        let processes = config.processes;
+        let wire_kind = wire_kind(plan);
         let auth = match &options.auth {
             Some(key) => Some(AuthState {
                 key: key.clone(),
@@ -364,24 +400,6 @@ impl ProcessFleet {
             .to_string();
         let addr = options.bind.advertise.clone().unwrap_or(local);
         let session = session_id();
-        let config_bytes = RunConfig {
-            instance: instance.clone(),
-            settings: *settings,
-            active_mu,
-            active_nu,
-            processes,
-        }
-        .encode();
-        // The digest the challenge MAC binds: a worker answering this
-        // coordinator commits to this exact run configuration, and checks
-        // the later Welcome against the same digest.
-        let config_digest = sha256(&config_bytes);
-        let welcome: Arc<Vec<u8>> = Arc::new(
-            WireFrame::Welcome {
-                config: config_bytes,
-            }
-            .to_wire(),
-        );
         let shared = Arc::new(WireShared::default());
         let last_sent: Vec<Arc<Mutex<Vec<u8>>>> = (0..processes)
             .map(|_| Arc::new(Mutex::new(Vec::new())))
@@ -394,14 +412,13 @@ impl ProcessFleet {
             frames_sent: 0,
             socket_writes: 0,
         };
+        let (reply_tx, replies) = channel::<Reply>();
         let (reg_tx, reg_rx) = channel::<Registration>();
         let acceptor_stop = Arc::new(AtomicBool::new(false));
         let acceptor = spawn_acceptor(
             listener,
             AcceptorState {
                 session,
-                welcome,
-                config_digest,
                 auth,
                 shared: Arc::clone(&shared),
                 wire: wire_kind
@@ -411,21 +428,25 @@ impl ProcessFleet {
                         last_sent: last_sent.clone(),
                     }),
             },
-            replies,
+            reply_tx,
             reg_tx,
             Arc::clone(&acceptor_stop),
         );
+        // From here on a failure drops the fleet, and `Drop` reaps what
+        // was started.
         let mut fleet = ProcessFleet {
-            m,
-            n,
+            options: options.clone(),
+            m: 0,
+            n: 0,
             processes,
             launcher: WorkerLauncher {
                 path: options.worker.clone(),
                 addr,
                 session,
-                auth_hex: options.auth.as_ref().map(AuthKey::to_hex),
+                auth: options.auth.clone(),
             },
             reg_rx,
+            replies,
             children: (0..processes).map(|_| RefCell::new(None)).collect(),
             conns: (0..processes).map(|_| None).collect(),
             incarnations: vec![0; processes],
@@ -438,6 +459,8 @@ impl ProcessFleet {
             chaos_armed: wire_kind.is_some(),
             dead_node_declarations: 0,
             reconnects: 0,
+            config: Vec::new(),
+            loads: 0,
         };
         for p in 0..processes {
             fleet.spawn_process(p)?;
@@ -445,7 +468,72 @@ impl ProcessFleet {
         for p in 0..processes {
             fleet.await_registration(p)?;
         }
+        fleet.load(config);
         Ok(fleet)
+    }
+
+    /// Whether this fleet can serve a run of `plan` under `options` on
+    /// `processes` processes: the same options and process count, no
+    /// wire-level chaos to bind, and [`ProcessFleet::reusable`].
+    pub(crate) fn fits(&self, options: &SocketOptions, processes: usize, plan: &FaultPlan) -> bool {
+        self.options == *options
+            && self.processes == processes
+            && wire_kind(plan).is_none()
+            && self.reusable()
+    }
+
+    /// Whether the fleet can serve another run: it is not torn down, no
+    /// wire chaos is bound to its connections, no pump parked an error, and
+    /// every process runs behind a live connection.
+    pub(crate) fn reusable(&self) -> bool {
+        self.acceptor.is_some()
+            && !self.chaos_armed
+            && self.shared.healthy()
+            && (0..self.processes).all(|p| self.conns[p].is_some() && self.runs(p))
+    }
+
+    /// Starts a run of `config` (`config.processes` must be the fleet's):
+    /// clears the previous run's counters and sends every process a `Load`
+    /// with the next sequence number. A clean run leaves the reply channel
+    /// empty — each connection's unread pipelined predictions arrive
+    /// before its finals, which the final gather waits for — so the drain
+    /// here finds nothing (debug builds assert it).
+    pub(crate) fn load(&mut self, config: &RunConfig) {
+        let stale = self.replies.try_iter().count();
+        debug_assert_eq!(stale, 0, "replies left over from the previous run");
+        self.m = config.instance.m_frontends();
+        self.n = config.instance.n_datacenters();
+        self.config = config.encode();
+        self.loads += 1;
+        self.egress.frames_sent = 0;
+        self.egress.socket_writes = 0;
+        if let Ok(mut counters) = self.shared.counters.lock() {
+            *counters = IntegrityCounters::default();
+        }
+        self.dead_node_declarations = 0;
+        self.reconnects = 0;
+        for p in 0..self.processes {
+            self.send_load(p);
+        }
+    }
+
+    /// Sends process `p`'s incarnation the current run's `Load`, tagged
+    /// under the fleet's key. Like [`Fleet::send`] it swallows a write
+    /// error: the gather ladder judges the silence.
+    fn send_load(&self, p: usize) {
+        let Some(conn) = &self.conns[p] else {
+            return;
+        };
+        let load = Load::new(
+            self.launcher.auth.as_ref(),
+            self.launcher.session,
+            p,
+            self.incarnations[p],
+            self.loads,
+            self.config.clone(),
+        );
+        let mut writer: &TcpStream = conn;
+        let _ = writer.write_all(&WireFrame::Load(load).to_wire());
     }
 
     /// Launches the worker binary for process slot `p` at its current
@@ -559,8 +647,14 @@ impl ProcessFleet {
 
     /// Orderly teardown: `Shutdown` frames, forced socket closes (so pump
     /// threads exit), acceptor stop, pump joins, then a bounded wait for
-    /// each worker process with `SIGKILL` as the backstop.
-    fn teardown(&mut self) -> Result<(), CoreError> {
+    /// each worker process with `SIGKILL` as the backstop. Afterwards the
+    /// fleet is no longer [`ProcessFleet::reusable`].
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NodeFailure`] when the acceptor or a pump thread
+    /// panicked.
+    pub(crate) fn teardown(&mut self) -> Result<(), CoreError> {
         for conn in self.conns.iter().flatten() {
             let mut writer: &TcpStream = conn;
             let _ = std::io::Write::write_all(&mut writer, &WireFrame::Shutdown.to_wire());
@@ -616,7 +710,21 @@ impl ProcessFleet {
     }
 }
 
+impl Drop for ProcessFleet {
+    /// Reaps a fleet nobody tore down: a parked fleet when its runner goes,
+    /// or one whose launch failed part way.
+    fn drop(&mut self) {
+        if self.acceptor.is_some() {
+            let _ = self.teardown();
+        }
+    }
+}
+
 impl Fleet for ProcessFleet {
+    fn replies(&self) -> &Receiver<Reply> {
+        &self.replies
+    }
+
     /// The coordinator's one egress path, fed a whole fan-out at a time.
     /// Each `(node, cmd)` is encoded as its `Cmd` frame and appended to the
     /// buffer of the process hosting `node`; then each process's buffer
@@ -692,13 +800,15 @@ impl Fleet for ProcessFleet {
     }
 
     /// Kills (if needed), respawns, and re-registers the process hosting
-    /// `id` at a bumped incarnation.
+    /// `id` at a bumped incarnation, then loads the current run into it.
     fn start(&mut self, id: usize) -> Result<(), CoreError> {
         let p = process_of(id, self.processes);
         self.kill_process(p);
         self.incarnations[p] += 1;
         self.spawn_process(p)?;
-        self.await_registration(p)
+        self.await_registration(p)?;
+        self.send_load(p);
+        Ok(())
     }
 
     fn declared_dead(&mut self, _id: usize) {
@@ -712,12 +822,23 @@ impl Fleet for ProcessFleet {
         self.simulate_partition_drops(k, plan)
     }
 
-    /// Folds the socket-only accounting into `tally`: the egress counters,
-    /// the wire-chaos counters (final once every pump is joined), the
-    /// reconnects and dead-node declarations; the integrity section is
-    /// reported whenever chaos was armed or either of the latter moved.
-    fn shutdown(mut self, tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>) {
-        let result = self.teardown();
+    /// Keeps the fleet up after a clean run that leaves it
+    /// [`ProcessFleet::reusable`], and tears it down after any other. Then
+    /// folds the run's socket-only accounting into `tally`: the egress
+    /// counters, the wire-chaos counters (final, since chaos never leaves a
+    /// fleet up and teardown joins every pump), the reconnects and
+    /// dead-node declarations; the integrity section is reported whenever
+    /// chaos was armed or either of the latter moved.
+    fn end_run(
+        &mut self,
+        clean: bool,
+        tally: &mut Tally,
+    ) -> (Option<CoreError>, Result<(), CoreError>) {
+        let result = if clean && self.reusable() {
+            Ok(())
+        } else {
+            self.teardown()
+        };
         tally.frames = (self.egress.frames_sent, self.egress.socket_writes);
         let counters = &mut tally.counters;
         if let Ok(wire) = self.shared.counters.lock() {
@@ -739,8 +860,11 @@ impl Fleet for ProcessFleet {
     }
 }
 
-/// A run-unique session id: stale workers from an earlier run (or another
-/// concurrent test) fail the handshake instead of corrupting this one.
+/// A fleet-unique session id: the wall clock in nanoseconds XOR the
+/// coordinator's pid shifted into the high half. It is not random, and
+/// not secret; it only keeps stale workers of an earlier fleet (or of
+/// another coordinator on the host) from joining this one. Authentication
+/// rests on the challenge nonce and the key, never on this value.
 fn session_id() -> u64 {
     let nanos = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -803,8 +927,9 @@ fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFr
 /// with authentication on — a failed challenge–response: a typed
 /// [`CoreError::Unauthorized`] verdict is produced by
 /// [`verify_auth_hello`] before any iteration state is exchanged, and the
-/// hostile peer never sees a `Welcome`. Each challenge carries 32 fresh
-/// bytes from `/dev/urandom`; a failed read drops the connection.
+/// hostile peer never registers, so it never sees a `Load`. Each challenge
+/// carries 32 fresh bytes from `/dev/urandom`; a failed read drops the
+/// connection.
 fn handshake(
     stream: TcpStream,
     state: &AcceptorState,
@@ -834,22 +959,15 @@ fn handshake(
             entropy.read_exact(&mut nonce).ok()?;
             {
                 let mut writer: &TcpStream = &stream;
-                let challenge = WireFrame::Challenge {
-                    nonce,
-                    digest: state.config_digest,
-                };
+                let challenge = WireFrame::Challenge { nonce };
                 std::io::Write::write_all(&mut writer, &challenge.to_wire()).ok()?;
             }
             let answer = read_one_frame(&stream, &mut frames)?;
-            verify_auth_hello(key, &nonce, &state.config_digest, state.session, &answer).ok()?
+            verify_auth_hello(key, &nonce, state.session, &answer).ok()?
         }
     };
     if process >= state.last_sent_len() {
         return None;
-    }
-    {
-        let mut writer: &TcpStream = &stream;
-        std::io::Write::write_all(&mut writer, &state.welcome).ok()?;
     }
     // Back to blocking reads for the pump: the gather ladder owns all
     // timeout policy.
@@ -1075,12 +1193,13 @@ mod tests {
     /// neither the flag nor a pipe.
     #[test]
     fn worker_command_keeps_the_key_off_argv() {
-        let hex = AuthKey::new([0xA7; 32]).to_hex();
+        let key = AuthKey::new([0xA7; 32]);
+        let hex = key.to_hex();
         let mut launcher = WorkerLauncher {
             path: PathBuf::from("ufc-node"),
             addr: "127.0.0.1:7740".to_owned(),
             session: 42,
-            auth_hex: Some(hex.clone()),
+            auth: Some(key),
         };
         let args = |launcher: &WorkerLauncher| -> Vec<String> {
             launcher
@@ -1097,7 +1216,7 @@ mod tests {
                 .all(|arg| !arg.contains(&hex) && !arg.contains(&hex[..16])),
             "the key leaked onto argv: {authenticated:?}"
         );
-        launcher.auth_hex = None;
+        launcher.auth = None;
         let plain = args(&launcher);
         assert!(!plain.iter().any(|arg| arg.starts_with("--auth")));
         assert_eq!(
@@ -1126,8 +1245,6 @@ mod tests {
             listener,
             AcceptorState {
                 session,
-                welcome: Arc::new(Vec::new()),
-                config_digest: [0; 32],
                 auth: Some(AuthState {
                     key: AuthKey::new([7; 32]),
                     urandom: open_urandom().expect("/dev/urandom is readable"),

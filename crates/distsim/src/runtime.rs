@@ -13,10 +13,12 @@
 //! exists once in the supervisor. Faults, corruption and drops are not
 //! separate code paths either: a clean run is the [`FaultPlan::none`]
 //! degenerate case of the same engines, and the run policy (validation,
-//! rollback checkpoints, the clean baseline) lives in
-//! [`DistributedAdmg::execute`] alone.
+//! rollback checkpoints, the clean baseline, and which socket runs share a
+//! fleet of worker processes) lives in [`DistributedAdmg::execute`] alone.
 
+use std::fmt;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use ufc_core::engine::IterationObserver;
 use ufc_core::telemetry::{IntegrityCounters, RunTelemetry};
@@ -27,7 +29,7 @@ use crate::engine_socket::ProcessFleet;
 use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, FaultReport};
 use crate::stats::MessageStats;
 use crate::supervision::run_supervised;
-use crate::wire::{AuthKey, BindConfig};
+use crate::wire::{AuthKey, BindConfig, RunConfig};
 use crate::worker::{InlineFleet, ThreadFleet};
 
 /// Checkpoint cadence [`DistributedAdmg::execute`] gives a corrupting plan
@@ -186,9 +188,38 @@ pub struct DistRunReport {
 }
 
 /// Facade: runs the distributed ADM-G protocol on an instance.
-#[derive(Debug, Clone, Copy)]
+///
+/// A runner keeps the worker processes of its last clean
+/// [`Engine::Sockets`] run and hands them to its next socket run with
+/// equal [`SocketOptions`] (see [`DistributedAdmg::execute`]), so a
+/// sequence of hourly socket solves spawns, handshakes and reaps its
+/// workers once, not once per hour. It reaps them when it is dropped.
+/// That is why it is not `Copy`: a clone starts with no workers of its
+/// own. It is `Send + Sync`; runs on one runner from several threads each
+/// get a fleet, and only one of them is kept.
 pub struct DistributedAdmg {
     settings: AdmgSettings,
+    /// The process fleet of the last clean socket run, waiting for the
+    /// next one.
+    parked: Mutex<Option<ProcessFleet>>,
+}
+
+impl Clone for DistributedAdmg {
+    /// A runner with the same settings and no parked fleet.
+    fn clone(&self) -> Self {
+        DistributedAdmg {
+            settings: self.settings,
+            parked: Mutex::new(None),
+        }
+    }
+}
+
+impl fmt::Debug for DistributedAdmg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DistributedAdmg")
+            .field("settings", &self.settings)
+            .finish_non_exhaustive()
+    }
 }
 
 impl DistributedAdmg {
@@ -199,7 +230,10 @@ impl DistributedAdmg {
     /// [`CoreError::InvalidConfig`] if the settings are invalid.
     pub fn try_new(settings: AdmgSettings) -> Result<Self, CoreError> {
         settings.check()?;
-        Ok(DistributedAdmg { settings })
+        Ok(DistributedAdmg {
+            settings,
+            parked: Mutex::new(None),
+        })
     }
 
     /// Creates a runner, panicking on invalid settings (thin wrapper over
@@ -235,6 +269,19 @@ impl DistributedAdmg {
     ///   [`AdmgSolver`] baseline, which every engine reproduces bit for bit
     ///   on a clean plan; [`FaultReport::ufc_delta_vs_clean`] is the UFC
     ///   difference to it, and `0.0` otherwise.
+    /// * An [`Engine::Sockets`] run takes the runner's parked fleet of
+    ///   worker processes when its [`SocketOptions`] equal the fleet's, it
+    ///   resolves to the same process count, every parked process still
+    ///   runs and the plan binds no wire-level chaos to the connections;
+    ///   it loads its configuration into those workers instead of spawning
+    ///   new ones. Otherwise it tears the parked fleet down and launches
+    ///   its own. Its fleet is parked afterwards if the run returned `Ok`
+    ///   with every process still running, no pump error and no wire-level
+    ///   chaos — an eviction or a wire-chaos plan therefore ends with a
+    ///   teardown — and the runner reaps a parked fleet when it is
+    ///   dropped. Reuse changes no result: every report covers only its
+    ///   own run, and a run on a parked fleet reports what the same run on
+    ///   a fresh runner reports.
     ///
     /// A run whose every crash recovers, and a run whose corruption is
     /// caught by verified checksums or whose copies are only dropped,
@@ -253,7 +300,8 @@ impl DistributedAdmg {
     /// * [`CoreError::NodeFailure`] for an unrecoverable failure (a
     ///   permanently dead front-end, the last active datacenter, a worker
     ///   that dies unplanned, or a worker process that cannot be spawned or
-    ///   never completes the handshake).
+    ///   never completes the handshake), and when tearing down a fleet
+    ///   finds one of its coordinator threads panicked.
     /// * [`CoreError::CorruptPayload`] when a verified link exhausts its
     ///   retransmit budget, and [`CoreError::Divergence`] when undetected
     ///   corruption poisons the iterate stream.
@@ -295,34 +343,41 @@ impl DistributedAdmg {
         let settings = &self.settings;
         let mut report = match &spec.engine {
             Engine::Lockstep => {
-                let launch = |_: &FaultPlan, replies| {
-                    Ok(InlineFleet::launch(
-                        instance, settings, active_mu, active_nu, replies,
-                    ))
-                };
+                let mut fleet = InlineFleet::launch(instance, settings, active_mu, active_nu);
                 run_supervised(
-                    settings, instance, active_mu, active_nu, plan, launch, observer,
+                    settings, instance, active_mu, active_nu, plan, &mut fleet, observer,
                 )
             }
             Engine::Threaded => {
-                let launch = |plan: &FaultPlan, replies| {
-                    Ok(ThreadFleet::launch(
-                        instance, settings, active_mu, active_nu, plan, replies,
-                    ))
-                };
+                let mut fleet =
+                    ThreadFleet::launch(instance, settings, active_mu, active_nu, &plan);
                 run_supervised(
-                    settings, instance, active_mu, active_nu, plan, launch, observer,
+                    settings, instance, active_mu, active_nu, plan, &mut fleet, observer,
                 )
             }
             Engine::Sockets(options) => {
-                let launch = |plan: &FaultPlan, replies| {
-                    ProcessFleet::launch(
-                        instance, settings, active_mu, active_nu, plan, options, replies,
-                    )
+                let nodes = instance.m_frontends() + instance.n_datacenters();
+                let config = RunConfig {
+                    instance: instance.clone(),
+                    settings: *settings,
+                    active_mu,
+                    active_nu,
+                    processes: ProcessFleet::processes_for(nodes, &plan, options)?,
                 };
-                run_supervised(
-                    settings, instance, active_mu, active_nu, plan, launch, observer,
-                )
+                let mut fleet = self.fleet_for(&config, &plan, options)?;
+                let report = run_supervised(
+                    settings, instance, active_mu, active_nu, plan, &mut fleet, observer,
+                );
+                if report.is_ok() && fleet.reusable() {
+                    // The newest fleet is kept; one a concurrent run parked
+                    // meanwhile is reaped here, outside the lock.
+                    let _replaced = self
+                        .parked
+                        .lock()
+                        .ok()
+                        .and_then(|mut slot| slot.replace(fleet));
+                }
+                report
             }
         }?;
         let ufc = report.breakdown.ufc();
@@ -330,6 +385,37 @@ impl DistributedAdmg {
             fault.ufc_delta_vs_clean = clean_ufc.map_or(0.0, |clean| ufc - clean);
         }
         Ok(report)
+    }
+
+    /// The fleet a socket run of `config` under `plan` and `options` runs
+    /// on: the parked one loaded with `config` if it fits
+    /// ([`ProcessFleet::fits`]), else a fresh launch, after the unfit
+    /// parked fleet (if any) is torn down. A run on the same runner in
+    /// another thread meanwhile finds the slot empty and launches its own.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::NodeFailure`] when the unfit fleet's teardown finds a
+    /// panicked coordinator thread, or as for [`ProcessFleet::launch`].
+    fn fleet_for(
+        &self,
+        config: &RunConfig,
+        plan: &FaultPlan,
+        options: &SocketOptions,
+    ) -> Result<ProcessFleet, CoreError> {
+        let parked = self.parked.lock().ok().and_then(|mut slot| slot.take());
+        match parked {
+            Some(mut fleet) if fleet.fits(options, config.processes, plan) => {
+                fleet.load(config);
+                Ok(fleet)
+            }
+            parked => {
+                if let Some(mut unfit) = parked {
+                    unfit.teardown()?;
+                }
+                ProcessFleet::launch(config, plan, options)
+            }
+        }
     }
 
     /// A clean run on the socket engine: `execute` with

@@ -28,8 +28,7 @@
 //! drained. `tests/fault_injection.rs` pins the lockstep fault reports and
 //! holds the thread fleet to the same iterates, statistics and reports.
 
-use std::collections::HashSet;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use ufc_core::engine::{drive, BlockResiduals, IterationObserver, Transport};
@@ -106,15 +105,19 @@ pub(crate) enum Reply {
 
 /// How the supervisor's commands reach the nodes, which are addressed by
 /// global id: front-ends `0..m`, datacenters `m..m + n`. Replies travel on
-/// the channel the fleet was launched with. Deadlines, recovery decisions
-/// and accounting are the supervisor's; this is the place a fleet of
-/// workers is spawned, kept and reaped.
+/// the fleet's own channel ([`Fleet::replies`]). Deadlines, recovery
+/// decisions and accounting are the supervisor's; this is the place a
+/// fleet of workers is spawned, kept and reaped. The supervisor borrows a
+/// fleet for one run, so a fleet can outlive it (the process fleet does,
+/// between `DistributedAdmg::execute` calls).
 pub(crate) trait Fleet {
     /// Whether [`Fleet::send`] has queued every reply of its fan-out before
     /// it returns. A node still silent once such a fleet's queue is drained
     /// will never answer, so the gather ladder runs with a zero base
     /// timeout instead of the plan's `phase_timeout`.
     const REPLIES_ON_SEND: bool = false;
+    /// The channel every node's replies arrive on.
+    fn replies(&self) -> &Receiver<Reply>;
     /// Delivers one fan-out. A command for a node that is down is dropped:
     /// its silence is the gather ladder's to judge.
     fn send(&mut self, cmds: Vec<(usize, NodeCmd)>);
@@ -139,11 +142,17 @@ pub(crate) trait Fleet {
     fn begin_iteration(&mut self, _k: usize, _plan: &FaultPlan) -> Result<(), CoreError> {
         Ok(())
     }
-    /// Tears every node down, on every exit path. Folds the carrier's own
-    /// accounting into `tally` and returns the typed error the carrier
-    /// parked during the run, if any (it outranks the dead-node verdict its
-    /// silence produced), beside the teardown's own result.
-    fn shutdown(self, tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>);
+    /// Ends a run, on every exit path: `clean` says whether it reached its
+    /// final gather. Stops what the run leaves behind (every node, unless
+    /// the fleet can serve another run), folds the carrier's own
+    /// accounting of the run into `tally` and returns the typed error the
+    /// carrier parked during the run, if any (it outranks the dead-node
+    /// verdict its silence produced), beside the result of stopping.
+    fn end_run(
+        &mut self,
+        clean: bool,
+        tally: &mut Tally,
+    ) -> (Option<CoreError>, Result<(), CoreError>);
 }
 
 /// Whether a run under `plan` sends each front-end's next prediction in
@@ -156,25 +165,21 @@ pub(crate) fn pipelines(plan: &FaultPlan) -> bool {
     plan.is_trivial() && plan.corruption.is_none() && plan.checkpoint_interval == 0
 }
 
-/// Runs the supervised coordinator under `plan` over the fleet `launch`
-/// starts, which sends its replies on the channel it is handed. A trivial
-/// plan reduces to the clean runtime: no kills, no extra traffic, and the
-/// same report on every fleet.
+/// Runs the supervised coordinator under `plan` over `fleet`, whose nodes
+/// already hold this run's kernels, and ends the run on it
+/// ([`Fleet::end_run`]). A trivial plan reduces to the clean runtime: no
+/// kills, no extra traffic, and the same report on every fleet.
 pub(crate) fn run_supervised<F: Fleet>(
     settings: &AdmgSettings,
     instance: &UfcInstance,
     active_mu: bool,
     active_nu: bool,
     plan: FaultPlan,
-    launch: impl FnOnce(&FaultPlan, Sender<Reply>) -> Result<F, CoreError>,
+    fleet: &mut F,
     observer: &mut dyn IterationObserver,
 ) -> Result<DistRunReport, CoreError> {
     let tolerances = settings.scaled_tolerances(instance);
-    let (reply_tx, replies) = channel();
-    let fleet = launch(&plan, reply_tx)?;
-    let mut sup = Supervisor::new(
-        instance, *settings, active_mu, active_nu, plan, fleet, replies,
-    );
+    let mut sup = Supervisor::new(instance, *settings, active_mu, active_nu, plan, fleet);
     let mut collector = settings.telemetry.then(TelemetryCollector::default);
     let outcome = match collector.as_mut() {
         Some(c) => {
@@ -187,9 +192,9 @@ pub(crate) fn run_supervised<F: Fleet>(
         sup.final_gather(outcome.iterations)
             .map(|gathered| (outcome, gathered))
     });
-    // The error path tears the fleet down too.
+    // The error path ends the run too.
     let mut tally = Tally::new(sup.stats, &sup.tracker, &sup.integrity, sup.stall_phases);
-    let (parked, shutdown) = sup.fleet.shutdown(&mut tally);
+    let (parked, shutdown) = sup.fleet.end_run(outcome.is_ok(), &mut tally);
     let (outcome, gathered) = outcome.map_err(|e| parked.unwrap_or(e))?;
     shutdown?;
     tally.into_report(
@@ -209,8 +214,7 @@ struct Supervisor<'a, F> {
     active_nu: bool,
     m: usize,
     n: usize,
-    fleet: F,
-    replies: Receiver<Reply>,
+    fleet: &'a mut F,
     tracker: FaultTracker,
     store: CheckpointStore,
     history: Vec<HistoryEntry>,
@@ -245,8 +249,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         active_mu: bool,
         active_nu: bool,
         plan: FaultPlan,
-        fleet: F,
-        replies: Receiver<Reply>,
+        fleet: &'a mut F,
     ) -> Self {
         let m = instance.m_frontends();
         let n = instance.n_datacenters();
@@ -264,7 +267,6 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             m,
             n,
             fleet,
-            replies,
             tracker: FaultTracker::new(plan, m, n),
             store: CheckpointStore::new(m, n),
             history: Vec::new(),
@@ -297,11 +299,23 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         (0..self.n).filter(|&j| !self.tracker.is_evicted(j))
     }
 
+    /// Every front-end, then the live datacenters.
+    fn live_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.m)
+            .map(NodeId::Frontend)
+            .chain(self.live_datacenters().map(NodeId::Datacenter))
+    }
+
+    /// The gather set of `nodes`.
+    fn pending(&self, nodes: impl IntoIterator<Item = NodeId>) -> Pending {
+        Pending::of(self.m, self.n, nodes)
+    }
+
     /// One gather on the plan's deadline ladder ([`gather_phase`]), or on
     /// a zero ladder for a fleet that replies on send.
     fn gather(
         &self,
-        pending: &mut HashSet<NodeId>,
+        pending: &mut Pending,
         accept: impl FnMut(Reply) -> Option<NodeId>,
     ) -> Vec<NodeId> {
         let base_timeout = if F::REPLIES_ON_SEND {
@@ -310,7 +324,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             self.tracker.plan().phase_timeout
         };
         gather_phase(
-            &self.replies,
+            self.fleet.replies(),
             pending,
             base_timeout,
             BACKOFF_ROUNDS,
@@ -360,25 +374,26 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
     /// pending. A node declared dead is resolved by the [`FaultTracker`]:
     /// respawned, replayed and asked again (rejoining the same pending set,
     /// so no reply is ever consumed by a narrower filter), or — for a
-    /// datacenter — evicted. A typed rejection (`NodeError`) fails the
-    /// phase with the lowest node's error; the node is never respawned
-    /// into the same poison. `early` holds replies an earlier gather
-    /// drained.
+    /// datacenter — evicted. A typed rejection (`NodeError`) of iteration
+    /// `k` from a node of the phase's kind (the datacenters', or else the
+    /// front-ends') fails the phase with the lowest node's error; the node
+    /// is never respawned into the same poison. `early` holds replies an
+    /// earlier gather drained.
     fn gather_compute(
         &mut self,
         k: usize,
+        datacenters: bool,
         early: Vec<Reply>,
-        mut pending: HashSet<NodeId>,
+        mut pending: Pending,
         mut accept: impl FnMut(Reply) -> Option<NodeId>,
     ) -> Result<(), CoreError> {
-        let phase = pending.clone();
         let mut errors: Vec<(NodeId, CoreError)> = Vec::new();
         let mut file = |reply: Reply| match reply {
             Reply::NodeError {
                 node,
                 iteration,
                 error,
-            } if iteration == k && phase.contains(&node) => {
+            } if iteration == k && matches!(node, NodeId::Datacenter(_)) == datacenters => {
                 errors.push((node, error));
                 Some(node)
             }
@@ -386,10 +401,10 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         };
         for reply in early {
             if let Some(node) = file(reply) {
-                pending.remove(&node);
+                pending.remove(node);
             }
         }
-        let mut respawned: HashSet<NodeId> = HashSet::new();
+        let mut respawned: Vec<NodeId> = Vec::new();
         loop {
             let missing = self.gather(&mut pending, &mut file);
             if missing.is_empty() && pending.is_empty() {
@@ -397,13 +412,14 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
             }
             for node in missing {
                 self.fleet.declared_dead(self.id(node));
-                if !respawned.insert(node) {
+                if respawned.contains(&node) {
                     return Err(CoreError::node_failure(
                         node.to_string(),
                         k,
                         "no reply after checkpoint respawn",
                     ));
                 }
+                respawned.push(node);
                 match self.tracker.resolve_crash(node, k)? {
                     Resolution::Recovered { .. } => {
                         self.respawn(node, k)?;
@@ -488,8 +504,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
     /// clears the replay buffer.
     fn checkpoint_round(&mut self, k: usize) -> Result<(), CoreError> {
         let (m, n) = (self.m, self.n);
-        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        pending.extend(self.live_datacenters().map(NodeId::Datacenter));
+        let mut pending = self.pending(self.live_nodes());
         self.fleet.send(
             (0..m)
                 .chain(self.live_datacenters().map(|j| m + j))
@@ -546,8 +561,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
     /// Ships `Finish` to every live node and gathers the final iterate.
     fn final_gather(&mut self, iterations: usize) -> Result<Gathered, CoreError> {
         let (m, n) = (self.m, self.n);
-        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
-        pending.extend(self.live_datacenters().map(NodeId::Datacenter));
+        let mut pending = self.pending(self.live_nodes());
         self.fleet.send(
             (0..m)
                 .chain(self.live_datacenters().map(|j| m + j))
@@ -626,8 +640,8 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
         }
         let mut rows: Vec<Option<Vec<f64>>> = vec![None; m];
         let early = std::mem::take(&mut self.early_predictions);
-        let pending = (0..m).map(NodeId::Frontend).collect();
-        self.gather_compute(k, early, pending, |reply| match reply {
+        let pending = self.pending((0..m).map(NodeId::Frontend));
+        self.gather_compute(k, false, early, pending, |reply| match reply {
             Reply::Lambda { i, iteration, row } if iteration == k => {
                 rows[i] = Some(row);
                 Some(NodeId::Frontend(i))
@@ -670,8 +684,8 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
         let mut a_cols = vec![vec![0.0; m]; n];
         let mut d_vals = vec![0.0; n];
         let mut dc_residuals: Vec<Option<NodeResiduals>> = vec![None; n];
-        let pending = self.live_datacenters().map(NodeId::Datacenter).collect();
-        self.gather_compute(k, Vec::new(), pending, |reply| match reply {
+        let pending = self.pending(self.live_datacenters().map(NodeId::Datacenter));
+        self.gather_compute(k, true, Vec::new(), pending, |reply| match reply {
             Reply::DcStep {
                 j,
                 iteration,
@@ -746,7 +760,7 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
         self.fleet.send(cmds);
         let mut fe_residuals: Vec<Option<NodeResiduals>> = vec![None; m];
         let mut early = Vec::new();
-        let mut pending: HashSet<NodeId> = (0..m).map(NodeId::Frontend).collect();
+        let mut pending = self.pending((0..m).map(NodeId::Frontend));
         let missing = self.gather(&mut pending, |reply| match reply {
             Reply::FeResidual {
                 i,
@@ -834,6 +848,82 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
     }
 }
 
+/// The nodes a gather still waits for: a mask over fleet ids (front-ends
+/// `0..m`, datacenters `m..m + n`) and its count. A gather files each
+/// reply with an index, not a hash, and lists what is left in node order.
+struct Pending {
+    m: usize,
+    waiting: Vec<bool>,
+    count: usize,
+}
+
+impl Pending {
+    /// The set of `nodes` among `m` front-ends and `n` datacenters.
+    fn of(m: usize, n: usize, nodes: impl IntoIterator<Item = NodeId>) -> Self {
+        let mut pending = Pending {
+            m,
+            waiting: vec![false; m + n],
+            count: 0,
+        };
+        for node in nodes {
+            pending.insert(node);
+        }
+        pending
+    }
+
+    fn slot(&mut self, node: NodeId) -> Option<&mut bool> {
+        let id = match node {
+            NodeId::Frontend(i) => i,
+            NodeId::Datacenter(j) => self.m + j,
+        };
+        self.waiting.get_mut(id)
+    }
+
+    /// Adds `node` (once).
+    fn insert(&mut self, node: NodeId) {
+        if let Some(waiting @ false) = self.slot(node) {
+            *waiting = true;
+            self.count += 1;
+        }
+    }
+
+    /// Drops `node`, if it is pending.
+    fn remove(&mut self, node: NodeId) {
+        if let Some(waiting @ true) = self.slot(node) {
+            *waiting = false;
+            self.count -= 1;
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The pending nodes, in node order.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let m = self.m;
+        self.waiting
+            .iter()
+            .enumerate()
+            .filter(|&(_, &waiting)| waiting)
+            .map(move |(id, _)| {
+                if id < m {
+                    NodeId::Frontend(id)
+                } else {
+                    NodeId::Datacenter(id - m)
+                }
+            })
+    }
+
+    /// Empties the set, returning what it held in node order.
+    fn take_all(&mut self) -> Vec<NodeId> {
+        let all: Vec<NodeId> = self.nodes().collect();
+        self.waiting.fill(false);
+        self.count = 0;
+        all
+    }
+}
+
 /// Hard cap on ladder restarts granted to silent-but-running nodes. At
 /// 1000 restarts of the full ladder a node is treated as wedged and
 /// returned as missing regardless of liveness.
@@ -859,9 +949,9 @@ const MAX_EXTENSIONS: u32 = 1000;
 /// declared within one ladder of the moment it stops; with `E` ladder
 /// extensions granted to live stragglers the total wait is at most
 /// `(1 + E)` ladders, `E ≤ MAX_EXTENSIONS`.
-pub(crate) fn gather_phase(
+fn gather_phase(
     rx: &Receiver<Reply>,
-    pending: &mut HashSet<NodeId>,
+    pending: &mut Pending,
     base_timeout: Duration,
     rounds: u32,
     alive: impl Fn(NodeId) -> bool,
@@ -872,7 +962,7 @@ pub(crate) fn gather_phase(
     let mut wait = base_timeout;
     let mut extensions = 0u32;
     let mut deadline = Instant::now() + wait;
-    let mut missing: Vec<NodeId> = loop {
+    loop {
         if pending.is_empty() {
             break Vec::new();
         }
@@ -882,7 +972,7 @@ pub(crate) fn gather_phase(
         match rx.recv_timeout(remaining) {
             Ok(reply) => {
                 if let Some(node) = accept(reply) {
-                    pending.remove(&node);
+                    pending.remove(node);
                 }
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -893,31 +983,31 @@ pub(crate) fn gather_phase(
                     continue;
                 }
                 // Ladder exhausted: declare stopped nodes dead right away.
-                let dead: Vec<NodeId> = pending.iter().copied().filter(|&n| !alive(n)).collect();
+                let dead: Vec<NodeId> = pending.nodes().filter(|&n| !alive(n)).collect();
                 if !dead.is_empty() {
-                    for node in &dead {
+                    for &node in &dead {
                         pending.remove(node);
                     }
                     break dead;
                 }
                 if extensions >= MAX_EXTENSIONS {
-                    break pending.drain().collect();
+                    break pending.take_all();
                 }
                 extensions += 1;
                 round = 0;
                 wait = base_timeout;
                 deadline = Instant::now() + wait;
             }
-            Err(RecvTimeoutError::Disconnected) => break pending.drain().collect(),
+            Err(RecvTimeoutError::Disconnected) => break pending.take_all(),
         }
-    };
-    missing.sort_unstable();
-    missing
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::channel;
+
     use crate::worker::ThreadFleet;
     use ufc_core::Strategy;
     use ufc_model::scenario::ScenarioBuilder;
@@ -934,17 +1024,14 @@ mod tests {
         let (active_mu, active_nu) = Strategy::Hybrid
             .block_activation(instance)
             .expect("hybrid runs every block");
-        let (reply_tx, replies) = channel();
-        let fleet = ThreadFleet::launch(instance, &settings, active_mu, active_nu, &plan, reply_tx);
-        let mut sup = Supervisor::new(
-            instance, settings, active_mu, active_nu, plan, fleet, replies,
-        );
+        let mut fleet = ThreadFleet::launch(instance, &settings, active_mu, active_nu, &plan);
+        let mut sup = Supervisor::new(instance, settings, active_mu, active_nu, plan, &mut fleet);
         let tolerances = settings.scaled_tolerances(instance);
         let outcome = drive(&mut sup, &settings, tolerances, &mut ()).expect("run converges");
         assert!(outcome.converged);
         let left = sup.history.len();
         let mut tally = Tally::new(sup.stats, &sup.tracker, &sup.integrity, sup.stall_phases);
-        let (_, shutdown) = sup.fleet.shutdown(&mut tally);
+        let (_, shutdown) = sup.fleet.end_run(true, &mut tally);
         shutdown.expect("threads join");
         left
     }
@@ -965,9 +1052,7 @@ mod tests {
     #[test]
     fn dead_node_declared_while_straggler_sleeps() {
         let (tx, rx) = channel::<Reply>();
-        let mut pending: HashSet<NodeId> = [NodeId::Frontend(0), NodeId::Frontend(1)]
-            .into_iter()
-            .collect();
+        let mut pending = Pending::of(2, 0, [NodeId::Frontend(0), NodeId::Frontend(1)]);
         // Frontend(0) is a live straggler replying long after the ladder;
         // Frontend(1)'s thread has already exited.
         let straggler = std::thread::spawn(move || {
@@ -993,7 +1078,7 @@ mod tests {
         let elapsed = start.elapsed();
         assert_eq!(missing, vec![NodeId::Frontend(1)]);
         assert!(
-            pending.contains(&NodeId::Frontend(0)),
+            pending.nodes().eq([NodeId::Frontend(0)]),
             "the live straggler must stay pending, not be declared dead"
         );
         assert!(
@@ -1010,7 +1095,7 @@ mod tests {
     #[test]
     fn timely_replies_do_not_extend_the_phase_deadline() {
         let (tx, rx) = channel::<Reply>();
-        let mut pending: HashSet<NodeId> = (0..11).map(NodeId::Frontend).collect();
+        let mut pending = Pending::of(11, 0, (0..11).map(NodeId::Frontend));
         // Frontend(0) is dead and silent; frontends 1..=10 trickle replies
         // every 80 ms — each inside a fresh base timeout of 100 ms, so the
         // pre-fix per-message wait never fires until the trickle ends.

@@ -12,11 +12,18 @@
 //!
 //! The payload vocabulary is deliberately small:
 //!
-//! * `Hello`/`Welcome` — the connect/accept handshake. A worker announces
-//!   its session id, process index, and incarnation; the coordinator
-//!   validates the session and answers with the serialized `RunConfig`
-//!   (instance + settings + block activation), from which the worker builds
-//!   its hosted node kernels exactly as the in-process engines do.
+//! * `Hello` — the connect/accept handshake: a worker announces the
+//!   fleet's session id, its process index and its incarnation, and the
+//!   coordinator checks the session. Under a shared key the coordinator
+//!   speaks first with a `Challenge` and the worker answers `AuthHello`.
+//!   The handshake admits a connection to the fleet and carries no run.
+//! * `Load` — one run: the serialized `RunConfig` (instance + settings +
+//!   block activation + process count), from which the worker builds its
+//!   hosted node kernels exactly as the in-process engines do. A fleet
+//!   outlives a run, so a worker takes one `Load` per run it serves, each
+//!   with a higher sequence number; under a shared key each carries a
+//!   keyed tag over its identity, its sequence number and the config's
+//!   SHA-256 (`Load::verify`).
 //! * `Cmd` — a node-addressed command (predict/correct/process/snapshot/
 //!   membership/restore/finish): the supervisor's one command vocabulary,
 //!   which inline nodes receive by call, worker threads over channels and
@@ -24,7 +31,7 @@
 //! * `Reply` — a worker reply, decoded straight into the supervisor's
 //!   `Reply`, so its gather machinery (`supervision::gather_phase`) serves
 //!   every fleet.
-//! * `Shutdown` — orderly teardown.
+//! * `Shutdown` — orderly teardown of the fleet.
 //!
 //! All `f64` fields travel as exact little-endian bit patterns, so a value
 //! decoded on the far side is bit-identical to the value encoded — the
@@ -269,8 +276,9 @@ fn put_bool(buf: &mut Vec<u8>, v: bool) {
 //
 // A hand-rolled SHA-256 / HMAC-SHA256 pair (FIPS 180-4 / RFC 2104; no
 // external crates) underpins the challenge–response handshake that guards
-// non-loopback listeners. The primitives are deliberately boring: the
-// security of the handshake rests on HMAC, not on anything clever here.
+// non-loopback listeners and the tag on every authenticated `Load`. The
+// primitives are deliberately boring: the security of the handshake rests
+// on HMAC, not on anything clever here.
 
 const SHA256_K: [u32; 64] = [
     0x428a_2f98,
@@ -340,7 +348,7 @@ const SHA256_K: [u32; 64] = [
 ];
 
 /// SHA-256 of `data` (FIPS 180-4). Used for the run-config digest bound
-/// into the handshake MAC and as the compression function under
+/// into each `Load`'s tag and as the compression function under
 /// [`hmac_sha256`].
 #[must_use]
 pub fn sha256(data: &[u8]) -> [u8; 32] {
@@ -435,8 +443,8 @@ pub(crate) fn ct_eq(a: &[u8; 32], b: &[u8; 32]) -> bool {
 
 /// Shared 256-bit authentication key for the socket transport. Both the
 /// coordinator and every `ufc-node` worker must hold the same key; the
-/// handshake never places the key itself on the wire, only an HMAC over
-/// the per-connection challenge.
+/// wire never carries the key itself, only HMACs over the per-connection
+/// challenge and over each `Load`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct AuthKey {
     bytes: [u8; 32],
@@ -552,10 +560,11 @@ impl BindConfig {
 }
 
 /// The keyed MAC a worker presents in [`WireFrame::AuthHello`]:
-/// `HMAC-SHA256(key, nonce ‖ session ‖ process ‖ incarnation ‖ digest)`.
-/// Binding the run-config digest means an authenticated worker cannot be
-/// spliced onto a different run configuration; binding the nonce makes
-/// every recorded handshake worthless for replay.
+/// `HMAC-SHA256(key, nonce ‖ session ‖ process ‖ incarnation)`. Binding
+/// the nonce makes every recorded handshake worthless for replay; binding
+/// the identity keeps a valid answer from being spliced onto another
+/// process slot or incarnation. The run a worker serves is bound later,
+/// by each [`Load`]'s tag.
 #[must_use]
 pub(crate) fn handshake_mac(
     key: &AuthKey,
@@ -563,14 +572,12 @@ pub(crate) fn handshake_mac(
     session: u64,
     process: usize,
     incarnation: u32,
-    digest: &[u8; 32],
 ) -> [u8; 32] {
-    let mut msg = Vec::with_capacity(32 + 8 + 8 + 4 + 32);
+    let mut msg = Vec::with_capacity(32 + 8 + 8 + 4);
     msg.extend_from_slice(nonce);
     msg.extend_from_slice(&session.to_le_bytes());
     msg.extend_from_slice(&(process as u64).to_le_bytes());
     msg.extend_from_slice(&incarnation.to_le_bytes());
-    msg.extend_from_slice(digest);
     hmac_sha256(key.bytes(), &msg)
 }
 
@@ -585,7 +592,6 @@ pub(crate) fn handshake_mac(
 pub(crate) fn verify_auth_hello(
     key: &AuthKey,
     nonce: &[u8; 32],
-    digest: &[u8; 32],
     session: u64,
     frame: &WireFrame,
 ) -> Result<(usize, u32), CoreError> {
@@ -602,7 +608,7 @@ pub(crate) fn verify_auth_hello(
                     format!("stale session id {got:#x} (expected {session:#x})"),
                 ));
             }
-            let expect = handshake_mac(key, nonce, session, *process, *incarnation, digest);
+            let expect = handshake_mac(key, nonce, session, *process, *incarnation);
             if !ct_eq(&expect, mac) {
                 return Err(CoreError::unauthorized(
                     format!("worker-{process}"),
@@ -623,6 +629,97 @@ pub(crate) fn verify_auth_hello(
             ),
         )),
     }
+}
+
+/// One run for one worker process: the body of [`WireFrame::Load`]. A
+/// fleet sends one to every process before a run's first command, and to
+/// every respawned incarnation before its `Restore`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Load {
+    /// The fleet's load counter. A worker accepts only loads whose `seq`
+    /// exceeds the last one it took, so a recorded load cannot be played
+    /// back to it.
+    pub(crate) seq: u64,
+    /// The encoded [`RunConfig`].
+    pub(crate) config: Vec<u8>,
+    /// Under a shared key, `HMAC-SHA256(key, session ‖ process ‖
+    /// incarnation ‖ seq ‖ sha256(config))`; `None` on an unauthenticated
+    /// loopback fleet.
+    pub(crate) tag: Option<[u8; 32]>,
+}
+
+impl Load {
+    /// The load of `config` for process slot `process` at `incarnation`,
+    /// tagged when the fleet holds `key`.
+    pub(crate) fn new(
+        key: Option<&AuthKey>,
+        session: u64,
+        process: usize,
+        incarnation: u32,
+        seq: u64,
+        config: Vec<u8>,
+    ) -> Self {
+        let tag = key.map(|key| load_tag(key, session, process, incarnation, seq, &config));
+        Load { seq, config, tag }
+    }
+
+    /// The worker's check of a load addressed to it as
+    /// `(session, process, incarnation)`, which last took the load
+    /// numbered `last_seq`. Without a key only the sequence is checked;
+    /// there is nothing to check a tag against.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Unauthorized`] when `seq` does not exceed `last_seq`,
+    /// or, under `key`, when the tag is missing or does not verify (another
+    /// key, another identity, another `seq` or another config).
+    pub(crate) fn verify(
+        &self,
+        key: Option<&AuthKey>,
+        session: u64,
+        process: usize,
+        incarnation: u32,
+        last_seq: Option<u64>,
+    ) -> Result<(), CoreError> {
+        let refuse = |why: String| CoreError::unauthorized(format!("worker-{process}"), why);
+        if let Some(last) = last_seq.filter(|&last| self.seq <= last) {
+            return Err(refuse(format!(
+                "load {} does not follow load {last}",
+                self.seq
+            )));
+        }
+        let Some(key) = key else {
+            return Ok(());
+        };
+        let expect = load_tag(key, session, process, incarnation, self.seq, &self.config);
+        match &self.tag {
+            Some(tag) if ct_eq(&expect, tag) => Ok(()),
+            Some(_) => Err(refuse(format!(
+                "load {} tag mismatch (wrong key, identity or config)",
+                self.seq
+            ))),
+            None => Err(refuse(format!("load {} carries no tag", self.seq))),
+        }
+    }
+}
+
+/// [`Load::tag`]: binds the run configuration to the key, the worker's
+/// identity and the load's sequence number.
+fn load_tag(
+    key: &AuthKey,
+    session: u64,
+    process: usize,
+    incarnation: u32,
+    seq: u64,
+    config: &[u8],
+) -> [u8; 32] {
+    let mut msg = Vec::with_capacity(8 + 8 + 4 + 8 + 32);
+    msg.extend_from_slice(&session.to_le_bytes());
+    msg.extend_from_slice(&(process as u64).to_le_bytes());
+    msg.extend_from_slice(&incarnation.to_le_bytes());
+    msg.extend_from_slice(&seq.to_le_bytes());
+    msg.extend_from_slice(&sha256(config));
+    hmac_sha256(key.bytes(), &msg)
 }
 
 // ---- protocol frames ----------------------------------------------------
@@ -653,7 +750,7 @@ pub(crate) enum NodeCmd {
 pub(crate) enum WireFrame {
     /// Worker → coordinator: connect/accept handshake announcement.
     Hello {
-        /// Run-unique session id; a stale worker from an earlier run is
+        /// The fleet's session id; a stale worker from an earlier fleet is
         /// rejected at accept.
         session: u64,
         /// Which process slot this worker fills.
@@ -661,9 +758,10 @@ pub(crate) enum WireFrame {
         /// Respawn generation (0 for the first spawn).
         incarnation: u32,
     },
-    /// Coordinator → worker: handshake answer carrying the serialized
-    /// [`RunConfig`].
-    Welcome { config: Vec<u8> },
+    /// Coordinator → worker: the run to serve next. Like the handshake
+    /// frames it is not a command, and the egress counters do not count
+    /// it.
+    Load(Load),
     /// Coordinator → worker: a command for hosted node `node` (front-ends
     /// `0..m`, datacenters `m..m+n`).
     Cmd { node: usize, cmd: NodeCmd },
@@ -672,21 +770,16 @@ pub(crate) enum WireFrame {
     /// Coordinator → worker: orderly exit.
     Shutdown,
     /// Coordinator → worker: authentication challenge, sent immediately
-    /// after accept when the listener holds an [`AuthKey`]. Carries a
-    /// per-connection random nonce and the SHA-256 digest of the
-    /// serialized [`RunConfig`] the worker is about to receive.
+    /// after accept when the listener holds an [`AuthKey`].
     Challenge {
         /// Fresh random nonce; never reused across connections, so a
         /// recorded `AuthHello` cannot be replayed.
         nonce: [u8; 32],
-        /// `sha256(RunConfig::encode())` — bound into the MAC and
-        /// re-checked by the worker against the `Welcome` it receives.
-        digest: [u8; 32],
     },
     /// Worker → coordinator: the authenticated spelling of `Hello`,
     /// answering a [`WireFrame::Challenge`].
     AuthHello {
-        /// Run-unique session id (as in `Hello`).
+        /// The fleet's session id (as in `Hello`).
         session: u64,
         /// Which process slot this worker fills.
         process: usize,
@@ -705,7 +798,7 @@ impl WireFrame {
     fn kind_tag(&self) -> u8 {
         match self {
             WireFrame::Hello { .. } => 0,
-            WireFrame::Welcome { .. } => 1,
+            WireFrame::Load(_) => 1,
             WireFrame::Cmd { .. } => 2,
             WireFrame::Reply(_) => 3,
             WireFrame::Shutdown => 4,
@@ -730,7 +823,14 @@ impl WireFrame {
                 put_u32(&mut buf, *process);
                 buf.extend_from_slice(&incarnation.to_le_bytes());
             }
-            WireFrame::Welcome { config } => put_blob(&mut buf, config),
+            WireFrame::Load(Load { seq, config, tag }) => {
+                put_u64(&mut buf, *seq);
+                put_blob(&mut buf, config);
+                put_bool(&mut buf, tag.is_some());
+                if let Some(tag) = tag {
+                    buf.extend_from_slice(tag);
+                }
+            }
             WireFrame::Cmd { node, cmd } => {
                 put_u32(&mut buf, *node);
                 match cmd {
@@ -843,10 +943,7 @@ impl WireFrame {
                 }
             },
             WireFrame::Shutdown => {}
-            WireFrame::Challenge { nonce, digest } => {
-                buf.extend_from_slice(nonce);
-                buf.extend_from_slice(digest);
-            }
+            WireFrame::Challenge { nonce } => buf.extend_from_slice(nonce),
             WireFrame::AuthHello {
                 session,
                 process,
@@ -900,9 +997,15 @@ impl WireFrame {
                 process: get_u32(body, &mut pos)?,
                 incarnation: u32::from_le_bytes(take::<4>(body, &mut pos)?),
             },
-            1 => WireFrame::Welcome {
+            1 => WireFrame::Load(Load {
+                seq: get_u64(body, &mut pos)?,
                 config: get_blob(body, &mut pos)?,
-            },
+                tag: if get_bool(body, &mut pos)? {
+                    Some(take::<32>(body, &mut pos)?)
+                } else {
+                    None
+                },
+            }),
             2 => {
                 let node = get_u32(body, &mut pos)?;
                 let cmd = match get_u8(body, &mut pos)? {
@@ -1002,7 +1105,6 @@ impl WireFrame {
             4 => WireFrame::Shutdown,
             5 => WireFrame::Challenge {
                 nonce: take::<32>(body, &mut pos)?,
-                digest: take::<32>(body, &mut pos)?,
             },
             6 => WireFrame::AuthHello {
                 session: get_u64(body, &mut pos)?,
@@ -1301,9 +1403,16 @@ mod tests {
                 process: 3,
                 incarnation: 2,
             },
-            WireFrame::Welcome {
+            WireFrame::Load(Load {
+                seq: 7,
                 config: vec![1, 2, 3, 4, 5],
-            },
+                tag: None,
+            }),
+            WireFrame::Load(Load {
+                seq: 8,
+                config: vec![6, 7],
+                tag: Some([0x5C; 32]),
+            }),
             WireFrame::Cmd {
                 node: 7,
                 cmd: NodeCmd::Correct {
@@ -1345,10 +1454,7 @@ mod tests {
                 d: 0.125,
             }),
             WireFrame::Shutdown,
-            WireFrame::Challenge {
-                nonce: [0xA5; 32],
-                digest: [0x3C; 32],
-            },
+            WireFrame::Challenge { nonce: [0xA5; 32] },
             WireFrame::AuthHello {
                 session: 0x0123_4567_89AB_CDEF,
                 process: 2,
@@ -1445,9 +1551,8 @@ mod tests {
     fn auth_hello_verification_accepts_honest_and_rejects_hostile() {
         let key = AuthKey::new([0x42; 32]);
         let nonce = [0x11; 32];
-        let digest = sha256(b"run config bytes");
         let session = 0xFEED_F00D;
-        let mac = handshake_mac(&key, &nonce, session, 3, 1, &digest);
+        let mac = handshake_mac(&key, &nonce, session, 3, 1);
         let honest = WireFrame::AuthHello {
             session,
             process: 3,
@@ -1455,7 +1560,7 @@ mod tests {
             mac,
         };
         assert_eq!(
-            verify_auth_hello(&key, &nonce, &digest, session, &honest).unwrap(),
+            verify_auth_hello(&key, &nonce, session, &honest).unwrap(),
             (3, 1)
         );
 
@@ -1464,9 +1569,9 @@ mod tests {
             session,
             process: 3,
             incarnation: 1,
-            mac: handshake_mac(&AuthKey::new([0x43; 32]), &nonce, session, 3, 1, &digest),
+            mac: handshake_mac(&AuthKey::new([0x43; 32]), &nonce, session, 3, 1),
         };
-        let err = verify_auth_hello(&key, &nonce, &digest, session, &wrong_key).unwrap_err();
+        let err = verify_auth_hello(&key, &nonce, session, &wrong_key).unwrap_err();
         assert!(matches!(err, CoreError::Unauthorized { .. }), "{err}");
         assert!(err.to_string().contains("mac mismatch"), "{err}");
 
@@ -1476,10 +1581,10 @@ mod tests {
             session,
             process: 3,
             incarnation: 1,
-            mac: handshake_mac(&key, &[0x22; 32], session, 3, 1, &digest),
+            mac: handshake_mac(&key, &[0x22; 32], session, 3, 1),
         };
         assert!(matches!(
-            verify_auth_hello(&key, &nonce, &digest, session, &replayed),
+            verify_auth_hello(&key, &nonce, session, &replayed),
             Err(CoreError::Unauthorized { .. })
         ));
 
@@ -1489,7 +1594,7 @@ mod tests {
             process: 3,
             incarnation: 1,
         };
-        let err = verify_auth_hello(&key, &nonce, &digest, session, &downgrade).unwrap_err();
+        let err = verify_auth_hello(&key, &nonce, session, &downgrade).unwrap_err();
         assert!(err.to_string().contains("downgrade"), "{err}");
 
         // Stale session id.
@@ -1497,9 +1602,9 @@ mod tests {
             session: session ^ 1,
             process: 3,
             incarnation: 1,
-            mac: handshake_mac(&key, &nonce, session ^ 1, 3, 1, &digest),
+            mac: handshake_mac(&key, &nonce, session ^ 1, 3, 1),
         };
-        let err = verify_auth_hello(&key, &nonce, &digest, session, &stale).unwrap_err();
+        let err = verify_auth_hello(&key, &nonce, session, &stale).unwrap_err();
         assert!(err.to_string().contains("stale session"), "{err}");
 
         // Identity fields are bound into the MAC: flipping the process
@@ -1511,14 +1616,54 @@ mod tests {
             mac,
         };
         assert!(matches!(
-            verify_auth_hello(&key, &nonce, &digest, session, &spliced),
+            verify_auth_hello(&key, &nonce, session, &spliced),
             Err(CoreError::Unauthorized { .. })
         ));
 
         // A non-handshake frame mid-handshake is rejected too.
-        let err =
-            verify_auth_hello(&key, &nonce, &digest, session, &WireFrame::Shutdown).unwrap_err();
+        let err = verify_auth_hello(&key, &nonce, session, &WireFrame::Shutdown).unwrap_err();
         assert!(matches!(err, CoreError::Unauthorized { .. }), "{err}");
+    }
+
+    #[test]
+    fn load_verification_binds_key_sequence_and_config() {
+        let key = AuthKey::new([0x42; 32]);
+        let session = 0xFEED_F00D;
+        let config = b"run config bytes".to_vec();
+        let load = Load::new(Some(&key), session, 3, 1, 5, config.clone());
+        load.verify(Some(&key), session, 3, 1, None).unwrap();
+        load.verify(Some(&key), session, 3, 1, Some(4)).unwrap();
+        let refused = |load: &Load, last: Option<u64>| {
+            let err = load.verify(Some(&key), session, 3, 1, last).unwrap_err();
+            assert!(matches!(err, CoreError::Unauthorized { .. }), "{err}");
+            err.to_string()
+        };
+
+        // Tagged under another key.
+        let other_key = Load::new(Some(&AuthKey::new([0x43; 32])), session, 3, 1, 5, config);
+        assert!(refused(&other_key, Some(4)).contains("tag mismatch"));
+
+        // A reused (or older) sequence number, even with a valid tag.
+        assert!(refused(&load, Some(5)).contains("does not follow"));
+        assert!(refused(&load, Some(9)).contains("does not follow"));
+
+        // Another config under the tag of this one.
+        let swapped = Load {
+            config: b"another run".to_vec(),
+            ..load.clone()
+        };
+        assert!(refused(&swapped, Some(4)).contains("tag mismatch"));
+
+        // Another identity: the tag binds the process and incarnation.
+        assert!(load.verify(Some(&key), session, 2, 1, None).is_err());
+        assert!(load.verify(Some(&key), session, 3, 2, None).is_err());
+
+        // A keyed worker refuses an untagged load; a keyless worker checks
+        // only the sequence.
+        let untagged = Load::new(None, session, 3, 1, 6, b"run".to_vec());
+        assert!(refused(&untagged, Some(5)).contains("no tag"));
+        untagged.verify(None, session, 3, 1, Some(5)).unwrap();
+        assert!(untagged.verify(None, session, 3, 1, Some(6)).is_err());
     }
 
     #[test]

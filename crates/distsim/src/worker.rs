@@ -9,13 +9,14 @@
 //! the in-process solver that steps the same node types.
 //!
 //! [`run_worker`] is the entire body of the `ufc-node` binary: connect to
-//! the coordinator, introduce yourself (a `Hello` wire frame), rebuild
-//! your hosted node kernels from the `RunConfig` in the `Welcome` answer,
-//! then serve node-addressed commands until every hosted node has shipped
-//! its final iterate or the coordinator says `Shutdown`. A worker process
-//! hosts the nodes `id % processes == process` (see
-//! [`crate::wire::hosted_nodes`]): front-end kernels for `id < m`,
-//! datacenter kernels above.
+//! the coordinator, introduce yourself (a `Hello` wire frame), then serve
+//! one run per `Load` frame — rebuild your hosted node kernels from its
+//! `RunConfig` and answer node-addressed commands — until the coordinator
+//! says `Shutdown` or hangs up once every hosted node has shipped its final
+//! iterate. A worker process therefore outlives a run: the coordinator
+//! keeps its fleet between the runs of one `DistributedAdmg`. It hosts the
+//! nodes `id % processes == process` (see [`crate::wire::hosted_nodes`]):
+//! front-end kernels for `id < m`, datacenter kernels above.
 //!
 //! Failure behaviour: a dropped connection (`ECONNRESET`, EOF — e.g. the
 //! coordinator simulating a WAN partition by shutting the socket down) is
@@ -40,7 +41,7 @@ use crate::coordinator::Tally;
 use crate::fault::{FaultPlan, NodeId};
 use crate::supervision::{Fleet, Reply};
 use crate::wire::{
-    handshake_mac, hosted_nodes, sha256, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
+    handshake_mac, hosted_nodes, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
 };
 
 /// Connection attempts before the worker gives up on the coordinator.
@@ -124,8 +125,9 @@ fn connect_with_backoff(addr: &str, process: usize) -> Result<TcpStream, CoreErr
 }
 
 /// A live session: the stream, its reassembly buffer, the frames queued
-/// for the next write, and the per-connection wire-chaos recovery state
-/// (duplicate suppression, reply cache for coordinator Naks, Nak budget).
+/// for the next write, and the per-run wire-chaos recovery state
+/// (duplicate suppression, reply cache for coordinator Naks, Nak budget),
+/// which a reconnect or a `Load` starts afresh.
 struct Session {
     stream: TcpStream,
     frames: FrameBuffer,
@@ -142,22 +144,21 @@ struct Session {
     /// Wire bytes of the last reply sent; retransmitted verbatim when the
     /// coordinator answers with a [`WireFrame::Nak`].
     last_reply: Option<Vec<u8>>,
-    /// Naks sent on this connection (bounded by [`NAK_BUDGET`]).
+    /// Naks sent in this run on this connection (bounded by
+    /// [`NAK_BUDGET`]).
     naks_sent: usize,
 }
 
 impl Session {
     /// Connects (with backoff) and performs the handshake: a plain `Hello`
-    /// without a key, or the challenge–response exchange with one. Returns
-    /// the session plus the run-config digest the coordinator committed to
-    /// in its challenge (checked against the `Welcome` later).
+    /// without a key, or the challenge–response exchange with one.
     fn establish(
         addr: &str,
         process: usize,
         session: u64,
         incarnation: u32,
         auth: Option<&AuthKey>,
-    ) -> Result<(Session, Option<[u8; 32]>), CoreError> {
+    ) -> Result<Session, CoreError> {
         let stream = connect_with_backoff(addr, process)?;
         let mut link = Session {
             stream,
@@ -167,7 +168,7 @@ impl Session {
             last_reply: None,
             naks_sent: 0,
         };
-        let digest = match auth {
+        match auth {
             None => {
                 let hello = WireFrame::Hello {
                     session,
@@ -177,7 +178,6 @@ impl Session {
                 .to_wire();
                 link.out.extend_from_slice(&hello);
                 link.flush(process)?;
-                None
             }
             Some(key) => {
                 // Say nothing until the coordinator proves it holds the
@@ -188,13 +188,13 @@ impl Session {
                         "connection closed before the authentication challenge",
                     )
                 })?;
-                let WireFrame::Challenge { nonce, digest } = frame else {
+                let WireFrame::Challenge { nonce } = frame else {
                     return Err(CoreError::unauthorized(
                         format!("worker-{process}"),
                         "expected an authentication challenge, got a different frame",
                     ));
                 };
-                let mac = handshake_mac(key, &nonce, session, process, incarnation, &digest);
+                let mac = handshake_mac(key, &nonce, session, process, incarnation);
                 let hello = WireFrame::AuthHello {
                     session,
                     process,
@@ -204,10 +204,17 @@ impl Session {
                 .to_wire();
                 link.out.extend_from_slice(&hello);
                 link.flush(process)?;
-                Some(digest)
             }
-        };
-        Ok((link, digest))
+        }
+        Ok(link)
+    }
+
+    /// Forgets the previous run's duplicate guard, reply cache and Nak
+    /// count.
+    fn reset_run_state(&mut self) {
+        self.last_seen = None;
+        self.last_reply = None;
+        self.naks_sent = 0;
     }
 
     /// Blocks for the next complete frame; `Ok(None)` on orderly EOF.
@@ -393,14 +400,18 @@ fn dispatch(
 /// binary.
 ///
 /// Connects to the coordinator at `addr` (loopback by default; any
-/// reachable `host:port` when the coordinator binds remotely), performs
-/// the handshake for `(session, process, incarnation)` — a plain
-/// `Hello`/`Welcome` without `auth`, the challenge–response exchange with
-/// it — then serves commands for its hosted nodes until all of them have
-/// answered `Finish` or a `Shutdown` frame arrives. Dropped connections
-/// are re-established with exponential backoff and a repeated handshake
-/// (same incarnation); node state survives the reconnect because it lives
-/// here, not in the stream.
+/// reachable `host:port` when the coordinator binds remotely) and performs
+/// the handshake for `(session, process, incarnation)` — a plain `Hello`
+/// without `auth`, the challenge–response exchange with it. Then it serves
+/// runs: each `Load` frame rebuilds the hosted node kernels from its run
+/// configuration and starts the per-run session state afresh, and the
+/// commands after it are answered by those kernels. The worker exits on a
+/// `Shutdown` frame, or at once when the coordinator hangs up after every
+/// hosted node has answered `Finish` (so workers also end with a
+/// coordinator that exits without tearing its fleet down). A connection
+/// dropped mid-run is re-established with exponential backoff and a
+/// repeated handshake (same incarnation); it gets no `Load`, and node state
+/// survives because it lives here, not in the stream.
 ///
 /// # Errors
 ///
@@ -408,8 +419,9 @@ fn dispatch(
 /// the backoff budget or a command is misaddressed,
 /// [`CoreError::CorruptPayload`] when a frame fails its CRC32 or bounds
 /// checks beyond the Nak budget, and [`CoreError::Unauthorized`] when the
-/// authenticated handshake cannot be completed or the `Welcome` does not
-/// match the digest the coordinator committed to in its challenge.
+/// authenticated handshake cannot be completed or a `Load` fails
+/// `wire::Load::verify`: its sequence number does not exceed the
+/// last load's, or, under `auth`, its tag does not verify.
 pub fn run_worker(
     addr: &str,
     process: usize,
@@ -417,10 +429,10 @@ pub fn run_worker(
     incarnation: u32,
     auth: Option<&AuthKey>,
 ) -> Result<(), CoreError> {
-    let (mut link, mut expected_digest) =
-        Session::establish(addr, process, session, incarnation, auth)?;
+    let mut link = Session::establish(addr, process, session, incarnation, auth)?;
     let mut nodes: Vec<(usize, Hosted)> = Vec::new();
     let mut finished = 0usize;
+    let mut last_load: Option<u64> = None;
     loop {
         let frame = match link.next_frame(process) {
             Ok(Some(frame)) => frame,
@@ -432,8 +444,7 @@ pub fn run_worker(
                 }
                 // Mid-run drop (partition simulation or coordinator
                 // hiccup): reconnect and re-introduce ourselves.
-                (link, expected_digest) =
-                    Session::establish(addr, process, session, incarnation, auth)?;
+                link = Session::establish(addr, process, session, incarnation, auth)?;
                 continue;
             }
             // Read errors (ECONNRESET and friends) take the same recovery
@@ -443,37 +454,25 @@ pub fn run_worker(
                 if !nodes.is_empty() && finished == nodes.len() {
                     return Ok(());
                 }
-                (link, expected_digest) =
-                    Session::establish(addr, process, session, incarnation, auth)?;
+                link = Session::establish(addr, process, session, incarnation, auth)?;
                 continue;
             }
             Err(err) => return Err(err),
         };
         match frame {
-            WireFrame::Welcome { config } => {
-                // Under authentication the coordinator committed to a
-                // config digest in its challenge; a Welcome that does not
-                // match is a spliced or swapped configuration.
-                if let Some(expect) = expected_digest {
-                    if sha256(&config) != expect {
-                        return Err(CoreError::unauthorized(
-                            format!("worker-{process}"),
-                            "welcome config digest does not match the challenge",
-                        ));
-                    }
+            WireFrame::Load(load) => {
+                load.verify(auth, session, process, incarnation, last_load)?;
+                last_load = Some(load.seq);
+                let config = RunConfig::decode(&load.config)?;
+                if process >= config.processes {
+                    return Err(CoreError::invalid_config(format!(
+                        "worker process {process} out of range for {} processes",
+                        config.processes
+                    )));
                 }
-                // First Welcome builds the kernels; a Welcome on a
-                // reconnect is ignored — state lives here.
-                if nodes.is_empty() {
-                    let config = RunConfig::decode(&config)?;
-                    if process >= config.processes {
-                        return Err(CoreError::invalid_config(format!(
-                            "worker process {process} out of range for {} processes",
-                            config.processes
-                        )));
-                    }
-                    nodes = build_nodes(&config, process);
-                }
+                nodes = build_nodes(&config, process);
+                finished = 0;
+                link.reset_run_state();
             }
             WireFrame::Cmd { node, cmd } => {
                 let is_finish = matches!(cmd, NodeCmd::Finish);
@@ -546,20 +545,22 @@ pub(crate) struct ThreadFleet<'a> {
     /// already served (or replays) every iteration up to it, so only later
     /// delays are scripted into its thread.
     iteration: usize,
-    replies: Sender<Reply>,
+    /// The sending end every node thread gets a clone of, and the receiving
+    /// end the supervisor gathers from.
+    reply_tx: Sender<Reply>,
+    replies: Receiver<Reply>,
     /// Command channel and thread per node; `None` while the node is down.
     threads: Vec<Option<(Sender<NodeCmd>, JoinHandle<()>)>>,
 }
 
 impl<'a> ThreadFleet<'a> {
-    /// Starts one thread per node of `instance`, replying on `replies`.
+    /// Starts one thread per node of `instance`.
     pub(crate) fn launch(
         instance: &'a UfcInstance,
         settings: &AdmgSettings,
         active_mu: bool,
         active_nu: bool,
         plan: &FaultPlan,
-        replies: Sender<Reply>,
     ) -> Self {
         let m = instance.m_frontends();
         let nodes = m + instance.n_datacenters();
@@ -573,6 +574,7 @@ impl<'a> ThreadFleet<'a> {
                 plan.stragglers_for(node)
             })
             .collect();
+        let (reply_tx, replies) = channel();
         let mut fleet = ThreadFleet {
             instance,
             settings: *settings,
@@ -580,6 +582,7 @@ impl<'a> ThreadFleet<'a> {
             active_nu,
             stragglers,
             iteration: 0,
+            reply_tx,
             replies,
             threads: (0..nodes).map(|_| None).collect(),
         };
@@ -604,7 +607,7 @@ impl<'a> ThreadFleet<'a> {
             .filter(|&(t, _)| t > after)
             .collect();
         let (tx, rx) = channel();
-        let replies = self.replies.clone();
+        let replies = self.reply_tx.clone();
         let handle = thread::spawn(move || serve(id, node, &delays, &rx, &replies));
         self.threads[id] = Some((tx, handle));
     }
@@ -642,6 +645,10 @@ fn serve(
 }
 
 impl Fleet for ThreadFleet<'_> {
+    fn replies(&self) -> &Receiver<Reply> {
+        &self.replies
+    }
+
     fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
         for (id, cmd) in cmds {
             if let Some((tx, _)) = &self.threads[id] {
@@ -674,7 +681,12 @@ impl Fleet for ThreadFleet<'_> {
         Ok(())
     }
 
-    fn shutdown(mut self, _tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>) {
+    /// Stops every node thread: a thread fleet serves one run.
+    fn end_run(
+        &mut self,
+        _clean: bool,
+        _tally: &mut Tally,
+    ) -> (Option<CoreError>, Result<(), CoreError>) {
         // Close every channel before the first join, so the threads wind
         // down together.
         let handles: Vec<JoinHandle<()>> = self
@@ -710,21 +722,22 @@ pub(crate) struct InlineFleet<'a> {
     /// One kernel per node; `None` while the node is down.
     nodes: Vec<Option<Hosted>>,
     pool: WorkerPool,
-    replies: Sender<Reply>,
+    reply_tx: Sender<Reply>,
+    replies: Receiver<Reply>,
 }
 
 impl<'a> InlineFleet<'a> {
-    /// Builds every node of `instance`, replying on `replies`.
+    /// Builds every node of `instance`.
     pub(crate) fn launch(
         instance: &'a UfcInstance,
         settings: &AdmgSettings,
         active_mu: bool,
         active_nu: bool,
-        replies: Sender<Reply>,
     ) -> Self {
         let nodes = (0..instance.m_frontends() + instance.n_datacenters())
             .map(|id| Some(Hosted::new(instance, settings, active_mu, active_nu, id)))
             .collect();
+        let (reply_tx, replies) = channel();
         InlineFleet {
             instance,
             settings: *settings,
@@ -732,6 +745,7 @@ impl<'a> InlineFleet<'a> {
             active_nu,
             nodes,
             pool: WorkerPool::new(settings.num_threads),
+            reply_tx,
             replies,
         }
     }
@@ -760,6 +774,10 @@ fn serve_inline(id: usize, slot: &mut Option<Hosted>, cmds: Vec<NodeCmd>) -> Vec
 impl Fleet for InlineFleet<'_> {
     const REPLIES_ON_SEND: bool = true;
 
+    fn replies(&self) -> &Receiver<Reply> {
+        &self.replies
+    }
+
     fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
         let mut queues: Vec<Vec<NodeCmd>> = self.nodes.iter().map(|_| Vec::new()).collect();
         for (id, cmd) in cmds {
@@ -776,7 +794,7 @@ impl Fleet for InlineFleet<'_> {
             serve_inline(*id, slot, std::mem::take(queue))
         });
         for reply in replies.into_iter().flatten() {
-            let _ = self.replies.send(reply);
+            let _ = self.reply_tx.send(reply);
         }
     }
 
@@ -803,7 +821,11 @@ impl Fleet for InlineFleet<'_> {
     /// fan-outs into `tally`: the kernels are still in this process, so
     /// lockstep keeps the solver layer observable (an evicted or respawned
     /// kernel's counters went with it; the λ kernels count nothing).
-    fn shutdown(self, tally: &mut Tally) -> (Option<CoreError>, Result<(), CoreError>) {
+    fn end_run(
+        &mut self,
+        _clean: bool,
+        tally: &mut Tally,
+    ) -> (Option<CoreError>, Result<(), CoreError>) {
         for node in self.nodes.iter().flatten() {
             if let Hosted::Dc(dc) = node {
                 dc.add_counters(&mut tally.solver);

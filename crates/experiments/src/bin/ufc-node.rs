@@ -9,14 +9,18 @@
 //!     [--incarnation I] [--auth-key-stdin]
 //! ```
 //!
-//! The process connects to the coordinator, rebuilds its hosted node
-//! kernels from the handshake's run configuration, and serves ADM-G
-//! commands until the run finishes. With `--auth-key-stdin` the worker
-//! reads the shared key (one line of 64 hex digits) from stdin, where no
-//! other local user can read it, and answers the coordinator's challenge
-//! with a keyed MAC before any iteration state is exchanged. All protocol
-//! logic lives in `ufc_distsim::worker::run_worker`; this binary only
-//! parses the flags.
+//! The process connects to the coordinator and joins its fleet (the
+//! `Hello` handshake). It then serves one run per `Load` frame: it
+//! rebuilds its hosted node kernels from the load's run configuration and
+//! answers ADM-G commands. A fleet outlives a run, so one worker serves
+//! every run its coordinator loads into it, and exits on `Shutdown`, or
+//! when the coordinator hangs up after the run's final gather. With
+//! `--auth-key-stdin` the worker reads the shared key (one line of 64 hex
+//! digits) from stdin, where no other local user can read it, answers the
+//! coordinator's challenge with a keyed MAC before any iteration state is
+//! exchanged, and refuses any `Load` whose tag that key does not verify.
+//! All protocol logic lives in `ufc_distsim::worker::run_worker`; this
+//! binary only parses the flags.
 
 use std::process::ExitCode;
 

@@ -511,6 +511,12 @@ pub fn size_trajectory(
 /// `Ok(None)` when the `ufc-node` worker binary is not present next to the
 /// running executable (the bench degrades gracefully instead of failing).
 ///
+/// Each socket leg is a cold run: it gets a runner of its own, which it
+/// drops inside its timer, so every leg pays its own launch, run and
+/// teardown, and no leg pays another's. (A runner keeps its worker
+/// processes between socket runs; sharing one would leave the teardown
+/// out of one leg and charge it to the next.)
+///
 /// # Errors
 ///
 /// [`BenchError::Core`] on scenario-construction or engine failures (a
@@ -529,9 +535,9 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
         .build()
         .map_err(CoreError::Model)?;
     let instance = &scenario.instances[0];
-    let runner = DistributedAdmg::try_new(AdmgSettings::default())?;
+    let settings = AdmgSettings::default();
     let start = Instant::now();
-    let threaded = runner.execute(
+    let threaded = DistributedAdmg::try_new(settings)?.execute(
         instance,
         Strategy::Hybrid,
         &RunSpec::new(Engine::Threaded),
@@ -540,12 +546,14 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     let threaded_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let time_socket = |options: SocketOptions| -> Result<f64, BenchError> {
         let start = Instant::now();
+        let runner = DistributedAdmg::try_new(settings)?;
         let socket = runner.execute(
             instance,
             Strategy::Hybrid,
             &RunSpec::new(Engine::Sockets(options)),
             &mut (),
         )?;
+        drop(runner);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         if threaded.iterations != socket.iterations {
             return Err(BenchError::EngineMismatch {

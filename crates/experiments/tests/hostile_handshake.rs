@@ -195,42 +195,48 @@ fn acceptor_survives_hostile_peers_while_serving_honest_workers() {
 
 /// The authenticated handshake is a transparent layer: with the shared
 /// key on both sides, runs at one process and at four co-hosted processes
-/// reproduce the lockstep solution bit-for-bit.
+/// reproduce the lockstep solution bit-for-bit. Each process count serves
+/// two hours on one runner, so the second hour's configuration reaches
+/// the parked workers in a tagged `Load`.
 #[test]
 fn authenticated_runs_match_lockstep_at_one_and_four_processes() {
-    let instance = workload();
+    let instances = admg_scaling(DEFAULT_SEED, 2).expect("scaling workload must build");
     let runner = DistributedAdmg::new(AdmgSettings::default());
-    let clean = runner
-        .execute(
-            &instance,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Lockstep),
-            &mut (),
-        )
-        .expect("clean lockstep run must converge");
     for processes in [1, 4] {
         let options = worker_options()
             .with_processes(processes)
             .with_auth(test_key());
-        let report = runner
-            .execute(
-                &instance,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Sockets(options.clone())),
-                &mut (),
-            )
-            .unwrap_or_else(|e| panic!("authenticated run at {processes} processes: {e}"));
-        assert!(report.converged);
-        assert_eq!(
-            point_bits(&clean),
-            point_bits(&report),
-            "{processes} processes: point must match lockstep bitwise"
-        );
-        assert_eq!(
-            clean.breakdown.ufc().to_bits(),
-            report.breakdown.ufc().to_bits(),
-            "{processes} processes: UFC must match lockstep bitwise"
-        );
+        for (hour, instance) in instances.iter().enumerate() {
+            let clean = runner
+                .execute(
+                    instance,
+                    Strategy::Hybrid,
+                    &RunSpec::new(Engine::Lockstep),
+                    &mut (),
+                )
+                .expect("clean lockstep run must converge");
+            let report = runner
+                .execute(
+                    instance,
+                    Strategy::Hybrid,
+                    &RunSpec::new(Engine::Sockets(options.clone())),
+                    &mut (),
+                )
+                .unwrap_or_else(|e| {
+                    panic!("authenticated run at {processes} processes, hour {hour}: {e}")
+                });
+            assert!(report.converged);
+            assert_eq!(
+                point_bits(&clean),
+                point_bits(&report),
+                "{processes} processes, hour {hour}: point must match lockstep bitwise"
+            );
+            assert_eq!(
+                clean.breakdown.ufc().to_bits(),
+                report.breakdown.ufc().to_bits(),
+                "{processes} processes, hour {hour}: UFC must match lockstep bitwise"
+            );
+        }
     }
 }
 

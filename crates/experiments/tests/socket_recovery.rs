@@ -11,7 +11,8 @@ use std::time::Duration;
 
 use ufc_core::{AdmgSettings, CoreError, Strategy};
 use ufc_distsim::{
-    DistributedAdmg, Engine, FaultPlan, NodeId, PartitionWindow, RunSpec, SocketOptions,
+    CorruptionConfig, CorruptionKind, DistRunReport, DistributedAdmg, Engine, FaultPlan, NodeId,
+    PartitionWindow, RunSpec, SocketOptions,
 };
 use ufc_experiments::sockets::recovery_fault_plan;
 use ufc_experiments::solver_bench::admg_scaling;
@@ -165,6 +166,53 @@ fn partition_after_an_eviction_skips_the_evicted_process() {
         lockstep.breakdown.ufc().to_bits(),
         sockets.breakdown.ufc().to_bits()
     );
+}
+
+/// One runner's parked fleet serves clean runs, a SIGKILL-and-partition
+/// recovery, an eviction (whose fleet, with a process gone, is torn down
+/// instead of parked) and a wire-chaos plan (which binds its chaos to a
+/// fleet of its own), in that order, and every report equals the same run
+/// on a fresh runner: iterations, point bits, traffic, fault report and
+/// integrity counters.
+#[test]
+fn a_parked_fleet_serves_faulty_and_chaotic_runs_like_a_fresh_one() {
+    let instance = workload();
+    let settings = AdmgSettings::default();
+    let runner = DistributedAdmg::new(settings);
+    let eviction = FaultPlan::new()
+        .with_phase_timeout(Duration::from_millis(20))
+        .crash_at(NodeId::Datacenter(0), 2);
+    let truncation = FaultPlan::none().with_corruption(
+        CorruptionConfig::new(1e-2, DEFAULT_SEED).with_kind(CorruptionKind::FrameTruncate),
+    );
+    let plans = [
+        ("clean", FaultPlan::none()),
+        ("recovery", recovery_fault_plan()),
+        ("eviction", eviction),
+        ("clean after the eviction", FaultPlan::none()),
+        ("frame truncation", truncation),
+        ("clean after the chaos", FaultPlan::none()),
+    ];
+    let fingerprint = |report: &DistRunReport| {
+        (
+            report.iterations,
+            point_bits(report),
+            report.breakdown.ufc().to_bits(),
+            report.stats,
+            report.fault.clone(),
+            report.integrity,
+        )
+    };
+    for (label, plan) in plans {
+        let spec = RunSpec::new(Engine::Sockets(worker_options())).with_plan(plan);
+        let parked = runner
+            .execute(&instance, Strategy::Hybrid, &spec, &mut ())
+            .unwrap_or_else(|e| panic!("{label}: run on the parked fleet failed: {e}"));
+        let fresh = DistributedAdmg::new(settings)
+            .execute(&instance, Strategy::Hybrid, &spec, &mut ())
+            .unwrap_or_else(|e| panic!("{label}: run on a fresh runner failed: {e}"));
+        assert_eq!(fingerprint(&parked), fingerprint(&fresh), "{label}");
+    }
 }
 
 /// An unrecoverable front-end crash (no recovery budget) is fatal with a
