@@ -5,31 +5,34 @@
 //! [`crate::worker::run_worker`]) connected to the coordinator over TCP —
 //! loopback by default, or any [`crate::wire::BindConfig`] listen address
 //! when a shared [`crate::wire::AuthKey`] is configured. The coordinator
-//! accepts connections on a background acceptor thread, validates the
-//! handshake (a `Hello` session check on loopback; a challenge–response
-//! keyed MAC when authentication is on — see DESIGN.md §17), and spawns
-//! one I/O pump thread per connection that reassembles wire frames
-//! ([`crate::wire::FrameBuffer`]) and feeds decoded replies into the
-//! fleet's reply channel. The protocol, deadline ladder, fault tracker,
-//! checkpoint store and replay buffer are the supervisor's, shared with
-//! the other fleets; this module only carries the bytes. A hostile peer
-//! (wrong key, replayed or truncated handshake, downgrade attempt) is
-//! dropped before any iteration state is exchanged and the acceptor keeps
-//! serving honest workers.
+//! accepts connections on a background acceptor thread, its one thread
+//! besides the caller's, and validates the handshake (a `Hello` session
+//! check on loopback; a challenge–response keyed MAC when authentication is
+//! on — see DESIGN.md §17). Everything after the handshake happens in the
+//! coordinator's own thread: `Fleet::send` writes each fan-out's frames,
+//! and `Fleet::recv` reads the connection of the first node the gather
+//! still waits for, straight into that connection's [`FrameBuffer`],
+//! blocking no longer than what is left of the ladder rung
+//! (`SO_RCVTIMEO`), and decodes the replies there ([`Link::visit`]). The
+//! protocol, deadline ladder, fault tracker, checkpoint store and replay
+//! buffer are the supervisor's, shared with the other fleets; this module
+//! only carries the bytes. A hostile peer (wrong key, replayed or truncated
+//! handshake, downgrade attempt) is dropped before any iteration state is
+//! exchanged and the acceptor keeps serving honest workers.
 //!
 //! A fleet outlives a run. Each run begins with a `Load` frame to every
 //! process ([`ProcessFleet::load`]), which carries the run's
 //! configuration, and so does every registration of a new incarnation.
-//! After a run that ends cleanly, with every process still running, no
-//! pump error and no wire chaos bound to the connections, the fleet stays
-//! up ([`ProcessFleet::reusable`]) and `DistributedAdmg::execute` parks it
-//! for its next socket run with the same options; any other run ends with
-//! the fleet's teardown.
+//! After a run that ends cleanly, with every process still running behind
+//! its connection, no parked error and no wire chaos bound to the
+//! connections, the fleet stays up ([`ProcessFleet::reusable`]) and
+//! `DistributedAdmg::execute` parks it for its next socket run with the
+//! same options; any other run ends with the fleet's teardown.
 //!
 //! A reply stream the coordinator cannot parse — a payload failing its CRC
 //! or decode, a worker `Nak`, a frame kind a worker never sends, a framing
-//! desync — parks a typed [`CoreError::CorruptPayload`] in a run-wide slot,
-//! and every process reads as dead from then on, so the gather ladder stops
+//! desync — parks a typed [`CoreError::CorruptPayload`] in the fleet, and
+//! every process reads as dead from then on, so the gather ladder stops
 //! at once and the run fails with that error.
 //!
 //! A [`crate::fault::CorruptionConfig`] pinned to a wire-level
@@ -39,21 +42,22 @@
 //! frames and incoming reply payloads. Truncated frames keep a coherent
 //! length prefix but an impossible CRC, so the receiver `Nak`s and the
 //! sender retransmits the cached clean bytes; duplicates are absorbed by
-//! the receivers' duplicate guards; reordered replies are held and
-//! delivered after their successor. The iterate stream therefore stays
-//! bit-identical to a clean run while every injection is counted and
-//! detected.
+//! the receivers' duplicate guards; a reordered reply is held and handed
+//! out after its successor, or as soon as the reader would block with it
+//! held. The repair runs in the same reader that decodes every run's
+//! replies. The iterate stream therefore stays bit-identical to a clean
+//! run while every injection is counted and detected.
 //!
 //! Faults here are real: a scripted crash is a `SIGKILL` delivered to the
 //! live worker process mid-iteration (`Child::kill`), a partition window
 //! tears down the affected TCP connections so the workers must
 //! reconnect-with-backoff, and liveness is `Child::try_wait` — the actual
-//! OS process table, not a thread flag. A respawned process is rebuilt
-//! from the last verified snapshot ([`crate::wire::NodeCmd::Restore`]) plus
-//! input replay, bit-identical to the state the killed process would have
-//! held.
+//! OS process table, not a thread flag — once the process's connection has
+//! been read to its end. A respawned process is rebuilt from the last
+//! verified snapshot ([`crate::wire::NodeCmd::Restore`]) plus input replay,
+//! bit-identical to the state the killed process would have held.
 
-use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -61,7 +65,7 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -71,7 +75,7 @@ use ufc_core::CoreError;
 use crate::coordinator::Tally;
 use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, WireChaos, WireVerdict};
 use crate::runtime::SocketOptions;
-use crate::supervision::{Fleet, Reply};
+use crate::supervision::{Fleet, Pending, Reply};
 use crate::wire::{
     process_of, verify_auth_hello, AuthKey, FrameBuffer, Load, NodeCmd, RunConfig, WireFrame,
 };
@@ -91,57 +95,27 @@ const EXIT_GRACE: Duration = Duration::from_secs(2);
 const REAP_POLL_START: Duration = Duration::from_micros(50);
 const REAP_POLL_CAP: Duration = Duration::from_millis(10);
 
-/// A completed handshake delivered by the acceptor thread: the stream the
-/// coordinator sends commands on, plus the pump thread that is already
-/// forwarding the worker's replies.
+/// A completed handshake delivered by the acceptor thread: the stream, and
+/// the buffer holding whatever the handshake read past its last frame.
 struct Registration {
     process: usize,
     incarnation: u32,
     stream: TcpStream,
-    pump: JoinHandle<()>,
-}
-
-/// State shared between the fleet and every pump: the wire-chaos counters
-/// folded into the run's report (zero unless chaos is armed), and the
-/// first typed error a pump parked.
-#[derive(Default)]
-struct WireShared {
-    counters: Mutex<IntegrityCounters>,
-    error: Mutex<Option<CoreError>>,
-}
-
-impl WireShared {
-    /// Parks `error` unless an earlier one is parked already.
-    fn park(&self, error: CoreError) {
-        if let Ok(mut slot) = self.error.lock() {
-            slot.get_or_insert(error);
-        }
-    }
-
-    /// Whether no pump has parked an error. Once one has, every process
-    /// reads as dead, so the gather ladder stops extending for a
-    /// connection that will never deliver and the typed error surfaces.
-    fn healthy(&self) -> bool {
-        self.error.lock().is_ok_and(|slot| slot.is_none())
-    }
+    frames: FrameBuffer,
 }
 
 /// Deterministic per-connection RNG salt: process index × direction, so
-/// every pump and every egress interceptor draws an independent but
-/// reproducible chaos stream from one [`CorruptionConfig::seed`].
+/// every connection's egress and ingress interceptor draws an independent
+/// but reproducible chaos stream from one [`CorruptionConfig::seed`].
 fn wire_salt(process: usize, ingress: bool) -> u64 {
     (2 * process as u64 + u64::from(ingress) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Everything the acceptor thread needs to complete a handshake: the
-/// session check, the optional challenge–response key, and what each
-/// validated connection's pump is handed: the shared counters and error
-/// slot, and the ingress-chaos plumbing.
+/// session check and the optional challenge–response key.
 struct AcceptorState {
     session: u64,
     auth: Option<AuthState>,
-    shared: Arc<WireShared>,
-    wire: Option<WireIngressSetup>,
 }
 
 /// The acceptor's half of authentication: the shared key, and the kernel
@@ -221,29 +195,17 @@ impl WorkerLauncher {
     }
 }
 
-/// Ingress-side wire-chaos plumbing, cloned into each pump at handshake.
-struct WireIngressSetup {
-    corruption: CorruptionConfig,
-    last_sent: Vec<Arc<Mutex<Vec<u8>>>>,
-}
-
-/// Per-pump wire-chaos state (only allocated when a wire-level kind is
-/// pinned): the ingress interceptor, the cached clean bytes of the last
-/// command sent on this connection (for `Nak`-triggered resends), and the
-/// per-frame retransmit budget.
-struct PumpWire {
-    chaos: WireChaos,
-    last_sent: Arc<Mutex<Vec<u8>>>,
-    max_retransmits: u32,
-}
-
 /// The coordinator's command egress: everything the process fleet's
 /// `Fleet::send` keeps per worker process, plus its counters.
 struct Egress {
     /// Command-direction chaos interceptors.
     chaos: Vec<Option<WireChaos>>,
-    /// The frames of the fan-out being sent; each goes out in one write.
+    /// The frames of the fan-out being sent, encoded in place; each
+    /// process's go out in one write.
     batches: Vec<Vec<u8>>,
+    /// With chaos armed, the clean bytes of the last command sent to each
+    /// process: what a worker `Nak` is answered with.
+    last_sent: Vec<Vec<u8>>,
     /// `Cmd` frames handed to a live connection (a chaos duplicate is an
     /// injection, not a second frame).
     frames_sent: u64,
@@ -259,6 +221,227 @@ fn wire_kind(plan: &FaultPlan) -> Option<CorruptionKind> {
         .filter(|k| k.is_wire_level())
 }
 
+/// How far past its receive timeout a blocking read may return: the
+/// kernel rounds `SO_RCVTIMEO` up to its timer tick (6–8 ms past the
+/// timeout, measured at HZ = 250). A read blocks in the kernel only for
+/// what is left of the rung beyond this slack, so it returns inside the
+/// rung.
+const RCVTIMEO_SLACK: Duration = Duration::from_millis(10);
+
+/// The sleep between two non-blocking reads in the last
+/// [`RCVTIMEO_SLACK`] of a rung.
+const POLL_STEP: Duration = Duration::from_micros(200);
+
+/// The receive timeout for a read with `remaining` left of the rung: the
+/// rest beyond [`RCVTIMEO_SLACK`], rounded down to whole milliseconds, or
+/// zero (read without blocking) in the rung's last stretch. The rounded
+/// value stays the same across the reads of a gather and from one gather
+/// to the next, so a stream keeps the timeout it has and a read costs no
+/// `setsockopt`.
+fn read_timeout(remaining: Duration) -> Duration {
+    let blocking = remaining.saturating_sub(RCVTIMEO_SLACK);
+    Duration::from_millis(blocking.as_millis() as u64)
+}
+
+/// What one [`Link::visit`] came back with.
+enum Visit {
+    /// A reply.
+    Reply(Reply),
+    /// Nothing before the deadline.
+    Idle,
+    /// The worker closed the connection and everything it sent has been
+    /// handed out.
+    Closed,
+}
+
+/// One worker process's connection, as the coordinator holds it: the
+/// stream its commands go out on and its replies come in on, the replies'
+/// reassembly buffer, and the reader's state for this connection.
+struct Link {
+    stream: TcpStream,
+    frames: FrameBuffer,
+    /// Whether the worker has closed its end: what is buffered is all that
+    /// is left to read.
+    eof: bool,
+    /// Replies decoded and not yet handed out, oldest first: the second
+    /// copy of a chaos duplicate, and a held reply its successor passed.
+    ready: VecDeque<Reply>,
+    /// The reply ingress chaos reordered, handed out after its successor.
+    held: Option<Reply>,
+    /// Reply-direction chaos (only with a wire-level kind armed).
+    chaos: Option<WireChaos>,
+    /// Consecutive undecodable frames under chaos; any clean decode resets
+    /// it. One ingress chaos draw happens per delivery attempt, so this
+    /// mirrors §12's per-attempt redraw semantics.
+    failures: u32,
+    /// The receive timeout the reader last set on the stream.
+    timeout: Option<Duration>,
+}
+
+impl Link {
+    fn new(stream: TcpStream, frames: FrameBuffer, chaos: Option<WireChaos>) -> Self {
+        Link {
+            stream,
+            frames,
+            eof: false,
+            ready: VecDeque::new(),
+            held: None,
+            chaos,
+            failures: 0,
+            timeout: None,
+        }
+    }
+
+    /// Whether nothing read from this connection waits to be handed out.
+    fn drained(&self) -> bool {
+        self.frames.pending_bytes() == 0 && self.ready.is_empty() && self.held.is_none()
+    }
+
+    /// The coordinator's reader for this connection: hands out the next
+    /// reply, decoding what is buffered first and reading the stream only
+    /// when nothing is, never blocking past `deadline`: a blocking read
+    /// stops [`RCVTIMEO_SLACK`] short of it, the rest is polled, and a
+    /// deadline already passed reads what the socket holds without
+    /// blocking.
+    ///
+    /// With chaos armed this is also the coordinator's half of the repair
+    /// protocol: every payload gets one ingress draw; an undecodable reply
+    /// is `Nak`ed back to the worker (which resends its cached reply,
+    /// re-drawn through chaos each attempt, bounded by `max_retransmits`),
+    /// a worker `Nak` is answered with `resend`, the clean bytes of the
+    /// last command, and a reordered reply is held until its successor
+    /// passes it or the reader would block with it held. `counters` gets
+    /// every injection, detection and retransmission.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::CorruptPayload`] for a stream the coordinator cannot
+    /// use: a framing desync, a payload failing its CRC or decode (past
+    /// the retransmit budget when chaos is armed, at once when it is not),
+    /// a worker `Nak` with no clean command to resend, or a frame kind no
+    /// worker sends.
+    fn visit(
+        &mut self,
+        deadline: Instant,
+        resend: &[u8],
+        counters: &mut IntegrityCounters,
+        max_retransmits: u32,
+    ) -> Result<Visit, CoreError> {
+        let corrupt = |what: String| CoreError::corrupt_payload("wire", 0, what);
+        loop {
+            if let Some(reply) = self.ready.pop_front() {
+                return Ok(Visit::Reply(reply));
+            }
+            if let Some(mut payload) = self.frames.next_frame()? {
+                let verdict = self
+                    .chaos
+                    .as_mut()
+                    .map_or(WireVerdict::Clean, |chaos| chaos.next_ingress(&mut payload));
+                if verdict != WireVerdict::Clean {
+                    counters.corruptions_injected += 1;
+                    if verdict != WireVerdict::Truncated {
+                        // Duplicates and reorders are absorbed structurally
+                        // (dedup / order-free gather); truncation is
+                        // detected by the decode below.
+                        counters.corruptions_detected += 1;
+                    }
+                }
+                let answer = match WireFrame::decode_payload(payload) {
+                    Ok(WireFrame::Reply(reply)) => {
+                        self.failures = 0;
+                        if verdict == WireVerdict::Reordered && self.held.is_none() {
+                            self.held = Some(reply);
+                            continue;
+                        }
+                        if verdict == WireVerdict::Duplicated {
+                            self.ready.push_back(reply.clone());
+                        }
+                        self.ready.extend(self.held.take());
+                        return Ok(Visit::Reply(reply));
+                    }
+                    Ok(WireFrame::Nak) => {
+                        // The worker could not decode our last command:
+                        // resend its clean bytes, bypassing the egress
+                        // interceptor (a §12 retransmission). Without chaos
+                        // there is no cache, and the command is lost.
+                        if resend.is_empty() {
+                            return Err(corrupt(
+                                "a worker could not decode a command frame".to_owned(),
+                            ));
+                        }
+                        counters.corruptions_detected += 1;
+                        counters.checksum_retransmissions += 1;
+                        resend
+                    }
+                    Ok(_) => {
+                        return Err(corrupt(
+                            "a worker sent a frame kind only the coordinator sends".to_owned(),
+                        ))
+                    }
+                    Err(error) => {
+                        if self.chaos.is_none() {
+                            return Err(error);
+                        }
+                        self.failures += 1;
+                        counters.corruptions_detected += 1;
+                        if self.failures > max_retransmits {
+                            return Err(corrupt(format!(
+                                "reply frame still failing after {max_retransmits} retransmits"
+                            )));
+                        }
+                        counters.checksum_retransmissions += 1;
+                        &WireFrame::Nak.to_wire()
+                    }
+                };
+                // A connection that takes no more writes delivers no more
+                // replies either.
+                if (&self.stream).write_all(answer).is_err() {
+                    self.eof = true;
+                }
+                continue;
+            }
+            if let Some(reply) = self.held.take() {
+                return Ok(Visit::Reply(reply));
+            }
+            if self.eof {
+                return Ok(Visit::Closed);
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let timeout = read_timeout(remaining);
+            let read = if timeout.is_zero() {
+                let read = self
+                    .stream
+                    .set_nonblocking(true)
+                    .and_then(|()| self.frames.read_from(&mut &self.stream));
+                let _ = self.stream.set_nonblocking(false);
+                read
+            } else {
+                let set = if self.timeout == Some(timeout) {
+                    Ok(())
+                } else {
+                    self.timeout = Some(timeout);
+                    self.stream.set_read_timeout(Some(timeout))
+                };
+                set.and_then(|()| self.frames.read_from(&mut &self.stream))
+            };
+            match read {
+                Ok(0) => self.eof = true,
+                Ok(_) => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    if remaining.is_zero() {
+                        return Ok(Visit::Idle);
+                    }
+                    if timeout.is_zero() {
+                        std::thread::sleep(POLL_STEP.min(remaining));
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => self.eof = true,
+            }
+        }
+    }
+}
+
 /// The [`Fleet`] of [`crate::Engine::Sockets`]: worker OS processes, each
 /// hosting its round-robin share of the nodes, behind one TCP connection
 /// apiece. It serves one run per [`ProcessFleet::load`] and is reaped by
@@ -272,32 +455,25 @@ pub(crate) struct ProcessFleet {
     processes: usize,
     launcher: WorkerLauncher,
     reg_rx: Receiver<Registration>,
-    /// Every pump's replies. The pumps hold the sending end, so the
-    /// channel lives as long as the fleet, across runs.
-    replies: Receiver<Reply>,
-    /// Live worker processes, one slot per process index. `RefCell`
-    /// because liveness probing (`try_wait`) needs `&mut Child` from
-    /// inside the gather ladder's `Fn` closure.
-    children: Vec<RefCell<Option<Child>>>,
-    /// Command streams to the workers (`None` while a worker is down or
-    /// its connection is dropped).
-    conns: Vec<Option<TcpStream>>,
+    /// Live worker processes, one slot per process index.
+    children: Vec<Option<Child>>,
+    /// Connections to the workers (`None` while a worker is down, its
+    /// connection is dropped, or once it has been read to its end).
+    links: Vec<Option<Link>>,
     /// Respawn generation per process slot. It only rises, across runs
     /// too, so a stale registration from an earlier run is refused.
     incarnations: Vec<u32>,
-    pumps: Vec<JoinHandle<()>>,
     /// The acceptor thread; `None` once the fleet is torn down.
     acceptor: Option<JoinHandle<()>>,
     acceptor_stop: Arc<AtomicBool>,
     /// Command egress.
     egress: Egress,
-    /// Per-connection cache of the last clean command bytes, shared with
-    /// the pump so a worker `Nak` can be answered with a clean resend.
-    last_sent: Vec<Arc<Mutex<Vec<u8>>>>,
-    /// Chaos counters and the parked-error slot, shared with the pumps.
-    shared: Arc<WireShared>,
-    /// Whether a wire-level corruption kind is armed.
-    chaos_armed: bool,
+    /// The wire-level corruption bound to the connections, if any.
+    chaos: Option<CorruptionConfig>,
+    /// This run's wire-chaos counters (zero unless chaos is armed).
+    wire_counters: IntegrityCounters,
+    /// The first typed error the reader parked in this run.
+    error: Option<CoreError>,
     /// Processes the gather ladder declared dead in this run.
     dead_node_declarations: u64,
     /// Connections re-established after a partition teardown in this run.
@@ -384,7 +560,6 @@ impl ProcessFleet {
         options: &SocketOptions,
     ) -> Result<Self, CoreError> {
         let processes = config.processes;
-        let wire_kind = wire_kind(plan);
         let auth = match &options.auth {
             Some(key) => Some(AuthState {
                 key: key.clone(),
@@ -400,35 +575,20 @@ impl ProcessFleet {
             .to_string();
         let addr = options.bind.advertise.clone().unwrap_or(local);
         let session = session_id();
-        let shared = Arc::new(WireShared::default());
-        let last_sent: Vec<Arc<Mutex<Vec<u8>>>> = (0..processes)
-            .map(|_| Arc::new(Mutex::new(Vec::new())))
-            .collect();
         let egress = Egress {
             chaos: (0..processes)
                 .map(|p| WireChaos::egress(plan.corruption.as_ref(), wire_salt(p, false)))
                 .collect(),
             batches: vec![Vec::new(); processes],
+            last_sent: vec![Vec::new(); processes],
             frames_sent: 0,
             socket_writes: 0,
         };
-        let (reply_tx, replies) = channel::<Reply>();
         let (reg_tx, reg_rx) = channel::<Registration>();
         let acceptor_stop = Arc::new(AtomicBool::new(false));
         let acceptor = spawn_acceptor(
             listener,
-            AcceptorState {
-                session,
-                auth,
-                shared: Arc::clone(&shared),
-                wire: wire_kind
-                    .and(plan.corruption)
-                    .map(|corruption| WireIngressSetup {
-                        corruption,
-                        last_sent: last_sent.clone(),
-                    }),
-            },
-            reply_tx,
+            AcceptorState { session, auth },
             reg_tx,
             Arc::clone(&acceptor_stop),
         );
@@ -446,17 +606,15 @@ impl ProcessFleet {
                 auth: options.auth.clone(),
             },
             reg_rx,
-            replies,
-            children: (0..processes).map(|_| RefCell::new(None)).collect(),
-            conns: (0..processes).map(|_| None).collect(),
+            children: (0..processes).map(|_| None).collect(),
+            links: (0..processes).map(|_| None).collect(),
             incarnations: vec![0; processes],
-            pumps: Vec::new(),
             acceptor: Some(acceptor),
             acceptor_stop,
             egress,
-            last_sent,
-            shared,
-            chaos_armed: wire_kind.is_some(),
+            chaos: wire_kind(plan).and(plan.corruption),
+            wire_counters: IntegrityCounters::default(),
+            error: None,
             dead_node_declarations: 0,
             reconnects: 0,
             config: Vec::new(),
@@ -475,7 +633,12 @@ impl ProcessFleet {
     /// Whether this fleet can serve a run of `plan` under `options` on
     /// `processes` processes: the same options and process count, no
     /// wire-level chaos to bind, and [`ProcessFleet::reusable`].
-    pub(crate) fn fits(&self, options: &SocketOptions, processes: usize, plan: &FaultPlan) -> bool {
+    pub(crate) fn fits(
+        &mut self,
+        options: &SocketOptions,
+        processes: usize,
+        plan: &FaultPlan,
+    ) -> bool {
         self.options == *options
             && self.processes == processes
             && wire_kind(plan).is_none()
@@ -483,33 +646,33 @@ impl ProcessFleet {
     }
 
     /// Whether the fleet can serve another run: it is not torn down, no
-    /// wire chaos is bound to its connections, no pump parked an error, and
+    /// wire chaos is bound to its connections, no error is parked, and
     /// every process runs behind a live connection.
-    pub(crate) fn reusable(&self) -> bool {
+    pub(crate) fn reusable(&mut self) -> bool {
         self.acceptor.is_some()
-            && !self.chaos_armed
-            && self.shared.healthy()
-            && (0..self.processes).all(|p| self.conns[p].is_some() && self.runs(p))
+            && self.chaos.is_none()
+            && self.error.is_none()
+            && (0..self.processes).all(|p| self.links[p].is_some() && self.runs(p))
     }
 
     /// Starts a run of `config` (`config.processes` must be the fleet's):
     /// clears the previous run's counters and sends every process a `Load`
-    /// with the next sequence number. A clean run leaves the reply channel
-    /// empty — each connection's unread pipelined predictions arrive
-    /// before its finals, which the final gather waits for — so the drain
-    /// here finds nothing (debug builds assert it).
+    /// with the next sequence number. A clean run leaves nothing unread —
+    /// each connection's unread pipelined predictions arrive before its
+    /// finals, which the final gather reads — so every connection is
+    /// drained here (debug builds assert it).
     pub(crate) fn load(&mut self, config: &RunConfig) {
-        let stale = self.replies.try_iter().count();
-        debug_assert_eq!(stale, 0, "replies left over from the previous run");
+        debug_assert!(
+            self.links.iter().flatten().all(Link::drained),
+            "replies left over from the previous run"
+        );
         self.m = config.instance.m_frontends();
         self.n = config.instance.n_datacenters();
         self.config = config.encode();
         self.loads += 1;
         self.egress.frames_sent = 0;
         self.egress.socket_writes = 0;
-        if let Ok(mut counters) = self.shared.counters.lock() {
-            *counters = IntegrityCounters::default();
-        }
+        self.wire_counters = IntegrityCounters::default();
         self.dead_node_declarations = 0;
         self.reconnects = 0;
         for p in 0..self.processes {
@@ -521,7 +684,7 @@ impl ProcessFleet {
     /// under the fleet's key. Like [`Fleet::send`] it swallows a write
     /// error: the gather ladder judges the silence.
     fn send_load(&self, p: usize) {
-        let Some(conn) = &self.conns[p] else {
+        let Some(link) = &self.links[p] else {
             return;
         };
         let load = Load::new(
@@ -532,15 +695,13 @@ impl ProcessFleet {
             self.loads,
             self.config.clone(),
         );
-        let mut writer: &TcpStream = conn;
-        let _ = writer.write_all(&WireFrame::Load(load).to_wire());
+        let _ = (&link.stream).write_all(&WireFrame::Load(load).to_wire());
     }
 
     /// Launches the worker binary for process slot `p` at its current
     /// incarnation. Registration happens asynchronously via the acceptor.
     fn spawn_process(&mut self, p: usize) -> Result<(), CoreError> {
-        let child = self.launcher.spawn(p, self.incarnations[p])?;
-        *self.children[p].borrow_mut() = Some(child);
+        self.children[p] = Some(self.launcher.spawn(p, self.incarnations[p])?);
         Ok(())
     }
 
@@ -548,40 +709,36 @@ impl ProcessFleet {
     /// handshake, installing any other registrations that arrive meanwhile.
     fn await_registration(&mut self, p: usize) -> Result<(), CoreError> {
         let deadline = Instant::now() + REGISTRATION_DEADLINE;
-        while self.conns[p].is_none() {
+        while self.links[p].is_none() {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CoreError::node_failure(
-                    format!("process-{p}"),
-                    0,
-                    "worker did not complete the handshake before the deadline",
-                ));
-            }
-            match self.reg_rx.recv_timeout(remaining) {
-                Ok(reg) => self.install_registration(reg),
-                Err(_) => {
-                    return Err(CoreError::node_failure(
+            let reg = (!remaining.is_zero())
+                .then(|| self.reg_rx.recv_timeout(remaining).ok())
+                .flatten()
+                .ok_or_else(|| {
+                    CoreError::node_failure(
                         format!("process-{p}"),
                         0,
                         "worker did not complete the handshake before the deadline",
-                    ))
-                }
-            }
+                    )
+                })?;
+            self.install_registration(reg);
         }
         Ok(())
     }
 
     /// Adopts a completed handshake — unless it is stale (an old
     /// incarnation of a process we have since killed and respawned, or a
-    /// straggler arriving after shutdown drained the connection table).
+    /// straggler arriving after teardown emptied the connection table). A
+    /// new connection gets a fresh reader, with this fleet's reply-direction
+    /// chaos when it is armed.
     fn install_registration(&mut self, reg: Registration) {
-        if reg.process >= self.conns.len() || reg.incarnation != self.incarnations[reg.process] {
-            self.pumps.push(reg.pump);
+        let p = reg.process;
+        if p >= self.links.len() || reg.incarnation != self.incarnations[p] {
             let _ = reg.stream.shutdown(Shutdown::Both);
             return;
         }
-        self.conns[reg.process] = Some(reg.stream);
-        self.pumps.push(reg.pump);
+        let chaos = WireChaos::ingress(self.chaos.as_ref(), wire_salt(p, true));
+        self.links[p] = Some(Link::new(reg.stream, reg.frames, chaos));
     }
 
     /// Installs any registrations already queued (reconnects after a
@@ -592,21 +749,25 @@ impl ProcessFleet {
         }
     }
 
+    /// Drops process `p`'s connection, if it has one.
+    fn drop_link(&mut self, p: usize) {
+        if let Some(link) = self.links[p].take() {
+            let _ = link.stream.shutdown(Shutdown::Both);
+        }
+    }
+
     /// Delivers a real `SIGKILL` to process `p` and reaps it.
     fn kill_process(&mut self, p: usize) {
-        if let Some(conn) = self.conns[p].take() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        if let Some(mut child) = self.children[p].borrow_mut().take() {
+        self.drop_link(p);
+        if let Some(mut child) = self.children[p].take() {
             let _ = child.kill();
             let _ = child.wait();
         }
     }
 
     /// Whether process `p` has a child that is still running.
-    fn runs(&self, p: usize) -> bool {
+    fn runs(&mut self, p: usize) -> bool {
         self.children[p]
-            .borrow_mut()
             .as_mut()
             .is_some_and(|child| matches!(child.try_wait(), Ok(None)))
     }
@@ -634,9 +795,7 @@ impl ProcessFleet {
             }
         }
         for &p in &affected {
-            if let Some(conn) = self.conns[p].take() {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
+            self.drop_link(p);
         }
         for &p in &affected {
             self.await_registration(p)?;
@@ -645,30 +804,29 @@ impl ProcessFleet {
         Ok(())
     }
 
-    /// Orderly teardown: `Shutdown` frames, forced socket closes (so pump
-    /// threads exit), acceptor stop, pump joins, then a bounded wait for
-    /// each worker process with `SIGKILL` as the backstop. Afterwards the
-    /// fleet is no longer [`ProcessFleet::reusable`].
+    /// Orderly teardown: `Shutdown` frames, forced socket closes, acceptor
+    /// stop and join, then a bounded wait for each worker process with
+    /// `SIGKILL` as the backstop. Afterwards the fleet is no longer
+    /// [`ProcessFleet::reusable`].
     ///
     /// # Errors
     ///
-    /// [`CoreError::NodeFailure`] when the acceptor or a pump thread
-    /// panicked.
+    /// [`CoreError::NodeFailure`] when the acceptor thread panicked.
     pub(crate) fn teardown(&mut self) -> Result<(), CoreError> {
-        for conn in self.conns.iter().flatten() {
-            let mut writer: &TcpStream = conn;
-            let _ = std::io::Write::write_all(&mut writer, &WireFrame::Shutdown.to_wire());
+        let shutdown = WireFrame::Shutdown.to_wire();
+        for link in self.links.iter().flatten() {
+            let _ = (&link.stream).write_all(&shutdown);
         }
-        for conn in self.conns.drain(..).flatten() {
-            let _ = conn.shutdown(Shutdown::Both);
+        for link in self.links.drain(..).flatten() {
+            let _ = link.stream.shutdown(Shutdown::Both);
         }
         self.acceptor_stop.store(true, Ordering::SeqCst);
         // The acceptor is blocked in accept(); poke it awake.
         let _ = TcpStream::connect(&self.launcher.addr);
-        let mut first_panic = None;
+        let mut result = Ok(());
         if let Some(handle) = self.acceptor.take() {
             if handle.join().is_err() {
-                first_panic = Some(CoreError::node_failure(
+                result = Err(CoreError::node_failure(
                     "coordinator",
                     0,
                     "acceptor thread panicked during shutdown",
@@ -676,20 +834,8 @@ impl ProcessFleet {
             }
         }
         self.drain_registrations();
-        for pump in self.pumps.drain(..) {
-            if pump.join().is_err() && first_panic.is_none() {
-                first_panic = Some(CoreError::node_failure(
-                    "coordinator",
-                    0,
-                    "pump thread panicked during shutdown",
-                ));
-            }
-        }
         let deadline = Instant::now() + EXIT_GRACE;
-        for cell in &self.children {
-            let Some(mut child) = cell.borrow_mut().take() else {
-                continue;
-            };
+        for mut child in self.children.iter_mut().filter_map(Option::take) {
             let mut poll = REAP_POLL_START;
             loop {
                 match child.try_wait() {
@@ -706,7 +852,7 @@ impl ProcessFleet {
                 }
             }
         }
-        first_panic.map_or(Ok(()), Err)
+        result
     }
 }
 
@@ -721,78 +867,103 @@ impl Drop for ProcessFleet {
 }
 
 impl Fleet for ProcessFleet {
-    fn replies(&self) -> &Receiver<Reply> {
-        &self.replies
+    /// Reads, in this thread, the connection of the first pending node
+    /// that still has one ([`Link::visit`]), until it yields a reply or
+    /// `timeout` has passed. A connection the worker closed is read to its
+    /// end and then dropped, and the next pending node's is read. With no
+    /// connection left for the pending nodes the call waits `timeout` out,
+    /// as an empty reply channel would: a killed node's silence is judged
+    /// on the same ladder as on every fleet. Once a typed error is parked
+    /// nothing more is read, and the call returns `None` at once.
+    fn recv(&mut self, pending: &Pending, timeout: Duration) -> Option<Reply> {
+        let deadline = Instant::now() + timeout;
+        let max_retransmits = self.chaos.map_or(0, |c| c.max_retransmits);
+        while self.error.is_none() {
+            let Some(p) = pending
+                .ids()
+                .map(|id| process_of(id, self.processes))
+                .find(|&p| self.links[p].is_some())
+            else {
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                return None;
+            };
+            let link = self.links[p].as_mut()?;
+            let resend = &self.egress.last_sent[p];
+            match link.visit(deadline, resend, &mut self.wire_counters, max_retransmits) {
+                Ok(Visit::Reply(reply)) => return Some(reply),
+                Ok(Visit::Idle) => return None,
+                Ok(Visit::Closed) => self.drop_link(p),
+                Err(error) => self.error = Some(error),
+            }
+        }
+        None
     }
 
     /// The coordinator's one egress path, fed a whole fan-out at a time.
-    /// Each `(node, cmd)` is encoded as its `Cmd` frame and appended to the
-    /// buffer of the process hosting `node`; then each process's buffer
-    /// goes out in one `write_all`, so a worker hosting several nodes pays
-    /// one syscall and one wake-up per fan-out, not one per node. With one
+    /// Each `(node, cmd)` is encoded as its `Cmd` frame straight into the
+    /// batch of the process hosting `node`; then each process's batch goes
+    /// out in one `write_all`, so a worker hosting several nodes pays one
+    /// syscall and one wake-up per fan-out, not one per node. With one
     /// process per node a write carries one frame, or two on a front-end
     /// connection of a pipelined correction (its correction and its next
     /// prediction). Errors are deliberately swallowed — a dead or dropped
     /// connection surfaces as silence in the gather ladder, which owns the
     /// failure verdict. With wire chaos armed, each frame's clean bytes are
-    /// cached first (so a worker `Nak` can be answered by the pump with an
-    /// uncorrupted resend) and the egress interceptor then gets one draw at
-    /// the frame, in the order the frames go out on that connection. It
+    /// cached first (so a worker `Nak` can be answered by the reader with
+    /// an uncorrupted resend) and the egress interceptor then gets one draw
+    /// at the frame, in the order the frames go out on that connection. It
     /// takes a `Vec`, not a generic iterator, so that one copy of this body
     /// serves every call site.
     fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
         let Egress {
             chaos,
             batches,
+            last_sent,
             frames_sent,
             socket_writes,
         } = &mut self.egress;
         for (node, cmd) in cmds {
             let p = process_of(node, self.processes);
-            if self.conns[p].is_none() {
+            if self.links[p].is_none() {
                 continue;
             }
-            let mut bytes = WireFrame::Cmd { node, cmd }.to_wire();
-            let mut copies = 1usize;
-            if let Some(chaos) = chaos[p].as_mut() {
-                if let Ok(mut cache) = self.last_sent[p].lock() {
-                    cache.clear();
-                    cache.extend_from_slice(&bytes);
-                }
-                let verdict = chaos.next_egress(&mut bytes);
-                if verdict == WireVerdict::Duplicated {
-                    copies = 2;
-                }
-                if verdict != WireVerdict::Clean {
-                    if let Ok(mut counters) = self.shared.counters.lock() {
-                        counters.corruptions_injected += 1;
-                        if verdict == WireVerdict::Duplicated {
-                            // The worker's duplicate guard drops the copy
-                            // unconditionally; detection is structural.
-                            counters.corruptions_detected += 1;
-                        }
-                    }
-                }
-            }
+            let batch = &mut batches[p];
+            let start = batch.len();
+            WireFrame::Cmd { node, cmd }.write_wire(batch);
             *frames_sent += 1;
-            for _ in 0..copies {
-                batches[p].extend_from_slice(&bytes);
+            let Some(chaos) = chaos[p].as_mut() else {
+                continue;
+            };
+            last_sent[p].clear();
+            last_sent[p].extend_from_slice(&batch[start..]);
+            let verdict = chaos.next_egress(batch, start);
+            if verdict != WireVerdict::Clean {
+                let counters = &mut self.wire_counters;
+                counters.corruptions_injected += 1;
+                if verdict == WireVerdict::Duplicated {
+                    // The worker's duplicate guard drops the copy
+                    // unconditionally; detection is structural.
+                    counters.corruptions_detected += 1;
+                    batch.extend_from_within(start..);
+                }
             }
         }
-        for (batch, conn) in batches.iter_mut().zip(&self.conns) {
-            if let (false, Some(conn)) = (batch.is_empty(), conn) {
-                let mut writer: &TcpStream = conn;
-                let _ = std::io::Write::write_all(&mut writer, batch);
+        for (batch, link) in batches.iter_mut().zip(&self.links) {
+            if let (false, Some(link)) = (batch.is_empty(), link) {
+                let _ = (&link.stream).write_all(batch);
                 *socket_writes += 1;
             }
             batch.clear();
         }
     }
 
-    /// Liveness straight from the OS process table — unless a pump parked
-    /// a typed error ([`WireShared::healthy`]).
-    fn alive(&self, id: usize) -> bool {
-        self.shared.healthy() && self.runs(process_of(id, self.processes))
+    /// Liveness straight from the OS process table, once the process's
+    /// connection has been read to its end (so a reply a worker wrote
+    /// before it exited is still handed out) — unless the reader parked a
+    /// typed error, after which every process reads as dead.
+    fn alive(&mut self, id: usize) -> bool {
+        let p = process_of(id, self.processes);
+        self.error.is_none() && (self.links[p].is_some() || self.runs(p))
     }
 
     fn kill(&mut self, id: usize) {
@@ -825,10 +996,9 @@ impl Fleet for ProcessFleet {
     /// Keeps the fleet up after a clean run that leaves it
     /// [`ProcessFleet::reusable`], and tears it down after any other. Then
     /// folds the run's socket-only accounting into `tally`: the egress
-    /// counters, the wire-chaos counters (final, since chaos never leaves a
-    /// fleet up and teardown joins every pump), the reconnects and
-    /// dead-node declarations; the integrity section is reported whenever
-    /// chaos was armed or either of the latter moved.
+    /// counters, the wire-chaos counters, the reconnects and dead-node
+    /// declarations; the integrity section is reported whenever chaos was
+    /// armed or either of the latter moved.
     fn end_run(
         &mut self,
         clean: bool,
@@ -841,22 +1011,15 @@ impl Fleet for ProcessFleet {
         };
         tally.frames = (self.egress.frames_sent, self.egress.socket_writes);
         let counters = &mut tally.counters;
-        if let Ok(wire) = self.shared.counters.lock() {
-            counters.corruptions_injected += wire.corruptions_injected;
-            counters.corruptions_detected += wire.corruptions_detected;
-            counters.checksum_retransmissions += wire.checksum_retransmissions;
-        }
+        let wire = &self.wire_counters;
+        counters.corruptions_injected += wire.corruptions_injected;
+        counters.corruptions_detected += wire.corruptions_detected;
+        counters.checksum_retransmissions += wire.checksum_retransmissions;
         counters.reconnects += self.reconnects;
         counters.dead_node_declarations += self.dead_node_declarations;
         tally.report_integrity |=
-            self.chaos_armed || self.reconnects > 0 || self.dead_node_declarations > 0;
-        let parked = self
-            .shared
-            .error
-            .lock()
-            .ok()
-            .and_then(|mut slot| slot.take());
-        (parked, result)
+            self.chaos.is_some() || self.reconnects > 0 || self.dead_node_declarations > 0;
+        (self.error.take(), result)
     }
 }
 
@@ -874,13 +1037,12 @@ fn session_id() -> u64 {
 
 /// Spawns the acceptor thread: accepts connections, runs the handshake
 /// (legacy `Hello` session check, or challenge–response when a key is
-/// configured), and hands each validated connection (plus its reply pump)
-/// to the coordinator via `reg_tx`. A hostile or malformed peer is simply
-/// dropped — the loop keeps serving honest workers.
+/// configured), and hands each validated connection to the coordinator
+/// via `reg_tx`. A hostile or malformed peer is simply dropped — the loop
+/// keeps serving honest workers.
 fn spawn_acceptor(
     listener: TcpListener,
     state: AcceptorState,
-    reply_tx: Sender<Reply>,
     reg_tx: Sender<Registration>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
@@ -892,7 +1054,7 @@ fn spawn_acceptor(
             if stop.load(Ordering::SeqCst) {
                 break;
             }
-            let Some(reg) = handshake(stream, &state, &reply_tx) else {
+            let Some(reg) = handshake(stream, &state) else {
                 continue;
             };
             if reg_tx.send(reg).is_err() {
@@ -908,17 +1070,13 @@ fn spawn_acceptor(
 fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFrame> {
     loop {
         match frames.next_frame() {
-            Ok(Some(payload)) => return WireFrame::decode_payload(&payload).ok(),
+            Ok(Some(payload)) => return WireFrame::decode_payload(payload).ok(),
             Ok(None) => {}
             Err(_) => return None,
         }
-        let mut chunk = [0u8; 1024];
-        let mut reader: &TcpStream = stream;
-        let n = reader.read(&mut chunk).ok()?;
-        if n == 0 {
+        if frames.read_from(&mut &*stream).ok()? == 0 {
             return None;
         }
-        frames.push(&chunk[..n]);
     }
 }
 
@@ -930,11 +1088,7 @@ fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFr
 /// hostile peer never registers, so it never sees a `Load`. Each challenge
 /// carries 32 fresh bytes from `/dev/urandom`; a failed read drops the
 /// connection.
-fn handshake(
-    stream: TcpStream,
-    state: &AcceptorState,
-    reply_tx: &Sender<Reply>,
-) -> Option<Registration> {
+fn handshake(stream: TcpStream, state: &AcceptorState) -> Option<Registration> {
     stream.set_nodelay(true).ok()?;
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     let mut frames = FrameBuffer::new();
@@ -957,236 +1111,24 @@ fn handshake(
             let mut nonce = [0u8; 32];
             let mut entropy: &File = urandom;
             entropy.read_exact(&mut nonce).ok()?;
-            {
-                let mut writer: &TcpStream = &stream;
-                let challenge = WireFrame::Challenge { nonce };
-                std::io::Write::write_all(&mut writer, &challenge.to_wire()).ok()?;
-            }
+            let challenge = WireFrame::Challenge { nonce };
+            (&stream).write_all(&challenge.to_wire()).ok()?;
             let answer = read_one_frame(&stream, &mut frames)?;
             verify_auth_hello(key, &nonce, state.session, &answer).ok()?
         }
     };
-    if process >= state.last_sent_len() {
-        return None;
-    }
-    // Back to blocking reads for the pump: the gather ladder owns all
-    // timeout policy.
-    stream.set_read_timeout(None).ok()?;
-    let pump_stream = stream.try_clone().ok()?;
-    let pump_tx = reply_tx.clone();
-    let pump_shared = Arc::clone(&state.shared);
-    let pump_wire = state.wire.as_ref().and_then(|setup| {
-        Some(PumpWire {
-            chaos: WireChaos::ingress(Some(&setup.corruption), wire_salt(process, true))?,
-            last_sent: Arc::clone(setup.last_sent.get(process)?),
-            max_retransmits: setup.corruption.max_retransmits,
-        })
-    });
-    let pump = std::thread::spawn(move || {
-        pump(&pump_stream, frames, &pump_tx, &pump_shared, pump_wire);
-    });
     Some(Registration {
         process,
         incarnation,
         stream,
-        pump,
+        frames,
     })
-}
-
-impl AcceptorState {
-    /// Upper bound on valid process indices (the per-connection cache
-    /// table is sized to the process count). Only meaningful with wire
-    /// chaos armed; otherwise any index is admitted and the coordinator's
-    /// own staleness check (`install_registration`) rejects strays.
-    fn last_sent_len(&self) -> usize {
-        self.wire
-            .as_ref()
-            .map_or(usize::MAX, |setup| setup.last_sent.len())
-    }
-}
-
-/// The per-connection reply pump: reassembles frames from the stream and
-/// forwards decoded replies to the coordinator until EOF, a socket error,
-/// the coordinator hanging up, or a frame it cannot use. That last exit
-/// parks a typed [`CoreError::CorruptPayload`] in `shared`
-/// ([`WireShared::park`]), so the run fails with it instead of waiting out
-/// a live but useless connection. With wire chaos armed the pump is also
-/// the coordinator's half of the repair protocol: an undecodable reply is
-/// `Nak`ed back to the worker (which resends its cached reply, re-drawn
-/// through chaos each attempt, bounded by the retransmit budget), a worker
-/// `Nak` is answered with the cached clean bytes of the last command, and
-/// a reordered reply is held until its successor passes it or the stream
-/// goes quiet.
-fn pump(
-    stream: &TcpStream,
-    frames: FrameBuffer,
-    tx: &Sender<Reply>,
-    shared: &WireShared,
-    mut wire: Option<PumpWire>,
-) {
-    let mut held = None;
-    if let Err(error) = pump_loop(stream, frames, tx, shared, wire.as_mut(), &mut held) {
-        shared.park(error);
-    }
-    // Never strand a reordered reply on exit: EOF and error paths flush it
-    // so a held final-phase frame cannot fake a dead node.
-    if let Some(reply) = held {
-        let _ = tx.send(reply);
-    }
-}
-
-/// The pump's loop. `Ok` is an ordinary end of the stream (EOF, a socket
-/// error, the coordinator hanging up); `Err` is a frame the pump cannot
-/// use: a framing desync, a payload failing its CRC or decode (past the
-/// retransmit budget when chaos is armed, at once when it is not), a
-/// worker `Nak` with no clean command to resend, or a frame kind no
-/// worker sends.
-fn pump_loop(
-    stream: &TcpStream,
-    mut frames: FrameBuffer,
-    tx: &Sender<Reply>,
-    shared: &WireShared,
-    mut wire: Option<&mut PumpWire>,
-    held: &mut Option<Reply>,
-) -> Result<(), CoreError> {
-    let corrupt = |what: String| CoreError::corrupt_payload("wire", 0, what);
-    let mut reader: &TcpStream = stream;
-    let mut chunk = [0u8; 64 * 1024];
-    // Consecutive undecodable frames on this connection; reset by any
-    // clean decode. One ingress chaos draw happens per delivery attempt,
-    // so this mirrors §12's per-attempt redraw semantics.
-    let mut failures = 0u32;
-    loop {
-        while let Some(mut payload) = frames.next_frame()? {
-            let verdict = wire
-                .as_mut()
-                .map_or(WireVerdict::Clean, |w| w.chaos.next_ingress(&mut payload));
-            if verdict != WireVerdict::Clean {
-                if let Ok(mut counters) = shared.counters.lock() {
-                    counters.corruptions_injected += 1;
-                    if verdict != WireVerdict::Truncated {
-                        // Duplicates and reorders are absorbed structurally
-                        // (dedup / order-free gather); truncation is
-                        // detected by the decode below.
-                        counters.corruptions_detected += 1;
-                    }
-                }
-            }
-            match WireFrame::decode_payload(&payload) {
-                Ok(WireFrame::Reply(reply)) => {
-                    failures = 0;
-                    if verdict == WireVerdict::Reordered && held.is_none() {
-                        *held = Some(reply);
-                        continue;
-                    }
-                    let copies = if verdict == WireVerdict::Duplicated {
-                        2
-                    } else {
-                        1
-                    };
-                    for _ in 0..copies {
-                        if tx.send(reply.clone()).is_err() {
-                            return Ok(());
-                        }
-                    }
-                    if let Some(passed) = held.take() {
-                        if tx.send(passed).is_err() {
-                            return Ok(());
-                        }
-                    }
-                }
-                Ok(WireFrame::Nak) => {
-                    // The worker could not decode our last command: resend
-                    // the cached clean bytes, bypassing the egress
-                    // interceptor (a §12 retransmission). Without chaos
-                    // there is no cache, and the command is lost.
-                    let resend = wire
-                        .as_ref()
-                        .and_then(|w| w.last_sent.lock().ok().map(|cache| cache.clone()))
-                        .unwrap_or_default();
-                    if resend.is_empty() {
-                        return Err(corrupt(
-                            "a worker could not decode a command frame".to_owned(),
-                        ));
-                    }
-                    if let Ok(mut counters) = shared.counters.lock() {
-                        counters.corruptions_detected += 1;
-                        counters.checksum_retransmissions += 1;
-                    }
-                    let mut writer: &TcpStream = stream;
-                    if std::io::Write::write_all(&mut writer, &resend).is_err() {
-                        return Ok(());
-                    }
-                }
-                Ok(_) => {
-                    return Err(corrupt(
-                        "a worker sent a frame kind only the coordinator sends".to_owned(),
-                    ))
-                }
-                Err(error) => {
-                    let Some(w) = wire.as_ref() else {
-                        return Err(error);
-                    };
-                    failures += 1;
-                    if let Ok(mut counters) = shared.counters.lock() {
-                        counters.corruptions_detected += 1;
-                    }
-                    if failures > w.max_retransmits {
-                        return Err(corrupt(format!(
-                            "reply frame still failing after {} retransmits",
-                            w.max_retransmits
-                        )));
-                    }
-                    if let Ok(mut counters) = shared.counters.lock() {
-                        counters.checksum_retransmissions += 1;
-                    }
-                    let mut writer: &TcpStream = stream;
-                    let nak = WireFrame::Nak.to_wire();
-                    if std::io::Write::write_all(&mut writer, &nak).is_err() {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        // Reads. A held reordered reply may have no successor coming (it
-        // was the phase's last frame), so reads go briefly non-blocking
-        // and quiet streams flush the held frame — well inside the gather
-        // ladder's base deadline.
-        if held.is_some() {
-            if stream
-                .set_read_timeout(Some(Duration::from_millis(50)))
-                .is_err()
-            {
-                return Ok(());
-            }
-            let read = reader.read(&mut chunk);
-            if stream.set_read_timeout(None).is_err() {
-                return Ok(());
-            }
-            match read {
-                Ok(0) => return Ok(()),
-                Ok(n) => frames.push(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    if let Some(passed) = held.take() {
-                        if tx.send(passed).is_err() {
-                            return Ok(());
-                        }
-                    }
-                }
-                Err(_) => return Ok(()),
-            }
-        } else {
-            match reader.read(&mut chunk) {
-                Ok(0) | Err(_) => return Ok(()),
-                Ok(n) => frames.push(&chunk[..n]),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::NodeId;
 
     /// The key reaches an authenticated worker on stdin: no argument of
     /// its command line contains it, and an unauthenticated worker gets
@@ -1238,7 +1180,6 @@ mod tests {
     fn first_challenge(session: u64) -> [u8; 32] {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
-        let (reply_tx, _reply_rx) = channel();
         let (reg_tx, _reg_rx) = channel();
         let stop = Arc::new(AtomicBool::new(false));
         let acceptor = spawn_acceptor(
@@ -1249,10 +1190,7 @@ mod tests {
                     key: AuthKey::new([7; 32]),
                     urandom: open_urandom().expect("/dev/urandom is readable"),
                 }),
-                shared: Arc::default(),
-                wire: None,
             },
-            reply_tx,
             reg_tx,
             Arc::clone(&stop),
         );
@@ -1277,12 +1215,97 @@ mod tests {
         assert_ne!(first_challenge(session), first_challenge(session));
     }
 
+    /// A one-process fleet with no worker behind it, reading `stream`: the
+    /// coordinator's end of a loopback connection the test writes into.
+    fn reader_over(stream: TcpStream) -> ProcessFleet {
+        let (_reg_tx, reg_rx) = channel();
+        ProcessFleet {
+            options: SocketOptions::new("ufc-node"),
+            m: 1,
+            n: 0,
+            processes: 1,
+            launcher: WorkerLauncher {
+                path: PathBuf::from("ufc-node"),
+                addr: "127.0.0.1:0".to_owned(),
+                session: 0,
+                auth: None,
+            },
+            reg_rx,
+            children: vec![None],
+            links: vec![Some(Link::new(stream, FrameBuffer::new(), None))],
+            incarnations: vec![0],
+            acceptor: None,
+            acceptor_stop: Arc::default(),
+            egress: Egress {
+                chaos: vec![None],
+                batches: vec![Vec::new()],
+                last_sent: vec![Vec::new()],
+                frames_sent: 0,
+                socket_writes: 0,
+            },
+            chaos: None,
+            wire_counters: IntegrityCounters::default(),
+            error: None,
+            dead_node_declarations: 0,
+            reconnects: 0,
+            config: Vec::new(),
+            loads: 0,
+        }
+    }
+
+    /// A loopback connection: the worker's end, and a reader over the
+    /// coordinator's.
+    fn connected_reader() -> (TcpStream, ProcessFleet) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let worker = TcpStream::connect(addr).expect("connect to the reader");
+        let (coordinator, _) = listener.accept().expect("accept");
+        (worker, reader_over(coordinator))
+    }
+
+    /// The reader keeps to the rung it is given: a zero budget hands out
+    /// what has arrived without blocking, and a silent connection is read
+    /// for the whole budget but not much past it (the bounds leave room
+    /// for a loaded host, not for a read left blocking on an older
+    /// timeout).
+    #[test]
+    fn reads_stay_inside_their_budget() {
+        let pending = Pending::of(1, 0, [NodeId::Frontend(0)]);
+        let (mut worker, mut fleet) = connected_reader();
+        let reply = Reply::FeFinal {
+            i: 0,
+            lambda: vec![0.5],
+        };
+        worker
+            .write_all(&WireFrame::Reply(reply.clone()).to_wire())
+            .expect("write a reply");
+        assert_eq!(fleet.recv(&pending, Duration::ZERO), Some(reply));
+        let start = Instant::now();
+        assert_eq!(fleet.recv(&pending, Duration::ZERO), None);
+        assert!(
+            start.elapsed() < Duration::from_millis(100),
+            "a zero budget blocked"
+        );
+        for budget in [Duration::from_millis(4), Duration::from_millis(30)] {
+            let start = Instant::now();
+            assert_eq!(fleet.recv(&pending, budget), None);
+            let waited = start.elapsed();
+            assert!(waited >= budget, "{budget:?}: gave up after {waited:?}");
+            assert!(
+                waited < budget + Duration::from_millis(200),
+                "{budget:?}: read for {waited:?}"
+            );
+        }
+        assert!(fleet.error.is_none() && fleet.alive(0));
+    }
+
     /// With chaos off, each reply stream the coordinator cannot parse — a
     /// payload failing its CRC, a worker `Nak`, a frame kind only the
-    /// coordinator sends, a framing desync — ends the pump with a typed
-    /// `CorruptPayload` parked, and from then on every process reads as
-    /// dead (`alive` checks [`WireShared::healthy`] first), so the gather
-    /// ladder stops at once instead of extending for a live worker.
+    /// coordinator sends, a framing desync — parks a typed
+    /// `CorruptPayload` in the fleet as the coordinator's own reader meets
+    /// it, with no thread, delivers nothing, and from then on every process
+    /// reads as dead and `recv` returns at once, so the gather ladder stops
+    /// instead of extending for a live worker.
     #[test]
     fn unparseable_reply_streams_park_a_typed_error() {
         let reply = WireFrame::Reply(Reply::FeFinal {
@@ -1300,27 +1323,28 @@ mod tests {
             ("coordinator-only kind", WireFrame::Shutdown.to_wire()),
             ("framing desync", desync),
         ];
+        let pending = Pending::of(1, 0, [NodeId::Frontend(0)]);
+        let patience = Duration::from_secs(5);
         for (what, bytes) in inputs {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-            let addr = listener.local_addr().expect("local addr");
-            let mut worker = TcpStream::connect(addr).expect("connect to the pump");
-            let (coordinator, _) = listener.accept().expect("accept");
-            let shared = Arc::new(WireShared::default());
-            let (tx, rx) = channel();
-            let pump_shared = Arc::clone(&shared);
-            let handle = std::thread::spawn(move || {
-                pump(&coordinator, FrameBuffer::new(), &tx, &pump_shared, None);
-            });
+            let (mut worker, mut fleet) = connected_reader();
+            // The worker keeps its end open: only the bytes end the read.
             worker.write_all(&bytes).expect("write the reply stream");
-            // The worker keeps its end open: only the bytes end the pump.
-            handle.join().expect("pump thread");
-            let parked = shared.error.lock().expect("error slot").clone();
+            let start = Instant::now();
+            let delivered = fleet.recv(&pending, patience);
+            assert!(delivered.is_none(), "{what}: delivered {delivered:?}");
             assert!(
-                matches!(parked, Some(CoreError::CorruptPayload { .. })),
-                "{what}: parked {parked:?}"
+                start.elapsed() < patience,
+                "{what}: the reader waited out its budget"
             );
-            assert!(!shared.healthy(), "{what}: the process must read as dead");
-            assert!(rx.try_recv().is_err(), "{what}: nothing may be delivered");
+            assert!(
+                matches!(fleet.error, Some(CoreError::CorruptPayload { .. })),
+                "{what}: parked {:?}",
+                fleet.error
+            );
+            assert!(!fleet.alive(0), "{what}: the process must read as dead");
+            let again = Instant::now();
+            assert!(fleet.recv(&pending, patience).is_none());
+            assert!(again.elapsed() < patience, "{what}: recv after the error");
             drop(worker);
         }
     }

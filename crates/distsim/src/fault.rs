@@ -881,49 +881,42 @@ impl WireChaos {
         })
     }
 
-    /// One draw over an outgoing `[len][payload]` wire buffer, mangling it
-    /// in place for truncation. A truncated frame keeps a coherent length
-    /// prefix (so framing never desynchronizes) but an impossible CRC.
-    pub(crate) fn next_egress(&mut self, wire: &mut Vec<u8>) -> WireVerdict {
-        if self.rng.uniform() >= self.rate {
-            return WireVerdict::Clean;
+    /// One draw over the outgoing frame at `out[start..]` (length prefix,
+    /// then payload), mangling it in place for truncation: the draw
+    /// [`WireChaos::next_ingress`] makes on the payload, with the prefix
+    /// rewritten to the cut, so framing never desynchronizes while the CRC
+    /// is impossible.
+    pub(crate) fn next_egress(&mut self, out: &mut Vec<u8>, start: usize) -> WireVerdict {
+        let payload = start + 4;
+        let mut kept = &out[payload..];
+        let verdict = self.next_ingress(&mut kept);
+        if verdict == WireVerdict::Truncated {
+            let cut = kept.len();
+            out[start..payload].copy_from_slice(&(cut as u32).to_le_bytes());
+            out.truncate(payload + cut);
         }
-        match self.kind {
-            CorruptionKind::FrameTruncate => Self::truncate(wire, 4, &mut self.rng),
-            CorruptionKind::FrameDuplicate => WireVerdict::Duplicated,
-            _ => WireVerdict::Clean,
-        }
+        verdict
     }
 
-    /// One draw over an incoming de-framed payload, truncating it in place
-    /// when the truncation kind strikes.
-    pub(crate) fn next_ingress(&mut self, payload: &mut Vec<u8>) -> WireVerdict {
+    /// One draw over an incoming de-framed payload, cutting the slice short
+    /// when the truncation kind strikes: to a uniformly drawn
+    /// `cut ∈ [6, len)`, keeping at least magic, kind, and a (now wrong)
+    /// CRC so decoding fails cleanly. A payload too short to cut passes
+    /// through clean.
+    pub(crate) fn next_ingress(&mut self, payload: &mut &[u8]) -> WireVerdict {
         if self.rng.uniform() >= self.rate {
             return WireVerdict::Clean;
         }
         match self.kind {
-            CorruptionKind::FrameTruncate => Self::truncate(payload, 0, &mut self.rng),
+            CorruptionKind::FrameTruncate if payload.len() > 6 => {
+                let cut = 6 + (self.rng.next() as usize) % (payload.len() - 6);
+                *payload = &payload[..cut];
+                WireVerdict::Truncated
+            }
             CorruptionKind::FrameDuplicate => WireVerdict::Duplicated,
             CorruptionKind::FrameReorder => WireVerdict::Reordered,
             _ => WireVerdict::Clean,
         }
-    }
-
-    /// Truncates the payload part of `buf` (which starts at `header` bytes
-    /// in) to a uniformly drawn `cut ∈ [6, payload_len)`, keeping at least
-    /// magic, kind, and a (now wrong) CRC so decoding fails cleanly. Frames
-    /// too short to cut pass through clean.
-    fn truncate(buf: &mut Vec<u8>, header: usize, rng: &mut SplitMix64) -> WireVerdict {
-        let payload_len = buf.len().saturating_sub(header);
-        if payload_len <= 6 {
-            return WireVerdict::Clean;
-        }
-        let cut = 6 + (rng.next() as usize) % (payload_len - 6);
-        if header == 4 {
-            buf[..4].copy_from_slice(&(cut as u32).to_le_bytes());
-        }
-        buf.truncate(header + cut);
-        WireVerdict::Truncated
     }
 }
 
@@ -977,7 +970,7 @@ impl IntegrityState {
     pub(crate) fn new(corruption: Option<&CorruptionConfig>) -> Self {
         IntegrityState {
             // A config pinned to a wire-level kind belongs to the socket
-            // engine's `WireChaos` pumps; the value channel stays disarmed
+            // engine's `WireChaos` interceptors; the value channel stays disarmed
             // so the two injection layers never double-draw from one seed.
             channel: corruption
                 .filter(|c| !c.kind.is_some_and(|k| k.is_wire_level()))
@@ -1353,7 +1346,8 @@ mod tests {
         assert!(!CorruptionKind::MagnitudeScale.is_wire_level());
         assert!(!CorruptionKind::Drop.is_wire_level());
         // A wire-pinned config leaves the value channel inert (the socket
-        // pumps own those draws) but keeps checksum verification active.
+        // coordinator's reader owns those draws) but keeps checksum
+        // verification active.
         let cfg = CorruptionConfig::new(0.9, 3)
             .with_kind(CorruptionKind::FrameTruncate)
             .with_checksums(true);
@@ -1394,19 +1388,20 @@ mod tests {
         let payload: Vec<u8> = (0..20u8).collect();
         let mut wire = 20u32.to_le_bytes().to_vec();
         wire.extend_from_slice(&payload);
-        assert_eq!(chaos.next_egress(&mut wire), WireVerdict::Truncated);
+        assert_eq!(chaos.next_egress(&mut wire, 0), WireVerdict::Truncated);
         let cut = u32::from_le_bytes(wire[..4].try_into().unwrap()) as usize;
         assert!((6..20).contains(&cut), "cut {cut} outside [6, 20)");
         assert_eq!(wire.len(), 4 + cut, "prefix must match the short frame");
 
         // Ingress truncation acts on the bare payload.
         let mut chaos = WireChaos::ingress(Some(&cfg), 8).unwrap();
-        let mut payload: Vec<u8> = (0..20u8).collect();
+        let bytes: Vec<u8> = (0..20u8).collect();
+        let mut payload = &bytes[..];
         assert_eq!(chaos.next_ingress(&mut payload), WireVerdict::Truncated);
         assert!((6..20).contains(&payload.len()));
 
         // Frames at or below the 6-byte floor pass through clean.
-        let mut tiny: Vec<u8> = vec![0xFD, 7, 0, 0, 0, 0];
+        let mut tiny: &[u8] = &[0xFD, 7, 0, 0, 0, 0];
         assert_eq!(chaos.next_ingress(&mut tiny), WireVerdict::Clean);
         assert_eq!(tiny.len(), 6);
     }
@@ -1419,9 +1414,8 @@ mod tests {
         let mut c = WireChaos::ingress(Some(&cfg), 6).unwrap();
         let mut diverged = false;
         for _ in 0..200 {
-            let mut pa: Vec<u8> = (0..12u8).collect();
-            let mut pb = pa.clone();
-            let mut pc = pa.clone();
+            let bytes: Vec<u8> = (0..12u8).collect();
+            let (mut pa, mut pb, mut pc) = (&bytes[..], &bytes[..], &bytes[..]);
             let va = a.next_ingress(&mut pa);
             assert_eq!(va, b.next_ingress(&mut pb));
             assert_eq!(pa, pb);

@@ -67,8 +67,8 @@
 //! a shared [`AuthKey`] (challenge–response keyed MAC before any iteration
 //! state moves), and the wire-level [`CorruptionKind`]s
 //! (`FrameTruncate`/`FrameDuplicate`/`FrameReorder`) mangle real TCP
-//! frames in the socket I/O pumps, repaired by the CRC + `Nak`/resend
-//! ladder.
+//! frames at the socket coordinator's side of each connection, repaired
+//! by the CRC + `Nak`/resend ladder in the coordinator's reader.
 //!
 //! # Example
 //!

@@ -276,7 +276,7 @@ impl DistributedAdmg {
     ///   it loads its configuration into those workers instead of spawning
     ///   new ones. Otherwise it tears the parked fleet down and launches
     ///   its own. Its fleet is parked afterwards if the run returned `Ok`
-    ///   with every process still running, no pump error and no wire-level
+    ///   with every process still running, no parked error and no wire-level
     ///   chaos — an eviction or a wire-chaos plan therefore ends with a
     ///   teardown — and the runner reaps a parked fleet when it is
     ///   dropped. Reuse changes no result: every report covers only its
@@ -301,7 +301,7 @@ impl DistributedAdmg {
     ///   permanently dead front-end, the last active datacenter, a worker
     ///   that dies unplanned, or a worker process that cannot be spawned or
     ///   never completes the handshake), and when tearing down a fleet
-    ///   finds one of its coordinator threads panicked.
+    ///   finds its acceptor thread panicked.
     /// * [`CoreError::CorruptPayload`] when a verified link exhausts its
     ///   retransmit budget, and [`CoreError::Divergence`] when undetected
     ///   corruption poisons the iterate stream.
@@ -395,8 +395,8 @@ impl DistributedAdmg {
     ///
     /// # Errors
     ///
-    /// [`CoreError::NodeFailure`] when the unfit fleet's teardown finds a
-    /// panicked coordinator thread, or as for [`ProcessFleet::launch`].
+    /// [`CoreError::NodeFailure`] when the unfit fleet's teardown finds its
+    /// acceptor thread panicked, or as for [`ProcessFleet::launch`].
     fn fleet_for(
         &self,
         config: &RunConfig,
@@ -404,18 +404,14 @@ impl DistributedAdmg {
         options: &SocketOptions,
     ) -> Result<ProcessFleet, CoreError> {
         let parked = self.parked.lock().ok().and_then(|mut slot| slot.take());
-        match parked {
-            Some(mut fleet) if fleet.fits(options, config.processes, plan) => {
+        if let Some(mut fleet) = parked {
+            if fleet.fits(options, config.processes, plan) {
                 fleet.load(config);
-                Ok(fleet)
+                return Ok(fleet);
             }
-            parked => {
-                if let Some(mut unfit) = parked {
-                    unfit.teardown()?;
-                }
-                ProcessFleet::launch(config, plan, options)
-            }
+            fleet.teardown()?;
         }
+        ProcessFleet::launch(config, plan, options)
     }
 
     /// A clean run on the socket engine: `execute` with

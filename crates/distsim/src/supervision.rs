@@ -8,9 +8,9 @@
 //! per node (`crate::worker::ThreadFleet`, [`crate::Engine::Threaded`]) or
 //! worker OS processes over TCP (`crate::engine_socket::ProcessFleet`,
 //! [`crate::Engine::Sockets`]). All three carry the same [`NodeCmd`]s to the
-//! same node dispatch (`crate::worker`), and every [`Reply`] comes back on
-//! one channel, tagged with its node and iteration so stale replay traffic
-//! is discarded.
+//! same node dispatch (`crate::worker`), and every [`Reply`] comes back
+//! through [`Fleet::recv`], tagged with its node and iteration so stale
+//! replay traffic is discarded.
 //!
 //! Everything else exists here once: the phase fan-outs and gathers; crash
 //! injection (a front-end is killed before its `Predict`, a datacenter
@@ -22,13 +22,14 @@
 //! final gather; and, on a clean plan ([`pipelines`]), each front-end's
 //! next prediction riding in its correction's fan-out.
 //!
-//! The inline fleet has queued every reply by the time `send` returns
-//! ([`Fleet::REPLIES_ON_SEND`]), so its gathers run the ladder with zero
-//! rungs: a node it stopped is declared dead as soon as the queue is
-//! drained. `tests/fault_injection.rs` pins the lockstep fault reports and
-//! holds the thread fleet to the same iterates, statistics and reports.
+//! The inline fleet has queued every reply by the time `send` returns, so
+//! its `recv` never waits and the ladder's rungs pass at once: a node it
+//! stopped is declared dead as soon as the queue is drained. The thread
+//! fleet answers `recv` from its reply channel, and the process fleet
+//! reads its workers' connections itself, in the coordinator's thread.
+//! `tests/fault_injection.rs` pins the lockstep fault reports and holds
+//! the thread fleet to the same iterates, statistics and reports.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use ufc_core::engine::{drive, BlockResiduals, IterationObserver, Transport};
@@ -104,25 +105,24 @@ pub(crate) enum Reply {
 }
 
 /// How the supervisor's commands reach the nodes, which are addressed by
-/// global id: front-ends `0..m`, datacenters `m..m + n`. Replies travel on
-/// the fleet's own channel ([`Fleet::replies`]). Deadlines, recovery
+/// global id: front-ends `0..m`, datacenters `m..m + n`, and how their
+/// replies come back ([`Fleet::recv`]). Deadlines, recovery
 /// decisions and accounting are the supervisor's; this is the place a
 /// fleet of workers is spawned, kept and reaped. The supervisor borrows a
 /// fleet for one run, so a fleet can outlive it (the process fleet does,
 /// between `DistributedAdmg::execute` calls).
 pub(crate) trait Fleet {
-    /// Whether [`Fleet::send`] has queued every reply of its fan-out before
-    /// it returns. A node still silent once such a fleet's queue is drained
-    /// will never answer, so the gather ladder runs with a zero base
-    /// timeout instead of the plan's `phase_timeout`.
-    const REPLIES_ON_SEND: bool = false;
-    /// The channel every node's replies arrive on.
-    fn replies(&self) -> &Receiver<Reply>;
+    /// The next reply, waiting at most `timeout` for one, or `None` once
+    /// the wait is over. `pending` names the nodes the gather still needs,
+    /// so a fleet can read where they will answer; a reply from any node
+    /// may come back, stale ones included. A zero `timeout` takes only
+    /// what has arrived already, without blocking.
+    fn recv(&mut self, pending: &Pending, timeout: Duration) -> Option<Reply>;
     /// Delivers one fan-out. A command for a node that is down is dropped:
     /// its silence is the gather ladder's to judge.
     fn send(&mut self, cmds: Vec<(usize, NodeCmd)>);
     /// Whether node `id` can still answer.
-    fn alive(&self, id: usize) -> bool;
+    fn alive(&mut self, id: usize) -> bool;
     /// Kills node `id`: a scripted crash, or an eviction.
     fn kill(&mut self, id: usize);
     /// Replaces node `id` with a fresh kernel, built as at launch.
@@ -311,26 +311,14 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
         Pending::of(self.m, self.n, nodes)
     }
 
-    /// One gather on the plan's deadline ladder ([`gather_phase`]), or on
-    /// a zero ladder for a fleet that replies on send.
+    /// One gather on the plan's deadline ladder ([`gather_phase`]).
     fn gather(
-        &self,
+        &mut self,
         pending: &mut Pending,
         accept: impl FnMut(Reply) -> Option<NodeId>,
     ) -> Vec<NodeId> {
-        let base_timeout = if F::REPLIES_ON_SEND {
-            Duration::ZERO
-        } else {
-            self.tracker.plan().phase_timeout
-        };
-        gather_phase(
-            self.fleet.replies(),
-            pending,
-            base_timeout,
-            BACKOFF_ROUNDS,
-            |node| self.fleet.alive(self.id(node)),
-            accept,
-        )
+        let base_timeout = self.tracker.plan().phase_timeout;
+        gather_phase(self.fleet, pending, base_timeout, BACKOFF_ROUNDS, accept)
     }
 
     /// The command `node` computes iteration `k` on: `Predict` for a
@@ -851,7 +839,7 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
 /// The nodes a gather still waits for: a mask over fleet ids (front-ends
 /// `0..m`, datacenters `m..m + n`) and its count. A gather files each
 /// reply with an index, not a hash, and lists what is left in node order.
-struct Pending {
+pub(crate) struct Pending {
     m: usize,
     waiting: Vec<bool>,
     count: usize,
@@ -859,7 +847,7 @@ struct Pending {
 
 impl Pending {
     /// The set of `nodes` among `m` front-ends and `n` datacenters.
-    fn of(m: usize, n: usize, nodes: impl IntoIterator<Item = NodeId>) -> Self {
+    pub(crate) fn of(m: usize, n: usize, nodes: impl IntoIterator<Item = NodeId>) -> Self {
         let mut pending = Pending {
             m,
             waiting: vec![false; m + n],
@@ -871,11 +859,16 @@ impl Pending {
         pending
     }
 
-    fn slot(&mut self, node: NodeId) -> Option<&mut bool> {
-        let id = match node {
+    /// `node`'s fleet id.
+    fn id(&self, node: NodeId) -> usize {
+        match node {
             NodeId::Frontend(i) => i,
             NodeId::Datacenter(j) => self.m + j,
-        };
+        }
+    }
+
+    fn slot(&mut self, node: NodeId) -> Option<&mut bool> {
+        let id = self.id(node);
         self.waiting.get_mut(id)
     }
 
@@ -899,20 +892,24 @@ impl Pending {
         self.count == 0
     }
 
-    /// The pending nodes, in node order.
-    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let m = self.m;
+    /// The fleet ids of the pending nodes, in node order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = usize> + '_ {
         self.waiting
             .iter()
             .enumerate()
-            .filter(|&(_, &waiting)| waiting)
-            .map(move |(id, _)| {
-                if id < m {
-                    NodeId::Frontend(id)
-                } else {
-                    NodeId::Datacenter(id - m)
-                }
-            })
+            .filter_map(|(id, &waiting)| waiting.then_some(id))
+    }
+
+    /// The pending nodes, in node order.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let m = self.m;
+        self.ids().map(move |id| {
+            if id < m {
+                NodeId::Frontend(id)
+            } else {
+                NodeId::Datacenter(id - m)
+            }
+        })
     }
 
     /// Empties the set, returning what it held in node order.
@@ -929,32 +926,33 @@ impl Pending {
 /// returned as missing regardless of liveness.
 const MAX_EXTENSIONS: u32 = 1000;
 
-/// Waits for the pending nodes' replies with an exponential-backoff ladder.
+/// Waits for the pending nodes' replies from `fleet` with an
+/// exponential-backoff ladder.
 ///
 /// Each rung of the ladder is a fixed *phase deadline* (`base_timeout`
-/// doubled per rung, `rounds` rungs): timely replies drain the queue but
+/// doubled per rung, `rounds` rungs): timely replies drain the fleet but
 /// never push the deadline out, so a trickle of replies cannot stretch the
 /// wait. When the ladder is exhausted, any pending node that no longer
-/// runs (`alive` is false) is immediately returned as suspected-dead, in
-/// deterministic node order — a live straggler elsewhere in the pending
-/// set does not delay that verdict. Silent-but-running nodes (long
-/// sub-problem, scheduling hiccup) get the ladder restarted, up to
-/// [`MAX_EXTENSIONS`] times.
+/// runs ([`Fleet::alive`] is false) is immediately returned as
+/// suspected-dead, in deterministic node order — a live straggler
+/// elsewhere in the pending set does not delay that verdict.
+/// Silent-but-running nodes (long sub-problem, scheduling hiccup) get the
+/// ladder restarted, up to [`MAX_EXTENSIONS`] times.
 ///
 /// # Worst-case bound
 ///
 /// One ladder blocks for at most `Σ_{r<rounds} base_timeout·2^r =
 /// base_timeout·(2^rounds − 1)` — i.e. [`FaultPlan::ladder_seconds`] —
-/// *independent of how many replies arrive*. A dead node is therefore
-/// declared within one ladder of the moment it stops; with `E` ladder
-/// extensions granted to live stragglers the total wait is at most
-/// `(1 + E)` ladders, `E ≤ MAX_EXTENSIONS`.
-fn gather_phase(
-    rx: &Receiver<Reply>,
+/// *independent of how many replies arrive*, since [`Fleet::recv`] never
+/// waits past what is left of the rung. A dead node is therefore declared
+/// within one ladder of the moment it stops; with `E` ladder extensions
+/// granted to live stragglers the total wait is at most `(1 + E)` ladders,
+/// `E ≤ MAX_EXTENSIONS`.
+fn gather_phase<F: Fleet>(
+    fleet: &mut F,
     pending: &mut Pending,
     base_timeout: Duration,
     rounds: u32,
-    alive: impl Fn(NodeId) -> bool,
     mut accept: impl FnMut(Reply) -> Option<NodeId>,
 ) -> Vec<NodeId> {
     let rounds = rounds.max(1);
@@ -966,51 +964,84 @@ fn gather_phase(
         if pending.is_empty() {
             break Vec::new();
         }
-        // `recv_timeout` polls the queue before blocking, so a zero
-        // remaining budget still drains replies that already arrived.
+        // A zero remaining budget still drains replies that already
+        // arrived.
         let remaining = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(remaining) {
-            Ok(reply) => {
-                if let Some(node) = accept(reply) {
-                    pending.remove(node);
-                }
+        if let Some(reply) = fleet.recv(pending, remaining) {
+            if let Some(node) = accept(reply) {
+                pending.remove(node);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                round += 1;
-                if round < rounds {
-                    wait = wait.saturating_mul(2);
-                    deadline = Instant::now() + wait;
-                    continue;
-                }
-                // Ladder exhausted: declare stopped nodes dead right away.
-                let dead: Vec<NodeId> = pending.nodes().filter(|&n| !alive(n)).collect();
-                if !dead.is_empty() {
-                    for &node in &dead {
-                        pending.remove(node);
-                    }
-                    break dead;
-                }
-                if extensions >= MAX_EXTENSIONS {
-                    break pending.take_all();
-                }
-                extensions += 1;
-                round = 0;
-                wait = base_timeout;
-                deadline = Instant::now() + wait;
-            }
-            Err(RecvTimeoutError::Disconnected) => break pending.take_all(),
+            continue;
         }
+        round += 1;
+        if round < rounds {
+            wait = wait.saturating_mul(2);
+            deadline = Instant::now() + wait;
+            continue;
+        }
+        // Ladder exhausted: declare stopped nodes dead right away.
+        let dead: Vec<NodeId> = pending
+            .nodes()
+            .filter(|&node| !fleet.alive(pending.id(node)))
+            .collect();
+        if !dead.is_empty() {
+            for &node in &dead {
+                pending.remove(node);
+            }
+            break dead;
+        }
+        if extensions >= MAX_EXTENSIONS {
+            break pending.take_all();
+        }
+        extensions += 1;
+        round = 0;
+        wait = base_timeout;
+        deadline = Instant::now() + wait;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver};
 
     use crate::worker::ThreadFleet;
     use ufc_core::Strategy;
     use ufc_model::scenario::ScenarioBuilder;
+
+    /// A fleet whose replies come from test threads over a channel, as the
+    /// thread fleet's do, and whose live nodes are a fixed set of ids: the
+    /// ladder tests' stand-in for a real fleet.
+    struct ChannelFleet {
+        replies: Receiver<Reply>,
+        live: Vec<usize>,
+    }
+
+    impl Fleet for ChannelFleet {
+        fn recv(&mut self, _pending: &Pending, timeout: Duration) -> Option<Reply> {
+            self.replies.recv_timeout(timeout).ok()
+        }
+
+        fn send(&mut self, _cmds: Vec<(usize, NodeCmd)>) {}
+
+        fn alive(&mut self, id: usize) -> bool {
+            self.live.contains(&id)
+        }
+
+        fn kill(&mut self, _id: usize) {}
+
+        fn start(&mut self, _id: usize) -> Result<(), CoreError> {
+            Ok(())
+        }
+
+        fn end_run(
+            &mut self,
+            _clean: bool,
+            _tally: &mut Tally,
+        ) -> (Option<CoreError>, Result<(), CoreError>) {
+            (None, Ok(()))
+        }
+    }
 
     /// Replay entries a thread-fleet run of one paper hour under `plan`
     /// still holds when it stops.
@@ -1063,13 +1094,16 @@ mod tests {
                 row: vec![1.0],
             });
         });
+        let mut fleet = ChannelFleet {
+            replies: rx,
+            live: vec![0],
+        };
         let start = Instant::now();
         let missing = gather_phase(
-            &rx,
+            &mut fleet,
             &mut pending,
             Duration::from_millis(20),
             3, // ladder = 20 + 40 + 80 = 140 ms
-            |node| node == NodeId::Frontend(0),
             |reply| match reply {
                 Reply::Lambda { i, .. } => Some(NodeId::Frontend(i)),
                 _ => None,
@@ -1109,13 +1143,16 @@ mod tests {
                 });
             }
         });
+        let mut fleet = ChannelFleet {
+            replies: rx,
+            live: (1..11).collect(),
+        };
         let start = Instant::now();
         let missing = gather_phase(
-            &rx,
+            &mut fleet,
             &mut pending,
             Duration::from_millis(100),
             2, // ladder = 100 + 200 = 300 ms
-            |node| node != NodeId::Frontend(0),
             |reply| match reply {
                 Reply::Lambda { i, .. } => Some(NodeId::Frontend(i)),
                 _ => None,

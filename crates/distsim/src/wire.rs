@@ -123,12 +123,21 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Incremental frame reassembly over partial reads: push whatever chunk the
-/// socket produced, then drain complete payloads with
-/// [`FrameBuffer::next_frame`].
+/// socket produced, or read it straight into the buffer
+/// ([`FrameBuffer::read_from`]), then take complete payloads with
+/// [`FrameBuffer::next_frame`], as slices of the buffer: no copy and no
+/// allocation per frame.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
+    /// Bytes `start..end` are buffered and not yet handed out; the bytes
+    /// past `end` are room the next push or read fills.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
+
+/// Room [`FrameBuffer::read_from`] offers one read.
+const READ_CHUNK: usize = 64 * 1024;
 
 impl FrameBuffer {
     /// An empty buffer.
@@ -137,13 +146,39 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Appends freshly read bytes (any size, including zero).
-    pub fn push(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
+    /// At least `want` bytes of room past the buffered ones: the bytes
+    /// already handed out are reclaimed first, then the buffer grows.
+    fn room(&mut self, want: usize) -> &mut [u8] {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() < self.end + want {
+            self.buf.resize(self.end + want, 0);
+        }
+        &mut self.buf[self.end..]
     }
 
-    /// Pops the next complete payload, `Ok(None)` when more bytes are
-    /// needed.
+    /// Appends freshly read bytes (any size, including zero).
+    pub fn push(&mut self, chunk: &[u8]) {
+        self.room(chunk.len())[..chunk.len()].copy_from_slice(chunk);
+        self.end += chunk.len();
+    }
+
+    /// One `read` from `reader` straight into the buffer; `Ok(0)` is the
+    /// reader's end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the read returns.
+    pub fn read_from(&mut self, reader: &mut impl std::io::Read) -> std::io::Result<usize> {
+        let read = reader.read(self.room(READ_CHUNK))?;
+        self.end += read;
+        Ok(read)
+    }
+
+    /// The next complete payload, `Ok(None)` when more bytes are needed.
     ///
     /// # Errors
     ///
@@ -151,14 +186,12 @@ impl FrameBuffer {
     /// [`MAX_WIRE_FRAME_BYTES`] or is shorter than the minimum payload
     /// (magic + kind + CRC32) — the stream is desynchronized and cannot be
     /// trusted further.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, CoreError> {
-        if self.buf.len() < LENGTH_PREFIX_BYTES {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, CoreError> {
+        let buffered = &self.buf[self.start..self.end];
+        let Some(prefix) = buffered.first_chunk::<LENGTH_PREFIX_BYTES>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(
-            <[u8; 4]>::try_from(&self.buf[..LENGTH_PREFIX_BYTES])
-                .map_err(|_| corrupt("length prefix is not 4 bytes".to_owned()))?,
-        ) as usize;
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
         if len > MAX_WIRE_FRAME_BYTES {
             return Err(corrupt(format!(
                 "length prefix {len} exceeds the {MAX_WIRE_FRAME_BYTES}-byte frame bound"
@@ -169,18 +202,18 @@ impl FrameBuffer {
                 "length prefix {len} is below the minimum payload size"
             )));
         }
-        if self.buf.len() < LENGTH_PREFIX_BYTES + len {
+        if buffered.len() < LENGTH_PREFIX_BYTES + len {
             return Ok(None);
         }
-        let payload = self.buf[LENGTH_PREFIX_BYTES..LENGTH_PREFIX_BYTES + len].to_vec();
-        self.buf.drain(..LENGTH_PREFIX_BYTES + len);
-        Ok(Some(payload))
+        let payload = self.start + LENGTH_PREFIX_BYTES;
+        self.start = payload + len;
+        Ok(Some(&self.buf[payload..self.start]))
     }
 
-    /// Bytes buffered but not yet drained.
+    /// Bytes buffered but not yet handed out.
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.end - self.start
     }
 }
 
@@ -808,58 +841,68 @@ impl WireFrame {
         }
     }
 
-    /// Serializes into a self-verifying payload
-    /// `[WIRE_MAGIC, kind, body, crc32]` (not yet length-prefixed — see
-    /// [`frame`]).
-    pub(crate) fn encode_payload(&self) -> Vec<u8> {
-        let mut buf = vec![WIRE_MAGIC, self.kind_tag()];
+    /// Appends the frame as it goes on the socket to `buf`, after whatever
+    /// it already holds: the little-endian length prefix, then the
+    /// self-verifying payload `[WIRE_MAGIC, kind, body, crc32]`. The same
+    /// bytes as [`WireFrame::to_wire`], encoded in place: a coordinator
+    /// batches a fan-out's frames this way, and a worker its replies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds [`MAX_WIRE_FRAME_BYTES`] — encoders in
+    /// this module cannot produce such a payload.
+    pub(crate) fn write_wire(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        let payload = start + LENGTH_PREFIX_BYTES;
+        buf.extend_from_slice(&[0; LENGTH_PREFIX_BYTES]);
+        buf.extend_from_slice(&[WIRE_MAGIC, self.kind_tag()]);
         match self {
             WireFrame::Hello {
                 session,
                 process,
                 incarnation,
             } => {
-                put_u64(&mut buf, *session);
-                put_u32(&mut buf, *process);
+                put_u64(buf, *session);
+                put_u32(buf, *process);
                 buf.extend_from_slice(&incarnation.to_le_bytes());
             }
             WireFrame::Load(Load { seq, config, tag }) => {
-                put_u64(&mut buf, *seq);
-                put_blob(&mut buf, config);
-                put_bool(&mut buf, tag.is_some());
+                put_u64(buf, *seq);
+                put_blob(buf, config);
+                put_bool(buf, tag.is_some());
                 if let Some(tag) = tag {
                     buf.extend_from_slice(tag);
                 }
             }
             WireFrame::Cmd { node, cmd } => {
-                put_u32(&mut buf, *node);
+                put_u32(buf, *node);
                 match cmd {
                     NodeCmd::Predict { iteration } => {
                         buf.push(0);
-                        put_u64(&mut buf, *iteration as u64);
+                        put_u64(buf, *iteration as u64);
                     }
                     NodeCmd::Correct { iteration, a_row } => {
                         buf.push(1);
-                        put_u64(&mut buf, *iteration as u64);
-                        put_f64s(&mut buf, a_row);
+                        put_u64(buf, *iteration as u64);
+                        put_f64s(buf, a_row);
                     }
                     NodeCmd::Process { iteration, column } => {
                         buf.push(2);
-                        put_u64(&mut buf, *iteration as u64);
-                        put_f64s(&mut buf, column);
+                        put_u64(buf, *iteration as u64);
+                        put_f64s(buf, column);
                     }
                     NodeCmd::Snapshot { iteration } => {
                         buf.push(3);
-                        put_u64(&mut buf, *iteration as u64);
+                        put_u64(buf, *iteration as u64);
                     }
                     NodeCmd::Membership { datacenter, evict } => {
                         buf.push(4);
-                        put_u32(&mut buf, *datacenter);
-                        put_bool(&mut buf, *evict);
+                        put_u32(buf, *datacenter);
+                        put_bool(buf, *evict);
                     }
                     NodeCmd::Restore { blob } => {
                         buf.push(5);
-                        put_blob(&mut buf, blob);
+                        put_blob(buf, blob);
                     }
                     NodeCmd::Finish => buf.push(6),
                 }
@@ -867,9 +910,9 @@ impl WireFrame {
             WireFrame::Reply(reply) => match reply {
                 Reply::Lambda { i, iteration, row } => {
                     buf.push(0);
-                    put_u32(&mut buf, *i);
-                    put_u64(&mut buf, *iteration as u64);
-                    put_f64s(&mut buf, row);
+                    put_u32(buf, *i);
+                    put_u64(buf, *iteration as u64);
+                    put_f64s(buf, row);
                 }
                 Reply::FeResidual {
                     i,
@@ -877,11 +920,11 @@ impl WireFrame {
                     residuals,
                 } => {
                     buf.push(1);
-                    put_u32(&mut buf, *i);
-                    put_u64(&mut buf, *iteration as u64);
-                    put_f64(&mut buf, residuals.link);
-                    put_f64(&mut buf, residuals.balance);
-                    put_f64(&mut buf, residuals.movement);
+                    put_u32(buf, *i);
+                    put_u64(buf, *iteration as u64);
+                    put_f64(buf, residuals.link);
+                    put_f64(buf, residuals.balance);
+                    put_f64(buf, residuals.movement);
                 }
                 Reply::DcStep {
                     j,
@@ -891,36 +934,36 @@ impl WireFrame {
                     residuals,
                 } => {
                     buf.push(2);
-                    put_u32(&mut buf, *j);
-                    put_u64(&mut buf, *iteration as u64);
-                    put_f64s(&mut buf, a_tilde);
-                    put_f64(&mut buf, *d);
-                    put_f64(&mut buf, residuals.link);
-                    put_f64(&mut buf, residuals.balance);
-                    put_f64(&mut buf, residuals.movement);
+                    put_u32(buf, *j);
+                    put_u64(buf, *iteration as u64);
+                    put_f64s(buf, a_tilde);
+                    put_f64(buf, *d);
+                    put_f64(buf, residuals.link);
+                    put_f64(buf, residuals.balance);
+                    put_f64(buf, residuals.movement);
                 }
                 Reply::FeSnapshot { i, iteration, blob } => {
                     buf.push(3);
-                    put_u32(&mut buf, *i);
-                    put_u64(&mut buf, *iteration as u64);
-                    put_blob(&mut buf, blob);
+                    put_u32(buf, *i);
+                    put_u64(buf, *iteration as u64);
+                    put_blob(buf, blob);
                 }
                 Reply::DcSnapshot { j, iteration, blob } => {
                     buf.push(4);
-                    put_u32(&mut buf, *j);
-                    put_u64(&mut buf, *iteration as u64);
-                    put_blob(&mut buf, blob);
+                    put_u32(buf, *j);
+                    put_u64(buf, *iteration as u64);
+                    put_blob(buf, blob);
                 }
                 Reply::FeFinal { i, lambda } => {
                     buf.push(5);
-                    put_u32(&mut buf, *i);
-                    put_f64s(&mut buf, lambda);
+                    put_u32(buf, *i);
+                    put_f64s(buf, lambda);
                 }
                 Reply::DcFinal { j, mu, d } => {
                     buf.push(6);
-                    put_u32(&mut buf, *j);
-                    put_f64(&mut buf, *mu);
-                    put_f64(&mut buf, *d);
+                    put_u32(buf, *j);
+                    put_f64(buf, *mu);
+                    put_f64(buf, *d);
                 }
                 Reply::NodeError {
                     node,
@@ -937,9 +980,9 @@ impl WireFrame {
                         NodeId::Datacenter(j) => (1u8, *j),
                     };
                     buf.push(kind);
-                    put_u32(&mut buf, index);
-                    put_u64(&mut buf, *iteration as u64);
-                    put_blob(&mut buf, error.to_string().as_bytes());
+                    put_u32(buf, index);
+                    put_u64(buf, *iteration as u64);
+                    put_blob(buf, error.to_string().as_bytes());
                 }
             },
             WireFrame::Shutdown => {}
@@ -950,20 +993,25 @@ impl WireFrame {
                 incarnation,
                 mac,
             } => {
-                put_u64(&mut buf, *session);
-                put_u32(&mut buf, *process);
+                put_u64(buf, *session);
+                put_u32(buf, *process);
                 buf.extend_from_slice(&incarnation.to_le_bytes());
                 buf.extend_from_slice(mac);
             }
             WireFrame::Nak => {}
         }
-        let crc = crc32(&buf);
+        let crc = crc32(&buf[payload..]);
         buf.extend_from_slice(&crc.to_le_bytes());
-        buf
+        let len = buf.len() - payload;
+        assert!(
+            len <= MAX_WIRE_FRAME_BYTES,
+            "wire payload of {len} bytes exceeds the frame bound"
+        );
+        buf[start..payload].copy_from_slice(&(len as u32).to_le_bytes());
     }
 
-    /// Verifies and parses a payload produced by
-    /// [`WireFrame::encode_payload`].
+    /// Verifies and parses a payload: what follows the length prefix of a
+    /// frame [`WireFrame::write_wire`] encoded.
     ///
     /// # Errors
     ///
@@ -1125,9 +1173,11 @@ impl WireFrame {
     }
 
     /// The payload wrapped in the on-stream length prefix — what actually
-    /// goes on the socket.
+    /// goes on the socket ([`WireFrame::write_wire`] into a fresh buffer).
     pub(crate) fn to_wire(&self) -> Vec<u8> {
-        frame(&self.encode_payload())
+        let mut wire = Vec::new();
+        self.write_wire(&mut wire);
+        wire
     }
 }
 
@@ -1465,6 +1515,11 @@ mod tests {
         ]
     }
 
+    /// The payload of `frame`'s wire bytes: what follows the length prefix.
+    fn payload_of(frame: &WireFrame) -> Vec<u8> {
+        frame.to_wire()[LENGTH_PREFIX_BYTES..].to_vec()
+    }
+
     fn unhex(s: &str) -> Vec<u8> {
         s.as_bytes()
             .chunks_exact(2)
@@ -1676,18 +1731,17 @@ mod tests {
     #[test]
     fn payloads_round_trip() {
         for frame in sample_frames() {
-            let payload = frame.encode_payload();
+            let payload = payload_of(&frame);
             assert_eq!(WireFrame::decode_payload(&payload).unwrap(), frame);
         }
     }
 
     #[test]
     fn tampered_payloads_fail_typed() {
-        let payload = WireFrame::Cmd {
+        let payload = payload_of(&WireFrame::Cmd {
             node: 1,
             cmd: NodeCmd::Predict { iteration: 3 },
-        }
-        .encode_payload();
+        });
         for pos in 0..payload.len() {
             let mut bad = payload.clone();
             bad[pos] ^= 0x20;
@@ -1715,11 +1769,63 @@ mod tests {
         for chunk in stream.chunks(3) {
             buf.push(chunk);
             while let Some(payload) = buf.next_frame().unwrap() {
-                decoded.push(WireFrame::decode_payload(&payload).unwrap());
+                decoded.push(WireFrame::decode_payload(payload).unwrap());
             }
         }
         assert_eq!(decoded, frames);
         assert_eq!(buf.pending_bytes(), 0);
+    }
+
+    /// `write_wire` encodes in place: after any prior content it appends
+    /// exactly the bytes `to_wire` returns, which are `frame` of the
+    /// payload, and leaves the content before them untouched.
+    #[test]
+    fn write_wire_appends_exactly_the_to_wire_bytes() {
+        let frames = sample_frames();
+        let priors: Vec<Vec<u8>> = vec![
+            Vec::new(),
+            vec![0xAB],
+            (0..=255u8).collect(),
+            frames[3].to_wire(),
+        ];
+        for frame_ in &frames {
+            let wire = frame_.to_wire();
+            assert_eq!(wire, frame(&payload_of(frame_)), "{frame_:?}");
+            for prior in &priors {
+                let mut out = prior.clone();
+                frame_.write_wire(&mut out);
+                assert_eq!(&out[..prior.len()], &prior[..], "{frame_:?}");
+                assert_eq!(&out[prior.len()..], &wire[..], "{frame_:?}");
+            }
+        }
+    }
+
+    /// Every split of the sample stream reassembles to the sample frames:
+    /// the head pushed, the tail read through `read_from`, with
+    /// `pending_bytes` exactly the bytes of the frame left incomplete.
+    #[test]
+    fn frame_buffer_reassembles_at_every_split_point() {
+        let frames = sample_frames();
+        let wires: Vec<Vec<u8>> = frames.iter().map(WireFrame::to_wire).collect();
+        let stream = wires.concat();
+        for split in 0..=stream.len() {
+            let mut buf = FrameBuffer::new();
+            let mut decoded = Vec::new();
+            buf.push(&stream[..split]);
+            while let Some(payload) = buf.next_frame().unwrap() {
+                decoded.push(WireFrame::decode_payload(payload).unwrap());
+            }
+            let whole: usize = wires[..decoded.len()].iter().map(Vec::len).sum();
+            assert_eq!(buf.pending_bytes(), split - whole, "split {split}");
+            let mut tail = &stream[split..];
+            while buf.read_from(&mut tail).unwrap() > 0 {
+                while let Some(payload) = buf.next_frame().unwrap() {
+                    decoded.push(WireFrame::decode_payload(payload).unwrap());
+                }
+            }
+            assert_eq!(decoded, frames, "split {split}");
+            assert_eq!(buf.pending_bytes(), 0, "split {split}");
+        }
     }
 
     #[test]

@@ -23,12 +23,16 @@
 //! answered with reconnect-with-backoff and a fresh `Hello` carrying the
 //! *same* incarnation, after which the run resumes on the new stream; the
 //! kernels live in this process and keep their state across reconnects.
+//! A worker whose parent process is gone (a coordinator killed mid-run;
+//! the worker has been reparented) makes no reconnect attempt and exits.
 //! A worker that was really killed (`kill -9`) is respawned by the
 //! coordinator with a bumped incarnation and rebuilt from the last
 //! verified checkpoint via a `Restore` command plus command replay.
 
-use std::io::{Read, Write};
+use std::collections::VecDeque;
+use std::io::Write;
 use std::net::TcpStream;
+use std::os::unix::process::parent_id;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -39,7 +43,7 @@ use ufc_model::UfcInstance;
 
 use crate::coordinator::Tally;
 use crate::fault::{FaultPlan, NodeId};
-use crate::supervision::{Fleet, Reply};
+use crate::supervision::{Fleet, Pending, Reply};
 use crate::wire::{
     handshake_mac, hosted_nodes, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
 };
@@ -96,10 +100,20 @@ fn io_failure(process: usize, context: &str, err: &std::io::Error) -> CoreError 
     CoreError::node_failure(format!("worker-{process}"), 0, format!("{context}: {err}"))
 }
 
-fn connect_with_backoff(addr: &str, process: usize) -> Result<TcpStream, CoreError> {
+/// Connects to the coordinator, retrying with backoff, unless the worker's
+/// parent is no longer `parent` (the coordinator that spawned it): an
+/// orphan has nobody to reconnect to, so it fails before every attempt.
+fn connect_with_backoff(addr: &str, process: usize, parent: u32) -> Result<TcpStream, CoreError> {
     let mut delay = BACKOFF_START;
     let mut last: Option<std::io::Error> = None;
     for _ in 0..CONNECT_ATTEMPTS {
+        if parent_id() != parent {
+            return Err(CoreError::node_failure(
+                format!("worker-{process}"),
+                0,
+                format!("coordinator gone: parent process {parent} exited"),
+            ));
+        }
         match TcpStream::connect(addr) {
             Ok(stream) => {
                 stream
@@ -127,56 +141,60 @@ fn connect_with_backoff(addr: &str, process: usize) -> Result<TcpStream, CoreErr
 /// A live session: the stream, its reassembly buffer, the frames queued
 /// for the next write, and the per-run wire-chaos recovery state
 /// (duplicate suppression, reply cache for coordinator Naks, Nak budget),
-/// which a reconnect or a `Load` starts afresh.
+/// which a reconnect or a `Load` starts afresh. The buffers are reused from
+/// frame to frame.
 struct Session {
     stream: TcpStream,
     frames: FrameBuffer,
-    /// Frames to send, in order, written together by [`Session::flush`]
-    /// just before the worker would block on a read. A failed flush leaves
-    /// them here, which is how [`run_worker`] tells a failed write (fatal)
-    /// from a dropped read (reconnect).
+    /// Frames to send, in order, encoded in place and written together by
+    /// [`Session::flush`] just before the worker would block on a read. A
+    /// failed flush leaves them here, which is how [`run_worker`] tells a
+    /// failed write (fatal) from a dropped read (reconnect).
     out: Vec<u8>,
-    /// Raw payload bytes of the previously delivered frame. A chaos
-    /// `FrameDuplicate` arrives as two byte-identical back-to-back frames;
-    /// legitimate consecutive frames are never identical (commands embed
-    /// their iteration, finals their node id), so equality means "drop".
-    last_seen: Option<Vec<u8>>,
-    /// Wire bytes of the last reply sent; retransmitted verbatim when the
-    /// coordinator answers with a [`WireFrame::Nak`].
-    last_reply: Option<Vec<u8>>,
+    /// Raw payload bytes of the previously delivered frame (empty before
+    /// the first; no payload is empty). A chaos `FrameDuplicate` arrives as
+    /// two byte-identical back-to-back frames; legitimate consecutive
+    /// frames are never identical (commands embed their iteration, finals
+    /// their node id), so equality means "drop".
+    last_seen: Vec<u8>,
+    /// Wire bytes of the last reply sent (empty before the first);
+    /// retransmitted verbatim when the coordinator answers with a
+    /// [`WireFrame::Nak`].
+    last_reply: Vec<u8>,
     /// Naks sent in this run on this connection (bounded by
     /// [`NAK_BUDGET`]).
     naks_sent: usize,
 }
 
 impl Session {
-    /// Connects (with backoff) and performs the handshake: a plain `Hello`
-    /// without a key, or the challenge–response exchange with one.
+    /// Connects (with backoff, while the worker's parent is still
+    /// `parent`) and performs the handshake: a plain `Hello` without a key,
+    /// or the challenge–response exchange with one.
     fn establish(
         addr: &str,
         process: usize,
         session: u64,
         incarnation: u32,
         auth: Option<&AuthKey>,
+        parent: u32,
     ) -> Result<Session, CoreError> {
-        let stream = connect_with_backoff(addr, process)?;
+        let stream = connect_with_backoff(addr, process, parent)?;
         let mut link = Session {
             stream,
             frames: FrameBuffer::new(),
             out: Vec::new(),
-            last_seen: None,
-            last_reply: None,
+            last_seen: Vec::new(),
+            last_reply: Vec::new(),
             naks_sent: 0,
         };
         match auth {
             None => {
-                let hello = WireFrame::Hello {
+                WireFrame::Hello {
                     session,
                     process,
                     incarnation,
                 }
-                .to_wire();
-                link.out.extend_from_slice(&hello);
+                .write_wire(&mut link.out);
                 link.flush(process)?;
             }
             Some(key) => {
@@ -195,14 +213,13 @@ impl Session {
                     ));
                 };
                 let mac = handshake_mac(key, &nonce, session, process, incarnation);
-                let hello = WireFrame::AuthHello {
+                WireFrame::AuthHello {
                     session,
                     process,
                     incarnation,
                     mac,
                 }
-                .to_wire();
-                link.out.extend_from_slice(&hello);
+                .write_wire(&mut link.out);
                 link.flush(process)?;
             }
         }
@@ -212,8 +229,8 @@ impl Session {
     /// Forgets the previous run's duplicate guard, reply cache and Nak
     /// count.
     fn reset_run_state(&mut self) {
-        self.last_seen = None;
-        self.last_reply = None;
+        self.last_seen.clear();
+        self.last_reply.clear();
         self.naks_sent = 0;
     }
 
@@ -230,29 +247,27 @@ impl Session {
     fn next_frame(&mut self, process: usize) -> Result<Option<WireFrame>, CoreError> {
         loop {
             if let Some(payload) = self.frames.next_frame()? {
-                match WireFrame::decode_payload(&payload) {
+                match WireFrame::decode_payload(payload) {
                     Ok(frame) => {
-                        if frame != WireFrame::Nak
-                            && self.last_seen.as_deref() == Some(&payload[..])
-                        {
+                        if frame != WireFrame::Nak && self.last_seen == payload {
                             continue;
                         }
-                        self.last_seen = Some(payload);
+                        self.last_seen.clear();
+                        self.last_seen.extend_from_slice(payload);
                         return Ok(Some(frame));
                     }
                     Err(_) if self.naks_sent < NAK_BUDGET => {
                         self.naks_sent += 1;
-                        self.out.extend_from_slice(&WireFrame::Nak.to_wire());
+                        WireFrame::Nak.write_wire(&mut self.out);
                         continue;
                     }
                     Err(err) => return Err(err),
                 }
             }
             self.flush(process)?;
-            let mut chunk = [0u8; 16 * 1024];
             let n = self
-                .stream
-                .read(&mut chunk)
+                .frames
+                .read_from(&mut self.stream)
                 .map_err(|e| io_failure(process, "socket read", &e))?;
             if n == 0 {
                 if self.frames.pending_bytes() > 0 {
@@ -267,16 +282,16 @@ impl Session {
                 }
                 return Ok(None);
             }
-            self.frames.push(&chunk[..n]);
         }
     }
 
     /// Queues a reply behind the others of this batch, keeping its bytes
     /// for a coordinator `Nak`.
     fn queue_reply(&mut self, reply: Reply) {
-        let bytes = WireFrame::Reply(reply).to_wire();
-        self.out.extend_from_slice(&bytes);
-        self.last_reply = Some(bytes);
+        let start = self.out.len();
+        WireFrame::Reply(reply).write_wire(&mut self.out);
+        self.last_reply.clear();
+        self.last_reply.extend_from_slice(&self.out[start..]);
     }
 
     /// Writes every queued frame with one `write_all`.
@@ -416,7 +431,8 @@ fn dispatch(
 /// # Errors
 ///
 /// [`CoreError::NodeFailure`] when the coordinator stays unreachable past
-/// the backoff budget or a command is misaddressed,
+/// the backoff budget, when a reconnect finds the worker's parent process
+/// gone, or when a command is misaddressed,
 /// [`CoreError::CorruptPayload`] when a frame fails its CRC32 or bounds
 /// checks beyond the Nak budget, and [`CoreError::Unauthorized`] when the
 /// authenticated handshake cannot be completed or a `Load` fails
@@ -429,7 +445,8 @@ pub fn run_worker(
     incarnation: u32,
     auth: Option<&AuthKey>,
 ) -> Result<(), CoreError> {
-    let mut link = Session::establish(addr, process, session, incarnation, auth)?;
+    let parent = parent_id();
+    let mut link = Session::establish(addr, process, session, incarnation, auth, parent)?;
     let mut nodes: Vec<(usize, Hosted)> = Vec::new();
     let mut finished = 0usize;
     let mut last_load: Option<u64> = None;
@@ -444,7 +461,7 @@ pub fn run_worker(
                 }
                 // Mid-run drop (partition simulation or coordinator
                 // hiccup): reconnect and re-introduce ourselves.
-                link = Session::establish(addr, process, session, incarnation, auth)?;
+                link = Session::establish(addr, process, session, incarnation, auth, parent)?;
                 continue;
             }
             // Read errors (ECONNRESET and friends) take the same recovery
@@ -454,7 +471,7 @@ pub fn run_worker(
                 if !nodes.is_empty() && finished == nodes.len() {
                     return Ok(());
                 }
-                link = Session::establish(addr, process, session, incarnation, auth)?;
+                link = Session::establish(addr, process, session, incarnation, auth, parent)?;
                 continue;
             }
             Err(err) => return Err(err),
@@ -508,9 +525,7 @@ pub fn run_worker(
                 // The coordinator failed to decode our last reply; resend
                 // the cached bytes verbatim (a Nak with nothing cached is
                 // a stray and is ignored).
-                if let Some(bytes) = &link.last_reply {
-                    link.out.extend_from_slice(bytes);
-                }
+                link.out.extend_from_slice(&link.last_reply);
             }
             WireFrame::Hello { .. } | WireFrame::AuthHello { .. } | WireFrame::Reply(_) => {
                 return Err(CoreError::corrupt_payload(
@@ -645,8 +660,8 @@ fn serve(
 }
 
 impl Fleet for ThreadFleet<'_> {
-    fn replies(&self) -> &Receiver<Reply> {
-        &self.replies
+    fn recv(&mut self, _pending: &Pending, timeout: Duration) -> Option<Reply> {
+        self.replies.recv_timeout(timeout).ok()
     }
 
     fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
@@ -657,7 +672,7 @@ impl Fleet for ThreadFleet<'_> {
         }
     }
 
-    fn alive(&self, id: usize) -> bool {
+    fn alive(&mut self, id: usize) -> bool {
         self.threads[id]
             .as_ref()
             .is_some_and(|(_, handle)| !handle.is_finished())
@@ -711,9 +726,11 @@ impl Fleet for ThreadFleet<'_> {
 /// The [`Fleet`] of [`crate::Engine::Lockstep`]: every node kernel lives in
 /// the coordinator's thread. A fan-out runs `dispatch` over the
 /// [`WorkerPool`], one task per addressed node, and its replies are queued
-/// in node order before `send` returns. A killed node's slot is emptied; a
-/// node started fresh gets a new kernel. Scripted straggler delays are not
-/// slept: the supervisor charges them from the plan on every fleet.
+/// in node order before `send` returns; `recv` pops the queue and never
+/// waits, since nothing arrives later. A killed
+/// node's slot is emptied; a node started fresh gets a new kernel.
+/// Scripted straggler delays are not slept: the supervisor charges them
+/// from the plan on every fleet.
 pub(crate) struct InlineFleet<'a> {
     instance: &'a UfcInstance,
     settings: AdmgSettings,
@@ -722,8 +739,8 @@ pub(crate) struct InlineFleet<'a> {
     /// One kernel per node; `None` while the node is down.
     nodes: Vec<Option<Hosted>>,
     pool: WorkerPool,
-    reply_tx: Sender<Reply>,
-    replies: Receiver<Reply>,
+    /// Replies of the fan-outs sent so far, oldest first.
+    replies: VecDeque<Reply>,
 }
 
 impl<'a> InlineFleet<'a> {
@@ -737,7 +754,6 @@ impl<'a> InlineFleet<'a> {
         let nodes = (0..instance.m_frontends() + instance.n_datacenters())
             .map(|id| Some(Hosted::new(instance, settings, active_mu, active_nu, id)))
             .collect();
-        let (reply_tx, replies) = channel();
         InlineFleet {
             instance,
             settings: *settings,
@@ -745,8 +761,7 @@ impl<'a> InlineFleet<'a> {
             active_nu,
             nodes,
             pool: WorkerPool::new(settings.num_threads),
-            reply_tx,
-            replies,
+            replies: VecDeque::new(),
         }
     }
 }
@@ -772,10 +787,8 @@ fn serve_inline(id: usize, slot: &mut Option<Hosted>, cmds: Vec<NodeCmd>) -> Vec
 }
 
 impl Fleet for InlineFleet<'_> {
-    const REPLIES_ON_SEND: bool = true;
-
-    fn replies(&self) -> &Receiver<Reply> {
-        &self.replies
+    fn recv(&mut self, _pending: &Pending, _timeout: Duration) -> Option<Reply> {
+        self.replies.pop_front()
     }
 
     fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
@@ -793,12 +806,10 @@ impl Fleet for InlineFleet<'_> {
         let replies = self.pool.map_mut(&mut tasks, |_, (id, (slot, queue))| {
             serve_inline(*id, slot, std::mem::take(queue))
         });
-        for reply in replies.into_iter().flatten() {
-            let _ = self.reply_tx.send(reply);
-        }
+        self.replies.extend(replies.into_iter().flatten());
     }
 
-    fn alive(&self, id: usize) -> bool {
+    fn alive(&mut self, id: usize) -> bool {
         self.nodes[id].is_some()
     }
 

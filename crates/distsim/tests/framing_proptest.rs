@@ -57,7 +57,7 @@ proptest! {
         for piece in stream.chunks(chunk) {
             buffer.push(piece);
             while let Some(payload) = buffer.next_frame().expect("honest frames decode") {
-                decoded.push(payload);
+                decoded.push(payload.to_vec());
             }
         }
         prop_assert_eq!(decoded, payloads);

@@ -14,7 +14,10 @@
 //! rebuilds its hosted node kernels from the load's run configuration and
 //! answers ADM-G commands. A fleet outlives a run, so one worker serves
 //! every run its coordinator loads into it, and exits on `Shutdown`, or
-//! when the coordinator hangs up after the run's final gather. With
+//! when the coordinator hangs up after the run's final gather. A
+//! connection lost mid-run is dialled again with backoff, unless the
+//! worker's parent process has changed (its coordinator was killed, so the
+//! worker was reparented): then it exits at once. With
 //! `--auth-key-stdin` the worker reads the shared key (one line of 64 hex
 //! digits) from stdin, where no other local user can read it, answers the
 //! coordinator's challenge with a keyed MAC before any iteration state is

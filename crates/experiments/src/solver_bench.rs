@@ -184,17 +184,26 @@ impl SizeLeg {
 pub const COHOSTED_PROCESSES: usize = 2;
 
 /// Per-iteration latency of the multi-process socket engine next to the
-/// in-memory threaded engine, measured on one paper-default hour.
+/// in-memory threaded engine, measured on one paper-default hour. A cold
+/// leg pays its fleet's launch and teardown; a warm leg is the same hour
+/// run again on that fleet, parked between the two runs, so it times the
+/// iterations' socket I/O alone.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketLatency {
     /// Threaded-engine wall-clock (milliseconds).
     pub threaded_wall_ms: f64,
     /// Socket-engine wall-clock (milliseconds) with one process per node,
-    /// including process spawn.
+    /// including process spawn and reaping.
     pub socket_wall_ms: f64,
     /// Socket-engine wall-clock (milliseconds) with the nodes co-hosted on
-    /// [`COHOSTED_PROCESSES`] processes, including process spawn.
+    /// [`COHOSTED_PROCESSES`] processes, including process spawn and
+    /// reaping.
     pub cohosted_wall_ms: f64,
+    /// The one-process-per-node hour again, on its parked fleet
+    /// (milliseconds).
+    pub warm_socket_wall_ms: f64,
+    /// The co-hosted hour again, on its parked fleet (milliseconds).
+    pub warm_cohosted_wall_ms: f64,
     /// Iterations of the socket run (bit-identical engines, so the
     /// threaded run performs the same count).
     pub iterations: usize,
@@ -217,6 +226,19 @@ impl SocketLatency {
     #[must_use]
     pub fn cohosted_per_iter_ms(&self) -> f64 {
         self.cohosted_wall_ms / self.iterations.max(1) as f64
+    }
+
+    /// Milliseconds per ADM-G iteration of the warm one-process-per-node
+    /// run.
+    #[must_use]
+    pub fn warm_socket_per_iter_ms(&self) -> f64 {
+        self.warm_socket_wall_ms / self.iterations.max(1) as f64
+    }
+
+    /// Milliseconds per ADM-G iteration of the warm co-hosted run.
+    #[must_use]
+    pub fn warm_cohosted_per_iter_ms(&self) -> f64 {
+        self.warm_cohosted_wall_ms / self.iterations.max(1) as f64
     }
 
     /// Socket-over-threaded per-iteration overhead factor.
@@ -291,13 +313,15 @@ impl BenchReport {
         }
         match &self.socket {
             Some(s) => out.push_str(&format!(
-                "  \"socket_engine\": {{\"iterations\": {}, \"threaded_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}, \"cohosted_processes\": {}, \"cohosted_per_iter_ms\": {:.4}}}\n",
+                "  \"socket_engine\": {{\"iterations\": {}, \"threaded_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}, \"cohosted_processes\": {}, \"cohosted_per_iter_ms\": {:.4}, \"warm_socket_per_iter_ms\": {:.4}, \"warm_cohosted_per_iter_ms\": {:.4}}}\n",
                 s.iterations,
                 s.threaded_per_iter_ms(),
                 s.socket_per_iter_ms(),
                 s.overhead(),
                 COHOSTED_PROCESSES,
                 s.cohosted_per_iter_ms(),
+                s.warm_socket_per_iter_ms(),
+                s.warm_cohosted_per_iter_ms(),
             )),
             None => out.push_str("  \"socket_engine\": null\n"),
         }
@@ -511,11 +535,12 @@ pub fn size_trajectory(
 /// `Ok(None)` when the `ufc-node` worker binary is not present next to the
 /// running executable (the bench degrades gracefully instead of failing).
 ///
-/// Each socket leg is a cold run: it gets a runner of its own, which it
-/// drops inside its timer, so every leg pays its own launch, run and
-/// teardown, and no leg pays another's. (A runner keeps its worker
-/// processes between socket runs; sharing one would leave the teardown
-/// out of one leg and charge it to the next.)
+/// Each socket leg gets a runner of its own. Its cold run pays the
+/// launch, the run and the teardown when the runner is dropped, and no leg
+/// pays another's. Between the run and the drop the runner runs the same
+/// hour once more on the fleet it parked, and that warm run alone is timed
+/// as the leg's warm time: the per-iteration cost of the socket I/O,
+/// without spawn, handshake or reaping.
 ///
 /// # Errors
 ///
@@ -544,32 +569,39 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
         &mut (),
     )?;
     let threaded_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let time_socket = |options: SocketOptions| -> Result<f64, BenchError> {
+    let ms = |since: Instant| since.elapsed().as_secs_f64() * 1e3;
+    // (cold, warm) milliseconds of one leg.
+    let time_socket = |options: SocketOptions| -> Result<(f64, f64), BenchError> {
+        let spec = RunSpec::new(Engine::Sockets(options));
         let start = Instant::now();
         let runner = DistributedAdmg::try_new(settings)?;
-        let socket = runner.execute(
-            instance,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Sockets(options)),
-            &mut (),
-        )?;
+        let cold = runner.execute(instance, Strategy::Hybrid, &spec, &mut ())?;
+        let mut cold_ms = ms(start);
+        let start = Instant::now();
+        let warm = runner.execute(instance, Strategy::Hybrid, &spec, &mut ())?;
+        let warm_ms = ms(start);
+        let start = Instant::now();
         drop(runner);
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        if threaded.iterations != socket.iterations {
-            return Err(BenchError::EngineMismatch {
-                threaded_iterations: threaded.iterations,
-                socket_iterations: socket.iterations,
-            });
+        cold_ms += ms(start);
+        for socket in [cold, warm] {
+            if threaded.iterations != socket.iterations {
+                return Err(BenchError::EngineMismatch {
+                    threaded_iterations: threaded.iterations,
+                    socket_iterations: socket.iterations,
+                });
+            }
         }
-        Ok(wall_ms)
+        Ok((cold_ms, warm_ms))
     };
-    let socket_wall_ms = time_socket(SocketOptions::new(&worker))?;
-    let cohosted_wall_ms =
+    let (socket_wall_ms, warm_socket_wall_ms) = time_socket(SocketOptions::new(&worker))?;
+    let (cohosted_wall_ms, warm_cohosted_wall_ms) =
         time_socket(SocketOptions::new(&worker).with_processes(COHOSTED_PROCESSES))?;
     Ok(Some(SocketLatency {
         threaded_wall_ms,
         socket_wall_ms,
         cohosted_wall_ms,
+        warm_socket_wall_ms,
+        warm_cohosted_wall_ms,
         iterations: threaded.iterations,
     }))
 }
@@ -627,6 +659,32 @@ mod tests {
         assert!(json.contains("\"sizes\": []"));
         assert!(json.contains("\"scaling_guard\": null"));
         assert!(json.contains("\"socket_engine\": null"));
+    }
+
+    /// The socket block carries the cold and the warm legs, each per
+    /// iteration.
+    #[test]
+    fn socket_block_reports_cold_and_warm_legs() {
+        let mut report = run(2012, 1, 1, &[]).unwrap();
+        report.socket = Some(SocketLatency {
+            threaded_wall_ms: 6.8,
+            socket_wall_ms: 34.0,
+            cohosted_wall_ms: 13.6,
+            warm_socket_wall_ms: 10.2,
+            warm_cohosted_wall_ms: 4.08,
+            iterations: 68,
+        });
+        let json = report.to_json();
+        assert!(json.contains("\"socket_per_iter_ms\": 0.5000"), "{json}");
+        assert!(json.contains("\"cohosted_per_iter_ms\": 0.2000"), "{json}");
+        assert!(
+            json.contains("\"warm_socket_per_iter_ms\": 0.1500"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"warm_cohosted_per_iter_ms\": 0.0600}"),
+            "{json}"
+        );
     }
 
     fn guard(large_us_per_var_iter: f64) -> ScalingGuard {

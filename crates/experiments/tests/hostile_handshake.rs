@@ -54,7 +54,7 @@ fn free_port() -> u16 {
 }
 
 /// Hand-assembles a checksummed wire payload `[magic, kind, body, crc32]`
-/// exactly as `WireFrame::encode_payload` would, so the hostile peer can
+/// exactly as `WireFrame::write_wire` does, so the hostile peer can
 /// speak well-formed framing without access to the crate internals.
 fn forged_payload(kind: u8, body: &[u8]) -> Vec<u8> {
     let mut payload = vec![WIRE_MAGIC, kind];

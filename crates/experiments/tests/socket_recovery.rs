@@ -7,9 +7,13 @@
 //! this is the paper protocol's recovery story under its real failure
 //! model.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader};
+use std::net::TcpListener;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 use ufc_core::{AdmgSettings, CoreError, Strategy};
+use ufc_distsim::wire::FrameBuffer;
 use ufc_distsim::{
     CorruptionConfig, CorruptionKind, DistRunReport, DistributedAdmg, Engine, FaultPlan, NodeId,
     PartitionWindow, RunSpec, SocketOptions,
@@ -265,4 +269,63 @@ fn kill_plans_require_one_process_per_node() {
         matches!(err, CoreError::InvalidConfig { .. }),
         "expected a typed InvalidConfig, got {err:?}"
     );
+}
+
+/// Whether process `pid` has exited: it is gone from the process table, or
+/// a zombie nobody has reaped yet.
+fn exited(pid: u32) -> bool {
+    std::fs::read_to_string(format!("/proc/{pid}/stat")).map_or(true, |stat| {
+        stat.rfind(')')
+            .and_then(|at| stat[at + 1..].split_whitespace().next())
+            .is_some_and(|state| state == "Z" || state == "X")
+    })
+}
+
+/// A worker whose coordinator died mid-run does not outlive it by the
+/// reconnect budget. Here an intermediate `sh` that waits on the worker
+/// stands in for the coordinator: the test's listener takes the worker's
+/// handshake, the `sh` is SIGKILLed (so the worker is reparented), and the
+/// connection closes with no listener left. The worker must be gone within
+/// 1 s; retrying the connection would keep it up for about 4 s.
+#[test]
+fn an_orphaned_worker_exits_instead_of_reconnecting() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let mut parent = Command::new("sh")
+        .arg("-c")
+        .arg("\"$0\" --connect \"$1\" --process 0 --session 7 >/dev/null 2>&1 & echo $!; wait")
+        .arg(env!("CARGO_BIN_EXE_ufc-node"))
+        .arg(&addr)
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn sh");
+    let mut line = String::new();
+    BufReader::new(parent.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("sh prints the worker's pid");
+    let worker: u32 = line.trim().parse().expect("a pid");
+    let (stream, _) = listener.accept().expect("the worker connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut frames = FrameBuffer::new();
+    while frames.next_frame().expect("a well-formed hello").is_none() {
+        let read = frames
+            .read_from(&mut &stream)
+            .expect("the worker says hello");
+        assert!(read > 0, "the worker hung up before its hello");
+    }
+    parent.kill().expect("SIGKILL the worker's parent");
+    parent.wait().expect("reap the worker's parent");
+    drop(listener);
+    let closed = Instant::now();
+    drop(stream);
+    while !exited(worker) {
+        assert!(
+            closed.elapsed() < Duration::from_secs(1),
+            "the orphaned worker {worker} still runs {:?} after its connection closed",
+            closed.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }

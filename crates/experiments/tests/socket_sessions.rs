@@ -3,11 +3,13 @@
 //! `ufc-node` processes, loading each run's configuration into them, and
 //! every report is what a fresh runner reports. The workers are found in
 //! the process table (`/proc/*/stat` parent pid and `/proc/<pid>/comm`),
-//! so this file holds a single test: no other test's workers share its
-//! parent pid.
+//! and the coordinator's threads in `/proc/self/task`, so this file holds a
+//! single test: no other test's workers share its parent pid, and no other
+//! test's threads share its process.
 
 use std::collections::BTreeSet;
 use std::fs;
+use std::time::{Duration, Instant};
 
 use ufc_core::{AdmgSettings, Strategy};
 use ufc_distsim::{DistRunReport, DistributedAdmg, Engine, RunSpec, SocketOptions};
@@ -46,6 +48,27 @@ fn workers() -> BTreeSet<u32> {
         }
     }
     found
+}
+
+/// The threads of this test process.
+fn threads() -> usize {
+    fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .count()
+}
+
+/// This process's thread count once it has fallen to `expected`, or after
+/// two seconds: a thread the test joined may stay listed for a moment
+/// after the join returns.
+fn settled_threads(expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let count = threads();
+        if count <= expected || Instant::now() >= deadline {
+            return count;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn bits(report: &DistRunReport) -> Vec<u64> {
@@ -119,11 +142,19 @@ fn one_runner_serves_a_sequence_of_loads_on_one_fleet() {
         .build()
         .expect("paper scenario builds");
 
+    // A parked fleet adds one coordinator thread, its acceptor: the
+    // coordinator reads every connection itself.
+    let threads_before = threads();
     let mut fleet: Option<BTreeSet<u32>> = None;
     let mut same_fleet = |parked: BTreeSet<u32>, label: &str| {
         assert_eq!(parked.len(), 2, "{label}: the two workers stay up");
         let first = fleet.get_or_insert_with(|| parked.clone());
         assert_eq!(*first, parked, "{label}: the same two workers serve it");
+        assert_eq!(
+            settled_threads(threads_before + 1),
+            threads_before + 1,
+            "{label}: the parked fleet's only thread is its acceptor"
+        );
     };
 
     // 1. Three paper hours per strategy: each load flips the block
@@ -179,10 +210,20 @@ fn one_runner_serves_a_sequence_of_loads_on_one_fleet() {
         per_node.is_disjoint(&cohosted_fleet),
         "the co-hosted fleet is reaped when another replaces it"
     );
+    assert_eq!(
+        settled_threads(threads_before + 1),
+        threads_before + 1,
+        "one process per node still adds one thread"
+    );
 
     drop(runner);
     assert!(
         workers().is_empty(),
         "dropping the runner reaps its workers"
+    );
+    assert_eq!(
+        settled_threads(threads_before),
+        threads_before,
+        "and joins its acceptor"
     );
 }
