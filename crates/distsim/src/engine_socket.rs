@@ -871,9 +871,10 @@ impl Fleet for ProcessFleet {
     /// that still has one ([`Link::visit`]), until it yields a reply or
     /// `timeout` has passed. A connection the worker closed is read to its
     /// end and then dropped, and the next pending node's is read. With no
-    /// connection left for the pending nodes the call waits `timeout` out,
-    /// as an empty reply channel would: a killed node's silence is judged
-    /// on the same ladder as on every fleet. Once a typed error is parked
+    /// connection left for the pending nodes the call returns `None` at
+    /// once when none of their processes runs either (no reply can come),
+    /// and otherwise waits `timeout` out, as an empty reply channel would:
+    /// a running process may still reconnect. Once a typed error is parked
     /// nothing more is read, and the call returns `None` at once.
     fn recv(&mut self, pending: &Pending, timeout: Duration) -> Option<Reply> {
         let deadline = Instant::now() + timeout;
@@ -884,7 +885,12 @@ impl Fleet for ProcessFleet {
                 .map(|id| process_of(id, self.processes))
                 .find(|&p| self.links[p].is_some())
             else {
-                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                if pending
+                    .ids()
+                    .any(|id| self.runs(process_of(id, self.processes)))
+                {
+                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                }
                 return None;
             };
             let link = self.links[p].as_mut()?;

@@ -39,9 +39,10 @@
 //! three fleets: a deterministic, seeded [`FaultPlan`] can script
 //! crash-stop failures (with or without recovery), straggler delays, and
 //! partition windows. The coordinator awaits every reply with
-//! `recv_timeout` deadlines and an exponential backoff ladder (with zero
-//! rungs on the lockstep fleet, which has answered before the gather
-//! starts); a node silent past its eviction deadline is respawned from its
+//! deadline-bounded receives and an exponential backoff ladder, which no
+//! fleet waits out for a node that can no longer answer (the lockstep
+//! fleet has answered before the gather starts); a node silent past its
+//! eviction deadline is respawned from its
 //! last [`snapshot`] checkpoint and replayed, or — for datacenters only —
 //! evicted so the survivors continue in degraded mode (the evicted `μ_j`
 //! and `λ_·j` blocks are pinned to zero) until the node is readmitted.

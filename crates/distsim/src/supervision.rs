@@ -23,12 +23,13 @@
 //! next prediction riding in its correction's fan-out.
 //!
 //! The inline fleet has queued every reply by the time `send` returns, so
-//! its `recv` never waits and the ladder's rungs pass at once: a node it
-//! stopped is declared dead as soon as the queue is drained. The thread
-//! fleet answers `recv` from its reply channel, and the process fleet
-//! reads its workers' connections itself, in the coordinator's thread.
-//! `tests/fault_injection.rs` pins the lockstep fault reports and holds
-//! the thread fleet to the same iterates, statistics and reports.
+//! its `recv` never waits. The thread fleet answers `recv` from its reply
+//! channel, and the process fleet reads its workers' connections itself,
+//! in the coordinator's thread. Every fleet's `recv` returns at once when
+//! no pending node can still answer, so the ladder's rungs pass at once
+//! and a stopped node is declared dead as soon as what arrived is handed
+//! out. `tests/fault_injection.rs` pins the lockstep fault reports and
+//! holds the thread fleet to the same iterates, statistics and reports.
 
 use std::time::{Duration, Instant};
 
@@ -116,7 +117,9 @@ pub(crate) trait Fleet {
     /// the wait is over. `pending` names the nodes the gather still needs,
     /// so a fleet can read where they will answer; a reply from any node
     /// may come back, stale ones included. A zero `timeout` takes only
-    /// what has arrived already, without blocking.
+    /// what has arrived already, without blocking. When nothing has
+    /// arrived and no pending node can still answer, the call returns
+    /// `None` without waiting.
     fn recv(&mut self, pending: &Pending, timeout: Duration) -> Option<Reply>;
     /// Delivers one fan-out. A command for a node that is down is dropped:
     /// its silence is the gather ladder's to judge.
@@ -947,7 +950,11 @@ const MAX_EXTENSIONS: u32 = 1000;
 /// waits past what is left of the rung. A dead node is therefore declared
 /// within one ladder of the moment it stops; with `E` ladder extensions
 /// granted to live stragglers the total wait is at most `(1 + E)` ladders,
-/// `E ≤ MAX_EXTENSIONS`.
+/// `E ≤ MAX_EXTENSIONS`. When none of the pending nodes can still answer,
+/// every fleet's `recv` returns at once once it has handed out what
+/// already arrived, so the rungs pass without waiting and the dead nodes
+/// are declared at once: the ladder is waited out only while a live node
+/// is pending.
 fn gather_phase<F: Fleet>(
     fleet: &mut F,
     pending: &mut Pending,

@@ -660,7 +660,17 @@ fn serve(
 }
 
 impl Fleet for ThreadFleet<'_> {
-    fn recv(&mut self, _pending: &Pending, timeout: Duration) -> Option<Reply> {
+    /// Hands out a reply that has already arrived. Otherwise, when every
+    /// pending node's thread is stopped or finished, no new reply can
+    /// come: it looks at the channel once more (a thread sends before it
+    /// finishes) and returns at once. Otherwise it waits on the channel.
+    fn recv(&mut self, pending: &Pending, timeout: Duration) -> Option<Reply> {
+        if let Ok(reply) = self.replies.try_recv() {
+            return Some(reply);
+        }
+        if !pending.ids().any(|id| self.alive(id)) {
+            return self.replies.try_recv().ok();
+        }
         self.replies.recv_timeout(timeout).ok()
     }
 

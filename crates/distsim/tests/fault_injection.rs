@@ -296,6 +296,41 @@ fn lockstep_declares_dead_nodes_without_waiting_out_the_ladder() {
     assert!(long.estimated_wan_seconds > short.estimated_wan_seconds);
 }
 
+/// The thread fleet's twin of the lockstep test above: a killed node's
+/// thread is gone, so once the replies that arrived are handed out the
+/// gather declares it dead at once instead of blocking out a 70 s ladder,
+/// and the run equals lockstep's.
+#[test]
+fn threads_declare_dead_nodes_without_waiting_out_the_ladder() {
+    let inst = slack_instance();
+    let runner = DistributedAdmg::new(AdmgSettings::default());
+    let run = |engine| {
+        runner
+            .execute(
+                &inst,
+                Strategy::Hybrid,
+                &RunSpec::new(engine).with_plan(permanent_crash(Duration::from_secs(10))),
+                &mut (),
+            )
+            .expect("a permanent datacenter crash must degrade, not error")
+    };
+    let lockstep = run(Engine::Lockstep);
+    let start = Instant::now();
+    let threaded = run(Engine::Threaded);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "a 70 s ladder took {elapsed:?} on the thread fleet"
+    );
+    assert_eq!(threaded.iterations, lockstep.iterations);
+    assert_eq!(threaded.stats, lockstep.stats);
+    assert_eq!(
+        threaded.breakdown.ufc().to_bits(),
+        lockstep.breakdown.ufc().to_bits()
+    );
+    assert_eq!(threaded.fault, lockstep.fault);
+}
+
 #[test]
 fn eviction_then_readmission_completes() {
     let inst = slack_instance();

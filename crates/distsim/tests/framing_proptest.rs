@@ -2,12 +2,41 @@
 //! (`ufc_distsim::wire`). Whatever a hostile or flaky peer feeds the
 //! decoder — random garbage, truncated frames, arbitrary chunk
 //! boundaries — it must return typed errors or complete payloads, never
-//! panic, and honest round trips must always survive.
+//! panic, and honest round trips must always survive. The frames'
+//! checksum, [`crc32`], must equal a bitwise reference on any buffer.
 
 use proptest::prelude::*;
-use ufc_distsim::wire::{frame, FrameBuffer, LENGTH_PREFIX_BYTES, MAX_WIRE_FRAME_BYTES};
+use ufc_distsim::wire::{crc32, frame, FrameBuffer, LENGTH_PREFIX_BYTES, MAX_WIRE_FRAME_BYTES};
+
+/// CRC32 one bit at a time, straight from the reflected polynomial: no
+/// table shared with the implementation under test.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c ^ 0xFFFF_FFFF
+}
 
 proptest! {
+    /// The table-driven CRC32 of any buffer up to 64 KiB, at any start
+    /// offset, is the bitwise one.
+    #[test]
+    fn crc32_matches_the_bitwise_reference(
+        bytes in proptest::collection::vec(0u8..=255, 0..64 * 1024),
+        offset in 0usize..8,
+    ) {
+        let slice = &bytes[offset.min(bytes.len())..];
+        prop_assert_eq!(crc32(slice), crc32_bitwise(slice));
+    }
+
     /// Arbitrary byte soup never panics the reassembler: every
     /// `next_frame` call returns `Ok` or a typed error, regardless of
     /// chunking.

@@ -952,7 +952,8 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     match &report.socket {
         Some(s) => println!(
             "socket engine: {:.3} ms/iter vs {:.3} ms/iter threaded ({:.2}x overhead, {} iters); \
-             {:.3} ms/iter on {} co-hosting processes; on a parked fleet {:.4} and {:.4} ms/iter",
+             {:.3} ms/iter on {} co-hosting processes; on a parked fleet {:.4} and {:.4} ms/iter \
+             (threaded and parked: median of {} runs)",
             s.socket_per_iter_ms(),
             s.threaded_per_iter_ms(),
             s.overhead(),
@@ -960,7 +961,8 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             s.cohosted_per_iter_ms(),
             solver_bench::COHOSTED_PROCESSES,
             s.warm_socket_per_iter_ms(),
-            s.warm_cohosted_per_iter_ms()
+            s.warm_cohosted_per_iter_ms(),
+            solver_bench::LATENCY_RUNS
         ),
         None => println!("socket engine: skipped (ufc-node worker binary not found)"),
     }

@@ -578,8 +578,8 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     // iteration past the run's length simply never fires — the contract
     // still holds trivially.) The ladder only declares dead a node that no
     // longer runs, and grants a live one an extension, so a 20 ms rung
-    // cannot misdiagnose a slow worker; it only stops each thread or
-    // process kill from waiting out the default 1.4 s ladder.
+    // cannot misdiagnose a slow worker. (A killed node is declared dead
+    // without waiting out the ladder on every fleet.)
     if let (Some(fseed), true) = (case.fault_seed, mem.converged) {
         let mut frng = SplitMix64::new(fseed);
         let node = if frng.chance(0.5) {

@@ -185,12 +185,13 @@ pub const COHOSTED_PROCESSES: usize = 2;
 
 /// Per-iteration latency of the multi-process socket engine next to the
 /// in-memory threaded engine, measured on one paper-default hour. A cold
-/// leg pays its fleet's launch and teardown; a warm leg is the same hour
-/// run again on that fleet, parked between the two runs, so it times the
-/// iterations' socket I/O alone.
+/// leg is one run that pays its fleet's launch and teardown; a warm leg is
+/// the median of [`LATENCY_RUNS`] runs of the same hour on that fleet,
+/// parked between runs, so it times the iterations' socket I/O alone. The
+/// threaded leg is the median of as many runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketLatency {
-    /// Threaded-engine wall-clock (milliseconds).
+    /// Threaded-engine wall-clock (milliseconds), median run.
     pub threaded_wall_ms: f64,
     /// Socket-engine wall-clock (milliseconds) with one process per node,
     /// including process spawn and reaping.
@@ -200,9 +201,10 @@ pub struct SocketLatency {
     /// reaping.
     pub cohosted_wall_ms: f64,
     /// The one-process-per-node hour again, on its parked fleet
-    /// (milliseconds).
+    /// (milliseconds), median run.
     pub warm_socket_wall_ms: f64,
-    /// The co-hosted hour again, on its parked fleet (milliseconds).
+    /// The co-hosted hour again, on its parked fleet (milliseconds),
+    /// median run.
     pub warm_cohosted_wall_ms: f64,
     /// Iterations of the socket run (bit-identical engines, so the
     /// threaded run performs the same count).
@@ -529,18 +531,24 @@ pub fn size_trajectory(
     Ok(legs)
 }
 
+/// Timed runs behind each threaded and warm socket leg, which reports their
+/// median: one 68-iteration hour timed once swung the co-hosted leg by 2x
+/// between back-to-back runs.
+pub const LATENCY_RUNS: usize = 15;
+
 /// Measures the socket engine's per-iteration latency against the threaded
 /// engine on one paper-default hour, with one process per node and with
 /// the nodes co-hosted on [`COHOSTED_PROCESSES`] processes. Returns
 /// `Ok(None)` when the `ufc-node` worker binary is not present next to the
 /// running executable (the bench degrades gracefully instead of failing).
 ///
-/// Each socket leg gets a runner of its own. Its cold run pays the
+/// The threaded leg is the median of [`LATENCY_RUNS`] timed runs. Each
+/// socket leg gets a runner of its own. Its cold run is timed once: the
 /// launch, the run and the teardown when the runner is dropped, and no leg
 /// pays another's. Between the run and the drop the runner runs the same
-/// hour once more on the fleet it parked, and that warm run alone is timed
-/// as the leg's warm time: the per-iteration cost of the socket I/O,
-/// without spawn, handshake or reaping.
+/// hour [`LATENCY_RUNS`] more times on the fleet it parked, each timed
+/// alone, and their median is the leg's warm time: the per-iteration cost
+/// of the socket I/O, without spawn, handshake or reaping.
 ///
 /// # Errors
 ///
@@ -561,15 +569,27 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
         .map_err(CoreError::Model)?;
     let instance = &scenario.instances[0];
     let settings = AdmgSettings::default();
-    let start = Instant::now();
-    let threaded = DistributedAdmg::try_new(settings)?.execute(
-        instance,
-        Strategy::Hybrid,
-        &RunSpec::new(Engine::Threaded),
-        &mut (),
-    )?;
-    let threaded_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let ms = |since: Instant| since.elapsed().as_secs_f64() * 1e3;
+    // The median of `LATENCY_RUNS` timed runs of `spec` on `runner`, and
+    // the iterations of the last.
+    let median_run =
+        |runner: &DistributedAdmg, spec: &RunSpec| -> Result<(f64, usize), BenchError> {
+            let mut times = Vec::with_capacity(LATENCY_RUNS);
+            let mut iterations = 0;
+            for _ in 0..LATENCY_RUNS {
+                let start = Instant::now();
+                iterations = runner
+                    .execute(instance, Strategy::Hybrid, spec, &mut ())?
+                    .iterations;
+                times.push(ms(start));
+            }
+            times.sort_by(f64::total_cmp);
+            Ok((times[LATENCY_RUNS / 2], iterations))
+        };
+    let (threaded_wall_ms, threaded_iterations) = median_run(
+        &DistributedAdmg::try_new(settings)?,
+        &RunSpec::new(Engine::Threaded),
+    )?;
     // (cold, warm) milliseconds of one leg.
     let time_socket = |options: SocketOptions| -> Result<(f64, f64), BenchError> {
         let spec = RunSpec::new(Engine::Sockets(options));
@@ -577,17 +597,15 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
         let runner = DistributedAdmg::try_new(settings)?;
         let cold = runner.execute(instance, Strategy::Hybrid, &spec, &mut ())?;
         let mut cold_ms = ms(start);
-        let start = Instant::now();
-        let warm = runner.execute(instance, Strategy::Hybrid, &spec, &mut ())?;
-        let warm_ms = ms(start);
+        let (warm_ms, warm_iterations) = median_run(&runner, &spec)?;
         let start = Instant::now();
         drop(runner);
         cold_ms += ms(start);
-        for socket in [cold, warm] {
-            if threaded.iterations != socket.iterations {
+        for socket_iterations in [cold.iterations, warm_iterations] {
+            if threaded_iterations != socket_iterations {
                 return Err(BenchError::EngineMismatch {
-                    threaded_iterations: threaded.iterations,
-                    socket_iterations: socket.iterations,
+                    threaded_iterations,
+                    socket_iterations,
                 });
             }
         }
@@ -602,7 +620,7 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
         cohosted_wall_ms,
         warm_socket_wall_ms,
         warm_cohosted_wall_ms,
-        iterations: threaded.iterations,
+        iterations: threaded_iterations,
     }))
 }
 

@@ -219,6 +219,49 @@ fn a_parked_fleet_serves_faulty_and_chaotic_runs_like_a_fresh_one() {
     }
 }
 
+/// The process fleet's twin of `fault_injection.rs`'s lockstep and thread
+/// tests: a SIGKILLed, reaped worker has neither a connection nor a
+/// process, so the gather declares its node dead at once instead of
+/// sleeping out a 70 s ladder, and the degraded run equals lockstep's.
+#[test]
+fn processes_declare_dead_nodes_without_waiting_out_the_ladder() {
+    let instance = workload();
+    let runner = DistributedAdmg::new(AdmgSettings::default());
+    let plan = FaultPlan::new()
+        .crash_at(NodeId::Datacenter(1), 3)
+        .with_phase_timeout(Duration::from_secs(10));
+    let run = |engine| {
+        runner
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine).with_plan(plan.clone()),
+                &mut (),
+            )
+            .expect("a permanent datacenter crash must degrade, not error")
+    };
+    let lockstep = run(Engine::Lockstep);
+    let start = Instant::now();
+    let sockets = run(Engine::Sockets(worker_options()));
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "a 70 s ladder took {elapsed:?} on the process fleet"
+    );
+    assert_eq!(sockets.iterations, lockstep.iterations);
+    assert_eq!(sockets.stats, lockstep.stats);
+    assert_eq!(
+        sockets.breakdown.ufc().to_bits(),
+        lockstep.breakdown.ufc().to_bits()
+    );
+    assert_eq!(sockets.fault, lockstep.fault);
+    assert_eq!(
+        sockets.fault.expect("fault report").evicted,
+        vec![1],
+        "the killed datacenter is evicted"
+    );
+}
+
 /// An unrecoverable front-end crash (no recovery budget) is fatal with a
 /// typed error — the coordinator must not hang on the dead process or
 /// panic, and must name the node that died.
