@@ -440,8 +440,8 @@ pub trait Transport {
     ///
     /// # Errors
     ///
-    /// [`crate::CoreError::Subproblem`] if a block QP fails; transports
-    /// add their own failure modes (e.g. node failures).
+    /// Transport-specific node/communication failures; no block kernel can
+    /// fail (a poisoned block comes back all-NaN for the divergence gate).
     fn predict_lambda(&mut self, k: usize) -> Result<()>;
 
     /// The fused datacenter phase: every datacenter block runs the μ̃ (18),

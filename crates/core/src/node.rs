@@ -24,7 +24,7 @@ use ufc_model::{EmissionCostFn, UfcInstance};
 use crate::engine::BlockResiduals;
 use crate::state::codec;
 use crate::subproblems::{mu_scalar_step_bounded, nu_scalar_step, storage_scalar_step};
-use crate::{AColQp, AdmgSettings, AdmgState, CoreError, LambdaQp, SolverCounters};
+use crate::{AColQp, AdmgSettings, AdmgState, CoreError, LambdaQp};
 
 /// Magic prefix of front-end snapshot blobs (`UFCF` + version 2: the
 /// eviction mask moved from an f64 vector to the codec's packed byte mask).
@@ -477,12 +477,6 @@ impl DatacenterNode {
         &self.a_tilde
     }
 
-    /// Telemetry: adds the a-kernel's congested warm-start counts since
-    /// this node was constructed (or last respawned) to `c`.
-    pub fn add_counters(&self, c: &mut SolverCounters) {
-        self.qp.add_counters(c);
-    }
-
     /// Captures this node's iterate slice for checkpointing.
     #[must_use]
     pub fn snapshot(&self) -> DatacenterSnapshot {
@@ -557,21 +551,18 @@ impl DatacenterNode {
 
     /// Steps 2–5 + correction: receive the column `λ̃_·j`, run the μ-, ν-,
     /// d-, a- and dual updates, apply the datacenter part of the
-    /// correction, and return `ã_·j` (node-owned: the uncongested path
-    /// allocates nothing) with the local residuals.
+    /// correction, and return `ã_·j` (node-owned: the step allocates
+    /// nothing) with the local residuals.
     ///
-    /// # Errors
-    ///
-    /// [`CoreError::Subproblem`] when the congested a-step's inner solve
-    /// fails. The quadratic a-QP cannot fail: a column poisoned by an
-    /// unverified corrupted delivery yields an all-NaN `ã` for the
-    /// divergence gate, never a panic.
+    /// The step cannot fail: a column poisoned by an unverified corrupted
+    /// delivery yields an all-NaN `ã` for the divergence gate, never an
+    /// error or a panic.
     ///
     /// # Panics
     ///
     /// Panics if `lambda_tilde.len() != M` (a coordinator shape bug, not a
     /// data fault).
-    pub fn process(&mut self, lambda_tilde: &[f64]) -> Result<DatacenterStep<'_>, CoreError> {
+    pub fn process(&mut self, lambda_tilde: &[f64]) -> DatacenterStep<'_> {
         assert_eq!(lambda_tilde.len(), self.m, "lambda column length mismatch");
         let rho = self.rho;
         let h = self.slot_hours;
@@ -633,17 +624,13 @@ impl DatacenterNode {
             _ => 0.0,
         };
 
-        // Step 4: ã (Eq. (20)). Only the congested kernel reads the
-        // corrected column `a_·j` as its warm start (snapshotted, so
-        // checkpoint/restore resumes bit-identically).
+        // Step 4: ã (Eq. (20)).
         let drift = self.alpha - mu_tilde - nu_tilde - d_tilde;
         for (i, ci) in self.c_buf.iter_mut().enumerate() {
             *ci = -rho * lambda_tilde[i] - self.varphi[i] - self.phi * self.beta
                 + rho * self.beta * drift;
         }
-        self.qp
-            .solve_into(&self.c_buf, Some(self.a.as_slice()), &mut self.a_tilde)
-            .map_err(|e| CoreError::subproblem(format!("a[{}]", self.index), e))?;
+        self.qp.solve_into(&self.c_buf, &mut self.a_tilde);
         let a_tilde = &self.a_tilde;
 
         // Step 5: dual predictions.
@@ -688,11 +675,11 @@ impl DatacenterNode {
         let corrected_load: f64 = self.a.iter().sum();
         res.balance = (self.alpha + self.beta * corrected_load - self.mu - self.nu - self.d).abs();
 
-        Ok(DatacenterStep {
+        DatacenterStep {
             a_tilde: &self.a_tilde,
             d: self.d,
             residuals: res,
-        })
+        }
     }
 }
 
@@ -894,7 +881,7 @@ mod tests {
     fn datacenter_respects_capacity_and_bounds() {
         let inst = tiny();
         let mut dc = DatacenterNode::new(&inst, 0, &AdmgSettings::default(), true, true);
-        dc.process(&[1.5, 1.5]).unwrap();
+        dc.process(&[1.5, 1.5]);
         let load: f64 = dc.a_tilde().iter().sum();
         assert!(load <= inst.capacities[0] + 1e-7);
         assert!(dc.a_tilde().iter().all(|&v| v >= -1e-9));
@@ -905,10 +892,10 @@ mod tests {
     fn pinned_blocks_stay_zero_at_node_level() {
         let inst = tiny();
         let mut grid_dc = DatacenterNode::new(&inst, 0, &AdmgSettings::default(), false, true);
-        grid_dc.process(&[0.5, 1.0]).unwrap();
+        grid_dc.process(&[0.5, 1.0]);
         assert_eq!(grid_dc.mu(), 0.0);
         let mut fc_dc = DatacenterNode::new(&inst, 0, &AdmgSettings::default(), true, false);
-        fc_dc.process(&[0.5, 1.0]).unwrap();
+        fc_dc.process(&[0.5, 1.0]);
         assert_eq!(fc_dc.nu(), 0.0);
     }
 
@@ -1036,7 +1023,7 @@ mod tests {
         let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
         // Advance one protocol round to get nonzero state.
         let lt = fe.predict_lambda()[0];
-        let at = dc.process(&[lt, lt]).unwrap().a_tilde[0];
+        let at = dc.process(&[lt, lt]).a_tilde[0];
         fe.receive_a_and_correct(&[at, at]);
 
         // Serialize through the wire codec, restore into fresh nodes.
@@ -1053,8 +1040,8 @@ mod tests {
         let r1 = fe.predict_lambda().to_vec();
         let r2 = fe2.predict_lambda().to_vec();
         assert_eq!(r1, r2);
-        dc.process(&[r1[0], r1[0]]).unwrap();
-        dc2.process(&[r2[0], r2[0]]).unwrap();
+        dc.process(&[r1[0], r1[0]]);
+        dc2.process(&[r2[0], r2[0]]);
         assert_eq!(dc.a_tilde(), dc2.a_tilde());
         assert_eq!(dc.mu().to_bits(), dc2.mu().to_bits());
         assert_eq!(dc.nu().to_bits(), dc2.nu().to_bits());
@@ -1074,7 +1061,7 @@ mod tests {
         let h = inst.slot_hours;
         let j = 0;
         let mut dc = DatacenterNode::new(&inst, j, &settings, true, true);
-        let step_d = dc.process(&[0.5, 1.0]).unwrap().d;
+        let step_d = dc.process(&[0.5, 1.0]).d;
 
         // Reference: the shared scalar kernels + the core correction
         // recursion, evaluated from the same zero state.
@@ -1134,9 +1121,9 @@ mod tests {
         let mut plain = DatacenterNode::new(&inst, 0, &settings, true, true);
         let mut stored = DatacenterNode::new(&inst_s, 0, &settings, true, true);
         for _ in 0..3 {
-            let r1 = plain.process(&[0.5, 1.0]).unwrap().residuals;
+            let r1 = plain.process(&[0.5, 1.0]).residuals;
             let (d2, r2) = {
-                let s2 = stored.process(&[0.5, 1.0]).unwrap();
+                let s2 = stored.process(&[0.5, 1.0]);
                 (s2.d, s2.residuals)
             };
             assert_eq!(plain.a_tilde(), stored.a_tilde());
@@ -1178,7 +1165,8 @@ mod tests {
     /// through huge-magnitude poison (a bit-flipped exponent) or, when an
     /// intermediate overflows, return an all-NaN block; NaN poison always
     /// yields an all-NaN block. Either way the process survives and the
-    /// divergence gate downstream flags the NaN residuals.
+    /// divergence gate downstream flags the NaN residuals. The congested
+    /// a-column (queueing extension) follows the same policy.
     #[test]
     fn poisoned_iterate_yields_a_nan_block_not_a_panic() {
         let inst = tiny();
@@ -1190,20 +1178,24 @@ mod tests {
         fe.receive_a_and_correct(&[-5.5e307, -5.5e307]);
         let row = fe.predict_lambda();
         assert!(finite_or_nan(row), "{row:?}");
-        let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
-        dc.process(&[0.5, 1.0]).unwrap();
-        let step = dc.process(&[-5.5e307, -5.5e307]).unwrap();
-        assert!(finite_or_nan(step.a_tilde), "{:?}", step.a_tilde);
-
         let mut fe = FrontendNode::new(&inst, 0, &settings);
         fe.predict_lambda();
         fe.receive_a_and_correct(&[f64::NAN, f64::NAN]);
         assert!(fe.predict_lambda().iter().all(|v| v.is_nan()));
-        let mut dc = DatacenterNode::new(&inst, 0, &settings, true, true);
-        dc.process(&[0.5, 1.0]).unwrap();
-        let step = dc.process(&[f64::NAN, f64::NAN]).unwrap();
-        assert!(step.a_tilde.iter().all(|v| v.is_nan()));
-        assert!(step.residuals.link.is_nan() || step.residuals.movement.is_nan());
+
+        let congested = tiny().with_queueing(ufc_model::QueueingCost::default_interactive());
+        for inst in [&inst, &congested] {
+            let mut dc = DatacenterNode::new(inst, 0, &settings, true, true);
+            dc.process(&[0.5, 1.0]);
+            let step = dc.process(&[-5.5e307, -5.5e307]);
+            assert!(finite_or_nan(step.a_tilde), "{:?}", step.a_tilde);
+
+            let mut dc = DatacenterNode::new(inst, 0, &settings, true, true);
+            dc.process(&[0.5, 1.0]);
+            let step = dc.process(&[f64::NAN, f64::NAN]);
+            assert!(step.a_tilde.iter().all(|v| v.is_nan()));
+            assert!(step.residuals.link.is_nan() || step.residuals.movement.is_nan());
+        }
     }
 
     /// Nodes load their slices of a full iterate and store back the blocks

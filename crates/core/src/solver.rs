@@ -86,7 +86,6 @@ impl AdmgSolver {
     ///
     /// * [`CoreError::Unsupported`] if `Strategy::FuelCellOnly` is requested
     ///   but the fuel cells cannot cover peak demand.
-    /// * [`CoreError::Subproblem`] if an inner QP fails.
     /// * [`CoreError::Model`] if the final point cannot be made feasible.
     pub fn solve(&self, instance: &UfcInstance, strategy: Strategy) -> Result<AdmgSolution> {
         self.solve_warm(instance, strategy, AdmgState::zeros(instance))
@@ -149,8 +148,8 @@ impl AdmgSolver {
     /// `extra` is an additional observer chained after the history recorder
     /// (pass `&mut ()` for none). When [`AdmgSettings::telemetry`] is on, a
     /// [`TelemetryCollector`] is chained in as well and its snapshot —
-    /// together with this solve's kernel counters and pool fan-outs —
-    /// lands in [`AdmgSolution::telemetry`].
+    /// together with this solve's pool fan-outs — lands in
+    /// [`AdmgSolution::telemetry`].
     pub(crate) fn solve_with(
         &self,
         instance: &UfcInstance,
@@ -188,7 +187,6 @@ impl AdmgSolver {
         };
         let telemetry = collector.map(|c| {
             let mut t = c.into_telemetry();
-            t.solver = transport.counters();
             t.solver.pool_tasks = pool.tasks_dispatched() - tasks;
             t.solver.pool_maps = pool.maps_run() - maps;
             t

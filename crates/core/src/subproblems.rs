@@ -25,14 +25,13 @@ use ufc_opt::{scalar, ActiveSetQp, Fista, QuadObjective, SmoothObjective};
 
 use crate::{AdmgState, CoreError, Result};
 
-/// Iteration cap of the congested a-step's inner FISTA solve. Shared with
-/// the persistent kernels in [`crate::workspace`] so the reference step and
-/// the kernels solve identical problems.
-pub(crate) const FISTA_MAX_ITER: usize = 50_000;
+/// Iteration cap of the congested reference a-step's inner FISTA solve
+/// (the exact kernel, `crate::AColQp`, is what the engines run).
+const FISTA_MAX_ITER: usize = 50_000;
 /// The congestion barrier's curvature makes ultra-tight inner tolerances
 /// disproportionately expensive; 1e-8 keeps the inner error two orders below
 /// the outer stopping rule.
-pub(crate) const FISTA_CONGESTED_TOL: f64 = 1e-8;
+const FISTA_CONGESTED_TOL: f64 = 1e-8;
 
 /// λ-minimization (17): each front-end solves a simplex-constrained QP with
 /// Hessian `ρI + (2w/A_i)·L_i L_iᵀ` and linear term `φ_ij − ρ a_ij`.
@@ -317,14 +316,6 @@ impl CongestedAStep {
             capacity,
         }
     }
-
-    /// Retargets the linear term of the quadratic part (the barrier carries
-    /// no linear data), mirroring [`QuadObjective::set_linear`] so a
-    /// persistent congested kernel can be reused across solves instead of
-    /// cloning the objective each iteration.
-    pub fn set_linear(&mut self, c: &[f64]) {
-        self.quad.set_linear(c);
-    }
 }
 
 impl SmoothObjective for CongestedAStep {
@@ -357,7 +348,8 @@ impl SmoothObjective for CongestedAStep {
 /// a-minimization (20): each datacenter solves a QP with Hessian
 /// `ρ(I + β_j²·1 1ᵀ)` over `{a ≥ 0, Σ_i a_ij ≤ S_j}`. With the queueing
 /// extension enabled the objective gains the convex congestion barrier and
-/// is solved by backtracking FISTA instead.
+/// is solved by backtracking FISTA instead: the reference the exact
+/// congested kernel (`crate::AColQp`) is tested against.
 ///
 /// Returns the predicted auxiliary routing `ã` as an `M × N` flat.
 ///

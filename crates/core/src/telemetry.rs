@@ -191,23 +191,23 @@ impl PhaseHistogram {
 }
 
 /// Counters surfaced from the solver layers that already track them — the
-/// congested a-step's warm-start gate and the worker pool.
+/// worker pool.
 /// Zero for engines that cannot observe a layer (e.g. the threaded engine's
 /// per-node kernels die with their worker threads).
 ///
-/// The λ- and a-block kernels solve no KKT systems, so the two KKT fields
-/// always read 0, and the warm-start fields move only on congested
-/// (queueing) runs. All four stay because the benchmark package reads
-/// them; they retire with its next change.
+/// The λ- and a-block kernels solve no KKT systems and take no warm
+/// starts, so the two KKT fields and the two warm-start fields always read
+/// 0. All four stay because the benchmark package reads them; they retire
+/// with its next change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverCounters {
     /// Always 0: no kernel factors a KKT system.
     pub kkt_cache_hits: u64,
     /// Always 0: no kernel factors a KKT system.
     pub kkt_cache_misses: u64,
-    /// Warm starts that passed the congested a-step's feasibility gate.
+    /// Always 0: no kernel takes a warm start.
     pub warm_starts_accepted: u64,
-    /// Warm starts that gate rejected (cold-started instead).
+    /// Always 0: no kernel takes a warm start.
     pub warm_starts_rejected: u64,
     /// Items dispatched through `WorkerPool::map_mut` fan-outs.
     pub pool_tasks: u64,

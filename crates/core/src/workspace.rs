@@ -17,6 +17,13 @@
 //!   overfills the cap, in which case τ is the Held–Wolfe–Crowder
 //!   threshold of the projection onto `{Σa = S_j}`. `O(M log M)`, no
 //!   iteration.
+//! * **Congested a-column** (queueing extension). The column gains
+//!   `Q_j(Σa)`, convex and increasing, over the shrunk cap `S_q`. The
+//!   minimizer keeps the form `a_i = max(0, x_i − τ)`, now with
+//!   `τ = β²s + Q′_j(s)/ρ` at the load `s = Σa`, so `s` solves the scalar
+//!   equation `s = Σ max(0, x_i − τ(s))`, whose right side never rises with
+//!   `s`: bisection over the sorted breakpoints finds it to rounding, or
+//!   the cap binds and τ is the threshold at `S_q`.
 //! * **λ-row.** For a fixed `t = L_iᵀλ`, λ is the simplex projection of
 //!   `−(c + γ·t·L_i)/ρ`, and `t − L_iᵀλ(t)` is strictly increasing. On a
 //!   fixed support the root has a closed form; the kernel tries the full
@@ -39,27 +46,17 @@
 //!   arithmetic (their feasible set is the single point 0).
 //! * Poison: otherwise a non-finite linear term, or any non-finite
 //!   intermediate value, yields an all-NaN block, as `project_simplex`
-//!   does — never an error and never a panic. The divergence gate of
-//!   `engine::drive` then sees NaN residuals (and `divergence_rollback` can
-//!   repair the run).
-//! * The congested a-step (queueing extension) is not quadratic; it keeps
-//!   the warm-started backtracking FISTA solve and its feasibility gate.
+//!   does — never an error and never a panic, on every kernel, congested
+//!   or not. The divergence gate of `engine::drive` then sees NaN
+//!   residuals (and `divergence_rollback` can repair the run).
 
 use ufc_model::{utility::disutility_rank1_gamma, QueueingCost, UfcInstance};
-use ufc_opt::projection::{project_capped_simplex, simplex_threshold};
-use ufc_opt::{Fista, QuadObjective, SmoothObjective};
+use ufc_opt::projection::simplex_threshold;
 
 use crate::engine::{BlockResiduals, BlockSchedule, Transport};
 use crate::node::{DatacenterNode, FrontendNode, NodeResiduals};
 use crate::pool::WorkerPool;
-use crate::subproblems::{CongestedAStep, FISTA_CONGESTED_TOL, FISTA_MAX_ITER};
-use crate::telemetry::SolverCounters;
 use crate::{AdmgSettings, AdmgState, Result};
-
-/// Entry tolerance for accepting a previous iterate as the congested
-/// a-step's warm start: component-wise nonnegativity slack, also the
-/// relative slack on the cap row.
-const WARM_NONNEG_TOL: f64 = 1e-9;
 
 /// Relative slack of the λ-kernel's KKT check on a candidate support: an
 /// entry the closed form puts within this fraction of the terms' scale of
@@ -305,53 +302,17 @@ impl LambdaQp {
     }
 }
 
-/// The congested a-step: barrier objective over the shrunk cap, solved by
-/// backtracking FISTA warm-started from the previous column when it passes
-/// the feasibility gate.
-#[derive(Debug, Clone)]
-struct CongestedCol {
-    objective: CongestedAStep,
-    cap: f64,
-    /// Recycled start vector: the solver's previous output buffer.
-    start_buf: Vec<f64>,
-    warm_accepted: u64,
-    warm_rejected: u64,
-}
-
-impl CongestedCol {
-    /// The warm column if it is feasible to tight tolerance, else the
-    /// classic zero start.
-    fn start(&mut self, warm: Option<&[f64]>) -> Vec<f64> {
-        let m = self.objective.dim();
-        let mut start = std::mem::take(&mut self.start_buf);
-        start.clear();
-        if let Some(w) = warm {
-            if w.len() == m {
-                let sum: f64 = w.iter().sum();
-                let nonneg = w.iter().all(|&v| v >= -WARM_NONNEG_TOL);
-                if nonneg && sum <= self.cap * (1.0 + WARM_NONNEG_TOL) + WARM_NONNEG_TOL {
-                    start.extend_from_slice(w);
-                    self.warm_accepted += 1;
-                    return start;
-                }
-            }
-            self.warm_rejected += 1;
-        }
-        start.resize(m, 0.0);
-        start
-    }
-}
-
 /// Kernel for one datacenter's a-QP column (paper Eq. (20)):
 /// `min ½ρ‖a‖² + ½ρβ²(1ᵀa)² + cᵀa` over `{a ≥ 0, 1ᵀa ≤ S_j}`, optionally
-/// with the congestion-barrier extension.
+/// plus the queueing extension's congestion cost `Q_j(1ᵀa)` over its
+/// shrunk cap.
 #[derive(Debug, Clone)]
 pub struct AColQp {
     m: usize,
     rho: f64,
     beta_sq: f64,
     capacity: f64,
-    congested: Option<CongestedCol>,
+    queueing: Option<QueueingCost>,
     /// Scratch: the breakpoints `x_i = −c_i/ρ` in descending order.
     sorted: Vec<f64>,
 }
@@ -368,90 +329,50 @@ impl AColQp {
         capacity: f64,
         queueing: Option<QueueingCost>,
     ) -> Self {
-        let congested = queueing.map(|q| {
-            let quad = QuadObjective::diag_rank1(
-                vec![rho; m],
-                rho * beta * beta,
-                vec![1.0; m],
-                vec![0.0; m],
-                0.0,
-            );
-            CongestedCol {
-                objective: CongestedAStep::new(quad, q, capacity),
-                cap: q.load_cap(capacity).min(capacity),
-                start_buf: Vec::new(),
-                warm_accepted: 0,
-                warm_rejected: 0,
-            }
-        });
         AColQp {
             m,
             rho,
             beta_sq: beta * beta,
             capacity,
-            congested,
+            queueing,
             sorted: Vec::with_capacity(m),
         }
     }
 
-    /// Solves the column QP for linear term `c`. `warm` (the previous
-    /// column) seeds only the congested solve.
-    ///
-    /// # Errors
-    ///
-    /// The congested solve's FISTA error; the quadratic column cannot fail.
+    /// Solves the column for linear term `c`.
     ///
     /// # Panics
     ///
     /// Panics if `c.len()` differs from the column's length.
-    pub fn solve(&mut self, c: &[f64], warm: Option<&[f64]>) -> ufc_opt::Result<Vec<f64>> {
+    #[must_use]
+    pub fn solve(&mut self, c: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
-        self.solve_into(c, warm, &mut out)?;
-        Ok(out)
+        self.solve_into(c, &mut out);
+        out
     }
 
-    /// [`Self::solve`] into a caller-owned output buffer. On the congested
-    /// path the buffer's previous storage is recycled as the next solve's
-    /// start vector.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::solve`].
+    /// [`Self::solve`] into a caller-owned output buffer.
     ///
     /// # Panics
     ///
     /// As for [`Self::solve`].
-    pub fn solve_into(
-        &mut self,
-        c: &[f64],
-        warm: Option<&[f64]>,
-        out: &mut Vec<f64>,
-    ) -> ufc_opt::Result<()> {
-        if let Some(cong) = &mut self.congested {
-            cong.objective.set_linear(c);
-            let start = cong.start(warm);
-            let cap = cong.cap;
-            let x = Fista::new(FISTA_MAX_ITER, FISTA_CONGESTED_TOL)
-                .minimize_adaptive(&cong.objective, |x| project_capped_simplex(x, cap), start)?
-                .x;
-            cong.start_buf = std::mem::replace(out, x);
-            return Ok(());
-        }
+    pub fn solve_into(&mut self, c: &[f64], out: &mut Vec<f64>) {
         assert_eq!(c.len(), self.m, "linear term length mismatch");
         out.clear();
         out.resize(self.m, 0.0);
         // Zero-capacity datacenter: the capped simplex is the singleton {0}
         // (rounding in the cap step would leave ulp-sized shares on ties).
         if self.capacity == 0.0 {
-            return Ok(());
+            return;
         }
         if !self.solve_column(c, out) {
             out.fill(f64::NAN);
         }
-        Ok(())
     }
 
-    /// Writes the minimizer into `out`; `false` on poison.
+    /// Writes the minimizer `a_i = max(0, (x_i − x₀) − τ)` into `out`, with
+    /// τ measured from the offset `x₀` its threshold returns; `false` on
+    /// poison.
     fn solve_column(&mut self, c: &[f64], out: &mut [f64]) -> bool {
         if c.iter().any(|v| !v.is_finite()) {
             return false;
@@ -460,10 +381,26 @@ impl AColQp {
         self.sorted.clear();
         self.sorted.extend(c.iter().map(|&ci| -ci / rho));
         self.sorted.sort_unstable_by(|a, b| b.total_cmp(a));
-        // Uncapped: τ = β²·Σ max(0, x_i − τ). With the k largest entries
-        // active, τ_k = β²·X_k/(1 + β²k); entry k is active iff it exceeds
-        // τ_{k+1}, a test that fails for good once it fails.
-        let b2 = self.beta_sq;
+        let threshold = match self.queueing {
+            None => self.quadratic_threshold(c).map(|tau| (0.0, tau)),
+            Some(q) => self.congested_threshold(&q),
+        };
+        let Some((x0, tau)) = threshold else {
+            return false;
+        };
+        for (a, &ci) in out.iter_mut().zip(c) {
+            *a = pos(-ci / rho - x0 - tau);
+        }
+        out.iter().all(|v| v.is_finite())
+    }
+
+    /// The quadratic column's τ: uncapped, `τ = β²·Σ max(0, x_i − τ)`.
+    /// With the k largest entries active, `τ_k = β²·X_k/(1 + β²k)`; entry
+    /// k is active iff it exceeds `τ_{k+1}`, a test that fails for good
+    /// once it fails. When that point overfills the cap, τ solves
+    /// `Σ max(0, x_i − τ) = S_j` instead.
+    fn quadratic_threshold(&self, c: &[f64]) -> Option<f64> {
+        let (b2, rho) = (self.beta_sq, self.rho);
         let (mut tau, mut prefix) = (0.0, 0.0);
         for (k, &xk) in self.sorted.iter().enumerate() {
             let p = prefix + xk;
@@ -473,30 +410,68 @@ impl AColQp {
             }
             (tau, prefix) = (cand, p);
         }
-        let mut load = 0.0;
-        for (a, &ci) in out.iter_mut().zip(c) {
-            *a = pos(-ci / rho - tau);
-            load += *a;
-        }
+        let load = c.iter().fold(0.0, |load, &ci| load + pos(-ci / rho - tau));
         if load > self.capacity {
-            // The cap binds: Σ max(0, x_i − τ) = S_j.
-            let Some(tau) = simplex_threshold(&self.sorted, self.capacity) else {
-                return false;
-            };
-            for (a, &ci) in out.iter_mut().zip(c) {
-                *a = pos(-ci / rho - tau);
-            }
+            simplex_threshold(&self.sorted, self.capacity)
+        } else {
+            Some(tau)
         }
-        out.iter().all(|v| v.is_finite())
     }
 
-    /// Adds this kernel's congested warm-start gate decisions to `c`
-    /// (telemetry; zero on uncongested columns).
-    pub fn add_counters(&self, c: &mut SolverCounters) {
-        if let Some(cong) = &self.congested {
-            c.warm_starts_accepted += cong.warm_accepted;
-            c.warm_starts_rejected += cong.warm_rejected;
+    /// The congested column's offset and τ. Its KKT conditions give
+    /// `τ(s) = β²s + Q′(s)/ρ` at the load `s = Σa`, so `s` solves
+    /// `s = Σ max(0, x_i − τ(s))`; the right side never rises with `s`, so
+    /// the root is unique, and deterministic bisection finds it to rounding.
+    /// The load is 0 when `τ(0)` already clears every breakpoint. When the
+    /// root would pass the shrunk cap `S_q`, the cap binds: `s = S_q`, τ is
+    /// the simplex threshold at `S_q`, and the cap's multiplier is
+    /// `ρ·(τ − τ(S_q)) ≥ 0`. That threshold is taken over the breakpoints
+    /// less the largest, `x₀`: the barrier prices binding columns at
+    /// breakpoints far above `S_q`, and shares measured from `x₀` keep the
+    /// precision of the cap rather than of the breakpoints, so the load
+    /// meets `S_q` to rounding.
+    fn congested_threshold(&mut self, q: &QueueingCost) -> Option<(f64, f64)> {
+        let (b2, rho, capacity) = (self.beta_sq, self.rho, self.capacity);
+        let cap = q.load_cap(capacity).min(capacity);
+        let tau_at = |s: f64| b2 * s + q.derivative(s, capacity) / rho;
+        let sorted = &self.sorted;
+        let load_at = |tau: f64| -> f64 {
+            sorted
+                .iter()
+                .take_while(|&&x| x > tau)
+                .map(|&x| x - tau)
+                .sum()
+        };
+        // The root lies in (0, free]: the right side only falls from
+        // `free`, its value at s = 0.
+        let free = load_at(tau_at(0.0));
+        if free == 0.0 {
+            return Some((0.0, tau_at(0.0)));
         }
+        if !free.is_finite() {
+            return None;
+        }
+        if free <= cap || load_at(tau_at(cap)) <= cap {
+            let (mut lo, mut hi) = (0.0, free.min(cap));
+            loop {
+                let mid = lo + 0.5 * (hi - lo);
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                if load_at(tau_at(mid)) > mid {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            // τ at the upper end keeps the load at or below the root.
+            return Some((0.0, tau_at(hi)));
+        }
+        let x0 = self.sorted[0];
+        for x in &mut self.sorted {
+            *x -= x0;
+        }
+        simplex_threshold(&self.sorted, cap).map(|tau| (x0, tau))
     }
 }
 
@@ -565,16 +540,6 @@ impl<'a> InProcessTransport<'a> {
         }
     }
 
-    /// The datacenter kernels' counters (the congested a-step's warm-start
-    /// gates; the λ kernels count nothing).
-    pub(crate) fn counters(&self) -> SolverCounters {
-        let mut c = SolverCounters::default();
-        for dc in &self.datacenters {
-            dc.add_counters(&mut c);
-        }
-        c
-    }
-
     /// The final corrected iterate, gathered from the nodes.
     pub(crate) fn into_state(mut self) -> AdmgState {
         for fe in &self.frontends {
@@ -608,14 +573,10 @@ impl Transport for InProcessTransport<'_> {
     fn step_datacenters(&mut self, _k: usize) -> Result<()> {
         let (m, n) = (self.frontends.len(), self.datacenters.len());
         let columns = &self.columns;
-        let steps = self.pool.map_mut(&mut self.datacenters, |j, dc| {
-            dc.process(&columns[j * m..(j + 1) * m])
-                .map(|step| step.residuals)
+        self.dc_residuals = self.pool.map_mut(&mut self.datacenters, |j, dc| {
+            dc.process(&columns[j * m..(j + 1) * m]).residuals
         });
-        // Index-order gather: the lowest-indexed failing datacenter's
-        // error surfaces, as on every engine.
-        for ((j, step), dc) in steps.into_iter().enumerate().zip(&self.datacenters) {
-            self.dc_residuals[j] = step?;
+        for (j, dc) in self.datacenters.iter().enumerate() {
             for (row, &v) in self.rows.chunks_exact_mut(n).zip(dc.a_tilde()) {
                 row[j] = v;
             }
@@ -820,7 +781,6 @@ mod tests {
             }
             assert_eq!(t.state, fresh);
         }
-        assert_eq!(t.counters(), SolverCounters::default());
     }
 
     /// Deterministic scaled instance for the thread-count bit-identity test:
@@ -879,28 +839,5 @@ mod tests {
                 Some(r) => assert_eq!(r, &state, "{threads} threads diverged"),
             }
         }
-    }
-
-    /// The congested a-step's gate: an infeasible warm column falls back
-    /// to the classic zero start, so its solve matches the unseeded one
-    /// bit for bit; a feasible one is accepted and lands on the same point.
-    #[test]
-    fn warm_start_gate_rejects_infeasible_points() {
-        let queueing = QueueingCost::default_interactive();
-        let mut qp = AColQp::new(2, 8.0, 0.12, 2.0, Some(queueing));
-        let c = vec![-3.0, -2.5];
-        let cold = qp.solve(&c, None).unwrap();
-        let gated = qp.solve(&c, Some(&[5.0, 5.0])).unwrap();
-        assert_eq!(cold, gated);
-        let warm = qp.solve(&c, Some(&cold.clone())).unwrap();
-        for (a, b) in cold.iter().zip(&warm) {
-            assert!((a - b).abs() < 1e-6, "{cold:?} vs {warm:?}");
-        }
-        let mut counters = SolverCounters::default();
-        qp.add_counters(&mut counters);
-        assert_eq!(
-            (counters.warm_starts_accepted, counters.warm_starts_rejected),
-            (1, 1)
-        );
     }
 }

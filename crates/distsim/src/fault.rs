@@ -26,10 +26,18 @@ use std::time::Duration;
 
 use ufc_core::telemetry::IntegrityCounters;
 use ufc_core::CoreError;
+use ufc_model::generator::SplitMix64;
 
 use crate::message::Message;
-use crate::rng::SplitMix64;
 use crate::wire::crc32;
+
+/// The generator behind every seeded fault plan, corruption draw and
+/// wire-chaos stream: `SplitMix64` at `seed ^ 0x9E37_79B9_7F4A_7C15`, the
+/// derivation the pinned fault reports and corpus cases were recorded
+/// under.
+fn seeded(seed: u64) -> SplitMix64 {
+    SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15)
+}
 
 /// Failed contact attempts before a dead datacenter is evicted (a
 /// front-end still dead at this point is fatal instead).
@@ -379,36 +387,36 @@ impl FaultPlan {
         crash_rate: f64,
         straggler_rate: f64,
     ) -> Self {
-        let mut rng = SplitMix64::new(seed);
+        let mut rng = seeded(seed);
         let horizon = horizon.max(1);
         let mut plan = FaultPlan::default();
         for j in 0..n {
-            if rng.uniform() < crash_rate {
-                let at = 1 + (rng.next() as usize) % horizon;
-                if rng.uniform() < 0.3 {
+            if rng.next_f64() < crash_rate {
+                let at = 1 + (rng.next_u64() as usize) % horizon;
+                if rng.next_f64() < 0.3 {
                     plan = plan.crash_at(NodeId::Datacenter(j), at);
                 } else {
                     // 1–5 attempts: outages longer than
                     // `EVICTION_DEADLINE` (3) exercise evict-then-readmit.
-                    let attempts = 1 + (rng.next() % 5) as u32;
+                    let attempts = 1 + (rng.next_u64() % 5) as u32;
                     plan = plan.crash_and_recover(NodeId::Datacenter(j), at, attempts);
                 }
             }
-            if rng.uniform() < straggler_rate {
-                let at = 1 + (rng.next() as usize) % horizon;
-                let ms = 1 + rng.next() % 5;
+            if rng.next_f64() < straggler_rate {
+                let at = 1 + (rng.next_u64() as usize) % horizon;
+                let ms = 1 + rng.next_u64() % 5;
                 plan = plan.straggle(NodeId::Datacenter(j), at, Duration::from_millis(ms));
             }
         }
         for i in 0..m {
-            if rng.uniform() < crash_rate * 0.5 {
-                let at = 1 + (rng.next() as usize) % horizon;
-                let attempts = 1 + (rng.next() % 2) as u32;
+            if rng.next_f64() < crash_rate * 0.5 {
+                let at = 1 + (rng.next_u64() as usize) % horizon;
+                let attempts = 1 + (rng.next_u64() % 2) as u32;
                 plan = plan.crash_and_recover(NodeId::Frontend(i), at, attempts);
             }
-            if rng.uniform() < straggler_rate {
-                let at = 1 + (rng.next() as usize) % horizon;
-                let ms = 1 + rng.next() % 5;
+            if rng.next_f64() < straggler_rate {
+                let at = 1 + (rng.next_u64() as usize) % horizon;
+                let ms = 1 + rng.next_u64() % 5;
                 plan = plan.straggle(NodeId::Frontend(i), at, Duration::from_millis(ms));
             }
         }
@@ -787,18 +795,18 @@ impl CorruptionChannel {
         CorruptionChannel {
             rate: config.rate,
             kind: config.kind,
-            rng: SplitMix64::new(config.seed),
+            rng: seeded(config.seed),
         }
     }
 
     /// One Bernoulli draw: is this attempt corrupted?
     fn strikes(&mut self) -> bool {
-        self.rng.uniform() < self.rate
+        self.rng.next_f64() < self.rate
     }
 
     /// Mangles the 8 little-endian bytes of a data value in place.
     fn mangle(&mut self, value: &mut [u8; 8]) {
-        let kind = self.kind.unwrap_or_else(|| match self.rng.next() % 4 {
+        let kind = self.kind.unwrap_or_else(|| match self.rng.next_u64() % 4 {
             0 => CorruptionKind::BitFlip,
             1 => CorruptionKind::SignFlip,
             2 => CorruptionKind::NanSubstitution,
@@ -806,14 +814,14 @@ impl CorruptionChannel {
         });
         match kind {
             CorruptionKind::BitFlip => {
-                let bit = (self.rng.next() % 64) as usize;
+                let bit = (self.rng.next_u64() % 64) as usize;
                 value[bit / 8] ^= 1 << (bit % 8);
             }
             CorruptionKind::SignFlip => value[7] ^= 0x80,
             CorruptionKind::NanSubstitution => *value = f64::NAN.to_le_bytes(),
             CorruptionKind::MagnitudeScale => {
-                let e = 1 + (self.rng.next() % 30) as i32;
-                let e = if self.rng.next() & 1 == 0 { e } else { -e };
+                let e = 1 + (self.rng.next_u64() % 30) as i32;
+                let e = if self.rng.next_u64() & 1 == 0 { e } else { -e };
                 *value = (f64::from_le_bytes(*value) * f64::powi(2.0, e)).to_le_bytes();
             }
             // Wire-level kinds and drops never reach here:
@@ -845,9 +853,9 @@ pub(crate) enum WireVerdict {
 /// The seeded wire-level chaos process of the socket engine: one instance
 /// per connection *direction*, applying frame-granular §12 draws to the
 /// actual TCP bytes. Draw order mirrors [`CorruptionChannel`]: one Bernoulli
-/// `uniform() < rate` per frame, then (for truncation) one `next()` for the
-/// cut point — so a given `(seed, salt)` pair injects the same chaos on
-/// every run.
+/// `next_f64() < rate` per frame, then (for truncation) one `next_u64()`
+/// for the cut point — so a given `(seed, salt)` pair injects the same
+/// chaos on every run.
 #[derive(Debug, Clone)]
 pub(crate) struct WireChaos {
     rate: f64,
@@ -877,7 +885,7 @@ impl WireChaos {
         Some(WireChaos {
             rate: config.rate,
             kind,
-            rng: SplitMix64::new(config.seed ^ salt),
+            rng: seeded(config.seed ^ salt),
         })
     }
 
@@ -904,12 +912,12 @@ impl WireChaos {
     /// CRC so decoding fails cleanly. A payload too short to cut passes
     /// through clean.
     pub(crate) fn next_ingress(&mut self, payload: &mut &[u8]) -> WireVerdict {
-        if self.rng.uniform() >= self.rate {
+        if self.rng.next_f64() >= self.rate {
             return WireVerdict::Clean;
         }
         match self.kind {
             CorruptionKind::FrameTruncate if payload.len() > 6 => {
-                let cut = 6 + (self.rng.next() as usize) % (payload.len() - 6);
+                let cut = 6 + (self.rng.next_u64() as usize) % (payload.len() - 6);
                 *payload = &payload[..cut];
                 WireVerdict::Truncated
             }
@@ -1107,6 +1115,52 @@ mod tests {
         assert!(dup.check().is_err());
         let zero = FaultPlan::new().crash_at(NodeId::Frontend(0), 0);
         assert!(zero.check().is_err());
+    }
+
+    /// The seeded streams are pinned: these draws were recorded from the
+    /// generator every fault plan, corruption draw and wire-chaos stream
+    /// has used, so pinned reports and corpus cases replay unchanged.
+    #[test]
+    fn seeded_generator_reproduces_the_pinned_streams() {
+        let pinned: [(u64, [u64; 3], [u64; 2]); 3] = [
+            (
+                0,
+                [
+                    0x6e78_9e6a_a1b9_65f4,
+                    0x06c4_5d18_8009_454f,
+                    0xf88b_b8a8_724c_81ec,
+                ],
+                [0x3fbb_3989_6a51_a870, 0x3fd4_f2e7_c31d_1fa8],
+            ),
+            (
+                7,
+                [
+                    0xec77_9c36_93f8_8501,
+                    0xfed9_eeb4_936d_e39d,
+                    0x6f9f_b04b_092b_d30a,
+                ],
+                [0x3fc3_07fd_8130_5ddc, 0x3fa0_59fd_10cd_f580],
+            ),
+            (
+                2012,
+                [
+                    0x4b0d_7e76_33b6_3743,
+                    0x50d2_aba0_7524_8a79,
+                    0x96df_1d41_b5f7_4810,
+                ],
+                [0x3fc6_4473_3855_d684, 0x3fd4_2109_4bb9_198e],
+            ),
+        ];
+        for (seed, raw, unit) in pinned {
+            let mut rng = seeded(seed);
+            assert_eq!(
+                [rng.next_u64(), rng.next_u64(), rng.next_u64()],
+                raw,
+                "seed {seed}"
+            );
+            let drawn = [rng.next_f64().to_bits(), rng.next_f64().to_bits()];
+            assert_eq!(drawn, unit, "seed {seed}");
+        }
     }
 
     #[test]

@@ -108,7 +108,6 @@ mod coordinator;
 mod engine_socket;
 pub mod fault;
 pub mod message;
-mod rng;
 mod runtime;
 pub mod snapshot;
 pub mod stats;

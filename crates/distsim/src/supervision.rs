@@ -91,18 +91,6 @@ pub(crate) enum Reply {
         mu: f64,
         d: f64,
     },
-    /// A datacenter's sub-problem rejected its inputs (e.g. NaN-poisoned
-    /// replicas under unverified corruption; a front-end's steps cannot
-    /// fail). The node reports the typed error and stops; the coordinator
-    /// aborts the run with it instead of respawning into the same poison.
-    /// Over the socket wire this variant is degraded to a rendered
-    /// [`CoreError::NodeFailure`] (the full error enum has no wire codec);
-    /// the thread fleet carries it verbatim.
-    NodeError {
-        node: NodeId,
-        iteration: usize,
-        error: CoreError,
-    },
 }
 
 /// How the supervisor's commands reach the nodes, which are addressed by
@@ -365,39 +353,23 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
     /// pending. A node declared dead is resolved by the [`FaultTracker`]:
     /// respawned, replayed and asked again (rejoining the same pending set,
     /// so no reply is ever consumed by a narrower filter), or — for a
-    /// datacenter — evicted. A typed rejection (`NodeError`) of iteration
-    /// `k` from a node of the phase's kind (the datacenters', or else the
-    /// front-ends') fails the phase with the lowest node's error; the node
-    /// is never respawned into the same poison. `early` holds replies an
-    /// earlier gather drained.
+    /// datacenter — evicted. `early` holds replies an earlier gather
+    /// drained.
     fn gather_compute(
         &mut self,
         k: usize,
-        datacenters: bool,
         early: Vec<Reply>,
         mut pending: Pending,
         mut accept: impl FnMut(Reply) -> Option<NodeId>,
     ) -> Result<(), CoreError> {
-        let mut errors: Vec<(NodeId, CoreError)> = Vec::new();
-        let mut file = |reply: Reply| match reply {
-            Reply::NodeError {
-                node,
-                iteration,
-                error,
-            } if iteration == k && matches!(node, NodeId::Datacenter(_)) == datacenters => {
-                errors.push((node, error));
-                Some(node)
-            }
-            reply => accept(reply),
-        };
         for reply in early {
-            if let Some(node) = file(reply) {
+            if let Some(node) = accept(reply) {
                 pending.remove(node);
             }
         }
         let mut respawned: Vec<NodeId> = Vec::new();
         loop {
-            let missing = self.gather(&mut pending, &mut file);
+            let missing = self.gather(&mut pending, &mut accept);
             if missing.is_empty() && pending.is_empty() {
                 break;
             }
@@ -429,10 +401,7 @@ impl<'a, F: Fleet> Supervisor<'a, F> {
                 }
             }
         }
-        errors
-            .into_iter()
-            .min_by_key(|&(node, _)| node)
-            .map_or(Ok(()), |(_, error)| Err(error))
+        Ok(())
     }
 
     /// Starts `node` fresh, restores it from its last checkpoint, replays
@@ -632,7 +601,7 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
         let mut rows: Vec<Option<Vec<f64>>> = vec![None; m];
         let early = std::mem::take(&mut self.early_predictions);
         let pending = self.pending((0..m).map(NodeId::Frontend));
-        self.gather_compute(k, false, early, pending, |reply| match reply {
+        self.gather_compute(k, early, pending, |reply| match reply {
             Reply::Lambda { i, iteration, row } if iteration == k => {
                 rows[i] = Some(row);
                 Some(NodeId::Frontend(i))
@@ -676,7 +645,7 @@ impl<F: Fleet> Transport for Supervisor<'_, F> {
         let mut d_vals = vec![0.0; n];
         let mut dc_residuals: Vec<Option<NodeResiduals>> = vec![None; n];
         let pending = self.pending(self.live_datacenters().map(NodeId::Datacenter));
-        self.gather_compute(k, true, Vec::new(), pending, |reply| match reply {
+        self.gather_compute(k, Vec::new(), pending, |reply| match reply {
             Reply::DcStep {
                 j,
                 iteration,

@@ -43,7 +43,6 @@ use ufc_core::node::NodeResiduals;
 use ufc_core::CoreError;
 use ufc_model::{EmissionCostFn, QueueingCost, StorageParams, UfcInstance};
 
-use crate::fault::NodeId;
 use crate::supervision::Reply;
 use ufc_core::{AdmgSettings, BlockKind, BlockSchedule};
 
@@ -994,25 +993,6 @@ impl WireFrame {
                     put_f64(buf, *mu);
                     put_f64(buf, *d);
                 }
-                Reply::NodeError {
-                    node,
-                    iteration,
-                    error,
-                } => {
-                    // The error enum itself has no wire codec; ship the
-                    // rendered message. Decode rebuilds a typed
-                    // `CoreError::NodeFailure` around it (documented on the
-                    // variant).
-                    buf.push(7);
-                    let (kind, index) = match node {
-                        NodeId::Frontend(i) => (0u8, *i),
-                        NodeId::Datacenter(j) => (1u8, *j),
-                    };
-                    buf.push(kind);
-                    put_u32(buf, index);
-                    put_u64(buf, *iteration as u64);
-                    put_blob(buf, error.to_string().as_bytes());
-                }
             },
             WireFrame::Shutdown => {}
             WireFrame::Challenge { nonce } => buf.extend_from_slice(nonce),
@@ -1158,23 +1138,6 @@ impl WireFrame {
                         mu: get_f64(body, &mut pos)?,
                         d: get_f64(body, &mut pos)?,
                     },
-                    7 => {
-                        let node = match get_u8(body, &mut pos)? {
-                            0 => NodeId::Frontend(get_u32(body, &mut pos)?),
-                            1 => NodeId::Datacenter(get_u32(body, &mut pos)?),
-                            other => {
-                                return Err(corrupt(format!("unknown node kind {other}")));
-                            }
-                        };
-                        let iteration = get_u64(body, &mut pos)? as usize;
-                        let rendered = String::from_utf8(get_blob(body, &mut pos)?)
-                            .map_err(|_| corrupt("node error message is not UTF-8".to_owned()))?;
-                        Reply::NodeError {
-                            node,
-                            iteration,
-                            error: CoreError::node_failure(node.to_string(), iteration, rendered),
-                        }
-                    }
                     other => return Err(corrupt(format!("unknown reply tag {other}"))),
                 };
                 WireFrame::Reply(reply)

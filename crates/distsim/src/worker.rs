@@ -353,19 +353,13 @@ fn dispatch(
         })),
         (Hosted::Dc(node), NodeCmd::Process { iteration, column }) => {
             let j = node.index();
-            Ok(Some(match node.process(&column) {
-                Ok(step) => Reply::DcStep {
-                    j,
-                    iteration,
-                    a_tilde: step.a_tilde.to_vec(),
-                    d: step.d,
-                    residuals: step.residuals,
-                },
-                Err(error) => Reply::NodeError {
-                    node: NodeId::Datacenter(j),
-                    iteration,
-                    error,
-                },
+            let step = node.process(&column);
+            Ok(Some(Reply::DcStep {
+                j,
+                iteration,
+                a_tilde: step.a_tilde.to_vec(),
+                d: step.d,
+                residuals: step.residuals,
             }))
         }
         (Hosted::Fe(node), NodeCmd::Snapshot { iteration }) => Ok(Some(Reply::FeSnapshot {
@@ -501,17 +495,7 @@ pub fn run_worker(
                     ));
                 };
                 if let Some(reply) = dispatch(*id, hosted, cmd, process)? {
-                    let failed = match &reply {
-                        Reply::NodeError { error, .. } => Some(error.clone()),
-                        _ => None,
-                    };
                     link.queue_reply(reply);
-                    if let Some(error) = failed {
-                        // The hosted iterate is poisoned; exit typed after
-                        // the report instead of serving further commands.
-                        link.flush(process)?;
-                        return Err(error);
-                    }
                 }
                 if is_finish {
                     finished += 1;
@@ -628,8 +612,8 @@ impl<'a> ThreadFleet<'a> {
     }
 }
 
-/// A worker thread's body: serves commands until `Finish`, a typed
-/// rejection, a command it cannot apply, or a closed channel.
+/// A worker thread's body: serves commands until `Finish`, a command it
+/// cannot apply, or a closed channel.
 fn serve(
     id: usize,
     mut node: Hosted,
@@ -648,8 +632,7 @@ fn serve(
             return;
         };
         if let Some(reply) = reply {
-            let failed = matches!(reply, Reply::NodeError { .. });
-            if replies.send(reply).is_err() || failed {
+            if replies.send(reply).is_err() {
                 return;
             }
         }
@@ -777,19 +760,13 @@ impl<'a> InlineFleet<'a> {
 }
 
 /// Serves one node's share of a fan-out, in order. Like a worker thread,
-/// the node stops at a typed rejection or a command it cannot apply.
+/// the node stops at a command it cannot apply.
 fn serve_inline(id: usize, slot: &mut Option<Hosted>, cmds: Vec<NodeCmd>) -> Vec<Reply> {
     let mut replies = Vec::new();
     for cmd in cmds {
         let Some(node) = slot.as_mut() else { break };
         match dispatch(id, node, cmd, id) {
-            Ok(None) => {}
-            Ok(Some(reply)) => {
-                if matches!(reply, Reply::NodeError { .. }) {
-                    *slot = None;
-                }
-                replies.push(reply);
-            }
+            Ok(reply) => replies.extend(reply),
             Err(_) => *slot = None,
         }
     }
@@ -838,20 +815,13 @@ impl Fleet for InlineFleet<'_> {
         Ok(())
     }
 
-    /// Folds the surviving datacenter kernels' counters and the pool's
-    /// fan-outs into `tally`: the kernels are still in this process, so
-    /// lockstep keeps the solver layer observable (an evicted or respawned
-    /// kernel's counters went with it; the λ kernels count nothing).
+    /// Folds the pool's fan-outs into `tally`: the kernels run in this
+    /// process, so lockstep keeps the pool layer observable.
     fn end_run(
         &mut self,
         _clean: bool,
         tally: &mut Tally,
     ) -> (Option<CoreError>, Result<(), CoreError>) {
-        for node in self.nodes.iter().flatten() {
-            if let Hosted::Dc(dc) = node {
-                dc.add_counters(&mut tally.solver);
-            }
-        }
         tally.solver.pool_tasks = self.pool.tasks_dispatched();
         tally.solver.pool_maps = self.pool.maps_run();
         (None, Ok(()))

@@ -907,6 +907,17 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         "{}",
         text_table(&["configuration", "wall ms", "iterations"], &rows)
     );
+    let congested = &report.congested;
+    println!(
+        "congested leg: {} paper hours with queueing (rho {}, cap {}, 1 thread): {} iterations, \
+         {:.4} ms/iter, {:.3} ms/solve",
+        report.hours,
+        solver_bench::CONGESTED_RHO,
+        solver_bench::CONGESTED_MAX_ITERATIONS,
+        congested.iters,
+        congested.wall_ms / congested.iters.max(1) as f64,
+        congested.wall_ms / report.hours.max(1) as f64,
+    );
     if !report.sizes.is_empty() {
         let rows: Vec<Vec<String>> = report
             .sizes
@@ -952,8 +963,8 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     match &report.socket {
         Some(s) => println!(
             "socket engine: {:.3} ms/iter vs {:.3} ms/iter threaded ({:.2}x overhead, {} iters); \
-             {:.3} ms/iter on {} co-hosting processes; on a parked fleet {:.4} and {:.4} ms/iter \
-             (threaded and parked: median of {} runs)",
+             {:.3} ms/iter on {} co-hosting processes; on a parked fleet {:.4} (q1 {:.4}, q3 \
+             {:.4}) and {:.4} ms/iter (threaded and parked: median of {} runs)",
             s.socket_per_iter_ms(),
             s.threaded_per_iter_ms(),
             s.overhead(),
@@ -961,6 +972,8 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
             s.cohosted_per_iter_ms(),
             solver_bench::COHOSTED_PROCESSES,
             s.warm_socket_per_iter_ms(),
+            s.warm_socket_quartiles_per_iter_ms().0,
+            s.warm_socket_quartiles_per_iter_ms().1,
             s.warm_cohosted_per_iter_ms(),
             solver_bench::LATENCY_RUNS
         ),

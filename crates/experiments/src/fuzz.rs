@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use ufc_core::subproblems::{a_step, lambda_step, mu_step, nu_step, storage_step};
+use ufc_core::subproblems::{a_step, lambda_step, mu_step, nu_step, storage_step, CongestedAStep};
 use ufc_core::{
     centralized, correction, generic, AColQp, AdmgSettings, AdmgSolver, AdmgState, CoreError,
     HistoryRecorder, IterationRecord, LambdaQp, Strategy,
@@ -42,12 +42,15 @@ use ufc_distsim::{
 use ufc_linalg::Matrix;
 use ufc_model::generator::{arbitrary_params, InstanceParams, SplitMix64};
 use ufc_model::utility::disutility_rank1_gamma;
-use ufc_model::{EmissionCostFn, StorageParams, UfcInstance};
-use ufc_opt::{kkt, QuadObjective};
+use ufc_model::{EmissionCostFn, QueueingCost, StorageParams, UfcInstance};
+use ufc_opt::{kkt, QuadObjective, SmoothObjective};
 
 /// Per-entry tolerance `KERNEL_TOL·(1 + |x|)` of the exact block kernels
 /// against the dense active-set reference steps.
 const KERNEL_TOL: f64 = 1e-9;
+/// Objective slack `CONGESTED_OBJ_TOL·(1 + |f|)` of the exact congested
+/// a-column over the FISTA reference step.
+const CONGESTED_OBJ_TOL: f64 = 1e-12;
 /// Relative UFC tolerance against the centralized QP oracle (same gate as
 /// `repro verify`).
 const CENTRAL_REL_TOL: f64 = 5e-3;
@@ -242,6 +245,14 @@ fn pseudo_random_state(inst: &UfcInstance, rng: &mut SplitMix64) -> AdmgState {
 /// tolerance on stiff rows (`γ ≳ 2e4`). So where the two disagree, the
 /// quadratic blocks are judged by their KKT certificates instead: the
 /// kernel fails only if its largest KKT residual exceeds the reference's.
+///
+/// The same columns are then solved with
+/// [`QueueingCost::default_interactive`] attached. That column is not a QP
+/// and its reference (`a_step` on the congested instance) is an iterative
+/// FISTA solve, so the exact congested kernel is judged by objective: it
+/// fails only if its objective exceeds the reference's by more than
+/// `CONGESTED_OBJ_TOL·(1 + |f|)`. No leg draws from the RNG beyond the
+/// iterate, so every seed's case stream is unchanged.
 fn check_block_kernels(
     inst: &UfcInstance,
     strategy: Strategy,
@@ -263,6 +274,9 @@ fn check_block_kernels(
     let Ok(at) = a_step(inst, rho, &state, &lt, &mt, &nt, &dt) else {
         return Ok(());
     };
+    let queueing = QueueingCost::default_interactive();
+    let congested = inst.clone().with_queueing(queueing);
+    let at_q = a_step(&congested, rho, &state, &lt, &mt, &nt, &dt).ok();
     // `residual` is the block's KKT certificate. A NaN fails both tests, so
     // a NaN entry fails the gate and a certificate of NaN leaves only
     // agreement.
@@ -312,17 +326,30 @@ fn check_block_kernels(
                     + rho * beta * drift
             })
             .collect();
-        let col = AColQp::new(m, rho, beta, cap, inst.queueing)
-            .solve(&c, None)
-            .map_err(|e| fail("kernel-oracle", format!("a[{j}] kernel fails: {e}")))?;
+        let col = AColQp::new(m, rho, beta, cap, None).solve(&c);
         let want: Vec<f64> = (0..m).map(|i| at[i * n + j]).collect();
-        // The congested column is not a QP: both sides run the same FISTA
-        // solve, so only agreement counts.
-        let residual = |x: &[f64]| match inst.queueing {
-            None => block_kkt_residual(rho, rho * beta * beta, &ones, &c, cap, true, x),
-            Some(_) => f64::NAN,
-        };
+        let residual =
+            |x: &[f64]| block_kkt_residual(rho, rho * beta * beta, &ones, &c, cap, true, x);
         compare(format!("a[{j}]"), &col, &want, &residual)?;
+        let Some(at_q) = &at_q else {
+            continue;
+        };
+        let col = AColQp::new(m, rho, beta, cap, Some(queueing)).solve(&c);
+        let want: Vec<f64> = (0..m).map(|i| at_q[i * n + j]).collect();
+        let quad = QuadObjective::diag_rank1(vec![rho; m], rho * beta * beta, ones.clone(), c, 0.0);
+        let f = CongestedAStep::new(quad, queueing, cap);
+        let (fk, fr) = (f.value(&col), f.value(&want));
+        // A NaN objective fails the comparison.
+        let no_worse = fk <= fr + CONGESTED_OBJ_TOL * (1.0 + fr.abs());
+        if !no_worse {
+            return Err(fail(
+                "kernel-oracle",
+                format!(
+                    "a[{j}] congested: kernel {col:?} (objective {fk:e}) vs FISTA reference \
+                     {want:?} ({fr:e})"
+                ),
+            ));
+        }
     }
     Ok(())
 }
@@ -737,15 +764,12 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
                     ));
                 }
                 // The exact λ/a kernels turn poison into NaN blocks for
-                // the divergence gate; `Subproblem` stays allowed for the
-                // congested a-step's inner solve, the one kernel that can
-                // still fail.
+                // the divergence gate; no node step can fail.
                 let typed = matches!(
                     a,
                     CoreError::Divergence { .. }
                         | CoreError::CorruptPayload { .. }
                         | CoreError::NotConverged { .. }
-                        | CoreError::Subproblem { .. }
                 );
                 if !typed {
                     return Err(fail(

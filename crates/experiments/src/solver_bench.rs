@@ -7,6 +7,11 @@
 //! 2. **parallel** — `threads` workers. The headline configuration written
 //!    to `BENCH_solver.json`.
 //!
+//! A **congested leg** solves the paper-size hours with the queueing
+//! extension attached (`QueueingCost::default_interactive()`, ρ = 8, a
+//! 6000-iteration cap, 1 thread): the only workload whose a-columns run the
+//! congested kernel.
+//!
 //! On top of the seed-size legs, the bench walks a **size trajectory**
 //! (front-ends × datacenters, up to 1024 × 32, one hour per size, single
 //! repetition). [`ScalingGuard::check`] fails the bench when the largest
@@ -23,7 +28,7 @@ use std::time::Instant;
 
 use ufc_core::{AdmgSettings, AdmgSolver, CoreError, Strategy, WorkerPool};
 use ufc_model::scenario::ScenarioBuilder;
-use ufc_model::UfcInstance;
+use ufc_model::{QueueingCost, UfcInstance};
 
 /// Why `repro bench` rejected a run.
 #[derive(Debug)]
@@ -203,6 +208,9 @@ pub struct SocketLatency {
     /// The one-process-per-node hour again, on its parked fleet
     /// (milliseconds), median run.
     pub warm_socket_wall_ms: f64,
+    /// The first and third quartiles of those runs (milliseconds): with
+    /// one process per node the host's load moves this leg most.
+    pub warm_socket_quartiles_ms: (f64, f64),
     /// The co-hosted hour again, on its parked fleet (milliseconds),
     /// median run.
     pub warm_cohosted_wall_ms: f64,
@@ -237,6 +245,15 @@ impl SocketLatency {
         self.warm_socket_wall_ms / self.iterations.max(1) as f64
     }
 
+    /// The warm one-process-per-node leg's first and third quartiles, in
+    /// milliseconds per ADM-G iteration.
+    #[must_use]
+    pub fn warm_socket_quartiles_per_iter_ms(&self) -> (f64, f64) {
+        let (q1, q3) = self.warm_socket_quartiles_ms;
+        let iterations = self.iterations.max(1) as f64;
+        (q1 / iterations, q3 / iterations)
+    }
+
     /// Milliseconds per ADM-G iteration of the warm co-hosted run.
     #[must_use]
     pub fn warm_cohosted_per_iter_ms(&self) -> f64 {
@@ -261,6 +278,9 @@ pub struct BenchReport {
     pub sequential: BenchLeg,
     /// The solver at the requested thread count.
     pub parallel: BenchLeg,
+    /// The same paper-size hours under the queueing extension (see
+    /// [`CONGESTED_RHO`]), 1 thread, best of the timed repetitions.
+    pub congested: BenchLeg,
     /// The size trajectory (empty when not requested).
     pub sizes: Vec<SizeLeg>,
     /// The scaling guard over [`Self::sizes`]; `None` without them.
@@ -283,6 +303,12 @@ impl BenchReport {
             self.parallel.iters,
             self.sequential.wall_ms,
         );
+        out.push_str(&format!(
+            "  \"congested\": {{\"iters\": {}, \"per_iter_ms\": {:.4}, \"per_solve_ms\": {:.3}}},\n",
+            self.congested.iters,
+            self.congested.wall_ms / self.congested.iters.max(1) as f64,
+            self.congested.wall_ms / self.hours.max(1) as f64,
+        ));
         out.push_str("  \"sizes\": [");
         for (k, leg) in self.sizes.iter().enumerate() {
             out.push_str(&format!(
@@ -315,7 +341,7 @@ impl BenchReport {
         }
         match &self.socket {
             Some(s) => out.push_str(&format!(
-                "  \"socket_engine\": {{\"iterations\": {}, \"threaded_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}, \"cohosted_processes\": {}, \"cohosted_per_iter_ms\": {:.4}, \"warm_socket_per_iter_ms\": {:.4}, \"warm_cohosted_per_iter_ms\": {:.4}}}\n",
+                "  \"socket_engine\": {{\"iterations\": {}, \"threaded_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}, \"cohosted_processes\": {}, \"cohosted_per_iter_ms\": {:.4}, \"warm_socket_per_iter_ms\": {:.4}, \"warm_socket_q1_per_iter_ms\": {:.4}, \"warm_socket_q3_per_iter_ms\": {:.4}, \"warm_cohosted_per_iter_ms\": {:.4}}}\n",
                 s.iterations,
                 s.threaded_per_iter_ms(),
                 s.socket_per_iter_ms(),
@@ -323,6 +349,8 @@ impl BenchReport {
                 COHOSTED_PROCESSES,
                 s.cohosted_per_iter_ms(),
                 s.warm_socket_per_iter_ms(),
+                s.warm_socket_quartiles_per_iter_ms().0,
+                s.warm_socket_quartiles_per_iter_ms().1,
                 s.warm_cohosted_per_iter_ms(),
             )),
             None => out.push_str("  \"socket_engine\": null\n"),
@@ -331,6 +359,13 @@ impl BenchReport {
         out
     }
 }
+
+/// ADM-G penalty of the congested leg: the queueing barrier slows the
+/// splitting at the default ρ (see `ufc_model::queueing`).
+pub const CONGESTED_RHO: f64 = 8.0;
+
+/// Iteration cap of the congested leg.
+pub const CONGESTED_MAX_ITERATIONS: usize = 6000;
 
 /// Front-ends in the `admg_scaling` workload. The paper's evaluation uses
 /// 10; the bench tiles the routing dimension up so the per-datacenter
@@ -570,10 +605,10 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     let instance = &scenario.instances[0];
     let settings = AdmgSettings::default();
     let ms = |since: Instant| since.elapsed().as_secs_f64() * 1e3;
-    // The median of `LATENCY_RUNS` timed runs of `spec` on `runner`, and
-    // the iterations of the last.
-    let median_run =
-        |runner: &DistributedAdmg, spec: &RunSpec| -> Result<(f64, usize), BenchError> {
+    // The `LATENCY_RUNS` timed runs of `spec` on `runner`, sorted, and the
+    // iterations of the last.
+    let timed_runs =
+        |runner: &DistributedAdmg, spec: &RunSpec| -> Result<(Vec<f64>, usize), BenchError> {
             let mut times = Vec::with_capacity(LATENCY_RUNS);
             let mut iterations = 0;
             for _ in 0..LATENCY_RUNS {
@@ -584,20 +619,20 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
                 times.push(ms(start));
             }
             times.sort_by(f64::total_cmp);
-            Ok((times[LATENCY_RUNS / 2], iterations))
+            Ok((times, iterations))
         };
-    let (threaded_wall_ms, threaded_iterations) = median_run(
+    let (threaded, threaded_iterations) = timed_runs(
         &DistributedAdmg::try_new(settings)?,
         &RunSpec::new(Engine::Threaded),
     )?;
-    // (cold, warm) milliseconds of one leg.
-    let time_socket = |options: SocketOptions| -> Result<(f64, f64), BenchError> {
+    // The cold milliseconds of one leg and its warm runs' times.
+    let time_socket = |options: SocketOptions| -> Result<(f64, Vec<f64>), BenchError> {
         let spec = RunSpec::new(Engine::Sockets(options));
         let start = Instant::now();
         let runner = DistributedAdmg::try_new(settings)?;
         let cold = runner.execute(instance, Strategy::Hybrid, &spec, &mut ())?;
         let mut cold_ms = ms(start);
-        let (warm_ms, warm_iterations) = median_run(&runner, &spec)?;
+        let (warm, warm_iterations) = timed_runs(&runner, &spec)?;
         let start = Instant::now();
         drop(runner);
         cold_ms += ms(start);
@@ -609,23 +644,29 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
                 });
             }
         }
-        Ok((cold_ms, warm_ms))
+        Ok((cold_ms, warm))
     };
-    let (socket_wall_ms, warm_socket_wall_ms) = time_socket(SocketOptions::new(&worker))?;
-    let (cohosted_wall_ms, warm_cohosted_wall_ms) =
+    let (socket_wall_ms, warm_socket) = time_socket(SocketOptions::new(&worker))?;
+    let (cohosted_wall_ms, warm_cohosted) =
         time_socket(SocketOptions::new(&worker).with_processes(COHOSTED_PROCESSES))?;
+    let median = |times: &[f64]| times[LATENCY_RUNS / 2];
     Ok(Some(SocketLatency {
-        threaded_wall_ms,
+        threaded_wall_ms: median(&threaded),
         socket_wall_ms,
         cohosted_wall_ms,
-        warm_socket_wall_ms,
-        warm_cohosted_wall_ms,
+        warm_socket_wall_ms: median(&warm_socket),
+        warm_socket_quartiles_ms: (
+            warm_socket[LATENCY_RUNS / 4],
+            warm_socket[3 * LATENCY_RUNS / 4],
+        ),
+        warm_cohosted_wall_ms: median(&warm_cohosted),
         iterations: threaded_iterations,
     }))
 }
 
-/// Runs the two seed-size legs on the `admg_scaling` workload, then walks
-/// the requested size trajectory (pass `&[]` to skip it). The socket
+/// Runs the two seed-size legs on the `admg_scaling` workload and the
+/// congested leg on as many paper-size hours, then walks the requested
+/// size trajectory (pass `&[]` to skip it). The socket
 /// latency section is left `None`; callers with a worker binary stitch it
 /// in via [`socket_latency`]. The caller applies [`ScalingGuard::check`].
 ///
@@ -646,11 +687,25 @@ pub fn run(
     let _ = time_leg(&instances[..1.min(instances.len())], seq);
     let sequential = time_leg(&instances, seq);
     let parallel = time_leg(&instances, par);
+    let congested_hours: Vec<UfcInstance> = ScenarioBuilder::paper_default()
+        .seed(seed)
+        .hours(hours)
+        .build()?
+        .instances
+        .into_iter()
+        .map(|inst| inst.with_queueing(QueueingCost::default_interactive()))
+        .collect();
+    let mut congested_settings = AdmgSettings::default()
+        .with_rho(CONGESTED_RHO)
+        .with_threads(1);
+    congested_settings.max_iterations = CONGESTED_MAX_ITERATIONS;
+    let congested = time_leg(&congested_hours, congested_settings);
     let sizes = size_trajectory(seed, threads, sizes)?;
     Ok(BenchReport {
         hours: instances.len(),
         sequential,
         parallel,
+        congested,
         scaling: ScalingGuard::from_legs(&sizes, &sequential),
         sizes,
         socket: None,
@@ -677,6 +732,9 @@ mod tests {
         assert!(json.contains("\"sizes\": []"));
         assert!(json.contains("\"scaling_guard\": null"));
         assert!(json.contains("\"socket_engine\": null"));
+        // The congested leg runs the same paper-size hours.
+        assert!(report.congested.iters > 0, "{json}");
+        assert!(json.contains("\"congested\": {\"iters\": "), "{json}");
     }
 
     /// The socket block carries the cold and the warm legs, each per
@@ -689,6 +747,7 @@ mod tests {
             socket_wall_ms: 34.0,
             cohosted_wall_ms: 13.6,
             warm_socket_wall_ms: 10.2,
+            warm_socket_quartiles_ms: (9.52, 10.88),
             warm_cohosted_wall_ms: 4.08,
             iterations: 68,
         });
@@ -696,7 +755,10 @@ mod tests {
         assert!(json.contains("\"socket_per_iter_ms\": 0.5000"), "{json}");
         assert!(json.contains("\"cohosted_per_iter_ms\": 0.2000"), "{json}");
         assert!(
-            json.contains("\"warm_socket_per_iter_ms\": 0.1500"),
+            json.contains(
+                "\"warm_socket_per_iter_ms\": 0.1500, \"warm_socket_q1_per_iter_ms\": 0.1400, \
+                 \"warm_socket_q3_per_iter_ms\": 0.1600"
+            ),
             "{json}"
         );
         assert!(
@@ -767,6 +829,7 @@ mod tests {
             hours: 1,
             sequential: seed,
             parallel: seed,
+            congested: seed,
             scaling: ScalingGuard::from_legs(&legs, &seed),
             sizes: legs,
             socket: None,

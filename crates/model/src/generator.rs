@@ -323,6 +323,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn uniform_stays_in_unit_interval() {
+        let mut rng = SplitMix64::new(42);
+        for _ in 0..10_000 {
+            let u = rng.next_f64();
+            assert!((0.0..1.0).contains(&u));
+        }
+    }
+
+    #[test]
     fn generation_is_deterministic() {
         for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
             assert_eq!(arbitrary_params(seed), arbitrary_params(seed));

@@ -12,8 +12,11 @@
 //! i.e. `load` kilo-servers of requests each experiencing the
 //! `d₀/(1 − u)` congestion delay, monetized like the latency utility. The
 //! function is convex and increasing on `u ∈ [0, 1)` with unbounded
-//! curvature at capacity — exactly the shape that forces the a-sub-problem
-//! onto the backtracking-FISTA path (`ufc-opt`'s `minimize_adaptive`).
+//! curvature at capacity. Only its [`QueueingCost::derivative`] enters the
+//! a-sub-problem's exact kernel (`ufc-core`'s `AColQp`): the column keeps
+//! the quadratic column's form `a_i = max(0, x_i − τ)`, with
+//! `τ = β²s + Q′(s)/ρ` at the column's load `s`, which a bisection finds
+//! below [`QueueingCost::load_cap`].
 //!
 //! The barrier also slows the outer splitting: congested instances converge
 //! noticeably faster with a larger ADM-G penalty (ρ ≈ 4–8) and deserve a
