@@ -14,16 +14,14 @@
 //! * **in-process** (`InProcessTransport`, crate-private): the
 //!   [`crate::AdmgSolver`] steps the [`crate::node`] types, one per
 //!   front-end and datacenter, on a [`crate::WorkerPool`];
-//! * **lockstep message-passing** (`ufc_distsim`): deterministic rounds
-//!   over explicit messages, with optional fault, corruption and drop
-//!   injection;
-//! * **supervised threaded** (`ufc_distsim`): one OS thread per node over
-//!   mpsc channels, driven by a supervising coordinator;
-//! * **multi-process sockets** (`ufc_distsim`): worker OS processes over
-//!   TCP, driven by the same kind of coordinator.
+//! * **lockstep message-passing** (`ufc_distsim`): the supervising
+//!   coordinator over node kernels in the calling thread, with optional
+//!   fault, corruption and drop injection;
+//! * **multi-process sockets** (`ufc_distsim`): the same coordinator over
+//!   worker OS processes on TCP.
 //!
 //! Every transport must preserve the numerical contract bit-for-bit:
-//! parallel ≡ sequential, reused ≡ fresh, lockstep ≡ threaded, and
+//! parallel ≡ sequential, reused ≡ fresh, lockstep ≡ sockets, and
 //! faulty-with-no-faults ≡ clean (asserted across crates in the
 //! `engine_equivalence` integration test).
 

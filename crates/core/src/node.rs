@@ -8,8 +8,8 @@
 //! moves exactly the `λ̃`/`ã` shares of the paper's Fig. 2 between them.
 //!
 //! This is the one copy of the block arithmetic. The in-process solver
-//! (`crate::workspace`'s node transport) and the three distributed engines
-//! of `ufc_distsim` (one supervisor over three fleets) all step these
+//! (`crate::workspace`'s node transport) and the two distributed engines
+//! of `ufc_distsim` (one supervisor over two fleets) all step these
 //! nodes, so they run the same expressions in the same order and agree bit
 //! for bit. The per-block steps of [`crate::subproblems`] and the
 //! closed-form [`crate::correction`] stay as the references the nodes are

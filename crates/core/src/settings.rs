@@ -50,9 +50,11 @@ impl Default for AdmgSettings {
     ///
     /// The paper's §IV-A uses `ρ = 0.3` with workload counted in *servers*;
     /// this implementation counts kilo-servers and MW, which rescales the
-    /// convergence-equivalent penalty. `ρ = 1.0` reproduces the paper's
-    /// Fig.-11 iteration range (min ≈ 37, max ≈ 130) on the default
-    /// scenario; use [`AdmgSettings::paper_verbatim`] for the literal 0.3.
+    /// convergence-equivalent penalty. On the default scenario's 168 hours
+    /// `ρ = 1.0` takes 24–414 iterations (median 66, 88.1 % within 100)
+    /// against the paper's Fig.-11 range of about 37–130; EXPERIMENTS.md
+    /// compares the two CDFs. Use [`AdmgSettings::paper_verbatim`] for the
+    /// literal 0.3.
     fn default() -> Self {
         AdmgSettings {
             rho: 1.0,

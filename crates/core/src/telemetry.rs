@@ -192,8 +192,8 @@ impl PhaseHistogram {
 
 /// Counters surfaced from the solver layers that already track them — the
 /// worker pool.
-/// Zero for engines that cannot observe a layer (e.g. the threaded engine's
-/// per-node kernels die with their worker threads).
+/// Zero for engines that cannot observe a layer (e.g. the socket engine's
+/// per-node kernels live in worker processes).
 ///
 /// The λ- and a-block kernels solve no KKT systems and take no warm
 /// starts, so the two KKT fields and the two warm-start fields always read

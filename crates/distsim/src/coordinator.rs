@@ -6,7 +6,7 @@
 //! checkpoint cadence and rollback point, and the final
 //! gather→polish→report step ([`Tally::into_report`]). The supervised
 //! coordinator (`crate::supervision`) calls into these on every fleet, so
-//! the report rules exist once for all three engines.
+//! the report rules exist once for both engines.
 
 use ufc_core::engine::{BlockResiduals, DriveOutcome};
 use ufc_core::node::{DatacenterSnapshot, FrontendSnapshot, NodeResiduals};

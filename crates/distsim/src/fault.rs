@@ -506,16 +506,6 @@ impl FaultPlan {
             .map(|s| s.delay)
     }
 
-    /// Straggler schedule for one node as `(iteration, delay)` pairs.
-    #[must_use]
-    pub fn stragglers_for(&self, node: NodeId) -> Vec<(usize, Duration)> {
-        self.stragglers
-            .iter()
-            .filter(|s| s.node == node)
-            .map(|s| (s.at_iteration, s.delay))
-            .collect()
-    }
-
     /// Whether any partition window covers `iteration`.
     #[must_use]
     pub fn partition_active(&self, iteration: usize) -> bool {

@@ -17,26 +17,25 @@
 //! 5. a coordinator max-reduces the per-node residuals and broadcasts the
 //!    continue/stop decision.
 //!
-//! Three engines execute the node logic the in-process
-//! `ufc_core::AdmgSolver` steps, and all three are one supervised
-//! coordinator over a different fleet of nodes: node kernels in the calling
-//! thread, fanned out over the worker pool ([`Engine::Lockstep`]), one
-//! worker thread per node over std::sync::mpsc channels
-//! ([`Engine::Threaded`]), or worker OS processes over TCP
-//! ([`Engine::Sockets`]). The coordinator is a `Transport` sequenced by the
-//! single transport-agnostic iteration driver `ufc_core::engine::drive` —
-//! the λ→μ→ν→a prediction order, the correction step, and the stop rule
-//! exist in exactly one place — and every engine is reached through one
-//! entry point, [`DistributedAdmg::execute`], that takes a [`RunSpec`]: the
-//! engine and the [`FaultPlan`] it runs under. All three are bit-identical
-//! to the in-process solver on a clean plan (asserted in tests), account
-//! every logical message, and estimate the wall-clock cost of a real WAN
+//! Two engines execute the node logic the in-process
+//! `ufc_core::AdmgSolver` steps, and both are one supervised coordinator
+//! over a different fleet of nodes: node kernels in the calling thread,
+//! fanned out over the worker pool ([`Engine::Lockstep`]), or worker OS
+//! processes over TCP ([`Engine::Sockets`]). The coordinator is a
+//! `Transport` sequenced by the single transport-agnostic iteration driver
+//! `ufc_core::engine::drive` — the λ→μ→ν→a prediction order, the
+//! correction step, and the stop rule exist in exactly one place — and
+//! every engine is reached through one entry point,
+//! [`DistributedAdmg::execute`], that takes a [`RunSpec`]: the engine and
+//! the [`FaultPlan`] it runs under. Both are bit-identical to the
+//! in-process solver on a clean plan (asserted in tests), account every
+//! logical message, and estimate the wall-clock cost of a real WAN
 //! deployment from the latency matrix.
 //!
 //! # Failure model
 //!
-//! Every engine is *supervised*, by one coordinator written once over all
-//! three fleets: a deterministic, seeded [`FaultPlan`] can script
+//! Every engine is *supervised*, by one coordinator written once over
+//! both fleets: a deterministic, seeded [`FaultPlan`] can script
 //! crash-stop failures (with or without recovery), straggler delays, and
 //! partition windows. The coordinator awaits every reply with
 //! deadline-bounded receives and an exponential backoff ladder, which no

@@ -2,11 +2,10 @@
 //! [`DistributedAdmg::execute`], that runs a [`RunSpec`] — an [`Engine`]
 //! and the [`FaultPlan`] it runs under — and packages the result.
 //!
-//! The three engines are one [`ufc_core::engine::Transport`], the
-//! supervised coordinator (`crate::supervision`), over three fleets: node
+//! The two engines are one [`ufc_core::engine::Transport`], the
+//! supervised coordinator (`crate::supervision`), over two fleets: node
 //! kernels in the calling thread ([`Engine::Lockstep`],
-//! `crate::worker::InlineFleet`), one worker thread per node
-//! ([`Engine::Threaded`]) or worker processes ([`Engine::Sockets`],
+//! `crate::worker::InlineFleet`) or worker processes ([`Engine::Sockets`],
 //! `crate::engine_socket`). It is sequenced by the single transport-agnostic
 //! driver `ufc_core::engine::drive`, so the prediction order, correction
 //! step, and stop rule exist in exactly one place, and the fault protocol
@@ -30,7 +29,7 @@ use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, FaultReport};
 use crate::stats::MessageStats;
 use crate::supervision::run_supervised;
 use crate::wire::{AuthKey, BindConfig, RunConfig};
-use crate::worker::{InlineFleet, ThreadFleet};
+use crate::worker::InlineFleet;
 
 /// Checkpoint cadence [`DistributedAdmg::execute`] gives a corrupting plan
 /// without one when [`AdmgSettings::divergence_rollback`] is on: rollback
@@ -106,9 +105,6 @@ pub enum Engine {
     /// bit-identical to the in-memory `AdmgSolver`, and the one distributed
     /// engine whose telemetry carries the solver counters.
     Lockstep,
-    /// One OS thread per node over std::sync::mpsc channels, driven by the
-    /// supervising coordinator.
-    Threaded,
     /// Every node in a worker OS process (per [`SocketOptions::processes`])
     /// speaking the checksummed wire framing over TCP, driven by the
     /// supervising coordinator; bit-identical to [`Engine::Lockstep`] on a
@@ -348,13 +344,6 @@ impl DistributedAdmg {
                     settings, instance, active_mu, active_nu, plan, &mut fleet, observer,
                 )
             }
-            Engine::Threaded => {
-                let mut fleet =
-                    ThreadFleet::launch(instance, settings, active_mu, active_nu, &plan);
-                run_supervised(
-                    settings, instance, active_mu, active_nu, plan, &mut fleet, observer,
-                )
-            }
             Engine::Sockets(options) => {
                 let nodes = instance.m_frontends() + instance.n_datacenters();
                 let config = RunConfig {
@@ -478,37 +467,6 @@ mod tests {
         assert!(report.estimated_wan_seconds > 0.0);
         assert!(report.point.feasibility_residual(&inst) < 1e-8);
         assert!(report.fault.is_none());
-    }
-
-    #[test]
-    fn threaded_matches_lockstep() {
-        let inst = tiny();
-        let runner = DistributedAdmg::new(AdmgSettings::default());
-        let lockstep = runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Lockstep),
-                &mut (),
-            )
-            .unwrap();
-        let threaded = runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Threaded),
-                &mut (),
-            )
-            .unwrap();
-        assert_eq!(lockstep.iterations, threaded.iterations);
-        assert!(
-            (lockstep.breakdown.ufc() - threaded.breakdown.ufc()).abs() < 1e-9,
-            "lockstep {} vs threaded {}",
-            lockstep.breakdown.ufc(),
-            threaded.breakdown.ufc()
-        );
-        assert_eq!(lockstep.stats, threaded.stats);
-        assert!(threaded.fault.is_none());
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! (`ufc_core::engine::drive`), written once over a [`Fleet`].
 //!
 //! A fleet is how commands reach the nodes, and it is the only part the
-//! three engines implement: node kernels in the coordinator's thread
-//! (`crate::worker::InlineFleet`, [`crate::Engine::Lockstep`]), one thread
-//! per node (`crate::worker::ThreadFleet`, [`crate::Engine::Threaded`]) or
-//! worker OS processes over TCP (`crate::engine_socket::ProcessFleet`,
-//! [`crate::Engine::Sockets`]). All three carry the same [`NodeCmd`]s to the
+//! two engines implement: node kernels in the coordinator's thread
+//! (`crate::worker::InlineFleet`, [`crate::Engine::Lockstep`]) or worker OS
+//! processes over TCP (`crate::engine_socket::ProcessFleet`,
+//! [`crate::Engine::Sockets`]). Both carry the same [`NodeCmd`]s to the
 //! same node dispatch (`crate::worker`), and every [`Reply`] comes back
 //! through [`Fleet::recv`], tagged with its node and iteration so stale
 //! replay traffic is discarded.
@@ -23,13 +22,13 @@
 //! next prediction riding in its correction's fan-out.
 //!
 //! The inline fleet has queued every reply by the time `send` returns, so
-//! its `recv` never waits. The thread fleet answers `recv` from its reply
-//! channel, and the process fleet reads its workers' connections itself,
-//! in the coordinator's thread. Every fleet's `recv` returns at once when
-//! no pending node can still answer, so the ladder's rungs pass at once
-//! and a stopped node is declared dead as soon as what arrived is handed
-//! out. `tests/fault_injection.rs` pins the lockstep fault reports and
-//! holds the thread fleet to the same iterates, statistics and reports.
+//! its `recv` never waits. The process fleet reads its workers'
+//! connections itself, in the coordinator's thread. Every fleet's `recv`
+//! returns at once when no pending node can still answer, so the ladder's
+//! rungs pass at once and a stopped node is declared dead as soon as what
+//! arrived is handed out. `tests/fault_injection.rs` pins the lockstep
+//! fault reports; the socket tests (`socket_recovery.rs`, `wire_chaos.rs`)
+//! hold the process fleet to the same iterates, statistics and reports.
 
 use std::time::{Duration, Instant};
 
@@ -981,13 +980,13 @@ mod tests {
     use super::*;
     use std::sync::mpsc::{channel, Receiver};
 
-    use crate::worker::ThreadFleet;
+    use crate::worker::InlineFleet;
     use ufc_core::Strategy;
     use ufc_model::scenario::ScenarioBuilder;
 
-    /// A fleet whose replies come from test threads over a channel, as the
-    /// thread fleet's do, and whose live nodes are a fixed set of ids: the
-    /// ladder tests' stand-in for a real fleet.
+    /// A fleet whose replies come from test threads over a channel, so they
+    /// arrive while a gather waits, and whose live nodes are a fixed set of
+    /// ids: the ladder tests' stand-in for a real fleet.
     struct ChannelFleet {
         replies: Receiver<Reply>,
         live: Vec<usize>,
@@ -1019,8 +1018,8 @@ mod tests {
         }
     }
 
-    /// Replay entries a thread-fleet run of one paper hour under `plan`
-    /// still holds when it stops.
+    /// Replay entries a lockstep run of one paper hour under `plan` still
+    /// holds when it stops.
     fn history_left_by(plan: FaultPlan) -> usize {
         let scenario = ScenarioBuilder::paper_default()
             .hours(1)
@@ -1031,7 +1030,7 @@ mod tests {
         let (active_mu, active_nu) = Strategy::Hybrid
             .block_activation(instance)
             .expect("hybrid runs every block");
-        let mut fleet = ThreadFleet::launch(instance, &settings, active_mu, active_nu, &plan);
+        let mut fleet = InlineFleet::launch(instance, &settings, active_mu, active_nu);
         let mut sup = Supervisor::new(instance, settings, active_mu, active_nu, plan, &mut fleet);
         let tolerances = settings.scaled_tolerances(instance);
         let outcome = drive(&mut sup, &settings, tolerances, &mut ()).expect("run converges");
@@ -1039,20 +1038,20 @@ mod tests {
         let left = sup.history.len();
         let mut tally = Tally::new(sup.stats, &sup.tracker, &sup.integrity, sup.stall_phases);
         let (_, shutdown) = sup.fleet.end_run(true, &mut tally);
-        shutdown.expect("threads join");
+        shutdown.expect("the inline fleet stops");
         left
     }
 
     /// A clean run never replays, so it keeps none of its iterations'
     /// inputs; a checkpointing run keeps those since its last checkpoint.
     #[test]
-    fn clean_thread_fleet_run_keeps_no_replay_history() {
+    fn clean_run_keeps_no_replay_history() {
         assert_eq!(history_left_by(FaultPlan::none()), 0);
         assert!(history_left_by(FaultPlan::new()) > 0);
     }
 
     /// One live straggler (replies late) and one crash-stopped worker
-    /// (thread exited, never replies) in the same gather: the dead node
+    /// (stopped, never replies) in the same gather: the dead node
     /// must be declared within the ladder budget, not after the straggler
     /// wakes. Pre-fix, `any(alive)` restarted the whole ladder while the
     /// straggler slept, stalling the dead-node verdict by ~1.2 s.
@@ -1061,7 +1060,7 @@ mod tests {
         let (tx, rx) = channel::<Reply>();
         let mut pending = Pending::of(2, 0, [NodeId::Frontend(0), NodeId::Frontend(1)]);
         // Frontend(0) is a live straggler replying long after the ladder;
-        // Frontend(1)'s thread has already exited.
+        // Frontend(1) has already stopped.
         let straggler = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(1200));
             let _ = tx.send(Reply::Lambda {

@@ -26,8 +26,8 @@
 //!   SHA-256 (`Load::verify`).
 //! * `Cmd` — a node-addressed command (predict/correct/process/snapshot/
 //!   membership/restore/finish): the supervisor's one command vocabulary,
-//!   which inline nodes receive by call, worker threads over channels and
-//!   worker processes in these frames.
+//!   which inline nodes receive by call and worker processes in these
+//!   frames.
 //! * `Reply` — a worker reply, decoded straight into the supervisor's
 //!   `Reply`, so its gather machinery (`supervision::gather_phase`) serves
 //!   every fleet.

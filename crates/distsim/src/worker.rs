@@ -1,12 +1,11 @@
 //! The worker side of the supervised runtime: the one node-command
-//! dispatch, and the three carriers that serve it.
+//! dispatch, and the two carriers that serve it.
 //!
-//! Every node — in the coordinator's own thread (`InlineFleet`), in a
-//! worker thread of the `ThreadFleet`, or in a `ufc-node` process
-//! ([`run_worker`]) — is a hosted kernel that answers `NodeCmd`s through
-//! the same `dispatch`, calling the same node methods in the same order.
-//! That is what makes the three engines bit-identical to each other, and to
-//! the in-process solver that steps the same node types.
+//! Every node — in the coordinator's own thread (`InlineFleet`) or in a
+//! `ufc-node` process ([`run_worker`]) — is a hosted kernel that answers
+//! `NodeCmd`s through the same `dispatch`, calling the same node methods in
+//! the same order. That is what makes the two engines bit-identical to each
+//! other, and to the in-process solver that steps the same node types.
 //!
 //! [`run_worker`] is the entire body of the `ufc-node` binary: connect to
 //! the coordinator, introduce yourself (a `Hello` wire frame), then serve
@@ -33,8 +32,7 @@ use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 use std::os::unix::process::parent_id;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::Duration;
 
 use ufc_core::node::{DatacenterNode, DatacenterSnapshot, FrontendNode, FrontendSnapshot};
@@ -42,7 +40,6 @@ use ufc_core::{AdmgSettings, CoreError, WorkerPool};
 use ufc_model::UfcInstance;
 
 use crate::coordinator::Tally;
-use crate::fault::{FaultPlan, NodeId};
 use crate::supervision::{Fleet, Pending, Reply};
 use crate::wire::{
     handshake_mac, hosted_nodes, AuthKey, FrameBuffer, NodeCmd, RunConfig, WireFrame,
@@ -323,8 +320,8 @@ fn build_nodes(config: &RunConfig, process: usize) -> Vec<(usize, Hosted)> {
 }
 
 /// Dispatches one command to the addressed hosted node: the one node
-/// dispatch of every engine, for inline nodes, worker threads and worker
-/// processes alike (`carrier` names the thread or process in errors).
+/// dispatch of every engine, for inline nodes and worker processes alike
+/// (`carrier` names the node or process in errors).
 /// Returns the reply to ship, or `None` for fire-and-forget verbs
 /// (membership, restore).
 fn dispatch(
@@ -528,194 +525,6 @@ pub fn run_worker(
     }
 }
 
-/// The in-process [`Fleet`] of [`crate::Engine::Threaded`]: one OS thread
-/// per node, each serving `dispatch` on its own command channel. A killed
-/// node's channel is closed and its thread joined; a node started fresh
-/// gets a new thread and a new kernel. Threads sleep their plan's
-/// scripted straggler delays before computing.
-pub(crate) struct ThreadFleet<'a> {
-    instance: &'a UfcInstance,
-    settings: AdmgSettings,
-    active_mu: bool,
-    active_nu: bool,
-    /// Scripted `(iteration, delay)` stragglers per node.
-    stragglers: Vec<Vec<(usize, Duration)>>,
-    /// The iteration the supervisor began last. A node started now has
-    /// already served (or replays) every iteration up to it, so only later
-    /// delays are scripted into its thread.
-    iteration: usize,
-    /// The sending end every node thread gets a clone of, and the receiving
-    /// end the supervisor gathers from.
-    reply_tx: Sender<Reply>,
-    replies: Receiver<Reply>,
-    /// Command channel and thread per node; `None` while the node is down.
-    threads: Vec<Option<(Sender<NodeCmd>, JoinHandle<()>)>>,
-}
-
-impl<'a> ThreadFleet<'a> {
-    /// Starts one thread per node of `instance`.
-    pub(crate) fn launch(
-        instance: &'a UfcInstance,
-        settings: &AdmgSettings,
-        active_mu: bool,
-        active_nu: bool,
-        plan: &FaultPlan,
-    ) -> Self {
-        let m = instance.m_frontends();
-        let nodes = m + instance.n_datacenters();
-        let stragglers = (0..nodes)
-            .map(|id| {
-                let node = if id < m {
-                    NodeId::Frontend(id)
-                } else {
-                    NodeId::Datacenter(id - m)
-                };
-                plan.stragglers_for(node)
-            })
-            .collect();
-        let (reply_tx, replies) = channel();
-        let mut fleet = ThreadFleet {
-            instance,
-            settings: *settings,
-            active_mu,
-            active_nu,
-            stragglers,
-            iteration: 0,
-            reply_tx,
-            replies,
-            threads: (0..nodes).map(|_| None).collect(),
-        };
-        for id in 0..nodes {
-            fleet.spawn(id);
-        }
-        fleet
-    }
-
-    fn spawn(&mut self, id: usize) {
-        let node = Hosted::new(
-            self.instance,
-            &self.settings,
-            self.active_mu,
-            self.active_nu,
-            id,
-        );
-        let after = self.iteration;
-        let delays: Vec<(usize, Duration)> = self.stragglers[id]
-            .iter()
-            .copied()
-            .filter(|&(t, _)| t > after)
-            .collect();
-        let (tx, rx) = channel();
-        let replies = self.reply_tx.clone();
-        let handle = thread::spawn(move || serve(id, node, &delays, &rx, &replies));
-        self.threads[id] = Some((tx, handle));
-    }
-}
-
-/// A worker thread's body: serves commands until `Finish`, a command it
-/// cannot apply, or a closed channel.
-fn serve(
-    id: usize,
-    mut node: Hosted,
-    delays: &[(usize, Duration)],
-    commands: &Receiver<NodeCmd>,
-    replies: &Sender<Reply>,
-) {
-    while let Ok(cmd) = commands.recv() {
-        if let NodeCmd::Predict { iteration } | NodeCmd::Process { iteration, .. } = &cmd {
-            if let Some(&(_, delay)) = delays.iter().find(|&&(t, _)| t == *iteration) {
-                thread::sleep(delay);
-            }
-        }
-        let finish = cmd == NodeCmd::Finish;
-        let Ok(reply) = dispatch(id, &mut node, cmd, id) else {
-            return;
-        };
-        if let Some(reply) = reply {
-            if replies.send(reply).is_err() {
-                return;
-            }
-        }
-        if finish {
-            return;
-        }
-    }
-}
-
-impl Fleet for ThreadFleet<'_> {
-    /// Hands out a reply that has already arrived. Otherwise, when every
-    /// pending node's thread is stopped or finished, no new reply can
-    /// come: it looks at the channel once more (a thread sends before it
-    /// finishes) and returns at once. Otherwise it waits on the channel.
-    fn recv(&mut self, pending: &Pending, timeout: Duration) -> Option<Reply> {
-        if let Ok(reply) = self.replies.try_recv() {
-            return Some(reply);
-        }
-        if !pending.ids().any(|id| self.alive(id)) {
-            return self.replies.try_recv().ok();
-        }
-        self.replies.recv_timeout(timeout).ok()
-    }
-
-    fn send(&mut self, cmds: Vec<(usize, NodeCmd)>) {
-        for (id, cmd) in cmds {
-            if let Some((tx, _)) = &self.threads[id] {
-                let _ = tx.send(cmd);
-            }
-        }
-    }
-
-    fn alive(&mut self, id: usize) -> bool {
-        self.threads[id]
-            .as_ref()
-            .is_some_and(|(_, handle)| !handle.is_finished())
-    }
-
-    fn kill(&mut self, id: usize) {
-        if let Some((tx, handle)) = self.threads[id].take() {
-            drop(tx);
-            let _ = handle.join();
-        }
-    }
-
-    fn start(&mut self, id: usize) -> Result<(), CoreError> {
-        self.kill(id);
-        self.spawn(id);
-        Ok(())
-    }
-
-    fn begin_iteration(&mut self, k: usize, _plan: &FaultPlan) -> Result<(), CoreError> {
-        self.iteration = k;
-        Ok(())
-    }
-
-    /// Stops every node thread: a thread fleet serves one run.
-    fn end_run(
-        &mut self,
-        _clean: bool,
-        _tally: &mut Tally,
-    ) -> (Option<CoreError>, Result<(), CoreError>) {
-        // Close every channel before the first join, so the threads wind
-        // down together.
-        let handles: Vec<JoinHandle<()>> = self
-            .threads
-            .iter_mut()
-            .filter_map(|slot| slot.take().map(|(_, handle)| handle))
-            .collect();
-        let mut result = Ok(());
-        for handle in handles {
-            if handle.join().is_err() {
-                result = Err(CoreError::node_failure(
-                    "worker",
-                    0,
-                    "node thread panicked during shutdown",
-                ));
-            }
-        }
-        (None, result)
-    }
-}
-
 /// The [`Fleet`] of [`crate::Engine::Lockstep`]: every node kernel lives in
 /// the coordinator's thread. A fan-out runs `dispatch` over the
 /// [`WorkerPool`], one task per addressed node, and its replies are queued
@@ -759,7 +568,7 @@ impl<'a> InlineFleet<'a> {
     }
 }
 
-/// Serves one node's share of a fan-out, in order. Like a worker thread,
+/// Serves one node's share of a fan-out, in order. Like a worker process,
 /// the node stops at a command it cannot apply.
 fn serve_inline(id: usize, slot: &mut Option<Hosted>, cmds: Vec<NodeCmd>) -> Vec<Reply> {
     let mut replies = Vec::new();

@@ -1,11 +1,12 @@
 //! Poisoned-data resilience: seeded link-level corruption against the
 //! receivers' checksum verification and the driver's divergence safeguards.
 //!
-//! The contract under test, per engine: with checksums on, corruption
-//! costs bytes and retransmits but never changes the answer; with
-//! checksums off, delivered poison surfaces as a *typed* error (or is
+//! The contract under test, on the lockstep engine: with checksums on,
+//! corruption costs bytes and retransmits but never changes the answer;
+//! with checksums off, delivered poison surfaces as a *typed* error (or is
 //! repaired by checkpoint rollback) — never a panic and never a silently
-//! wrong UFC.
+//! wrong UFC. `ufc-experiments`' `wire_chaos.rs` holds the socket engine
+//! to the same runs.
 
 use proptest::prelude::*;
 use ufc_core::telemetry::IntegrityCounters;
@@ -49,76 +50,44 @@ fn checksummed_corruption_converges_to_the_clean_answer() {
         .expect("clean run must succeed");
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let cfg = CorruptionConfig::new(0.02, 7).with_checksums(true);
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let report = runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()).with_corruption(cfg),
-                &mut (),
-            )
-            .expect("verified links repair every corruption");
-        assert!(report.converged, "{engine:?} must converge");
-        assert_eq!(report.iterations, clean.iterations);
-        // Retransmission delivers the clean copy, so the iterate stream —
-        // and the polished answer — are bit-identical to the clean run.
-        assert_eq!(
-            report.breakdown.ufc().to_bits(),
-            clean.breakdown.ufc().to_bits(),
-            "{engine:?}: checksummed corruption must not move the answer"
-        );
-        assert_eq!(report.stats.data_messages, clean.stats.data_messages);
-        assert!(
-            report.stats.total_bytes > clean.stats.total_bytes,
-            "checksum trailers and resends must cost bytes"
-        );
-        let integrity = report.integrity.expect("corrupt run reports integrity");
-        assert!(integrity.corruptions_injected > 0, "rate 0.02 must strike");
-        // A mangle can land bit-identically (e.g. a magnitude scale of a
-        // 0.0 payload), which the checksum rightly lets through — so
-        // detected may trail injected, but every detection retransmits.
-        assert!(integrity.corruptions_detected <= integrity.corruptions_injected);
-        assert_eq!(integrity.corruptions_delivered, 0);
-        assert_eq!(
-            integrity.checksum_retransmissions,
-            integrity.corruptions_detected
-        );
-        assert!(integrity.checksum_retransmissions > 0);
-        assert_eq!(integrity.divergence_trips, 0);
-    }
-}
-
-#[test]
-fn lockstep_and_threaded_agree_under_corruption() {
-    let inst = slack_instance();
-    let runner = DistributedAdmg::new(AdmgSettings::default());
-    let cfg = CorruptionConfig::new(0.05, 11).with_checksums(true);
-    let lockstep = runner
+    let report = runner
         .execute(
             &inst,
             Strategy::Hybrid,
             &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
             &mut (),
         )
-        .expect("lockstep corrupt run");
-    let threaded = runner
-        .execute(
-            &inst,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded).with_corruption(cfg),
-            &mut (),
-        )
-        .expect("threaded corrupt run");
-    assert_eq!(lockstep.iterations, threaded.iterations);
-    assert_eq!(lockstep.stats, threaded.stats);
-    assert_eq!(lockstep.integrity, threaded.integrity);
+        .expect("verified links repair every corruption");
+    assert!(report.converged);
+    assert_eq!(report.iterations, clean.iterations);
+    // Retransmission delivers the clean copy, so the iterate stream — and
+    // the polished answer — are bit-identical to the clean run.
     assert_eq!(
-        lockstep.breakdown.ufc().to_bits(),
-        threaded.breakdown.ufc().to_bits()
+        report.breakdown.ufc().to_bits(),
+        clean.breakdown.ufc().to_bits(),
+        "checksummed corruption must not move the answer"
     );
+    assert_eq!(report.stats.data_messages, clean.stats.data_messages);
+    assert!(
+        report.stats.total_bytes > clean.stats.total_bytes,
+        "checksum trailers and resends must cost bytes"
+    );
+    let integrity = report.integrity.expect("corrupt run reports integrity");
+    assert!(integrity.corruptions_injected > 0, "rate 0.02 must strike");
+    // A mangle can land bit-identically (e.g. a magnitude scale of a 0.0
+    // payload), which the checksum rightly lets through — so detected may
+    // trail injected, but every detection retransmits.
+    assert!(integrity.corruptions_detected <= integrity.corruptions_injected);
+    assert_eq!(integrity.corruptions_delivered, 0);
+    assert_eq!(
+        integrity.checksum_retransmissions,
+        integrity.corruptions_detected
+    );
+    assert!(integrity.checksum_retransmissions > 0);
+    assert_eq!(integrity.divergence_trips, 0);
 }
 
-/// Exact counters and byte totals of two seeded runs on both engines. A
+/// Exact counters and byte totals of two seeded lockstep runs. A
 /// verifying receiver rejects a copy iff the CRC32 of its 8 value bytes
 /// changed; CRC-32 is affine, so that verdict depends only on the XOR
 /// pattern of the change and matches the verdict of a CRC over any frame
@@ -129,12 +98,12 @@ fn lockstep_and_threaded_agree_under_corruption() {
 fn seeded_runs_keep_their_integrity_counters_and_bytes() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
-    let run = |cfg: CorruptionConfig, engine: Engine| {
+    let run = |cfg: CorruptionConfig| {
         runner
             .execute(
                 &inst,
                 Strategy::Hybrid,
-                &RunSpec::new(engine).with_corruption(cfg),
+                &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
                 &mut (),
             )
             .expect("seeded corrupt run")
@@ -144,38 +113,30 @@ fn seeded_runs_keep_their_integrity_counters_and_bytes() {
     let verified = CorruptionConfig::new(0.05, 11).with_checksums(true);
     // Unverified bit flips: every strike is delivered and moves the run.
     let flips = CorruptionConfig::new(0.02, 1).with_kind(CorruptionKind::BitFlip);
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let report = run(verified, engine.clone());
-        assert_eq!(report.iterations, 206, "{engine:?}");
-        assert_eq!(report.stats.total_bytes, 97_022, "{engine:?}");
-        assert_eq!(
-            report.integrity,
-            Some(IntegrityCounters {
-                corruptions_injected: 84,
-                corruptions_detected: 78,
-                checksum_retransmissions: 78,
-                ..IntegrityCounters::default()
-            }),
-            "{engine:?}"
-        );
-        let report = run(flips, engine.clone());
-        assert_eq!(report.iterations, 236, "{engine:?}");
-        assert_eq!(report.stats.total_bytes, 99_120, "{engine:?}");
-        assert_eq!(
-            report.breakdown.ufc().to_bits(),
-            0xc04a_8ccc_cccc_cccc,
-            "{engine:?}"
-        );
-        assert_eq!(
-            report.integrity,
-            Some(IntegrityCounters {
-                corruptions_injected: 41,
-                corruptions_delivered: 41,
-                ..IntegrityCounters::default()
-            }),
-            "{engine:?}"
-        );
-    }
+    let report = run(verified);
+    assert_eq!(report.iterations, 206);
+    assert_eq!(report.stats.total_bytes, 97_022);
+    assert_eq!(
+        report.integrity,
+        Some(IntegrityCounters {
+            corruptions_injected: 84,
+            corruptions_detected: 78,
+            checksum_retransmissions: 78,
+            ..IntegrityCounters::default()
+        })
+    );
+    let report = run(flips);
+    assert_eq!(report.iterations, 236);
+    assert_eq!(report.stats.total_bytes, 99_120);
+    assert_eq!(report.breakdown.ufc().to_bits(), 0xc04a_8ccc_cccc_cccc);
+    assert_eq!(
+        report.integrity,
+        Some(IntegrityCounters {
+            corruptions_injected: 41,
+            corruptions_delivered: 41,
+            ..IntegrityCounters::default()
+        })
+    );
 }
 
 #[test]
@@ -183,25 +144,23 @@ fn unverified_nan_corruption_is_a_typed_error_not_a_panic() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let cfg = CorruptionConfig::new(0.05, 3).with_kind(CorruptionKind::NanSubstitution);
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let err = runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()).with_corruption(cfg),
-                &mut (),
-            )
-            .expect_err("a delivered NaN must fail the run");
-        match err {
-            CoreError::Divergence { node, context, .. } => {
-                assert!(node.is_some(), "{engine:?}: the receiver is named");
-                assert!(
-                    context.contains("non-finite"),
-                    "{engine:?}: context names the poison: {context}"
-                );
-            }
-            other => panic!("{engine:?}: expected Divergence, got {other}"),
+    let err = runner
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+            &mut (),
+        )
+        .expect_err("a delivered NaN must fail the run");
+    match err {
+        CoreError::Divergence { node, context, .. } => {
+            assert!(node.is_some(), "the receiver is named");
+            assert!(
+                context.contains("non-finite"),
+                "context names the poison: {context}"
+            );
         }
+        other => panic!("expected Divergence, got {other}"),
     }
 }
 
@@ -214,24 +173,19 @@ fn exhausted_retransmit_budget_is_a_typed_error() {
     let cfg = CorruptionConfig::new(0.999, 5)
         .with_max_retransmits(1)
         .with_checksums(true);
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let err = runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()).with_corruption(cfg),
-                &mut (),
-            )
-            .expect_err("an unrepairable link must fail the run");
-        match err {
-            CoreError::CorruptPayload { node, .. } => {
-                assert!(
-                    node.contains('→'),
-                    "{engine:?}: the failing link is named: {node}"
-                );
-            }
-            other => panic!("{engine:?}: expected CorruptPayload, got {other}"),
+    let err = runner
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+            &mut (),
+        )
+        .expect_err("an unrepairable link must fail the run");
+    match err {
+        CoreError::CorruptPayload { node, .. } => {
+            assert!(node.contains('→'), "the failing link is named: {node}");
         }
+        other => panic!("expected CorruptPayload, got {other}"),
     }
 }
 
@@ -273,7 +227,7 @@ fn rate_zero_without_checksums_is_bit_identical_to_a_plain_run() {
 }
 
 #[test]
-fn rollback_repairs_a_poisoned_run_in_both_engines() {
+fn rollback_repairs_a_poisoned_run() {
     let inst = slack_instance();
     let settings = AdmgSettings::default()
         .with_divergence_gate(10.0, 1)
@@ -319,33 +273,9 @@ fn rollback_repairs_a_poisoned_run_in_both_engines() {
         lockstep.breakdown.ufc(),
         clean.breakdown.ufc()
     );
-    // Both engines make the identical trip/rollback decisions.
-    let threaded = runner
-        .execute(
-            &inst,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded).with_corruption(cfg),
-            &mut (),
-        )
-        .expect("rollback must repair the threaded run");
-    assert_eq!(lockstep.iterations, threaded.iterations);
-    assert_eq!(lockstep.integrity, threaded.integrity);
-    assert_eq!(
-        lockstep.breakdown.ufc().to_bits(),
-        threaded.breakdown.ufc().to_bits()
-    );
-    // ...and report the checkpointing alike, in the telemetry too.
-    assert_eq!(lockstep.fault, threaded.fault);
-    let fault_section = |report: &ufc_distsim::DistRunReport| {
-        report
-            .telemetry
-            .as_ref()
-            .expect("telemetry was on")
-            .fault
-            .is_some()
-    };
-    assert!(fault_section(&lockstep));
-    assert_eq!(fault_section(&lockstep), fault_section(&threaded));
+    // The checkpointing shows in the telemetry too.
+    let telemetry = lockstep.telemetry.expect("telemetry was on");
+    assert!(telemetry.fault.is_some());
 }
 
 proptest! {

@@ -51,36 +51,6 @@ fn lockstep_equals_in_memory_solver_at_paper_scale() {
 }
 
 #[test]
-fn threaded_equals_lockstep_at_paper_scale() {
-    let scenario = ScenarioBuilder::paper_default()
-        .hours(2)
-        .build()
-        .expect("paper-default scenario must build");
-    let dist = DistributedAdmg::new(AdmgSettings::default());
-    for inst in &scenario.instances {
-        let lock = dist
-            .execute(
-                inst,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Lockstep),
-                &mut (),
-            )
-            .expect("lockstep run must succeed on a paper-default instance");
-        let thr = dist
-            .execute(
-                inst,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Threaded),
-                &mut (),
-            )
-            .expect("threaded run must succeed on a paper-default instance");
-        assert_eq!(lock.iterations, thr.iterations);
-        assert_eq!(lock.stats, thr.stats);
-        assert!((lock.breakdown.ufc() - thr.breakdown.ufc()).abs() < 1e-9);
-    }
-}
-
-#[test]
 fn message_complexity_is_linear_in_pairs() {
     let scenario = ScenarioBuilder::paper_default()
         .hours(1)

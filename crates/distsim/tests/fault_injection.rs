@@ -4,8 +4,9 @@
 //! permanent crashes degrade to the surviving datacenters.
 //!
 //! The lockstep fault reports below are pinned to the values the earlier
-//! stand-alone lockstep engine produced; the lockstep and threaded fleets
-//! are held to them and to each other.
+//! stand-alone lockstep engine produced. The socket tests of
+//! `ufc-experiments` (`socket_recovery.rs`, `wire_chaos.rs`) hold the
+//! process fleet to the lockstep runs.
 
 use std::time::{Duration, Instant};
 
@@ -68,10 +69,10 @@ fn permanent_crash(phase_timeout: Duration) -> FaultPlan {
         .with_phase_timeout(phase_timeout)
 }
 
-/// A run on `engine` that drops each copy with probability `rate`.
-fn lossy(engine: Engine, rate: f64, seed: u64) -> RunSpec {
+/// A lockstep run that drops each copy with probability `rate`.
+fn lossy(rate: f64, seed: u64) -> RunSpec {
     let drops = CorruptionConfig::new(rate, seed).with_kind(CorruptionKind::Drop);
-    RunSpec::new(engine).with_corruption(drops)
+    RunSpec::new(Engine::Lockstep).with_corruption(drops)
 }
 
 #[test]
@@ -96,7 +97,7 @@ fn crash_and_recover_matches_clean_run() {
         .execute(
             &inst,
             Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded).with_plan(plan),
+            &RunSpec::new(Engine::Lockstep).with_plan(plan),
             &mut (),
         )
         .expect("crash-and-recover plan must complete");
@@ -127,7 +128,7 @@ fn crash_and_recover_matches_clean_run() {
 }
 
 #[test]
-fn lockstep_and_threaded_agree_under_faults() {
+fn faulty_lockstep_runs_keep_their_pinned_reports() {
     let inst = slack_instance();
     let runner = DistributedAdmg::new(AdmgSettings::default());
     let faulty = FaultPlan::new()
@@ -149,8 +150,7 @@ fn lockstep_and_threaded_agree_under_faults() {
         partition_retransmissions: 0,
         ufc_delta_vs_clean: 0.0,
     };
-    // The empty plan too: both engines must agree that it has no fault
-    // section.
+    // The empty plan too: it has no fault section.
     for (plan, fault, control, bytes) in [
         (faulty, Some(pinned), 1852, 107_328),
         (FaultPlan::none(), None, 1648, 86_520),
@@ -159,31 +159,15 @@ fn lockstep_and_threaded_agree_under_faults() {
             .execute(
                 &inst,
                 Strategy::Hybrid,
-                &RunSpec::new(Engine::Lockstep).with_plan(plan.clone()),
+                &RunSpec::new(Engine::Lockstep).with_plan(plan),
                 &mut (),
             )
             .expect("faulty lockstep run must complete");
-        let threaded = runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Threaded).with_plan(plan),
-                &mut (),
-            )
-            .expect("faulty threaded run must complete");
-
         assert_outcome(
             &lockstep,
             (206, 1648, control, bytes, 0xc04a_8ccc_ce1e_f4c0),
         );
         assert_eq!(lockstep.fault, fault);
-        assert_eq!(lockstep.iterations, threaded.iterations);
-        assert_eq!(lockstep.stats, threaded.stats);
-        assert_eq!(lockstep.fault, threaded.fault);
-        assert_eq!(
-            lockstep.breakdown.ufc().to_bits(),
-            threaded.breakdown.ufc().to_bits()
-        );
     }
 }
 
@@ -199,18 +183,17 @@ fn permanent_crash_degrades_gracefully() {
             &mut (),
         )
         .expect("clean lockstep run must succeed");
-    let plan = permanent_crash(Duration::from_millis(40));
-    let lockstep = runner
+    let degraded = runner
         .execute(
             &inst,
             Strategy::Hybrid,
-            &RunSpec::new(Engine::Lockstep).with_plan(plan.clone()),
+            &RunSpec::new(Engine::Lockstep).with_plan(permanent_crash(Duration::from_millis(40))),
             &mut (),
         )
         .expect("a permanent datacenter crash must degrade, not error");
-    assert_outcome(&lockstep, (87, 358, 594, 30_461, 0xc04a_909b_119e_8a78));
+    assert_outcome(&degraded, (87, 358, 594, 30_461, 0xc04a_909b_119e_8a78));
     assert_eq!(
-        lockstep.fault,
+        degraded.fault,
         Some(FaultReport {
             crashes_observed: 1,
             downtime_attempts: 3,
@@ -221,17 +204,6 @@ fn permanent_crash_degrades_gracefully() {
             ..FaultReport::default()
         })
     );
-    let degraded = runner
-        .execute(
-            &inst,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded).with_plan(plan),
-            &mut (),
-        )
-        .expect("a permanent datacenter crash must degrade, not error");
-    assert_eq!(degraded.stats, lockstep.stats);
-    assert_eq!(degraded.fault, lockstep.fault);
-    assert_eq!(degraded.point, lockstep.point);
 
     let fault = degraded.fault.expect("fault report");
     // The dead datacenter is pinned to zero; survivors carry all load.
@@ -296,41 +268,6 @@ fn lockstep_declares_dead_nodes_without_waiting_out_the_ladder() {
     assert!(long.estimated_wan_seconds > short.estimated_wan_seconds);
 }
 
-/// The thread fleet's twin of the lockstep test above: a killed node's
-/// thread is gone, so once the replies that arrived are handed out the
-/// gather declares it dead at once instead of blocking out a 70 s ladder,
-/// and the run equals lockstep's.
-#[test]
-fn threads_declare_dead_nodes_without_waiting_out_the_ladder() {
-    let inst = slack_instance();
-    let runner = DistributedAdmg::new(AdmgSettings::default());
-    let run = |engine| {
-        runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(engine).with_plan(permanent_crash(Duration::from_secs(10))),
-                &mut (),
-            )
-            .expect("a permanent datacenter crash must degrade, not error")
-    };
-    let lockstep = run(Engine::Lockstep);
-    let start = Instant::now();
-    let threaded = run(Engine::Threaded);
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "a 70 s ladder took {elapsed:?} on the thread fleet"
-    );
-    assert_eq!(threaded.iterations, lockstep.iterations);
-    assert_eq!(threaded.stats, lockstep.stats);
-    assert_eq!(
-        threaded.breakdown.ufc().to_bits(),
-        lockstep.breakdown.ufc().to_bits()
-    );
-    assert_eq!(threaded.fault, lockstep.fault);
-}
-
 #[test]
 fn eviction_then_readmission_completes() {
     let inst = slack_instance();
@@ -340,33 +277,30 @@ fn eviction_then_readmission_completes() {
     let plan = FaultPlan::new()
         .crash_and_recover(NodeId::Datacenter(1), 2, 5)
         .with_phase_timeout(Duration::from_millis(40));
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let report = runner
-            .execute(
-                &inst,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()).with_plan(plan.clone()),
-                &mut (),
-            )
-            .expect("eviction-then-readmission plan must complete");
-        assert_outcome(&report, (210, 1674, 1891, 109_541, 0xc04a_8ccc_cd51_5f2a));
-        assert_eq!(
-            report.fault,
-            Some(FaultReport {
-                crashes_observed: 1,
-                downtime_attempts: 5,
-                downtime_seconds: 0.840_000_000_000_000_1,
-                checkpoints_taken: 53,
-                evicted: vec![1],
-                readmitted: vec![1],
-                ufc_delta_vs_clean: f64::from_bits(0x3e79_b2b2_c000_0000),
-                ..FaultReport::default()
-            }),
-            "{engine:?}"
-        );
-        assert!(report.converged, "readmitted run must converge");
-        assert!(report.point.feasibility_residual(&inst) < 1e-6);
-    }
+    let report = runner
+        .execute(
+            &inst,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_plan(plan),
+            &mut (),
+        )
+        .expect("eviction-then-readmission plan must complete");
+    assert_outcome(&report, (210, 1674, 1891, 109_541, 0xc04a_8ccc_cd51_5f2a));
+    assert_eq!(
+        report.fault,
+        Some(FaultReport {
+            crashes_observed: 1,
+            downtime_attempts: 5,
+            downtime_seconds: 0.840_000_000_000_000_1,
+            checkpoints_taken: 53,
+            evicted: vec![1],
+            readmitted: vec![1],
+            ufc_delta_vs_clean: f64::from_bits(0x3e79_b2b2_c000_0000),
+            ..FaultReport::default()
+        })
+    );
+    assert!(report.converged, "readmitted run must converge");
+    assert!(report.point.feasibility_residual(&inst) < 1e-6);
 }
 
 #[test]
@@ -381,7 +315,7 @@ fn unplanned_missing_frontend_is_a_typed_error() {
         .execute(
             &inst,
             Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded).with_plan(plan),
+            &RunSpec::new(Engine::Lockstep).with_plan(plan),
             &mut (),
         )
         .unwrap_err();
@@ -449,12 +383,7 @@ fn lossy_run_is_result_identical_to_lossless() {
         )
         .expect("lossless lockstep run must succeed");
     let dropped = runner
-        .execute(
-            inst,
-            Strategy::Hybrid,
-            &lossy(Engine::Lockstep, 0.2, 99),
-            &mut (),
-        )
+        .execute(inst, Strategy::Hybrid, &lossy(0.2, 99), &mut ())
         .expect("lossy run must succeed: retransmission hides all loss");
 
     assert_eq!(clean.iterations, dropped.iterations);
@@ -484,43 +413,13 @@ fn cost_grows_with_loss_rate() {
     let runner = DistributedAdmg::new(AdmgSettings::default());
 
     let mild = runner
-        .execute(
-            inst,
-            Strategy::Hybrid,
-            &lossy(Engine::Lockstep, 0.05, 7),
-            &mut (),
-        )
+        .execute(inst, Strategy::Hybrid, &lossy(0.05, 7), &mut ())
         .expect("mildly lossy run must succeed");
     let harsh = runner
-        .execute(
-            inst,
-            Strategy::Hybrid,
-            &lossy(Engine::Lockstep, 0.4, 7),
-            &mut (),
-        )
+        .execute(inst, Strategy::Hybrid, &lossy(0.4, 7), &mut ())
         .expect("harshly lossy run must succeed");
     assert!(harsh.retransmissions > mild.retransmissions);
     assert!(harsh.estimated_wan_seconds > mild.estimated_wan_seconds);
-    // The threaded engine draws the same drops in the same link order, and
-    // resending until delivery (no budget) lands it on the clean point.
-    let clean = runner
-        .execute(
-            inst,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Lockstep),
-            &mut (),
-        )
-        .expect("lossless lockstep run must succeed");
-    let threaded = runner
-        .execute(
-            inst,
-            Strategy::Hybrid,
-            &lossy(Engine::Threaded, 0.4, 7),
-            &mut (),
-        )
-        .expect("harshly lossy threaded run must succeed");
-    assert_eq!(threaded.point, clean.point);
-    assert_eq!(threaded.retransmissions, harsh.retransmissions);
     // Sanity: expected retransmissions ≈ messages × p/(1−p).
     let msgs = mild.stats.data_messages as f64;
     let expected = msgs * 0.05 / 0.95;
@@ -549,12 +448,7 @@ fn zero_loss_is_free() {
         )
         .expect("lossless lockstep run must succeed");
     let lossy0 = runner
-        .execute(
-            inst,
-            Strategy::Hybrid,
-            &lossy(Engine::Lockstep, 0.0, 1),
-            &mut (),
-        )
+        .execute(inst, Strategy::Hybrid, &lossy(0.0, 1), &mut ())
         .expect("zero-loss lossy run must succeed");
     assert_eq!(lossy0.retransmissions, 0);
     assert_eq!(lossy0.stats.total_bytes, clean.stats.total_bytes);

@@ -19,7 +19,7 @@
 //!   forecast   extension: UFC regret when acting on forecasted arrivals
 //!   faults     extension: crash/straggler injection and degraded-mode cost
 //!   chaos      extension: corruption-rate sweep of the checksummed wire
-//!              codec and divergence safeguards, both distributed engines;
+//!              codec and divergence safeguards on the lockstep engine;
 //!              `--engine sockets` runs the sweep over the multi-process
 //!              socket engine's real TCP frames instead, including the
 //!              wire-level kinds (frame truncate/duplicate/reorder);
@@ -30,15 +30,15 @@
 //!              for CI smoke runs
 //!   storage    extension: receding-horizon battery + fuel-cell ramp study
 //!              (the 5th ADM-G block) over the 24-hour trace, lockstep vs
-//!              threaded bit-compared each hour; `--quick` shrinks the
-//!              horizon for CI smoke runs
+//!              the in-process solver bit-compared each hour; `--quick`
+//!              shrinks the horizon for CI smoke runs
 //!   wsweep     extension: latency-weight (w) Pareto sweep
 //!   bench      solver hot-path wall-clock (writes BENCH_solver.json);
 //!              fails when the largest size's cost per routing variable
 //!              per iteration exceeds 3x the 1-thread 32x4 leg's;
 //!              `--quick` shrinks the workload for CI smoke runs
 //!   trace      run-telemetry JSONL trace of one instrumented solve;
-//!              `--engine inprocess|lockstep|threaded|faulty|corrupt|sockets`
+//!              `--engine inprocess|lockstep|faulty|corrupt|sockets`
 //!              picks the execution engine, `--check` validates the emitted
 //!              JSON and counter invariants
 //!   verify     self-test: centralized / in-memory / distributed agreement
@@ -608,14 +608,13 @@ fn run_chaos(opts: &Options, settings: AdmgSettings) -> Result<(), Box<dyn std::
         (opts.hours.min(24), &chaos::CORRUPTION_RATES)
     };
     let study = chaos::run_rates(opts.seed, hours, settings, rates)?;
-    println!("== Extension: corruption chaos sweep ({hours} hours per cell) ==");
+    println!("== Extension: corruption chaos sweep ({hours} hours per cell, lockstep) ==");
     let rows: Vec<Vec<String>> = study
         .points
         .iter()
         .map(|p| {
             vec![
                 format!("{:.0e}", p.rate),
-                format!("{:?}", p.engine).to_lowercase(),
                 if p.verified { "on" } else { "off" }.to_owned(),
                 format!(
                     "{}/{}/{}",
@@ -635,7 +634,6 @@ fn run_chaos(opts: &Options, settings: AdmgSettings) -> Result<(), Box<dyn std::
         text_table(
             &[
                 "rate",
-                "engine",
                 "crc",
                 "ok/div/exh",
                 "injected",
@@ -841,9 +839,9 @@ fn run_storage(opts: &Options, settings: AdmgSettings) -> Result<(), Box<dyn std
         return Err("a storage-study solve failed to converge".into());
     }
     if !study.all_bitwise() {
-        return Err("lockstep and threaded storage runs diverged bitwise".into());
+        return Err("lockstep and in-process storage runs diverged bitwise".into());
     }
-    println!("lockstep and threaded engines agreed bit-for-bit in every hour\n");
+    println!("lockstep and the in-process solver agreed bit-for-bit in every hour\n");
     if let Some(dir) = &opts.csv_dir {
         write_csv(dir, "storage_horizon", &study.csv())?;
         println!("(csv written to {})", dir.display());
@@ -962,11 +960,11 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     }
     match &report.socket {
         Some(s) => println!(
-            "socket engine: {:.3} ms/iter vs {:.3} ms/iter threaded ({:.2}x overhead, {} iters); \
+            "socket engine: {:.3} ms/iter vs {:.4} ms/iter lockstep ({:.2}x overhead, {} iters); \
              {:.3} ms/iter on {} co-hosting processes; on a parked fleet {:.4} (q1 {:.4}, q3 \
-             {:.4}) and {:.4} ms/iter (threaded and parked: median of {} runs)",
+             {:.4}) and {:.4} ms/iter (lockstep and parked: median of {} runs)",
             s.socket_per_iter_ms(),
-            s.threaded_per_iter_ms(),
+            s.lockstep_per_iter_ms(),
             s.overhead(),
             s.iterations,
             s.cohosted_per_iter_ms(),
@@ -993,7 +991,7 @@ fn run_trace(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
     let engine = trace::TraceEngine::parse(&opts.engine).ok_or_else(|| {
         format!(
-            "unknown --engine {:?} (expected inprocess|lockstep|threaded|faulty|corrupt|sockets)",
+            "unknown --engine {:?} (expected inprocess|lockstep|faulty|corrupt|sockets)",
             opts.engine
         )
     })?;
@@ -1037,7 +1035,7 @@ fn run_verify(opts: &Options, settings: AdmgSettings) -> Result<(), Box<dyn std:
         let net = dist.execute(
             inst,
             Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded),
+            &RunSpec::new(Engine::Lockstep),
             &mut (),
         )?;
         let cen = centralized::solve(inst, Strategy::Hybrid, centralized::Backend::Admm)?;

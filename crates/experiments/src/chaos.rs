@@ -2,8 +2,8 @@
 //!
 //! Geo-distributed WAN links do not just drop packets — they occasionally
 //! deliver *wrong bytes* (bit rot, faulty NICs, middlebox bugs). This
-//! extension sweeps seeded corruption rates over both distributed engines
-//! in two postures: **verified** (CRC32-framed payloads, corrupt copies
+//! extension sweeps seeded corruption rates over the lockstep engine in
+//! two postures: **verified** (CRC32-framed payloads, corrupt copies
 //! detected on receive and retransmitted — the run must reach the clean
 //! operating point bit-for-bit) and **unverified** (poison is delivered
 //! and the driver's divergence gate is the only line of defense — runs
@@ -24,13 +24,11 @@ use crate::parallel::{default_threads, par_map};
 /// Per-payload corruption probabilities swept by the study.
 pub const CORRUPTION_RATES: [f64; 4] = [0.0, 1e-4, 1e-3, 1e-2];
 
-/// Aggregate over all hours for one (rate, engine, posture) cell.
+/// Aggregate over all hours for one (rate, posture) cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPoint {
     /// Per-payload corruption probability.
     pub rate: f64,
-    /// Execution engine the cell ran on.
-    pub engine: Engine,
     /// Whether receivers verified CRC32 checksums.
     pub verified: bool,
     /// Hours attempted.
@@ -61,7 +59,7 @@ pub struct ChaosPoint {
 /// The full study result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosStudy {
-    /// One aggregate per (rate, engine, posture) cell.
+    /// One aggregate per (rate, posture) cell.
     pub points: Vec<ChaosPoint>,
 }
 
@@ -77,8 +75,8 @@ enum HourOutcome {
 }
 
 /// Runs the sweep over `hours` hourly instances for every
-/// [`CORRUPTION_RATES`] entry × engine × checksum posture. Typed
-/// corruption/divergence failures end only their own hour and are
+/// [`CORRUPTION_RATES`] entry × checksum posture on the lockstep engine.
+/// Typed corruption/divergence failures end only their own hour and are
 /// tallied; anything else propagates.
 ///
 /// # Errors
@@ -124,75 +122,72 @@ pub fn run_rates(
 
     let mut points = Vec::new();
     for (r, &rate) in rates.iter().enumerate() {
-        for engine in [Engine::Lockstep, Engine::Threaded] {
-            for verified in [true, false] {
-                let outcomes = par_map(&hour_ids, default_threads(), |_, &t| {
-                    let inst = &scenario.instances[t];
-                    // One independent, reproducible stream per (rate, hour).
-                    let cfg_seed = seed
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add((r * hours + t) as u64);
-                    let cfg = CorruptionConfig::try_new(rate, cfg_seed)?.with_checksums(verified);
-                    match runner.execute(
-                        inst,
-                        Strategy::Hybrid,
-                        &RunSpec::new(engine.clone()).with_corruption(cfg),
-                        &mut (),
-                    ) {
-                        Ok(report) => {
-                            let (clean_ufc, clean_bytes) = baselines[t];
-                            let delta = report.breakdown.ufc() - clean_ufc;
-                            Ok(HourOutcome::Converged {
-                                integrity: report.integrity.unwrap_or_default(),
-                                extra_bytes: (report.stats.total_bytes as f64 - clean_bytes as f64)
-                                    / clean_bytes as f64,
-                                rel_delta: delta.abs() / clean_ufc.abs().max(1.0),
-                            })
-                        }
-                        Err(CoreError::Divergence { .. }) => Ok(HourOutcome::Diverged),
-                        Err(CoreError::CorruptPayload { .. }) => Ok(HourOutcome::Exhausted),
-                        Err(e) => Err(e),
+        for verified in [true, false] {
+            let outcomes = par_map(&hour_ids, default_threads(), |_, &t| {
+                let inst = &scenario.instances[t];
+                // One independent, reproducible stream per (rate, hour).
+                let cfg_seed = seed
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add((r * hours + t) as u64);
+                let cfg = CorruptionConfig::try_new(rate, cfg_seed)?.with_checksums(verified);
+                match runner.execute(
+                    inst,
+                    Strategy::Hybrid,
+                    &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
+                    &mut (),
+                ) {
+                    Ok(report) => {
+                        let (clean_ufc, clean_bytes) = baselines[t];
+                        let delta = report.breakdown.ufc() - clean_ufc;
+                        Ok(HourOutcome::Converged {
+                            integrity: report.integrity.unwrap_or_default(),
+                            extra_bytes: (report.stats.total_bytes as f64 - clean_bytes as f64)
+                                / clean_bytes as f64,
+                            rel_delta: delta.abs() / clean_ufc.abs().max(1.0),
+                        })
                     }
-                });
-
-                let mut point = ChaosPoint {
-                    rate,
-                    engine: engine.clone(),
-                    verified,
-                    hours_attempted: hour_ids.len(),
-                    hours_converged: 0,
-                    hours_diverged: 0,
-                    hours_exhausted: 0,
-                    corruptions_injected: 0,
-                    corruptions_detected: 0,
-                    corruptions_delivered: 0,
-                    retransmissions: 0,
-                    mean_extra_bytes: 0.0,
-                    max_abs_ufc_delta: 0.0,
-                };
-                let mut extra_sum = 0.0;
-                for outcome in outcomes {
-                    match outcome? {
-                        HourOutcome::Converged {
-                            integrity,
-                            extra_bytes,
-                            rel_delta,
-                        } => {
-                            point.hours_converged += 1;
-                            point.corruptions_injected += integrity.corruptions_injected;
-                            point.corruptions_detected += integrity.corruptions_detected;
-                            point.corruptions_delivered += integrity.corruptions_delivered;
-                            point.retransmissions += integrity.checksum_retransmissions;
-                            extra_sum += extra_bytes;
-                            point.max_abs_ufc_delta = point.max_abs_ufc_delta.max(rel_delta);
-                        }
-                        HourOutcome::Diverged => point.hours_diverged += 1,
-                        HourOutcome::Exhausted => point.hours_exhausted += 1,
-                    }
+                    Err(CoreError::Divergence { .. }) => Ok(HourOutcome::Diverged),
+                    Err(CoreError::CorruptPayload { .. }) => Ok(HourOutcome::Exhausted),
+                    Err(e) => Err(e),
                 }
-                point.mean_extra_bytes = extra_sum / point.hours_converged.max(1) as f64;
-                points.push(point);
+            });
+
+            let mut point = ChaosPoint {
+                rate,
+                verified,
+                hours_attempted: hour_ids.len(),
+                hours_converged: 0,
+                hours_diverged: 0,
+                hours_exhausted: 0,
+                corruptions_injected: 0,
+                corruptions_detected: 0,
+                corruptions_delivered: 0,
+                retransmissions: 0,
+                mean_extra_bytes: 0.0,
+                max_abs_ufc_delta: 0.0,
+            };
+            let mut extra_sum = 0.0;
+            for outcome in outcomes {
+                match outcome? {
+                    HourOutcome::Converged {
+                        integrity,
+                        extra_bytes,
+                        rel_delta,
+                    } => {
+                        point.hours_converged += 1;
+                        point.corruptions_injected += integrity.corruptions_injected;
+                        point.corruptions_detected += integrity.corruptions_detected;
+                        point.corruptions_delivered += integrity.corruptions_delivered;
+                        point.retransmissions += integrity.checksum_retransmissions;
+                        extra_sum += extra_bytes;
+                        point.max_abs_ufc_delta = point.max_abs_ufc_delta.max(rel_delta);
+                    }
+                    HourOutcome::Diverged => point.hours_diverged += 1,
+                    HourOutcome::Exhausted => point.hours_exhausted += 1,
+                }
             }
+            point.mean_extra_bytes = extra_sum / point.hours_converged.max(1) as f64;
+            points.push(point);
         }
     }
     Ok(ChaosStudy { points })
@@ -209,13 +204,11 @@ impl ChaosStudy {
             .all(|p| p.hours_converged == p.hours_attempted && p.max_abs_ufc_delta == 0.0)
     }
 
-    /// CSV with one row per (rate, engine, posture) cell; the engine
-    /// column is 0 for lockstep, 1 for threaded.
+    /// CSV with one row per (rate, posture) cell.
     #[must_use]
     pub fn csv(&self) -> Csv {
         let mut csv = Csv::new(&[
             "corruption_rate",
-            "engine",
             "verified",
             "hours_converged",
             "hours_diverged",
@@ -230,7 +223,6 @@ impl ChaosStudy {
         for p in &self.points {
             csv.push_row(&[
                 p.rate,
-                f64::from(u8::from(p.engine == Engine::Threaded)),
                 f64::from(u8::from(p.verified)),
                 p.hours_converged as f64,
                 p.hours_diverged as f64,
@@ -462,8 +454,8 @@ mod tests {
             &[0.0, 1e-3],
         )
         .unwrap();
-        // 2 rates × 2 engines × 2 postures.
-        assert_eq!(study.points.len(), 8);
+        // 2 rates × 2 postures.
+        assert_eq!(study.points.len(), 4);
         assert!(study.verified_cells_clean());
 
         for p in &study.points {
@@ -491,17 +483,6 @@ mod tests {
                     "delivered poison must be accounted"
                 );
             }
-        }
-
-        // Both engines agree cell for cell.
-        for pair in study.points.chunks(4) {
-            let [lock_v, lock_u, thr_v, thr_u] = pair else {
-                panic!("cells come in fours");
-            };
-            assert_eq!(lock_v.hours_converged, thr_v.hours_converged);
-            assert_eq!(lock_v.corruptions_injected, thr_v.corruptions_injected);
-            assert_eq!(lock_u.hours_diverged, thr_u.hours_diverged);
-            assert_eq!(lock_u.corruptions_delivered, thr_u.corruptions_delivered);
         }
     }
 }

@@ -9,9 +9,9 @@
 //!   datacenters, `p₀` below/above/crossing every grid price,
 //!   near-singular Hessians, infeasible totals);
 //! * the *engines* solve each valid case on the in-process solver (with
-//!   the sampled thread count and again on one thread), the lockstep and
-//!   threaded runtimes, and — on a sampled subset — the multi-process
-//!   socket runtime;
+//!   the sampled thread count and again on one thread), the lockstep
+//!   runtime, and — on a sampled subset — the multi-process socket
+//!   runtime;
 //! * the *oracles* cross-check bit-identity between engines, every exact
 //!   λ-row and a-column kernel against the dense active-set reference
 //!   steps, feasibility of the polished point, the centralized QP's UFC
@@ -80,9 +80,9 @@ pub struct FuzzCase {
     pub fault_seed: Option<u64>,
     /// Seed of the corruption leg (`None` skips it): drives §12 value
     /// corruption through the verified posture (repair + bitwise-clean
-    /// point, nothing delivered) and the unverified posture (lockstep and
-    /// threaded agree on the outcome, errors stay in the typed
-    /// corruption/divergence classes).
+    /// point, nothing delivered) and the unverified posture (errors stay in
+    /// the typed corruption/divergence classes, and lockstep and the
+    /// socket engine, when sampled, agree on the outcome).
     pub corrupt_seed: Option<u64>,
 }
 
@@ -465,42 +465,26 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
                     format!("knob sets reject differently: `{a}` vs `{b}`"),
                 ));
             }
-            // The distributed engines must reject with the same error.
-            let dist = DistributedAdmg::new(main_settings);
-            for (name, run) in [
-                (
-                    "lockstep",
-                    dist.execute(
-                        &inst,
-                        case.strategy,
-                        &RunSpec::new(Engine::Lockstep),
-                        &mut (),
-                    ),
-                ),
-                (
-                    "threaded",
-                    dist.execute(
-                        &inst,
-                        case.strategy,
-                        &RunSpec::new(Engine::Threaded),
-                        &mut (),
-                    ),
-                ),
-            ] {
-                match run {
-                    Err(e) if error_key(&e) == error_key(&a) => {}
-                    Err(e) => {
-                        return Err(fail(
-                            "error-divergence",
-                            format!("{name} rejects with `{e}`, in-process with `{a}`"),
-                        ));
-                    }
-                    Ok(_) => {
-                        return Err(fail(
-                            "error-divergence",
-                            format!("{name} solves what the in-process engine rejects (`{a}`)"),
-                        ));
-                    }
+            // The lockstep engine must reject with the same error.
+            let lockstep = DistributedAdmg::new(main_settings).execute(
+                &inst,
+                case.strategy,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            );
+            match lockstep {
+                Err(e) if error_key(&e) == error_key(&a) => {}
+                Err(e) => {
+                    return Err(fail(
+                        "error-divergence",
+                        format!("lockstep rejects with `{e}`, in-process with `{a}`"),
+                    ));
+                }
+                Ok(_) => {
+                    return Err(fail(
+                        "error-divergence",
+                        format!("lockstep solves what the in-process engine rejects (`{a}`)"),
+                    ));
                 }
             }
             return Ok(CaseOutcome::Rejected);
@@ -529,32 +513,59 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     }
     check_block_kernels(&inst, case.strategy, main_settings.rho, mem.iterations)?;
 
-    // --- Engine bit-identity: lockstep and threaded runtimes, same knobs.
-    // Each engine streams its per-iterate residuals through an observer,
-    // so the whole KKT trajectory — not just the final point — is
-    // cross-checked against the in-process history.
+    // --- Engine bit-identity: the lockstep runtime, same knobs. It streams
+    // its per-iterate residuals through an observer, so the whole KKT
+    // trajectory — not just the final point — is cross-checked against the
+    // in-process history.
     let dist = DistributedAdmg::new(main_settings);
-    for (name, engine) in [
-        ("lockstep", Engine::Lockstep),
-        ("threaded", Engine::Threaded),
-    ] {
-        let mut recorder = HistoryRecorder::default();
+    let mut recorder = HistoryRecorder::default();
+    let rep = dist
+        .execute(
+            &inst,
+            case.strategy,
+            &RunSpec::new(Engine::Lockstep),
+            &mut recorder,
+        )
+        .map_err(|e| {
+            fail(
+                "engine-divergence",
+                format!("lockstep fails (`{e}`) where the in-process engine solves"),
+            )
+        })?;
+    if rep.iterations != mem.iterations || rep.point != mem.point || rep.converged != mem.converged
+    {
+        return Err(fail(
+            "engine-divergence",
+            format!(
+                "lockstep disagrees with in-process: iterations {} vs {}, UFC {} vs {}",
+                rep.iterations,
+                mem.iterations,
+                rep.breakdown.ufc(),
+                mem.breakdown.ufc()
+            ),
+        ));
+    }
+    check_residual_trajectory("lockstep", &mem.history, &recorder.into_history())?;
+
+    // --- Socket engine on the sampled subset.
+    let socket = worker
+        .filter(|_| case.socket)
+        .map(|worker| Engine::Sockets(SocketOptions::new(worker)));
+    if let Some(engine) = &socket {
         let rep = dist
-            .execute(&inst, case.strategy, &RunSpec::new(engine), &mut recorder)
+            .execute(&inst, case.strategy, &RunSpec::new(engine.clone()), &mut ())
             .map_err(|e| {
                 fail(
                     "engine-divergence",
-                    format!("{name} fails (`{e}`) where the in-process engine solves"),
+                    format!("socket engine fails (`{e}`) where in-process solves"),
                 )
             })?;
-        if rep.iterations != mem.iterations
-            || rep.point != mem.point
-            || rep.converged != mem.converged
-        {
+        if rep.iterations != mem.iterations || rep.point != mem.point {
             return Err(fail(
                 "engine-divergence",
                 format!(
-                    "{name} disagrees with in-process: iterations {} vs {}, UFC {} vs {}",
+                    "socket engine disagrees with in-process: iterations {} vs {}, \
+                     UFC {} vs {}",
                     rep.iterations,
                     mem.iterations,
                     rep.breakdown.ufc(),
@@ -562,51 +573,23 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
                 ),
             ));
         }
-        check_residual_trajectory(name, &mem.history, &recorder.into_history())?;
     }
 
-    // --- Socket engine on the sampled subset.
-    if case.socket {
-        if let Some(worker) = worker {
-            let rep = dist
-                .execute(
-                    &inst,
-                    case.strategy,
-                    &RunSpec::new(Engine::Sockets(SocketOptions::new(worker))),
-                    &mut (),
-                )
-                .map_err(|e| {
-                    fail(
-                        "engine-divergence",
-                        format!("socket engine fails (`{e}`) where in-process solves"),
-                    )
-                })?;
-            if rep.iterations != mem.iterations || rep.point != mem.point {
-                return Err(fail(
-                    "engine-divergence",
-                    format!(
-                        "socket engine disagrees with in-process: iterations {} vs {}, \
-                         UFC {} vs {}",
-                        rep.iterations,
-                        mem.iterations,
-                        rep.breakdown.ufc(),
-                        mem.breakdown.ufc()
-                    ),
-                ));
-            }
-        }
-    }
+    // The engines the fault and corruption legs run on: lockstep, and the
+    // socket engine on the sampled subset.
+    let mut engines = vec![("lockstep", Engine::Lockstep)];
+    engines.extend(socket.clone().map(|engine| ("socket engine", engine)));
 
     // --- Crash/recovery leg: a deterministic recovering fault plan
     // derived from `fault_seed` crashes one node mid-run; the checkpoint
     // restart must land back on the clean operating point bit-for-bit on
-    // every fleet of the supervisor — inline (lockstep), threads, and
-    // worker processes when the socket engine is sampled in. (A crash
-    // iteration past the run's length simply never fires — the contract
-    // still holds trivially.) The ladder only declares dead a node that no
-    // longer runs, and grants a live one an extension, so a 20 ms rung
-    // cannot misdiagnose a slow worker. (A killed node is declared dead
-    // without waiting out the ladder on every fleet.)
+    // every fleet of the supervisor — inline (lockstep), and worker
+    // processes when the socket engine is sampled in. (A crash iteration
+    // past the run's length simply never fires — the contract still holds
+    // trivially.) The ladder only declares dead a node that no longer runs,
+    // and grants a live one an extension, so a 20 ms rung cannot
+    // misdiagnose a slow worker. (A killed node is declared dead without
+    // waiting out the ladder on every fleet.)
     if let (Some(fseed), true) = (case.fault_seed, mem.converged) {
         let mut frng = SplitMix64::new(fseed);
         let node = if frng.chance(0.5) {
@@ -618,19 +601,12 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
         let plan = FaultPlan::new()
             .crash_and_recover(node, crash_at, 1)
             .with_phase_timeout(Duration::from_millis(20));
-        let mut engines = vec![
-            ("lockstep", Engine::Lockstep),
-            ("threaded", Engine::Threaded),
-        ];
-        if let (true, Some(worker)) = (case.socket, worker) {
-            engines.push(("socket", Engine::Sockets(SocketOptions::new(worker))));
-        }
-        for (name, engine) in engines {
+        for (name, engine) in &engines {
             let rep = dist
                 .execute(
                     &inst,
                     case.strategy,
-                    &RunSpec::new(engine).with_plan(plan.clone()),
+                    &RunSpec::new(engine.clone()).with_plan(plan.clone()),
                     &mut (),
                 )
                 .map_err(|e| {
@@ -659,22 +635,20 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
     // --- Corruption leg. Verified posture: every engine must repair the
     // seeded §12 poison, reproduce the clean point bit-for-bit, and
     // deliver nothing corrupt. Unverified posture: poison may reach the
-    // iterate stream, so the only contract is outcome agreement between
-    // the engines — the same clean point, or the same typed error from
-    // the corruption/divergence classes. Never a panic, never a silently
-    // different answer on one engine only.
+    // iterate stream, so a run converges or ends in a typed error from the
+    // corruption/divergence classes — never a panic — and, when the socket
+    // engine is sampled in, both engines reach the same outcome: the same
+    // point, or the same typed error. Never a silently different answer on
+    // one engine only.
     if let (Some(cseed), true) = (case.corrupt_seed, mem.converged) {
         let cfg = CorruptionConfig::new(1e-2, cseed);
         let verified_cfg = cfg.with_checksums(true);
-        for (name, engine) in [
-            ("lockstep", Engine::Lockstep),
-            ("threaded", Engine::Threaded),
-        ] {
+        for (name, engine) in &engines {
             let rep = dist
                 .execute(
                     &inst,
                     case.strategy,
-                    &RunSpec::new(engine).with_corruption(verified_cfg),
+                    &RunSpec::new(engine.clone()).with_corruption(verified_cfg),
                     &mut (),
                 )
                 .map_err(|e| {
@@ -703,91 +677,64 @@ pub fn check_case(case: &FuzzCase, worker: Option<&Path>) -> Result<CaseOutcome,
                 ));
             }
         }
-        if case.socket {
-            if let Some(worker) = worker {
-                let rep = dist
-                    .execute(
-                        &inst,
-                        case.strategy,
-                        &RunSpec::new(Engine::Sockets(SocketOptions::new(worker)))
-                            .with_corruption(verified_cfg),
-                        &mut (),
-                    )
-                    .map_err(|e| {
-                        fail(
-                            "corrupt-verified",
-                            format!("verified socket engine fails (`{e}`) instead of repairing"),
-                        )
-                    })?;
-                if rep.point != mem.point {
-                    return Err(fail(
-                        "corrupt-verified",
-                        format!(
-                            "verified socket engine lands off the clean point: UFC {} vs {}",
-                            rep.breakdown.ufc(),
-                            mem.breakdown.ufc()
-                        ),
-                    ));
-                }
-            }
-        }
-        let lock = dist.execute(
-            &inst,
-            case.strategy,
-            &RunSpec::new(Engine::Lockstep).with_corruption(cfg),
-            &mut (),
-        );
-        let thread = dist.execute(
-            &inst,
-            case.strategy,
-            &RunSpec::new(Engine::Threaded).with_corruption(cfg),
-            &mut (),
-        );
-        match (lock, thread) {
-            (Ok(a), Ok(b)) => {
-                if a.point != b.point {
-                    return Err(fail(
-                        "corrupt-unverified",
-                        format!(
-                            "unverified engines both converge but disagree: UFC {} vs {}",
-                            a.breakdown.ufc(),
-                            b.breakdown.ufc()
-                        ),
-                    ));
-                }
-            }
-            (Err(a), Err(b)) => {
-                if error_key(&a) != error_key(&b) {
-                    return Err(fail(
-                        "corrupt-unverified",
-                        format!("unverified engines fail differently: `{a}` vs `{b}`"),
-                    ));
-                }
-                // The exact λ/a kernels turn poison into NaN blocks for
-                // the divergence gate; no node step can fail.
-                let typed = matches!(
-                    a,
-                    CoreError::Divergence { .. }
-                        | CoreError::CorruptPayload { .. }
-                        | CoreError::NotConverged { .. }
-                );
-                if !typed {
-                    return Err(fail(
-                        "corrupt-unverified",
-                        format!("unverified poison surfaced an unexpected error class: `{a}`"),
-                    ));
-                }
-            }
-            (a, b) => {
+        let unverified = |engine: &Engine| {
+            dist.execute(
+                &inst,
+                case.strategy,
+                &RunSpec::new(engine.clone()).with_corruption(cfg),
+                &mut (),
+            )
+        };
+        let lock = unverified(&Engine::Lockstep);
+        if let Err(e) = &lock {
+            // The exact λ/a kernels turn poison into NaN blocks for the
+            // divergence gate; no node step can fail.
+            let typed = matches!(
+                e,
+                CoreError::Divergence { .. }
+                    | CoreError::CorruptPayload { .. }
+                    | CoreError::NotConverged { .. }
+            );
+            if !typed {
                 return Err(fail(
                     "corrupt-unverified",
-                    format!(
-                        "unverified engines disagree on solvability: lockstep {:?} vs \
-                         threaded {:?}",
-                        a.map(|r| r.converged),
-                        b.map(|r| r.converged)
-                    ),
+                    format!("unverified poison surfaced an unexpected error class: `{e}`"),
                 ));
+            }
+        }
+        if let Some(engine) = &socket {
+            match (lock, unverified(engine)) {
+                (Ok(a), Ok(b)) => {
+                    if a.point != b.point {
+                        return Err(fail(
+                            "corrupt-unverified",
+                            format!(
+                                "unverified engines both converge but disagree: UFC {} vs {}",
+                                a.breakdown.ufc(),
+                                b.breakdown.ufc()
+                            ),
+                        ));
+                    }
+                }
+                (Err(a), Err(b)) => {
+                    if error_key(&a) != error_key(&b) {
+                        return Err(fail(
+                            "corrupt-unverified",
+                            format!("unverified engines fail differently: `{a}` vs `{b}`"),
+                        ));
+                    }
+                }
+                (a, b) => {
+                    return Err(fail(
+                        "corrupt-unverified",
+                        format!(
+                            "unverified engines disagree on solvability: lockstep {:?} vs \
+                             socket engine {:?}",
+                            a.map(|r| r.converged),
+                            b.map(|r| r.converged)
+                        ),
+                    ));
+                }
             }
         }
     }

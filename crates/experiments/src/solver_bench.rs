@@ -35,11 +35,11 @@ use ufc_model::{QueueingCost, UfcInstance};
 pub enum BenchError {
     /// A solver or engine failed.
     Core(CoreError),
-    /// The socket and threaded engines ran different iteration counts on
+    /// The socket and lockstep engines ran different iteration counts on
     /// the same hour. The engines are bit-identical, so this is a bug.
     EngineMismatch {
-        /// Iterations of the threaded run.
-        threaded_iterations: usize,
+        /// Iterations of the lockstep run.
+        lockstep_iterations: usize,
         /// Iterations of the socket run.
         socket_iterations: usize,
     },
@@ -53,12 +53,12 @@ impl fmt::Display for BenchError {
         match self {
             BenchError::Core(e) => e.fmt(f),
             BenchError::EngineMismatch {
-                threaded_iterations,
+                lockstep_iterations,
                 socket_iterations,
             } => write!(
                 f,
-                "socket engine ran {socket_iterations} iterations where the threaded engine \
-                 ran {threaded_iterations}"
+                "socket engine ran {socket_iterations} iterations where the lockstep engine \
+                 ran {lockstep_iterations}"
             ),
             BenchError::ScalingRegression(g) => write!(
                 f,
@@ -189,15 +189,15 @@ impl SizeLeg {
 pub const COHOSTED_PROCESSES: usize = 2;
 
 /// Per-iteration latency of the multi-process socket engine next to the
-/// in-memory threaded engine, measured on one paper-default hour. A cold
-/// leg is one run that pays its fleet's launch and teardown; a warm leg is
-/// the median of [`LATENCY_RUNS`] runs of the same hour on that fleet,
-/// parked between runs, so it times the iterations' socket I/O alone. The
-/// threaded leg is the median of as many runs.
+/// lockstep engine, measured on one paper-default hour. A cold leg is one
+/// run that pays its fleet's launch and teardown; a warm leg is the median
+/// of [`LATENCY_RUNS`] runs of the same hour on that fleet, parked between
+/// runs, so it times the iterations' socket I/O alone. The lockstep leg is
+/// the median of as many runs.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketLatency {
-    /// Threaded-engine wall-clock (milliseconds), median run.
-    pub threaded_wall_ms: f64,
+    /// Lockstep-engine wall-clock (milliseconds), median run.
+    pub lockstep_wall_ms: f64,
     /// Socket-engine wall-clock (milliseconds) with one process per node,
     /// including process spawn and reaping.
     pub socket_wall_ms: f64,
@@ -215,15 +215,15 @@ pub struct SocketLatency {
     /// median run.
     pub warm_cohosted_wall_ms: f64,
     /// Iterations of the socket run (bit-identical engines, so the
-    /// threaded run performs the same count).
+    /// lockstep run performs the same count).
     pub iterations: usize,
 }
 
 impl SocketLatency {
-    /// Threaded-engine milliseconds per ADM-G iteration.
+    /// Lockstep-engine milliseconds per ADM-G iteration.
     #[must_use]
-    pub fn threaded_per_iter_ms(&self) -> f64 {
-        self.threaded_wall_ms / self.iterations.max(1) as f64
+    pub fn lockstep_per_iter_ms(&self) -> f64 {
+        self.lockstep_wall_ms / self.iterations.max(1) as f64
     }
 
     /// Socket-engine milliseconds per ADM-G iteration.
@@ -260,10 +260,10 @@ impl SocketLatency {
         self.warm_cohosted_wall_ms / self.iterations.max(1) as f64
     }
 
-    /// Socket-over-threaded per-iteration overhead factor.
+    /// Socket-over-lockstep per-iteration overhead factor.
     #[must_use]
     pub fn overhead(&self) -> f64 {
-        self.socket_per_iter_ms() / self.threaded_per_iter_ms()
+        self.socket_per_iter_ms() / self.lockstep_per_iter_ms()
     }
 }
 
@@ -285,7 +285,7 @@ pub struct BenchReport {
     pub sizes: Vec<SizeLeg>,
     /// The scaling guard over [`Self::sizes`]; `None` without them.
     pub scaling: Option<ScalingGuard>,
-    /// Socket-vs-threaded per-iteration latency; `None` when the worker
+    /// Socket-vs-lockstep per-iteration latency; `None` when the worker
     /// binary is unavailable (the bench then skips the measurement rather
     /// than failing).
     pub socket: Option<SocketLatency>,
@@ -341,9 +341,9 @@ impl BenchReport {
         }
         match &self.socket {
             Some(s) => out.push_str(&format!(
-                "  \"socket_engine\": {{\"iterations\": {}, \"threaded_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}, \"cohosted_processes\": {}, \"cohosted_per_iter_ms\": {:.4}, \"warm_socket_per_iter_ms\": {:.4}, \"warm_socket_q1_per_iter_ms\": {:.4}, \"warm_socket_q3_per_iter_ms\": {:.4}, \"warm_cohosted_per_iter_ms\": {:.4}}}\n",
+                "  \"socket_engine\": {{\"iterations\": {}, \"lockstep_per_iter_ms\": {:.4}, \"socket_per_iter_ms\": {:.4}, \"overhead\": {:.3}, \"cohosted_processes\": {}, \"cohosted_per_iter_ms\": {:.4}, \"warm_socket_per_iter_ms\": {:.4}, \"warm_socket_q1_per_iter_ms\": {:.4}, \"warm_socket_q3_per_iter_ms\": {:.4}, \"warm_cohosted_per_iter_ms\": {:.4}}}\n",
                 s.iterations,
-                s.threaded_per_iter_ms(),
+                s.lockstep_per_iter_ms(),
                 s.socket_per_iter_ms(),
                 s.overhead(),
                 COHOSTED_PROCESSES,
@@ -566,18 +566,18 @@ pub fn size_trajectory(
     Ok(legs)
 }
 
-/// Timed runs behind each threaded and warm socket leg, which reports their
+/// Timed runs behind the lockstep leg and each warm socket leg, which report their
 /// median: one 68-iteration hour timed once swung the co-hosted leg by 2x
 /// between back-to-back runs.
 pub const LATENCY_RUNS: usize = 15;
 
-/// Measures the socket engine's per-iteration latency against the threaded
+/// Measures the socket engine's per-iteration latency against the lockstep
 /// engine on one paper-default hour, with one process per node and with
 /// the nodes co-hosted on [`COHOSTED_PROCESSES`] processes. Returns
 /// `Ok(None)` when the `ufc-node` worker binary is not present next to the
 /// running executable (the bench degrades gracefully instead of failing).
 ///
-/// The threaded leg is the median of [`LATENCY_RUNS`] timed runs. Each
+/// The lockstep leg is the median of [`LATENCY_RUNS`] timed runs. Each
 /// socket leg gets a runner of its own. Its cold run is timed once: the
 /// launch, the run and the teardown when the runner is dropped, and no leg
 /// pays another's. Between the run and the drop the runner runs the same
@@ -590,7 +590,7 @@ pub const LATENCY_RUNS: usize = 15;
 /// [`BenchError::Core`] on scenario-construction or engine failures (a
 /// missing worker binary is *not* an error), and
 /// [`BenchError::EngineMismatch`] when a socket run disagrees with the
-/// threaded engine on the iteration count.
+/// lockstep engine on the iteration count.
 pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
     use ufc_distsim::{DistributedAdmg, Engine, RunSpec, SocketOptions};
 
@@ -621,9 +621,9 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
             times.sort_by(f64::total_cmp);
             Ok((times, iterations))
         };
-    let (threaded, threaded_iterations) = timed_runs(
+    let (lockstep, lockstep_iterations) = timed_runs(
         &DistributedAdmg::try_new(settings)?,
-        &RunSpec::new(Engine::Threaded),
+        &RunSpec::new(Engine::Lockstep),
     )?;
     // The cold milliseconds of one leg and its warm runs' times.
     let time_socket = |options: SocketOptions| -> Result<(f64, Vec<f64>), BenchError> {
@@ -637,9 +637,9 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
         drop(runner);
         cold_ms += ms(start);
         for socket_iterations in [cold.iterations, warm_iterations] {
-            if threaded_iterations != socket_iterations {
+            if lockstep_iterations != socket_iterations {
                 return Err(BenchError::EngineMismatch {
-                    threaded_iterations,
+                    lockstep_iterations,
                     socket_iterations,
                 });
             }
@@ -651,7 +651,7 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
         time_socket(SocketOptions::new(&worker).with_processes(COHOSTED_PROCESSES))?;
     let median = |times: &[f64]| times[LATENCY_RUNS / 2];
     Ok(Some(SocketLatency {
-        threaded_wall_ms: median(&threaded),
+        lockstep_wall_ms: median(&lockstep),
         socket_wall_ms,
         cohosted_wall_ms,
         warm_socket_wall_ms: median(&warm_socket),
@@ -660,7 +660,7 @@ pub fn socket_latency(seed: u64) -> Result<Option<SocketLatency>, BenchError> {
             warm_socket[3 * LATENCY_RUNS / 4],
         ),
         warm_cohosted_wall_ms: median(&warm_cohosted),
-        iterations: threaded_iterations,
+        iterations: lockstep_iterations,
     }))
 }
 
@@ -743,7 +743,7 @@ mod tests {
     fn socket_block_reports_cold_and_warm_legs() {
         let mut report = run(2012, 1, 1, &[]).unwrap();
         report.socket = Some(SocketLatency {
-            threaded_wall_ms: 6.8,
+            lockstep_wall_ms: 0.34,
             socket_wall_ms: 34.0,
             cohosted_wall_ms: 13.6,
             warm_socket_wall_ms: 10.2,

@@ -14,17 +14,17 @@
 //! running plant has an operating point before the horizon starts.
 //!
 //! Every hour is solved three ways: the plain instance in-process (the
-//! spatial-only baseline), and the storage instance on both the lockstep
-//! and the supervised threaded engine, which must agree **bit for bit**
-//! (the study fails loudly if they do not). The headline metric is the
+//! spatial-only baseline), and the storage instance on the lockstep engine
+//! and on the in-process solver, which must agree **bit for bit** (the
+//! study fails loudly if they do not). The headline metric is the
 //! horizon-total UFC improvement over the baseline, both raw and adjusted
 //! for the battery's net change in stored energy (valued at `κ_j`, so a
 //! run cannot look good by merely draining its batteries).
 
 use ufc_core::{AdmgSettings, AdmgSolver, CoreError, Result, Strategy};
-use ufc_distsim::{DistRunReport, DistributedAdmg, Engine, RunSpec};
+use ufc_distsim::{DistributedAdmg, Engine, RunSpec};
 use ufc_model::scenario::ScenarioBuilder;
-use ufc_model::{StorageFleet, StorageParams};
+use ufc_model::{OperatingPoint, StorageFleet, StorageParams, UfcBreakdown};
 use ufc_traces::csv::Csv;
 
 /// The study's default battery fleet: 4 MWh / 2 MW per datacenter (half a
@@ -56,12 +56,12 @@ pub struct StorageHour {
     pub net_discharge_mwh: f64,
     /// Mean state of charge across the fleet after the hour (MWh).
     pub mean_charge_mwh: f64,
-    /// ADM-G iterations of the storage solve (lockstep == threaded).
+    /// ADM-G iterations of the storage solve (lockstep == in-process).
     pub iterations: usize,
     /// Whether all three solves converged.
     pub converged: bool,
-    /// Whether the lockstep and threaded engines agreed bit for bit
-    /// (operating point, breakdown, iteration count, and traffic).
+    /// Whether the lockstep engine and the in-process solver agreed bit
+    /// for bit (operating point, breakdown and iteration count).
     pub bitwise: bool,
 }
 
@@ -121,7 +121,8 @@ impl StorageStudy {
         (self.total_storage_ufc() + self.charge_delta_value() - base) / base.abs().max(1.0)
     }
 
-    /// Whether every hour's lockstep and threaded runs agreed bit for bit.
+    /// Whether every hour's lockstep and in-process solves agreed bit for
+    /// bit.
     #[must_use]
     pub fn all_bitwise(&self) -> bool {
         self.hours.iter().all(|h| h.bitwise)
@@ -162,11 +163,9 @@ fn bits_of(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
     values.into_iter().map(f64::to_bits).collect()
 }
 
-/// Every bit-compared facet of one distributed run: the full operating
-/// point (λ, μ, ν, d), the UFC breakdown, and the iteration count.
-fn report_bits(report: &DistRunReport) -> (Vec<u64>, usize) {
-    let p = &report.point;
-    let b = &report.breakdown;
+/// The bits of a solve's answer: the full operating point (λ, μ, ν, d)
+/// and the UFC breakdown.
+fn solve_bits(p: &OperatingPoint, b: &UfcBreakdown) -> Vec<u64> {
     let mut bits = bits_of(p.lambda.iter().flatten().copied());
     bits.extend(bits_of(p.mu.iter().copied()));
     bits.extend(bits_of(p.nu.iter().copied()));
@@ -180,7 +179,7 @@ fn report_bits(report: &DistRunReport) -> (Vec<u64>, usize) {
         b.storage_cost_dollars,
         b.ufc(),
     ]));
-    (bits, report.iterations)
+    bits
 }
 
 /// Runs the receding-horizon storage study over `hours` hours of the
@@ -248,14 +247,10 @@ pub fn run(
             &RunSpec::new(Engine::Lockstep),
             &mut (),
         )?;
-        let threaded = dist.execute(
-            &sinst,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Threaded),
-            &mut (),
-        )?;
-        let bitwise =
-            report_bits(&lockstep) == report_bits(&threaded) && lockstep.stats == threaded.stats;
+        let in_process = solver.solve(&sinst, Strategy::Hybrid)?;
+        let bitwise = lockstep.iterations == in_process.iterations
+            && solve_bits(&lockstep.point, &lockstep.breakdown)
+                == solve_bits(&in_process.point, &in_process.breakdown);
 
         let h = sinst.slot_hours;
         let mut net_discharge = 0.0;
@@ -274,7 +269,7 @@ pub fn run(
             net_discharge_mwh: net_discharge,
             mean_charge_mwh: charge.iter().sum::<f64>() / n as f64,
             iterations: lockstep.iterations,
-            converged: baseline.converged && lockstep.converged && threaded.converged,
+            converged: baseline.converged && lockstep.converged && in_process.converged,
             bitwise,
         });
     }
@@ -310,7 +305,7 @@ mod tests {
     fn converges_and_engines_agree_bitwise_every_hour() {
         let s = study();
         assert!(s.all_converged());
-        assert!(s.all_bitwise(), "lockstep and threaded runs diverged");
+        assert!(s.all_bitwise(), "lockstep and in-process solves diverged");
     }
 
     #[test]

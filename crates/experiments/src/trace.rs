@@ -25,9 +25,6 @@ pub enum TraceEngine {
     InProcess,
     /// The distributed lockstep engine (solver + traffic counters).
     Lockstep,
-    /// The supervised threaded engine (traffic counters; the per-node
-    /// kernels die with their worker threads, so solver counters read 0).
-    Threaded,
     /// The lockstep engine under a scripted [`FaultPlan`] (solver +
     /// traffic + fault counters).
     Faulty,
@@ -48,7 +45,6 @@ impl TraceEngine {
         match name {
             "inprocess" => Some(TraceEngine::InProcess),
             "lockstep" => Some(TraceEngine::Lockstep),
-            "threaded" => Some(TraceEngine::Threaded),
             "faulty" => Some(TraceEngine::Faulty),
             "corrupt" => Some(TraceEngine::Corrupt),
             "sockets" => Some(TraceEngine::Sockets),
@@ -62,7 +58,6 @@ impl TraceEngine {
         match self {
             TraceEngine::InProcess => "inprocess",
             TraceEngine::Lockstep => "lockstep",
-            TraceEngine::Threaded => "threaded",
             TraceEngine::Faulty => "faulty",
             TraceEngine::Corrupt => "corrupt",
             TraceEngine::Sockets => "sockets",
@@ -126,7 +121,6 @@ pub fn run(
     let distributed = match engine {
         TraceEngine::InProcess => None,
         TraceEngine::Lockstep => Some((settings, RunSpec::new(Engine::Lockstep))),
-        TraceEngine::Threaded => Some((settings, RunSpec::new(Engine::Threaded))),
         TraceEngine::Faulty => Some((
             settings,
             RunSpec::new(Engine::Lockstep).with_plan(trace_fault_plan()),
@@ -222,10 +216,9 @@ pub fn check(out: &TraceOutput) -> Result<(), String> {
     if t.total_ns() == 0 {
         return Err("all phase timings are zero".to_owned());
     }
-    // The threaded and socket engines host the kernels in worker threads /
-    // processes, so the coordinator-side solver counters read 0.
-    let solver_observable = !matches!(out.engine, TraceEngine::Threaded | TraceEngine::Sockets);
-    if solver_observable && t.solver.pool_maps == 0 {
+    // The socket engine hosts the kernels in worker processes, so the
+    // coordinator-side solver counters read 0.
+    if out.engine != TraceEngine::Sockets && t.solver.pool_maps == 0 {
         return Err("worker-pool counters never moved".to_owned());
     }
     if out.engine == TraceEngine::InProcess {
@@ -559,7 +552,6 @@ mod tests {
         for engine in [
             TraceEngine::InProcess,
             TraceEngine::Lockstep,
-            TraceEngine::Threaded,
             TraceEngine::Faulty,
             TraceEngine::Corrupt,
             TraceEngine::Sockets,
@@ -582,7 +574,6 @@ mod tests {
         assert!(check_egress(TraceEngine::Sockets, &traffic(24, 25)).is_err());
         for engine in [
             TraceEngine::Lockstep,
-            TraceEngine::Threaded,
             TraceEngine::Faulty,
             TraceEngine::Corrupt,
         ] {

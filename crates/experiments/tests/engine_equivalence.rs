@@ -1,9 +1,10 @@
 //! Cross-engine invariant of the unified iteration driver: the in-process
-//! solver, the lockstep engine, the supervised threaded engine, and both
-//! engines under a trivial fault plan ([`FaultPlan::none`]) all run the
-//! SAME iterates and residual streams — bitwise, at any thread count —
-//! because every one of them is a `Transport` sequenced by
-//! `ufc_core::engine::drive` over the same `ufc_core::node` types.
+//! solver, the lockstep engine (also under a trivial fault plan,
+//! [`FaultPlan::none`]), and the multi-process socket engine at any
+//! process count all run the SAME iterates and residual streams — bitwise,
+//! at any thread count — because every one of them is a `Transport`
+//! sequenced by `ufc_core::engine::drive` over the same `ufc_core::node`
+//! types.
 
 use ufc_core::{
     AdmgSettings, AdmgSolver, BlockSchedule, HistoryRecorder, IterationRecord, Phase, Strategy,
@@ -146,9 +147,9 @@ fn reference_run(instance: &UfcInstance, settings: AdmgSettings) -> ReferenceRun
     }
 }
 
-/// One engine sweep at a fixed thread count: in-process vs lockstep vs
-/// threaded (points and residual streams) vs both fault-aware paths under
-/// `FaultPlan::none()`.
+/// One engine sweep at a fixed thread count: in-process vs lockstep
+/// (points and residual streams), also under `FaultPlan::none()` and
+/// under rate-0 corruption.
 fn sweep_engines(num_threads: usize) {
     let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
     let instance = instances
@@ -173,65 +174,49 @@ fn sweep_engines(num_threads: usize) {
         "clean lockstep run must not carry a fault report"
     );
 
-    let threaded = observed_run(
-        &runner,
-        instance,
-        &RunSpec::new(Engine::Threaded),
-        &reference,
-        "threaded",
-    );
+    let faulty = runner
+        .execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep).with_plan(FaultPlan::none()),
+            &mut (),
+        )
+        .expect("trivial-plan run must succeed");
+    assert_report_matches(&reference, &faulty, "trivial fault plan");
     assert_eq!(
-        lockstep.stats, threaded.stats,
-        "lockstep and threaded runs must exchange identical traffic"
+        lockstep.stats, faulty.stats,
+        "a trivial fault plan must add no traffic"
     );
-
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let faulty = runner
-            .execute(
-                instance,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()).with_plan(FaultPlan::none()),
-                &mut (),
-            )
-            .expect("trivial-plan run must succeed");
-        assert_report_matches(&reference, &faulty, "trivial fault plan");
-        assert_eq!(
-            lockstep.stats, faulty.stats,
-            "a trivial fault plan must add no traffic ({engine:?})"
-        );
-    }
 
     // Rate-0 corruption with checksums off must be indistinguishable from
     // a plain run: same iterates, same traffic, same wall-clock estimate.
     // This pins the "off by default costs nothing" contract of the codec.
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let corrupt = runner
-            .execute(
-                instance,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone())
-                    .with_corruption(CorruptionConfig::new(0.0, DEFAULT_SEED)),
-                &mut (),
-            )
-            .expect("rate-0 corrupt run must succeed");
-        assert_report_matches(&reference, &corrupt, "rate-0 corruption");
-        assert_eq!(
-            lockstep.stats, corrupt.stats,
-            "rate-0 corruption without checksums must add no traffic ({engine:?})"
-        );
-        assert_eq!(
-            lockstep.estimated_wan_seconds.to_bits(),
-            corrupt.estimated_wan_seconds.to_bits(),
-            "rate-0 corruption must not perturb the WAN-time estimate ({engine:?})"
-        );
-        let integrity = corrupt
-            .integrity
-            .expect("an armed corruption channel reports integrity counters");
-        assert!(
-            integrity.is_zero(),
-            "a rate-0 channel must count nothing ({engine:?}): {integrity:?}"
-        );
-    }
+    let corrupt = runner
+        .execute(
+            instance,
+            Strategy::Hybrid,
+            &RunSpec::new(Engine::Lockstep)
+                .with_corruption(CorruptionConfig::new(0.0, DEFAULT_SEED)),
+            &mut (),
+        )
+        .expect("rate-0 corrupt run must succeed");
+    assert_report_matches(&reference, &corrupt, "rate-0 corruption");
+    assert_eq!(
+        lockstep.stats, corrupt.stats,
+        "rate-0 corruption without checksums must add no traffic"
+    );
+    assert_eq!(
+        lockstep.estimated_wan_seconds.to_bits(),
+        corrupt.estimated_wan_seconds.to_bits(),
+        "rate-0 corruption must not perturb the WAN-time estimate"
+    );
+    let integrity = corrupt
+        .integrity
+        .expect("an armed corruption channel reports integrity counters");
+    assert!(
+        integrity.is_zero(),
+        "a rate-0 channel must count nothing: {integrity:?}"
+    );
 }
 
 /// The multi-process socket engine joins the agreement: real `ufc-node`
@@ -466,11 +451,10 @@ fn storage_instance() -> UfcInstance {
 }
 
 /// The 5-block storage schedule agrees bitwise — point and residual
-/// stream — across the in-process solver and both in-thread distributed
-/// engines, at 1 and 4 worker threads, with identical traffic (including the new per-datacenter
-/// `BlockReport` control messages).
+/// stream — across the in-process solver and the lockstep engine, at 1 and
+/// 4 worker threads.
 #[test]
-fn storage_schedule_agrees_bitwise_across_threaded_engines() {
+fn storage_schedule_agrees_bitwise_across_thread_counts() {
     let instance = storage_instance();
     assert!(BlockSchedule::for_instance(&instance).has_storage());
     for num_threads in [1usize, 4] {
@@ -480,23 +464,12 @@ fn storage_schedule_agrees_bitwise_across_threaded_engines() {
         };
         let reference = reference_run(&instance, settings);
         let runner = DistributedAdmg::new(settings);
-        let lockstep = observed_run(
+        observed_run(
             &runner,
             &instance,
             &RunSpec::new(Engine::Lockstep),
             &reference,
             &format!("storage lockstep x{num_threads}"),
-        );
-        let threaded = observed_run(
-            &runner,
-            &instance,
-            &RunSpec::new(Engine::Threaded),
-            &reference,
-            &format!("storage threaded x{num_threads}"),
-        );
-        assert_eq!(
-            lockstep.stats, threaded.stats,
-            "storage runs must exchange identical traffic at {num_threads} threads"
         );
     }
 }
@@ -579,7 +552,7 @@ fn storage_schedule_agrees_bitwise_across_socket_process_counts() {
 
 /// Zero-capacity batteries bind the 5-block schedule but pin `d = +0.0`
 /// everywhere, reproducing the spatial-only solution bit for bit on every
-/// engine — at 1 and 4 threads in-thread, and 1 and 4 socket processes.
+/// engine — at 1 and 4 threads on lockstep, and 1 and 4 socket processes.
 #[test]
 fn zero_capacity_storage_is_bitwise_spatial_only_on_every_engine() {
     let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
@@ -600,29 +573,27 @@ fn zero_capacity_storage_is_bitwise_spatial_only_on_every_engine() {
         // must change nothing about the solution.
         let reference = reference_run(&plain, settings);
         let runner = DistributedAdmg::new(settings);
-        for engine in [Engine::Lockstep, Engine::Threaded] {
-            let report = runner
-                .execute(
-                    &zero,
-                    Strategy::Hybrid,
-                    &RunSpec::new(engine.clone()),
-                    &mut (),
-                )
-                .expect("zero-capacity run must succeed");
-            assert_report_matches(
-                &reference,
-                &report,
-                &format!("zero-capacity {engine:?} x{num_threads}"),
-            );
-            assert!(
-                report
-                    .point
-                    .d
-                    .iter()
-                    .all(|&v| v.to_bits() == 0.0f64.to_bits()),
-                "dead batteries must hold d at +0.0 exactly"
-            );
-        }
+        let report = runner
+            .execute(
+                &zero,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Lockstep),
+                &mut (),
+            )
+            .expect("zero-capacity run must succeed");
+        assert_report_matches(
+            &reference,
+            &report,
+            &format!("zero-capacity lockstep x{num_threads}"),
+        );
+        assert!(
+            report
+                .point
+                .d
+                .iter()
+                .all(|&v| v.to_bits() == 0.0f64.to_bits()),
+            "dead batteries must hold d at +0.0 exactly"
+        );
     }
 
     let settings = AdmgSettings::default();

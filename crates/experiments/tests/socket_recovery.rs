@@ -50,29 +50,35 @@ fn point_bits(report: &ufc_distsim::DistRunReport) -> Vec<u64> {
 /// A worker SIGKILL'd mid-iteration is declared dead by the deadline
 /// ladder, respawned, restored from the last verified checkpoint, and
 /// replayed — and the recovered run reproduces the clean iterates
-/// exactly, down to the last bit of the operating point.
+/// exactly, down to the last bit of the operating point. It also makes the
+/// lockstep run's recovery decisions under the same plan: the same traffic
+/// and the same fault report.
 #[test]
 fn sigkilled_workers_recover_bit_identically() {
     let instance = workload();
     let settings = AdmgSettings::default();
     let runner = DistributedAdmg::new(settings);
-    let clean = runner
-        .execute(
-            &instance,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Lockstep),
-            &mut (),
-        )
-        .expect("clean lockstep run must succeed");
-
-    let recovered = runner
-        .execute(
-            &instance,
-            Strategy::Hybrid,
-            &RunSpec::new(Engine::Sockets(worker_options())).with_plan(recovery_fault_plan()),
-            &mut (),
-        )
-        .expect("every scripted crash has a recovery budget, so the run must succeed");
+    let run = |engine, plan| {
+        runner
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine).with_plan(plan),
+                &mut (),
+            )
+            .expect("every scripted crash has a recovery budget, so the run must succeed")
+    };
+    let clean = run(Engine::Lockstep, FaultPlan::none());
+    let faulty_lockstep = run(Engine::Lockstep, recovery_fault_plan());
+    let recovered = run(Engine::Sockets(worker_options()), recovery_fault_plan());
+    assert_eq!(
+        recovered.stats, faulty_lockstep.stats,
+        "the socket recovery must exchange lockstep's traffic"
+    );
+    assert_eq!(
+        recovered.fault, faulty_lockstep.fault,
+        "the socket recovery must report lockstep's faults"
+    );
 
     assert_eq!(
         clean.iterations, recovered.iterations,
@@ -172,6 +178,39 @@ fn partition_after_an_eviction_skips_the_evicted_process() {
     );
 }
 
+/// A datacenter down for five recovery attempts is evicted after the
+/// third and readmitted after the fifth, the plan `fault_injection.rs`
+/// pins on lockstep. The process fleet kills and respawns the worker and
+/// makes the same decisions: the same iterations, traffic, fault report
+/// and point bits.
+#[test]
+fn eviction_then_readmission_matches_lockstep() {
+    let instance = workload();
+    let runner = DistributedAdmg::new(AdmgSettings::default());
+    let plan = FaultPlan::new()
+        .with_phase_timeout(Duration::from_millis(20))
+        .crash_and_recover(NodeId::Datacenter(1), 2, 5);
+    let run = |engine| {
+        runner
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine).with_plan(plan.clone()),
+                &mut (),
+            )
+            .expect("eviction-then-readmission plan must complete")
+    };
+    let lockstep = run(Engine::Lockstep);
+    let sockets = run(Engine::Sockets(worker_options()));
+    let fault = lockstep.fault.as_ref().expect("fault report");
+    assert_eq!((&fault.evicted, &fault.readmitted), (&vec![1], &vec![1]));
+    assert!(sockets.converged, "the readmitted run must converge");
+    assert_eq!(sockets.iterations, lockstep.iterations);
+    assert_eq!(sockets.stats, lockstep.stats);
+    assert_eq!(sockets.fault, lockstep.fault);
+    assert_eq!(point_bits(&sockets), point_bits(&lockstep));
+}
+
 /// One runner's parked fleet serves clean runs, a SIGKILL-and-partition
 /// recovery, an eviction (whose fleet, with a process gone, is torn down
 /// instead of parked) and a wire-chaos plan (which binds its chaos to a
@@ -219,10 +258,10 @@ fn a_parked_fleet_serves_faulty_and_chaotic_runs_like_a_fresh_one() {
     }
 }
 
-/// The process fleet's twin of `fault_injection.rs`'s lockstep and thread
-/// tests: a SIGKILLed, reaped worker has neither a connection nor a
-/// process, so the gather declares its node dead at once instead of
-/// sleeping out a 70 s ladder, and the degraded run equals lockstep's.
+/// The process fleet's twin of `fault_injection.rs`'s lockstep test: a
+/// SIGKILLed, reaped worker has neither a connection nor a process, so the
+/// gather declares its node dead at once instead of sleeping out a 70 s
+/// ladder, and the degraded run equals lockstep's.
 #[test]
 fn processes_declare_dead_nodes_without_waiting_out_the_ladder() {
     let instance = workload();

@@ -165,76 +165,58 @@ fn sweep_solver(num_threads: usize) {
     );
 }
 
-/// Distributed engines: telemetry off vs on vs chained, both runtimes.
+/// The lockstep engine: telemetry off vs on vs chained.
 fn sweep_distributed(num_threads: usize) {
     let (instance, settings) = workload(num_threads);
+    let spec = RunSpec::new(Engine::Lockstep);
 
-    for engine in [Engine::Lockstep, Engine::Threaded] {
-        let off = DistributedAdmg::new(settings)
-            .execute(
-                &instance,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()),
-                &mut (),
-            )
-            .expect("baseline run");
-        assert!(off.converged);
-        assert!(off.telemetry.is_none());
-        let reference = report_bits(&off);
+    let off = DistributedAdmg::new(settings)
+        .execute(&instance, Strategy::Hybrid, &spec, &mut ())
+        .expect("baseline run");
+    assert!(off.converged);
+    assert!(off.telemetry.is_none());
+    let reference = report_bits(&off);
 
-        let on = DistributedAdmg::new(settings.with_telemetry(true))
-            .execute(
-                &instance,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()),
-                &mut (),
-            )
-            .expect("telemetry run");
-        assert_eq!(
-            reference,
-            report_bits(&on),
-            "{engine:?}/{num_threads} threads: enabling telemetry changed the run"
-        );
-        let telemetry = on.telemetry.expect("telemetry on must attach a snapshot");
-        assert_eq!(telemetry.iterations as usize, on.iterations);
-        assert!(telemetry.total_ns() > 0);
-        let traffic = telemetry.traffic.expect("distributed runs count traffic");
-        assert_eq!(traffic.data_messages as usize, on.stats.data_messages);
-        assert_eq!(traffic.total_bytes as usize, on.stats.total_bytes);
-        assert_eq!(
-            (traffic.frames_sent, traffic.socket_writes),
-            (0, 0),
-            "{engine:?}: in-memory engines send no socket frames"
-        );
-        assert!(
-            telemetry.fault.is_none(),
-            "clean run must not report faults"
-        );
-        if engine == Engine::Lockstep {
-            assert!(
-                pool_tasks(&telemetry) > 0,
-                "lockstep keeps the node fan-out observable"
-            );
-        }
+    let on = DistributedAdmg::new(settings.with_telemetry(true))
+        .execute(&instance, Strategy::Hybrid, &spec, &mut ())
+        .expect("telemetry run");
+    assert_eq!(
+        reference,
+        report_bits(&on),
+        "{num_threads} threads: enabling telemetry changed the run"
+    );
+    let telemetry = on.telemetry.expect("telemetry on must attach a snapshot");
+    assert_eq!(telemetry.iterations as usize, on.iterations);
+    assert!(telemetry.total_ns() > 0);
+    let traffic = telemetry.traffic.expect("distributed runs count traffic");
+    assert_eq!(traffic.data_messages as usize, on.stats.data_messages);
+    assert_eq!(traffic.total_bytes as usize, on.stats.total_bytes);
+    assert_eq!(
+        (traffic.frames_sent, traffic.socket_writes),
+        (0, 0),
+        "the in-memory engine sends no socket frames"
+    );
+    assert!(
+        telemetry.fault.is_none(),
+        "clean run must not report faults"
+    );
+    assert!(
+        pool_tasks(&telemetry) > 0,
+        "lockstep keeps the node fan-out observable"
+    );
 
-        let mut collector = TelemetryCollector::default();
-        let chained = DistributedAdmg::new(settings.with_telemetry(true))
-            .execute(
-                &instance,
-                Strategy::Hybrid,
-                &RunSpec::new(engine.clone()),
-                &mut collector,
-            )
-            .expect("chained run");
-        assert_eq!(
-            reference,
-            report_bits(&chained),
-            "{engine:?}/{num_threads} threads: chained observers changed the run"
-        );
-        let external = collector.into_telemetry();
-        assert_eq!(external.iterations as usize, chained.iterations);
-        assert!(external.total_ns() > 0);
-    }
+    let mut collector = TelemetryCollector::default();
+    let chained = DistributedAdmg::new(settings.with_telemetry(true))
+        .execute(&instance, Strategy::Hybrid, &spec, &mut collector)
+        .expect("chained run");
+    assert_eq!(
+        reference,
+        report_bits(&chained),
+        "{num_threads} threads: chained observers changed the run"
+    );
+    let external = collector.into_telemetry();
+    assert_eq!(external.iterations as usize, chained.iterations);
+    assert!(external.total_ns() > 0);
 }
 
 #[test]

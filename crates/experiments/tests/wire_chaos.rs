@@ -6,13 +6,16 @@
 //! duplicate/order guards, with the run still landing on the clean
 //! operating point bitwise.
 
+use ufc_core::telemetry::IntegrityCounters;
 use ufc_core::{AdmgSettings, CoreError, Strategy};
+use ufc_distsim::stats::MessageStats;
 use ufc_distsim::{
-    CorruptionConfig, CorruptionKind, DistributedAdmg, Engine, RunSpec, SocketOptions,
+    CorruptionConfig, CorruptionKind, DistRunReport, DistributedAdmg, Engine, RunSpec,
+    SocketOptions,
 };
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
-use ufc_model::UfcInstance;
+use ufc_model::{EmissionCostFn, UfcInstance};
 
 fn worker_options() -> SocketOptions {
     SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node"))
@@ -26,7 +29,30 @@ fn workload() -> UfcInstance {
         .expect("scaling workload yields at least one instance")
 }
 
-fn point_bits(report: &ufc_distsim::DistRunReport) -> Vec<u64> {
+/// The 2×2 instance of distsim's `fault_injection.rs` and `corruption.rs`,
+/// whose seeded corruption runs those tests pin on lockstep.
+fn slack_instance() -> UfcInstance {
+    UfcInstance::new(
+        vec![1.0, 2.0],
+        vec![4.0, 4.0],
+        vec![0.24, 0.24],
+        vec![0.12, 0.12],
+        vec![0.48, 0.48],
+        vec![30.0, 70.0],
+        80.0,
+        vec![0.5, 0.3],
+        vec![vec![0.01, 0.02], vec![0.02, 0.01]],
+        10.0,
+        vec![
+            EmissionCostFn::linear(25.0).expect("linear emission cost is valid"),
+            EmissionCostFn::linear(25.0).expect("linear emission cost is valid"),
+        ],
+        1.0,
+    )
+    .expect("slack instance parameters are consistent")
+}
+
+fn point_bits(report: &DistRunReport) -> Vec<u64> {
     report
         .point
         .lambda
@@ -94,6 +120,125 @@ fn value_corruption_over_sockets_matches_lockstep_corrupt_run() {
     // cleanly and are never "detected" — but nothing corrupt is delivered.
     assert!(si.corruptions_detected <= si.corruptions_injected);
     assert_eq!(si.corruptions_delivered, 0);
+}
+
+/// What the link channel decides about a run: its iterations, point and
+/// UFC bits, traffic, resends and integrity counters, or its error.
+type LinkOutcome = (
+    usize,
+    Vec<u64>,
+    u64,
+    MessageStats,
+    usize,
+    Option<IntegrityCounters>,
+);
+
+fn link_outcome(run: Result<DistRunReport, CoreError>) -> Result<LinkOutcome, String> {
+    run.map(|r| {
+        (
+            r.iterations,
+            point_bits(&r),
+            r.breakdown.ufc().to_bits(),
+            r.stats,
+            r.retransmissions,
+            r.integrity,
+        )
+    })
+    .map_err(|e| e.to_string())
+}
+
+/// The link channel's other postures over sockets: copies dropped and
+/// resent until delivered, unverified bit flips delivered into the iterate
+/// stream, unverified NaNs caught by the divergence gate, and a verified
+/// link that runs out of resends. Each draws in lockstep's order, so each
+/// ends as the lockstep run does (`corruption.rs` and
+/// `fault_injection.rs` pin those runs): the same iterates, traffic,
+/// resends and counters, or the same typed error.
+#[test]
+fn lossy_and_unverified_links_over_sockets_match_lockstep() {
+    let instance = slack_instance();
+    let runner = DistributedAdmg::new(AdmgSettings::default());
+    // (label, channel, whether lockstep's run fails)
+    let links = [
+        (
+            "drops",
+            CorruptionConfig::new(0.4, 7).with_kind(CorruptionKind::Drop),
+            false,
+        ),
+        (
+            "unverified bit flips",
+            CorruptionConfig::new(0.02, 1).with_kind(CorruptionKind::BitFlip),
+            false,
+        ),
+        (
+            "unverified NaNs",
+            CorruptionConfig::new(0.05, 3).with_kind(CorruptionKind::NanSubstitution),
+            true,
+        ),
+        (
+            "exhausted resends",
+            CorruptionConfig::new(0.999, 5)
+                .with_max_retransmits(1)
+                .with_checksums(true),
+            true,
+        ),
+    ];
+    for (label, cfg, fails) in links {
+        let run = |engine| {
+            link_outcome(runner.execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine).with_corruption(cfg),
+                &mut (),
+            ))
+        };
+        let lockstep = run(Engine::Lockstep);
+        assert_eq!(lockstep.is_err(), fails, "{label}: {lockstep:?}");
+        assert_eq!(run(Engine::Sockets(worker_options())), lockstep, "{label}");
+    }
+}
+
+/// The socket twin of `corruption.rs`'s rollback test: a magnitude-scale
+/// strike trips the divergence gate once, the coordinator restores every
+/// node from the last checkpoint in place, and the run converges. With one
+/// process per node and with two, the socket run makes lockstep's trip and
+/// rollback decisions and reports the same integrity and fault sections
+/// and the same UFC bits.
+#[test]
+fn rollback_repairs_a_poisoned_socket_run_as_on_lockstep() {
+    let instance = slack_instance();
+    let settings = AdmgSettings::default()
+        .with_divergence_gate(10.0, 1)
+        .with_divergence_rollback(true);
+    let runner = DistributedAdmg::new(settings);
+    let cfg = CorruptionConfig::new(0.002, 1).with_kind(CorruptionKind::MagnitudeScale);
+    let run = |engine| {
+        runner
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(engine).with_corruption(cfg),
+                &mut (),
+            )
+            .expect("rollback must repair the run")
+    };
+    let lockstep = run(Engine::Lockstep);
+    let integrity = lockstep.integrity.expect("integrity report");
+    assert_eq!((integrity.divergence_trips, integrity.rollbacks), (1, 1));
+    assert!(lockstep.fault.is_some(), "checkpointing ran for rollback");
+    for options in [worker_options(), worker_options().with_processes(2)] {
+        let label = format!("{} processes", options.processes);
+        let sockets = run(Engine::Sockets(options));
+        assert!(sockets.converged, "{label}");
+        assert_eq!(sockets.iterations, lockstep.iterations, "{label}");
+        assert_eq!(sockets.integrity, lockstep.integrity, "{label}");
+        assert_eq!(sockets.fault, lockstep.fault, "{label}");
+        assert_eq!(
+            sockets.breakdown.ufc().to_bits(),
+            lockstep.breakdown.ufc().to_bits(),
+            "{label}"
+        );
+    }
 }
 
 /// Every wire-level kind at rate 1e-2 over real TCP: each injection is

@@ -15,11 +15,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inst = &scenario.instances[0];
     let settings = AdmgSettings::default();
 
-    // Distributed protocol over OS threads and mpsc channels (one per node).
+    // The distributed protocol: front-end and datacenter nodes that only
+    // exchange explicit, accounted messages through the coordinator.
     let report = DistributedAdmg::new(settings).execute(
         inst,
         Strategy::Hybrid,
-        &RunSpec::new(Engine::Threaded),
+        &RunSpec::new(Engine::Lockstep),
         &mut (),
     )?;
     println!(

@@ -59,7 +59,7 @@ fn fuel_cell_strategy_distributed_matches_memory() {
             .execute(
                 inst,
                 Strategy::FuelCellOnly,
-                &RunSpec::new(Engine::Threaded),
+                &RunSpec::new(Engine::Lockstep),
                 &mut (),
             )
             .unwrap();
