@@ -18,7 +18,7 @@
 //!   coordinator over node kernels in the calling thread, with optional
 //!   fault, corruption and drop injection;
 //! * **multi-process sockets** (`ufc_distsim`): the same coordinator over
-//!   worker OS processes on TCP.
+//!   worker OS processes over a Unix socket or TCP.
 //!
 //! Every transport must preserve the numerical contract bit-for-bit:
 //! parallel ≡ sequential, reused ≡ fresh, lockstep ≡ sockets, and

@@ -2,23 +2,25 @@
 //! (`crate::supervision`) over a [`ProcessFleet`] of worker OS processes.
 //!
 //! Each worker is a real OS process (the `ufc-node` binary, running
-//! [`crate::worker::run_worker`]) connected to the coordinator over TCP —
-//! loopback by default, or any [`crate::wire::BindConfig`] listen address
-//! when a shared [`crate::wire::AuthKey`] is configured. The coordinator
-//! accepts connections on a background acceptor thread, its one thread
-//! besides the caller's, and validates the handshake (a `Hello` session
-//! check on loopback; a challenge–response keyed MAC when authentication is
-//! on — see DESIGN.md §17). Everything after the handshake happens in the
-//! coordinator's own thread: `Fleet::send` writes each fan-out's frames,
-//! and `Fleet::recv` reads the connection of the first node the gather
-//! still waits for, straight into that connection's [`FrameBuffer`],
-//! blocking no longer than what is left of the ladder rung
-//! (`SO_RCVTIMEO`), and decodes the replies there ([`Link::visit`]). The
-//! protocol, deadline ladder, fault tracker, checkpoint store and replay
-//! buffer are the supervisor's, shared with the other fleets; this module
-//! only carries the bytes. A hostile peer (wrong key, replayed or truncated
-//! handshake, downgrade attempt) is dropped before any iteration state is
-//! exchanged and the acceptor keeps serving honest workers.
+//! [`crate::worker::run_worker`]) connected to the coordinator by a
+//! `crate::carrier::Stream`: by default a Unix stream socket in a private
+//! directory on the coordinator's own host, or TCP at an explicit
+//! [`crate::wire::BindConfig`] (any listen address when a shared
+//! [`crate::wire::AuthKey`] is configured, loopback without one). The
+//! coordinator accepts connections on a background acceptor thread, its
+//! one thread besides the caller's, and validates the handshake (a `Hello`
+//! session check without a key; a challenge–response keyed MAC when
+//! authentication is on — see DESIGN.md §17). Everything after the
+//! handshake happens in the coordinator's own thread: `Fleet::send` writes
+//! each fan-out's frames, and `Fleet::recv` reads the connection of the
+//! first node the gather still waits for, straight into that connection's
+//! [`FrameBuffer`], blocking no longer than what is left of the ladder
+//! rung (`SO_RCVTIMEO`), and decodes the replies there ([`Link::visit`]).
+//! The protocol, deadline ladder, fault tracker, checkpoint store and
+//! replay buffer are the supervisor's, shared with the other fleets; this
+//! module only carries the bytes. A hostile peer (wrong key, replayed or
+//! truncated handshake, downgrade attempt) is dropped before any iteration
+//! state is exchanged and the acceptor keeps serving honest workers.
 //!
 //! A fleet outlives a run. Each run begins with a `Load` frame to every
 //! process ([`ProcessFleet::load`]), which carries the run's
@@ -50,7 +52,7 @@
 //!
 //! Faults here are real: a scripted crash is a `SIGKILL` delivered to the
 //! live worker process mid-iteration (`Child::kill`), a partition window
-//! tears down the affected TCP connections so the workers must
+//! tears down the affected connections so the workers must
 //! reconnect-with-backoff, and liveness is `Child::try_wait` — the actual
 //! OS process table, not a thread flag — once the process's connection has
 //! been read to its end. A respawned process is rebuilt from the last
@@ -60,7 +62,6 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,6 +73,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ufc_core::telemetry::IntegrityCounters;
 use ufc_core::CoreError;
 
+use crate::carrier::{Listener, Stream};
 use crate::coordinator::Tally;
 use crate::fault::{CorruptionConfig, CorruptionKind, FaultPlan, WireChaos, WireVerdict};
 use crate::runtime::SocketOptions;
@@ -100,7 +102,7 @@ const REAP_POLL_CAP: Duration = Duration::from_millis(10);
 struct Registration {
     process: usize,
     incarnation: u32,
-    stream: TcpStream,
+    stream: Stream,
     frames: FrameBuffer,
 }
 
@@ -258,7 +260,7 @@ enum Visit {
 /// stream its commands go out on and its replies come in on, the replies'
 /// reassembly buffer, and the reader's state for this connection.
 struct Link {
-    stream: TcpStream,
+    stream: Stream,
     frames: FrameBuffer,
     /// Whether the worker has closed its end: what is buffered is all that
     /// is left to read.
@@ -279,7 +281,7 @@ struct Link {
 }
 
 impl Link {
-    fn new(stream: TcpStream, frames: FrameBuffer, chaos: Option<WireChaos>) -> Self {
+    fn new(stream: Stream, frames: FrameBuffer, chaos: Option<WireChaos>) -> Self {
         Link {
             stream,
             frames,
@@ -443,7 +445,7 @@ impl Link {
 }
 
 /// The [`Fleet`] of [`crate::Engine::Sockets`]: worker OS processes, each
-/// hosting its round-robin share of the nodes, behind one TCP connection
+/// hosting its round-robin share of the nodes, behind one connection
 /// apiece. It serves one run per [`ProcessFleet::load`] and is reaped by
 /// [`ProcessFleet::teardown`], at the end of a run that leaves it unfit
 /// for another, or when it is dropped.
@@ -454,6 +456,10 @@ pub(crate) struct ProcessFleet {
     n: usize,
     processes: usize,
     launcher: WorkerLauncher,
+    /// The address that leads back to the listener from this host
+    /// ([`Listener::local_addr`]), whatever the workers are told to dial:
+    /// teardown connects to it to wake the acceptor.
+    local: String,
     reg_rx: Receiver<Registration>,
     /// Live worker processes, one slot per process index.
     children: Vec<Option<Child>>,
@@ -534,26 +540,30 @@ impl ProcessFleet {
                 ));
             }
         }
-        if !options.bind.is_loopback() && options.auth.is_none() {
+        let remote = options.bind.as_ref().filter(|bind| !bind.is_loopback());
+        if let (Some(bind), None) = (remote, &options.auth) {
             return Err(CoreError::invalid_config(format!(
                 "refusing to listen on non-loopback {:?} without a shared \
                  authentication key (SocketOptions::with_auth)",
-                options.bind.listen
+                bind.listen
             )));
         }
         Ok(processes)
     }
 
-    /// Listens, starts `config.processes` worker processes and loads
-    /// `config` into them, returning once each has completed its handshake.
-    /// `options` and `plan` must have passed [`ProcessFleet::processes_for`];
-    /// a wire-level corruption kind in `plan` binds its chaos to the
-    /// fleet's connections.
+    /// Listens (on a Unix socket in a fresh private directory without
+    /// `options.bind`, on TCP with it), starts `config.processes` worker
+    /// processes and loads `config` into them, returning once each has
+    /// completed its handshake. `options` and `plan` must have passed
+    /// [`ProcessFleet::processes_for`]; a wire-level corruption kind in
+    /// `plan` binds its chaos to the fleet's connections.
     ///
     /// # Errors
     ///
-    /// [`CoreError::NodeFailure`] when the coordinator cannot listen or
-    /// a worker cannot be spawned or never completes its handshake.
+    /// [`CoreError::NodeFailure`] when the coordinator cannot listen (its
+    /// own-host socket directory cannot be made, or the TCP address cannot
+    /// be bound) or a worker cannot be spawned or never completes its
+    /// handshake.
     pub(crate) fn launch(
         config: &RunConfig,
         plan: &FaultPlan,
@@ -567,14 +577,20 @@ impl ProcessFleet {
             }),
             None => None,
         };
-        let listener = TcpListener::bind(&options.bind.listen)
-            .map_err(|e| CoreError::node_failure("coordinator", 0, format!("bind: {e}")))?;
+        let session = session_id();
+        let listener = match &options.bind {
+            Some(bind) => Listener::tcp(&bind.listen),
+            None => Listener::own_host(session),
+        }
+        .map_err(|e| CoreError::node_failure("coordinator", 0, format!("bind: {e}")))?;
         let local = listener
             .local_addr()
-            .map_err(|e| CoreError::node_failure("coordinator", 0, format!("local_addr: {e}")))?
-            .to_string();
-        let addr = options.bind.advertise.clone().unwrap_or(local);
-        let session = session_id();
+            .map_err(|e| CoreError::node_failure("coordinator", 0, format!("local_addr: {e}")))?;
+        let addr = options
+            .bind
+            .as_ref()
+            .and_then(|bind| bind.advertise.clone())
+            .unwrap_or_else(|| local.clone());
         let egress = Egress {
             chaos: (0..processes)
                 .map(|p| WireChaos::egress(plan.corruption.as_ref(), wire_salt(p, false)))
@@ -605,6 +621,7 @@ impl ProcessFleet {
                 session,
                 auth: options.auth.clone(),
             },
+            local,
             reg_rx,
             children: (0..processes).map(|_| None).collect(),
             links: (0..processes).map(|_| None).collect(),
@@ -734,7 +751,7 @@ impl ProcessFleet {
     fn install_registration(&mut self, reg: Registration) {
         let p = reg.process;
         if p >= self.links.len() || reg.incarnation != self.incarnations[p] {
-            let _ = reg.stream.shutdown(Shutdown::Both);
+            let _ = reg.stream.shutdown();
             return;
         }
         let chaos = WireChaos::ingress(self.chaos.as_ref(), wire_salt(p, true));
@@ -752,7 +769,7 @@ impl ProcessFleet {
     /// Drops process `p`'s connection, if it has one.
     fn drop_link(&mut self, p: usize) {
         if let Some(link) = self.links[p].take() {
-            let _ = link.stream.shutdown(Shutdown::Both);
+            let _ = link.stream.shutdown();
         }
     }
 
@@ -818,11 +835,11 @@ impl ProcessFleet {
             let _ = (&link.stream).write_all(&shutdown);
         }
         for link in self.links.drain(..).flatten() {
-            let _ = link.stream.shutdown(Shutdown::Both);
+            let _ = link.stream.shutdown();
         }
         self.acceptor_stop.store(true, Ordering::SeqCst);
         // The acceptor is blocked in accept(); poke it awake.
-        let _ = TcpStream::connect(&self.launcher.addr);
+        let _ = Stream::connect(&self.local);
         let mut result = Ok(());
         if let Some(handle) = self.acceptor.take() {
             if handle.join().is_err() {
@@ -1047,14 +1064,14 @@ fn session_id() -> u64 {
 /// via `reg_tx`. A hostile or malformed peer is simply dropped — the loop
 /// keeps serving honest workers.
 fn spawn_acceptor(
-    listener: TcpListener,
+    listener: Listener,
     state: AcceptorState,
     reg_tx: Sender<Registration>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         while !stop.load(Ordering::SeqCst) {
-            let Ok((stream, _)) = listener.accept() else {
+            let Ok(stream) = listener.accept() else {
                 continue;
             };
             if stop.load(Ordering::SeqCst) {
@@ -1073,7 +1090,7 @@ fn spawn_acceptor(
 /// Reads exactly one decodable frame off a handshaking connection, or
 /// `None` on timeout, EOF, framing desync (garbage before the magic, an
 /// oversized length prefix), or a payload that fails its CRC.
-fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFrame> {
+fn read_one_frame(stream: &Stream, frames: &mut FrameBuffer) -> Option<WireFrame> {
     loop {
         match frames.next_frame() {
             Ok(Some(payload)) => return WireFrame::decode_payload(payload).ok(),
@@ -1094,8 +1111,7 @@ fn read_one_frame(stream: &TcpStream, frames: &mut FrameBuffer) -> Option<WireFr
 /// hostile peer never registers, so it never sees a `Load`. Each challenge
 /// carries 32 fresh bytes from `/dev/urandom`; a failed read drops the
 /// connection.
-fn handshake(stream: TcpStream, state: &AcceptorState) -> Option<Registration> {
-    stream.set_nodelay(true).ok()?;
+fn handshake(stream: Stream, state: &AcceptorState) -> Option<Registration> {
     stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
     let mut frames = FrameBuffer::new();
     let (process, incarnation) = match &state.auth {
@@ -1184,7 +1200,7 @@ mod tests {
 
     /// The first challenge an authenticated acceptor sends for `session`.
     fn first_challenge(session: u64) -> [u8; 32] {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let listener = Listener::tcp("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
         let (reg_tx, _reg_rx) = channel();
         let stop = Arc::new(AtomicBool::new(false));
@@ -1200,12 +1216,12 @@ mod tests {
             reg_tx,
             Arc::clone(&stop),
         );
-        let stream = TcpStream::connect(addr).expect("connect to the acceptor");
+        let stream = Stream::connect(&addr).expect("connect to the acceptor");
         let frame = read_one_frame(&stream, &mut FrameBuffer::new());
         // Hanging up fails the handshake; the poke then ends the loop.
         drop(stream);
         stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr);
+        let _ = Stream::connect(&addr);
         acceptor.join().expect("acceptor thread");
         match frame {
             Some(WireFrame::Challenge { nonce, .. }) => nonce,
@@ -1222,8 +1238,8 @@ mod tests {
     }
 
     /// A one-process fleet with no worker behind it, reading `stream`: the
-    /// coordinator's end of a loopback connection the test writes into.
-    fn reader_over(stream: TcpStream) -> ProcessFleet {
+    /// coordinator's end of a connection the test writes into.
+    fn reader_over(stream: Stream) -> ProcessFleet {
         let (_reg_tx, reg_rx) = channel();
         ProcessFleet {
             options: SocketOptions::new("ufc-node"),
@@ -1236,6 +1252,7 @@ mod tests {
                 session: 0,
                 auth: None,
             },
+            local: String::new(),
             reg_rx,
             children: vec![None],
             links: vec![Some(Link::new(stream, FrameBuffer::new(), None))],
@@ -1259,59 +1276,69 @@ mod tests {
         }
     }
 
-    /// A loopback connection: the worker's end, and a reader over the
-    /// coordinator's.
-    fn connected_reader() -> (TcpStream, ProcessFleet) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    /// A connection over either carrier (an own-host Unix socket, or TCP
+    /// loopback): the worker's end, and a reader over the coordinator's.
+    fn connected_reader(unix: bool) -> (Stream, ProcessFleet) {
+        let listener = if unix {
+            Listener::own_host(0)
+        } else {
+            Listener::tcp("127.0.0.1:0")
+        }
+        .expect("listen");
         let addr = listener.local_addr().expect("local addr");
-        let worker = TcpStream::connect(addr).expect("connect to the reader");
-        let (coordinator, _) = listener.accept().expect("accept");
+        let worker = Stream::connect(&addr).expect("connect to the reader");
+        let coordinator = listener.accept().expect("accept");
         (worker, reader_over(coordinator))
     }
 
-    /// The reader keeps to the rung it is given: a zero budget hands out
-    /// what has arrived without blocking, and a silent connection is read
-    /// for the whole budget but not much past it (the bounds leave room
-    /// for a loaded host, not for a read left blocking on an older
-    /// timeout).
+    /// The reader keeps to the rung it is given, on either carrier: a zero
+    /// budget hands out what has arrived without blocking, and a silent
+    /// connection is read for the whole budget but not much past it (the
+    /// bounds leave room for a loaded host, not for a read left blocking on
+    /// an older timeout).
     #[test]
     fn reads_stay_inside_their_budget() {
         let pending = Pending::of(1, 0, [NodeId::Frontend(0)]);
-        let (mut worker, mut fleet) = connected_reader();
-        let reply = Reply::FeFinal {
-            i: 0,
-            lambda: vec![0.5],
-        };
-        worker
-            .write_all(&WireFrame::Reply(reply.clone()).to_wire())
-            .expect("write a reply");
-        assert_eq!(fleet.recv(&pending, Duration::ZERO), Some(reply));
-        let start = Instant::now();
-        assert_eq!(fleet.recv(&pending, Duration::ZERO), None);
-        assert!(
-            start.elapsed() < Duration::from_millis(100),
-            "a zero budget blocked"
-        );
-        for budget in [Duration::from_millis(4), Duration::from_millis(30)] {
+        for unix in [false, true] {
+            let (worker, mut fleet) = connected_reader(unix);
+            let reply = Reply::FeFinal {
+                i: 0,
+                lambda: vec![0.5],
+            };
+            (&worker)
+                .write_all(&WireFrame::Reply(reply.clone()).to_wire())
+                .expect("write a reply");
+            assert_eq!(fleet.recv(&pending, Duration::ZERO), Some(reply));
             let start = Instant::now();
-            assert_eq!(fleet.recv(&pending, budget), None);
-            let waited = start.elapsed();
-            assert!(waited >= budget, "{budget:?}: gave up after {waited:?}");
+            assert_eq!(fleet.recv(&pending, Duration::ZERO), None);
             assert!(
-                waited < budget + Duration::from_millis(200),
-                "{budget:?}: read for {waited:?}"
+                start.elapsed() < Duration::from_millis(100),
+                "unix {unix}: a zero budget blocked"
             );
+            for budget in [Duration::from_millis(4), Duration::from_millis(30)] {
+                let start = Instant::now();
+                assert_eq!(fleet.recv(&pending, budget), None);
+                let waited = start.elapsed();
+                assert!(
+                    waited >= budget,
+                    "unix {unix}, {budget:?}: gave up after {waited:?}"
+                );
+                assert!(
+                    waited < budget + Duration::from_millis(200),
+                    "unix {unix}, {budget:?}: read for {waited:?}"
+                );
+            }
+            assert!(fleet.error.is_none() && fleet.alive(0));
         }
-        assert!(fleet.error.is_none() && fleet.alive(0));
     }
 
-    /// With chaos off, each reply stream the coordinator cannot parse — a
-    /// payload failing its CRC, a worker `Nak`, a frame kind only the
-    /// coordinator sends, a framing desync — parks a typed
-    /// `CorruptPayload` in the fleet as the coordinator's own reader meets
-    /// it, with no thread, delivers nothing, and from then on every process
-    /// reads as dead and `recv` returns at once, so the gather ladder stops
-    /// instead of extending for a live worker.
+    /// With chaos off, on either carrier, each reply stream the
+    /// coordinator cannot parse — a payload failing its CRC, a worker
+    /// `Nak`, a frame kind only the coordinator sends, a framing desync —
+    /// parks a typed `CorruptPayload` in the fleet as the coordinator's own
+    /// reader meets it, with no thread, delivers nothing, and from then on
+    /// every process reads as dead and `recv` returns at once, so the
+    /// gather ladder stops instead of extending for a live worker.
     #[test]
     fn unparseable_reply_streams_park_a_typed_error() {
         let reply = WireFrame::Reply(Reply::FeFinal {
@@ -1331,10 +1358,14 @@ mod tests {
         ];
         let pending = Pending::of(1, 0, [NodeId::Frontend(0)]);
         let patience = Duration::from_secs(5);
-        for (what, bytes) in inputs {
-            let (mut worker, mut fleet) = connected_reader();
+        for ((what, bytes), unix) in inputs
+            .iter()
+            .flat_map(|input| [(input, false), (input, true)])
+        {
+            let what = format!("{what}, unix {unix}");
+            let (worker, mut fleet) = connected_reader(unix);
             // The worker keeps its end open: only the bytes end the read.
-            worker.write_all(&bytes).expect("write the reply stream");
+            (&worker).write_all(bytes).expect("write the reply stream");
             let start = Instant::now();
             let delivered = fleet.recv(&pending, patience);
             assert!(delivered.is_none(), "{what}: delivered {delivered:?}");

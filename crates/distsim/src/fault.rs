@@ -113,7 +113,7 @@ pub struct PartitionWindow {
 /// The first four kinds are *value-level*: they mangle the 8 little-endian
 /// bytes of a data message's value and are drawn per event when
 /// [`CorruptionConfig::kind`] is `None`. The `Frame*` kinds are
-/// *wire-level*: they act on whole TCP frames of the socket engine
+/// *wire-level*: they act on whole wire frames of the socket engine
 /// (truncation, duplication, reordering) and are only exercised when
 /// pinned explicitly — see [`CorruptionKind::is_wire_level`]. So is
 /// [`CorruptionKind::Drop`], the lossy channel.
@@ -149,7 +149,7 @@ pub enum CorruptionKind {
 impl CorruptionKind {
     /// Whether this kind mangles whole wire frames instead of a data
     /// message's value. Wire-level kinds require the socket engine (they
-    /// act on real TCP bytes) and are rejected by the in-process engines.
+    /// act on real socket bytes) and are rejected by the in-process engines.
     #[must_use]
     pub fn is_wire_level(self) -> bool {
         matches!(

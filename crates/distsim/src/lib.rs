@@ -21,7 +21,8 @@
 //! `ufc_core::AdmgSolver` steps, and both are one supervised coordinator
 //! over a different fleet of nodes: node kernels in the calling thread,
 //! fanned out over the worker pool ([`Engine::Lockstep`]), or worker OS
-//! processes over TCP ([`Engine::Sockets`]). The coordinator is a
+//! processes over a Unix socket on the coordinator's own host or over TCP
+//! ([`Engine::Sockets`]). The coordinator is a
 //! `Transport` sequenced by the single transport-agnostic iteration driver
 //! `ufc_core::engine::drive` — the λ→μ→ν→a prediction order, the
 //! correction step, and the stop rule exist in exactly one place — and
@@ -63,12 +64,15 @@
 //! silently wrong UFC.
 //!
 //! The multi-process socket engine extends both directions to a hostile
-//! network: a [`BindConfig`] allows non-loopback listen addresses gated on
-//! a shared [`AuthKey`] (challenge–response keyed MAC before any iteration
-//! state moves), and the wire-level [`CorruptionKind`]s
-//! (`FrameTruncate`/`FrameDuplicate`/`FrameReorder`) mangle real TCP
-//! frames at the socket coordinator's side of each connection, repaired
-//! by the CRC + `Nak`/resend ladder in the coordinator's reader.
+//! network: its fleets run on the coordinator's own host over a Unix socket
+//! only its user can reach, and a [`BindConfig`] moves the listener onto
+//! TCP, where non-loopback listen addresses are gated on a shared
+//! [`AuthKey`] (challenge–response keyed MAC before any iteration state
+//! moves); the wire-level [`CorruptionKind`]s
+//! (`FrameTruncate`/`FrameDuplicate`/`FrameReorder`) mangle the real wire
+//! frames at the socket coordinator's side of each connection, on either
+//! carrier, repaired by the CRC + `Nak`/resend ladder in the coordinator's
+//! reader.
 //!
 //! # Example
 //!
@@ -103,6 +107,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod carrier;
 mod coordinator;
 mod engine_socket;
 pub mod fault;

@@ -37,9 +37,9 @@ use crate::worker::InlineFleet;
 const ROLLBACK_CHECKPOINT_INTERVAL: usize = 4;
 
 /// Configuration of the multi-process socket engine: where the worker
-/// binary lives, how many OS processes to spread the nodes over, which
-/// address the coordinator listens on, and (for non-loopback binds) the
-/// shared authentication key.
+/// binary lives, how many OS processes to spread the nodes over, where the
+/// coordinator listens (its own host, or a TCP address), and the shared
+/// authentication key (required for non-loopback binds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocketOptions {
     /// Path to the `ufc-node` worker binary (built from
@@ -50,10 +50,13 @@ pub struct SocketOptions {
     /// fault injection (kills, partitions) requires the full one-per-node
     /// split so a `SIGKILL` hits exactly the scripted node.
     pub processes: usize,
-    /// Listen/advertise addresses. Defaults to an ephemeral loopback port;
-    /// a non-loopback listen address is refused unless [`Self::auth`] is
-    /// set (see DESIGN.md §17).
-    pub bind: BindConfig,
+    /// Where the coordinator listens. `None` (the default) means the
+    /// coordinator's own host: a Unix stream socket in a fresh mode-0700
+    /// directory under [`std::env::temp_dir`], removed when the fleet is
+    /// torn down, which only the coordinator's user can reach. `Some` is a
+    /// TCP listen/advertise address pair; a non-loopback listen address is
+    /// refused unless [`Self::auth`] is set (see DESIGN.md §17).
+    pub bind: Option<BindConfig>,
     /// Shared handshake key. When set, every connection must pass the
     /// challenge–response MAC exchange before any iteration state is
     /// exchanged; plain `Hello` handshakes (a downgrade) are rejected.
@@ -62,12 +65,12 @@ pub struct SocketOptions {
 
 impl SocketOptions {
     /// Options for the given worker binary with the default one process
-    /// per node on an ephemeral loopback port, unauthenticated.
+    /// per node on the coordinator's own host, unauthenticated.
     pub fn new(worker: impl Into<PathBuf>) -> Self {
         SocketOptions {
             worker: worker.into(),
             processes: 0,
-            bind: BindConfig::loopback(),
+            bind: None,
             auth: None,
         }
     }
@@ -79,10 +82,12 @@ impl SocketOptions {
         self
     }
 
-    /// Overrides the listen/advertise addresses.
+    /// Listens on TCP at `bind` instead of the own-host Unix socket: for
+    /// workers on other hosts, or behind an address the coordinator
+    /// advertises.
     #[must_use]
     pub fn with_bind(mut self, bind: BindConfig) -> Self {
-        self.bind = bind;
+        self.bind = Some(bind);
         self
     }
 
@@ -106,9 +111,11 @@ pub enum Engine {
     /// engine whose telemetry carries the solver counters.
     Lockstep,
     /// Every node in a worker OS process (per [`SocketOptions::processes`])
-    /// speaking the checksummed wire framing over TCP, driven by the
-    /// supervising coordinator; bit-identical to [`Engine::Lockstep`] on a
-    /// clean plan.
+    /// speaking the checksummed wire framing over a Unix stream socket on
+    /// the coordinator's own host, or over TCP with an explicit
+    /// [`SocketOptions::bind`], driven by the supervising coordinator;
+    /// bit-identical to [`Engine::Lockstep`] on a clean plan, on either
+    /// carrier.
     Sockets(SocketOptions),
 }
 
@@ -317,7 +324,7 @@ impl DistributedAdmg {
         if wire_level && !matches!(spec.engine, Engine::Sockets(_)) {
             return Err(CoreError::invalid_config(
                 "wire-level corruption kinds (frame truncate/duplicate/reorder) need real \
-                 TCP frames; run them on Engine::Sockets",
+                 socket frames; run them on Engine::Sockets",
             ));
         }
         let (active_mu, active_nu) = strategy.block_activation(instance)?;

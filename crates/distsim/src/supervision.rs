@@ -5,7 +5,7 @@
 //! A fleet is how commands reach the nodes, and it is the only part the
 //! two engines implement: node kernels in the coordinator's thread
 //! (`crate::worker::InlineFleet`, [`crate::Engine::Lockstep`]) or worker OS
-//! processes over TCP (`crate::engine_socket::ProcessFleet`,
+//! processes over sockets (`crate::engine_socket::ProcessFleet`,
 //! [`crate::Engine::Sockets`]). Both carry the same [`NodeCmd`]s to the
 //! same node dispatch (`crate::worker`), and every [`Reply`] comes back
 //! through [`Fleet::recv`], tagged with its node and iteration so stale

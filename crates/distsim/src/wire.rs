@@ -4,7 +4,7 @@
 //! *wire frame*: a little-endian `u32` length prefix followed by a
 //! self-verifying payload `[WIRE_MAGIC, kind, body (LE fields), crc32]`.
 //! The length prefix lets [`FrameBuffer`] reassemble frames from the
-//! arbitrary partial reads a real TCP stream produces; the [`crc32`]
+//! arbitrary partial reads a real stream socket produces; the [`crc32`]
 //! trailer rejects bit-rot and framing desynchronization with a typed
 //! [`CoreError::CorruptPayload`] instead of a panic or a garbage parse.
 //! This is the crate's only byte framing: the simulated link channel
@@ -562,36 +562,24 @@ impl fmt::Debug for AuthKey {
     }
 }
 
-/// Where the coordinator's acceptor listens and what address it hands the
-/// workers it spawns. The default keeps the PR-6 behaviour: an ephemeral
-/// loopback port. Non-loopback listens are allowed only together with an
-/// [`AuthKey`] — the engine rejects the combination otherwise.
+/// A TCP address for the coordinator's acceptor to listen on, and the
+/// address it hands the workers it spawns. A fleet without one
+/// (`SocketOptions::bind` is `None`) listens on a Unix socket on the
+/// coordinator's own host instead. Non-loopback listens are allowed only
+/// together with an [`AuthKey`] — the engine rejects the combination
+/// otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BindConfig {
     /// Address handed to `TcpListener::bind` (e.g. `127.0.0.1:0`,
     /// `0.0.0.0:7740`).
     pub listen: String,
     /// Address advertised to spawned workers; `None` derives
-    /// `host:port` from the bound listener's local address.
+    /// `host:port` from the bound listener's local address (loopback for a
+    /// wildcard listen address).
     pub advertise: Option<String>,
 }
 
-impl Default for BindConfig {
-    fn default() -> Self {
-        BindConfig {
-            listen: "127.0.0.1:0".to_owned(),
-            advertise: None,
-        }
-    }
-}
-
 impl BindConfig {
-    /// The default ephemeral-loopback bind.
-    #[must_use]
-    pub fn loopback() -> Self {
-        BindConfig::default()
-    }
-
     /// Listens on an explicit address.
     #[must_use]
     pub fn new(listen: impl Into<String>) -> Self {
@@ -705,7 +693,7 @@ pub(crate) struct Load {
     pub(crate) config: Vec<u8>,
     /// Under a shared key, `HMAC-SHA256(key, session ‖ process ‖
     /// incarnation ‖ seq ‖ sha256(config))`; `None` on an unauthenticated
-    /// loopback fleet.
+    /// fleet (own-host or TCP loopback).
     pub(crate) tag: Option<[u8; 32]>,
 }
 
@@ -1579,7 +1567,6 @@ mod tests {
 
     #[test]
     fn bind_config_distinguishes_loopback() {
-        assert!(BindConfig::default().is_loopback());
         assert!(BindConfig::new("127.0.0.1:7740").is_loopback());
         assert!(BindConfig::new("[::1]:7740").is_loopback());
         assert!(BindConfig::new("localhost:7740").is_loopback());

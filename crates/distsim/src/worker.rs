@@ -8,13 +8,14 @@
 //! other, and to the in-process solver that steps the same node types.
 //!
 //! [`run_worker`] is the entire body of the `ufc-node` binary: connect to
-//! the coordinator, introduce yourself (a `Hello` wire frame), then serve
-//! one run per `Load` frame — rebuild your hosted node kernels from its
-//! `RunConfig` and answer node-addressed commands — until the coordinator
-//! says `Shutdown` or hangs up once every hosted node has shipped its final
-//! iterate. A worker process therefore outlives a run: the coordinator
-//! keeps its fleet between the runs of one `DistributedAdmg`. It hosts the
-//! nodes `id % processes == process` (see [`crate::wire::hosted_nodes`]):
+//! the coordinator (over a Unix socket on its own host, or TCP), introduce
+//! yourself (a `Hello` wire frame), then serve one run per `Load` frame —
+//! rebuild your hosted node kernels from its `RunConfig` and answer
+//! node-addressed commands — until the coordinator says `Shutdown` or
+//! hangs up once every hosted node has shipped its final iterate. A worker
+//! process therefore outlives a run: the coordinator keeps its fleet
+//! between the runs of one `DistributedAdmg`. It hosts the nodes
+//! `id % processes == process` (see [`crate::wire::hosted_nodes`]):
 //! front-end kernels for `id < m`, datacenter kernels above.
 //!
 //! Failure behaviour: a dropped connection (`ECONNRESET`, EOF — e.g. the
@@ -30,7 +31,6 @@
 
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::TcpStream;
 use std::os::unix::process::parent_id;
 use std::thread;
 use std::time::Duration;
@@ -39,6 +39,7 @@ use ufc_core::node::{DatacenterNode, DatacenterSnapshot, FrontendNode, FrontendS
 use ufc_core::{AdmgSettings, CoreError, WorkerPool};
 use ufc_model::UfcInstance;
 
+use crate::carrier::Stream;
 use crate::coordinator::Tally;
 use crate::supervision::{Fleet, Pending, Reply};
 use crate::wire::{
@@ -100,7 +101,7 @@ fn io_failure(process: usize, context: &str, err: &std::io::Error) -> CoreError 
 /// Connects to the coordinator, retrying with backoff, unless the worker's
 /// parent is no longer `parent` (the coordinator that spawned it): an
 /// orphan has nobody to reconnect to, so it fails before every attempt.
-fn connect_with_backoff(addr: &str, process: usize, parent: u32) -> Result<TcpStream, CoreError> {
+fn connect_with_backoff(addr: &str, process: usize, parent: u32) -> Result<Stream, CoreError> {
     let mut delay = BACKOFF_START;
     let mut last: Option<std::io::Error> = None;
     for _ in 0..CONNECT_ATTEMPTS {
@@ -111,13 +112,8 @@ fn connect_with_backoff(addr: &str, process: usize, parent: u32) -> Result<TcpSt
                 format!("coordinator gone: parent process {parent} exited"),
             ));
         }
-        match TcpStream::connect(addr) {
-            Ok(stream) => {
-                stream
-                    .set_nodelay(true)
-                    .map_err(|e| io_failure(process, "set_nodelay", &e))?;
-                return Ok(stream);
-            }
+        match Stream::connect(addr) {
+            Ok(stream) => return Ok(stream),
             Err(e) => {
                 last = Some(e);
                 thread::sleep(delay);
@@ -141,7 +137,7 @@ fn connect_with_backoff(addr: &str, process: usize, parent: u32) -> Result<TcpSt
 /// which a reconnect or a `Load` starts afresh. The buffers are reused from
 /// frame to frame.
 struct Session {
-    stream: TcpStream,
+    stream: Stream,
     frames: FrameBuffer,
     /// Frames to send, in order, encoded in place and written together by
     /// [`Session::flush`] just before the worker would block on a read. A
@@ -264,7 +260,7 @@ impl Session {
             self.flush(process)?;
             let n = self
                 .frames
-                .read_from(&mut self.stream)
+                .read_from(&mut &self.stream)
                 .map_err(|e| io_failure(process, "socket read", &e))?;
             if n == 0 {
                 if self.frames.pending_bytes() > 0 {
@@ -296,9 +292,9 @@ impl Session {
         if self.out.is_empty() {
             return Ok(());
         }
-        self.stream
+        (&self.stream)
             .write_all(&self.out)
-            .and_then(|()| self.stream.flush())
+            .and_then(|()| (&self.stream).flush())
             .map_err(|e| io_failure(process, "socket write", &e))?;
         self.out.clear();
         Ok(())
@@ -405,8 +401,9 @@ fn dispatch(
 /// Runs one worker process to completion: the body of the `ufc-node`
 /// binary.
 ///
-/// Connects to the coordinator at `addr` (loopback by default; any
-/// reachable `host:port` when the coordinator binds remotely) and performs
+/// Connects to the coordinator at `addr` — `unix:` and the absolute path
+/// of the coordinator's own-host socket (the default), or any reachable
+/// `host:port` when the coordinator listens on TCP — and performs
 /// the handshake for `(session, process, incarnation)` — a plain `Hello`
 /// without `auth`, the challenge–response exchange with it. Then it serves
 /// runs: each `Load` frame rebuilds the hosted node kernels from its run

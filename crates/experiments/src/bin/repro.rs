@@ -21,13 +21,13 @@
 //!   chaos      extension: corruption-rate sweep of the checksummed wire
 //!              codec and divergence safeguards on the lockstep engine;
 //!              `--engine sockets` runs the sweep over the multi-process
-//!              socket engine's real TCP frames instead, including the
+//!              socket engine's real socket frames instead, including the
 //!              wire-level kinds (frame truncate/duplicate/reorder);
 //!              `--quick` shrinks the sweep for CI smoke runs
 //!   sockets    extension: multi-process socket engine (one OS process per
-//!              node over loopback TCP) vs lockstep, clean and under real
-//!              SIGKILL + partition recovery; `--quick` shrinks the sweep
-//!              for CI smoke runs
+//!              node over the own-host Unix socket) vs lockstep, clean and
+//!              under real SIGKILL + partition recovery; `--quick` shrinks
+//!              the sweep for CI smoke runs
 //!   storage    extension: receding-horizon battery + fuel-cell ramp study
 //!              (the 5th ADM-G block) over the 24-hour trace, lockstep vs
 //!              the in-process solver bit-compared each hour; `--quick`
@@ -960,20 +960,21 @@ fn run_bench(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     }
     match &report.socket {
         Some(s) => println!(
-            "socket engine: {:.3} ms/iter vs {:.4} ms/iter lockstep ({:.2}x overhead, {} iters); \
-             {:.3} ms/iter on {} co-hosting processes; on a parked fleet {:.4} (q1 {:.4}, q3 \
-             {:.4}) and {:.4} ms/iter (lockstep and parked: median of {} runs)",
-            s.socket_per_iter_ms(),
-            s.lockstep_per_iter_ms(),
-            s.overhead(),
-            s.iterations,
-            s.cohosted_per_iter_ms(),
-            solver_bench::COHOSTED_PROCESSES,
+            "socket engine: on a parked fleet {:.4} ms/iter (q1 {:.4}, q3 {:.4}) vs {:.4} \
+             ms/iter lockstep ({:.2}x overhead, {} iters), {:.4} ms/iter on {} co-hosting \
+             processes (parked and lockstep: median of {} runs); cold, with launch and \
+             teardown, {:.3} and {:.3} ms/iter",
             s.warm_socket_per_iter_ms(),
             s.warm_socket_quartiles_per_iter_ms().0,
             s.warm_socket_quartiles_per_iter_ms().1,
+            s.lockstep_per_iter_ms(),
+            s.overhead(),
+            s.iterations,
             s.warm_cohosted_per_iter_ms(),
-            solver_bench::LATENCY_RUNS
+            solver_bench::COHOSTED_PROCESSES,
+            solver_bench::LATENCY_RUNS,
+            s.socket_per_iter_ms(),
+            s.cohosted_per_iter_ms(),
         ),
         None => println!("socket engine: skipped (ufc-node worker binary not found)"),
     }

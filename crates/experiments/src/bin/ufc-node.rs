@@ -5,12 +5,13 @@
 //! process slot:
 //!
 //! ```text
-//! ufc-node --connect 127.0.0.1:PORT --process P --session S \
+//! ufc-node --connect unix:PATH|HOST:PORT --process P --session S \
 //!     [--incarnation I] [--auth-key-stdin]
 //! ```
 //!
-//! The process connects to the coordinator and joins its fleet (the
-//! `Hello` handshake). It then serves one run per `Load` frame: it
+//! The process connects to the coordinator — over the Unix socket at the
+//! absolute `PATH` for a fleet on the coordinator's own host, over TCP
+//! otherwise — and joins its fleet (the `Hello` handshake). It then serves one run per `Load` frame: it
 //! rebuilds its hosted node kernels from the load's run configuration and
 //! answers ADM-G commands. A fleet outlives a run, so one worker serves
 //! every run its coordinator loads into it, and exits on `Shutdown`, or
@@ -96,7 +97,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("ufc-node: {e}");
             eprintln!(
-                "usage: ufc-node --connect HOST:PORT --process P --session S \
+                "usage: ufc-node --connect unix:PATH|HOST:PORT --process P --session S \
                  [--incarnation I] [--auth-key-stdin]"
             );
             return ExitCode::FAILURE;

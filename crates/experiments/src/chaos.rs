@@ -240,7 +240,7 @@ impl ChaosStudy {
 }
 
 /// One cell of the socket sweep: a corruption posture applied to the
-/// engine's real TCP traffic.
+/// engine's real socket traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SocketChaosPoint {
     /// Per-attempt corruption probability.
@@ -275,7 +275,7 @@ pub struct SocketChaosStudy {
 }
 
 /// Sweeps seeded corruption over the multi-process socket engine's real
-/// TCP traffic: for every positive rate, one verified value-level cell
+/// socket traffic: for every positive rate, one verified value-level cell
 /// (identical draw order to the in-process engines) and one cell per
 /// wire-level kind — frame truncation, duplication, reordering — applied
 /// to live frame bytes in both directions. Typed budget-exhaustion

@@ -4,12 +4,12 @@
 //! The paper's protocol claims are simulator-agnostic, so this extension
 //! checks them against the operating system instead of the in-process
 //! fault model: every node runs as its own `ufc-node` OS process speaking
-//! the checksummed wire framing over loopback TCP. The clean sweep
-//! asserts the headline invariant — every hour's operating point is
-//! bit-identical to the lockstep engine — and the recovery scenario kills
-//! live worker processes with `SIGKILL` mid-iteration, drops connections
-//! for a partition window, and asserts the checkpoint-restarted run still
-//! lands on the clean UFC exactly.
+//! the checksummed wire framing over a Unix socket on the coordinator's
+//! own host. The clean sweep asserts the headline invariant — every
+//! hour's operating point is bit-identical to the lockstep engine — and
+//! the recovery scenario kills live worker processes with `SIGKILL`
+//! mid-iteration, drops connections for a partition window, and asserts
+//! the checkpoint-restarted run still lands on the clean UFC exactly.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -52,7 +52,7 @@ pub struct RecoveryOutcome {
     pub recomputed_iterations: usize,
     /// Nodes the supervision deadline ladder declared dead.
     pub dead_node_declarations: u64,
-    /// TCP connections re-established after a drop (partition heals and
+    /// Connections re-established after a drop (partition heals and
     /// respawn handshakes).
     pub reconnects: u64,
     /// Final UFC minus the clean lockstep UFC, in dollars.
@@ -142,7 +142,7 @@ pub fn locate_worker() -> Result<PathBuf> {
 /// The deterministic fault script of the recovery scenario: two real
 /// `SIGKILL`s (one front-end, one datacenter, both mid-run with recovery
 /// budget), plus a two-iteration partition window that tears the severed
-/// side's TCP connections down for real. Kept in one place so the `repro`
+/// side's connections down for real. Kept in one place so the `repro`
 /// sweep, the integration tests, and CI all exercise the same script.
 #[must_use]
 pub fn recovery_fault_plan() -> FaultPlan {

@@ -260,10 +260,13 @@ impl SocketLatency {
         self.warm_cohosted_wall_ms / self.iterations.max(1) as f64
     }
 
-    /// Socket-over-lockstep per-iteration overhead factor.
+    /// What an iteration costs on the parked one-process-per-node fleet
+    /// over what it costs on lockstep: the socket I/O's factor, without
+    /// the cold leg's process launch and teardown, which swamp a single
+    /// hour.
     #[must_use]
     pub fn overhead(&self) -> f64 {
-        self.socket_per_iter_ms() / self.lockstep_per_iter_ms()
+        self.warm_socket_per_iter_ms() / self.lockstep_per_iter_ms()
     }
 }
 
@@ -738,7 +741,8 @@ mod tests {
     }
 
     /// The socket block carries the cold and the warm legs, each per
-    /// iteration.
+    /// iteration, and prices the warm one-process-per-node leg against
+    /// lockstep.
     #[test]
     fn socket_block_reports_cold_and_warm_legs() {
         let mut report = run(2012, 1, 1, &[]).unwrap();
@@ -753,6 +757,7 @@ mod tests {
         });
         let json = report.to_json();
         assert!(json.contains("\"socket_per_iter_ms\": 0.5000"), "{json}");
+        assert!(json.contains("\"overhead\": 30.000"), "{json}");
         assert!(json.contains("\"cohosted_per_iter_ms\": 0.2000"), "{json}");
         assert!(
             json.contains(

@@ -33,7 +33,7 @@ pub enum TraceEngine {
     Corrupt,
     /// The multi-process socket engine under the
     /// [`crate::sockets::recovery_fault_plan`] script: real `SIGKILL`s and
-    /// torn TCP connections (traffic + fault + integrity counters; the
+    /// torn connections (traffic + fault + integrity counters; the
     /// kernels live in worker processes, so solver counters read 0).
     Sockets,
 }

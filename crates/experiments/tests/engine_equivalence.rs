@@ -10,7 +10,8 @@ use ufc_core::{
     AdmgSettings, AdmgSolver, BlockSchedule, HistoryRecorder, IterationRecord, Phase, Strategy,
 };
 use ufc_distsim::{
-    CorruptionConfig, DistRunReport, DistributedAdmg, Engine, FaultPlan, RunSpec, SocketOptions,
+    BindConfig, CorruptionConfig, DistRunReport, DistributedAdmg, Engine, FaultPlan, RunSpec,
+    SocketOptions,
 };
 use ufc_experiments::solver_bench::admg_scaling;
 use ufc_experiments::DEFAULT_SEED;
@@ -220,14 +221,16 @@ fn sweep_engines(num_threads: usize) {
 }
 
 /// The multi-process socket engine joins the agreement: real `ufc-node`
-/// OS processes over loopback TCP, at both extremes of the co-hosting
-/// spectrum (everything in one worker process, and nodes spread over
-/// four), reproduce the in-process iterates bitwise with exactly the
-/// lockstep engine's traffic. A traced run at each process count also
-/// pins the coordinator's egress: every command frame goes out, each
-/// front-end's next prediction rides in its correction's fan-out, and
-/// each fan-out costs one socket write per worker process, not one per
-/// node.
+/// OS processes, at both extremes of the co-hosting spectrum (everything
+/// in one worker process, and nodes spread over four), and over both
+/// carriers (the default own-host fleet on a Unix socket, and an explicit
+/// unauthenticated loopback TCP bind), reproduce the in-process iterates
+/// bitwise with exactly the lockstep engine's traffic. A traced run at
+/// each process count and carrier also pins the coordinator's egress:
+/// every command frame goes out, each front-end's next prediction rides
+/// in its correction's fan-out, and each fan-out costs one socket write
+/// per worker process, not one per node; the two carriers send the same
+/// frames in the same writes.
 #[test]
 fn socket_engine_agrees_bitwise_across_process_counts() {
     let instances = admg_scaling(DEFAULT_SEED, 1).expect("scaling workload must build");
@@ -247,66 +250,76 @@ fn socket_engine_agrees_bitwise_across_process_counts() {
         .expect("lockstep run must succeed");
 
     for processes in [1usize, 4] {
-        let options = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node")).with_processes(processes);
-        let socket = runner
-            .execute(
-                instance,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Sockets(options.clone())),
-                &mut (),
-            )
-            .expect("socket run must succeed");
-        let label = format!("sockets x{processes}");
-        assert_report_matches(&reference, &socket, &label);
-        assert_eq!(
-            lockstep.stats, socket.stats,
-            "{label}: socket and lockstep runs must exchange identical traffic"
-        );
-        assert!(
-            socket.fault.is_none(),
-            "{label}: clean socket run must not carry a fault report"
-        );
-        assert!(
-            socket.integrity.is_none(),
-            "{label}: clean socket run must not carry integrity counters"
-        );
+        let own_host = SocketOptions::new(env!("CARGO_BIN_EXE_ufc-node")).with_processes(processes);
+        let tcp = own_host.clone().with_bind(BindConfig::new("127.0.0.1:0"));
+        let mut carried = Vec::new();
+        for (carrier, options) in [("own host", own_host), ("loopback TCP", tcp)] {
+            let socket = runner
+                .execute(
+                    instance,
+                    Strategy::Hybrid,
+                    &RunSpec::new(Engine::Sockets(options.clone())),
+                    &mut (),
+                )
+                .expect("socket run must succeed");
+            let label = format!("sockets x{processes} ({carrier})");
+            assert_report_matches(&reference, &socket, &label);
+            assert_eq!(
+                lockstep.stats, socket.stats,
+                "{label}: socket and lockstep runs must exchange identical traffic"
+            );
+            assert!(
+                socket.fault.is_none(),
+                "{label}: clean socket run must not carry a fault report"
+            );
+            assert!(
+                socket.integrity.is_none(),
+                "{label}: clean socket run must not carry integrity counters"
+            );
 
-        let traced = DistributedAdmg::new(settings.with_telemetry(true))
-            .execute(
-                instance,
-                Strategy::Hybrid,
-                &RunSpec::new(Engine::Sockets(options.clone())),
-                &mut (),
-            )
-            .expect("traced socket run must succeed");
-        assert_report_matches(&reference, &traced, &format!("{label} traced"));
-        let traffic = traced
-            .telemetry
-            .and_then(|t| t.traffic)
-            .expect("a traced socket run reports traffic counters");
-        let (m, n) = (
-            instance.m_frontends() as u64,
-            instance.n_datacenters() as u64,
-        );
-        let (iterations, processes) = (traced.iterations as u64, processes as u64);
-        // Per iteration: m Predict, n Process and m Correct frames; the
-        // stopping iteration's correction also sends m Predict frames for
-        // an iteration that never runs; then the final gather's one Finish
-        // per node.
+            let traced = DistributedAdmg::new(settings.with_telemetry(true))
+                .execute(
+                    instance,
+                    Strategy::Hybrid,
+                    &RunSpec::new(Engine::Sockets(options.clone())),
+                    &mut (),
+                )
+                .expect("traced socket run must succeed");
+            assert_report_matches(&reference, &traced, &format!("{label} traced"));
+            let traffic = traced
+                .telemetry
+                .and_then(|t| t.traffic)
+                .expect("a traced socket run reports traffic counters");
+            let (m, n) = (
+                instance.m_frontends() as u64,
+                instance.n_datacenters() as u64,
+            );
+            let (iterations, processes) = (traced.iterations as u64, processes as u64);
+            // Per iteration: m Predict, n Process and m Correct frames; the
+            // stopping iteration's correction also sends m Predict frames
+            // for an iteration that never runs; then the final gather's one
+            // Finish per node.
+            assert_eq!(
+                traffic.frames_sent,
+                (2 * m + n) * iterations + 2 * m + n,
+                "{label}: command frames sent"
+            );
+            // The first prediction, two fan-outs per iteration (the
+            // datacenter step; the correction with the next prediction)
+            // and the finish round, each at most one write per process.
+            // Teardown's Shutdown frames are not commands and are not
+            // counted.
+            assert!(
+                traffic.socket_writes <= 2 * processes * iterations + 2 * processes,
+                "{label}: {} socket writes for {} frames over {iterations} iterations",
+                traffic.socket_writes,
+                traffic.frames_sent
+            );
+            carried.push((traffic.frames_sent, traffic.socket_writes));
+        }
         assert_eq!(
-            traffic.frames_sent,
-            (2 * m + n) * iterations + 2 * m + n,
-            "{label}: command frames sent"
-        );
-        // The first prediction, two fan-outs per iteration (the datacenter
-        // step; the correction with the next prediction) and the finish
-        // round, each at most one write per process. Teardown's Shutdown
-        // frames are not commands and are not counted.
-        assert!(
-            traffic.socket_writes <= 2 * processes * iterations + 2 * processes,
-            "{label}: {} socket writes for {} frames over {iterations} iterations",
-            traffic.socket_writes,
-            traffic.frames_sent
+            carried[0], carried[1],
+            "x{processes}: (frames, writes) on the own-host fleet and over loopback TCP"
         );
     }
 }

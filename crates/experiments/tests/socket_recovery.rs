@@ -1,5 +1,5 @@
 //! Crash recovery outside the simulator: the socket engine's worker
-//! processes are killed with real `SIGKILL`s mid-iteration and TCP
+//! processes are killed with real `SIGKILL`s mid-iteration and their
 //! connections are torn down for a partition window, and the
 //! checkpoint-restarted run must still land on the clean operating point
 //! bit-for-bit. The faults here are delivered by the operating system —
@@ -15,8 +15,8 @@ use std::time::{Duration, Instant};
 use ufc_core::{AdmgSettings, CoreError, Strategy};
 use ufc_distsim::wire::FrameBuffer;
 use ufc_distsim::{
-    CorruptionConfig, CorruptionKind, DistRunReport, DistributedAdmg, Engine, FaultPlan, NodeId,
-    PartitionWindow, RunSpec, SocketOptions,
+    BindConfig, CorruptionConfig, CorruptionKind, DistRunReport, DistributedAdmg, Engine,
+    FaultPlan, NodeId, PartitionWindow, RunSpec, SocketOptions,
 };
 use ufc_experiments::sockets::recovery_fault_plan;
 use ufc_experiments::solver_bench::admg_scaling;
@@ -351,6 +351,38 @@ fn kill_plans_require_one_process_per_node() {
         matches!(err, CoreError::InvalidConfig { .. }),
         "expected a typed InvalidConfig, got {err:?}"
     );
+}
+
+/// A fleet whose advertised address does not lead back to its listener
+/// fails its launch with a typed `NodeFailure` once the registration
+/// deadline passes: the workers cannot reach `127.0.0.1:1`, and the
+/// teardown that follows wakes the acceptor through the listener's own
+/// address, where a poke at the advertised one would be refused and
+/// leave the teardown waiting on `accept()` for good.
+#[test]
+fn a_launch_its_workers_cannot_reach_fails_typed_instead_of_hanging() {
+    let instance = workload();
+    let options = worker_options()
+        .with_processes(2)
+        .with_bind(BindConfig::new("127.0.0.1:0").with_advertise("127.0.0.1:1"));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let result = DistributedAdmg::new(AdmgSettings::default())
+            .execute(
+                &instance,
+                Strategy::Hybrid,
+                &RunSpec::new(Engine::Sockets(options)),
+                &mut (),
+            )
+            .map(|report| report.iterations);
+        let _ = done_tx.send(result);
+    });
+    match done_rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(Err(CoreError::NodeFailure { .. })) => {}
+        Ok(other) => panic!("expected a typed NodeFailure, got {other:?}"),
+        Err(_) => panic!("the failed launch did not return within 30 s"),
+    }
+    run.join().expect("the run thread must not panic");
 }
 
 /// Whether process `pid` has exited: it is gone from the process table, or

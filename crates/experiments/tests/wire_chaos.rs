@@ -1,5 +1,5 @@
 //! Chaos over the real wire: seeded corruption applied to the socket
-//! engine's actual TCP traffic. Value-level corruption must reproduce the
+//! engine's actual socket traffic. Value-level corruption must reproduce the
 //! in-process corrupt engines bit-for-bit (identical draw order), and the
 //! wire-level kinds — frame truncation, duplication, reordering — must all
 //! be caught by the framing CRC + `Nak`/resend ladder or absorbed by the
@@ -241,7 +241,7 @@ fn rollback_repairs_a_poisoned_socket_run_as_on_lockstep() {
     }
 }
 
-/// Every wire-level kind at rate 1e-2 over real TCP: each injection is
+/// Every wire-level kind at rate 1e-2 over a real socket: each injection is
 /// detected (CRC + `Nak`/clean-resend) or structurally absorbed
 /// (duplicate drop, order-insensitive gather), none is silently
 /// delivered, and the run reproduces the clean socket run bit-for-bit.
